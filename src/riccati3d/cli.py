@@ -54,7 +54,7 @@ def _parse_config_file(path: str) -> dict:
 
 
 _INT_KEYS = {"order", "gauss_order", "volume_grid", "build_grid", "seed",
-             "samples", "threads"}
+             "samples"}
 _FLOAT_KEYS = {"h", "line_tol", "margin"}
 _STR_KEYS = {"line_rule"}
 
@@ -305,7 +305,6 @@ def _add_config_flags(sub):
     sub.add_argument("--volume-grid", dest="volume_grid", type=int, default=None)
     sub.add_argument("--build-grid", dest="build_grid", type=int, default=None)
     sub.add_argument("--margin", type=float, default=None)
-    sub.add_argument("--threads", type=int, default=None)
 
 
 def _add_solution_flags(sub):

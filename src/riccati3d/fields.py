@@ -15,23 +15,17 @@ Conventions
   volume potential B uses midpoint tensor quadrature with the cell containing
   the evaluation point excluded (O(h) local error by construction).
 
-Differentiating through a B-potential needs extra care.  With the default
-excluded-cell kernel, the exclusion is anchored at the outermost
-differentiation point (see ``singular_cell_anchor``) so finite-difference
-stencils see a locally smooth function instead of a cell-switching
-discontinuity; that is good enough for first derivatives of B itself.
-Constructions needing second derivatives (anything applying the Dirac
-operator to a field built from rot B) must use the smooth
-``kernel="softened"`` variant instead, because an excluded-cell sum is
-locally a sum of harmonic kernels whose Laplacian misses the -F source.
+Any derivative through a B-potential needs the smooth ``kernel="softened"``
+variant.  The default excluded-cell kernel is for evaluating B only: the
+dropped cell follows the evaluation point, so a finite-difference stencil
+straddling a cell face sees a jump, and the sum is locally a sum of harmonic
+kernels whose Laplacian misses the -F source.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -57,7 +51,6 @@ __all__ = [
     "dirac_right",
     "operator_A",
     "operator_B",
-    "singular_cell_anchor",
 ]
 
 
@@ -209,33 +202,6 @@ DEFAULT_QUAD = QuadratureSpec()
 
 
 # --------------------------------------------------------------------------
-# excluded-cell anchoring for derivatives of B-potentials
-
-_anchor_tls = threading.local()
-
-
-def _current_anchor() -> Optional[Point3]:
-    return getattr(_anchor_tls, "point", None)
-
-
-@contextmanager
-def singular_cell_anchor(p: Point3):
-    """Freeze the excluded cell of every B-potential at p.
-
-    Only the outermost anchor sticks, so nested derivative evaluations share
-    one consistent exclusion and the differentiated function stays smooth.
-    """
-    prev = _current_anchor()
-    if prev is None:
-        _anchor_tls.point = p
-    try:
-        yield
-    finally:
-        if prev is None:
-            _anchor_tls.point = None
-
-
-# --------------------------------------------------------------------------
 # finite differences
 
 def _require_stencil(domain: BoxDomain, p: Point3, axes, scheme: DiffScheme,
@@ -280,15 +246,13 @@ def _d2(evalf, p: Point3, axis: int, scheme: DiffScheme):
 def grad(f: ScalarField, p: Point3, scheme: DiffScheme = DEFAULT_SCHEME) -> np.ndarray:
     """Gradient of a scalar field as a 3-vector of complex numbers."""
     _require_stencil(f.domain, p, (0, 1, 2), scheme, include_center=False)
-    with singular_cell_anchor(p):
-        return np.array([_d1(f, p, k, scheme) for k in range(3)], dtype=complex)
+    return np.array([_d1(f, p, k, scheme) for k in range(3)], dtype=complex)
 
 
 def _jacobian(F: VectorField, p: Point3, scheme: DiffScheme) -> np.ndarray:
     """J[i, j] = d F_i / d x_j."""
     _require_stencil(F.domain, p, (0, 1, 2), scheme, include_center=False)
-    with singular_cell_anchor(p):
-        cols = [_d1(F, p, j, scheme) for j in range(3)]
+    cols = [_d1(F, p, j, scheme) for j in range(3)]
     return np.column_stack(cols)
 
 
@@ -309,10 +273,9 @@ def rot(F: VectorField, p: Point3, scheme: DiffScheme = DEFAULT_SCHEME) -> np.nd
 def laplacian(f, p: Point3, scheme: DiffScheme = DEFAULT_SCHEME):
     """Componentwise Laplacian of a scalar, vector or quaternion field."""
     _require_stencil(f.domain, p, (0, 1, 2), scheme, include_center=True)
-    with singular_cell_anchor(p):
-        total = _d2(f, p, 0, scheme)
-        for axis in (1, 2):
-            total = total + _d2(f, p, axis, scheme)
+    total = _d2(f, p, 0, scheme)
+    for axis in (1, 2):
+        total = total + _d2(f, p, axis, scheme)
     return total
 
 
@@ -333,10 +296,9 @@ def dirac_left(f, p: Point3, scheme: DiffScheme = DEFAULT_SCHEME) -> Biquaternio
     """D f = sum_k e_k d_k f = -div f_vec + grad f_0 + rot f_vec."""
     _require_stencil(f.domain, p, (0, 1, 2), scheme, include_center=False)
     evalf = _as_quaternion_eval(f)
-    with singular_cell_anchor(p):
-        out = Biquaternion()
-        for axis in range(3):
-            out = out + mul(_BASIS[axis], _d1(evalf, p, axis, scheme))
+    out = Biquaternion()
+    for axis in range(3):
+        out = out + mul(_BASIS[axis], _d1(evalf, p, axis, scheme))
     return out
 
 
@@ -344,10 +306,9 @@ def dirac_right(f, p: Point3, scheme: DiffScheme = DEFAULT_SCHEME) -> Biquaterni
     """D_r f = sum_k (d_k f) e_k = -div f_vec + grad f_0 - rot f_vec."""
     _require_stencil(f.domain, p, (0, 1, 2), scheme, include_center=False)
     evalf = _as_quaternion_eval(f)
-    with singular_cell_anchor(p):
-        out = Biquaternion()
-        for axis in range(3):
-            out = out + mul(_d1(evalf, p, axis, scheme), _BASIS[axis])
+    out = Biquaternion()
+    for axis in range(3):
+        out = out + mul(_d1(evalf, p, axis, scheme), _BASIS[axis])
     return out
 
 
@@ -498,16 +459,17 @@ class _NewtonianPotential(VectorField):
     The grid of integrand values is computed lazily on first evaluation and
     cached.  Two singularity treatments:
 
-    * kernel="excluded_cell": the cell containing the evaluation point (or
-      the current singular-cell anchor, when one is active) is dropped from
-      the sum.  O(h) local error; adequate for evaluating B itself.
+    * kernel="excluded_cell": the cell containing the evaluation point is
+      dropped from the sum.  O(h) local error; for evaluating B only, since
+      the dropped cell changes as the point crosses a cell face and a
+      finite-difference stencil straddling that face sees a jump.
     * kernel="softened": each cell mass contributes the potential of a
       compact C^1-density blob of radius softening * max cell side instead
       of a point mass; outside that radius the kernel is exactly
       1/(4 pi |x-y|), inside it is a polynomial.  No cell is dropped.  This
       keeps all derivatives of the discretized potential meaningful (in
       particular its Laplacian reproduces -F locally, which cell exclusion
-      cannot), so constructions that differentiate through B use this mode.
+      cannot), so any derivative through B must use this mode.
 
     ``cells`` overrides the per-axis cell counts; the default is the cubic
     quad.volume_grid per axis.  Use it to keep cells near-cubic on elongated
@@ -587,8 +549,7 @@ class _NewtonianPotential(VectorField):
             w = dV * self._blob_kernel(r2, a)
             skip = None
         else:
-            anchor = _current_anchor() or p
-            skip = self._cell_flat_index(anchor)
+            skip = self._cell_flat_index(p)
             with np.errstate(divide="ignore"):
                 w = dV / (4.0 * np.pi * np.sqrt(r2))
         out = np.empty(3, dtype=complex)

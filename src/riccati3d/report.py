@@ -7,27 +7,12 @@ JSON except the per-check ``seconds`` timing fields.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field, asdict
 from typing import Dict, List
 
 from .errors import ConfigError
 
-__all__ = ["RunConfig", "CheckResult", "VerificationReport", "thread_cap"]
-
-
-def thread_cap(setting: int = 0) -> int:
-    """Resolve the parallelism cap: explicit setting, else RICCATI3D_THREADS,
-    0 meaning auto (cpu count)."""
-    if setting <= 0:
-        env = os.environ.get("RICCATI3D_THREADS", "0")
-        try:
-            setting = int(env)
-        except ValueError:
-            raise ConfigError(f"RICCATI3D_THREADS = {env!r} is not an integer")
-    if setting <= 0:
-        setting = os.cpu_count() or 1
-    return max(1, setting)
+__all__ = ["RunConfig", "CheckResult", "VerificationReport"]
 
 
 @dataclass
@@ -44,7 +29,6 @@ class RunConfig:
     seed: int = 0
     samples: int = 100
     margin: float = 0.1
-    threads: int = 0
     tolerances: Dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):

@@ -41,7 +41,6 @@ from .fields import (
     operator_A,
     operator_B,
     rot,
-    singular_cell_anchor,
 )
 
 __all__ = [
@@ -96,10 +95,9 @@ def riccati_residual(inst: RiccatiInstance, p: Point3,
     Both vanish exactly when Q solves the equation locally.
     """
     p = Point3(*p)
-    with singular_cell_anchor(p):
-        Qp = inst.Q(p)
-        scalar = -div(inst.Q, p, scheme) + Qp @ Qp - inst.q(p)
-        vector = rot(inst.Q, p, scheme)
+    Qp = inst.Q(p)
+    scalar = -div(inst.Q, p, scheme) + Qp @ Qp - inst.q(p)
+    vector = rot(inst.Q, p, scheme)
     return complex(scalar), vector
 
 
@@ -107,8 +105,7 @@ def schrodinger_residual(inst: SchrodingerInstance, p: Point3,
                          scheme: DiffScheme = DEFAULT_SCHEME) -> complex:
     """(-Delta + q) psi at p."""
     p = Point3(*p)
-    with singular_cell_anchor(p):
-        return complex(-laplacian(inst.psi, p, scheme) + inst.q(p) * inst.psi(p))
+    return complex(-laplacian(inst.psi, p, scheme) + inst.q(p) * inst.psi(p))
 
 
 def cole_hopf(inst: SchrodingerInstance, scheme: DiffScheme = DEFAULT_SCHEME,
@@ -156,12 +153,11 @@ def factorization_residual(psi: ScalarField, inst: RiccatiInstance, p: Point3,
     """
     p = Point3(*p)
     G = _probe_pair(psi, inst, scheme)
-    with singular_cell_anchor(p):
-        Qp = Biquaternion.from_vector(inst.Q(p))
-        Gp = G(p)
-        target = Biquaternion(-laplacian(psi, p, scheme) + inst.q(p) * psi(p))
-        left = dirac_left(G, p, scheme) - mul(Gp, Qp) - target
-        right = dirac_right(G, p, scheme) - mul(Qp, Gp) - target
+    Qp = Biquaternion.from_vector(inst.Q(p))
+    Gp = G(p)
+    target = Biquaternion(-laplacian(psi, p, scheme) + inst.q(p) * psi(p))
+    left = dirac_left(G, p, scheme) - mul(Gp, Qp) - target
+    right = dirac_right(G, p, scheme) - mul(Qp, Gp) - target
     return left, right
 
 
@@ -170,10 +166,9 @@ def vekua_residual(W: QuaternionField, phi: ScalarField, p: Point3,
                    eps_zero: float = EPS_ZERO) -> Biquaternion:
     """(D - (D phi / phi) C_H) W at p."""
     p = Point3(*p)
-    with singular_cell_anchor(p):
-        value = _nonzero(phi(p), eps_zero, "phi")
-        a = Biquaternion.from_vector(grad(phi, p, scheme) / value)
-        return dirac_left(W, p, scheme) - mul(a, conj_h(W(p)))
+    value = _nonzero(phi(p), eps_zero, "phi")
+    a = Biquaternion.from_vector(grad(phi, p, scheme) / value)
+    return dirac_left(W, p, scheme) - mul(a, conj_h(W(p)))
 
 
 def component_residuals(W0: ScalarField, Wv: VectorField, phi: ScalarField,
@@ -197,9 +192,8 @@ def component_residuals(W0: ScalarField, Wv: VectorField, phi: ScalarField,
         return rot(prod, s, scheme) / (value * value)
 
     dom = W0.domain.intersect(phi.domain)
-    with singular_cell_anchor(p):
-        c1 = div(VectorField(sigma, dom), p, scheme)
-        c2 = rot(VectorField(tau, dom.intersect(Wv.domain)), p, scheme)
+    c1 = div(VectorField(sigma, dom), p, scheme)
+    c2 = rot(VectorField(tau, dom.intersect(Wv.domain)), p, scheme)
     return complex(c1), c2
 
 
@@ -213,10 +207,9 @@ def w_equation_residual(w, phi: ScalarField, p: Point3,
         if abs(wp.scalar) > 1e-12 * max(1.0, wp.max_abs()):
             raise NotPureVector(f"w has scalar part {wp.scalar} at {p}")
         w = VectorField(lambda t: w(t).vector, w.domain)
-    with singular_cell_anchor(p):
-        value = _nonzero(phi(p), eps_zero, "phi")
-        a = Biquaternion.from_vector(grad(phi, p, scheme) / value)
-        return dirac_left(w, p, scheme) + mul(Biquaternion.from_vector(w(p)), a)
+    value = _nonzero(phi(p), eps_zero, "phi")
+    a = Biquaternion.from_vector(grad(phi, p, scheme) / value)
+    return dirac_left(w, p, scheme) + mul(Biquaternion.from_vector(w(p)), a)
 
 
 def _grad_or_zero(h: Optional[ScalarField], p: Point3, scheme: DiffScheme) -> np.ndarray:
@@ -315,9 +308,8 @@ def euler_residual(W: QuaternionField, Q1: VectorField, p: Point3,
                    scheme: DiffScheme = DEFAULT_SCHEME) -> Biquaternion:
     """D W + Q1 conj_h(W) at p (defect of the first-order reduction)."""
     p = Point3(*p)
-    with singular_cell_anchor(p):
-        Q1p = Biquaternion.from_vector(Q1(p))
-        return dirac_left(W, p, scheme) + mul(Q1p, conj_h(W(p)))
+    Q1p = Biquaternion.from_vector(Q1(p))
+    return dirac_left(W, p, scheme) + mul(Q1p, conj_h(W(p)))
 
 
 def q_from_scw(W: QuaternionField, scheme: DiffScheme = DEFAULT_SCHEME,
@@ -413,5 +405,4 @@ def picard_lhs(Q1: VectorField, Q2: VectorField, Q3: VectorField, Q4: VectorFiel
         Yinv = inverse(Y, eps_inv)
         return mul(X, Yinv) if division == "right" else mul(Yinv, X)
 
-    with singular_cell_anchor(p):
-        return term(0, 1) + term(2, 3) - term(0, 3) - term(2, 1)
+    return term(0, 1) + term(2, 3) - term(0, 3) - term(2, 1)

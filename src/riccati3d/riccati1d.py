@@ -93,17 +93,27 @@ def integrate(c: Coefficients1D, x0: float, y0: float, x1: float,
 
 
 # --------------------------------------------------------------------------
-# 1-D finite differences (order 4 central, relative step)
+# 1-D finite differences: order-4 central stencils at relative steps hh and
+# hh/2, combined by Richardson extrapolation (16 D_{hh/2} - D_hh) / 15, which
+# cancels the h^4 term of the truncation error
+
+def _d1_stencil(f: Fn, x: float, hh: float) -> float:
+    return (f(x - 2 * hh) - f(x + 2 * hh) + 8.0 * (f(x + hh) - f(x - hh))) / (12.0 * hh)
+
+
+def _d2_stencil(f: Fn, x: float, hh: float) -> float:
+    return (-f(x + 2 * hh) + 16.0 * f(x + hh) - 30.0 * f(x)
+            + 16.0 * f(x - hh) - f(x - 2 * hh)) / (12.0 * hh * hh)
+
 
 def d1(f: Fn, x: float, h: float = 1e-3) -> float:
     hh = h * max(1.0, abs(x))
-    return (f(x - 2 * hh) - f(x + 2 * hh) + 8.0 * (f(x + hh) - f(x - hh))) / (12.0 * hh)
+    return (16.0 * _d1_stencil(f, x, 0.5 * hh) - _d1_stencil(f, x, hh)) / 15.0
 
 
 def d2(f: Fn, x: float, h: float = 1e-3) -> float:
     hh = h * max(1.0, abs(x))
-    return (-f(x + 2 * hh) + 16.0 * f(x + hh) - 30.0 * f(x)
-            + 16.0 * f(x - hh) - f(x - 2 * hh)) / (12.0 * hh * hh)
+    return (16.0 * _d2_stencil(f, x, 0.5 * hh) - _d2_stencil(f, x, hh)) / 15.0
 
 
 def _guard(value: float, what: str, eps: float = 1e-12) -> float:

@@ -282,3 +282,14 @@ def test_picard_zero_divisor_guard():
     Q4 = VectorField(lambda p: np.array([0, 0, 2.0], complex))
     with pytest.raises(ZeroDivisor):
         picard_lhs(Q1, Q2, Q3, Q4, Point3(1, 1, 1), S)
+
+
+def test_factorization_nonsolution_detection_passes_at_seed_1():
+    # the broken input Q = (x,0,0) must not solve the equation anywhere in
+    # the check's sample box; with q = 0 it did so on the plane x = 1
+    from riccati3d.report import RunConfig
+    from riccati3d.verify import run_suite
+    report = run_suite("riccati", RunConfig(seed=1))
+    check = next(c for c in report.checks
+                 if c.name == "factorization_nonsolution_detection")
+    assert check.passed

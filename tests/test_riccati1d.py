@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riccati3d.errors import ZeroCrossing
@@ -128,6 +128,7 @@ def test_superposition_solves_equation():
 
 @settings(max_examples=40, deadline=None)
 @given(st.floats(0.2, 5.0), st.floats(-3.0, -0.1))
+@example(k=0.25, neg=-1.0)   # y = 1/(x-1): pole 0.1 from the sample point
 def test_superposition_any_k_solves(k, neg):
     fns = [lambda x, cc=cc: 1.0 / (x + cc) for cc in (0.0, 1.0, 2.0)]
     for kk in (k, neg):
