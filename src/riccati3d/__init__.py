@@ -24,6 +24,7 @@ from .fields import (
     laplacian,
     operator_A,
     operator_B,
+    operator_rot_B,
     rot,
 )
 from .riccati import (

@@ -39,7 +39,7 @@ from .fields import (
     grad,
     laplacian,
     operator_A,
-    operator_B,
+    operator_rot_B,
     rot,
 )
 
@@ -227,27 +227,28 @@ def build_W_prop2(w: VectorField, phi: ScalarField, h: Optional[ScalarField],
     """Solutions built from a purely vectorial w with (D + M^{D phi/phi}) w = 0.
 
     Returns (W, W0, Q):
-      W  = (phi A[w/phi] - phi^-1 rot(B[phi w]) + grad h / phi) / 2
+      W  = (phi A[w/phi] - phi^-1 rot B[phi w] + grad h / phi) / 2
       W0 = phi A[w/phi] / 2                      (solves the Schrodinger eq.)
       Q  = -phi^-1 (grad phi + w / A[w/phi])     (solves the Riccati eq.)
 
     h is an arbitrary harmonic function (None means 0); C is the additive
-    constant of the path reconstruction A.
+    constant of the path reconstruction A.  rot B is evaluated analytically
+    (``operator_rot_B``), not by finite differences of the potential.
     """
     base = Point3(*base)
     dom = w.domain.intersect(phi.domain)
 
     ratio = VectorField(lambda t: w(t) / _nonzero(phi(t), eps_zero, "phi"), dom)
     Aw = operator_A(ratio, base, C, quad)
-    B = operator_B(VectorField(lambda t: phi(t) * w(t), dom), region, quad,
-                   kernel="softened", cells=cells)
+    rot_B = operator_rot_B(VectorField(lambda t: phi(t) * w(t), dom), region, quad,
+                           cells=cells)
 
     def W0_eval(p: Point3) -> complex:
         return 0.5 * phi(p) * Aw(p)
 
     def W_eval(p: Point3) -> Biquaternion:
         value = _nonzero(phi(p), eps_zero, "phi")
-        vec = 0.5 * (-rot(B, p, scheme) + _grad_or_zero(h, p, scheme)) / value
+        vec = 0.5 * (-rot_B(p) + _grad_or_zero(h, p, scheme)) / value
         return Biquaternion.from_scalar_vector(W0_eval(p), vec)
 
     def Q_eval(p: Point3) -> np.ndarray:
@@ -265,7 +266,8 @@ def build_W_from_W0(W0: ScalarField, phi: ScalarField, h: Optional[ScalarField],
                     eps_zero: float = EPS_ZERO, cells=None) -> QuaternionField:
     """Complete a Schrodinger solution W0 to a Vekua solution W = W0 + Wv.
 
-    Wv = -phi^-1 {rot(B[phi^2 grad(W0/phi)]) + grad h}.
+    Wv = -phi^-1 {rot B[phi^2 grad(W0/phi)] + grad h}, with rot B evaluated
+    analytically (``operator_rot_B``).
     """
     dom = W0.domain.intersect(phi.domain)
 
@@ -274,12 +276,11 @@ def build_W_from_W0(W0: ScalarField, phi: ScalarField, h: Optional[ScalarField],
         ratio = ScalarField(lambda s: W0(s) / _nonzero(phi(s), eps_zero, "phi"), dom)
         return value * value * grad(ratio, t, scheme)
 
-    B = operator_B(VectorField(integrand, dom), region, quad, kernel="softened",
-                   cells=cells)
+    rot_B = operator_rot_B(VectorField(integrand, dom), region, quad, cells=cells)
 
     def W_eval(p: Point3) -> Biquaternion:
         value = _nonzero(phi(p), eps_zero, "phi")
-        vec = -(rot(B, p, scheme) + _grad_or_zero(h, p, scheme)) / value
+        vec = -(rot_B(p) + _grad_or_zero(h, p, scheme)) / value
         return Biquaternion.from_scalar_vector(W0(p), vec)
 
     return QuaternionField(W_eval, dom)
@@ -332,7 +333,7 @@ def w_from_q_pair(inst: RiccatiInstance, inst1: RiccatiInstance,
                   cells=None) -> QuaternionField:
     """Solution of D W = -Q1 conj_h(W) assembled from two Riccati solutions.
 
-    W = exp(-A[Q]) - exp(A[Q1]) { rot(B[exp(-2 A[Q1]) grad(exp(-A[Q - Q1]))])
+    W = exp(-A[Q]) - exp(A[Q1]) { rot B[exp(-2 A[Q1]) grad(exp(-A[Q - Q1]))]
                                   + grad h }.
 
     The scalar part is exactly exp(-A[Q]) (the brace term is purely
@@ -343,7 +344,8 @@ def w_from_q_pair(inst: RiccatiInstance, inst1: RiccatiInstance,
     Because rot(Q - Q1) = 0 for two solutions of one equation, the gradient
     in the brace integrand is evaluated through the exact chain rule
     grad(exp(-A[G])) = -G exp(-A[G]), which avoids differencing a quadrature
-    inside the volume integral.
+    inside the volume integral; rot B itself is evaluated analytically
+    (``operator_rot_B``).
     """
     base = Point3(*base)
     if check_points is not None:
@@ -363,11 +365,10 @@ def w_from_q_pair(inst: RiccatiInstance, inst1: RiccatiInstance,
     def integrand(t: Point3) -> np.ndarray:
         return cmath.exp(-2.0 * A_Q1(t) - A_diff(t)) * (Q1(t) - Q(t))
 
-    B = operator_B(VectorField(integrand, dom), region, quad, kernel="softened",
-                   cells=cells)
+    rot_B = operator_rot_B(VectorField(integrand, dom), region, quad, cells=cells)
 
     def W_eval(p: Point3) -> Biquaternion:
-        vec = -cmath.exp(A_Q1(p)) * (rot(B, p, scheme) + _grad_or_zero(h, p, scheme))
+        vec = -cmath.exp(A_Q1(p)) * (rot_B(p) + _grad_or_zero(h, p, scheme))
         return Biquaternion.from_scalar_vector(cmath.exp(-A_Q(p)), vec)
 
     return QuaternionField(W_eval, dom)

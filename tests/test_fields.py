@@ -16,6 +16,7 @@ from riccati3d.fields import (
     ScalarField,
     VectorField,
     QuaternionField,
+    _NewtonianPotential,
     diff,
     dirac_left,
     dirac_right,
@@ -24,6 +25,7 @@ from riccati3d.fields import (
     laplacian,
     operator_A,
     operator_B,
+    operator_rot_B,
     rot,
 )
 
@@ -246,6 +248,56 @@ def test_B_anisotropic_cells():
     r = math.sqrt(2.0 ** 2 + 12.0 ** 2)  # distance to the slab center (2,0,0)
     approx = 4.0 / (4.0 * math.pi * math.hypot(0.0, 12.0))
     assert abs(B(far)[0] - approx) / approx < 0.05
+
+
+_SMOOTH = VectorField(lambda p: np.array(
+    [math.sin(p.x) + 1j * p.y, p.x * p.z, math.cos(p.y) - p.z], complex))
+
+
+@pytest.mark.parametrize("lower, upper, cells", [
+    ((-1, -1, -1), (1, 1, 1), (16, 16, 16)),
+    ((0, -0.5, -0.5), (4, 0.5, 0.5), (40, 10, 10)),
+], ids=["cubic", "anisotropic"])
+def test_rot_B_matches_stencil_of_softened_B(lower, upper, cells):
+    region = BoxDomain.box(lower, upper)
+    quad = QuadratureSpec(volume_grid=16)
+    B = operator_B(_SMOOTH, region, quad, kernel="softened", cells=cells)
+    rot_B = operator_rot_B(_SMOOTH, region, quad, cells=cells)
+    steps = [(hi - lo) / n for lo, hi, n in zip(lower, upper, cells)]
+    a = 2.2 * max(steps)
+    c = Point3(*(lo + 3.5 * h for lo, h in zip(lower, steps)))  # a cell centre
+    points = {
+        "far": Point3(upper[0] + 2.0, 0.5, 0.2),
+        "inside blob": Point3(c.x + 0.3 * a, c.y - 0.2 * a, c.z + 0.1 * a),
+        "cell centre": c,
+        "r just above a": c.shifted(0, a * (1 + 1e-9)),
+        "r just below a": c.shifted(0, a * (1 - 1e-3)),
+    }
+    for name, p in points.items():
+        exact = rot_B(p)
+        assert np.max(np.abs(exact)) <= 1.0, name
+        assert np.max(np.abs(exact - rot(B, p))) < 1e-8, name
+
+
+def test_blob_kernel_gradient_continuous_at_radius():
+    a = 0.3
+    G = _NewtonianPotential._blob_kernel_grad
+    inside, edge = G(np.array([a * a * (1 - 1e-12), a * a]), a)
+    assert inside == pytest.approx(-1.0 / (4.0 * math.pi * a ** 3), rel=1e-9)
+    assert edge == pytest.approx(-1.0 / (4.0 * math.pi * a ** 3), rel=1e-12)
+    # G(r^2) * r is dK/dr of the blob kernel, inside and outside the radius
+    r = np.array([0.05, 0.2, 0.299, 0.301, 0.6])
+    h = 1e-5
+    K = _NewtonianPotential._blob_kernel
+    dK = (K((r + h) ** 2, a) - K((r - h) ** 2, a)) / (2 * h)
+    assert np.allclose(G(r * r, a) * r, dK, rtol=1e-7, atol=0)
+
+
+@pytest.mark.parametrize("softening", [0.0, -2.2, float("nan")])
+def test_softening_must_be_finite_and_positive(softening):
+    region = BoxDomain.box((-1, -1, -1), (1, 1, 1))
+    with pytest.raises(ValueError, match="softening"):
+        operator_B(_SMOOTH, region, kernel="softened", softening=softening)
 
 
 def test_parallel_grid_evaluation_bitwise_identical(ball_potential):
