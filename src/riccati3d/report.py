@@ -7,6 +7,7 @@ JSON except the per-check ``seconds`` timing fields.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, asdict
 from typing import Dict, List
 
@@ -34,8 +35,9 @@ class RunConfig:
     def __post_init__(self):
         for name, value in (("h", self.h), ("line_tol", self.line_tol),
                             ("margin", self.margin)):
-            if value <= 0:
-                raise ConfigError(f"RunConfig.{name} must be positive")
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"RunConfig.{name} must be finite and positive, "
+                                  f"got {value!r}")
         if self.order not in (2, 4):
             raise ConfigError("RunConfig.order must be 2 or 4")
         if self.samples < 1:

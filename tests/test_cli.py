@@ -6,6 +6,8 @@ import math
 import pytest
 
 from riccati3d.cli import main
+from riccati3d.errors import ConfigError
+from riccati3d.report import RunConfig
 
 
 def test_verify_algebra_exits_zero(capsys):
@@ -72,6 +74,20 @@ def test_config_file_bad_key_exits_two(tmp_path, capsys):
     cfg.write_text("velocity = 3\n")
     assert main(["verify", "--suite", "algebra", "--config", str(cfg)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--h", "--line-tol", "--margin"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_config_value_exits_two(flag, value, capsys):
+    assert main(["verify", "--suite", "algebra", flag, value]) == 2
+    assert "must be finite and positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["h", "line_tol", "margin"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
+def test_run_config_rejects_non_finite_or_non_positive(name, value):
+    with pytest.raises(ConfigError, match=name):
+        RunConfig(**{name: value})
 
 
 def test_threads_setting_exits_two(tmp_path, capsys):

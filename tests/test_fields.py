@@ -1,6 +1,8 @@
 """Differential and integral operators on closed-form fields."""
 
 import math
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -134,6 +136,11 @@ def test_scheme_validation():
         DiffScheme(h=-1.0)
     with pytest.raises(ValueError):
         QuadratureSpec(line_rule="midpoint")
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            DiffScheme(h=bad)
+        with pytest.raises(ValueError, match="finite"):
+            QuadratureSpec(line_tol=bad)
 
 
 # -- operator A -------------------------------------------------------------
@@ -180,6 +187,103 @@ def test_A_warns_on_rotational_input():
     A = operator_A(F, Point3(0, 0, 0), 0j, curl_check=True)
     with pytest.warns(UserWarning):
         A(Point3(1.0, 1.0, 0.0))
+
+
+_GAUSS4 = QuadratureSpec(line_rule="gauss", gauss_order=4)
+# F_y flips with the sign of x, which is constant along the y-leg
+_SIGN_FIELD = VectorField(lambda p: np.array(
+    [p.y + math.sin(p.x),
+     math.copysign(1.0, p.x) * (p.z + 0.5) * math.exp(0.3 * p.y),
+     math.cos(p.y) * p.z], complex))
+
+
+def _grid_6x4x3():
+    return [Point3(0.2 * i - 0.5, 0.3 * j + 0.1, 0.4 * k - 0.3)
+            for i in range(6) for j in range(4) for k in range(3)]
+
+
+@pytest.mark.parametrize("quad", [QuadratureSpec(), _GAUSS4])
+def test_A_leg_reuse_is_bitwise_order_independent(quad):
+    base = Point3(0.05, -0.2, 0.15)
+    pts = _grid_6x4x3()
+    fresh = [operator_A(_SIGN_FIELD, base, 0.5j, quad)(p) for p in pts]
+    A = operator_A(_SIGN_FIELD, base, 0.5j, quad)
+    assert [A(p) for p in pts] == fresh
+    order = np.random.default_rng(7).permutation(len(pts))
+    A = operator_A(_SIGN_FIELD, base, 0.5j, quad)
+    shuffled = {int(i): A(pts[i]) for i in order}
+    assert [shuffled[i] for i in range(len(pts))] == fresh
+
+
+def test_A_leg_reuse_tells_signed_zeros_apart():
+    # the y-leg evaluates F at x = p.x, where this F flips sign with x's sign
+    A = operator_A(_SIGN_FIELD, Point3(0.0, -0.2, 0.15), 0j, _GAUSS4)
+    plus, minus = A(Point3(0.0, 0.7, 0.15)), A(Point3(-0.0, 0.7, 0.15))
+    assert plus != minus
+    assert minus == operator_A(_SIGN_FIELD, Point3(0.0, -0.2, 0.15), 0j,
+                               _GAUSS4)(Point3(-0.0, 0.7, 0.15))
+    assert A(Point3(0.0, 0.7, 0.15)) == plus
+
+
+def test_A_integrates_each_leg_once_per_distinct_key():
+    calls = {0: 0, 1: 0, 2: 0}
+    base = Point3(0.05, -0.2, 0.15)
+
+    def counting(p):
+        # the leg is the axis whose coordinate is off its base value
+        leg = 2 if p.z != base.z else 1 if p.y != base.y else 0
+        calls[leg] += 1
+        return np.array([p.y, p.x, 1.0], complex)
+
+    A = operator_A(VectorField(counting), base, 0j, _GAUSS4)
+    for p in _grid_6x4x3():
+        A(p)
+    nodes = _GAUSS4.gauss_order
+    assert calls == {0: 6 * nodes, 1: 6 * 4 * nodes, 2: 6 * 4 * 3 * nodes}
+
+
+def test_A_leg_that_raises_is_not_reused():
+    dom = BoxDomain.unbounded(lambda p: abs(p.x - 0.5) < 0.05 and abs(p.y - 0.5) < 0.2)
+    F = VectorField(lambda p: np.array([1.0, 1.0, 1.0], complex), dom)
+    A = operator_A(F, Point3(0, 0, 0), 0j, _GAUSS4)
+    good = A(Point3(0.5, 0.2, 0.0))  # stores the x-leg to x = 0.5
+    for _ in range(2):  # the y-leg through the hole raises every time
+        with pytest.raises(DomainError):
+            A(Point3(0.5, 1.0, 0.0))
+    blocked = BoxDomain.unbounded(lambda p: abs(p.x - 0.3) < 0.15)
+    G = VectorField(lambda p: np.array([1.0, 1.0, 1.0], complex), blocked)
+    B = operator_A(G, Point3(0, 0, 0), 0j, _GAUSS4)
+    B(Point3(0.1, 0.2, 0.0))
+    for _ in range(2):  # so does an x-leg through the slab
+        with pytest.raises(DomainError):
+            B(Point3(0.6, 0.2, 0.0))
+    assert A(Point3(0.5, 0.2, 0.0)) == good
+
+
+def test_A_evaluated_from_two_threads_is_bitwise_identical():
+    base = Point3(0.05, -0.2, 0.15)
+    pts = _grid_6x4x3()
+    ref = [operator_A(_SIGN_FIELD, base, 0j, _GAUSS4)(p) for p in pts]
+    A = operator_A(_SIGN_FIELD, base, 0j, _GAUSS4)
+    out = [None, None]
+
+    def run(slot, order):
+        out[slot] = {i: A(pts[i]) for i in order for _ in range(3)}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(0, range(len(pts)))),
+                   threading.Thread(target=run, args=(1, range(len(pts))[::-1]))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got in out:
+        assert [got[i] for i in range(len(pts))] == ref
 
 
 def test_adaptive_budget_exhaustion():
