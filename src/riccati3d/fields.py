@@ -5,8 +5,9 @@ Conventions
 * Fields carry closed-form evaluators plus a box domain with an optional
   excluded-set predicate; grids exist only as CLI export artifacts.
 * Derivatives are central finite differences (order 2 or 4) with a relative
-  step ``h * max(1, |coordinate|)`` per axis.  Stencil points must lie in the
-  domain and outside the excluded set or DomainError is raised.
+  step ``h * max(1, |coordinate|)`` per axis.  Every stencil point is checked
+  (box, excluded set; else DomainError) before any point is evaluated, and
+  ``riccati_residual`` takes -div Q and rot Q from one stencil of Q.
 * ``dirac_left`` is sum_k e_k d_k (the Moisil-Theodoresco operator), equal to
   -div + grad + rot on the scalar/vector split; ``dirac_right`` puts e_k on
   the right and flips the rot sign.
@@ -209,56 +210,53 @@ DEFAULT_QUAD = QuadratureSpec()
 # --------------------------------------------------------------------------
 # finite differences
 
-def _require_stencil(domain: BoxDomain, p: Point3, axes, scheme: DiffScheme,
-                     include_center: bool) -> None:
-    pts = [p] if include_center else []
+def _stencil(domain: BoxDomain, p: Point3, scheme: DiffScheme,
+             include_center: bool = False):
+    """One ``(h, points)`` pair per axis: p + h, p - h (then p + 2h, p - 2h).
+
+    Points equal ``p.shifted(axis, +-j*h)`` bit for bit.  The centre (when
+    included) and every point are checked before any of them is evaluated.
+    """
+    x, y, z = p
     reach = (1, 2) if scheme.order == 4 else (1,)
-    for axis in axes:
-        h = scheme.step(p, axis)
-        for j in reach:
-            pts.append(p.shifted(axis, j * h))
-            pts.append(p.shifted(axis, -j * h))
-    for q in pts:
+    stencil = []
+    for axis in range(3):
+        h, c = scheme.step(p, axis), p[axis]
+        stencil.append((h, tuple(
+            Point3(v, y, z) if axis == 0 else Point3(x, v, z) if axis == 1 else Point3(x, y, v)
+            for j in reach for v in (c + j * h, c - j * h))))
+    for q in ([p] if include_center else []) + [q for _, pts in stencil for q in pts]:
         if not domain.in_box(q):
             raise DomainError(f"stencil point {q} outside domain box")
         if domain.is_excluded(q):
             raise DomainError(f"stencil point {q} in excluded set; shrink h or move p")
+    return stencil
 
 
-def _d1(evalf, p: Point3, axis: int, scheme: DiffScheme):
-    h = scheme.step(p, axis)
-    if scheme.order == 2:
-        return (evalf(p.shifted(axis, h)) - evalf(p.shifted(axis, -h))) * (0.5 / h)
-    f1 = evalf(p.shifted(axis, h))
-    fm1 = evalf(p.shifted(axis, -h))
-    f2 = evalf(p.shifted(axis, 2 * h))
-    fm2 = evalf(p.shifted(axis, -2 * h))
+def _d1(evalf, h: float, pts):
+    """First derivative along one axis from its ``(h, points)`` stencil."""
+    if len(pts) == 2:
+        return (evalf(pts[0]) - evalf(pts[1])) * (0.5 / h)
+    f1, fm1, f2, fm2 = map(evalf, pts)
     return (fm2 - f2 + (f1 - fm1) * 8.0) * (1.0 / (12.0 * h))
 
 
-def _d2(evalf, p: Point3, axis: int, scheme: DiffScheme):
-    h = scheme.step(p, axis)
-    f0 = evalf(p)
-    f1 = evalf(p.shifted(axis, h))
-    fm1 = evalf(p.shifted(axis, -h))
-    if scheme.order == 2:
-        return (f1 + fm1 - f0 * 2.0) * (1.0 / (h * h))
-    f2 = evalf(p.shifted(axis, 2 * h))
-    fm2 = evalf(p.shifted(axis, -2 * h))
+def _d2(evalf, f0, h: float, pts):
+    """Second derivative along one axis; f0 is the value at the centre."""
+    if len(pts) == 2:
+        return (evalf(pts[0]) + evalf(pts[1]) - f0 * 2.0) * (1.0 / (h * h))
+    f1, fm1, f2, fm2 = map(evalf, pts)
     return ((f1 + fm1) * 16.0 - (f2 + fm2) - f0 * 30.0) * (1.0 / (12.0 * h * h))
 
 
 def grad(f: ScalarField, p: Point3, scheme: DiffScheme = DEFAULT_SCHEME) -> np.ndarray:
     """Gradient of a scalar field as a 3-vector of complex numbers."""
-    _require_stencil(f.domain, p, (0, 1, 2), scheme, include_center=False)
-    return np.array([_d1(f, p, k, scheme) for k in range(3)], dtype=complex)
+    return np.array([_d1(f, *s) for s in _stencil(f.domain, p, scheme)], dtype=complex)
 
 
 def _jacobian(F: VectorField, p: Point3, scheme: DiffScheme) -> np.ndarray:
     """J[i, j] = d F_i / d x_j."""
-    _require_stencil(F.domain, p, (0, 1, 2), scheme, include_center=False)
-    cols = [_d1(F, p, j, scheme) for j in range(3)]
-    return np.column_stack(cols)
+    return np.column_stack([_d1(F, *s) for s in _stencil(F.domain, p, scheme)])
 
 
 def div(F: VectorField, p: Point3, scheme: DiffScheme = DEFAULT_SCHEME) -> complex:
@@ -281,11 +279,10 @@ def rot(F: VectorField, p: Point3, scheme: DiffScheme = DEFAULT_SCHEME) -> np.nd
 
 def laplacian(f, p: Point3, scheme: DiffScheme = DEFAULT_SCHEME):
     """Componentwise Laplacian of a scalar, vector or quaternion field."""
-    _require_stencil(f.domain, p, (0, 1, 2), scheme, include_center=True)
-    total = _d2(f, p, 0, scheme)
-    for axis in (1, 2):
-        total = total + _d2(f, p, axis, scheme)
-    return total
+    stencil = _stencil(f.domain, p, scheme, include_center=True)
+    f0 = f(p)
+    dxx, dyy, dzz = (_d2(f, f0, *s) for s in stencil)
+    return dxx + dyy + dzz
 
 
 _BASIS = (Biquaternion(0, 1), Biquaternion(0, 0, 1), Biquaternion(0, 0, 0, 1))
@@ -303,21 +300,21 @@ def _as_quaternion_eval(f):
 
 def dirac_left(f, p: Point3, scheme: DiffScheme = DEFAULT_SCHEME) -> Biquaternion:
     """D f = sum_k e_k d_k f = -div f_vec + grad f_0 + rot f_vec."""
-    _require_stencil(f.domain, p, (0, 1, 2), scheme, include_center=False)
+    stencil = _stencil(f.domain, p, scheme)
     evalf = _as_quaternion_eval(f)
     out = Biquaternion()
-    for axis in range(3):
-        out = out + mul(_BASIS[axis], _d1(evalf, p, axis, scheme))
+    for e, s in zip(_BASIS, stencil):
+        out = out + mul(e, _d1(evalf, *s))
     return out
 
 
 def dirac_right(f, p: Point3, scheme: DiffScheme = DEFAULT_SCHEME) -> Biquaternion:
     """D_r f = sum_k (d_k f) e_k = -div f_vec + grad f_0 - rot f_vec."""
-    _require_stencil(f.domain, p, (0, 1, 2), scheme, include_center=False)
+    stencil = _stencil(f.domain, p, scheme)
     evalf = _as_quaternion_eval(f)
     out = Biquaternion()
-    for axis in range(3):
-        out = out + mul(_d1(evalf, p, axis, scheme), _BASIS[axis])
+    for e, s in zip(_BASIS, stencil):
+        out = out + mul(_d1(evalf, *s), e)
     return out
 
 

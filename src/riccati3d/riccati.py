@@ -33,6 +33,8 @@ from .fields import (
     ScalarField,
     VectorField,
     QuaternionField,
+    _curl,
+    _jacobian,
     dirac_left,
     dirac_right,
     div,
@@ -92,13 +94,13 @@ def riccati_residual(inst: RiccatiInstance, p: Point3,
                      scheme: DiffScheme = DEFAULT_SCHEME):
     """Scalar and vector defects (-div Q + |Q|^2 - q, rot Q) at p.
 
-    Both vanish exactly when Q solves the equation locally.
+    Both vanish exactly when Q solves the equation; both come from one Jacobian.
     """
     p = Point3(*p)
     Qp = inst.Q(p)
-    scalar = -div(inst.Q, p, scheme) + Qp @ Qp - inst.q(p)
-    vector = rot(inst.Q, p, scheme)
-    return complex(scalar), vector
+    J = _jacobian(inst.Q, p, scheme)
+    scalar = -complex(J[0, 0] + J[1, 1] + J[2, 2]) + Qp @ Qp - inst.q(p)
+    return complex(scalar), _curl(J)
 
 
 def schrodinger_residual(inst: SchrodingerInstance, p: Point3,

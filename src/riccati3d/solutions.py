@@ -316,6 +316,8 @@ def catalog_entry(solution_id: str, margin: float = DEFAULT_MARGIN,
     Names: "rotational" (k, c, C), "conical" (C1, C2, C) and
     "harmonic:<id>" with <id> one of HARMONIC_IDS.
     """
+    if not (math.isfinite(margin) and margin > 0):
+        raise ValueError(f"margin must be finite and positive, got {margin!r}")
     if solution_id == "rotational":
         rp = RotationalParams(k=float(params.get("k", 1.0)),
                               c=float(params.get("c", 0.0)),

@@ -350,7 +350,7 @@ def suite_operators(config: RunConfig) -> VerificationReport:
         return worst, len(pts)
 
     def leibniz():
-        from .fields import _d1  # the central-difference core
+        from .fields import _d1, _stencil  # the central-difference core
         pts = halton_points(box, 60, config.seed)
         worst = 0.0
         pairs = [(_random_quat_poly(rng), _random_quat_poly(rng)) for _ in range(6)]
@@ -360,9 +360,8 @@ def suite_operators(config: RunConfig) -> VerificationReport:
             lhs = dirac_left(prod, p, scheme)
             rhs = mul(dirac_left(phi, p, scheme), psi(p))
             rhs = rhs + mul(conj_h(phi(p)), dirac_left(psi, p, scheme))
-            phv = phi(p).vector
-            for k in range(3):
-                rhs = rhs - 2.0 * phv[k] * _d1(psi, p, k, scheme)
+            for v, s in zip(phi(p).vector, _stencil(psi.domain, p, scheme)):
+                rhs = rhs - 2.0 * v * _d1(psi, *s)
             worst = max(worst, max_component_diff(lhs, rhs))
         return worst, len(pts)
 

@@ -1,5 +1,6 @@
 """CLI contracts: exit codes, schemas, determinism."""
 
+import hashlib
 import json
 import math
 
@@ -88,6 +89,19 @@ def test_non_finite_config_value_exits_two(flag, value, capsys):
 def test_run_config_rejects_non_finite_or_non_positive(name, value):
     with pytest.raises(ConfigError, match=name):
         RunConfig(**{name: value})
+
+
+@pytest.mark.parametrize("command", ["eval", "transform"])
+@pytest.mark.parametrize("margin", ["nan", "-1", "0", "inf"])
+def test_solution_margin_must_be_finite_and_positive(command, margin, tmp_path, capsys):
+    # nan, -1 and 0 used to shrink the excluded set silently (3 masked rows
+    # of 72 instead of 12) and exit 0
+    extra = ["--group", "3", "--lambda", "0.1"] if command == "transform" else []
+    code = main([command, "--solution", "rotational", "--k", "1", "--c", "0.3466",
+                 "--grid", "0,1.4,8,0,0.6,3,-0.6,0.6,3", "--margin", margin, *extra,
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "margin must be finite and positive" in capsys.readouterr().err
 
 
 def test_threads_setting_exits_two(tmp_path, capsys):
@@ -229,3 +243,25 @@ def test_transform_incompatible_family_exits_two(tmp_path, capsys):
     assert code == 2
     assert "not compatible" in capsys.readouterr().err
 
+
+
+# sha256 of two small exports, recorded before the per-point path was
+# optimised; a later optimisation must leave the exported bytes unchanged
+_EXPORT_DIGESTS = {
+    "eval": ("240f8e83a8459980c00675ca5d4c75246f8439d7e04b92cd60d2666a4483b2c2",
+             ["eval", "--solution", "rotational", "--k", "1", "--c", "0.3466",
+              "--grid", "0,1.4,8,0,0.6,3,-0.6,0.6,3", "--fields", "Q,q,psi,residuals"]),
+    "transform": ("6dc9c737923e39be55f28b23c339a547504a8f084c3b213e49ec7530982512ba",
+                  ["transform", "--solution", "rotational", "--k", "1",
+                   "--c", str(0.5 * math.log(2.0)), "--group", "6", "--lambda", "0.3",
+                   "--grid", "0.5,1.0,4,0.05,0.4,4,-0.4,0.4,4"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_EXPORT_DIGESTS))
+def test_export_bytes_unchanged(command, tmp_path, capsys):
+    digest, args = _EXPORT_DIGESTS[command]
+    out = tmp_path / "export.csv"
+    assert main(args + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -99,15 +99,15 @@ def test_conjugation_intertwines_left_right_dirac():
 
 
 def test_quaternionic_leibniz_rule():
-    from riccati3d.fields import _d1
+    from riccati3d.fields import _d1, _stencil
     phi = QuaternionField(lambda p: Biquaternion(p.x, p.y * p.z, 0.5 * p.x, p.z))
     psi = QuaternionField(lambda p: Biquaternion(p.z, p.x, p.x * p.y, 1.0))
     p = Point3(0.7, -0.4, 0.3)
     prod = QuaternionField(lambda t: mul(phi(t), psi(t)))
     lhs = dirac_left(prod, p, S)
     rhs = mul(dirac_left(phi, p, S), psi(p)) + mul(conj_h(phi(p)), dirac_left(psi, p, S))
-    for k in range(3):
-        rhs = rhs - 2.0 * phi(p).vector[k] * _d1(psi, p, k, S)
+    for k, s in enumerate(_stencil(psi.domain, p, S)):
+        rhs = rhs - 2.0 * phi(p).vector[k] * _d1(psi, *s)
     assert max_component_diff(lhs, rhs) < 1e-8
 
 
@@ -120,6 +120,64 @@ def test_stencil_domain_error():
     g = ScalarField(lambda p: complex(p.x), excl)
     with pytest.raises(DomainError):
         grad(g, Point3(0.505, 0.5, 0.5), S)
+
+
+def _counting(kind, domain=None):
+    """A field of the given kind that counts its evaluations in ``.calls``."""
+    def fn(p):
+        field.calls += 1
+        if kind is VectorField:
+            return np.array([p.x * p.y, p.z, p.x + p.z], complex)
+        if kind is QuaternionField:
+            return Biquaternion(p.x, p.y * p.z, p.z, p.x * p.y)
+        return complex(p.x * p.y * p.z)
+    field = kind(fn, domain)
+    field.calls = 0
+    return field
+
+
+_STENCIL_OPS = [(grad, ScalarField), (div, VectorField), (rot, VectorField),
+                (laplacian, VectorField), (dirac_left, QuaternionField),
+                (dirac_right, QuaternionField)]
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("op,kind", _STENCIL_OPS, ids=lambda v: getattr(v, "__name__", ""))
+def test_stencil_evaluation_counts(op, kind, order):
+    # 6 (order 2) or 12 (order 4) shifted points; laplacian adds its centre once
+    f = _counting(kind)
+    op(f, Point3(0.3, -0.7, 1.2), DiffScheme(order=order))
+    assert f.calls == 6 * order // 2 + (op is laplacian)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("where", ["box", "excluded"])
+@pytest.mark.parametrize("op,kind", _STENCIL_OPS, ids=lambda v: getattr(v, "__name__", ""))
+def test_stencil_point_off_domain_raises_before_any_evaluation(op, kind, where, order):
+    scheme = DiffScheme(order=order)
+    p = Point3(0.5, 0.5, 0.5)
+    h = scheme.step(p, 2)
+    bad = p.shifted(2, -order // 2 * h)  # the last point of the z stencil
+    if where == "box":
+        domain = BoxDomain.box((0, 0, bad.z + 1e-9), (1, 1, 1))
+        message = f"stencil point {bad} outside domain box"
+    else:
+        domain = BoxDomain.unbounded(lambda q: q == bad)
+        message = f"stencil point {bad} in excluded set; shrink h or move p"
+    f = _counting(kind, domain)
+    with pytest.raises(DomainError) as exc:
+        op(f, p, scheme)
+    assert str(exc.value) == message
+    assert f.calls == 0
+
+
+def test_laplacian_checks_its_centre_first():
+    p = Point3(0.5, 0.5, 0.5)
+    f = _counting(ScalarField, BoxDomain.unbounded(lambda q: q.x <= 0.5))
+    with pytest.raises(DomainError) as exc:
+        laplacian(f, p, S)
+    assert str(exc.value) == f"stencil point {p} in excluded set; shrink h or move p"
+    assert f.calls == 0
 
 
 def test_order2_scheme_works():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from riccati3d.biquat import Biquaternion, max_component_diff
-from riccati3d.errors import NotPureVector, ZeroCrossing, ZeroDivisor
+from riccati3d.errors import DomainError, NotPureVector, ZeroCrossing, ZeroDivisor
 from riccati3d.fields import (
     BoxDomain,
     DiffScheme,
@@ -15,6 +15,8 @@ from riccati3d.fields import (
     ScalarField,
     VectorField,
     QuaternionField,
+    div,
+    rot,
 )
 from riccati3d.riccati import (
     RiccatiInstance,
@@ -303,3 +305,54 @@ def test_transform_roundtrip_Q_passes_at_seed_30():
     report = run_suite("riccati", RunConfig(seed=30))
     check = next(c for c in report.checks if c.name == "transform_roundtrip_Q")
     assert check.passed
+
+
+def _counting_instance(domain=None):
+    inst = RiccatiInstance(
+        VectorField(lambda p: np.array([p.y * p.z, p.x, p.x * p.y], complex), domain),
+        ScalarField(lambda p: complex(p.x + p.z)))
+    counts = {"Q": 0, "q": 0}
+    for name in counts:
+        field = getattr(inst, name)
+
+        def counted(p, fn=field.fn, name=name):
+            counts[name] += 1
+            return fn(p)
+        field.fn = counted
+    return inst, counts
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_riccati_residual_differences_Q_once(order):
+    # the centre plus one 6- or 12-point stencil shared by -div Q and rot Q
+    inst, counts = _counting_instance()
+    riccati_residual(inst, Point3(0.4, -0.3, 1.1), DiffScheme(order=order))
+    assert counts == {"Q": 1 + 6 * order // 2, "q": 1}
+
+
+def test_riccati_residual_checks_the_whole_stencil_before_differencing():
+    p = Point3(0.5, 0.5, 0.5)
+    bad = p.shifted(1, 2 * S.step(p, 1))
+    inst, counts = _counting_instance(BoxDomain.unbounded(lambda t: t == bad))
+    with pytest.raises(DomainError, match="in excluded set"):
+        riccati_residual(inst, p, S)
+    assert counts == {"Q": 1, "q": 0}  # only Q(p), evaluated first
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("solution_id,params", [
+    ("rotational", {"k": 1.0, "c": 0.3466}),
+    ("conical", {"C1": 0.0, "C2": math.e}),
+    ("harmonic:x+y+z", {}),
+])
+def test_riccati_residual_equals_public_div_and_rot_bitwise(solution_id, params, order):
+    from riccati3d.solutions import catalog_entry
+    from riccati3d.verify import entry_points
+    entry = catalog_entry(solution_id, **params)
+    Q, q = entry.instance.Q, entry.instance.q
+    scheme = DiffScheme(order=order)
+    for p in entry_points(entry, 12, seed=3):
+        Qp = Q(p)
+        scalar, vector = riccati_residual(entry.instance, p, scheme)
+        assert scalar == complex(-div(Q, p, scheme) + Qp @ Qp - q(p))
+        assert vector.tobytes() == rot(Q, p, scheme).tobytes()
