@@ -4,6 +4,13 @@ Conventions
 -----------
 * Fields carry closed-form evaluators plus a box domain with an optional
   excluded-set predicate; grids exist only as CLI export artifacts.
+* ``F(p)`` evaluates one point.  ``F.batch(P)`` evaluates a Point3 of
+  equal-shape coordinate arrays and returns the component axis first:
+  shape ``S`` for a scalar field, ``(3, *S)`` for a vector field.  A field
+  built with ``vectorized=True`` declares that its evaluator broadcasts over
+  such arrays (a constant return is broadcast), so ``batch`` calls it once;
+  any other field is called once per point.  The volume-grid build of B
+  and operator A's Gauss legs evaluate through ``batch``.
 * Derivatives are central finite differences (order 2 or 4) with a relative
   step ``h * max(1, |coordinate|)`` per axis.  Every stencil point is checked
   (box, excluded set; else DomainError) before any point is evaluated, and
@@ -27,6 +34,7 @@ the kernel's analytic gradient, so ``rot B`` needs no finite differences.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -55,6 +63,7 @@ __all__ = [
     "operator_A",
     "operator_B",
     "operator_rot_B",
+    "vec3",
 ]
 
 
@@ -110,6 +119,17 @@ class BoxDomain:
     def ok(self, p: Point3) -> bool:
         return self.in_box(p) and not self.is_excluded(p)
 
+    def ok_mask(self, P: Point3) -> np.ndarray:
+        """``ok`` at every point of a Point3 of equal-shape arrays; the
+        excluded-set predicate is called once per in-box point."""
+        lo, hi = self.lower, self.upper
+        mask = ((lo[0] <= P[0]) & (P[0] <= hi[0]) & (lo[1] <= P[1]) & (P[1] <= hi[1])
+                & (lo[2] <= P[2]) & (P[2] <= hi[2]))
+        if self.excluded is not None:
+            for i in map(tuple, np.argwhere(mask)):
+                mask[i] = not self.excluded(Point3(P[0][i], P[1][i], P[2][i]))
+        return mask
+
     def intersect(self, other: "BoxDomain") -> "BoxDomain":
         lower = Point3(*(max(a, b) for a, b in zip(self.lower, other.lower)))
         upper = Point3(*(min(a, b) for a, b in zip(self.upper, other.upper)))
@@ -126,17 +146,57 @@ class BoxDomain:
         return all(math.isfinite(c) for c in (*self.lower, *self.upper))
 
 
+def _batched(p: Point3) -> bool:
+    """True when p holds coordinate arrays rather than one point."""
+    return isinstance(p[0], np.ndarray) and p[0].ndim > 0
+
+
+def vec3(x, y, z) -> np.ndarray:
+    """Stack three components, component axis first: shape (3,) for scalars,
+    (3, *S) when any component is an array of shape S (the others are
+    broadcast).  For evaluators that serve both ``F(p)`` and ``F.batch``."""
+    if np.ndim(x) == np.ndim(y) == np.ndim(z) == 0:
+        return np.array((x, y, z), dtype=complex)
+    return np.array(np.broadcast_arrays(x, y, z), dtype=complex)
+
+
 class _Field:
-    """Shared wrapper: a callable evaluator plus its domain."""
+    """Shared wrapper: a callable evaluator plus its domain.
 
-    __slots__ = ("fn", "domain")
+    ``vectorized=True`` declares that ``fn`` also accepts a Point3 of
+    equal-shape float arrays and returns its values component axis first
+    (see the module docstring); ``F(p)`` is unaffected.
+    """
 
-    def __init__(self, fn: Callable[[Point3], object], domain: Optional[BoxDomain] = None):
+    __slots__ = ("fn", "domain", "vectorized")
+    _lead: tuple = ()  # component shape of one value
+
+    def __init__(self, fn: Callable[[Point3], object], domain: Optional[BoxDomain] = None,
+                 vectorized: bool = False):
         self.fn = fn
         self.domain = domain if domain is not None else BoxDomain.unbounded()
+        self.vectorized = vectorized
 
     def __call__(self, p: Point3):
         return self.fn(p)
+
+    def batch(self, P: Point3):
+        """Values at a Point3 of equal-shape arrays, component axis first.
+
+        A vectorized field's evaluator is called once, any other field's once
+        per point in C order.  A Point3 of scalars gives ``self(P)``.
+        """
+        if not _batched(P):
+            return self(P)
+        shape = P[0].shape
+        if self.vectorized:
+            v = np.asarray(self.fn(P), dtype=complex)
+            v = v.reshape(v.shape + (1,) * (len(self._lead) + len(shape) - v.ndim))
+            return np.broadcast_to(v, self._lead + shape)
+        out = np.empty(self._lead + shape, dtype=complex)
+        for i in np.ndindex(shape):
+            out[(...,) + i] = self(Point3(P[0][i], P[1][i], P[2][i]))
+        return out
 
 
 class ScalarField(_Field):
@@ -149,12 +209,15 @@ class ScalarField(_Field):
 class VectorField(_Field):
     """Point3 -> 3 complex components, identified with a pure-vector biquaternion."""
 
+    _lead = (3,)
+
     def __call__(self, p: Point3) -> np.ndarray:
         return np.asarray(self.fn(p), dtype=complex)
 
 
 class QuaternionField(_Field):
-    """Point3 -> Biquaternion."""
+    """Point3 -> Biquaternion (pointwise only: ``batch`` is for scalar and
+    vector fields)."""
 
     def __call__(self, p: Point3) -> Biquaternion:
         v = self.fn(p)
@@ -380,18 +443,25 @@ def _gauss_nodes(n: int):
     return _GAUSS_CACHE[n]
 
 
-def _gauss_integral(f, a: float, b: float, n: int) -> complex:
+def _gauss_integral(f, a: float, b: float, n: int, at) -> complex:
+    """Gauss-Legendre rule; a non-finite integrand value raises DomainError
+    naming ``at(t)`` of the first such node t."""
     if a == b:
         return 0j
     nodes, weights = _gauss_nodes(n)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    return half * sum(w * f(mid + half * t) for t, w in zip(nodes, weights))
+    values = [f(mid + half * t) for t in nodes]
+    if not all(map(cmath.isfinite, values)):
+        t = next(t for t, v in zip(nodes, values) if not cmath.isfinite(v))
+        raise DomainError(f"line integrand is not finite at {at(mid + half * t)}")
+    return half * sum(w * v for w, v in zip(weights, values))
 
 
-def _line_integral(f, a: float, b: float, quad: QuadratureSpec) -> complex:
+def _line_integral(f, a: float, b: float, quad: QuadratureSpec, at) -> complex:
+    """Integral of f over [a, b]; at(t) is the point of node t, for errors."""
     if quad.line_rule == "gauss":
-        return _gauss_integral(f, a, b, quad.gauss_order)
+        return _gauss_integral(f, a, b, quad.gauss_order, at)
     return _adaptive_simpson(f, a, b, quad.line_tol)
 
 
@@ -410,7 +480,9 @@ def operator_A(F: VectorField, base: Point3, C: complex = 0j,
 
     With ``curl_check`` the curl of F is sampled at the midpoint of each leg
     of the first evaluation and a warning (not an error) is emitted when it
-    is not small.  Paths crossing the excluded set raise DomainError.
+    is not small.  Paths crossing the excluded set raise DomainError, and so
+    does a non-finite integrand value under the Gauss rule, naming the first
+    such node (adaptive Simpson raises QuadratureFailure instead).
 
     The x-leg depends only on p.x and the y-leg only on (p.x, p.y), so the
     returned field keeps its last x-leg and its last y-leg and reuses each
@@ -418,6 +490,14 @@ def operator_A(F: VectorField, base: Point3, C: complex = 0j,
     Results are bit-identical to integrating every leg afresh, in any call
     order and from any thread, provided F is pure: the same point always
     gives the same value.
+
+    The returned field is vectorized.  ``A.batch(P)`` under the Gauss rule
+    checks every node of every leg of every target against the domain first
+    (raising the error the pointwise loop would raise for the first
+    offending target, before F is evaluated anywhere), then evaluates each
+    leg as one ``F.batch`` call over all its nodes and sums node by node, so
+    each value equals ``A(p)`` bit for bit.  Adaptive Simpson integrates
+    target by target.
     """
     base = Point3(*base)
     domain = F.domain
@@ -452,38 +532,100 @@ def operator_A(F: VectorField, base: Point3, C: complex = 0j,
                     "reconstruction is path dependent", stacklevel=3)
                 return
 
-    def _leg(slot: int, key: tuple, f, a: float, b: float) -> complex:
+    def _node(k: int, p: Point3):
+        """t -> the node at t of the leg along axis k towards p."""
+        return lambda t: Point3(*p[:k], t, *base[k + 1:])
+
+    def _leg(slot: int, key: tuple, f, a: float, b: float, p: Point3) -> complex:
         entry = legs[slot]
         if entry is not None and entry[0] == key:
             return entry[1]
-        value = _line_integral(f, a, b, quad)
+        value = _line_integral(f, a, b, quad, _node(slot, p))
         legs[slot] = (key, value)
         return value
 
-    def eval_at(p: Point3) -> complex:
+    def eval_at(p: Point3):
+        if _batched(p):
+            return _eval_batch(p)
         if not state["checked"]:
             _warn_if_rotational(p)
         x_key = (p.x, math.copysign(1.0, p.x))
         total = complex(C)
         total += _leg(0, x_key, lambda t: _component(Point3(t, base.y, base.z), 0),
-                      base.x, p.x)
+                      base.x, p.x, p)
         total += _leg(1, x_key + (p.y, math.copysign(1.0, p.y)),
-                      lambda t: _component(Point3(p.x, t, base.z), 1), base.y, p.y)
+                      lambda t: _component(Point3(p.x, t, base.z), 1), base.y, p.y, p)
         total += _line_integral(lambda t: _component(Point3(p.x, p.y, t), 2),
-                                base.z, p.z, quad)
+                                base.z, p.z, quad, _node(2, p))
         return total
 
-    return ScalarField(eval_at, domain)
+    def _eval_batch(P: Point3) -> np.ndarray:
+        shape = P[0].shape
+        targets = tuple(np.ravel(c) for c in P)
+        if quad.line_rule != "gauss":
+            return np.array([eval_at(Point3(*t)) for t in zip(*targets)],
+                            dtype=complex).reshape(shape)
+        if not state["checked"] and targets[0].size:
+            _warn_if_rotational(Point3(*(c[0] for c in targets)))
+        nodes, weights = _gauss_nodes(quad.gauss_order)
+        runs = []  # per leg: the targets it moves, half lengths, node parameters, nodes
+        for k in range(3):
+            rows = np.flatnonzero(targets[k] != base[k])  # a zero-length leg adds 0j
+            b = targets[k][rows]
+            half = 0.5 * (b - base[k])
+            T = (0.5 * (base[k] + b))[:, None] + half[:, None] * nodes
+            pts = Point3(*(T if m == k else np.broadcast_to(
+                targets[m][rows, None] if m < k else float(base[m]), T.shape)
+                for m in range(3)))
+            runs.append((rows, half, T, pts))
+
+        def node(k: int, r: int, j: int) -> Point3:
+            """Node j of target row r on leg k, as the pointwise path builds it."""
+            rows, _, T, _ = runs[k]
+            return _node(k, Point3(*(c[rows[r]] for c in targets)))(T[r, j])
+
+        def check(oks, what: str):
+            """Raise DomainError(what + the first node not ok), in pointwise
+            order: by target, then by leg, then by node."""
+            hits = [(runs[k][0][r], k, r) for k, ok in enumerate(oks) if ok.size
+                    for r in [int(np.argmin(ok.all(axis=1)))] if not ok[r].all()]
+            if hits:
+                _, k, r = min(hits)
+                raise DomainError(what + str(node(k, r, int(np.argmin(oks[k][r])))))
+
+        check([domain.ok_mask(pts) for *_, pts in runs],
+              "integration path crosses excluded set at ")
+        values = [F.batch(pts)[k] for k, (*_, pts) in enumerate(runs)]
+        check([np.isfinite(V) for V in values], "line integrand is not finite at ")
+        total = complex(C)
+        for (rows, half, _, _), V in zip(runs, values):
+            acc = np.zeros(rows.size, dtype=complex)
+            for j, w in enumerate(weights):  # node by node, as the pointwise sum
+                acc += w * V[:, j]
+            leg = np.zeros(targets[0].size, dtype=complex)
+            leg[rows] = half * acc
+            total = total + leg
+        return total.reshape(shape)
+
+    return ScalarField(eval_at, domain, vectorized=True)
 
 
 # --------------------------------------------------------------------------
 # operator B: Newtonian volume potential
 
+_BUILD_CHUNK = 2048  # cells per integrand batch: bounds the build's scratch memory
+
+
 class _NewtonianPotential(VectorField):
     """Midpoint-grid discretization of the volume potential.
 
     The grid of integrand values is computed lazily on first evaluation and
-    cached.  Two singularity treatments:
+    cached.  It is built through ``F.batch`` over chunks of
+    ``_BUILD_CHUNK`` cell centres in C order, so a vectorized integrand is
+    called once per chunk and any other once per cell, with the same values
+    either way.  Cells the region's predicate excludes are never evaluated
+    and contribute nothing; a non-finite integrand value raises DomainError
+    naming the first such cell centre.  Two singularity treatments:
 
     * kernel="excluded_cell": the cell containing the evaluation point is
       dropped from the sum.  O(h) local error; for evaluating B only, since
@@ -538,11 +680,19 @@ class _NewtonianPotential(VectorField):
         X, Y, Z = np.meshgrid(*axes, indexing="ij")
         xs, ys, zs = X.ravel(), Y.ravel(), Z.ravel()
         vals = np.zeros((3, xs.size), dtype=complex)
-        for i in range(xs.size):
-            pt = Point3(xs[i], ys[i], zs[i])
-            if self.region.is_excluded(pt):
-                continue  # excluded cells contribute nothing
-            vals[:, i] = self.fn(pt)
+        for start in range(0, xs.size, _BUILD_CHUNK):
+            cut = slice(start, start + _BUILD_CHUNK)
+            # excluded cells contribute nothing and are never evaluated
+            keep = start + np.flatnonzero(self.region.ok_mask(Point3(xs[cut], ys[cut], zs[cut])))
+            if not keep.size:
+                continue
+            block = self.fn.batch(Point3(xs[keep], ys[keep], zs[keep]))
+            bad = ~np.isfinite(block).all(axis=0)
+            if bad.any():
+                i = keep[np.argmax(bad)]
+                raise DomainError("operator B integrand is not finite at cell centre "
+                                  f"{Point3(xs[i], ys[i], zs[i])}")
+            vals[:, keep] = block
         self._grid = (xs, ys, zs, vals, steps[0] * steps[1] * steps[2], steps)
         return self._grid
 

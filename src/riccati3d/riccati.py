@@ -242,8 +242,8 @@ def build_W_prop2(w: VectorField, phi: ScalarField, h: Optional[ScalarField],
 
     ratio = VectorField(lambda t: w(t) / _nonzero(phi(t), eps_zero, "phi"), dom)
     Aw = operator_A(ratio, base, C, quad)
-    rot_B = operator_rot_B(VectorField(lambda t: phi(t) * w(t), dom), region, quad,
-                           cells=cells)
+    rot_B = operator_rot_B(VectorField(lambda t: phi.batch(t) * w.batch(t), dom,
+                                       vectorized=True), region, quad, cells=cells)
 
     def W0_eval(p: Point3) -> complex:
         return 0.5 * phi(p) * Aw(p)
@@ -347,7 +347,9 @@ def w_from_q_pair(inst: RiccatiInstance, inst1: RiccatiInstance,
     in the brace integrand is evaluated through the exact chain rule
     grad(exp(-A[G])) = -G exp(-A[G]), which avoids differencing a quadrature
     inside the volume integral; rot B itself is evaluated analytically
-    (``operator_rot_B``).
+    (``operator_rot_B``).  The brace integrand is vectorized, so the grid
+    build evaluates it, with both A's inside it, over whole chunks of cells;
+    Q and Q1 may be vectorized or pointwise fields.
     """
     base = Point3(*base)
     if check_points is not None:
@@ -359,15 +361,17 @@ def w_from_q_pair(inst: RiccatiInstance, inst1: RiccatiInstance,
 
     Q, Q1 = inst.Q, inst1.Q
     dom = Q.domain.intersect(Q1.domain)
-    diffQ = VectorField(lambda t: Q(t) - Q1(t), dom)
+    diffQ = VectorField(lambda t: Q.batch(t) - Q1.batch(t), dom, vectorized=True)
     A_Q = operator_A(Q, base, 0j, quad)
     A_Q1 = operator_A(Q1, base, 0j, quad)
     A_diff = operator_A(diffQ, base, 0j, quad)
 
     def integrand(t: Point3) -> np.ndarray:
-        return cmath.exp(-2.0 * A_Q1(t) - A_diff(t)) * (Q1(t) - Q(t))
+        return (np.exp(-2.0 * A_Q1.batch(t) - A_diff.batch(t))
+                * (Q1.batch(t) - Q.batch(t)))
 
-    rot_B = operator_rot_B(VectorField(integrand, dom), region, quad, cells=cells)
+    rot_B = operator_rot_B(VectorField(integrand, dom, vectorized=True), region, quad,
+                           cells=cells)
 
     def W_eval(p: Point3) -> Biquaternion:
         vec = -cmath.exp(A_Q1(p)) * (rot_B(p) + _grad_or_zero(h, p, scheme))

@@ -30,6 +30,7 @@ from .fields import (
     laplacian,
     operator_A,
     operator_B,
+    vec3,
 )
 from .report import CheckResult, RunConfig, VerificationReport, merge_reports
 from .riccati import (
@@ -419,9 +420,9 @@ def suite_operators(config: RunConfig) -> VerificationReport:
 
     def B_ball():
         region = BoxDomain.box((-1, -1, -1), (1, 1, 1))
-        chi = VectorField(lambda p: np.array(
-            [1.0 if p.x * p.x + p.y * p.y + p.z * p.z <= 1.0 else 0.0, 0.0, 0.0],
-            complex))
+        chi = VectorField(lambda p: vec3(
+            np.where(p.x * p.x + p.y * p.y + p.z * p.z <= 1.0, 1.0, 0.0), 0.0, 0.0),
+            vectorized=True)
         B = operator_B(chi, region, quad)
         center = B(Point3(0, 0, 0))[0]
         outside = B(Point3(2, 0, 0))[0]
@@ -661,9 +662,10 @@ def suite_euler_picard(config: RunConfig) -> VerificationReport:
     cells = (5 * nb, nb, nb)
 
     inv_x = RiccatiInstance(
-        VectorField(lambda p: np.array([-1.0 / p.x, 0, 0], complex),
-                    BoxDomain.box((0.05, -5, -5), (50, 5, 5))), zero_q)
-    zero_inst = RiccatiInstance(VectorField(lambda p: np.zeros(3, complex)), zero_q)
+        VectorField(lambda p: vec3(-1.0 / p.x, 0, 0),
+                    BoxDomain.box((0.05, -5, -5), (50, 5, 5)), vectorized=True), zero_q)
+    zero_inst = RiccatiInstance(
+        VectorField(lambda p: np.zeros(3, complex), vectorized=True), zero_q)
 
     def picard_identity():
         pts = halton_points(pic_box, 20, config.seed)
