@@ -103,12 +103,17 @@ def _parse_grid(text: str):
     parts = text.split(",")
     if len(parts) != 9:
         raise ConfigError("--grid expects x0,x1,nx,y0,y1,ny,z0,z1,nz")
-    vals = [float(v) for v in parts]
     axes = []
     for i in range(3):
-        lo, hi, n = vals[3 * i], vals[3 * i + 1], int(vals[3 * i + 2])
-        if n < 1 or hi < lo:
-            raise ConfigError(f"bad grid axis {i}: {lo},{hi},{n}")
+        text_axis = parts[3 * i:3 * i + 3]
+        try:
+            lo, hi, n = float(text_axis[0]), float(text_axis[1]), int(text_axis[2])
+            ok = math.isfinite(lo) and math.isfinite(hi) and lo <= hi and n >= 1
+        except ValueError:
+            ok = False
+        if not ok:
+            raise ConfigError(f"bad grid axis {i}: {','.join(text_axis)} (expected "
+                              "finite bounds lo <= hi and an integer count >= 1)")
         axes.append(np.linspace(lo, hi, n) if n > 1 else np.array([lo]))
     return axes
 
@@ -284,6 +289,8 @@ def cmd_transform(args) -> int:
                 row.pop(f"Re_{name}", None)
                 row.pop(f"Im_{name}", None)
         rows.append(row)
+    if all(row["masked"] for row in rows):
+        raise ConfigError("every grid point is masked; grid misses the domain")
     _write_rows(args.out, args.format, header, rows)
     print(f"wrote {len(rows)} rows to {args.out}; "
           f"max |transport - pushforward| = {worst:.3e}")

@@ -20,16 +20,12 @@ Conventions
   the right and flips the rot sign.
 * The path-reconstruction operator A integrates on the fixed axis-ordered
   path (x-leg, then y-leg, then z-leg) from its base point; the Newtonian
-  volume potential B uses midpoint tensor quadrature with the cell containing
-  the evaluation point excluded (O(h) local error by construction).
-
-Any derivative through a B-potential needs the smooth ``kernel="softened"``
-variant.  The default excluded-cell kernel is for evaluating B only: the
-dropped cell follows the evaluation point, so a finite-difference stencil
-straddling a cell face sees a jump, and the sum is locally a sum of harmonic
-kernels whose Laplacian misses the -F source.  ``operator_rot_B`` gives the
-curl of the softened potential in closed form, one pass over the cells with
-the kernel's analytic gradient, so ``rot B`` needs no finite differences.
+  volume potential B uses midpoint tensor quadrature in which each cell's
+  mass is a compact smooth blob of radius ``_BLOB_RADIUS`` cell sides, so B
+  is smooth and every derivative of it is meaningful.  ``operator_rot_B``
+  gives the curl of the same potential in closed form, one pass over the
+  cells with the kernel's analytic gradient, so ``rot B`` needs no finite
+  differences.
 """
 
 from __future__ import annotations
@@ -71,14 +67,6 @@ class Point3(NamedTuple):
     x: float
     y: float
     z: float
-
-    def replace_axis(self, axis: int, value: float) -> "Point3":
-        coords = list(self)
-        coords[axis] = value
-        return Point3(*coords)
-
-    def shifted(self, axis: int, delta: float) -> "Point3":
-        return self.replace_axis(axis, self[axis] + delta)
 
 
 _INF = float("inf")
@@ -277,8 +265,9 @@ def _stencil(domain: BoxDomain, p: Point3, scheme: DiffScheme,
              include_center: bool = False):
     """One ``(h, points)`` pair per axis: p + h, p - h (then p + 2h, p - 2h).
 
-    Points equal ``p.shifted(axis, +-j*h)`` bit for bit.  The centre (when
-    included) and every point are checked before any of them is evaluated.
+    Each point is p with coordinate ``axis`` replaced by ``p[axis] +- j*h``.
+    The centre (when included) and every point are checked before any of
+    them is evaluated.
     """
     x, y, z = p
     reach = (1, 2) if scheme.order == 4 else (1,)
@@ -614,6 +603,7 @@ def operator_A(F: VectorField, base: Point3, C: complex = 0j,
 # operator B: Newtonian volume potential
 
 _BUILD_CHUNK = 2048  # cells per integrand batch: bounds the build's scratch memory
+_BLOB_RADIUS = 2.2  # radius of each cell's mass blob, in largest cell sides
 
 
 class _NewtonianPotential(VectorField):
@@ -625,32 +615,25 @@ class _NewtonianPotential(VectorField):
     called once per chunk and any other once per cell, with the same values
     either way.  Cells the region's predicate excludes are never evaluated
     and contribute nothing; a non-finite integrand value raises DomainError
-    naming the first such cell centre.  Two singularity treatments:
+    naming the first such cell centre.
 
-    * kernel="excluded_cell": the cell containing the evaluation point is
-      dropped from the sum.  O(h) local error; for evaluating B only, since
-      the dropped cell changes as the point crosses a cell face and a
-      finite-difference stencil straddling that face sees a jump.
-    * kernel="softened": each cell mass contributes the potential of a
-      compact C^1-density blob of radius softening * max cell side instead
-      of a point mass; outside that radius the kernel is exactly
-      1/(4 pi |x-y|), inside it is a polynomial.  No cell is dropped.  This
-      keeps all derivatives of the discretized potential meaningful (in
-      particular its Laplacian reproduces -F locally, which cell exclusion
-      cannot), so any derivative through B must use this mode.
-      ``operator_rot_B`` evaluates the curl of this potential directly from
-      the kernel's radial derivative (``_blob_kernel_grad``).
+    Each cell mass contributes the potential of a compact C^1-density blob
+    of radius ``_BLOB_RADIUS`` times the largest cell side instead of a
+    point mass: outside that radius the kernel is exactly 1/(4 pi |x-y|),
+    inside it is a polynomial, and no cell is dropped.  The discretized
+    potential is therefore smooth, so its finite-difference derivatives are
+    meaningful (in particular its Laplacian reproduces -F locally).
+    ``operator_rot_B`` evaluates the curl of this potential directly from
+    the kernel's radial derivative (``_blob_kernel_grad``).
 
-    ``softening`` must be finite and positive under either kernel.
     ``cells`` overrides the per-axis cell counts; the default is the cubic
     quad.volume_grid per axis.  Use it to keep cells near-cubic on elongated
     regions.
     """
 
-    __slots__ = ("region", "quad", "kernel", "softening", "cells", "_grid")
+    __slots__ = ("region", "quad", "cells", "_grid")
 
     def __init__(self, F: VectorField, region: BoxDomain, quad: QuadratureSpec,
-                 kernel: str = "excluded_cell", softening: float = 2.2,
                  cells: Optional[tuple] = None):
         if cells is None:
             cells = (quad.volume_grid,) * 3
@@ -659,19 +642,14 @@ class _NewtonianPotential(VectorField):
                 f"volume grid resolution {min(cells)} < 8")
         if not region.bounded():
             raise QuadratureFailure("operator B needs a bounded region")
-        if kernel not in ("excluded_cell", "softened"):
-            raise ValueError(f"unknown operator B kernel {kernel!r}")
-        if not (math.isfinite(softening) and softening > 0):
-            raise ValueError(f"softening must be finite and positive, got {softening!r}")
         self.region = region
         self.quad = quad
-        self.kernel = kernel
-        self.softening = softening
         self.cells = tuple(int(c) for c in cells)
         self._grid = None
         super().__init__(F, BoxDomain.unbounded())
 
     def _ensure_grid(self):
+        """(xs, ys, zs, vals, dV, blob radius), built on first use."""
         if self._grid is not None:
             return self._grid
         lo, hi = self.region.lower, self.region.upper
@@ -693,19 +671,9 @@ class _NewtonianPotential(VectorField):
                 raise DomainError("operator B integrand is not finite at cell centre "
                                   f"{Point3(xs[i], ys[i], zs[i])}")
             vals[:, keep] = block
-        self._grid = (xs, ys, zs, vals, steps[0] * steps[1] * steps[2], steps)
+        self._grid = (xs, ys, zs, vals, steps[0] * steps[1] * steps[2],
+                      _BLOB_RADIUS * max(steps))
         return self._grid
-
-    def _cell_flat_index(self, p: Point3) -> Optional[int]:
-        if not self.region.in_box(p):
-            return None
-        lo = self.region.lower
-        _, _, _, _, _, steps = self._grid
-        idx = []
-        for k in range(3):
-            i = int((p[k] - lo[k]) / steps[k])
-            idx.append(min(max(i, 0), self.cells[k] - 1))
-        return (idx[0] * self.cells[1] + idx[1]) * self.cells[2] + idx[2]
 
     @staticmethod
     def _blob_kernel(r2: np.ndarray, a: float) -> np.ndarray:
@@ -737,47 +705,29 @@ class _NewtonianPotential(VectorField):
 
     def __call__(self, p: Point3) -> np.ndarray:
         p = Point3(*p)
-        xs, ys, zs, vals, dV, steps = self._ensure_grid()
+        xs, ys, zs, vals, dV, a = self._ensure_grid()
         r2 = (xs - p.x) ** 2 + (ys - p.y) ** 2 + (zs - p.z) ** 2
-        if self.kernel == "softened":
-            a = self.softening * max(steps)
-            w = dV * self._blob_kernel(r2, a)
-            skip = None
-        else:
-            skip = self._cell_flat_index(p)
-            with np.errstate(divide="ignore"):
-                w = dV / (4.0 * np.pi * np.sqrt(r2))
-        out = np.empty(3, dtype=complex)
-        for k in range(3):
-            s = np.dot(vals[k], w)
-            if skip is not None:
-                s -= vals[k, skip] * w[skip]
-            out[k] = s
-        return out
+        w = dV * self._blob_kernel(r2, a)
+        return np.array([np.dot(vals[k], w) for k in range(3)])
 
 
 def operator_B(F: VectorField, region: BoxDomain,
                quad: QuadratureSpec = DEFAULT_QUAD,
-               kernel: str = "excluded_cell",
-               softening: float = 2.2,
                cells: Optional[tuple] = None) -> VectorField:
     """Componentwise Newtonian potential (kernel 1/(4 pi |x - y|)) over region.
 
-    Midpoint tensor quadrature at resolution quad.volume_grid per axis; by
-    default the cell containing the evaluation point is dropped, giving O(h)
-    local error and O(h) accuracy overall.  kernel="softened" switches to a
-    smooth softened kernel instead (see _NewtonianPotential).  That is the
-    kernel whose gradient ``operator_rot_B`` uses in closed form for the
-    solution builders; ``operator_B(kernel="softened")`` is its
-    finite-difference reference and serves any other derivative of B.
-    Evaluation is defined everywhere in R^3 and deterministic (fixed
-    summation order).
+    Midpoint tensor quadrature at resolution quad.volume_grid per axis (or
+    ``cells``), each cell's mass spread over a compact blob of radius
+    ``_BLOB_RADIUS`` cell sides (see _NewtonianPotential), so the potential
+    is smooth and may be differenced.  ``operator_rot_B`` gives its curl in
+    closed form.  Evaluation is defined everywhere in R^3 and deterministic
+    (fixed summation order).
     """
-    return _NewtonianPotential(F, region, quad, kernel, softening, cells)
+    return _NewtonianPotential(F, region, quad, cells)
 
 
 class _RotNewtonianPotential(_NewtonianPotential):
-    """Curl of the softened Newtonian potential, differentiated analytically.
+    """Curl of the Newtonian potential, differentiated analytically.
 
     rot B[F](x) = sum over cells of grad K(x - y) x F(y) dV, with the same
     grid, cell values and blob radius as ``_NewtonianPotential``.
@@ -787,9 +737,8 @@ class _RotNewtonianPotential(_NewtonianPotential):
 
     def __call__(self, p: Point3) -> np.ndarray:
         p = Point3(*p)
-        xs, ys, zs, vals, dV, steps = self._ensure_grid()
+        xs, ys, zs, vals, dV, a = self._ensure_grid()
         d = np.stack((p.x - xs, p.y - ys, p.z - zs))
-        a = self.softening * max(steps)
         s = dV * self._blob_kernel_grad(d[0] ** 2 + d[1] ** 2 + d[2] ** 2, a)
         return _curl(vals @ (s * d).T)
 
@@ -797,11 +746,11 @@ class _RotNewtonianPotential(_NewtonianPotential):
 def operator_rot_B(F: VectorField, region: BoxDomain,
                    quad: QuadratureSpec = DEFAULT_QUAD,
                    cells: Optional[tuple] = None) -> VectorField:
-    """rot of ``operator_B(F, region, quad, kernel="softened", cells=cells)``.
+    """rot of ``operator_B(F, region, quad, cells)``.
 
-    The curl is computed in closed form from the gradient of the softened
+    The curl is computed in closed form from the gradient of the blob
     kernel in one pass over the cells, instead of by finite differences of
     the potential (12 full-grid sums per point at order 4).  Grid, cell
-    values and blob radius (the default softening) are those of operator_B.
+    values and blob radius are those of operator_B.
     """
-    return _RotNewtonianPotential(F, region, quad, "softened", cells=cells)
+    return _RotNewtonianPotential(F, region, quad, cells)

@@ -80,6 +80,8 @@ class GroupElement:
     def __post_init__(self):
         if not 1 <= self.k <= 10:
             raise ValueError(f"group label k = {self.k} outside 1..10")
+        if not math.isfinite(self.lam):
+            raise ValueError(f"group parameter lambda must be finite, got {self.lam!r}")
 
     def inverse(self) -> "GroupElement":
         return GroupElement(self.k, -self.lam)

@@ -1,7 +1,8 @@
 """Verification suites: every identity of the library checked numerically.
 
-Each suite returns a VerificationReport whose checks mirror the acceptance
-criteria of the package.  Sample points come from a Halton sequence (seeded
+Each suite returns its registry of (name, tolerance, check) triples, which
+mirror the acceptance criteria of the package; ``run_suite`` runs them into
+a VerificationReport.  Sample points come from a Halton sequence (seeded
 by an index offset) with rejection of excluded points, so failing runs are
 reproducible point-by-point from the config echo.
 """
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -120,8 +121,10 @@ def entry_points(entry: CatalogEntry, n: int, seed: int = 0) -> List[Point3]:
     return halton_points(entry.sample_box, n, seed, excluded=lambda p: not dom.ok(p))
 
 
-def _run_checks(checks: Sequence[Tuple[str, float, Callable[[], Tuple[float, int]]]],
-                config: RunConfig, suite: str) -> VerificationReport:
+_Checks = List[Tuple[str, float, Callable[[], Tuple[float, int]]]]
+
+
+def _run_checks(checks: _Checks, config: RunConfig, suite: str) -> VerificationReport:
     """Execute (name, default_tol, fn) triples serially, in registry order.
 
     Checks of one suite share a random generator and memoized builds, so the
@@ -205,7 +208,7 @@ def _basis_product_oracle(a: Biquaternion, b: Biquaternion) -> Biquaternion:
     return Biquaternion(*coeffs)
 
 
-def suite_algebra(config: RunConfig) -> VerificationReport:
+def suite_algebra(config: RunConfig) -> _Checks:
     rng = _rng(config, 1)
     basis = [Biquaternion(1), Biquaternion(0, 1), Biquaternion(0, 0, 1),
              Biquaternion(0, 0, 0, 1)]
@@ -308,7 +311,7 @@ def suite_algebra(config: RunConfig) -> VerificationReport:
         ("inverse_roundtrip", 1e-12, inverse_roundtrip),
         ("right_mul_witness", 1e-15, right_mul_witness),
     ]
-    return _run_checks(checks, config, "algebra")
+    return checks
 
 
 # --------------------------------------------------------------------------
@@ -330,7 +333,7 @@ def _random_quat_poly(rng) -> QuaternionField:
     return QuaternionField(lambda p: Biquaternion(*(g(p) for g in parts)))
 
 
-def suite_operators(config: RunConfig) -> VerificationReport:
+def suite_operators(config: RunConfig) -> _Checks:
     rng = _rng(config, 2)
     scheme = _scheme(config)
     quad = _quad(config)
@@ -439,7 +442,7 @@ def suite_operators(config: RunConfig) -> VerificationReport:
         ("A_right_inverse_of_grad", 1e-6, A_right_inverse),
         ("B_uniform_ball_potential", 2e-2, B_ball),
     ]
-    return _run_checks(checks, config, "operators")
+    return checks
 
 
 # --------------------------------------------------------------------------
@@ -454,7 +457,7 @@ def _max_riccati_residual(inst: RiccatiInstance, pts: Iterable[Point3],
     return worst
 
 
-def suite_solutions(config: RunConfig) -> VerificationReport:
+def suite_solutions(config: RunConfig) -> _Checks:
     scheme = _scheme(config)
     entries = acceptance_catalog(config.margin)
     checks = []
@@ -501,13 +504,13 @@ def suite_solutions(config: RunConfig) -> VerificationReport:
 
     checks.append(("spot_values", 1e-12, spot_values))
     checks.append(("blowup_witness_detection", 1e2, blowup_witness))
-    return _run_checks(checks, config, "solutions")
+    return checks
 
 
 # --------------------------------------------------------------------------
 # riccati suite (transforms + factorization)
 
-def suite_riccati(config: RunConfig) -> VerificationReport:
+def suite_riccati(config: RunConfig) -> _Checks:
     scheme = _scheme(config)
     quad = _quad(config)
     quad_gauss = _quad_gauss(config)
@@ -638,13 +641,13 @@ def suite_riccati(config: RunConfig) -> VerificationReport:
         ("w_equation_example", 1e-10, w_equation_example),
         ("prop2_scalar_and_riccati_parts", 1e-6, prop2_closed_parts),
     ]
-    return _run_checks(checks, config, "riccati")
+    return checks
 
 
 # --------------------------------------------------------------------------
 # euler / picard suite
 
-def suite_euler_picard(config: RunConfig) -> VerificationReport:
+def suite_euler_picard(config: RunConfig) -> _Checks:
     scheme = _scheme(config)
     quad = _quad(config)
     quad_gauss = _quad_gauss(config)
@@ -759,7 +762,7 @@ def suite_euler_picard(config: RunConfig) -> VerificationReport:
         ("prop3_roundtrip", 5e-2, prop3_roundtrip),
         ("same_potential_precondition_detection", 0.5, mismatch_detection),
     ]
-    return _run_checks(checks, config, "euler_picard")
+    return checks
 
 
 # --------------------------------------------------------------------------
@@ -779,7 +782,7 @@ _TABLE_F = {
 }
 
 
-def suite_symmetry(config: RunConfig) -> VerificationReport:
+def suite_symmetry(config: RunConfig) -> _Checks:
     scheme = _scheme(config)
     rng = _rng(config, 4)
     box = (Point3(0.55, 0.35, 0.45), Point3(1.6, 1.3, 1.4))
@@ -922,13 +925,13 @@ def suite_symmetry(config: RunConfig) -> VerificationReport:
         ("transport_vs_pushforward", 1e-8, pushforward_agreement),
         ("printed_text_discrepancy_info", 1e9, printed_text_discrepancy),
     ]
-    return _run_checks(checks, config, "symmetry")
+    return checks
 
 
 # --------------------------------------------------------------------------
 # 1-D oracle suite
 
-def suite_oned(config: RunConfig) -> VerificationReport:
+def suite_oned(config: RunConfig) -> _Checks:
     def integration():
         c = r1d.Coefficients1D(lambda x: 0.0, lambda x: 0.0, lambda x: -1.0)
         path = r1d.integrate(c, 1.0, 1.0, 2.0, 1e-4)
@@ -1035,7 +1038,7 @@ def suite_oned(config: RunConfig) -> VerificationReport:
         ("radial_slice_tie", 1e-10, radial_slice_tie),
         ("factorization_1d", 1e-7, factorization_1d),
     ]
-    return _run_checks(checks, config, "oned")
+    return checks
 
 
 # --------------------------------------------------------------------------
@@ -1052,14 +1055,26 @@ _SUITE_FN = {
 
 
 def run_suite(name: str, config: Optional[RunConfig] = None) -> VerificationReport:
-    """Run one suite (or "all") and return its report."""
+    """Run one suite (or "all") and return its report.
+
+    Every tolerance override must name a check of the run, by its name
+    without the suite prefix; an unknown name raises ConfigError before any
+    check runs.
+    """
     config = config or RunConfig()
-    if name == "all":
-        reports = [_SUITE_FN[s](config) for s in SUITES]
-        return merge_reports(reports, config.as_dict(), "all")
-    try:
-        fn = _SUITE_FN[name]
-    except KeyError:
+    if name != "all" and name not in _SUITE_FN:
         raise ConfigError(f"unknown suite {name!r}; expected one of "
                           f"{SUITES + ('all',)}")
-    return fn(config)
+    suites = SUITES if name == "all" else (name,)
+    registry = {s: _SUITE_FN[s](config) for s in suites}
+    known = {check[0] for checks in registry.values() for check in checks}
+    unknown = sorted(set(config.tolerances) - known)
+    if unknown:
+        raise ConfigError(f"tolerance override names no check of suite {name!r}: "
+                          f"{', '.join(map(repr, unknown))} (name a check without "
+                          "its suite prefix)")
+    # pop each suite's checks as it runs, so its memoized builds are freed
+    reports = [_run_checks(registry.pop(s), config, s) for s in suites]
+    if name != "all":
+        return reports[0]
+    return merge_reports(reports, config.as_dict(), "all")

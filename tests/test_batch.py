@@ -277,8 +277,8 @@ def test_excluded_cells_are_never_evaluated():
     region = BoxDomain.box((-1, -1, -1), (1, 1, 1), lambda p: p.x + p.y > 0.5)
     for vectorized in (False, True):
         F = _counting(lambda p: vec3(1.0 + p.z, 0.0, 0.0), vectorized=vectorized)
-        xs, ys, zs, vals, *_ = operator_B(F, region, QuadratureSpec(volume_grid=8),
-                                          kernel="softened")._ensure_grid()
+        xs, ys, zs, vals, *_ = operator_B(F, region,
+                                          QuadratureSpec(volume_grid=8))._ensure_grid()
         seen = [Point3(*c) for P in F.seen for c in zip(*(np.ravel(a) for a in P))]
         excluded = xs + ys > 0.5
         assert len(seen) == int(np.sum(~excluded))

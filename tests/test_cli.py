@@ -49,6 +49,19 @@ def test_verify_report_deterministic_except_seconds(suite, tmp_path, capsys):
     assert strip(r1) == strip(r2)
 
 
+@pytest.mark.parametrize("name", ["algebra/associativity", "associativty"])
+def test_verify_unknown_tolerance_name_exits_two(name, tmp_path, capsys):
+    # a suite-prefixed name (as the "all" report prints it) or a typo names
+    # no check: it is a usage error, not an override silently ignored
+    assert main(["verify", "--suite", "algebra", "--tol", f"{name}=1e-30"]) == 2
+    assert repr(name) in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"tol.{name} = 1e-30\n")
+    assert main(["verify", "--suite", "all", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "names no check" in err and repr(name) in err
+
+
 def test_verify_tolerance_echoed_in_report(tmp_path, capsys):
     rp = tmp_path / "r.json"
     assert main(["verify", "--suite", "algebra", "--tol", "associativity=1e-10",
@@ -201,6 +214,46 @@ def test_eval_bad_grid_exits_two(tmp_path, capsys):
                  "--grid", "1,2,3", "--out", str(tmp_path / "x.csv")])
     assert code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("grid", [
+    "0.5,1.0,2.7,0.05,0.4,4,-0.4,0.4,4",   # a count of 2.7 used to read as 2
+    "0.5,1.0,4,0.05,0.4,4,-0.4,0.4,4.0",
+    "0.5,inf,4,0.05,0.4,4,-0.4,0.4,4",
+    "-inf,1.0,4,0.05,0.4,4,-0.4,0.4,4",
+    "0.5,1.0,4,nan,0.4,4,-0.4,0.4,4",
+    "0.5,1.0,4,0.05,0.4,4,-0.4,0.4,x",
+])
+@pytest.mark.parametrize("command", ["eval", "transform"])
+def test_grid_rejects_non_finite_bounds_and_non_integer_counts(command, grid, tmp_path,
+                                                               capsys):
+    extra = ["--group", "6", "--lambda", "0.3"] if command == "transform" else []
+    code = main([command, "--solution", "rotational", "--k", "1", "--c", "0.3466",
+                 f"--grid={grid}", *extra, "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "bad grid axis" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_transform_with_every_row_masked_exits_two(tmp_path, capsys):
+    # the grid lies on the rotational solution's excluded axis; eval exits 2 too
+    grid = "0,0.05,3,0,0.05,3,-0.5,0.5,3"
+    for extra in (["eval"], ["transform", "--group", "6", "--lambda", "0.1"]):
+        code = main([*extra, "--solution", "rotational", "--k", "1", "--c", "0.3466",
+                     "--grid", grid, "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "every grid point is masked" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("lam", ["nan", "inf", "-inf"])
+def test_transform_non_finite_lambda_exits_two(lam, tmp_path, capsys):
+    code = main(["transform", "--solution", "rotational", "--k", "1", "--c", "0.3466",
+                 "--group", "6", f"--lambda={lam}",
+                 "--grid", "0.5,1.0,4,0.05,0.4,4,-0.4,0.4,4",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "lambda must be finite" in capsys.readouterr().err
 
 
 def test_transform_rotational_G6(tmp_path, capsys):

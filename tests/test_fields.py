@@ -18,6 +18,7 @@ from riccati3d.fields import (
     ScalarField,
     VectorField,
     QuaternionField,
+    _BLOB_RADIUS,
     _NewtonianPotential,
     diff,
     dirac_left,
@@ -157,7 +158,7 @@ def test_stencil_point_off_domain_raises_before_any_evaluation(op, kind, where, 
     scheme = DiffScheme(order=order)
     p = Point3(0.5, 0.5, 0.5)
     h = scheme.step(p, 2)
-    bad = p.shifted(2, -order // 2 * h)  # the last point of the z stencil
+    bad = p._replace(z=p.z - order // 2 * h)  # the last point of the z stencil
     if where == "box":
         domain = BoxDomain.box((0, 0, bad.z + 1e-9), (1, 1, 1))
         message = f"stencil point {bad} outside domain box"
@@ -393,18 +394,32 @@ def test_B_resolution_floor():
 
 
 def test_B_softened_kernel_matches_far_field():
+    # beyond the blob radius every cell is a point mass: the plain midpoint sum
     region = BoxDomain.box((-1, -1, -1), (1, 1, 1))
     F = VectorField(lambda p: np.array([1.0, 0, 0], complex))
-    hard = operator_B(F, region, QuadratureSpec(volume_grid=16))
-    soft = operator_B(F, region, QuadratureSpec(volume_grid=16), kernel="softened")
+    soft = operator_B(F, region, QuadratureSpec(volume_grid=16))
     far = Point3(3.0, 0.5, 0.2)
-    assert abs(hard(far)[0] - soft(far)[0]) < 1e-12
+    c = -1 + (np.arange(16) + 0.5) / 8
+    X, Y, Z = np.meshgrid(c, c, c, indexing="ij")
+    plain = np.sum((1 / 8) ** 3 / (4 * np.pi * np.sqrt(
+        (X - far.x) ** 2 + (Y - far.y) ** 2 + (Z - far.z) ** 2)))
+    assert abs(soft(far)[0] - plain) < 1e-12
+
+
+def test_B_is_continuous_across_a_cell_face():
+    # x = 0 is a face of the 16^3 grid; a kernel that drops the evaluation
+    # point's cell jumps there by 2.6e-4
+    region = BoxDomain.box((-1, -1, -1), (1, 1, 1))
+    B = operator_B(VectorField(lambda p: np.array([1 + p.x, 0, 0], complex)),
+                   region, QuadratureSpec(volume_grid=16))
+    left, right = B(Point3(-1e-9, 0.03, 0.04)), B(Point3(1e-9, 0.03, 0.04))
+    assert np.max(np.abs(left - right)) < 1e-8
 
 
 def test_B_anisotropic_cells():
     region = BoxDomain.box((0, -0.5, -0.5), (4, 0.5, 0.5))
     F = VectorField(lambda p: np.array([1.0, 0, 0], complex))
-    B = operator_B(F, region, kernel="softened", cells=(40, 10, 10))
+    B = operator_B(F, region, cells=(40, 10, 10))
     # total mass 4*1*1 = 4: far-field behaves like 4/(4 pi r)
     far = Point3(2.0, 0.0, 12.0)
     r = math.sqrt(2.0 ** 2 + 12.0 ** 2)  # distance to the slab center (2,0,0)
@@ -423,17 +438,17 @@ _SMOOTH = VectorField(lambda p: np.array(
 def test_rot_B_matches_stencil_of_softened_B(lower, upper, cells):
     region = BoxDomain.box(lower, upper)
     quad = QuadratureSpec(volume_grid=16)
-    B = operator_B(_SMOOTH, region, quad, kernel="softened", cells=cells)
+    B = operator_B(_SMOOTH, region, quad, cells=cells)
     rot_B = operator_rot_B(_SMOOTH, region, quad, cells=cells)
     steps = [(hi - lo) / n for lo, hi, n in zip(lower, upper, cells)]
-    a = 2.2 * max(steps)
+    a = _BLOB_RADIUS * max(steps)
     c = Point3(*(lo + 3.5 * h for lo, h in zip(lower, steps)))  # a cell centre
     points = {
         "far": Point3(upper[0] + 2.0, 0.5, 0.2),
         "inside blob": Point3(c.x + 0.3 * a, c.y - 0.2 * a, c.z + 0.1 * a),
         "cell centre": c,
-        "r just above a": c.shifted(0, a * (1 + 1e-9)),
-        "r just below a": c.shifted(0, a * (1 - 1e-3)),
+        "r just above a": c._replace(x=c.x + a * (1 + 1e-9)),
+        "r just below a": c._replace(x=c.x + a * (1 - 1e-3)),
     }
     for name, p in points.items():
         exact = rot_B(p)
@@ -453,13 +468,6 @@ def test_blob_kernel_gradient_continuous_at_radius():
     K = _NewtonianPotential._blob_kernel
     dK = (K((r + h) ** 2, a) - K((r - h) ** 2, a)) / (2 * h)
     assert np.allclose(G(r * r, a) * r, dK, rtol=1e-7, atol=0)
-
-
-@pytest.mark.parametrize("softening", [0.0, -2.2, float("nan")])
-def test_softening_must_be_finite_and_positive(softening):
-    region = BoxDomain.box((-1, -1, -1), (1, 1, 1))
-    with pytest.raises(ValueError, match="softening"):
-        operator_B(_SMOOTH, region, kernel="softened", softening=softening)
 
 
 def test_parallel_grid_evaluation_bitwise_identical(ball_potential):

@@ -332,7 +332,7 @@ def test_riccati_residual_differences_Q_once(order):
 
 def test_riccati_residual_checks_the_whole_stencil_before_differencing():
     p = Point3(0.5, 0.5, 0.5)
-    bad = p.shifted(1, 2 * S.step(p, 1))
+    bad = p._replace(y=p.y + 2 * S.step(p, 1))
     inst, counts = _counting_instance(BoxDomain.unbounded(lambda t: t == bad))
     with pytest.raises(DomainError, match="in excluded set"):
         riccati_residual(inst, p, S)

@@ -97,6 +97,12 @@ def test_invariant_potential_singularities():
         invariant_potential(11, lambda a, b: 1.0)
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_group_element_rejects_non_finite_lambda(lam):
+    with pytest.raises(ValueError, match="lambda must be finite"):
+        GroupElement(10, lam)
+
+
 def test_alpha_has_no_real_roots_off_axis():
     rng = np.random.default_rng(0)
     for _ in range(200):
