@@ -42,8 +42,17 @@ class RunConfig:
             raise ConfigError("RunConfig.order must be 2 or 4")
         if self.samples < 1:
             raise ConfigError("RunConfig.samples must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"RunConfig.seed must be >= 0, got {self.seed}")
+        if self.gauss_order < 1:
+            raise ConfigError(f"RunConfig.gauss_order must be >= 1, "
+                              f"got {self.gauss_order}")
         if self.volume_grid < 8 or self.build_grid < 8:
             raise ConfigError("grid resolutions must be >= 8")
+        for name, value in self.tolerances.items():
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"tolerance override {name!r} must be finite "
+                                  f"and >= 0, got {value!r}")
 
     def tolerance(self, name: str, default: float) -> float:
         return float(self.tolerances.get(name, default))

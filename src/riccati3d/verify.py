@@ -96,7 +96,13 @@ def _halton(index: int, base: int) -> float:
 def halton_points(box: Tuple[Point3, Point3], n: int, seed: int = 0,
                   excluded: Optional[Callable[[Point3], bool]] = None,
                   max_tries: int = 100000) -> List[Point3]:
-    """n quasi-random points of the box, skipping the excluded set."""
+    """n quasi-random points of the box, skipping the excluded set.
+
+    Each seed starts the sequence at its own index; a negative seed would
+    start below 0, where every point is the box's lower corner.
+    """
+    if seed < 0:
+        raise ValueError(f"halton_points: seed must be >= 0, got {seed}")
     lo, hi = Point3(*box[0]), Point3(*box[1])
     pts: List[Point3] = []
     idx = 17 + 7919 * seed

@@ -8,7 +8,9 @@ import pytest
 
 from riccati3d.cli import main
 from riccati3d.errors import ConfigError
+from riccati3d.fields import Point3
 from riccati3d.report import RunConfig
+from riccati3d.verify import halton_points
 
 
 def test_verify_algebra_exits_zero(capsys):
@@ -102,6 +104,50 @@ def test_non_finite_config_value_exits_two(flag, value, capsys):
 def test_run_config_rejects_non_finite_or_non_positive(name, value):
     with pytest.raises(ConfigError, match=name):
         RunConfig(**{name: value})
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+def test_bad_tolerance_override_exits_two(value, tmp_path, capsys):
+    # no residual can be held to such a bound: a usage error, not a verdict
+    assert main(["verify", "--suite", "algebra", "--tol",
+                 f"associativity={value}"]) == 2
+    assert "must be finite and >= 0" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"tol.associativity = {value}\n")
+    assert main(["verify", "--suite", "algebra", "--config", str(cfg)]) == 2
+    assert "must be finite and >= 0" in capsys.readouterr().err
+
+
+def test_zero_tolerance_override_is_valid():
+    # zero is basis_table's own tolerance
+    config = RunConfig(tolerances={"basis_table": 0.0})
+    assert config.tolerance("basis_table", 1.0) == 0.0
+
+
+@pytest.mark.parametrize("suite", ["solutions", "oned", "euler_picard"])
+def test_negative_seed_exits_two(suite, capsys):
+    # these suites draw only Halton samples, which a negative seed would put
+    # all at the box's lower corner
+    assert main(["verify", "--suite", suite, "--seed", "-2"]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+
+
+def test_negative_seed_rejected_by_config_and_sampler():
+    with pytest.raises(ConfigError, match="seed"):
+        RunConfig(seed=-1)
+    box = (Point3(0, 0, 0), Point3(1, 1, 1))
+    with pytest.raises(ValueError, match="seed"):
+        halton_points(box, 3, seed=-1)
+    assert len(set(halton_points(box, 3, seed=0))) == 3
+
+
+@pytest.mark.parametrize("suite", ["algebra", "operators"])
+def test_gauss_order_below_one_exits_two(suite, capsys):
+    # rejected for every suite, not only those that build a QuadratureSpec
+    assert main(["verify", "--suite", suite, "--gauss-order", "0"]) == 2
+    assert "gauss_order must be >= 1" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="gauss_order"):
+        RunConfig(gauss_order=0)
 
 
 @pytest.mark.parametrize("command", ["eval", "transform"])

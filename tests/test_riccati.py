@@ -286,25 +286,31 @@ def test_picard_zero_divisor_guard():
         picard_lhs(Q1, Q2, Q3, Q4, Point3(1, 1, 1), S)
 
 
+def _riccati_check(name, seed):
+    """(residual, tolerance) of one riccati-suite check run on its own at a
+    seed; the seed-0 suite runs once, in the acceptance tests."""
+    from riccati3d.report import RunConfig
+    from riccati3d.verify import suite_riccati
+    tol, fn = next((tol, fn) for key, tol, fn in suite_riccati(RunConfig(seed=seed))
+                   if key == name)
+    return fn()[0], tol
+
+
 def test_factorization_nonsolution_detection_passes_at_seed_1():
     # the broken input Q = (x,0,0) must not solve the equation anywhere in
-    # the check's sample box; with q = 0 it did so on the plane x = 1
-    from riccati3d.report import RunConfig
-    from riccati3d.verify import run_suite
-    report = run_suite("riccati", RunConfig(seed=1))
-    check = next(c for c in report.checks
-                 if c.name == "factorization_nonsolution_detection")
-    assert check.passed
+    # the check's sample box; with q = 0 it did so on the plane x = 1.  Run
+    # alone the check draws other random probes than in the suite, but the
+    # seed picks its sample points and the probes only scale the defect.
+    resid, tol = _riccati_check("factorization_nonsolution_detection", 1)
+    assert resid >= tol
 
 
 def test_transform_roundtrip_Q_passes_at_seed_30():
     # cole_hopf's stencil differences the reconstructed psi; with adaptive
-    # Simpson inside A the quadrature error jumped between stencil points
-    from riccati3d.report import RunConfig
-    from riccati3d.verify import run_suite
-    report = run_suite("riccati", RunConfig(seed=30))
-    check = next(c for c in report.checks if c.name == "transform_roundtrip_Q")
-    assert check.passed
+    # Simpson inside A the quadrature error jumped between stencil points.
+    # The check draws no random numbers, so run alone it gives the suite's value.
+    resid, tol = _riccati_check("transform_roundtrip_Q", 30)
+    assert resid <= tol
 
 
 def _counting_instance(domain=None):
