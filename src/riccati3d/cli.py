@@ -23,11 +23,10 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError, PoleError, Riccati3dError, ZeroCrossing
-from .fields import DiffScheme, Point3
+from .fields import DiffScheme, Point3, stencil_ok
 from .report import RunConfig
 from .riccati import (
     RiccatiInstance,
-    SchrodingerInstance,
     riccati_residual,
     schrodinger_residual,
 )
@@ -175,6 +174,67 @@ def _quantity_columns(fields: Sequence[str], entry: CatalogEntry) -> List[str]:
     return names
 
 
+_EVAL_CHUNK = 1024  # grid rows per batch: bounds the batch's scratch memory
+
+
+def _eval_batch(entry: CatalogEntry, fields: Sequence[str], P: Point3,
+                scheme: DiffScheme) -> dict:
+    """Quantity name -> complex array over a batch P of grid points."""
+    inst = entry.instance
+    values: dict = {}
+    if "Q" in fields:
+        values.update(zip("uvw", inst.Q.batch(P)))
+    if "q" in fields:
+        values["q"] = inst.q.batch(P)
+    if "psi" in fields:
+        values["psi"] = entry.psi.batch(P)
+    if "residuals" in fields:
+        sc, vec = riccati_residual(inst, P, scheme)
+        values.update(resid_sc=sc, resid_v1=vec[0], resid_v2=vec[1], resid_v3=vec[2])
+        if "psi" in fields:
+            values["resid_psi"] = schrodinger_residual(entry.schrodinger(), P, scheme)
+    return values
+
+
+def _eval_rows(entry: CatalogEntry, fields: Sequence[str], P: Point3,
+               scheme: DiffScheme) -> List[dict]:
+    """One output row per point of a batch P of grid points.
+
+    A row is masked when its point is not in the domain, when (with
+    residuals) a stencil point is not, or when an evaluator raises a typed
+    error at it.  The rest are evaluated in one batch; an error names its
+    row (``index``), which is masked before the others are evaluated again.
+    """
+    ok = entry.instance.Q.domain.ok_mask(P)
+    if "residuals" in fields:
+        ok &= stencil_ok(entry.instance.Q.domain, P, scheme)
+        if "psi" in fields:
+            ok &= stencil_ok(entry.psi.domain, P, scheme)
+    todo = np.flatnonzero(ok)
+    values: dict = {}
+    while todo.size:
+        try:
+            values = _eval_batch(entry, fields, Point3(*(c[todo] for c in P)), scheme)
+            break
+        except (DomainError, ZeroCrossing, PoleError) as exc:
+            if exc.index is None:
+                raise
+            ok[todo[exc.index]] = False
+            todo = np.delete(todo, exc.index)
+    cells = {}
+    for name, val in values.items():
+        cells[f"Re_{name}"] = iter(val.real.tolist())
+        cells[f"Im_{name}"] = iter(val.imag.tolist())
+    rows = []
+    for x, y, z, good in zip(*(c.tolist() for c in P), ok.tolist()):
+        row: dict = {"x": x, "y": y, "z": z, "masked": 0 if good else 1}
+        if good:  # masked rows carry empty cells for every quantity column
+            for col, vals in cells.items():
+                row[col] = next(vals)
+        rows.append(row)
+    return rows
+
+
 def cmd_eval(args) -> int:
     entry = _entry_from_args(args)
     fields = [f.strip() for f in args.fields.split(",") if f.strip()]
@@ -184,56 +244,18 @@ def cmd_eval(args) -> int:
     if "psi" in fields and entry.psi is None:
         raise ConfigError(f"{entry.name} has no Schrodinger partner psi")
     axes = _parse_grid(args.grid)
-    dom = entry.instance.Q.domain
-    corners = [Point3(x, y, z) for x in (axes[0][0], axes[0][-1])
-               for y in (axes[1][0], axes[1][-1])
-               for z in (axes[2][0], axes[2][-1])]
-    if not all(dom.in_box(c) for c in corners):
-        raise ConfigError("grid extends outside the solution's domain box")
-
     scheme = DiffScheme(h=args.h if args.h is not None else 1e-3)
     quantities = _quantity_columns(fields, entry)
     header = ["x", "y", "z", "masked"]
     for name in quantities:
         header += [f"Re_{name}", f"Im_{name}"]
 
-    pts = _grid_points(axes)
+    grid = [c.ravel() for c in np.meshgrid(*axes, indexing="ij")]  # rows in C order
     rows = []
-    n_masked = 0
-    for p in pts:
-        row: dict = {"x": p.x, "y": p.y, "z": p.z, "masked": 0}
-        if not dom.ok(p):
-            row["masked"] = 1
-        else:
-            try:
-                values: dict = {}
-                if "Q" in fields:
-                    qv = entry.instance.Q(p)
-                    values.update(u=qv[0], v=qv[1], w=qv[2])
-                if "q" in fields:
-                    values["q"] = entry.instance.q(p)
-                if "psi" in fields:
-                    values["psi"] = entry.psi(p)
-                if "residuals" in fields:
-                    sc, vec = riccati_residual(entry.instance, p, scheme)
-                    values.update(resid_sc=sc, resid_v1=vec[0],
-                                  resid_v2=vec[1], resid_v3=vec[2])
-                    if "psi" in fields and entry.psi is not None:
-                        values["resid_psi"] = schrodinger_residual(
-                            SchrodingerInstance(entry.psi, entry.instance.q),
-                            p, scheme)
-                for name, val in values.items():
-                    val = complex(val)
-                    row[f"Re_{name}"] = val.real
-                    row[f"Im_{name}"] = val.imag
-            except (DomainError, ZeroCrossing, PoleError):
-                # masked rows carry empty cells for every quantity column
-                row["masked"] = 1
-                for name in quantities:
-                    row.pop(f"Re_{name}", None)
-                    row.pop(f"Im_{name}", None)
-        n_masked += row["masked"]
-        rows.append(row)
+    for start in range(0, grid[0].size, _EVAL_CHUNK):
+        P = Point3(*(c[start:start + _EVAL_CHUNK] for c in grid))
+        rows += _eval_rows(entry, fields, P, scheme)
+    n_masked = sum(row["masked"] for row in rows)
     if n_masked == len(rows):
         raise ConfigError("every grid point is masked; grid misses the domain")
     _write_rows(args.out, args.format, header, rows)

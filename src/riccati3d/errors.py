@@ -1,8 +1,21 @@
 """Exception types shared across the toolkit."""
 
+from typing import Optional
+
 
 class Riccati3dError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors.
+
+    ``index`` names the point an error is about when a batched call (a Point3
+    of coordinate arrays) raises it: the flat C-order index of that point in
+    the batch.  The message is the one the call at that point alone raises.
+    The same code called at one point gives 0; an error that names no point
+    of a batch leaves ``index`` None.
+    """
+
+    def __init__(self, *args, index: Optional[int] = None):
+        super().__init__(*args)
+        self.index = index
 
 
 class ZeroDivisor(Riccati3dError):

@@ -15,6 +15,17 @@ Conventions
   step ``h * max(1, |coordinate|)`` per axis.  Every stencil point is checked
   (box, excluded set; else DomainError) before any point is evaluated, and
   ``riccati_residual`` takes -div Q and rot Q from one stencil of Q.
+  ``grad``, ``rot``, ``laplacian`` and the stencil also take a batch: the
+  stencil is checked for every target with one mask, each of its points is
+  one ``F.batch`` call over all targets, and results keep the component axis
+  first.  A bad stencil point raises the DomainError the pointwise loop
+  raises at the first offending target (points printed as Python floats),
+  with ``index`` naming that target (see ``errors.Riccati3dError``).
+* Dual-use evaluators serve ``F(p)`` and ``F.batch`` with one body: guards
+  go through ``_first`` (a plain comparison at one point, a mask over a
+  batch) and transcendental functions through ``_libm``, which maps the
+  ``math`` function over a batch element by element, so a batch gives the
+  values of ``F(p)`` bit for bit.
 * ``dirac_left`` is sum_k e_k d_k (the Moisil-Theodoresco operator), equal to
   -div + grad + rot on the scalar/vector split; ``dirac_right`` puts e_k on
   the right and flips the rot sign.
@@ -39,7 +50,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .biquat import Biquaternion, mul
-from .errors import DomainError, QuadratureFailure
+from .errors import DomainError, QuadratureFailure, Riccati3dError
 
 __all__ = [
     "Point3",
@@ -50,6 +61,7 @@ __all__ = [
     "DiffScheme",
     "QuadratureSpec",
     "diff",
+    "stencil_ok",
     "grad",
     "div",
     "rot",
@@ -78,23 +90,28 @@ class BoxDomain:
 
     The predicate must be pure and deterministic; it should be conservative
     (inflated by the stencil width) so derivatives never touch a singularity.
+    ``vectorized=True`` declares that it also takes a Point3 of equal-shape
+    arrays of finite floats and returns a bool array of that shape, without
+    raising or warning; ``ok_mask`` then calls it once.
     """
 
     lower: Point3 = Point3(-_INF, -_INF, -_INF)
     upper: Point3 = Point3(_INF, _INF, _INF)
     excluded: Optional[Callable[[Point3], bool]] = None
+    vectorized: bool = False
 
     def __post_init__(self):
         if not all(lo < hi for lo, hi in zip(self.lower, self.upper)):
             raise ValueError("BoxDomain requires lower < upper componentwise")
 
     @classmethod
-    def unbounded(cls, excluded: Optional[Callable[[Point3], bool]] = None) -> "BoxDomain":
-        return cls(excluded=excluded)
+    def unbounded(cls, excluded: Optional[Callable[[Point3], bool]] = None,
+                  vectorized: bool = False) -> "BoxDomain":
+        return cls(excluded=excluded, vectorized=vectorized)
 
     @classmethod
-    def box(cls, lower, upper, excluded=None) -> "BoxDomain":
-        return cls(Point3(*lower), Point3(*upper), excluded)
+    def box(cls, lower, upper, excluded=None, vectorized: bool = False) -> "BoxDomain":
+        return cls(Point3(*lower), Point3(*upper), excluded, vectorized)
 
     def in_box(self, p: Point3) -> bool:
         lo, hi = self.lower, self.upper
@@ -105,38 +122,51 @@ class BoxDomain:
         return self.excluded is not None and bool(self.excluded(p))
 
     def ok(self, p: Point3) -> bool:
-        return self.in_box(p) and not self.is_excluded(p)
+        return self.in_box(p) and (self.excluded is None or not self.excluded(p))
 
     def ok_mask(self, P: Point3) -> np.ndarray:
-        """``ok`` at every point of a Point3 of equal-shape arrays; the
-        excluded-set predicate is called once per in-box point."""
+        """``ok`` at every point of a Point3 of equal-shape arrays.  A
+        vectorized predicate is called once, any other once per in-box
+        point."""
         lo, hi = self.lower, self.upper
         mask = ((lo[0] <= P[0]) & (P[0] <= hi[0]) & (lo[1] <= P[1]) & (P[1] <= hi[1])
                 & (lo[2] <= P[2]) & (P[2] <= hi[2]))
-        if self.excluded is not None:
-            for i in map(tuple, np.argwhere(mask)):
-                mask[i] = not self.excluded(Point3(P[0][i], P[1][i], P[2][i]))
+        if self.excluded is None:
+            return mask
+        if self.vectorized:
+            return mask & ~np.asarray(self.excluded(P), dtype=bool)
+        for i in map(tuple, np.argwhere(mask)):
+            mask[i] = not self.excluded(Point3(P[0][i], P[1][i], P[2][i]))
         return mask
 
     def intersect(self, other: "BoxDomain") -> "BoxDomain":
+        """The common box and the union of the excluded sets; the result's
+        predicate is vectorized when every predicate it combines is."""
         lower = Point3(*(max(a, b) for a, b in zip(self.lower, other.lower)))
         upper = Point3(*(min(a, b) for a, b in zip(self.upper, other.upper)))
-        preds = [p for p in (self.excluded, other.excluded) if p is not None]
-        if not preds:
+        sides = [d for d in (self, other) if d.excluded is not None]
+        vectorized = all(d.vectorized for d in sides)
+        if not sides:
             excl = None
-        elif len(preds) == 1:
-            excl = preds[0]
+        elif len(sides) == 1:
+            excl = sides[0].excluded
+        elif vectorized:
+            excl = lambda q, _a=self.excluded, _b=other.excluded: _a(q) | _b(q)
         else:
-            excl = lambda q, _ps=tuple(preds): any(pr(q) for pr in _ps)
-        return BoxDomain(lower, upper, excl)
+            excl = lambda q, _ps=(self.excluded, other.excluded): any(pr(q) for pr in _ps)
+        return BoxDomain(lower, upper, excl, vectorized)
 
     def bounded(self) -> bool:
         return all(math.isfinite(c) for c in (*self.lower, *self.upper))
 
 
+# The helpers below serve both one point and a batch; they tell the two apart
+# by ``type(x) is np.ndarray``, which costs a fraction of ``isinstance`` or
+# ``np.ndim`` on the scalar path.
+
 def _batched(p: Point3) -> bool:
     """True when p holds coordinate arrays rather than one point."""
-    return isinstance(p[0], np.ndarray) and p[0].ndim > 0
+    return type(p[0]) is np.ndarray and p[0].ndim > 0
 
 
 def vec3(x, y, z) -> np.ndarray:
@@ -148,12 +178,45 @@ def vec3(x, y, z) -> np.ndarray:
     return np.array(np.broadcast_arrays(x, y, z), dtype=complex)
 
 
+def _first(bad) -> Optional[int]:
+    """Where a guard fails: None if ``bad`` holds nowhere, else the flat
+    C-order index of the first point where it holds (0 for one point).
+    ``bad`` is a bool at one point and a bool array for a batch.  Guards
+    read ``if bad is not False and (i := _first(bad)) is not None``, so that
+    one point with a plain float comparison makes no call."""
+    if type(bad) is np.ndarray:
+        return int(bad.argmax()) if bad.any() else None
+    return 0 if bad else None
+
+
+def _item(a, i: int):
+    """Value i (flat C order) of a batch as a Python scalar; ``a`` itself at
+    one point."""
+    return a.flat[i].item() if type(a) is np.ndarray else a
+
+
+def _libm(fn):
+    """The dual-use form of a one- or two-argument function of ``math``:
+    ``fn(x)`` or ``fn(x, y)`` at one point; over a batch (x an array, y an
+    array of its shape or a scalar) ``fn`` element by element.  numpy's own
+    log, exp, power and hypot may round differently from libm in the last
+    bit, and a batch must give the values of ``F(p)`` bit for bit."""
+    def call(x, y=None, _array=np.ndarray):  # a local name: the scalar path is hot
+        if type(x) is not _array:
+            return fn(x) if y is None else fn(x, y)
+        args = (x,) if y is None else np.broadcast_arrays(x, y)
+        out = np.fromiter(map(fn, *(a.ravel().tolist() for a in args)), float, x.size)
+        return out.reshape(x.shape)
+    return call
+
+
 class _Field:
     """Shared wrapper: a callable evaluator plus its domain.
 
     ``vectorized=True`` declares that ``fn`` also accepts a Point3 of
     equal-shape float arrays and returns its values component axis first
-    (see the module docstring); ``F(p)`` is unaffected.
+    (see the module docstring), or a vector field's three components as a
+    list in which scalars are broadcast; ``F(p)`` is unaffected.
     """
 
     __slots__ = ("fn", "domain", "vectorized")
@@ -172,18 +235,26 @@ class _Field:
         """Values at a Point3 of equal-shape arrays, component axis first.
 
         A vectorized field's evaluator is called once, any other field's once
-        per point in C order.  A Point3 of scalars gives ``self(P)``.
+        per point in C order.  A Point3 of scalars gives ``self(P)``.  A
+        typed error names its point of the batch in ``index``.
         """
         if not _batched(P):
             return self(P)
         shape = P[0].shape
         if self.vectorized:
-            v = np.asarray(self.fn(P), dtype=complex)
+            v = self.fn(P)
+            if type(v) is list:  # components, scalars among them broadcast
+                v = np.broadcast_arrays(*v)
+            v = np.asarray(v, dtype=complex)
             v = v.reshape(v.shape + (1,) * (len(self._lead) + len(shape) - v.ndim))
             return np.broadcast_to(v, self._lead + shape)
         out = np.empty(self._lead + shape, dtype=complex)
-        for i in np.ndindex(shape):
-            out[(...,) + i] = self(Point3(P[0][i], P[1][i], P[2][i]))
+        for n, i in enumerate(np.ndindex(shape)):
+            try:
+                out[(...,) + i] = self(Point3(P[0][i], P[1][i], P[2][i]))
+            except Riccati3dError as exc:
+                exc.index = n  # the point of this batch it is about
+                raise
         return out
 
 
@@ -227,8 +298,10 @@ class DiffScheme:
         if self.order not in (2, 4):
             raise ValueError("DiffScheme.order must be 2 or 4")
 
-    def step(self, p: Point3, axis: int) -> float:
-        return self.h * max(1.0, abs(p[axis]))
+    def step(self, p: Point3, axis: int):
+        """h * max(1, |p[axis]|): a float at one point, an array for a batch."""
+        a = abs(p[axis])
+        return self.h * (np.maximum(1.0, a) if type(a) is np.ndarray else max(1.0, a))
 
 
 @dataclass(frozen=True)
@@ -261,13 +334,11 @@ DEFAULT_QUAD = QuadratureSpec()
 # --------------------------------------------------------------------------
 # finite differences
 
-def _stencil(domain: BoxDomain, p: Point3, scheme: DiffScheme,
-             include_center: bool = False):
+def _stencil_points(p: Point3, scheme: DiffScheme):
     """One ``(h, points)`` pair per axis: p + h, p - h (then p + 2h, p - 2h).
 
-    Each point is p with coordinate ``axis`` replaced by ``p[axis] +- j*h``.
-    The centre (when included) and every point are checked before any of
-    them is evaluated.
+    Each point is p with coordinate ``axis`` replaced by ``p[axis] +- j*h``;
+    for a batch, h and each point hold one entry per target.
     """
     x, y, z = p
     reach = (1, 2) if scheme.order == 4 else (1,)
@@ -277,12 +348,52 @@ def _stencil(domain: BoxDomain, p: Point3, scheme: DiffScheme,
         stencil.append((h, tuple(
             Point3(v, y, z) if axis == 0 else Point3(x, v, z) if axis == 1 else Point3(x, y, v)
             for j in reach for v in (c + j * h, c - j * h))))
-    for q in ([p] if include_center else []) + [q for _, pts in stencil for q in pts]:
-        if not domain.in_box(q):
-            raise DomainError(f"stencil point {q} outside domain box")
-        if domain.is_excluded(q):
-            raise DomainError(f"stencil point {q} in excluded set; shrink h or move p")
     return stencil
+
+
+def _points_ok(domain: BoxDomain, points) -> np.ndarray:
+    """``domain.ok`` at K equal-shape batches of points, as one (K, *S) mask."""
+    return domain.ok_mask(Point3(*map(np.stack, zip(*points))))
+
+
+def stencil_ok(domain: BoxDomain, P: Point3, scheme: DiffScheme = DEFAULT_SCHEME) -> np.ndarray:
+    """Where the targets of a batch and all their stencil points are in
+    the domain: the targets ``_stencil(..., include_center=True)`` accepts."""
+    points = [P] + [q for _, pts in _stencil_points(P, scheme) for q in pts]
+    return _points_ok(domain, points).all(axis=0)
+
+
+def _stencil(domain: BoxDomain, p: Point3, scheme: DiffScheme,
+             include_center: bool = False):
+    """``_stencil_points(p, scheme)``, with the centre (when included) and
+    every point checked before any of them is evaluated.
+
+    A batch is checked with one mask; a bad point raises the error of the
+    pointwise check at the first offending target, whose index it carries.
+    """
+    stencil = _stencil_points(p, scheme)
+    points = ([p] if include_center else []) + [q for _, pts in stencil for q in pts]
+    if not _batched(p):
+        for q in points:
+            if not domain.in_box(q):
+                raise _stencil_error(q, 0, in_box=False)
+            if domain.is_excluded(q):
+                raise _stencil_error(q, 0, in_box=True)
+        return stencil
+    ok = _points_ok(domain, points).reshape(len(points), -1)
+    bad = ~ok.all(axis=0)
+    if bad.any():
+        i = int(np.argmax(bad))  # the first target with a bad point
+        k = int(np.argmin(ok[:, i]))  # its first bad point, in check order
+        q = Point3(*(float(c.flat[i]) for c in points[k]))
+        raise _stencil_error(q, i, domain.in_box(q))
+    return stencil
+
+
+def _stencil_error(q: Point3, index: int, in_box: bool) -> DomainError:
+    if not in_box:
+        return DomainError(f"stencil point {q} outside domain box", index=index)
+    return DomainError(f"stencil point {q} in excluded set; shrink h or move p", index=index)
 
 
 def _d1(evalf, h: float, pts):
@@ -302,13 +413,18 @@ def _d2(evalf, f0, h: float, pts):
 
 
 def grad(f: ScalarField, p: Point3, scheme: DiffScheme = DEFAULT_SCHEME) -> np.ndarray:
-    """Gradient of a scalar field as a 3-vector of complex numbers."""
-    return np.array([_d1(f, *s) for s in _stencil(f.domain, p, scheme)], dtype=complex)
+    """Gradient of a scalar field as a 3-vector of complex numbers; (3, *S)
+    for a batch of shape S."""
+    stencil = _stencil(f.domain, p, scheme)
+    evalf = f.batch if _batched(p) else f
+    return np.array([_d1(evalf, *s) for s in stencil], dtype=complex)
 
 
 def _jacobian(F: VectorField, p: Point3, scheme: DiffScheme) -> np.ndarray:
-    """J[i, j] = d F_i / d x_j."""
-    return np.column_stack([_d1(F, *s) for s in _stencil(F.domain, p, scheme)])
+    """J[i, j] = d F_i / d x_j; shape (3, 3, *S) for a batch of shape S."""
+    stencil = _stencil(F.domain, p, scheme)
+    evalf = F.batch if _batched(p) else F
+    return np.array([_d1(evalf, *s) for s in stencil]).swapaxes(0, 1)
 
 
 def div(F: VectorField, p: Point3, scheme: DiffScheme = DEFAULT_SCHEME) -> complex:
@@ -330,10 +446,12 @@ def rot(F: VectorField, p: Point3, scheme: DiffScheme = DEFAULT_SCHEME) -> np.nd
 
 
 def laplacian(f, p: Point3, scheme: DiffScheme = DEFAULT_SCHEME):
-    """Componentwise Laplacian of a scalar, vector or quaternion field."""
+    """Componentwise Laplacian of a scalar, vector or quaternion field (a
+    batch of points for scalar and vector fields only)."""
     stencil = _stencil(f.domain, p, scheme, include_center=True)
-    f0 = f(p)
-    dxx, dyy, dzz = (_d2(f, f0, *s) for s in stencil)
+    evalf = f.batch if _batched(p) else f
+    f0 = evalf(p)
+    dxx, dyy, dzz = (_d2(evalf, f0, *s) for s in stencil)
     return dxx + dyy + dzz
 
 

@@ -40,6 +40,9 @@ class RunConfig:
                                   f"got {value!r}")
         if self.order not in (2, 4):
             raise ConfigError("RunConfig.order must be 2 or 4")
+        if self.line_rule not in ("adaptive_simpson", "gauss"):
+            raise ConfigError(f"RunConfig.line_rule must be 'adaptive_simpson' or 'gauss', "
+                              f"got {self.line_rule!r}")
         if self.samples < 1:
             raise ConfigError("RunConfig.samples must be >= 1")
         if self.seed < 0:

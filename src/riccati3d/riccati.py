@@ -3,6 +3,9 @@
 Everything here works pointwise on fields: residual operations return the
 defect of an identity at one point, transform operations return new fields
 whose evaluators chain finite differences and quadratures of the inputs.
+``riccati_residual``, ``schrodinger_residual`` and the ``Q`` of ``cole_hopf``
+also take a batch of points (a Point3 of equal-shape arrays, see the
+``fields`` module) and then return arrays, component axis first.
 
 Sign convention note: the factorization of -Delta + q implemented by
 ``factorization_residual`` uses the operator pair (D - M^Q)(D + Q C_H) and
@@ -33,7 +36,10 @@ from .fields import (
     ScalarField,
     VectorField,
     QuaternionField,
+    _batched,
     _curl,
+    _first,
+    _item,
     _jacobian,
     dirac_left,
     dirac_right,
@@ -84,45 +90,66 @@ class SchrodingerInstance:
     q: ScalarField
 
 
-def _nonzero(value: complex, eps: float, what: str) -> complex:
-    if abs(value) <= eps:
-        raise ZeroCrossing(f"{what} = {value} is below the zero guard {eps}")
+def _nonzero(value, eps: float, what: str):
+    """value, unless |value| <= eps somewhere (a value or a batch of them)."""
+    bad = abs(value) <= eps
+    if bad is not False and (i := _first(bad)) is not None:
+        raise ZeroCrossing(f"{what} = {_item(value, i)} is below the zero guard {eps}",
+                           index=i)
     return value
+
+
+def _dot(U: np.ndarray, V: np.ndarray):
+    """sum_k U[k] V[k] over the leading component axis.  One point takes
+    ``U @ V``; a batch takes the same BLAS dot once per point (a stacked
+    matmul), so both round alike (an elementwise sum may not)."""
+    if U.ndim == 1:
+        return U @ V
+    shape = U.shape[1:]
+    U, V = U.reshape(3, -1).T, V.reshape(3, -1).T
+    return np.matmul(U[:, None, :], V[:, :, None]).reshape(shape)
 
 
 def riccati_residual(inst: RiccatiInstance, p: Point3,
                      scheme: DiffScheme = DEFAULT_SCHEME):
     """Scalar and vector defects (-div Q + |Q|^2 - q, rot Q) at p.
 
-    Both vanish exactly when Q solves the equation; both come from one Jacobian.
+    Both vanish exactly when Q solves the equation; both come from one
+    Jacobian, whose stencil is checked before Q is evaluated anywhere.  For
+    a batch of points of shape S the defects are arrays of shapes S and
+    (3, *S), equal bit for bit to the pointwise ones when Q and q are
+    vectorized exactly (as the catalog's are).
     """
     p = Point3(*p)
-    Qp = inst.Q(p)
     J = _jacobian(inst.Q, p, scheme)
-    scalar = -complex(J[0, 0] + J[1, 1] + J[2, 2]) + Qp @ Qp - inst.q(p)
-    return complex(scalar), _curl(J)
+    Qp = inst.Q.batch(p)
+    scalar = -(J[0, 0] + J[1, 1] + J[2, 2]) + _dot(Qp, Qp) - inst.q.batch(p)
+    return (scalar if _batched(p) else complex(scalar)), _curl(J)
 
 
 def schrodinger_residual(inst: SchrodingerInstance, p: Point3,
-                         scheme: DiffScheme = DEFAULT_SCHEME) -> complex:
-    """(-Delta + q) psi at p."""
+                         scheme: DiffScheme = DEFAULT_SCHEME):
+    """(-Delta + q) psi at p, or over a batch of points."""
     p = Point3(*p)
-    return complex(-laplacian(inst.psi, p, scheme) + inst.q(p) * inst.psi(p))
+    value = -laplacian(inst.psi, p, scheme) + inst.q.batch(p) * inst.psi.batch(p)
+    return value if _batched(p) else complex(value)
 
 
 def cole_hopf(inst: SchrodingerInstance, scheme: DiffScheme = DEFAULT_SCHEME,
               eps_zero: float = EPS_ZERO) -> RiccatiInstance:
     """Q = -D psi / psi (the gradient quotient, since psi is scalar).
 
-    The returned field raises ZeroCrossing on the nodal set of psi.
+    The returned field raises ZeroCrossing on the nodal set of psi.  It is
+    vectorized: over a batch it evaluates psi and its stencil through
+    ``psi.batch``, and ZeroCrossing names the first point below the guard.
     """
     psi = inst.psi
 
     def Q_eval(p: Point3) -> np.ndarray:
-        value = _nonzero(psi(p), eps_zero, "psi")
+        value = _nonzero(psi.batch(p), eps_zero, "psi")
         return -grad(psi, p, scheme) / value
 
-    return RiccatiInstance(VectorField(Q_eval, psi.domain), inst.q)
+    return RiccatiInstance(VectorField(Q_eval, psi.domain, vectorized=True), inst.q)
 
 
 def inverse_cole_hopf(inst: RiccatiInstance, base: Point3, C: complex = 0j,

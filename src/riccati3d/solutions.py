@@ -6,6 +6,11 @@ its normalization exists, a conservative excluded-set predicate around the
 family's singular sets, a sampling box from which the whole axis-ordered
 integration path of the potential reconstruction stays inside one
 non-singular component, and the base point used for that path.
+
+The closed forms, the harmonic seeds and the two excluded-set predicates are
+vectorized (see the ``fields`` module): one body serves a point and a batch,
+a batch gives the values of the pointwise calls bit for bit, and a point the
+pointwise call rejects raises the same typed error naming its index.
 """
 
 from __future__ import annotations
@@ -17,7 +22,17 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .errors import DomainError
-from .fields import BoxDomain, DiffScheme, DEFAULT_SCHEME, Point3, ScalarField, VectorField
+from .fields import (
+    BoxDomain,
+    DEFAULT_SCHEME,
+    DiffScheme,
+    Point3,
+    ScalarField,
+    VectorField,
+    _first,
+    _item,
+    _libm,
+)
 from .riccati import RiccatiInstance, SchrodingerInstance, cole_hopf
 
 __all__ = [
@@ -39,6 +54,9 @@ __all__ = [
 ]
 
 DEFAULT_MARGIN = 0.1
+
+_hypot, _pow, _log, _exp, _sqrt, _sin = map(_libm, (math.hypot, math.pow, math.log,
+                                                    math.exp, math.sqrt, math.sin))
 
 
 @dataclass(frozen=True)
@@ -79,30 +97,37 @@ def _rotational_fields(params: RotationalParams, margin: float):
     E = math.exp(2.0 * c * k)
     radius = math.exp(c)  # the singular cylinder rho = e^c
 
-    def excluded(p: Point3) -> bool:
-        rho = math.hypot(p.x, p.y)
-        return rho <= margin or abs(rho - radius) <= margin
+    def excluded(p: Point3):
+        rho = _hypot(p.x, p.y)
+        return (rho <= margin) | (abs(rho - radius) <= margin)
 
-    domain = BoxDomain.unbounded(excluded)
+    domain = BoxDomain.unbounded(excluded, vectorized=True)
 
-    def Q_eval(p: Point3) -> np.ndarray:
-        rho2 = p.x * p.x + p.y * p.y
-        if rho2 == 0.0:
-            raise DomainError("rotational solution singular on the z-axis")
-        power = rho2 ** k
+    def Q_eval(p: Point3) -> list:
+        x, y, _ = p
+        rho2 = x * x + y * y
+        bad = rho2 == 0.0
+        if bad is not False and (i := _first(bad)) is not None:
+            raise DomainError("rotational solution singular on the z-axis", index=i)
+        power = _pow(rho2, k)
         den = rho2 * (power - E)
-        if den == 0.0:
-            raise DomainError(f"rotational solution singular at rho = {math.sqrt(rho2)}")
+        bad = den == 0.0
+        if bad is not False and (i := _first(bad)) is not None:
+            raise DomainError("rotational solution singular at rho = "
+                              f"{math.sqrt(_item(rho2, i))}", index=i)
         factor = -k * (power + E) / den
-        return np.array([factor * p.x, factor * p.y, 0.0], dtype=complex)
+        return [factor * x, factor * y, 0.0]
 
-    def q_eval(p: Point3) -> complex:
-        rho2 = p.x * p.x + p.y * p.y
-        if rho2 == 0.0:
-            raise DomainError("potential singular on the z-axis")
-        return complex(k * k / rho2)
+    def q_eval(p: Point3):
+        x, y, _ = p
+        rho2 = x * x + y * y
+        bad = rho2 == 0.0
+        if bad is not False and (i := _first(bad)) is not None:
+            raise DomainError("potential singular on the z-axis", index=i)
+        return k * k / rho2
 
-    return VectorField(Q_eval, domain), ScalarField(q_eval, domain), E, domain
+    return (VectorField(Q_eval, domain, vectorized=True),
+            ScalarField(q_eval, domain, vectorized=True), E, domain)
 
 
 def rotational_riccati(params: RotationalParams,
@@ -130,14 +155,17 @@ def rotational(params: RotationalParams,
     Q, q, E, domain = _rotational_fields(params, margin)
     k, C = params.k, params.C
     norm = C / (1.0 - E)
+    half_k = 0.5 * k
 
-    def psi_eval(p: Point3) -> complex:
-        rho2 = p.x * p.x + p.y * p.y
-        if rho2 == 0.0:
-            raise DomainError("psi singular on the z-axis")
-        return complex(norm * (rho2 ** k - E) / rho2 ** (0.5 * k))
+    def psi_eval(p: Point3):
+        x, y, _ = p
+        rho2 = x * x + y * y
+        bad = rho2 == 0.0
+        if bad is not False and (i := _first(bad)) is not None:
+            raise DomainError("psi singular on the z-axis", index=i)
+        return norm * (_pow(rho2, k) - E) / _pow(rho2, half_k)
 
-    return RiccatiInstance(Q, q), ScalarField(psi_eval, domain)
+    return RiccatiInstance(Q, q), ScalarField(psi_eval, domain, vectorized=True)
 
 
 def reduced_radial(params: RotationalParams) -> Callable[[float], float]:
@@ -179,22 +207,33 @@ def radial_linear(params: RotationalParams) -> Callable[[float], float]:
 # --------------------------------------------------------------------------
 # conical family
 
-def _log_term(C2: float, rho2: float, r2: float) -> float:
-    return math.log(C2 * rho2 / (r2 * r2))
+def _log_term(C2: float, rho2, r2):
+    return _log(C2 * rho2 / (r2 * r2))
 
 
 def _conical_excluded(C2: float, margin: float) -> Callable[[Point3], bool]:
-    def excluded(p: Point3) -> bool:
-        rho2 = p.x * p.x + p.y * p.y
-        r2 = rho2 + p.z * p.z
-        if r2 <= margin * margin or rho2 <= margin * margin * max(1.0, r2):
-            return True
+    mm = margin * margin
+
+    def excluded(p: Point3):
+        x, y, z = p
+        rho2 = x * x + y * y
+        r2 = rho2 + z * z
+        # rho2 <= mm * max(1, r2), written as comparisons that read the
+        # same for a point and a batch
+        near = (r2 <= mm) | (rho2 <= mm) | (rho2 <= mm * r2)
+        if type(near) is not np.ndarray:
+            if near:
+                return True
+        elif near.any():
+            # near points are excluded already; 1.0 keeps the divisions below
+            # off the axis and the origin
+            rho2, r2 = np.where(near, 1.0, rho2), np.where(near, 1.0, r2)
         # first-order distance |L| / |grad L| to the log-singular surface
-        gx = 2.0 * p.x / rho2 - 4.0 * p.x / r2
-        gy = 2.0 * p.y / rho2 - 4.0 * p.y / r2
-        gz = -4.0 * p.z / r2
-        grad_norm = math.sqrt(gx * gx + gy * gy + gz * gz)
-        return abs(_log_term(C2, rho2, r2)) <= margin * grad_norm
+        gx = 2.0 * x / rho2 - 4.0 * x / r2
+        gy = 2.0 * y / rho2 - 4.0 * y / r2
+        gz = -4.0 * z / r2
+        grad_norm = _sqrt(gx * gx + gy * gy + gz * gz)
+        return near | (abs(_log_term(C2, rho2, r2)) <= margin * grad_norm)
     return excluded
 
 
@@ -202,31 +241,36 @@ def conical_riccati(params: ConicalParams,
                     margin: float = DEFAULT_MARGIN) -> RiccatiInstance:
     """Conically invariant solution for the potential q = (C1 / (2 r^2))^2."""
     C1, C2 = params.C1, params.C2
-    domain = BoxDomain.unbounded(_conical_excluded(C2, margin))
+    domain = BoxDomain.unbounded(_conical_excluded(C2, margin), vectorized=True)
 
-    def Q_eval(p: Point3) -> np.ndarray:
+    def Q_eval(p: Point3) -> list:
         x, y, z = p
         rho2 = x * x + y * y
         r2 = rho2 + z * z
-        if r2 == 0.0 or rho2 == 0.0:
-            raise DomainError("conical solution singular on the z-axis")
+        bad = (r2 == 0.0) | (rho2 == 0.0)
+        if bad is not False and (i := _first(bad)) is not None:
+            raise DomainError("conical solution singular on the z-axis", index=i)
         L = _log_term(C2, rho2, r2)
-        if L == 0.0:
-            raise DomainError("conical solution singular on the log surface")
+        bad = L == 0.0
+        if bad is not False and (i := _first(bad)) is not None:
+            raise DomainError("conical solution singular on the log surface", index=i)
         r4 = r2 * r2
         mid = rho2 - z * z
         u = -C1 * x * z / r4 + 2.0 * x * mid / (r2 * rho2 * L) + x / r2
         v = -C1 * y * z / r4 + 2.0 * y * mid / (r2 * rho2 * L) + y / r2
         w = C1 * mid / (2.0 * r4) + 4.0 * z / (r2 * L) + z / r2
-        return np.array([u, v, w], dtype=complex)
+        return [u, v, w]
 
-    def q_eval(p: Point3) -> complex:
-        r2 = p.x * p.x + p.y * p.y + p.z * p.z
-        if r2 == 0.0:
-            raise DomainError("potential singular at the origin")
-        return complex((C1 / (2.0 * r2)) ** 2)
+    def q_eval(p: Point3):
+        x, y, z = p
+        r2 = x * x + y * y + z * z
+        bad = r2 == 0.0
+        if bad is not False and (i := _first(bad)) is not None:
+            raise DomainError("potential singular at the origin", index=i)
+        return _pow(C1 / (2.0 * r2), 2.0)
 
-    return RiccatiInstance(VectorField(Q_eval, domain), ScalarField(q_eval, domain))
+    return RiccatiInstance(VectorField(Q_eval, domain, vectorized=True),
+                           ScalarField(q_eval, domain, vectorized=True))
 
 
 def conical(params: ConicalParams,
@@ -242,15 +286,17 @@ def conical(params: ConicalParams,
     C1, C2, C = params.C1, params.C2, params.C
     norm = C / math.log(C2)
 
-    def psi_eval(p: Point3) -> complex:
-        rho2 = p.x * p.x + p.y * p.y
-        r2 = rho2 + p.z * p.z
-        if r2 == 0.0 or rho2 == 0.0:
-            raise DomainError("psi singular on the z-axis")
+    def psi_eval(p: Point3):
+        x, y, z = p
+        rho2 = x * x + y * y
+        r2 = rho2 + z * z
+        bad = (r2 == 0.0) | (rho2 == 0.0)
+        if bad is not False and (i := _first(bad)) is not None:
+            raise DomainError("psi singular on the z-axis", index=i)
         L = _log_term(C2, rho2, r2)
-        return complex(norm * L / (math.sqrt(r2) * math.exp(C1 * p.z / (2.0 * r2))))
+        return norm * L / (_sqrt(r2) * _exp(C1 * z / (2.0 * r2)))
 
-    return inst, ScalarField(psi_eval, inst.Q.domain)
+    return inst, ScalarField(psi_eval, inst.Q.domain, vectorized=True)
 
 
 # --------------------------------------------------------------------------
@@ -262,7 +308,7 @@ _HARMONIC_FORMS: dict = {
     "z": lambda p: p.z,
     "x+y+z": lambda p: p.x + p.y + p.z,
     "xyz": lambda p: p.x * p.y * p.z,
-    "sin-exp": lambda p: math.sin(p.x) * math.exp(p.y),
+    "sin-exp": lambda p: _sin(p.x) * _exp(p.y),
 }
 
 HARMONIC_IDS = tuple(sorted(_HARMONIC_FORMS))
@@ -273,14 +319,14 @@ def harmonic_seed(name: str) -> HarmonicSeed:
         form = _HARMONIC_FORMS[name]
     except KeyError:
         raise ValueError(f"unknown harmonic seed {name!r}; available: {HARMONIC_IDS}")
-    return HarmonicSeed(name, ScalarField(lambda p: complex(form(p))))
+    return HarmonicSeed(name, ScalarField(form, vectorized=True))
 
 
 def harmonic_family(seed: HarmonicSeed,
                     scheme: DiffScheme = DEFAULT_SCHEME,
                     eps_zero: float = 1e-10) -> RiccatiInstance:
     """Zero-potential instance Q = -grad psi / psi from a harmonic seed."""
-    zero_q = ScalarField(lambda p: 0j, seed.psi.domain)
+    zero_q = ScalarField(lambda p: 0j, seed.psi.domain, vectorized=True)
     return cole_hopf(SchrodingerInstance(seed.psi, zero_q), scheme, eps_zero)
 
 

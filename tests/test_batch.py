@@ -1,5 +1,6 @@
-"""Batched evaluation: ``F.batch``, the volume-grid build and operator A's
-Gauss legs give the per-point values bit for bit and raise the same errors."""
+"""Batched evaluation: ``F.batch``, the volume-grid build, operator A's Gauss
+legs, the stencil operators, the catalog closed forms and the residuals give
+the per-point values bit for bit and raise the same errors."""
 
 import cmath
 import math
@@ -8,20 +9,32 @@ import numpy as np
 import pytest
 
 from riccati3d import riccati
-from riccati3d.errors import DomainError
+from riccati3d.errors import DomainError, Riccati3dError, ZeroCrossing
 from riccati3d.fields import (
     BoxDomain,
+    DiffScheme,
     Point3,
     QuadratureSpec,
     ScalarField,
     VectorField,
     _gauss_nodes,
+    grad,
+    laplacian,
     operator_A,
     operator_B,
     operator_rot_B,
+    rot,
     vec3,
 )
-from riccati3d.riccati import RiccatiInstance, build_W_from_W0, w_from_q_pair
+from riccati3d.riccati import (
+    RiccatiInstance,
+    build_W_from_W0,
+    riccati_residual,
+    schrodinger_residual,
+    w_from_q_pair,
+)
+from riccati3d.solutions import HARMONIC_IDS, acceptance_catalog, catalog_entry
+from riccati3d.verify import entry_points, halton_points
 
 ZERO_Q = ScalarField(lambda p: 0j)
 TUBE = BoxDomain.box((0.25, -0.6, -0.6), (7.75, 0.6, 0.6))
@@ -305,3 +318,132 @@ def test_non_finite_integrand_raises_naming_the_first_cell(build, bad):
     assert str(exc.value) == f"operator B integrand is not finite at cell centre {cell}"
     with pytest.raises(DomainError):  # nothing half-built is kept
         B(Point3(2, 0, 0))
+
+
+# -- the catalog and the stencil operators --------------------------------------
+#
+# The bound for batch against pointwise, fixed before the batch path was
+# written, is 0 ulp: the closed forms are arithmetic plus functions of
+# ``math`` that a batch applies element by element (``fields._libm``), and
+# |Q|^2 takes the same BLAS dot per point (``riccati._dot``).
+
+_ENTRIES = acceptance_catalog() + [catalog_entry(f"harmonic:{s}") for s in HARMONIC_IDS]
+
+
+def _pointwise(fn, pts) -> np.ndarray:
+    """fn at each point, stacked with the component axis first."""
+    return np.moveaxis(np.array([fn(p) for p in pts]), 0, -1)
+
+
+@pytest.mark.parametrize("entry", _ENTRIES, ids=lambda e: e.name)
+def test_catalog_batch_equals_pointwise_bitwise(entry):
+    pts = entry_points(entry, 40, seed=5)  # Halton points of the sample box
+    P = _points(pts)
+    fields = [entry.instance.Q, entry.instance.q] + ([entry.psi] if entry.psi else [])
+    for F in fields:
+        assert F.vectorized
+        assert _bits(F.batch(P)) == _bits(_pointwise(F, pts))
+    sc, vec = riccati_residual(entry.instance, P)
+    assert sc.shape == (40,) and vec.shape == (3, 40)
+    assert _bits(sc) == _bits([riccati_residual(entry.instance, p)[0] for p in pts])
+    assert _bits(vec) == _bits(_pointwise(lambda p: riccati_residual(entry.instance, p)[1],
+                                          pts))
+    if entry.psi is not None:
+        sch = entry.schrodinger()
+        assert _bits(schrodinger_residual(sch, P)) == _bits(
+            [schrodinger_residual(sch, p) for p in pts])
+
+
+@pytest.mark.parametrize("entry", _ENTRIES, ids=lambda e: e.name)
+def test_catalog_domain_mask_equals_pointwise(entry):
+    # a box three times the sample box's size, so that it crosses the
+    # singular sets; the predicates are vectorized and called once
+    lo, hi = map(np.array, entry.sample_box)
+    box = (Point3(*(lo - (hi - lo))), Point3(*(hi + (hi - lo))))
+    pts = halton_points(box, 300, seed=2)
+    dom = entry.instance.Q.domain
+    mask = dom.ok_mask(_points(pts))
+    assert mask.tolist() == [dom.ok(p) for p in pts]
+    if dom.excluded is not None:
+        assert dom.vectorized
+        assert 0 < mask.sum() < len(pts)
+
+
+@pytest.mark.parametrize("where", ["box", "excluded", "vectorized_excluded"])
+@pytest.mark.parametrize("op", ["grad", "rot", "laplacian", "riccati_residual"])
+def test_batched_stencil_off_domain_raises_first_target_error_before_any_evaluation(
+        op, where):
+    scheme = DiffScheme()
+    p = Point3(0.5, 0.5, 0.5)
+    bad = p._replace(z=p.z - 2 * scheme.step(p, 2))  # the last point of p's z stencil
+    if where == "box":  # the third target is off the box too, at other points
+        domain = BoxDomain.box((-5, -5, bad.z + 1e-9), (5, 5, 5))
+    elif where == "excluded":
+        domain = BoxDomain.unbounded(lambda q: q == bad)
+    else:
+        domain = BoxDomain.unbounded(
+            lambda q: (q.x == bad.x) & (q.y == bad.y) & (q.z == bad.z), vectorized=True)
+    targets = [Point3(0.2, 0.3, 0.9), p, Point3(0.7, 0.5, 0.45)]
+    if where != "box":
+        targets[2] = bad._replace(z=bad.z + scheme.step(bad, 2))  # bad is its z - h point
+    for vectorized in (False, True):
+        F = _counting(lambda t: vec3(t.x * t.y, t.z, t.x + t.z), domain, vectorized)
+        f = ScalarField(lambda t: F(t)[0], domain)
+        call = {"grad": lambda P: grad(f, P, scheme), "rot": lambda P: rot(F, P, scheme),
+                "laplacian": lambda P: laplacian(F, P, scheme),
+                "riccati_residual": lambda P: riccati_residual(
+                    RiccatiInstance(F, ScalarField(lambda t: 0j, domain)), P, scheme)}[op]
+        with pytest.raises(DomainError) as exc:
+            call(p)
+        message = str(exc.value)
+        assert message.startswith(f"stencil point {bad} ")
+        F.seen.clear()
+        with pytest.raises(DomainError) as exc:
+            call(_points(targets))
+        assert str(exc.value) == message and exc.value.index == 1
+        assert F.seen == []
+
+
+@pytest.mark.parametrize("solution_id,params,field,bad", [
+    ("rotational", {"k": 1.0, "c": 0.0}, "Q", [(0.0, 0.0, 0.3)]),  # the axis
+    ("rotational", {"k": 1.0, "c": 0.0}, "Q", [(0.0, 1.0, 0.3)]),  # rho = e^c = 1
+    ("rotational", {"k": 2.0, "c": 0.3466}, "q", [(0.0, 0.0, -0.1)]),
+    ("rotational", {"k": 2.0, "c": 0.3466}, "psi", [(0.0, 0.0, 0.2)]),
+    ("conical", {"C1": 2.0, "C2": 2.0}, "Q", [(0.0, 0.0, 0.5), (0.0, 0.0, 0.0)]),
+    ("conical", {"C1": 2.0, "C2": 2.0}, "psi", [(0.0, 0.0, 0.5)]),
+    ("conical", {"C1": 2.0, "C2": 2.0}, "q", [(0.0, 0.0, 0.0)]),
+    ("harmonic:x", {}, "Q", [(0.0, 0.5, 0.5), (-0.0, 0.2, 0.1)]),
+])
+def test_batched_closed_form_error_names_the_first_rejected_point(solution_id, params,
+                                                                  field, bad):
+    entry = catalog_entry(solution_id, **params)
+    F = {"Q": entry.instance.Q, "q": entry.instance.q, "psi": entry.psi}[field]
+    good = [(0.9, 0.2, 0.1), (1.1, 0.15, 0.05)]
+    pts = [Point3(*c) for c in good[:1] + bad + good[1:]]
+    with pytest.raises(Riccati3dError) as one:
+        F(pts[1])
+    with pytest.raises(type(one.value)) as exc:
+        F.batch(_points(pts))
+    assert str(exc.value) == str(one.value) and exc.value.index == 1
+    if solution_id == "harmonic:x":
+        assert isinstance(exc.value, ZeroCrossing)
+
+
+def test_vectorized_domain_predicate_is_called_once_and_intersect_keeps_the_declaration():
+    calls = []
+
+    def right_half(q):
+        calls.append(q)
+        return q.x > 0.5
+    vec = BoxDomain.unbounded(right_half, vectorized=True)
+    top = BoxDomain.unbounded(lambda q: q.y > 0.5, vectorized=True)
+    plain = BoxDomain.unbounded(lambda q: q.z > 0.5)
+    box = BoxDomain.box((-1, -1, -1), (0.9, 0.9, 0.9))
+    pts = halton_points((Point3(0, 0, 0), Point3(1, 1, 1)), 64)
+    P = _points(pts)
+    assert vec.ok_mask(P).tolist() == [vec.ok(p) for p in pts] and len(calls) == 1 + 64
+    for dom, vectorized in ((vec.intersect(top), True), (vec.intersect(box), True),
+                            (box.intersect(vec), True), (vec.intersect(plain), False),
+                            (plain.intersect(top), False)):
+        assert dom.vectorized == vectorized
+        assert dom.ok_mask(P).tolist() == [dom.ok(p) for p in pts]

@@ -6,11 +6,12 @@ import math
 
 import pytest
 
+from riccati3d import cli
 from riccati3d.cli import main
 from riccati3d.errors import ConfigError
 from riccati3d.fields import Point3
 from riccati3d.report import RunConfig
-from riccati3d.verify import halton_points
+from riccati3d.verify import SUITES, halton_points
 
 
 def test_verify_algebra_exits_zero(capsys):
@@ -148,6 +149,18 @@ def test_gauss_order_below_one_exits_two(suite, capsys):
     assert "gauss_order must be >= 1" in capsys.readouterr().err
     with pytest.raises(ConfigError, match="gauss_order"):
         RunConfig(gauss_order=0)
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_line_rule_from_config_file_exits_two_for_every_suite(suite, tmp_path, capsys):
+    # the --line-rule flag is checked by argparse; a config file's value used
+    # to be checked only by suites that build a QuadratureSpec (algebra exited 0)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("line_rule = simpson\n")
+    assert main(["verify", "--suite", suite, "--config", str(cfg)]) == 2
+    assert "RunConfig.line_rule must be" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="line_rule"):
+        RunConfig(line_rule="simpson")
 
 
 @pytest.mark.parametrize("command", ["eval", "transform"])
@@ -364,3 +377,60 @@ def test_export_bytes_unchanged(command, tmp_path, capsys):
     assert main(args + ["--out", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# sha256 of the x,y,z,masked columns of exports whose grids cross each
+# singular set, recorded with the pointwise exporter: a row is masked when its
+# point or (with residuals) a stencil point is off the domain, or when an
+# evaluator raises at it; the harmonic:x grids take the ZeroCrossing path of
+# psi = x = 0, at the centre and (the second one) at stencil points only
+_MASKED_DIGESTS = {
+    "rotational_axis_and_cylinder": (
+        "aabb84c0e3c18cb210890947d3b5f7e759a38884d3d153b6d0ce4cc88f682607",
+        ["--solution", "rotational", "--k", "1", "--c", "0.3466",
+         "--grid=-1.6,1.6,17,-0.4,0.4,5,0,0.5,3"]),
+    "conical_log_surface": (
+        "175731357aa3319aa79750b4239c5357521f2c2ca7f23c8edd37c95dcfc58fcd",
+        ["--solution", "conical", "--C1", "2", "--C2", repr(math.e),
+         "--grid=0.5,2.0,16,0,0.3,4,0,0.3,4"]),
+    "harmonic_x_zero_plane": (
+        "50703cc6b9f7cdc52a96cdb9cb2cf4b0ab237766700c6c5909b494d9f0792b84",
+        ["--solution", "harmonic:x", "--grid=-0.5,0.5,11,0.3,1.4,5,0.4,1.5,5"]),
+    "harmonic_x_stencil_crossing": (
+        "9dd405f8d6f90f2be24d292182bf672fd9ab5c946ec4f8a0a9d7225d173e74be",
+        ["--solution", "harmonic:x", "--grid=-0.004,0.004,9,0.3,1.4,3,0.4,1.5,2"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MASKED_DIGESTS))
+def test_masked_rows_unchanged(case, tmp_path, capsys):
+    digest, args = _MASKED_DIGESTS[case]
+    args = ["eval", *args, "--fields", "Q,q,psi,residuals"]
+    out = tmp_path / "grid.csv"
+    assert main(args + ["--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    columns = "\n".join(",".join(line.split(",")[:4]) for line in lines)
+    assert hashlib.sha256(columns.encode()).hexdigest() == digest
+    masked = [line.split(",")[3] == "1" for line in lines[1:]]
+    assert any(masked) and not all(masked)
+    # the JSON export writes null in exactly the masked rows
+    assert main(args + ["--format", "json", "--out", str(tmp_path / "grid.json")]) == 0
+    capsys.readouterr()
+    records = json.loads((tmp_path / "grid.json").read_text())
+    assert [rec["masked"] == 1 for rec in records] == masked
+    for rec, hole in zip(records, masked):
+        values = [v for k, v in rec.items() if k not in ("x", "y", "z", "masked")]
+        assert len(values) == 20  # Re and Im of 10 quantities
+        assert all(v is None for v in values) if hole else None not in values
+
+
+def test_eval_batch_size_does_not_show_in_the_export(monkeypatch, tmp_path, capsys):
+    # eval evaluates its rows in batches of cli._EVAL_CHUNK; 7 splits the
+    # grid mid-line and puts masked and unmasked rows in one batch
+    args = ["eval", *_MASKED_DIGESTS["rotational_axis_and_cylinder"][1],
+            "--fields", "Q,q,psi,residuals"]
+    assert main(args + ["--out", str(tmp_path / "one.csv")]) == 0
+    monkeypatch.setattr(cli, "_EVAL_CHUNK", 7)
+    assert main(args + ["--out", str(tmp_path / "two.csv")]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
