@@ -202,14 +202,14 @@ def _eval_rows(entry: CatalogEntry, fields: Sequence[str], P: Point3,
 
     A row is masked when its point is not in the domain, when (with
     residuals) a stencil point is not, or when an evaluator raises a typed
-    error at it.  The rest are evaluated in one batch; an error names its
-    row (``index``), which is masked before the others are evaluated again.
+    error at it.  The rest are evaluated in one batch.  An error masks every
+    row it names (``where``, else ``index``) before the others are evaluated
+    again, so a batch is retried about once per failing check rather than
+    once per failing row.
     """
     ok = entry.instance.Q.domain.ok_mask(P)
     if "residuals" in fields:
         ok &= stencil_ok(entry.instance.Q.domain, P, scheme)
-        if "psi" in fields:
-            ok &= stencil_ok(entry.psi.domain, P, scheme)
     todo = np.flatnonzero(ok)
     values: dict = {}
     while todo.size:
@@ -219,8 +219,12 @@ def _eval_rows(entry: CatalogEntry, fields: Sequence[str], P: Point3,
         except (DomainError, ZeroCrossing, PoleError) as exc:
             if exc.index is None:
                 raise
-            ok[todo[exc.index]] = False
-            todo = np.delete(todo, exc.index)
+            bad = np.zeros(todo.size, dtype=bool)
+            bad[exc.index] = True
+            if exc.where is not None:
+                bad |= exc.where.ravel()
+        ok[todo[bad]] = False
+        todo = todo[~bad]
     cells = {}
     for name, val in values.items():
         cells[f"Re_{name}"] = iter(val.real.tolist())

@@ -11,11 +11,18 @@ class Riccati3dError(Exception):
     the batch.  The message is the one the call at that point alone raises.
     The same code called at one point gives 0; an error that names no point
     of a batch leaves ``index`` None.
+
+    ``where``, when not None, is a bool array of the batch's shape holding at
+    every point at which the same check fails (``index`` is its first), so a
+    caller that drops failing points can drop them all at once.  It is None
+    at one point and for errors that name only their first point (the
+    batched stencil check, a field evaluated point by point).
     """
 
-    def __init__(self, *args, index: Optional[int] = None):
+    def __init__(self, *args, index: Optional[int] = None, where=None):
         super().__init__(*args)
         self.index = index
+        self.where = where if getattr(where, "ndim", 0) else None
 
 
 class ZeroDivisor(Riccati3dError):

@@ -23,9 +23,9 @@ Conventions
   with ``index`` naming that target (see ``errors.Riccati3dError``).
 * Dual-use evaluators serve ``F(p)`` and ``F.batch`` with one body: guards
   go through ``_first`` (a plain comparison at one point, a mask over a
-  batch) and transcendental functions through ``_libm``, which maps the
-  ``math`` function over a batch element by element, so a batch gives the
-  values of ``F(p)`` bit for bit.
+  batch) and transcendental functions through ``math`` at one point and
+  ``_batch_math`` for a batch, which maps the same ``math`` functions element
+  by element, so a batch gives the values of ``F(p)`` bit for bit.
 * ``dirac_left`` is sum_k e_k d_k (the Moisil-Theodoresco operator), equal to
   -div + grad + rot on the scalar/vector split; ``dirac_right`` puts e_k on
   the right and flips the rot sign.
@@ -45,6 +45,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -110,19 +111,20 @@ class BoxDomain:
         return cls(excluded=excluded, vectorized=vectorized)
 
     @classmethod
-    def box(cls, lower, upper, excluded=None, vectorized: bool = False) -> "BoxDomain":
-        return cls(Point3(*lower), Point3(*upper), excluded, vectorized)
+    def box(cls, lower, upper, excluded=None) -> "BoxDomain":
+        return cls(Point3(*lower), Point3(*upper), excluded)
 
     def in_box(self, p: Point3) -> bool:
         lo, hi = self.lower, self.upper
         return bool(lo[0] <= p[0] <= hi[0] and lo[1] <= p[1] <= hi[1]
                     and lo[2] <= p[2] <= hi[2])
 
-    def is_excluded(self, p: Point3) -> bool:
-        return self.excluded is not None and bool(self.excluded(p))
-
     def ok(self, p: Point3) -> bool:
-        return self.in_box(p) and (self.excluded is None or not self.excluded(p))
+        lo, hi = self.lower, self.upper  # in_box, inlined: ok runs per stencil point
+        x, y, z = p
+        if not (lo[0] <= x <= hi[0] and lo[1] <= y <= hi[1] and lo[2] <= z <= hi[2]):
+            return False
+        return self.excluded is None or not self.excluded(p)
 
     def ok_mask(self, P: Point3) -> np.ndarray:
         """``ok`` at every point of a Point3 of equal-shape arrays.  A
@@ -195,19 +197,23 @@ def _item(a, i: int):
     return a.flat[i].item() if type(a) is np.ndarray else a
 
 
-def _libm(fn):
-    """The dual-use form of a one- or two-argument function of ``math``:
-    ``fn(x)`` or ``fn(x, y)`` at one point; over a batch (x an array, y an
-    array of its shape or a scalar) ``fn`` element by element.  numpy's own
-    log, exp, power and hypot may round differently from libm in the last
-    bit, and a batch must give the values of ``F(p)`` bit for bit."""
-    def call(x, y=None, _array=np.ndarray):  # a local name: the scalar path is hot
-        if type(x) is not _array:
-            return fn(x) if y is None else fn(x, y)
-        args = (x,) if y is None else np.broadcast_arrays(x, y)
-        out = np.fromiter(map(fn, *(a.ravel().tolist() for a in args)), float, x.size)
-        return out.reshape(x.shape)
+def _elementwise(fn):
+    """A function of ``math`` applied over arrays (broadcast to one shape)
+    element by element."""
+    def call(*args):
+        args = np.broadcast_arrays(*args)
+        out = np.fromiter(map(fn, *(a.ravel().tolist() for a in args)), float, args[0].size)
+        return out.reshape(args[0].shape)
     return call
+
+
+# The functions of ``math`` the dual-use evaluators call, for a batch: numpy's
+# own log, exp, power and hypot may round differently from libm in the last
+# bit, and a batch must give the values of ``F(p)`` bit for bit.  An
+# evaluator picks ``math`` or this once per call:
+#     m = math if type(x) is not np.ndarray else _batch_math
+_batch_math = SimpleNamespace(**{name: _elementwise(getattr(math, name)) for name in (
+    "hypot", "pow", "log", "exp", "sqrt", "sin")})
 
 
 class _Field:
@@ -375,10 +381,8 @@ def _stencil(domain: BoxDomain, p: Point3, scheme: DiffScheme,
     points = ([p] if include_center else []) + [q for _, pts in stencil for q in pts]
     if not _batched(p):
         for q in points:
-            if not domain.in_box(q):
-                raise _stencil_error(q, 0, in_box=False)
-            if domain.is_excluded(q):
-                raise _stencil_error(q, 0, in_box=True)
+            if not domain.ok(q):
+                raise _stencil_error(q, 0, domain.in_box(q))
         return stencil
     ok = _points_ok(domain, points).reshape(len(points), -1)
     bad = ~ok.all(axis=0)

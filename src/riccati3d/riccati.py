@@ -95,7 +95,7 @@ def _nonzero(value, eps: float, what: str):
     bad = abs(value) <= eps
     if bad is not False and (i := _first(bad)) is not None:
         raise ZeroCrossing(f"{what} = {_item(value, i)} is below the zero guard {eps}",
-                           index=i)
+                           index=i, where=bad)
     return value
 
 

@@ -29,9 +29,9 @@ from .fields import (
     Point3,
     ScalarField,
     VectorField,
+    _batch_math,
     _first,
     _item,
-    _libm,
 )
 from .riccati import RiccatiInstance, SchrodingerInstance, cole_hopf
 
@@ -54,9 +54,6 @@ __all__ = [
 ]
 
 DEFAULT_MARGIN = 0.1
-
-_hypot, _pow, _log, _exp, _sqrt, _sin = map(_libm, (math.hypot, math.pow, math.log,
-                                                    math.exp, math.sqrt, math.sin))
 
 
 @dataclass(frozen=True)
@@ -98,7 +95,9 @@ def _rotational_fields(params: RotationalParams, margin: float):
     radius = math.exp(c)  # the singular cylinder rho = e^c
 
     def excluded(p: Point3):
-        rho = _hypot(p.x, p.y)
+        x, y, _ = p
+        m = math if type(x) is not np.ndarray else _batch_math
+        rho = m.hypot(x, y)
         return (rho <= margin) | (abs(rho - radius) <= margin)
 
     domain = BoxDomain.unbounded(excluded, vectorized=True)
@@ -108,13 +107,14 @@ def _rotational_fields(params: RotationalParams, margin: float):
         rho2 = x * x + y * y
         bad = rho2 == 0.0
         if bad is not False and (i := _first(bad)) is not None:
-            raise DomainError("rotational solution singular on the z-axis", index=i)
-        power = _pow(rho2, k)
+            raise DomainError("rotational solution singular on the z-axis", index=i, where=bad)
+        m = math if type(rho2) is not np.ndarray else _batch_math
+        power = m.pow(rho2, k)
         den = rho2 * (power - E)
         bad = den == 0.0
         if bad is not False and (i := _first(bad)) is not None:
             raise DomainError("rotational solution singular at rho = "
-                              f"{math.sqrt(_item(rho2, i))}", index=i)
+                              f"{math.sqrt(_item(rho2, i))}", index=i, where=bad)
         factor = -k * (power + E) / den
         return [factor * x, factor * y, 0.0]
 
@@ -123,7 +123,7 @@ def _rotational_fields(params: RotationalParams, margin: float):
         rho2 = x * x + y * y
         bad = rho2 == 0.0
         if bad is not False and (i := _first(bad)) is not None:
-            raise DomainError("potential singular on the z-axis", index=i)
+            raise DomainError("potential singular on the z-axis", index=i, where=bad)
         return k * k / rho2
 
     return (VectorField(Q_eval, domain, vectorized=True),
@@ -162,8 +162,9 @@ def rotational(params: RotationalParams,
         rho2 = x * x + y * y
         bad = rho2 == 0.0
         if bad is not False and (i := _first(bad)) is not None:
-            raise DomainError("psi singular on the z-axis", index=i)
-        return norm * (_pow(rho2, k) - E) / _pow(rho2, half_k)
+            raise DomainError("psi singular on the z-axis", index=i, where=bad)
+        m = math if type(rho2) is not np.ndarray else _batch_math
+        return norm * (m.pow(rho2, k) - E) / m.pow(rho2, half_k)
 
     return RiccatiInstance(Q, q), ScalarField(psi_eval, domain, vectorized=True)
 
@@ -207,8 +208,9 @@ def radial_linear(params: RotationalParams) -> Callable[[float], float]:
 # --------------------------------------------------------------------------
 # conical family
 
-def _log_term(C2: float, rho2, r2):
-    return _log(C2 * rho2 / (r2 * r2))
+def _log_term(m, C2: float, rho2, r2):
+    """ln(C2 rho^2 / r^4), with ``m`` ``math`` or ``_batch_math``."""
+    return m.log(C2 * rho2 / (r2 * r2))
 
 
 def _conical_excluded(C2: float, margin: float) -> Callable[[Point3], bool]:
@@ -224,16 +226,19 @@ def _conical_excluded(C2: float, margin: float) -> Callable[[Point3], bool]:
         if type(near) is not np.ndarray:
             if near:
                 return True
-        elif near.any():
-            # near points are excluded already; 1.0 keeps the divisions below
-            # off the axis and the origin
-            rho2, r2 = np.where(near, 1.0, rho2), np.where(near, 1.0, r2)
+            m = math
+        else:
+            m = _batch_math
+            if near.any():
+                # near points are excluded already; 1.0 keeps the divisions
+                # below off the axis and the origin
+                rho2, r2 = np.where(near, 1.0, rho2), np.where(near, 1.0, r2)
         # first-order distance |L| / |grad L| to the log-singular surface
         gx = 2.0 * x / rho2 - 4.0 * x / r2
         gy = 2.0 * y / rho2 - 4.0 * y / r2
         gz = -4.0 * z / r2
-        grad_norm = _sqrt(gx * gx + gy * gy + gz * gz)
-        return near | (abs(_log_term(C2, rho2, r2)) <= margin * grad_norm)
+        grad_norm = m.sqrt(gx * gx + gy * gy + gz * gz)
+        return near | (abs(_log_term(m, C2, rho2, r2)) <= margin * grad_norm)
     return excluded
 
 
@@ -249,11 +254,11 @@ def conical_riccati(params: ConicalParams,
         r2 = rho2 + z * z
         bad = (r2 == 0.0) | (rho2 == 0.0)
         if bad is not False and (i := _first(bad)) is not None:
-            raise DomainError("conical solution singular on the z-axis", index=i)
-        L = _log_term(C2, rho2, r2)
+            raise DomainError("conical solution singular on the z-axis", index=i, where=bad)
+        L = _log_term(math if type(r2) is not np.ndarray else _batch_math, C2, rho2, r2)
         bad = L == 0.0
         if bad is not False and (i := _first(bad)) is not None:
-            raise DomainError("conical solution singular on the log surface", index=i)
+            raise DomainError("conical solution singular on the log surface", index=i, where=bad)
         r4 = r2 * r2
         mid = rho2 - z * z
         u = -C1 * x * z / r4 + 2.0 * x * mid / (r2 * rho2 * L) + x / r2
@@ -266,8 +271,9 @@ def conical_riccati(params: ConicalParams,
         r2 = x * x + y * y + z * z
         bad = r2 == 0.0
         if bad is not False and (i := _first(bad)) is not None:
-            raise DomainError("potential singular at the origin", index=i)
-        return _pow(C1 / (2.0 * r2), 2.0)
+            raise DomainError("potential singular at the origin", index=i, where=bad)
+        m = math if type(r2) is not np.ndarray else _batch_math
+        return m.pow(C1 / (2.0 * r2), 2.0)
 
     return RiccatiInstance(VectorField(Q_eval, domain, vectorized=True),
                            ScalarField(q_eval, domain, vectorized=True))
@@ -292,9 +298,9 @@ def conical(params: ConicalParams,
         r2 = rho2 + z * z
         bad = (r2 == 0.0) | (rho2 == 0.0)
         if bad is not False and (i := _first(bad)) is not None:
-            raise DomainError("psi singular on the z-axis", index=i)
-        L = _log_term(C2, rho2, r2)
-        return norm * L / (_sqrt(r2) * _exp(C1 * z / (2.0 * r2)))
+            raise DomainError("psi singular on the z-axis", index=i, where=bad)
+        m = math if type(r2) is not np.ndarray else _batch_math
+        return norm * _log_term(m, C2, rho2, r2) / (m.sqrt(r2) * m.exp(C1 * z / (2.0 * r2)))
 
     return inst, ScalarField(psi_eval, inst.Q.domain, vectorized=True)
 
@@ -302,13 +308,19 @@ def conical(params: ConicalParams,
 # --------------------------------------------------------------------------
 # harmonic seeds (q = 0 fixtures)
 
+def _sin_exp(p: Point3):
+    x, y, _ = p
+    m = math if type(x) is not np.ndarray else _batch_math
+    return m.sin(x) * m.exp(y)
+
+
 _HARMONIC_FORMS: dict = {
     "x": lambda p: p.x,
     "y": lambda p: p.y,
     "z": lambda p: p.z,
     "x+y+z": lambda p: p.x + p.y + p.z,
     "xyz": lambda p: p.x * p.y * p.z,
-    "sin-exp": lambda p: _sin(p.x) * _exp(p.y),
+    "sin-exp": _sin_exp,
 }
 
 HARMONIC_IDS = tuple(sorted(_HARMONIC_FORMS))

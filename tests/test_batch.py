@@ -324,7 +324,7 @@ def test_non_finite_integrand_raises_naming_the_first_cell(build, bad):
 #
 # The bound for batch against pointwise, fixed before the batch path was
 # written, is 0 ulp: the closed forms are arithmetic plus functions of
-# ``math`` that a batch applies element by element (``fields._libm``), and
+# ``math`` that a batch applies element by element (``fields._batch_math``), and
 # |Q|^2 takes the same BLAS dot per point (``riccati._dot``).
 
 _ENTRIES = acceptance_catalog() + [catalog_entry(f"harmonic:{s}") for s in HARMONIC_IDS]
@@ -404,6 +404,14 @@ def test_batched_stencil_off_domain_raises_first_target_error_before_any_evaluat
         assert F.seen == []
 
 
+def _raises(F, p: Point3) -> bool:
+    try:
+        F(p)
+    except Riccati3dError:
+        return True
+    return False
+
+
 @pytest.mark.parametrize("solution_id,params,field,bad", [
     ("rotational", {"k": 1.0, "c": 0.0}, "Q", [(0.0, 0.0, 0.3)]),  # the axis
     ("rotational", {"k": 1.0, "c": 0.0}, "Q", [(0.0, 1.0, 0.3)]),  # rho = e^c = 1
@@ -425,6 +433,8 @@ def test_batched_closed_form_error_names_the_first_rejected_point(solution_id, p
     with pytest.raises(type(one.value)) as exc:
         F.batch(_points(pts))
     assert str(exc.value) == str(one.value) and exc.value.index == 1
+    # ``where`` holds at every point the pointwise call rejects, and only there
+    assert exc.value.where.tolist() == [_raises(F, p) for p in pts]
     if solution_id == "harmonic:x":
         assert isinstance(exc.value, ZeroCrossing)
 

@@ -434,3 +434,19 @@ def test_eval_batch_size_does_not_show_in_the_export(monkeypatch, tmp_path, caps
     assert main(args + ["--out", str(tmp_path / "two.csv")]) == 0
     capsys.readouterr()
     assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
+
+
+def test_eval_masks_every_row_of_a_failing_check_in_one_retry(monkeypatch, tmp_path, capsys):
+    # the 25 rows on the plane x = 0 raise ZeroCrossing in one check: they are
+    # masked together, so the batch is evaluated twice, not 26 times
+    calls = []
+
+    def counting(*args):
+        calls.append(args[2].x.size)
+        return _eval_batch(*args)
+    _eval_batch = cli._eval_batch
+    monkeypatch.setattr(cli, "_eval_batch", counting)
+    args = ["eval", *_MASKED_DIGESTS["harmonic_x_zero_plane"][1], "--fields", "Q,q,psi,residuals"]
+    assert main(args + ["--out", str(tmp_path / "grid.csv")]) == 0
+    assert "(25 masked)" in capsys.readouterr().out
+    assert calls == [275, 250]
