@@ -14,16 +14,15 @@ for the seconds timing fields.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, PoleError, Riccati3dError, ZeroCrossing
-from .fields import DiffScheme, Point3, stencil_ok
+from .fields import DiffScheme, Point3
 from .report import RunConfig
 from .riccati import (
     RiccatiInstance,
@@ -31,10 +30,8 @@ from .riccati import (
     schrodinger_residual,
 )
 from .solutions import CatalogEntry, catalog_entry, HARMONIC_IDS
-from .symmetry import GroupElement, pushforward_solution, transport_solution
+from .symmetry import _AXIS_TOL, GroupElement, pushforward_solution, transport_solution
 from .verify import SUITES, run_suite
-
-_AXIS_TOL = 1e-14
 
 
 def _parse_config_file(path: str) -> dict:
@@ -126,37 +123,73 @@ def _entry_from_args(args) -> CatalogEntry:
     return catalog_entry(args.solution, margin=args.margin, **params)
 
 
-def _grid_points(axes) -> List[Point3]:
-    return [Point3(float(x), float(y), float(z))
-            for x in axes[0] for y in axes[1] for z in axes[2]]
-
-
-def _fmt(value: Optional[float]) -> str:
-    return "" if value is None else repr(float(value))
-
-
-def _write_rows(path: str, fmt: str, header: Sequence[str], rows: List[dict]) -> None:
+def _write_rows(path: str, fmt: str, grid: Sequence[np.ndarray], masked: np.ndarray,
+               values: dict) -> None:
+    """Columns x, y, z, masked, then Re_ and Im_ of each quantity in
+    ``values``, empty (CSV) or null (JSON) in the masked rows."""
+    header = ["x", "y", "z", "masked"]
+    columns = [c.tolist() for c in grid] + [masked.astype(int).tolist()]
+    for name, val in values.items():
+        header += [f"Re_{name}", f"Im_{name}"]
+        columns += [val.real.tolist(), val.imag.tolist()]
     if fmt == "csv":
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt(row.get(col)) if col != "masked"
-                                 else str(row["masked"]) for col in header])
+        columns, blank = [list(map(repr, col)) for col in columns], ""
     else:
-        records = []
-        for row in rows:
-            rec = {}
-            for col in header:
-                if col == "masked":
-                    rec[col] = row["masked"]
-                else:
-                    val = row.get(col)
-                    rec[col] = None if val is None else float(val)
-            records.append(rec)
-        with open(path, "w") as fh:
-            json.dump(records, fh, indent=2)
+        blank = None
+    holes = np.flatnonzero(masked).tolist()
+    for col in columns[4:]:
+        for i in holes:
+            col[i] = blank
+    with open(path, "w", newline="") as fh:
+        if fmt == "csv":
+            fh.write(",".join(header) + "\n")
+            fh.writelines(",".join(row) + "\n" for row in zip(*columns))
+        else:
+            json.dump([dict(zip(header, row)) for row in zip(*columns)], fh, indent=2)
             fh.write("\n")
+
+
+_EVAL_CHUNK = 1024  # grid rows per batch: bounds the batch's scratch memory
+
+
+def _export(args, names: Sequence[str], evaluate: Callable[[Point3], dict],
+            ok_mask: Optional[Callable[[Point3], np.ndarray]] = None):
+    """Evaluate the quantities ``names`` on the grid of ``args`` and write
+    the export; return the grid, the masked rows and the quantity columns.
+
+    Rows go in batches of ``_EVAL_CHUNK``, in C order.  ``ok_mask`` masks
+    rows up front; ``evaluate`` maps a batch of points to one array per
+    quantity.  A typed error masks every row it names (``where``, else
+    ``index``) and the rest of the batch is evaluated again, so a batch is
+    retried once per failing check rather than once per failing row.
+    """
+    grid = [c.ravel() for c in np.meshgrid(*_parse_grid(args.grid), indexing="ij")]
+    masked = np.ones(grid[0].size, dtype=bool)
+    values = {name: np.zeros(grid[0].size, dtype=complex) for name in names}
+    for start in range(0, masked.size, _EVAL_CHUNK):
+        P = Point3(*(c[start:start + _EVAL_CHUNK] for c in grid))
+        todo = np.flatnonzero(ok_mask(P)) if ok_mask else np.arange(P.x.size)
+        batch: dict = {}
+        while todo.size:
+            try:
+                batch = evaluate(Point3(*(c[todo] for c in P)))
+                break
+            except (DomainError, ZeroCrossing, PoleError) as exc:
+                if exc.index is None:
+                    raise
+                bad = np.zeros(todo.size, dtype=bool)
+                bad[exc.index] = True
+                if exc.where is not None:
+                    bad |= exc.where.ravel()
+            todo = todo[~bad]
+        rows = start + todo
+        masked[rows] = False
+        for name, val in batch.items():
+            values[name][rows] = val
+    if masked.all():
+        raise ConfigError("every grid point is masked; grid misses the domain")
+    _write_rows(args.out, args.format, grid, masked, values)
+    return grid, masked, values
 
 
 def _quantity_columns(fields: Sequence[str], entry: CatalogEntry) -> List[str]:
@@ -174,69 +207,25 @@ def _quantity_columns(fields: Sequence[str], entry: CatalogEntry) -> List[str]:
     return names
 
 
-_EVAL_CHUNK = 1024  # grid rows per batch: bounds the batch's scratch memory
-
-
 def _eval_batch(entry: CatalogEntry, fields: Sequence[str], P: Point3,
                 scheme: DiffScheme) -> dict:
-    """Quantity name -> complex array over a batch P of grid points."""
+    """Quantity name -> complex array over a batch P of grid points.  The
+    residuals go first: their stencil check raises before anything is
+    evaluated."""
     inst = entry.instance
     values: dict = {}
+    if "residuals" in fields:
+        sc, vec = riccati_residual(inst, P, scheme)
+        values.update(resid_sc=sc, resid_v1=vec[0], resid_v2=vec[1], resid_v3=vec[2])
+        if "psi" in fields:
+            values["resid_psi"] = schrodinger_residual(entry.schrodinger(), P, scheme)
     if "Q" in fields:
         values.update(zip("uvw", inst.Q.batch(P)))
     if "q" in fields:
         values["q"] = inst.q.batch(P)
     if "psi" in fields:
         values["psi"] = entry.psi.batch(P)
-    if "residuals" in fields:
-        sc, vec = riccati_residual(inst, P, scheme)
-        values.update(resid_sc=sc, resid_v1=vec[0], resid_v2=vec[1], resid_v3=vec[2])
-        if "psi" in fields:
-            values["resid_psi"] = schrodinger_residual(entry.schrodinger(), P, scheme)
     return values
-
-
-def _eval_rows(entry: CatalogEntry, fields: Sequence[str], P: Point3,
-               scheme: DiffScheme) -> List[dict]:
-    """One output row per point of a batch P of grid points.
-
-    A row is masked when its point is not in the domain, when (with
-    residuals) a stencil point is not, or when an evaluator raises a typed
-    error at it.  The rest are evaluated in one batch.  An error masks every
-    row it names (``where``, else ``index``) before the others are evaluated
-    again, so a batch is retried about once per failing check rather than
-    once per failing row.
-    """
-    ok = entry.instance.Q.domain.ok_mask(P)
-    if "residuals" in fields:
-        ok &= stencil_ok(entry.instance.Q.domain, P, scheme)
-    todo = np.flatnonzero(ok)
-    values: dict = {}
-    while todo.size:
-        try:
-            values = _eval_batch(entry, fields, Point3(*(c[todo] for c in P)), scheme)
-            break
-        except (DomainError, ZeroCrossing, PoleError) as exc:
-            if exc.index is None:
-                raise
-            bad = np.zeros(todo.size, dtype=bool)
-            bad[exc.index] = True
-            if exc.where is not None:
-                bad |= exc.where.ravel()
-        ok[todo[bad]] = False
-        todo = todo[~bad]
-    cells = {}
-    for name, val in values.items():
-        cells[f"Re_{name}"] = iter(val.real.tolist())
-        cells[f"Im_{name}"] = iter(val.imag.tolist())
-    rows = []
-    for x, y, z, good in zip(*(c.tolist() for c in P), ok.tolist()):
-        row: dict = {"x": x, "y": y, "z": z, "masked": 0 if good else 1}
-        if good:  # masked rows carry empty cells for every quantity column
-            for col, vals in cells.items():
-                row[col] = next(vals)
-        rows.append(row)
-    return rows
 
 
 def cmd_eval(args) -> int:
@@ -247,23 +236,12 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"unknown fields {sorted(unknown)}")
     if "psi" in fields and entry.psi is None:
         raise ConfigError(f"{entry.name} has no Schrodinger partner psi")
-    axes = _parse_grid(args.grid)
     scheme = DiffScheme(h=args.h if args.h is not None else 1e-3)
-    quantities = _quantity_columns(fields, entry)
-    header = ["x", "y", "z", "masked"]
-    for name in quantities:
-        header += [f"Re_{name}", f"Im_{name}"]
-
-    grid = [c.ravel() for c in np.meshgrid(*axes, indexing="ij")]  # rows in C order
-    rows = []
-    for start in range(0, grid[0].size, _EVAL_CHUNK):
-        P = Point3(*(c[start:start + _EVAL_CHUNK] for c in grid))
-        rows += _eval_rows(entry, fields, P, scheme)
-    n_masked = sum(row["masked"] for row in rows)
-    if n_masked == len(rows):
-        raise ConfigError("every grid point is masked; grid misses the domain")
-    _write_rows(args.out, args.format, header, rows)
-    print(f"wrote {len(rows)} rows ({n_masked} masked) to {args.out}")
+    # a row is masked where its point is off Q's domain or an evaluator raises
+    _, masked, _ = _export(args, _quantity_columns(fields, entry),
+                           lambda P: _eval_batch(entry, fields, P, scheme),
+                           entry.instance.Q.domain.ok_mask)
+    print(f"wrote {masked.size} rows ({int(masked.sum())} masked) to {args.out}")
     return 0
 
 
@@ -274,51 +252,25 @@ def cmd_transform(args) -> int:
         raise ConfigError(
             f"group G_{g.k} is not compatible with the potential family of "
             f"{entry.name} (compatible: {sorted(entry.groups)})")
-    axes = _parse_grid(args.grid)
     moved = transport_solution(g, entry.instance.Q)
     oracle = pushforward_solution(g, entry.instance.Q)
     moved_inst = RiccatiInstance(moved, entry.instance.q)
     scheme = DiffScheme()
+    names = ["u", "v", "w", "resid_sc", "resid_v1", "resid_v2", "resid_v3", "discrepancy"]
 
-    names = ["u", "v", "w", "resid_sc", "resid_v1", "resid_v2", "resid_v3",
-             "discrepancy"]
-    header = ["x", "y", "z", "masked"]
-    for name in names:
-        header += [f"Re_{name}", f"Im_{name}"]
-    rows = []
-    worst = 0.0
-    flagged_axis = {8: (1, 2), 9: (0, 2), 10: (0, 1)}.get(g.k)
-    for p in _grid_points(axes):
-        row: dict = {"x": p.x, "y": p.y, "z": p.z, "masked": 0}
-        try:
-            tv = moved(p)
-            ov = oracle(p)
-            disc = float(np.max(np.abs(tv - ov)))
-            sc, vec = riccati_residual(moved_inst, p, scheme)
-            for name, val in (("u", tv[0]), ("v", tv[1]), ("w", tv[2]),
-                              ("resid_sc", sc), ("resid_v1", vec[0]),
-                              ("resid_v2", vec[1]), ("resid_v3", vec[2]),
-                              ("discrepancy", disc)):
-                val = complex(val)
-                row[f"Re_{name}"] = val.real
-                row[f"Im_{name}"] = val.imag
-            flagged = False
-            if flagged_axis is not None:
-                c = np.asarray(p)
-                flagged = (c[flagged_axis[0]] ** 2 + c[flagged_axis[1]] ** 2
-                           <= _AXIS_TOL)
-            if not flagged:
-                worst = max(worst, disc)
-        except (DomainError, ZeroCrossing, PoleError, ZeroDivisionError):
-            row["masked"] = 1
-            for name in names:
-                row.pop(f"Re_{name}", None)
-                row.pop(f"Im_{name}", None)
-        rows.append(row)
-    if all(row["masked"] for row in rows):
-        raise ConfigError("every grid point is masked; grid misses the domain")
-    _write_rows(args.out, args.format, header, rows)
-    print(f"wrote {len(rows)} rows to {args.out}; "
+    def evaluate(P: Point3) -> dict:
+        tv, ov = moved.batch(P), oracle.batch(P)
+        sc, vec = riccati_residual(moved_inst, P, scheme)
+        return dict(zip(names, (*tv, sc, *vec, np.abs(tv - ov).max(axis=0))))
+
+    # a row is masked only where an evaluator or the stencil check raises
+    grid, masked, values = _export(args, names, evaluate)
+    counted = ~masked
+    if g.k >= 8:  # the conical groups' on-axis rows are flagged and not counted
+        a, b = (c for i, c in enumerate(grid) if i != g.k - 8)
+        counted &= a ** 2 + b ** 2 > _AXIS_TOL
+    worst = max([0.0] + values["discrepancy"].real[counted].tolist())
+    print(f"wrote {masked.size} rows to {args.out}; "
           f"max |transport - pushforward| = {worst:.3e}")
     return 1 if worst > 1e-6 else 0
 

@@ -9,18 +9,21 @@ Conventions
   shape ``S`` for a scalar field, ``(3, *S)`` for a vector field.  A field
   built with ``vectorized=True`` declares that its evaluator broadcasts over
   such arrays (a constant return is broadcast), so ``batch`` calls it once;
-  any other field is called once per point.  The volume-grid build of B
-  and operator A's Gauss legs evaluate through ``batch``.
+  any other field is called once per point, with Python floats, and an
+  error there is raised as the call at that point alone raises it (see
+  ``errors.Riccati3dError`` for ``index`` and ``where``).  The volume-grid
+  build of B and operator A's Gauss legs evaluate through ``batch``.
 * Derivatives are central finite differences (order 2 or 4) with a relative
   step ``h * max(1, |coordinate|)`` per axis.  Every stencil point is checked
   (box, excluded set; else DomainError) before any point is evaluated, and
   ``riccati_residual`` takes -div Q and rot Q from one stencil of Q.
-  ``grad``, ``rot``, ``laplacian`` and the stencil also take a batch: the
-  stencil is checked for every target with one mask, each of its points is
-  one ``F.batch`` call over all targets, and results keep the component axis
-  first.  A bad stencil point raises the DomainError the pointwise loop
-  raises at the first offending target (points printed as Python floats),
-  with ``index`` naming that target (see ``errors.Riccati3dError``).
+  ``grad``, ``div``, ``rot``, ``laplacian`` and the stencil also take a
+  batch: the stencil is checked for every target with one mask, each of its
+  points is one ``F.batch`` call over all targets, and results keep the
+  component axis first.  A bad stencil point raises the DomainError the
+  pointwise loop raises at the first offending target (points printed as
+  Python floats), with ``index`` naming that target and ``where`` every
+  target with a bad stencil point.
 * Dual-use evaluators serve ``F(p)`` and ``F.batch`` with one body: guards
   go through ``_first`` (a plain comparison at one point, a mask over a
   batch) and transcendental functions through ``math`` at one point and
@@ -62,7 +65,6 @@ __all__ = [
     "DiffScheme",
     "QuadratureSpec",
     "diff",
-    "stencil_ok",
     "grad",
     "div",
     "rot",
@@ -137,8 +139,8 @@ class BoxDomain:
             return mask
         if self.vectorized:
             return mask & ~np.asarray(self.excluded(P), dtype=bool)
-        for i in map(tuple, np.argwhere(mask)):
-            mask[i] = not self.excluded(Point3(P[0][i], P[1][i], P[2][i]))
+        points = zip(*(np.broadcast_to(c, mask.shape)[mask].tolist() for c in P))
+        mask[mask] = [not self.excluded(Point3(*q)) for q in points]
         return mask
 
     def intersect(self, other: "BoxDomain") -> "BoxDomain":
@@ -241,8 +243,10 @@ class _Field:
         """Values at a Point3 of equal-shape arrays, component axis first.
 
         A vectorized field's evaluator is called once, any other field's once
-        per point in C order.  A Point3 of scalars gives ``self(P)``.  A
-        typed error names its point of the batch in ``index``.
+        per point in C order, with Python floats.  A Point3 of scalars gives
+        ``self(P)``.  A typed error names its point of the batch in
+        ``index``; from the per-point calls it is the first one raised, with
+        ``where`` holding at every point that raised the same type.
         """
         if not _batched(P):
             return self(P)
@@ -254,14 +258,20 @@ class _Field:
             v = np.asarray(v, dtype=complex)
             v = v.reshape(v.shape + (1,) * (len(self._lead) + len(shape) - v.ndim))
             return np.broadcast_to(v, self._lead + shape)
-        out = np.empty(self._lead + shape, dtype=complex)
-        for n, i in enumerate(np.ndindex(shape)):
+        out = np.empty(self._lead + (P[0].size,), dtype=complex)
+        first = None
+        for n, p in enumerate(zip(*(np.broadcast_to(c, shape).ravel().tolist() for c in P))):
             try:
-                out[(...,) + i] = self(Point3(P[0][i], P[1][i], P[2][i]))
+                out[..., n] = self(Point3(*p))
             except Riccati3dError as exc:
-                exc.index = n  # the point of this batch it is about
-                raise
-        return out
+                if first is None:
+                    first, where = exc, np.zeros(out.shape[-1], dtype=bool)
+                    exc.index = n  # the point of this batch it is about
+                where[n] = type(exc) is type(first)
+        if first is not None:
+            first.where = where.reshape(shape)
+            raise first
+        return out.reshape(self._lead + shape)
 
 
 class ScalarField(_Field):
@@ -357,25 +367,14 @@ def _stencil_points(p: Point3, scheme: DiffScheme):
     return stencil
 
 
-def _points_ok(domain: BoxDomain, points) -> np.ndarray:
-    """``domain.ok`` at K equal-shape batches of points, as one (K, *S) mask."""
-    return domain.ok_mask(Point3(*map(np.stack, zip(*points))))
-
-
-def stencil_ok(domain: BoxDomain, P: Point3, scheme: DiffScheme = DEFAULT_SCHEME) -> np.ndarray:
-    """Where the targets of a batch and all their stencil points are in
-    the domain: the targets ``_stencil(..., include_center=True)`` accepts."""
-    points = [P] + [q for _, pts in _stencil_points(P, scheme) for q in pts]
-    return _points_ok(domain, points).all(axis=0)
-
-
 def _stencil(domain: BoxDomain, p: Point3, scheme: DiffScheme,
              include_center: bool = False):
     """``_stencil_points(p, scheme)``, with the centre (when included) and
     every point checked before any of them is evaluated.
 
     A batch is checked with one mask; a bad point raises the error of the
-    pointwise check at the first offending target, whose index it carries.
+    pointwise check at the first offending target, whose index it carries,
+    with ``where`` holding at every target with a bad point.
     """
     stencil = _stencil_points(p, scheme)
     points = ([p] if include_center else []) + [q for _, pts in stencil for q in pts]
@@ -384,20 +383,21 @@ def _stencil(domain: BoxDomain, p: Point3, scheme: DiffScheme,
             if not domain.ok(q):
                 raise _stencil_error(q, 0, domain.in_box(q))
         return stencil
-    ok = _points_ok(domain, points).reshape(len(points), -1)
+    ok = domain.ok_mask(Point3(*map(np.stack, zip(*points)))).reshape(len(points), -1)
     bad = ~ok.all(axis=0)
     if bad.any():
         i = int(np.argmax(bad))  # the first target with a bad point
         k = int(np.argmin(ok[:, i]))  # its first bad point, in check order
         q = Point3(*(float(c.flat[i]) for c in points[k]))
-        raise _stencil_error(q, i, domain.in_box(q))
+        raise _stencil_error(q, i, domain.in_box(q), bad.reshape(p[0].shape))
     return stencil
 
 
-def _stencil_error(q: Point3, index: int, in_box: bool) -> DomainError:
+def _stencil_error(q: Point3, index: int, in_box: bool, where=None) -> DomainError:
     if not in_box:
-        return DomainError(f"stencil point {q} outside domain box", index=index)
-    return DomainError(f"stencil point {q} in excluded set; shrink h or move p", index=index)
+        return DomainError(f"stencil point {q} outside domain box", index=index, where=where)
+    return DomainError(f"stencil point {q} in excluded set; shrink h or move p",
+                       index=index, where=where)
 
 
 def _d1(evalf, h: float, pts):
@@ -431,9 +431,12 @@ def _jacobian(F: VectorField, p: Point3, scheme: DiffScheme) -> np.ndarray:
     return np.array([_d1(evalf, *s) for s in stencil]).swapaxes(0, 1)
 
 
-def div(F: VectorField, p: Point3, scheme: DiffScheme = DEFAULT_SCHEME) -> complex:
+def div(F: VectorField, p: Point3, scheme: DiffScheme = DEFAULT_SCHEME):
+    """Divergence: a complex number at one point, an array of shape S for a
+    batch of shape S."""
     J = _jacobian(F, p, scheme)
-    return complex(J[0, 0] + J[1, 1] + J[2, 2])
+    value = J[0, 0] + J[1, 1] + J[2, 2]
+    return value if _batched(p) else complex(value)
 
 
 def _curl(J: np.ndarray) -> np.ndarray:

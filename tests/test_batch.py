@@ -18,6 +18,7 @@ from riccati3d.fields import (
     ScalarField,
     VectorField,
     _gauss_nodes,
+    div,
     grad,
     laplacian,
     operator_A,
@@ -94,6 +95,38 @@ def test_batch_equals_pointwise_values_for_both_kinds_of_evaluator():
         assert len(field.seen) == calls
     scalar = ScalarField(lambda p: p.x * p.y + 1j * p.z, vectorized=True)
     assert _bits(scalar.batch(P)) == _bits([scalar(Point3(*c)) for c in zip(*P)])
+
+
+def test_pointwise_batch_raises_the_pointwise_error_with_every_point_of_its_type():
+    def fn(p):
+        if p.x == 0.7:
+            raise DomainError(f"no value at {p}")
+        if p.x == 0.9:
+            raise ZeroCrossing(f"zero at {p}")
+        return vec3(p.x, p.y, p.z)
+    F = _counting(fn)
+    pts = [Point3(0.1, 0.2, 0.3), Point3(0.7, 0.2, 0.3), Point3(0.3, 0.5, 0.5),
+           Point3(0.9, 0.1, 0.1), Point3(0.7, -1.0, 1.0)]
+    with pytest.raises(DomainError) as one:
+        F(pts[1])
+    F.seen.clear()
+    with pytest.raises(DomainError) as exc:
+        F.batch(_points(pts))
+    # the message of the call at that point alone, Python floats and all
+    assert str(exc.value) == str(one.value) == "no value at Point3(x=0.7, y=0.2, z=0.3)"
+    assert exc.value.index == 1
+    # ``where`` holds at every point raising DomainError; the ZeroCrossing
+    # at a later point is another check and is left out
+    assert exc.value.where.tolist() == [False, True, False, False, True]
+    assert all(type(c) is float for p in F.seen for c in p)
+
+
+def test_pointwise_domain_predicate_takes_python_floats():
+    seen = []
+    dom = BoxDomain.unbounded(lambda q: seen.append(q) or q.x > 0.5)
+    pts = halton_points((Point3(0, 0, 0), Point3(1, 1, 1)), 16)
+    assert dom.ok_mask(_points(pts)).tolist() == [dom.ok(p) for p in pts]
+    assert seen[:16] == pts and all(type(c) is float for q in seen for c in q)
 
 
 def test_batch_broadcasts_constants_and_keeps_point_evaluation():
@@ -343,6 +376,9 @@ def test_catalog_batch_equals_pointwise_bitwise(entry):
     for F in fields:
         assert F.vectorized
         assert _bits(F.batch(P)) == _bits(_pointwise(F, pts))
+    Q = entry.instance.Q
+    assert _bits(div(Q, P)) == _bits([div(Q, p) for p in pts])
+    assert isinstance(div(Q, pts[0]), complex)
     sc, vec = riccati_residual(entry.instance, P)
     assert sc.shape == (40,) and vec.shape == (3, 40)
     assert _bits(sc) == _bits([riccati_residual(entry.instance, p)[0] for p in pts])
@@ -370,7 +406,7 @@ def test_catalog_domain_mask_equals_pointwise(entry):
 
 
 @pytest.mark.parametrize("where", ["box", "excluded", "vectorized_excluded"])
-@pytest.mark.parametrize("op", ["grad", "rot", "laplacian", "riccati_residual"])
+@pytest.mark.parametrize("op", ["grad", "div", "rot", "laplacian", "riccati_residual"])
 def test_batched_stencil_off_domain_raises_first_target_error_before_any_evaluation(
         op, where):
     scheme = DiffScheme()
@@ -389,7 +425,8 @@ def test_batched_stencil_off_domain_raises_first_target_error_before_any_evaluat
     for vectorized in (False, True):
         F = _counting(lambda t: vec3(t.x * t.y, t.z, t.x + t.z), domain, vectorized)
         f = ScalarField(lambda t: F(t)[0], domain)
-        call = {"grad": lambda P: grad(f, P, scheme), "rot": lambda P: rot(F, P, scheme),
+        call = {"grad": lambda P: grad(f, P, scheme), "div": lambda P: div(F, P, scheme),
+                "rot": lambda P: rot(F, P, scheme),
                 "laplacian": lambda P: laplacian(F, P, scheme),
                 "riccati_residual": lambda P: riccati_residual(
                     RiccatiInstance(F, ScalarField(lambda t: 0j, domain)), P, scheme)}[op]
@@ -401,6 +438,8 @@ def test_batched_stencil_off_domain_raises_first_target_error_before_any_evaluat
         with pytest.raises(DomainError) as exc:
             call(_points(targets))
         assert str(exc.value) == message and exc.value.index == 1
+        # every target with a bad stencil point: the second and the third
+        assert exc.value.where.tolist() == [False, True, True]
         assert F.seen == []
 
 

@@ -358,7 +358,8 @@ def test_transform_incompatible_family_exits_two(tmp_path, capsys):
 
 
 # sha256 of two small exports, recorded before the per-point path was
-# optimised; a later optimisation must leave the exported bytes unchanged
+# optimised (the JSON twins before the rows became columns); a later
+# optimisation must leave the exported bytes unchanged
 _EXPORT_DIGESTS = {
     "eval": ("240f8e83a8459980c00675ca5d4c75246f8439d7e04b92cd60d2666a4483b2c2",
              ["eval", "--solution", "rotational", "--k", "1", "--c", "0.3466",
@@ -368,6 +369,12 @@ _EXPORT_DIGESTS = {
                    "--c", str(0.5 * math.log(2.0)), "--group", "6", "--lambda", "0.3",
                    "--grid", "0.5,1.0,4,0.05,0.4,4,-0.4,0.4,4"]),
 }
+_EXPORT_DIGESTS.update({
+    "eval_json": ("affb3abd7bd653b2f958356d77e24166d53e229f27e7f9fd50935fd22ee2ff13",
+                  _EXPORT_DIGESTS["eval"][1] + ["--format", "json"]),
+    "transform_json": ("996dffbe22fa399600036ab11093db2f93666308a2224c8b25eeb93f4e53a1cb",
+                       _EXPORT_DIGESTS["transform"][1] + ["--format", "json"]),
+})
 
 
 @pytest.mark.parametrize("command", sorted(_EXPORT_DIGESTS))
@@ -424,11 +431,59 @@ def test_masked_rows_unchanged(case, tmp_path, capsys):
         assert all(v is None for v in values) if hole else None not in values
 
 
-def test_eval_batch_size_does_not_show_in_the_export(monkeypatch, tmp_path, capsys):
-    # eval evaluates its rows in batches of cli._EVAL_CHUNK; 7 splits the
-    # grid mid-line and puts masked and unmasked rows in one batch
-    args = ["eval", *_MASKED_DIGESTS["rotational_axis_and_cylinder"][1],
-            "--fields", "Q,q,psi,residuals"]
+# the same for transform, recorded with the pointwise transform loop: a row
+# is masked where the transported field, the pushforward or the residual
+# (its stencil check included) raises a typed error
+_TRANSFORM_MASKED_DIGESTS = {
+    "rotational_G6": (
+        "aabb84c0e3c18cb210890947d3b5f7e759a38884d3d153b6d0ce4cc88f682607",
+        ["--solution", "rotational", "--k", "1", "--c", "0.3466", "--group", "6",
+         "--lambda", "0.3", "--grid=-1.6,1.6,17,-0.4,0.4,5,0,0.5,3"]),
+    "conical_G8": (
+        "3e7c237a8967a966026166bc50d8d7de0384d5ee3b7be870c661d5d16f28f144",
+        ["--solution", "conical", "--C1", "2", "--C2", repr(math.e), "--group", "8",
+         "--lambda", "0.3", "--grid=-1,1,9,-1,1,9,-1,1,9"]),
+    "harmonic_x_G2": (
+        "50703cc6b9f7cdc52a96cdb9cb2cf4b0ab237766700c6c5909b494d9f0792b84",
+        ["--solution", "harmonic:x", "--group", "2", "--lambda", "0.1",
+         "--grid=-0.5,0.5,11,0.3,1.4,5,0.4,1.5,5"]),
+    "harmonic_xyz_G1": (
+        "975bd553d39bb1178879847221c2025a1806c99708524d1d663d66029042f53a",
+        ["--solution", "harmonic:xyz", "--group", "1", "--lambda", "0.1",
+         "--grid=-1,1,9,-1,1,9,-1,1,9"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TRANSFORM_MASKED_DIGESTS))
+def test_transform_masked_rows_unchanged(case, tmp_path, capsys):
+    digest, args = _TRANSFORM_MASKED_DIGESTS[case]
+    args = ["transform", *args]
+    out = tmp_path / "grid.csv"
+    assert main(args + ["--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    columns = "\n".join(",".join(line.split(",")[:4]) for line in lines)
+    assert hashlib.sha256(columns.encode()).hexdigest() == digest
+    masked = [line.split(",")[3] == "1" for line in lines[1:]]
+    assert any(masked) and not all(masked)
+    assert main(args + ["--format", "json", "--out", str(tmp_path / "grid.json")]) == 0
+    capsys.readouterr()
+    records = json.loads((tmp_path / "grid.json").read_text())
+    assert [rec["masked"] == 1 for rec in records] == masked
+    for rec, hole in zip(records, masked):
+        values = [v for k, v in rec.items() if k not in ("x", "y", "z", "masked")]
+        assert len(values) == 16  # Re and Im of 8 quantities
+        assert all(v is None for v in values) if hole else None not in values
+
+
+@pytest.mark.parametrize("command", ["eval", "transform"])
+def test_eval_batch_size_does_not_show_in_the_export(command, monkeypatch, tmp_path, capsys):
+    # both commands evaluate their rows in batches of cli._EVAL_CHUNK; 7
+    # splits the grid mid-line and puts masked and unmasked rows in one batch
+    if command == "eval":
+        args = ["eval", *_MASKED_DIGESTS["rotational_axis_and_cylinder"][1],
+                "--fields", "Q,q,psi,residuals"]
+    else:
+        args = ["transform", *_TRANSFORM_MASKED_DIGESTS["rotational_G6"][1]]
     assert main(args + ["--out", str(tmp_path / "one.csv")]) == 0
     monkeypatch.setattr(cli, "_EVAL_CHUNK", 7)
     assert main(args + ["--out", str(tmp_path / "two.csv")]) == 0
@@ -436,17 +491,37 @@ def test_eval_batch_size_does_not_show_in_the_export(monkeypatch, tmp_path, caps
     assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
 
 
+def _batch_sizes(monkeypatch, argv) -> list:
+    """The size of every batch the exporter hands its evaluator while
+    ``main(argv)`` runs."""
+    sizes = []
+
+    def export(args, names, evaluate, ok_mask=None):
+        def counting(P):
+            sizes.append(P.x.size)
+            return evaluate(P)
+        return _export(args, names, counting, ok_mask)
+    _export = cli._export
+    monkeypatch.setattr(cli, "_export", export)
+    assert main(argv) == 0
+    return sizes
+
+
 def test_eval_masks_every_row_of_a_failing_check_in_one_retry(monkeypatch, tmp_path, capsys):
     # the 25 rows on the plane x = 0 raise ZeroCrossing in one check: they are
     # masked together, so the batch is evaluated twice, not 26 times
-    calls = []
-
-    def counting(*args):
-        calls.append(args[2].x.size)
-        return _eval_batch(*args)
-    _eval_batch = cli._eval_batch
-    monkeypatch.setattr(cli, "_eval_batch", counting)
     args = ["eval", *_MASKED_DIGESTS["harmonic_x_zero_plane"][1], "--fields", "Q,q,psi,residuals"]
-    assert main(args + ["--out", str(tmp_path / "grid.csv")]) == 0
+    sizes = _batch_sizes(monkeypatch, args + ["--out", str(tmp_path / "grid.csv")])
     assert "(25 masked)" in capsys.readouterr().out
-    assert calls == [275, 250]
+    assert sizes == [275, 250]
+
+
+def test_transform_masks_every_row_of_a_failing_check_in_one_retry(monkeypatch, tmp_path,
+                                                                   capsys):
+    # the 153 rows on the planes y = 0 and z = 0 raise ZeroCrossing where the
+    # transported field (evaluated point by point) divides by psi = xyz; the
+    # error names them all, so the batch is evaluated twice, not 154 times
+    args = ["transform", *_TRANSFORM_MASKED_DIGESTS["harmonic_xyz_G1"][1]]
+    sizes = _batch_sizes(monkeypatch, args + ["--out", str(tmp_path / "grid.csv")])
+    capsys.readouterr()
+    assert sizes == [729, 729 - 153]
