@@ -26,9 +26,9 @@ Conventions
   target with a bad stencil point.
 * Dual-use evaluators serve ``F(p)`` and ``F.batch`` with one body: guards
   go through ``_first`` (a plain comparison at one point, a mask over a
-  batch) and transcendental functions through ``math`` at one point and
-  ``_batch_math`` for a batch, which maps the same ``math`` functions element
-  by element, so a batch gives the values of ``F(p)`` bit for bit.
+  batch) and transcendental functions are numpy ufuncs, which run the same
+  loop for one point and for a batch, so a batch gives the values of
+  ``F(p)`` bit for bit.
 * ``dirac_left`` is sum_k e_k d_k (the Moisil-Theodoresco operator), equal to
   -div + grad + rot on the scalar/vector split; ``dirac_right`` puts e_k on
   the right and flips the rot sign.
@@ -44,11 +44,9 @@ Conventions
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -197,25 +195,6 @@ def _item(a, i: int):
     """Value i (flat C order) of a batch as a Python scalar; ``a`` itself at
     one point."""
     return a.flat[i].item() if type(a) is np.ndarray else a
-
-
-def _elementwise(fn):
-    """A function of ``math`` applied over arrays (broadcast to one shape)
-    element by element."""
-    def call(*args):
-        args = np.broadcast_arrays(*args)
-        out = np.fromiter(map(fn, *(a.ravel().tolist() for a in args)), float, args[0].size)
-        return out.reshape(args[0].shape)
-    return call
-
-
-# The functions of ``math`` the dual-use evaluators call, for a batch: numpy's
-# own log, exp, power and hypot may round differently from libm in the last
-# bit, and a batch must give the values of ``F(p)`` bit for bit.  An
-# evaluator picks ``math`` or this once per call:
-#     m = math if type(x) is not np.ndarray else _batch_math
-_batch_math = SimpleNamespace(**{name: _elementwise(getattr(math, name)) for name in (
-    "hypot", "pow", "log", "exp", "sqrt", "sin")})
 
 
 class _Field:
@@ -557,28 +536,6 @@ def _gauss_nodes(n: int):
     return _GAUSS_CACHE[n]
 
 
-def _gauss_integral(f, a: float, b: float, n: int, at) -> complex:
-    """Gauss-Legendre rule; a non-finite integrand value raises DomainError
-    naming ``at(t)`` of the first such node t."""
-    if a == b:
-        return 0j
-    nodes, weights = _gauss_nodes(n)
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    values = [f(mid + half * t) for t in nodes]
-    if not all(map(cmath.isfinite, values)):
-        t = next(t for t, v in zip(nodes, values) if not cmath.isfinite(v))
-        raise DomainError(f"line integrand is not finite at {at(mid + half * t)}")
-    return half * sum(w * v for w, v in zip(weights, values))
-
-
-def _line_integral(f, a: float, b: float, quad: QuadratureSpec, at) -> complex:
-    """Integral of f over [a, b]; at(t) is the point of node t, for errors."""
-    if quad.line_rule == "gauss":
-        return _gauss_integral(f, a, b, quad.gauss_order, at)
-    return _adaptive_simpson(f, a, b, quad.line_tol)
-
-
 # --------------------------------------------------------------------------
 # operator A: axis-ordered path reconstruction of a scalar potential
 
@@ -598,20 +555,24 @@ def operator_A(F: VectorField, base: Point3, C: complex = 0j,
     does a non-finite integrand value under the Gauss rule, naming the first
     such node (adaptive Simpson raises QuadratureFailure instead).
 
-    The x-leg depends only on p.x and the y-leg only on (p.x, p.y), so the
-    returned field keeps its last x-leg and its last y-leg and reuses each
-    while that key repeats (grid walks in C order, one-axis stencil shifts).
+    Under the Gauss rule one routine integrates a set of legs for any number
+    of targets: it checks every node against the domain, evaluates each leg
+    as one ``F.batch`` call over all its nodes, checks the values are finite
+    and sums them node by node, so ``A.batch(P)`` equals ``A(p)`` bit for
+    bit.  ``A(p)`` runs it on the x-, y- and z-legs in turn: for each leg it
+    raises the DomainError of the leg's first node off the domain before the
+    leg is evaluated, then that of its first non-finite node.  ``A.batch(P)``
+    runs it once on all three legs of all targets, so every node is checked
+    against the domain before F is evaluated anywhere; either error names
+    the first offending target's first bad node.  Adaptive Simpson
+    integrates point by point, target by target.
+
+    The x-leg depends only on p.x and the y-leg only on (p.x, p.y), so
+    ``A(p)`` keeps its last x-leg and its last y-leg and reuses each while
+    that key repeats (grid walks in C order, one-axis stencil shifts).
     Results are bit-identical to integrating every leg afresh, in any call
     order and from any thread, provided F is pure: the same point always
     gives the same value.
-
-    The returned field is vectorized.  ``A.batch(P)`` under the Gauss rule
-    checks every node of every leg of every target against the domain first
-    (raising the error the pointwise loop would raise for the first
-    offending target, before F is evaluated anywhere), then evaluates each
-    leg as one ``F.batch`` call over all its nodes and sums node by node, so
-    each value equals ``A(p)`` bit for bit.  Adaptive Simpson integrates
-    target by target.
     """
     base = Point3(*base)
     domain = F.domain
@@ -650,12 +611,61 @@ def operator_A(F: VectorField, base: Point3, C: complex = 0j,
         """t -> the node at t of the leg along axis k towards p."""
         return lambda t: Point3(*p[:k], t, *base[k + 1:])
 
-    def _leg(slot: int, key: tuple, f, a: float, b: float, p: Point3) -> complex:
-        entry = legs[slot]
+    def _gauss_legs(targets: tuple, axes) -> list:
+        """The Gauss integral of the leg along each axis of ``axes`` towards
+        each target of the flat coordinate arrays ``targets``, one array per
+        leg; a zero-length leg gives 0j and is not evaluated."""
+        nodes, weights = _gauss_nodes(quad.gauss_order)
+        runs = []  # per leg: axis, the targets it moves, half lengths, node parameters, nodes
+        for k in axes:
+            rows = np.flatnonzero(targets[k] != base[k])
+            b = targets[k][rows]
+            half = 0.5 * (b - base[k])
+            T = (0.5 * (base[k] + b))[:, None] + half[:, None] * nodes
+            pts = Point3(*(T if m == k else np.broadcast_to(
+                targets[m][rows, None] if m < k else float(base[m]), T.shape)
+                for m in range(3)))
+            runs.append((k, rows, half, T, pts))
+
+        def check(oks, what: str):
+            """Raise DomainError(what + the first node not ok), in pointwise
+            order: by target, then by leg, then by node."""
+            hits = [(run[1][r], i, r) for i, (run, ok) in enumerate(zip(runs, oks)) if ok.size
+                    for r in [int(np.argmin(ok.all(axis=1)))] if not ok[r].all()]
+            if hits:
+                _, i, r = min(hits)
+                k, rows, _, T, _ = runs[i]
+                p = Point3(*(c[rows[r]] for c in targets))
+                raise DomainError(what + str(_node(k, p)(T[r, int(np.argmin(oks[i][r]))])))
+
+        check([domain.ok_mask(run[4]) for run in runs],
+              "integration path crosses excluded set at ")
+        # an empty leg's node parameters stand in for its (empty) values
+        values = [F.batch(pts)[k] if rows.size else T for k, rows, _, T, pts in runs]
+        check([np.isfinite(V) for V in values], "line integrand is not finite at ")
+        sums = []
+        for (_, rows, half, _, _), V in zip(runs, values):
+            # summed node by node from 0j: accumulate adds in that fixed order
+            terms = np.zeros((rows.size, weights.size + 1), dtype=complex)
+            np.multiply(weights, V, out=terms[:, 1:])
+            leg = np.zeros(targets[0].size, dtype=complex)
+            leg[rows] = half * np.add.accumulate(terms, axis=1)[:, -1]
+            sums.append(leg)
+        return sums
+
+    def _leg(k: int, p: Point3) -> complex:
+        """The integral of the leg along axis k towards p."""
+        if quad.line_rule == "gauss":
+            return complex(_gauss_legs(tuple(np.array([c]) for c in p), (k,))[0][0])
+        at = _node(k, p)
+        return _adaptive_simpson(lambda t: _component(at(t), k), base[k], p[k], quad.line_tol)
+
+    def _memo_leg(k: int, key: tuple, p: Point3) -> complex:
+        entry = legs[k]
         if entry is not None and entry[0] == key:
             return entry[1]
-        value = _line_integral(f, a, b, quad, _node(slot, p))
-        legs[slot] = (key, value)
+        value = _leg(k, p)
+        legs[k] = (key, value)
         return value
 
     def eval_at(p: Point3):
@@ -665,12 +675,9 @@ def operator_A(F: VectorField, base: Point3, C: complex = 0j,
             _warn_if_rotational(p)
         x_key = (p.x, math.copysign(1.0, p.x))
         total = complex(C)
-        total += _leg(0, x_key, lambda t: _component(Point3(t, base.y, base.z), 0),
-                      base.x, p.x, p)
-        total += _leg(1, x_key + (p.y, math.copysign(1.0, p.y)),
-                      lambda t: _component(Point3(p.x, t, base.z), 1), base.y, p.y, p)
-        total += _line_integral(lambda t: _component(Point3(p.x, p.y, t), 2),
-                                base.z, p.z, quad, _node(2, p))
+        total += _memo_leg(0, x_key, p)
+        total += _memo_leg(1, x_key + (p.y, math.copysign(1.0, p.y)), p)
+        total += _leg(2, p)
         return total
 
     def _eval_batch(P: Point3) -> np.ndarray:
@@ -681,43 +688,8 @@ def operator_A(F: VectorField, base: Point3, C: complex = 0j,
                             dtype=complex).reshape(shape)
         if not state["checked"] and targets[0].size:
             _warn_if_rotational(Point3(*(c[0] for c in targets)))
-        nodes, weights = _gauss_nodes(quad.gauss_order)
-        runs = []  # per leg: the targets it moves, half lengths, node parameters, nodes
-        for k in range(3):
-            rows = np.flatnonzero(targets[k] != base[k])  # a zero-length leg adds 0j
-            b = targets[k][rows]
-            half = 0.5 * (b - base[k])
-            T = (0.5 * (base[k] + b))[:, None] + half[:, None] * nodes
-            pts = Point3(*(T if m == k else np.broadcast_to(
-                targets[m][rows, None] if m < k else float(base[m]), T.shape)
-                for m in range(3)))
-            runs.append((rows, half, T, pts))
-
-        def node(k: int, r: int, j: int) -> Point3:
-            """Node j of target row r on leg k, as the pointwise path builds it."""
-            rows, _, T, _ = runs[k]
-            return _node(k, Point3(*(c[rows[r]] for c in targets)))(T[r, j])
-
-        def check(oks, what: str):
-            """Raise DomainError(what + the first node not ok), in pointwise
-            order: by target, then by leg, then by node."""
-            hits = [(runs[k][0][r], k, r) for k, ok in enumerate(oks) if ok.size
-                    for r in [int(np.argmin(ok.all(axis=1)))] if not ok[r].all()]
-            if hits:
-                _, k, r = min(hits)
-                raise DomainError(what + str(node(k, r, int(np.argmin(oks[k][r])))))
-
-        check([domain.ok_mask(pts) for *_, pts in runs],
-              "integration path crosses excluded set at ")
-        values = [F.batch(pts)[k] for k, (*_, pts) in enumerate(runs)]
-        check([np.isfinite(V) for V in values], "line integrand is not finite at ")
         total = complex(C)
-        for (rows, half, _, _), V in zip(runs, values):
-            acc = np.zeros(rows.size, dtype=complex)
-            for j, w in enumerate(weights):  # node by node, as the pointwise sum
-                acc += w * V[:, j]
-            leg = np.zeros(targets[0].size, dtype=complex)
-            leg[rows] = half * acc
+        for leg in _gauss_legs(targets, range(3)):
             total = total + leg
         return total.reshape(shape)
 

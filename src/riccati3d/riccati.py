@@ -208,16 +208,15 @@ def component_residuals(W0: ScalarField, Wv: VectorField, phi: ScalarField,
     c1 = div[phi^2 grad(W0/phi)],  c2 = rot[phi^-2 rot(phi Wv)].
     """
     p = Point3(*p)
+    ratio = ScalarField(lambda t: W0(t) / _nonzero(phi(t), eps_zero, "phi"), W0.domain)
+    prod = VectorField(lambda t: phi(t) * Wv(t), Wv.domain)
 
     def sigma(s: Point3) -> np.ndarray:
         value = _nonzero(phi(s), eps_zero, "phi")
-        ratio = ScalarField(lambda t: W0(t) / _nonzero(phi(t), eps_zero, "phi"),
-                            W0.domain)
         return value * value * grad(ratio, s, scheme)
 
     def tau(s: Point3) -> np.ndarray:
         value = _nonzero(phi(s), eps_zero, "phi")
-        prod = VectorField(lambda t: phi(t) * Wv(t), Wv.domain)
         return rot(prod, s, scheme) / (value * value)
 
     dom = W0.domain.intersect(phi.domain)
@@ -299,10 +298,10 @@ def build_W_from_W0(W0: ScalarField, phi: ScalarField, h: Optional[ScalarField],
     analytically (``operator_rot_B``).
     """
     dom = W0.domain.intersect(phi.domain)
+    ratio = ScalarField(lambda s: W0(s) / _nonzero(phi(s), eps_zero, "phi"), dom)
 
     def integrand(t: Point3) -> np.ndarray:
         value = _nonzero(phi(t), eps_zero, "phi")
-        ratio = ScalarField(lambda s: W0(s) / _nonzero(phi(s), eps_zero, "phi"), dom)
         return value * value * grad(ratio, t, scheme)
 
     rot_B = operator_rot_B(VectorField(integrand, dom), region, quad, cells=cells)
@@ -324,10 +323,10 @@ def build_W0_from_W(Wv: VectorField, phi: ScalarField, base: Point3,
     W0 = -phi A[phi^-2 rot(phi Wv)] with the path constant C of A.
     """
     dom = Wv.domain.intersect(phi.domain)
+    prod = VectorField(lambda s: phi(s) * Wv(s), dom)
 
     def integrand(t: Point3) -> np.ndarray:
         value = _nonzero(phi(t), eps_zero, "phi")
-        prod = VectorField(lambda s: phi(s) * Wv(s), dom)
         return rot(prod, t, scheme) / (value * value)
 
     A = operator_A(VectorField(integrand, dom), Point3(*base), C, quad)

@@ -9,8 +9,10 @@ non-singular component, and the base point used for that path.
 
 The closed forms, the harmonic seeds and the two excluded-set predicates are
 vectorized (see the ``fields`` module): one body serves a point and a batch,
-a batch gives the values of the pointwise calls bit for bit, and a point the
-pointwise call rejects raises the same typed error naming its index.
+its transcendental functions are numpy ufuncs, which run the same loop for
+one point and for a batch, so a batch gives the values of the pointwise
+calls bit for bit, and a point the pointwise call rejects raises the same
+typed error naming its index.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .fields import (
     Point3,
     ScalarField,
     VectorField,
-    _batch_math,
     _first,
     _item,
 )
@@ -96,8 +97,7 @@ def _rotational_fields(params: RotationalParams, margin: float):
 
     def excluded(p: Point3):
         x, y, _ = p
-        m = math if type(x) is not np.ndarray else _batch_math
-        rho = m.hypot(x, y)
+        rho = np.hypot(x, y)
         return (rho <= margin) | (abs(rho - radius) <= margin)
 
     domain = BoxDomain.unbounded(excluded, vectorized=True)
@@ -108,8 +108,7 @@ def _rotational_fields(params: RotationalParams, margin: float):
         bad = rho2 == 0.0
         if bad is not False and (i := _first(bad)) is not None:
             raise DomainError("rotational solution singular on the z-axis", index=i, where=bad)
-        m = math if type(rho2) is not np.ndarray else _batch_math
-        power = m.pow(rho2, k)
+        power = np.power(rho2, k)
         den = rho2 * (power - E)
         bad = den == 0.0
         if bad is not False and (i := _first(bad)) is not None:
@@ -163,8 +162,7 @@ def rotational(params: RotationalParams,
         bad = rho2 == 0.0
         if bad is not False and (i := _first(bad)) is not None:
             raise DomainError("psi singular on the z-axis", index=i, where=bad)
-        m = math if type(rho2) is not np.ndarray else _batch_math
-        return norm * (m.pow(rho2, k) - E) / m.pow(rho2, half_k)
+        return norm * (np.power(rho2, k) - E) / np.power(rho2, half_k)
 
     return RiccatiInstance(Q, q), ScalarField(psi_eval, domain, vectorized=True)
 
@@ -208,9 +206,9 @@ def radial_linear(params: RotationalParams) -> Callable[[float], float]:
 # --------------------------------------------------------------------------
 # conical family
 
-def _log_term(m, C2: float, rho2, r2):
-    """ln(C2 rho^2 / r^4), with ``m`` ``math`` or ``_batch_math``."""
-    return m.log(C2 * rho2 / (r2 * r2))
+def _log_term(C2: float, rho2, r2):
+    """ln(C2 rho^2 / r^4)."""
+    return np.log(C2 * rho2 / (r2 * r2))
 
 
 def _conical_excluded(C2: float, margin: float) -> Callable[[Point3], bool]:
@@ -226,19 +224,16 @@ def _conical_excluded(C2: float, margin: float) -> Callable[[Point3], bool]:
         if type(near) is not np.ndarray:
             if near:
                 return True
-            m = math
-        else:
-            m = _batch_math
-            if near.any():
-                # near points are excluded already; 1.0 keeps the divisions
-                # below off the axis and the origin
-                rho2, r2 = np.where(near, 1.0, rho2), np.where(near, 1.0, r2)
+        elif near.any():
+            # near points are excluded already; 1.0 keeps the divisions
+            # below off the axis and the origin
+            rho2, r2 = np.where(near, 1.0, rho2), np.where(near, 1.0, r2)
         # first-order distance |L| / |grad L| to the log-singular surface
         gx = 2.0 * x / rho2 - 4.0 * x / r2
         gy = 2.0 * y / rho2 - 4.0 * y / r2
         gz = -4.0 * z / r2
-        grad_norm = m.sqrt(gx * gx + gy * gy + gz * gz)
-        return near | (abs(_log_term(m, C2, rho2, r2)) <= margin * grad_norm)
+        grad_norm = np.sqrt(gx * gx + gy * gy + gz * gz)
+        return near | (abs(_log_term(C2, rho2, r2)) <= margin * grad_norm)
     return excluded
 
 
@@ -255,7 +250,7 @@ def conical_riccati(params: ConicalParams,
         bad = (r2 == 0.0) | (rho2 == 0.0)
         if bad is not False and (i := _first(bad)) is not None:
             raise DomainError("conical solution singular on the z-axis", index=i, where=bad)
-        L = _log_term(math if type(r2) is not np.ndarray else _batch_math, C2, rho2, r2)
+        L = _log_term(C2, rho2, r2)
         bad = L == 0.0
         if bad is not False and (i := _first(bad)) is not None:
             raise DomainError("conical solution singular on the log surface", index=i, where=bad)
@@ -272,8 +267,7 @@ def conical_riccati(params: ConicalParams,
         bad = r2 == 0.0
         if bad is not False and (i := _first(bad)) is not None:
             raise DomainError("potential singular at the origin", index=i, where=bad)
-        m = math if type(r2) is not np.ndarray else _batch_math
-        return m.pow(C1 / (2.0 * r2), 2.0)
+        return np.power(C1 / (2.0 * r2), 2.0)
 
     return RiccatiInstance(VectorField(Q_eval, domain, vectorized=True),
                            ScalarField(q_eval, domain, vectorized=True))
@@ -299,8 +293,7 @@ def conical(params: ConicalParams,
         bad = (r2 == 0.0) | (rho2 == 0.0)
         if bad is not False and (i := _first(bad)) is not None:
             raise DomainError("psi singular on the z-axis", index=i, where=bad)
-        m = math if type(r2) is not np.ndarray else _batch_math
-        return norm * _log_term(m, C2, rho2, r2) / (m.sqrt(r2) * m.exp(C1 * z / (2.0 * r2)))
+        return norm * _log_term(C2, rho2, r2) / (np.sqrt(r2) * np.exp(C1 * z / (2.0 * r2)))
 
     return inst, ScalarField(psi_eval, inst.Q.domain, vectorized=True)
 
@@ -310,8 +303,7 @@ def conical(params: ConicalParams,
 
 def _sin_exp(p: Point3):
     x, y, _ = p
-    m = math if type(x) is not np.ndarray else _batch_math
-    return m.sin(x) * m.exp(y)
+    return np.sin(x) * np.exp(y)
 
 
 _HARMONIC_FORMS: dict = {

@@ -203,6 +203,23 @@ def test_adaptive_A_batch_integrates_target_by_target():
     assert _bits(operator_A(F, base, 0j, quad).batch(_points(pts))) == _bits(expect)
 
 
+def test_pointwise_gauss_A_evaluates_each_leg_as_one_batch():
+    F = _counting(_poly_vectorized, vectorized=True)
+    base = Point3(0.0, -0.2, 0.15)
+    p, q = Point3(0.4, 0.7, -0.35), Point3(0.4, 0.7, 0.5)  # q shares x and y with p
+    A = operator_A(F, base, 0.25j, GAUSS32)
+    values = [A(p)]
+    assert len(F.seen) == 3  # the x-, y- and z-legs, in that order, 32 nodes each
+    for k, P in enumerate(F.seen):
+        assert all(c.shape == (1, 32) for c in P)
+        assert [np.ptp(c) > 0 for c in P] == [m == k for m in range(3)]
+    values.append(A(q))
+    assert len(F.seen) == 4 and F.seen[-1][2].shape == (1, 32)  # the z-leg alone
+    batch = operator_A(VectorField(_poly_vectorized, vectorized=True), base, 0.25j,
+                       GAUSS32).batch(_points([p, q]))
+    assert _bits(values) == _bits(batch)
+
+
 def _first_pointwise_error(A, P: Point3) -> str:
     """The error of the first target that raises, evaluating one at a time."""
     for c in zip(*P):
@@ -356,9 +373,9 @@ def test_non_finite_integrand_raises_naming_the_first_cell(build, bad):
 # -- the catalog and the stencil operators --------------------------------------
 #
 # The bound for batch against pointwise, fixed before the batch path was
-# written, is 0 ulp: the closed forms are arithmetic plus functions of
-# ``math`` that a batch applies element by element (``fields._batch_math``), and
-# |Q|^2 takes the same BLAS dot per point (``riccati._dot``).
+# written, is 0 ulp: the closed forms are arithmetic plus numpy ufuncs, which
+# run the same loop for one point and for a batch, and |Q|^2 takes the same
+# BLAS dot per point (``riccati._dot``).
 
 _ENTRIES = acceptance_catalog() + [catalog_entry(f"harmonic:{s}") for s in HARMONIC_IDS]
 
