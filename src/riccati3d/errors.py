@@ -15,9 +15,10 @@ class Riccati3dError(Exception):
     ``where``, when not None, is a bool array of the batch's shape holding at
     every point at which the same check fails (``index`` is its first), so a
     caller that drops failing points can drop them all at once.  The
-    catalog's guards set it to the points their check rejects, the batched
-    stencil check to every target with a bad stencil point, and a field
-    evaluated point by point to every point that raised the same error type.
+    catalog's guards and the group actions' pole checks set it to the points
+    their check rejects, the batched stencil check to every target with a bad
+    stencil point, and a field evaluated point by point to every point that
+    raised the same error type.
     It is None at one point and wherever ``index`` is None.
     """
 

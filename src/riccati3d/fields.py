@@ -564,8 +564,10 @@ def operator_A(F: VectorField, base: Point3, C: complex = 0j,
     leg is evaluated, then that of its first non-finite node.  ``A.batch(P)``
     runs it once on all three legs of all targets, so every node is checked
     against the domain before F is evaluated anywhere; either error names
-    the first offending target's first bad node.  Adaptive Simpson
-    integrates point by point, target by target.
+    the first offending target's first bad node.  A typed error that F
+    itself raises names the target whose leg it came from (``index``) and,
+    over a batch, every target with a failing node (``where``).  Adaptive
+    Simpson integrates point by point, target by target.
 
     The x-leg depends only on p.x and the y-leg only on (p.x, p.y), so
     ``A(p)`` keeps its last x-leg and its last y-leg and reuses each while
@@ -611,10 +613,13 @@ def operator_A(F: VectorField, base: Point3, C: complex = 0j,
         """t -> the node at t of the leg along axis k towards p."""
         return lambda t: Point3(*p[:k], t, *base[k + 1:])
 
-    def _gauss_legs(targets: tuple, axes) -> list:
+    def _gauss_legs(targets: tuple, axes, shape: tuple = ()) -> list:
         """The Gauss integral of the leg along each axis of ``axes`` towards
         each target of the flat coordinate arrays ``targets``, one array per
-        leg; a zero-length leg gives 0j and is not evaluated."""
+        leg; a zero-length leg gives 0j and is not evaluated.  ``shape`` is
+        the batch shape of the targets, () for one point: a typed error from
+        ``F.batch`` names its target (``index``) and, over a batch, every
+        target with a failing node (``where``, of that shape)."""
         nodes, weights = _gauss_nodes(quad.gauss_order)
         runs = []  # per leg: axis, the targets it moves, half lengths, node parameters, nodes
         for k in axes:
@@ -640,8 +645,21 @@ def operator_A(F: VectorField, base: Point3, C: complex = 0j,
 
         check([domain.ok_mask(run[4]) for run in runs],
               "integration path crosses excluded set at ")
-        # an empty leg's node parameters stand in for its (empty) values
-        values = [F.batch(pts)[k] if rows.size else T for k, rows, _, T, pts in runs]
+        values = []
+        for k, rows, _, T, pts in runs:
+            try:
+                # an empty leg's node parameters stand in for its (empty) values
+                values.append(F.batch(pts)[k] if rows.size else T)
+            except Riccati3dError as exc:
+                if exc.index is not None:
+                    exc.index = int(rows[exc.index // T.shape[1]])
+                    if exc.where is not None and shape:
+                        where = np.zeros(targets[0].size, dtype=bool)
+                        where[rows] = exc.where.reshape(T.shape).any(axis=1)
+                        exc.where = where.reshape(shape)
+                    else:
+                        exc.where = None
+                raise
         check([np.isfinite(V) for V in values], "line integrand is not finite at ")
         sums = []
         for (_, rows, half, _, _), V in zip(runs, values):
@@ -689,7 +707,7 @@ def operator_A(F: VectorField, base: Point3, C: complex = 0j,
         if not state["checked"] and targets[0].size:
             _warn_if_rotational(Point3(*(c[0] for c in targets)))
         total = complex(C)
-        for leg in _gauss_legs(targets, range(3)):
+        for leg in _gauss_legs(targets, range(3), shape):
             total = total + leg
         return total.reshape(shape)
 

@@ -14,6 +14,18 @@ carry two typographical slips, so the default reading ("reconciled")
 evaluates those lines at the pre-image point, which reproduces the
 pushforward exactly.  ``literal_text=True`` keeps the query-point reading
 and the slips, for discrepancy reporting.
+
+Batches: ``group_act`` takes one point with Q of shape (3,), or a Point3 of
+equal-shape arrays (shape S) with Q of shape (3, *S).  The transported
+fields and their excluded-set predicates are vectorized (see the ``fields``
+module), so ``F.batch`` calls each once.  One body serves a point and a
+batch: the on-axis (``_AXIS_TOL``) and pole (``_POLE_TOL``) cases are masks,
+every denominator is replaced by 1.0 where it is not used before anything
+is divided, and dot and matrix products take the same BLAS call per point
+(``riccati._dot``, ``_matvec``), so a batch gives the pointwise values bit
+for bit.  A PoleError names the first point whose denominator vanishes
+(``index``) and every such point (``where``), with the message the call at
+that point alone raises.
 """
 
 from __future__ import annotations
@@ -32,8 +44,12 @@ from .fields import (
     Point3,
     ScalarField,
     VectorField,
+    _batched,
+    _first,
+    _item,
     grad,
 )
+from .riccati import _dot
 
 __all__ = [
     "GeneratorParams",
@@ -125,13 +141,16 @@ def c_pairing(x, y) -> float:
 
 
 def _as_real_vector(Qval) -> np.ndarray:
+    """Q as real floats, component axis first: shape (3,) at one point,
+    (3, *S) for a batch.  ValueError where an imaginary part exceeds
+    1e-10 * max(1, largest component modulus) at its point."""
     arr = np.asarray(Qval)
     if np.iscomplexobj(arr):
-        scale = max(1.0, float(np.max(np.abs(arr))))
-        if float(np.max(np.abs(arr.imag))) > 1e-10 * scale:
+        scale = np.fmax(1.0, np.abs(arr).max(axis=0))
+        if (np.abs(arr.imag).max(axis=0) > 1e-10 * scale).any():
             raise ValueError("symmetry module operates on real-valued Q")
         arr = arr.real
-    return np.asarray(arr, dtype=float).reshape(3)
+    return np.asarray(arr, dtype=float)
 
 
 def vhat_apply(params: GeneratorParams, p: Point3, Qval) -> Tuple[float, ...]:
@@ -244,66 +263,93 @@ def rotation_matrix(k: int, lam: float) -> np.ndarray:
     raise ValueError(f"rotation label {k} not in 4..6")
 
 
-def _conical_act(axis: int, p: Point3, Q: np.ndarray, lam: float):
-    """Shared implementation of G_8 (axis=0), G_9 (axis=1), G_10 (axis=2)."""
-    coords = np.asarray(p, dtype=float)
-    others = [i for i in range(3) if i != axis]
-    off_axis_sq = coords[others[0]] ** 2 + coords[others[1]] ** 2
-    r2 = float(coords @ coords)
-    xa = coords[axis]
-    ua = Q[axis]
-    c = 1.0 - 2.0 * float(coords @ Q)
+def _matvec(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """M @ X for X of shape (3,) or (3, *S).  A batch takes the pointwise
+    BLAS product once per point (a stacked matmul), so both round alike (an
+    elementwise sum may not)."""
+    if X.ndim == 1:
+        return M @ X
+    cols = np.ascontiguousarray(X.reshape(3, -1).T)[:, :, None]
+    return np.matmul(M, cols)[:, :, 0].T.reshape(X.shape)
 
-    if off_axis_sq > _AXIS_TOL:
-        a = r2 * lam * lam - 2.0 * xa * lam + 1.0
-        if abs(a) <= _POLE_TOL:
-            raise PoleError(f"alpha vanished for G_{8 + axis} at {p}, lambda={lam}")
-        newc = coords / a
-        newc[axis] = (xa - lam * r2) / a
-        newQ = np.empty(3)
-        bracket = 2.0 * ua * lam + c * lam * lam
-        for i in others:
-            newQ[i] = a * Q[i] + coords[i] * bracket
-        newQ[axis] = ua + c * lam - (r2 * ua + c * xa) * lam * lam
-        return Point3(*newc), newQ
 
+def _point(P: Point3, i: int) -> Point3:
+    """Point i of a batch as a Point3 of Python floats; P itself at one point."""
+    return Point3(*(_item(c, i) for c in P))
+
+
+def _off_domain(domain: BoxDomain, P: Point3):
+    """``not domain.ok(P)``: a bool at one point, a mask over a batch."""
+    return ~domain.ok_mask(P) if _batched(P) else not domain.ok(P)
+
+
+_NO_POLES = (False, False)
+
+
+def _conical_act(axis: int, X: np.ndarray, Q: np.ndarray, lam: float):
+    """Shared implementation of G_8 (axis=0), G_9 (axis=1), G_10 (axis=2);
+    see ``_act``.  A point off the axis goes through alpha, one on it
+    (``_AXIS_TOL``) moves along the axis through 1 - x*lambda."""
+    o1, o2 = (i for i in range(3) if i != axis)
+    off = X[o1] ** 2 + X[o2] ** 2 > _AXIS_TOL
+    r2 = _dot(X, X)
+    xa, ua = X[axis], Q[axis]
+    c = 1.0 - 2.0 * _dot(X, Q)
+    a = r2 * lam * lam - 2.0 * xa * lam + 1.0
     d = 1.0 - xa * lam
-    if abs(d) <= _POLE_TOL:
-        raise PoleError(f"1 - x*lambda vanished for G_{8 + axis} at {p}, lambda={lam}")
-    newc = np.zeros(3)
-    newc[axis] = xa / d
-    newQ = np.empty(3)
-    for i in others:
-        newQ[i] = Q[i] * d * d
-    newQ[axis] = d * (ua + lam * (1.0 - xa * ua))
-    return Point3(*newc), newQ
+    poles = (off & (abs(a) <= _POLE_TOL), ~off & (abs(d) <= _POLE_TOL))
+    # 1.0 stands in for the denominator of the other case and at a pole
+    a = np.where(off & ~poles[0], a, 1.0)
+    d = np.where(off | poles[1], 1.0, d)
+
+    image = np.where(off, X / a, 0.0)
+    image[axis] = np.where(off, (xa - lam * r2) / a, xa / d)
+    bracket = 2.0 * ua * lam + c * lam * lam
+    newQ = np.where(off, a * Q + X * bracket, Q * d * d)
+    newQ[axis] = np.where(off, ua + c * lam - (r2 * ua + c * xa) * lam * lam,
+                          d * (ua + lam * (1.0 - xa * ua)))
+    return image, newQ, poles
+
+
+def _act(g: GroupElement, X: np.ndarray, Q: np.ndarray):
+    """G_k on coordinates X and real values Q, float arrays of shape (3,) or
+    (3, *S): (image, new Q, poles).  ``poles`` is a pair of masks (bools at
+    one point) holding where a conical group's alpha (off the axis) or
+    1 - x*lambda (on it) vanishes; the image and Q there are placeholders."""
+    k, lam = g.k, g.lam
+    if k in (1, 2, 3):
+        shifted = [X[i] + (lam if i == k - 1 else 0.0) for i in range(3)]
+        return np.array(shifted), Q.copy(), _NO_POLES
+    if k in (4, 5, 6):
+        R = rotation_matrix(k, lam)
+        return _matvec(R, X), _matvec(R, Q), _NO_POLES
+    if k == 7:
+        s = math.exp(lam)
+        return X * s, Q / s, _NO_POLES
+    return _conical_act(k - 8, X, Q, lam)
 
 
 def group_act(g: GroupElement, p: Point3, Qval) -> Tuple[Point3, np.ndarray]:
     """Apply the one-parameter group G_k with parameter lambda to (p, Q(p)).
 
-    lambda = 0 is the identity; composition is additive in lambda.  The
-    conical groups raise PoleError where their denominators vanish.
+    lambda = 0 is the identity; composition is additive in lambda.  p is one
+    point with Q of shape (3,), or a Point3 of equal-shape arrays of shape S
+    with Q of shape (3, *S).  The conical groups raise PoleError where their
+    denominators vanish, naming the first such point (``index``) and every
+    one of them (``where``).
     """
     p = Point3(*p)
-    Q = _as_real_vector(Qval)
-    k, lam = g.k, g.lam
-
-    if k in (1, 2, 3):
-        shift = [0.0, 0.0, 0.0]
-        shift[k - 1] = lam
-        return Point3(p.x + shift[0], p.y + shift[1], p.z + shift[2]), Q.copy()
-    if k in (4, 5, 6):
-        R = rotation_matrix(k, lam)
-        return Point3(*(R @ np.asarray(p))), R @ Q
-    if k == 7:
-        s = math.exp(lam)
-        return Point3(p.x * s, p.y * s, p.z * s), Q / s
-    return _conical_act(k - 8, p, Q, lam)
+    image, Q, poles = _act(g, np.asarray(p, dtype=float), _as_real_vector(Qval))
+    bad = poles[0] | poles[1]
+    if bad is not False and (i := _first(bad)) is not None:
+        what = "alpha" if _item(poles[0], i) else "1 - x*lambda"
+        raise PoleError(f"{what} vanished for G_{g.k} at {_point(p, i)}, lambda={g.lam}",
+                        index=i, where=bad)
+    return Point3(*image), Q
 
 
 def _preimage(g: GroupElement, p: Point3) -> Point3:
-    return group_act(g.inverse(), p, np.zeros(3))[0]
+    return group_act(g.inverse(), p, np.zeros((3,) + np.shape(p[0])))[0]
 
 
 def pushforward_solution(g: GroupElement, Q: VectorField) -> VectorField:
@@ -311,19 +357,19 @@ def pushforward_solution(g: GroupElement, Q: VectorField) -> VectorField:
 
     Serves as the oracle for the printed transported-solution formulas.
     """
+    inverse = g.inverse()
+
     def eval_at(p: Point3) -> np.ndarray:
-        pre = _preimage(g, Point3(*p))
-        _, out = group_act(g, pre, _as_real_vector(Q(pre)))
-        return out.astype(complex)
+        pre = _preimage(g, p)
+        return group_act(g, pre, _as_real_vector(Q.batch(pre)))[1].astype(complex)
 
-    def excluded(p: Point3) -> bool:
-        try:
-            pre = _preimage(g, Point3(*p))
-        except PoleError:
-            return True
-        return not Q.domain.ok(pre)
+    def excluded(p: Point3):
+        X = np.asarray(p, dtype=float)
+        pre, _, poles = _act(inverse, X, np.zeros_like(X))
+        return poles[0] | poles[1] | _off_domain(Q.domain, Point3(*pre))
 
-    return VectorField(eval_at, BoxDomain.unbounded(excluded))
+    return VectorField(eval_at, BoxDomain.unbounded(excluded, vectorized=True),
+                       vectorized=True)
 
 
 def _conical_transport(axis: int, Q: VectorField, lam: float, literal: bool):
@@ -335,69 +381,61 @@ def _conical_transport(axis: int, Q: VectorField, lam: float, literal: bool):
     pushforward.  Literal reading keeps the query-point coordinates and the
     printed axis-case forms.
     """
-    def eval_at(p: Point3) -> np.ndarray:
-        p = Point3(*p)
-        coords = np.asarray(p, dtype=float)
-        others = [i for i in range(3) if i != axis]
-        off_axis_sq = coords[others[0]] ** 2 + coords[others[1]] ** 2
-        r2 = float(coords @ coords)
-        xa = coords[axis]
+    o1, o2 = (i for i in range(3) if i != axis)
 
-        if off_axis_sq > _AXIS_TOL:
-            den = r2 * lam * lam + 2.0 * xa * lam + 1.0  # alpha(-x_a, r, lam)
-            if abs(den) <= _POLE_TOL:
-                raise PoleError(f"pre-image undefined at {p}, lambda={lam}")
-            pre = coords / den
-            pre[axis] = (xa + lam * r2) / den
-            Qp = _as_real_vector(Q(Point3(*pre)))
-            if literal:
-                # query-point coordinates in the value lines, as printed
-                ref, rr2 = coords, r2
-            else:
-                ref, rr2 = pre, float(pre @ pre)
-            c = 1.0 - 2.0 * float(ref @ Qp)
-            a = rr2 * lam * lam - 2.0 * ref[axis] * lam + 1.0
-            bracket = 2.0 * Qp[axis] * lam + c * lam * lam
-            out = np.empty(3)
-            for i in others:
-                out[i] = a * Qp[i] + ref[i] * bracket
-            out[axis] = (Qp[axis] + c * (lam - ref[axis] * lam * lam)
-                         - rr2 * lam * lam * Qp[axis])
-            return out.astype(complex)
-
-        d = 1.0 + xa * lam
-        if abs(d) <= _POLE_TOL:
-            raise PoleError(f"pre-image undefined at {p}, lambda={lam}")
-        pre_axis = xa / d
-        if literal:
-            # printed: the moving coordinate sits in the third slot and the
-            # prefactors use the query coordinate
-            pre_pt = Point3(0.0, 0.0, pre_axis)
-            mu = 1.0 - xa * lam
-        else:
-            pre_c = np.zeros(3)
-            pre_c[axis] = pre_axis
-            pre_pt = Point3(*pre_c)
-            mu = 1.0 / d
-        Qp = _as_real_vector(Q(pre_pt))
-        out = np.empty(3)
-        for i in others:
-            out[i] = mu * mu * Qp[i]
-        out[axis] = mu * mu * Qp[axis] + mu * lam
-        return out.astype(complex)
-
-    def excluded(p: Point3) -> bool:
-        coords = np.asarray(p, dtype=float)
-        r2 = float(coords @ coords)
-        xa = coords[axis]
-        den = r2 * lam * lam + 2.0 * xa * lam + 1.0
-        if abs(den) <= _POLE_TOL:
-            return True
-        pre = coords / den
+    def alpha_preimage(X: np.ndarray, r2):
+        """The pre-image through alpha(-x_a, r, lam), and where that vanishes
+        (the pre-image there is a placeholder)."""
+        xa = X[axis]
+        den = r2 * lam * lam + 2.0 * xa * lam + 1.0  # alpha(-x_a, r, lam)
+        pole = abs(den) <= _POLE_TOL
+        den = np.where(pole, 1.0, den)
+        pre = X / den
         pre[axis] = (xa + lam * r2) / den
-        return not Q.domain.ok(Point3(*pre))
+        return pre, pole
 
-    return VectorField(eval_at, BoxDomain.unbounded(excluded))
+    def eval_at(p: Point3) -> np.ndarray:
+        X = np.asarray(p, dtype=float)
+        off = X[o1] ** 2 + X[o2] ** 2 > _AXIS_TOL
+        r2 = _dot(X, X)
+        xa = X[axis]
+        pre, pole = alpha_preimage(X, r2)
+        d = 1.0 + xa * lam
+        bad = np.where(off, pole, abs(d) <= _POLE_TOL)
+        if (i := _first(bad)) is not None:
+            raise PoleError(f"pre-image undefined at {_point(p, i)}, lambda={lam}",
+                            index=i, where=bad)
+        d = np.where(off, 1.0, d)
+        # on the axis the pre-image moves along it; the literal text puts the
+        # moving coordinate in the third slot whatever the axis
+        slot = 2 if literal else axis
+        pre = np.where(off, pre, 0.0)
+        pre[slot] = np.where(off, pre[slot], xa / d)
+        Qp = _as_real_vector(Q.batch(Point3(*pre)))
+
+        if literal:  # query-point coordinates in the value lines, as printed
+            ref, rr2 = X, r2
+        else:
+            ref, rr2 = pre, _dot(pre, pre)
+        c = 1.0 - 2.0 * _dot(ref, Qp)
+        a = rr2 * lam * lam - 2.0 * ref[axis] * lam + 1.0
+        bracket = 2.0 * Qp[axis] * lam + c * lam * lam
+        out_off = a * Qp + ref * bracket
+        out_off[axis] = (Qp[axis] + c * (lam - ref[axis] * lam * lam)
+                         - rr2 * lam * lam * Qp[axis])
+        # on the axis, as printed: the prefactors use the query coordinate
+        mu = 1.0 - xa * lam if literal else 1.0 / d
+        out_on = mu * mu * Qp
+        out_on[axis] = mu * mu * Qp[axis] + mu * lam
+        return np.where(off, out_off, out_on).astype(complex)
+
+    def excluded(p: Point3):
+        X = np.asarray(p, dtype=float)
+        pre, pole = alpha_preimage(X, _dot(X, X))
+        return pole | _off_domain(Q.domain, Point3(*pre))
+
+    return VectorField(eval_at, BoxDomain.unbounded(excluded, vectorized=True),
+                       vectorized=True)
 
 
 def transport_solution(g: GroupElement, Q: VectorField,
@@ -409,36 +447,34 @@ def transport_solution(g: GroupElement, Q: VectorField,
     docstring for the literal_text switch on the conical rows.
     """
     k, lam = g.k, g.lam
+    if k >= 8:
+        return _conical_transport(k - 8, Q, lam, literal_text)
 
     if k in (1, 2, 3):
         shift = np.zeros(3)
         shift[k - 1] = lam
 
-        def eval_translate(p: Point3) -> np.ndarray:
-            c = np.asarray(p, dtype=float) - shift
-            return Q(Point3(*c))
+        def preimage(p: Point3) -> Point3:
+            return Point3(*(c - s for c, s in zip(p, shift)))
 
-        return VectorField(eval_translate, BoxDomain.unbounded(
-            lambda p: not Q.domain.ok(Point3(*(np.asarray(p, float) - shift)))))
-
-    if k in (4, 5, 6):
+        def value(pre: Point3):
+            return Q.batch(pre)
+    elif k in (4, 5, 6):
         R = rotation_matrix(k, lam)
 
-        def eval_rotate(p: Point3) -> np.ndarray:
-            pre = R.T @ np.asarray(p, dtype=float)
-            return (R @ _as_real_vector(Q(Point3(*pre)))).astype(complex)
+        def preimage(p: Point3) -> Point3:
+            return Point3(*_matvec(R.T, np.asarray(p, dtype=float)))
 
-        return VectorField(eval_rotate, BoxDomain.unbounded(
-            lambda p: not Q.domain.ok(Point3(*(R.T @ np.asarray(p, float))))))
-
-    if k == 7:
+        def value(pre: Point3):
+            return _matvec(R, _as_real_vector(Q.batch(pre))).astype(complex)
+    else:
         s = math.exp(-lam)
 
-        def eval_dilate(p: Point3) -> np.ndarray:
-            pre = Point3(p.x * s, p.y * s, p.z * s)
-            return s * Q(pre)
+        def preimage(p: Point3) -> Point3:
+            return Point3(p.x * s, p.y * s, p.z * s)
 
-        return VectorField(eval_dilate, BoxDomain.unbounded(
-            lambda p: not Q.domain.ok(Point3(p.x * s, p.y * s, p.z * s))))
+        def value(pre: Point3):
+            return s * Q.batch(pre)
 
-    return _conical_transport(k - 8, Q, lam, literal_text)
+    return VectorField(lambda p: value(preimage(p)), BoxDomain.unbounded(
+        lambda p: _off_domain(Q.domain, preimage(p)), vectorized=True), vectorized=True)

@@ -286,6 +286,29 @@ def test_batched_A_of_non_finite_field_raises_the_pointwise_error(vectorized):
     assert str(exc.value) == message and "not finite" in message
 
 
+def test_gauss_A_batch_names_the_target_of_an_error_raised_by_F():
+    # F rejects x > 0.5: the third target's x-leg reaches past it, the first
+    # two targets' legs do not
+    def fn(p):
+        if p.x > 0.5:
+            raise DomainError(f"no value at {p}")
+        return np.array([1.0, 1.0, 1.0], complex)
+    P = _points([(0.2, 0.3, 0.1), (0.4, -0.2, 0.3), (0.9, 0.1, 0.2)])
+    A = operator_A(VectorField(fn), Point3(0, 0, 0), 0j, GAUSS4)
+    with pytest.raises(DomainError) as exc:
+        A.batch(P)
+    assert exc.value.index == 2
+    assert exc.value.where.tolist() == [False, False, True]
+    with pytest.raises(DomainError) as one:
+        A(Point3(0.9, 0.1, 0.2))
+    assert one.value.index == 0 and one.value.where is None
+    square = Point3(*(np.resize(c, 4).reshape(2, 2) for c in P))  # targets 0, 1, 2, 0
+    with pytest.raises(DomainError) as exc:
+        A.batch(square)
+    assert exc.value.index == 2
+    assert exc.value.where.tolist() == [[False, False], [True, False]]
+
+
 # -- the volume-grid build -----------------------------------------------------
 
 def _inv_x():

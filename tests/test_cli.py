@@ -524,9 +524,30 @@ def test_eval_masks_every_row_of_a_failing_check_in_one_retry(monkeypatch, tmp_p
 def test_transform_masks_every_row_of_a_failing_check_in_one_retry(monkeypatch, tmp_path,
                                                                    capsys):
     # the 153 rows on the planes y = 0 and z = 0 raise ZeroCrossing where the
-    # transported field (evaluated point by point) divides by psi = xyz; the
-    # error names them all, so the batch is evaluated twice, not 154 times
+    # transported field divides by psi = xyz; the error names them all, so
+    # the batch is evaluated twice, not 154 times
     args = ["transform", *_TRANSFORM_MASKED_DIGESTS["harmonic_xyz_G1"][1]]
     sizes = _batch_sizes(monkeypatch, args + ["--out", str(tmp_path / "grid.csv")])
     capsys.readouterr()
     assert sizes == [729, 729 - 153]
+
+
+def test_transform_calls_the_transported_field_once_per_stencil_point(monkeypatch, tmp_path,
+                                                                      capsys):
+    # each batch evaluates the transported field once at its points, then
+    # once at each of the residual's 12 stencil points and once more at its
+    # centre: 14 vectorized calls however many rows the batch holds
+    calls = []
+
+    def counting(*args, **kwargs):
+        moved = transport_solution(*args, **kwargs)
+        fn = moved.fn
+        moved.fn = lambda p: calls.append(p) or fn(p)
+        return moved
+    transport_solution = cli.transport_solution
+    monkeypatch.setattr(cli, "transport_solution", counting)
+    args = ["transform", *_TRANSFORM_MASKED_DIGESTS["conical_G8"][1]]
+    sizes = _batch_sizes(monkeypatch, args + ["--out", str(tmp_path / "grid.csv")])
+    capsys.readouterr()
+    assert sizes[0] == 9 ** 3
+    assert 0 < len(calls) <= 14 * len(sizes)

@@ -1,11 +1,12 @@
 """Generator algebra, group actions, invariant potentials and transport."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from riccati3d.errors import DomainError, NonRealPotential, PoleError
+from riccati3d.errors import DomainError, NonRealPotential, PoleError, Riccati3dError
 from riccati3d.fields import DiffScheme, Point3, ScalarField, VectorField
 from riccati3d.riccati import RiccatiInstance, riccati_residual
 from riccati3d.solutions import catalog_entry
@@ -265,3 +266,128 @@ def test_group_element_validation():
         GroupElement(0, 1.0)
     with pytest.raises(ValueError):
         GroupElement(11, 1.0)
+
+
+# -- batches ------------------------------------------------------------------
+
+# a 5^3 grid through the origin: it crosses every coordinate axis, and with
+# lambda = -1 (or 1 for group_act) the conical groups have a pole at a unit
+# point of their axis
+_AXES = np.linspace(-1.0, 1.0, 5)
+_GRID = [Point3(x, y, z) for x in _AXES.tolist() for y in _AXES.tolist()
+         for z in _AXES.tolist()]
+
+
+def _batch(pts):
+    return Point3(*(np.array(c) for c in zip(*pts)))
+
+
+def _bits(a) -> bytes:
+    return np.asarray(a).tobytes()
+
+
+def _pointwise(f, pts):
+    """f at each point, or the typed error it raises there."""
+    out = []
+    for p in pts:
+        try:
+            out.append(f(p))
+        except Riccati3dError as exc:
+            out.append(exc)
+    return out
+
+
+def _assert_batch_matches(batch, pointwise, pts):
+    """batch(P) gives the pointwise values bit for bit where no point raises;
+    over the whole grid it raises the pointwise error of the point it names,
+    and ``where`` names only points that raise."""
+    raised = [i for i, v in enumerate(pointwise) if isinstance(v, Exception)]
+    ok = [i for i, v in enumerate(pointwise) if not isinstance(v, Exception)]
+    got = batch(_batch([pts[i] for i in ok]))
+    assert _bits(got) == _bits(np.array([pointwise[i] for i in ok]).T)
+    if not raised:
+        return
+    with pytest.raises(Riccati3dError) as exc:
+        batch(_batch(pts))
+    i = exc.value.index
+    assert type(exc.value) is type(pointwise[i]) and str(exc.value) == str(pointwise[i])
+    if exc.value.where is not None:
+        assert exc.value.where[i] and set(np.flatnonzero(exc.value.where)) <= set(raised)
+
+
+@pytest.fixture(scope="module", params=["harmonic:x+y+z", "conical"])
+def entry(request):
+    return catalog_entry(request.param, **({"C1": 2.0} if request.param == "conical" else {}))
+
+
+@pytest.mark.parametrize("lam", [0.3, -1.0])
+@pytest.mark.parametrize("k", range(1, 11))
+def test_transported_field_batch_equals_pointwise_bitwise(entry, k, lam):
+    g = GroupElement(k, lam)
+    Q = entry.instance.Q
+    for field in (transport_solution(g, Q), transport_solution(g, Q, literal_text=True),
+                  pushforward_solution(g, Q)):
+        assert field.vectorized and field.domain.vectorized
+        _assert_batch_matches(field.batch, _pointwise(field, _GRID), _GRID)
+        # the predicate takes the grid's poles and axis points in one call,
+        # without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mask = field.domain.ok_mask(_batch(_GRID))
+        assert mask.tolist() == [field.domain.ok(p) for p in _GRID]
+
+
+def test_conical_pole_and_axis_are_on_the_test_grid():
+    Q = catalog_entry("harmonic:x+y+z").instance.Q
+    g = GroupElement(8, -1.0)
+    with pytest.raises(PoleError):  # 1 + x lambda = 0 at (1, 0, 0)
+        transport_solution(g, Q)(Point3(1.0, 0.0, 0.0))
+    assert not transport_solution(g, Q).domain.ok(Point3(1.0, 0.0, 0.0))
+    assert not pushforward_solution(g, Q).domain.ok(Point3(1.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("lam", [0.3, 1.0])
+@pytest.mark.parametrize("k", range(1, 11))
+def test_group_act_batch_equals_pointwise_bitwise(k, lam):
+    g = GroupElement(k, lam)
+    Qs = np.random.default_rng(k).uniform(-1, 1, (len(_GRID), 3))
+
+    def pointwise(p, Qv):
+        try:
+            q, Q2 = group_act(g, p, Qv)
+            return np.concatenate([np.asarray(q, dtype=float), Q2])
+        except PoleError as exc:
+            return exc
+    expect = [pointwise(p, Qv) for p, Qv in zip(_GRID, Qs)]
+    raised = [i for i, v in enumerate(expect) if isinstance(v, Exception)]
+    assert bool(raised) == (k >= 8 and lam == 1.0)  # the pole at a unit axis point
+    ok = [i for i in range(len(_GRID)) if i not in raised]
+    q, Q2 = group_act(g, _batch([_GRID[i] for i in ok]), Qs[ok].T)
+    assert _bits(np.concatenate([np.stack(q), Q2]).T) == _bits([expect[i] for i in ok])
+    if raised:
+        with pytest.raises(PoleError) as exc:
+            group_act(g, _batch(_GRID), Qs.T)
+        assert exc.value.index == raised[0]
+        assert np.flatnonzero(exc.value.where).tolist() == raised
+        assert str(exc.value) == str(expect[raised[0]])
+
+
+def test_pole_error_at_one_point_keeps_its_message():
+    with pytest.raises(PoleError) as exc:
+        group_act(GroupElement(8, 2.0), Point3(0.5, 0.0, 0.0), np.zeros(3))
+    assert str(exc.value) == ("1 - x*lambda vanished for G_8 at "
+                              "Point3(x=0.5, y=0.0, z=0.0), lambda=2.0")
+    assert exc.value.index == 0 and exc.value.where is None
+
+
+def test_real_check_scales_each_point_by_its_own_modulus():
+    g = GroupElement(1, 0.1)
+    big = np.array([100.0, 0.0, 1e-9j])     # 1e-9 <= 1e-10 * 100: real enough
+    small = np.array([1.0, 0.0, 1e-9j])     # 1e-9 > 1e-10 * 1: complex
+    P = _batch([Point3(0.1, 0.2, 0.3)] * 2)
+    group_act(g, P, np.stack([big, big], axis=1))
+    group_act(g, Point3(0.1, 0.2, 0.3), big)
+    for Qv in (small, np.stack([big, small], axis=1)):
+        p = Point3(0.1, 0.2, 0.3) if Qv.ndim == 1 else P
+        with pytest.raises(ValueError, match="real-valued Q"):
+            group_act(g, p, Qv)
