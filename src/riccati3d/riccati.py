@@ -295,16 +295,17 @@ def build_W_from_W0(W0: ScalarField, phi: ScalarField, h: Optional[ScalarField],
     """Complete a Schrodinger solution W0 to a Vekua solution W = W0 + Wv.
 
     Wv = -phi^-1 {rot B[phi^2 grad(W0/phi)] + grad h}, with rot B evaluated
-    analytically (``operator_rot_B``).
+    analytically (``operator_rot_B``).  The integrand is vectorized, so the
+    grid build differences W0/phi over whole chunks of cells; W0 and phi may
+    be vectorized or pointwise fields.
     """
     dom = W0.domain.intersect(phi.domain)
-    ratio = ScalarField(lambda s: W0(s) / _nonzero(phi(s), eps_zero, "phi"), dom)
+    def nonzero_phi(t: Point3):
+        return _nonzero(phi.batch(t), eps_zero, "phi")
 
-    def integrand(t: Point3) -> np.ndarray:
-        value = _nonzero(phi(t), eps_zero, "phi")
-        return value * value * grad(ratio, t, scheme)
-
-    rot_B = operator_rot_B(VectorField(integrand, dom), region, quad, cells=cells)
+    ratio = ScalarField(lambda s: W0.batch(s) / nonzero_phi(s), dom, vectorized=True)
+    rot_B = operator_rot_B(VectorField(lambda t: nonzero_phi(t) ** 2 * grad(ratio, t, scheme),
+                                       dom, vectorized=True), region, quad, cells=cells)
 
     def W_eval(p: Point3) -> Biquaternion:
         value = _nonzero(phi(p), eps_zero, "phi")

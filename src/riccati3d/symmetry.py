@@ -382,35 +382,37 @@ def _conical_transport(axis: int, Q: VectorField, lam: float, literal: bool):
     printed axis-case forms.
     """
     o1, o2 = (i for i in range(3) if i != axis)
+    # on the axis the pre-image moves along it; the literal text puts the
+    # moving coordinate in the third slot whatever the axis
+    slot = 2 if literal else axis
 
-    def alpha_preimage(X: np.ndarray, r2):
-        """The pre-image through alpha(-x_a, r, lam), and where that vanishes
-        (the pre-image there is a placeholder)."""
-        xa = X[axis]
-        den = r2 * lam * lam + 2.0 * xa * lam + 1.0  # alpha(-x_a, r, lam)
-        pole = abs(den) <= _POLE_TOL
-        den = np.where(pole, 1.0, den)
-        pre = X / den
-        pre[axis] = (xa + lam * r2) / den
-        return pre, pole
-
-    def eval_at(p: Point3) -> np.ndarray:
-        X = np.asarray(p, dtype=float)
+    def preimage(X: np.ndarray):
+        """(pre-image, off-axis mask, |X|^2, on-axis denominator, poles).  Off
+        the axis the pre-image goes through alpha(-x_a, r, lam), on it
+        through 1 + x_a lam; ``poles`` holds where that vanishes, and the
+        pre-image there is a placeholder."""
         off = X[o1] ** 2 + X[o2] ** 2 > _AXIS_TOL
         r2 = _dot(X, X)
         xa = X[axis]
-        pre, pole = alpha_preimage(X, r2)
+        den = r2 * lam * lam + 2.0 * xa * lam + 1.0  # alpha(-x_a, r, lam)
         d = 1.0 + xa * lam
-        bad = np.where(off, pole, abs(d) <= _POLE_TOL)
+        poles = np.where(off, abs(den) <= _POLE_TOL, abs(d) <= _POLE_TOL)
+        # 1.0 stands in for the denominator of the other case and at a pole
+        den = np.where(off & ~poles, den, 1.0)
+        d = np.where(off | poles, 1.0, d)
+        pre = X / den
+        pre[axis] = (xa + lam * r2) / den
+        pre = np.where(off, pre, 0.0)
+        pre[slot] = np.where(off, pre[slot], xa / d)
+        return pre, off, r2, d, poles
+
+    def eval_at(p: Point3) -> np.ndarray:
+        X = np.asarray(p, dtype=float)
+        pre, off, r2, d, bad = preimage(X)
         if (i := _first(bad)) is not None:
             raise PoleError(f"pre-image undefined at {_point(p, i)}, lambda={lam}",
                             index=i, where=bad)
-        d = np.where(off, 1.0, d)
-        # on the axis the pre-image moves along it; the literal text puts the
-        # moving coordinate in the third slot whatever the axis
-        slot = 2 if literal else axis
-        pre = np.where(off, pre, 0.0)
-        pre[slot] = np.where(off, pre[slot], xa / d)
+        xa = X[axis]
         Qp = _as_real_vector(Q.batch(Point3(*pre)))
 
         if literal:  # query-point coordinates in the value lines, as printed
@@ -430,9 +432,8 @@ def _conical_transport(axis: int, Q: VectorField, lam: float, literal: bool):
         return np.where(off, out_off, out_on).astype(complex)
 
     def excluded(p: Point3):
-        X = np.asarray(p, dtype=float)
-        pre, pole = alpha_preimage(X, _dot(X, X))
-        return pole | _off_domain(Q.domain, Point3(*pre))
+        pre, _, _, _, poles = preimage(np.asarray(p, dtype=float))
+        return poles | _off_domain(Q.domain, Point3(*pre))
 
     return VectorField(eval_at, BoxDomain.unbounded(excluded, vectorized=True),
                        vectorized=True)

@@ -669,7 +669,7 @@ def suite_euler_picard(config: RunConfig) -> _Checks:
     tube_pts = [Point3(3.6, -0.1, 0.08), Point3(4.0, 0.12, -0.05),
                 Point3(4.4, 0.0, 0.1)]
     zero_q = ScalarField(lambda p: 0j)
-    one = ScalarField(lambda p: 1.0 + 0j)
+    one = ScalarField(lambda p: 1.0 + 0j, vectorized=True)
     nb = config.build_grid
     cells = (5 * nb, nb, nb)
 
@@ -710,7 +710,7 @@ def suite_euler_picard(config: RunConfig) -> _Checks:
             check_points=[Point3(3.0, 0.2, 0.1)], cells=cells))
 
     def get_W_from_W0():
-        W0 = ScalarField(lambda p: complex(p.x))
+        W0 = ScalarField(lambda p: p.x + 0j, vectorized=True)
         return _shared("Wb", lambda: build_W_from_W0(
             W0, one, None, tube, quad, scheme, cells=cells))
 

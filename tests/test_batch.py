@@ -309,6 +309,23 @@ def test_gauss_A_batch_names_the_target_of_an_error_raised_by_F():
     assert exc.value.where.tolist() == [[False, False], [True, False]]
 
 
+def test_adaptive_A_batch_names_the_target_of_an_error_raised_by_F():
+    # adaptive Simpson integrates target by target: the error names its
+    # target as _Field.batch names a point
+    def fn(p):
+        if p.x > 0.5:
+            raise DomainError(f"no value at {p}")
+        return np.array([1.0, 1.0, 1.0], complex)
+    P = _points([(0.2, 0.3, 0.1), (0.4, -0.2, 0.3), (0.9, 0.1, 0.2)])
+    A = operator_A(VectorField(fn), Point3(0, 0, 0), 0j, QuadratureSpec())
+    with pytest.raises(DomainError) as exc:
+        A.batch(P)
+    assert exc.value.index == 2
+    assert exc.value.where.tolist() == [False, False, True]
+    assert _bits(A.batch(_points([(0.2, 0.3, 0.1), (0.4, -0.2, 0.3)]))) == _bits(
+        [A(Point3(0.2, 0.3, 0.1)), A(Point3(0.4, -0.2, 0.3))])
+
+
 # -- the volume-grid build -----------------------------------------------------
 
 def _inv_x():
@@ -344,7 +361,7 @@ def test_pointwise_integrand_grid_equals_the_per_cell_build(monkeypatch):
     phi = ScalarField(lambda p: 1.0 + 0j)
     build_W_from_W0(W0, phi, None, TUBE, cells=(40, 8, 8))
     B = built[-1]
-    assert not B.fn.vectorized
+    assert B.fn.vectorized
     assert _bits(B._ensure_grid()[3]) == _bits(_per_cell(B))
 
 

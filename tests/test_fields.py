@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -468,6 +469,72 @@ def test_blob_kernel_gradient_continuous_at_radius():
     K = _NewtonianPotential._blob_kernel
     dK = (K((r + h) ** 2, a) - K((r - h) ** 2, a)) / (2 * h)
     assert np.allclose(G(r * r, a) * r, dK, rtol=1e-7, atol=0)
+
+
+def _masked_kernel(r2, a):
+    """Reference blob kernel: far and near cells through boolean masks."""
+    out = np.empty_like(r2)
+    far = r2 >= a * a
+    out[far] = 1.0 / (4.0 * np.pi * np.sqrt(r2[far]))
+    t2 = r2[~far] / (a * a)
+    poly = t2 / 3.0 - 0.4 * t2 * t2 + t2 ** 3 / 7.0 + (1.0 - t2) ** 3 / 6.0
+    out[~far] = (105.0 / (32.0 * np.pi * a)) * poly
+    return out
+
+
+def _masked_kernel_grad(r2, a):
+    out = np.empty_like(r2)
+    far = r2 >= a * a
+    out[far] = -1.0 / (4.0 * np.pi * r2[far] * np.sqrt(r2[far]))
+    t2 = r2[~far] / (a * a)
+    dpoly = 1.0 / 3.0 - 0.8 * t2 + 3.0 * t2 * t2 / 7.0 - 0.5 * (1.0 - t2) ** 2
+    out[~far] = (105.0 / (16.0 * np.pi * a ** 3)) * dpoly
+    return out
+
+
+def _masked_sums(B, p):
+    """B and rot B at p from B's grid, the masked kernels and a complex
+    contraction."""
+    xs, ys, zs, vals, dV, a, *_ = B._ensure_grid()
+    d = np.stack((p.x - xs, p.y - ys, p.z - zs))
+    r2 = d[0] ** 2 + d[1] ** 2 + d[2] ** 2
+    b = np.array([np.dot(vals[k], dV * _masked_kernel(r2, a)) for k in range(3)])
+    J = vals @ (dV * _masked_kernel_grad(r2, a) * d).T
+    return b, np.array([J[2, 1] - J[1, 2], J[0, 2] - J[2, 0], J[1, 0] - J[0, 1]])
+
+
+@pytest.mark.parametrize("lower, upper, cells", [
+    ((-1, -1, -1), (1, 1, 1), (16, 16, 16)),
+    ((0, -0.5, -0.5), (4, 0.5, 0.5), (40, 10, 10)),
+], ids=["cubic", "anisotropic"])
+def test_one_target_sums_match_the_masked_kernels(lower, upper, cells):
+    # B keeps its values bit for bit; rot B's kernel and real contraction
+    # round differently, so its values may move in the last bits
+    region = BoxDomain.box(lower, upper)
+    quad = QuadratureSpec(volume_grid=16)
+    B = operator_B(_SMOOTH, region, quad, cells=cells)
+    rot_B = operator_rot_B(_SMOOTH, region, quad, cells=cells)
+    steps = [(hi - lo) / n for lo, hi, n in zip(lower, upper, cells)]
+    a = _BLOB_RADIUS * max(steps)
+    c = Point3(*(lo + 3.5 * h for lo, h in zip(lower, steps)))  # a cell centre
+    corner = Point3(*(hi - 0.5 * h for hi, h in zip(upper, steps)))  # the last centre
+    points = {
+        "cell centre": c,
+        "last cell centre": corner,
+        "r = a": c._replace(x=c.x + a),
+        "r = a, diagonal": c._replace(y=c.y + a / math.sqrt(2), z=c.z + a / math.sqrt(2)),
+        "inside a face": Point3(upper[0] - 0.1 * steps[0], c.y, c.z),
+        "on a face": Point3(c.x, lower[1], c.z),
+        "just outside a face": Point3(c.x, c.y, upper[2] + 0.3 * steps[2]),
+        "outside": Point3(upper[0] + 2.0, 0.5, 0.2),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a target on a centre divides by nothing
+        for name, p in points.items():
+            b, curl = _masked_sums(B, p)
+            assert np.array_equal(B(p), b), name
+            got = rot_B(p)
+            assert np.max(np.abs(got - curl)) <= 1e-13 * np.max(np.abs(curl)), name
 
 
 def test_parallel_grid_evaluation_bitwise_identical(ball_potential):

@@ -346,6 +346,18 @@ def test_conical_pole_and_axis_are_on_the_test_grid():
     assert not pushforward_solution(g, Q).domain.ok(Point3(1.0, 0.0, 0.0))
 
 
+def test_conical_predicate_takes_the_axis_pole_of_the_evaluator():
+    # on the axis the pole is |1 + x lambda| <= _POLE_TOL; alpha(-x) is its
+    # square, 2.5e-15 here, below that tolerance though the pre-image exists
+    Q = catalog_entry("harmonic:x").instance.Q
+    g = GroupElement(8, -1.0)
+    p = Point3(1 + 5e-8, 0.0, 0.0)
+    t, pf = transport_solution(g, Q), pushforward_solution(g, Q)
+    assert pf.domain.ok(p)
+    assert t.domain.ok(p) == pf.domain.ok(p)
+    assert np.max(np.abs(t(p) - pf(p))) <= 1e-9 * np.max(np.abs(pf(p)))
+
+
 @pytest.mark.parametrize("lam", [0.3, 1.0])
 @pytest.mark.parametrize("k", range(1, 11))
 def test_group_act_batch_equals_pointwise_bitwise(k, lam):
