@@ -7,8 +7,8 @@ Subcommands:
              it together with the transport-vs-pushforward discrepancy
 
 Exit codes: 0 all checks pass, 1 check failure / discrepancy, 2 usage or
-configuration error.  Reports are deterministic given (config, seed) except
-for the seconds timing fields.
+configuration error, or a path that cannot be read or written.  Reports are
+deterministic given (config, seed) except for the seconds timing fields.
 """
 
 from __future__ import annotations
@@ -347,7 +347,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Riccati3dError as exc:

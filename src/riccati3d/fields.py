@@ -12,7 +12,7 @@ Conventions
   any other field is called once per point, with Python floats, and an
   error there is raised as the call at that point alone raises it (see
   ``errors.Riccati3dError`` for ``index`` and ``where``).  The volume-grid
-  build of B and operator A's Gauss legs evaluate through ``batch``.
+  build of B and operator A's legs evaluate through ``batch``.
 * Derivatives are central finite differences (order 2 or 4) with a relative
   step ``h * max(1, |coordinate|)`` per axis.  Every stencil point is checked
   (box, excluded set; else DomainError) before any point is evaluated, and
@@ -33,17 +33,19 @@ Conventions
   -div + grad + rot on the scalar/vector split; ``dirac_right`` puts e_k on
   the right and flips the rot sign.
 * The path-reconstruction operator A integrates on the fixed axis-ordered
-  path (x-leg, then y-leg, then z-leg) from its base point; the Newtonian
-  volume potential B uses midpoint tensor quadrature in which each cell's
-  mass is a compact smooth blob of radius ``_BLOB_RADIUS`` cell sides, so B
-  is smooth and every derivative of it is meaningful.  ``operator_rot_B``
-  gives the curl of the same potential in closed form, one pass over the
-  cells with the kernel's analytic gradient and one real GEMM, so ``rot B``
-  needs no finite differences.
+  path (x-leg, then y-leg, then z-leg) from its base point, with one routine
+  per line rule for any number of targets (``A(p)`` is the one-target
+  batch); the Newtonian volume potential B uses midpoint tensor quadrature
+  in which each cell's mass is a compact smooth blob of radius
+  ``_BLOB_RADIUS`` cell sides, so B is smooth and every derivative of it is
+  meaningful.  ``operator_rot_B`` gives the curl of the same potential in
+  closed form, one pass over the cells with the kernel's analytic gradient
+  and one real GEMM, so ``rot B`` needs no finite differences.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -494,46 +496,94 @@ def diff(kind: str, f, p: Point3, scheme: DiffScheme = DEFAULT_SCHEME):
 
 
 # --------------------------------------------------------------------------
-# line quadrature
+# line quadrature: each rule integrates a batch of intervals [a_i, b_i] of a
+# function f(i, T) that takes interval indices and the node parameters T of
+# those intervals (one row each) and returns the values at those nodes
 
-def _adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int = 30) -> complex:
-    if a == b:
-        return 0j
-    sign = 1.0
-    if b < a:
-        a, b = b, a
-        sign = -1.0
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-    def recurse(a, m, b, fa, fm, fb, whole, tol, depth):
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        delta = left + right - whole
-        if abs(delta) <= 15.0 * tol:
-            return left + right + delta / 15.0
-        if depth <= 0:
-            raise QuadratureFailure(
-                f"adaptive Simpson exceeded depth budget on [{a}, {b}]")
-        half = 0.5 * tol
-        return (recurse(a, lm, m, fa, flm, fm, left, half, depth - 1)
-                + recurse(m, rm, b, fm, frm, fb, right, half, depth - 1))
-
-    return sign * recurse(a, m, b, fa, fm, fb, whole, tol, max_depth)
-
-
-_GAUSS_CACHE: dict = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _gauss_nodes(n: int):
-    if n not in _GAUSS_CACHE:
-        _GAUSS_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GAUSS_CACHE[n]
+    return np.polynomial.legendre.leggauss(n)
+
+
+def _gauss_rule(f, a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
+    """Gauss-Legendre of the given order, all intervals in one call of f."""
+    nodes, weights = _gauss_nodes(order)
+    half = 0.5 * (b - a)
+    V = f(np.arange(a.size), (0.5 * (a + b))[:, None] + half[:, None] * nodes)
+    # summed node by node from 0j: accumulate adds in that fixed order
+    terms = np.zeros((a.size, weights.size + 1), dtype=complex)
+    np.multiply(weights, V, out=terms[:, 1:])
+    return half * np.add.accumulate(terms, axis=1)[:, -1]
+
+
+_SIMPSON_DEPTH = 30  # bisections of an interval before adaptive Simpson gives up
+# intervals bisected per call of f.  Rounds go deepest first, so at most one
+# round waits per level, and an interval that cannot meet its tolerance fails
+# after about _SIMPSON_DEPTH rounds instead of growing 2^_SIMPSON_DEPTH halves
+_SIMPSON_CHUNK = 256
+
+
+def _simpson_rule(f, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    """Adaptive Simpson (Lyness, J. ACM 16, 1969) with absolute tolerance tol.
+
+    An interval is accepted when its two halves change its estimate by
+    ``|delta| <= 15 tol``, and is worth their sum + delta / 15; otherwise each
+    half is refined with tol halved, and past ``_SIMPSON_DEPTH`` bisections
+    QuadratureFailure is raised.  One call of f takes the ends and midpoints,
+    then each round bisects at most ``_SIMPSON_CHUNK`` intervals, deepest
+    first.  A bisected interval is worth its left half plus its right half,
+    added as the recursive rule adds them, so no value depends on the rounds.
+    """
+    flip = b < a  # integrated from b to a, then negated
+    a, b = np.where(flip, b, a), np.where(flip, a, b)
+    tols = [tol]
+    for _ in range(_SIMPSON_DEPTH):
+        tols.append(0.5 * tols[-1])
+    # rounds, the next on top: their level, and per interval its index, its
+    # node of the bisection trees (node i is interval i), its (a, m, b), and
+    # f at a, m and b with its Simpson estimate; intervals in (index, a) order
+    index = np.arange(a.size)
+    X = np.stack([a, 0.5 * (a + b), b], axis=1)
+    fx = f(index, X)
+    whole = (b - a) / 6.0 * (fx[:, 0] + 4.0 * fx[:, 1] + fx[:, 2])
+    todo = [(0, index, index, X, np.column_stack([fx, whole]))]
+    nodes, leaves, splits = a.size, [], []  # leaves: (nodes, values)
+    while todo:
+        level, *rnd = todo.pop()
+        if rnd[0].size > _SIMPSON_CHUNK:  # the rest waits below this round's halves
+            todo.append((level, *(x[_SIMPSON_CHUNK:] for x in rnd)))
+        index, node, X, V = (x[:_SIMPSON_CHUNK] for x in rnd)
+        a, m, b = X.T
+        fa, fm, fb, whole = V.T
+        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
+        fx = f(index, np.stack([lm, rm], axis=1))
+        left = (m - a) / 6.0 * (fa + 4.0 * fx[:, 0] + fm)
+        right = (b - m) / 6.0 * (fm + 4.0 * fx[:, 1] + fb)
+        delta = left + right - whole
+        # np.hypot rounds as abs() of one complex does; np.abs may not
+        ok = np.hypot(delta.real, delta.imag) <= 15.0 * tols[level]
+        leaves.append((node[ok], (left + right + delta / 15.0)[ok]))
+        if ok.all():
+            continue
+        if level == _SIMPSON_DEPTH:
+            i = int(np.argmin(ok))
+            raise QuadratureFailure(
+                f"adaptive Simpson exceeded depth budget on [{a[i]}, {b[i]}]")
+        split = ~ok
+        halves = np.arange(nodes, nodes + 2 * np.count_nonzero(split))
+        nodes += halves.size
+        splits.append((level, node[split], halves[::2]))
+        # the halves [a, m] and [m, b] of each split interval, in that order
+        todo.append((level + 1, np.repeat(index[split], 2), halves,
+                     np.column_stack([a, lm, m, m, rm, b])[split].reshape(-1, 3),
+                     np.column_stack([fa, fx[:, 0], fm, left, fm, fx[:, 1], fb, right])
+                     [split].reshape(-1, 4)))
+    value = np.empty(nodes, dtype=complex)
+    for node, v in leaves:
+        value[node] = v
+    for _, node, lefts in sorted(splits, key=lambda s: -s[0]):  # the deepest first
+        value[node] = value[lefts] + value[lefts + 1]
+    return np.where(flip, -1.0, 1.0) * value[:flip.size]
 
 
 # --------------------------------------------------------------------------
@@ -547,59 +597,34 @@ def operator_A(F: VectorField, base: Point3, C: complex = 0j,
 
     The integration path is fixed: the x-leg at (., base.y, base.z), then the
     y-leg at (x, ., base.z), then the z-leg at (x, y, .).  The returned field
-    satisfies phi(base) = C, and grad phi = F wherever F is a gradient.
+    satisfies phi(base) = C, and grad phi = F wherever F is a gradient.  With
+    ``curl_check`` the curl of F is sampled at the midpoint of each leg
+    towards the first target, and a warning (not an error) is emitted when it
+    is not small.
 
-    With ``curl_check`` the curl of F is sampled at the midpoint of each leg
-    of the first evaluation and a warning (not an error) is emitted when it
-    is not small.  Paths crossing the excluded set raise DomainError, and so
-    does a non-finite integrand value under the Gauss rule, naming the first
-    such node (adaptive Simpson raises QuadratureFailure instead).
-
-    Under the Gauss rule one routine integrates a set of legs for any number
-    of targets: it checks every node against the domain, evaluates each leg
-    as one ``F.batch`` call over all its nodes, checks the values are finite
-    and sums them node by node, so ``A.batch(P)`` equals ``A(p)`` bit for
-    bit.  ``A(p)`` runs it on the x-, y- and z-legs in turn: for each leg it
-    raises the DomainError of the leg's first node off the domain before the
-    leg is evaluated, then that of its first non-finite node.  ``A.batch(P)``
-    runs it once on all three legs of all targets, so every node is checked
-    against the domain before F is evaluated anywhere; either error names
-    the first offending target's first bad node.  A typed error that F
-    itself raises names the target whose leg it came from (``index``) and,
-    over a batch, every target with a failing node (``where``).  Adaptive
-    Simpson integrates point by point, target by target, and a typed error
-    names its target as ``_Field.batch`` names a point.
-
-    The x-leg depends only on p.x and the y-leg only on (p.x, p.y), so
-    ``A(p)`` keeps its last x-leg and its last y-leg and reuses each while
-    that key repeats (grid walks in C order, one-axis stencil shifts).
-    Results are bit-identical to integrating every leg afresh, in any call
-    order and from any thread, provided F is pure: the same point always
-    gives the same value.
+    One routine integrates the legs of any number of targets with the line
+    rule, and ``A(p)`` is ``A.batch`` at the one target p, so the two agree
+    bit for bit.  The rule asks for F in rounds of nodes, each one
+    ``F.batch`` call per leg axis: the Gauss rule in one round, adaptive
+    Simpson in rounds of bounded size (see ``_simpson_rule``).  Every node of
+    a round is checked against the domain before F is evaluated there, and
+    F's values are checked to be finite; either failure raises DomainError
+    naming the round's first bad node (by target, then leg, then node).  A
+    typed error raised by F names the target whose leg it came from
+    (``index``) and, over a batch, every target with a failing node
+    (``where``).
     """
     base = Point3(*base)
+    base_coords = np.array(base, dtype=float)
     domain = F.domain
     if not domain.ok(base):
         raise DomainError(f"operator A base point {base} not in domain")
     state = {"checked": not curl_check}
-    # last x-leg and y-leg, each one (key, value) tuple so that a concurrent
-    # reader never pairs one key with another key's value; a key keeps the
-    # sign of each coordinate because F may differ at -0.0 and 0.0
-    legs = [None, None]
-
-    def _component(pt: Point3, k: int) -> complex:
-        if not domain.ok(pt):
-            raise DomainError(f"integration path crosses excluded set at {pt}")
-        return F(pt)[k]
 
     def _warn_if_rotational(p: Point3):
         state["checked"] = True
-        mids = [
-            Point3(0.5 * (base.x + p.x), base.y, base.z),
-            Point3(p.x, 0.5 * (base.y + p.y), base.z),
-            Point3(p.x, p.y, 0.5 * (base.z + p.z)),
-        ]
-        for m in mids:
+        for k in range(3):  # the midpoint of the leg along axis k
+            m = Point3(*p[:k], 0.5 * (base[k] + p[k]), *base[k + 1:])
             try:
                 r = rot(F, m, scheme)
             except DomainError:
@@ -610,106 +635,65 @@ def operator_A(F: VectorField, base: Point3, C: complex = 0j,
                     "reconstruction is path dependent", stacklevel=3)
                 return
 
-    def _node(k: int, p: Point3):
-        """t -> the node at t of the leg along axis k towards p."""
-        return lambda t: Point3(*p[:k], t, *base[k + 1:])
-
-    def _gauss_legs(targets: tuple, axes, shape: tuple = ()) -> list:
-        """The Gauss integral of the leg along each axis of ``axes`` towards
-        each target of the flat coordinate arrays ``targets``, one array per
-        leg; a zero-length leg gives 0j and is not evaluated.  ``shape`` is
-        the batch shape of the targets, () for one point: a typed error from
-        ``F.batch`` names its target (``index``) and, over a batch, every
-        target with a failing node (``where``, of that shape)."""
-        nodes, weights = _gauss_nodes(quad.gauss_order)
-        runs = []  # per leg: axis, the targets it moves, half lengths, node parameters, nodes
-        for k in axes:
-            rows = np.flatnonzero(targets[k] != base[k])
-            b = targets[k][rows]
-            half = 0.5 * (b - base[k])
-            T = (0.5 * (base[k] + b))[:, None] + half[:, None] * nodes
-            pts = Point3(*(T if m == k else np.broadcast_to(
-                targets[m][rows, None] if m < k else float(base[m]), T.shape)
-                for m in range(3)))
-            runs.append((k, rows, half, T, pts))
+    def _integrand(corners: np.ndarray, runs: list, shape: tuple) -> list:
+        """F's leg component at the nodes of each run ``(k, rows, T)``, one
+        ``F.batch`` call per run: node T[r, j] lies on the leg along axis k
+        towards target corners[rows[r]] (the rows of a leg in node order);
+        ``shape`` is the targets' batch shape, () for one point."""
+        pts = [Point3(*(T if m == k else np.broadcast_to(
+            corners[rows, m, None] if m < k else base_coords[m], T.shape) for m in range(3)))
+            for k, rows, T in runs]
 
         def check(oks, what: str):
-            """Raise DomainError(what + the first node not ok), in pointwise
-            order: by target, then by leg, then by node."""
-            hits = [(run[1][r], i, r) for i, (run, ok) in enumerate(zip(runs, oks)) if ok.size
-                    for r in [int(np.argmin(ok.all(axis=1)))] if not ok[r].all()]
+            """Raise DomainError(what + the first node not ok: by target, leg, node)."""
+            hits = [(runs[i][1][r], runs[i][0], i, r)
+                    for i, ok in enumerate(oks) for r in np.flatnonzero(~ok.all(axis=1))]
             if hits:
-                _, i, r = min(hits)
-                k, rows, _, T, _ = runs[i]
-                p = Point3(*(c[rows[r]] for c in targets))
-                raise DomainError(what + str(_node(k, p)(T[r, int(np.argmin(oks[i][r]))])))
+                target, k, i, r = min(hits)
+                t = runs[i][2][r, int(np.argmin(oks[i][r]))]
+                raise DomainError(what + str(Point3(*corners[target][:k], t, *base[k + 1:])))
 
-        check([domain.ok_mask(run[4]) for run in runs],
-              "integration path crosses excluded set at ")
+        check([domain.ok_mask(P) for P in pts], "integration path crosses excluded set at ")
         values = []
-        for k, rows, _, T, pts in runs:
+        for (k, rows, T), P in zip(runs, pts):
             try:
-                # an empty leg's node parameters stand in for its (empty) values
-                values.append(F.batch(pts)[k] if rows.size else T)
+                # an empty run's node parameters stand in for its (empty) values
+                values.append(F.batch(P)[k] if rows.size else T)
             except Riccati3dError as exc:
                 if exc.index is not None:
                     exc.index = int(rows[exc.index // T.shape[1]])
                     if exc.where is not None and shape:
-                        where = np.zeros(targets[0].size, dtype=bool)
-                        where[rows] = exc.where.reshape(T.shape).any(axis=1)
+                        where = np.zeros(len(corners), dtype=bool)
+                        where[rows[exc.where.reshape(T.shape).any(axis=1)]] = True
                         exc.where = where.reshape(shape)
                     else:
                         exc.where = None
                 raise
         check([np.isfinite(V) for V in values], "line integrand is not finite at ")
-        sums = []
-        for (_, rows, half, _, _), V in zip(runs, values):
-            # summed node by node from 0j: accumulate adds in that fixed order
-            terms = np.zeros((rows.size, weights.size + 1), dtype=complex)
-            np.multiply(weights, V, out=terms[:, 1:])
-            leg = np.zeros(targets[0].size, dtype=complex)
-            leg[rows] = half * np.add.accumulate(terms, axis=1)[:, -1]
-            sums.append(leg)
-        return sums
+        return values
 
-    def _leg(k: int, p: Point3) -> complex:
-        """The integral of the leg along axis k towards p."""
+    def eval_at(P: Point3):
+        shape = np.shape(P[0])
+        corners = np.stack([np.ravel(c) for c in P], axis=1)  # one row per target
+        if not state["checked"] and len(corners):
+            _warn_if_rotational(Point3(*corners[0]))
+        # the legs to integrate, by axis then target: a zero-length leg is 0j
+        axes, rows = np.nonzero((corners != base_coords).T)
+
+        def f(legs: np.ndarray, T: np.ndarray) -> np.ndarray:
+            """F's leg component at parameters T, one F.batch call per axis."""
+            bounds = np.searchsorted(axes[legs], range(4))
+            runs = [(k, rows[legs[lo:hi]], T[lo:hi])
+                    for k, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
+            return np.concatenate(_integrand(corners, runs, shape))
+
+        a, b = base_coords[axes], corners[rows, axes]
+        sums = np.zeros((3, len(corners)), dtype=complex)
         if quad.line_rule == "gauss":
-            return complex(_gauss_legs(tuple(np.array([c]) for c in p), (k,))[0][0])
-        at = _node(k, p)
-        return _adaptive_simpson(lambda t: _component(at(t), k), base[k], p[k], quad.line_tol)
-
-    def _memo_leg(k: int, key: tuple, p: Point3) -> complex:
-        entry = legs[k]
-        if entry is not None and entry[0] == key:
-            return entry[1]
-        value = _leg(k, p)
-        legs[k] = (key, value)
-        return value
-
-    def eval_at(p: Point3):
-        if _batched(p):
-            return _eval_batch(p)
-        if not state["checked"]:
-            _warn_if_rotational(p)
-        x_key = (p.x, math.copysign(1.0, p.x))
-        total = complex(C)
-        total += _memo_leg(0, x_key, p)
-        total += _memo_leg(1, x_key + (p.y, math.copysign(1.0, p.y)), p)
-        total += _leg(2, p)
-        return total
-
-    def _eval_batch(P: Point3) -> np.ndarray:
-        if quad.line_rule != "gauss":  # target by target, errors as in _Field.batch
-            return ScalarField(eval_at).batch(P)
-        shape = P[0].shape
-        targets = tuple(np.ravel(c) for c in P)
-        if not state["checked"] and targets[0].size:
-            _warn_if_rotational(Point3(*(c[0] for c in targets)))
-        total = complex(C)
-        for leg in _gauss_legs(targets, range(3), shape):
-            total = total + leg
-        return total.reshape(shape)
+            sums[axes, rows] = _gauss_rule(f, a, b, quad.gauss_order)
+        else:
+            sums[axes, rows] = _simpson_rule(f, a, b, quad.line_tol)
+        return (complex(C) + sums[0] + sums[1] + sums[2]).reshape(shape)
 
     return ScalarField(eval_at, domain, vectorized=True)
 

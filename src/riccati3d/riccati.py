@@ -157,7 +157,7 @@ def inverse_cole_hopf(inst: RiccatiInstance, base: Point3, C: complex = 0j,
                       curl_check: bool = True) -> SchrodingerInstance:
     """psi = exp(-A[Q]) with the path constant chosen so psi(base) = exp(-C)."""
     A = operator_A(inst.Q, Point3(*base), C, quad, curl_check=curl_check)
-    psi = ScalarField(lambda p: cmath.exp(-A(p)), inst.Q.domain)
+    psi = ScalarField(lambda p: np.exp(-A.batch(p)), inst.Q.domain, vectorized=True)
     return SchrodingerInstance(psi, inst.q)
 
 

@@ -18,7 +18,7 @@ typed error naming its index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -65,6 +65,9 @@ class RotationalParams:
     c: float
     C: float = 1.0
 
+    def __post_init__(self):
+        _require_finite(self)
+
 
 @dataclass(frozen=True)
 class ConicalParams:
@@ -75,8 +78,16 @@ class ConicalParams:
     C: float = 1.0
 
     def __post_init__(self):
+        _require_finite(self)
         if self.C2 <= 0:
             raise ValueError("ConicalParams.C2 must be positive")
+
+
+def _require_finite(params) -> None:
+    """A NaN or infinite parameter would give NaN fields, not an error."""
+    bad = [f.name for f in fields(params) if not math.isfinite(getattr(params, f.name))]
+    if bad:
+        raise ValueError(f"{type(params).__name__}.{bad[0]} must be finite")
 
 
 @dataclass(frozen=True)
@@ -359,19 +370,27 @@ _HARMONIC_BOX = (Point3(0.5, 0.3, 0.4), Point3(1.9, 1.4, 1.5))
 _HARMONIC_BASE = Point3(1.0, 0.8, 0.9)
 
 
+def _family_params(solution_id: str, given: dict, **defaults) -> dict:
+    """The defaults updated by the given parameters, as floats; a parameter
+    the family does not have raises ValueError."""
+    foreign = sorted(set(given) - set(defaults))
+    if foreign:
+        raise ValueError(f"{solution_id!r} takes no parameter {', '.join(foreign)}")
+    return {name: float(given.get(name, value)) for name, value in defaults.items()}
+
+
 def catalog_entry(solution_id: str, margin: float = DEFAULT_MARGIN,
                   **params) -> CatalogEntry:
     """Build a catalog entry by name.
 
     Names: "rotational" (k, c, C), "conical" (C1, C2, C) and
-    "harmonic:<id>" with <id> one of HARMONIC_IDS.
+    "harmonic:<id>" with <id> one of HARMONIC_IDS (no parameters).  A
+    parameter of another family, or a non-finite one, raises ValueError.
     """
     if not (math.isfinite(margin) and margin > 0):
         raise ValueError(f"margin must be finite and positive, got {margin!r}")
     if solution_id == "rotational":
-        rp = RotationalParams(k=float(params.get("k", 1.0)),
-                              c=float(params.get("c", 0.0)),
-                              C=float(params.get("C", 1.0)))
+        rp = RotationalParams(**_family_params(solution_id, params, k=1.0, c=0.0, C=1.0))
         if rp.c * rp.k != 0.0:
             inst, psi = rotational(rp, margin)
         else:
@@ -392,9 +411,7 @@ def catalog_entry(solution_id: str, margin: float = DEFAULT_MARGIN,
                             {"k": rp.k, "c": rp.c, "C": rp.C})
 
     if solution_id == "conical":
-        cp = ConicalParams(C1=float(params.get("C1", 0.0)),
-                           C2=float(params.get("C2", math.e)),
-                           C=float(params.get("C", 1.0)))
+        cp = ConicalParams(**_family_params(solution_id, params, C1=0.0, C2=math.e, C=1.0))
         if cp.C2 != 1.0:
             inst, psi = conical(cp, margin)
         else:
@@ -410,6 +427,7 @@ def catalog_entry(solution_id: str, margin: float = DEFAULT_MARGIN,
                             {"C1": cp.C1, "C2": cp.C2, "C": cp.C})
 
     if solution_id.startswith("harmonic:"):
+        _family_params(solution_id, params)
         seed = harmonic_seed(solution_id.split(":", 1)[1])
         inst = harmonic_family(seed)
         return CatalogEntry(f"harmonic:{seed.name}", inst, seed.psi,

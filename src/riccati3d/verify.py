@@ -408,24 +408,20 @@ def suite_operators(config: RunConfig) -> _Checks:
             (VectorField(lambda p: np.array([2 * p.x, 2 * p.y, 0], complex)),
              lambda p: p.x * p.x + p.y * p.y),
         ]
-        pts = halton_points(box, 20, config.seed + 3)
+        P = _as_batch(halton_points(box, 20, config.seed + 3))
         worst = 0.0
         for F, f in cases:
-            A = operator_A(F, Point3(0, 0, 0), 0j, quad)
-            for p in pts:
-                worst = max(worst, abs(A(p) - f(p)))
-        return worst, 2 * len(pts)
+            d = operator_A(F, Point3(0, 0, 0), 0j, quad).batch(P) - f(P)
+            # np.hypot rounds as abs() of one complex does; np.abs may not
+            worst = max(worst, float(np.max(np.hypot(d.real, d.imag))))
+        return worst, 2 * P.x.size
 
     def A_right_inverse():
         F = VectorField(lambda p: np.array(
             [p.y * p.z + 2 * p.x, p.x * p.z, p.x * p.y], complex))
         A = operator_A(F, Point3(0, 0, 0), 0j, quad)
-        pts = halton_points(box, 10, config.seed + 4)
-        worst = 0.0
-        for p in pts:
-            g = grad(A, p, scheme)
-            worst = max(worst, float(np.max(np.abs(g - F(p)))))
-        return worst, len(pts)
+        P = _as_batch(halton_points(box, 10, config.seed + 4))
+        return float(np.max(np.abs(grad(A, P, scheme) - F.batch(P)))), P.x.size
 
     def B_ball():
         region = BoxDomain.box((-1, -1, -1), (1, 1, 1))
@@ -479,10 +475,9 @@ def suite_solutions(config: RunConfig) -> _Checks:
 
     def schrodinger_check(entry):
         def fn():
-            pts = entry_points(entry, config.samples, config.seed)
-            inst = entry.schrodinger()
-            worst = max(abs(schrodinger_residual(inst, p, scheme)) for p in pts)
-            return worst, len(pts)
+            P = _as_batch(entry_points(entry, config.samples, config.seed))
+            r = schrodinger_residual(entry.schrodinger(), P, scheme)
+            return float(np.max(np.hypot(r.real, r.imag))), P.x.size
         return fn
 
     for entry in entries:
@@ -528,41 +523,39 @@ def suite_riccati(config: RunConfig) -> _Checks:
     with_psi = [e for e in entries if e.psi is not None]
 
     def cole_hopf_match():
-        worst = 0.0
-        total = 0
+        worst, total = 0.0, 0
         for entry in with_psi:
-            pts = entry_points(entry, 50, config.seed)
+            P = _as_batch(entry_points(entry, 50, config.seed))
             derived = cole_hopf(entry.schrodinger(), scheme)
-            for p in pts:
-                worst = max(worst, float(np.max(np.abs(derived.Q(p) - entry.instance.Q(p)))))
-            total += len(pts)
+            worst = max(worst, float(np.max(np.abs(
+                derived.Q.batch(P) - entry.instance.Q.batch(P)))))
+            total += P.x.size
         return worst, total
 
     def inverse_match():
-        worst = 0.0
-        total = 0
+        worst, total = 0.0, 0
         for entry in with_psi:
-            pts = entry_points(entry, 50, config.seed + 1)
+            P = _as_batch(entry_points(entry, 50, config.seed + 1))
             sch = inverse_cole_hopf(entry.instance, entry.base, 0j, quad,
                                     curl_check=False)
             ref0 = entry.psi(entry.base)
             num0 = sch.psi(entry.base)
-            for p in pts:
-                worst = max(worst, abs(sch.psi(p) / num0 - entry.psi(p) / ref0))
-            total += len(pts)
+            # Python's complex division, which rounds unlike numpy's
+            for num, ref in zip(sch.psi.batch(P).tolist(), entry.psi.batch(P).tolist()):
+                worst = max(worst, abs(num / num0 - ref / ref0))
+            total += P.x.size
         return worst, total
 
     def roundtrip():
-        worst = 0.0
-        total = 0
+        worst, total = 0.0, 0
         for entry in entries:
-            pts = entry_points(entry, 12, config.seed + 2)
+            P = _as_batch(entry_points(entry, 12, config.seed + 2))
             sch = inverse_cole_hopf(entry.instance, entry.base, 0j, quad_gauss,
                                     curl_check=False)
             back = cole_hopf(sch, scheme)
-            for p in pts:
-                worst = max(worst, float(np.max(np.abs(back.Q(p) - entry.instance.Q(p)))))
-            total += len(pts)
+            worst = max(worst, float(np.max(np.abs(
+                back.Q.batch(P) - entry.instance.Q.batch(P)))))
+            total += P.x.size
         return worst, total
 
     def _random_probe():

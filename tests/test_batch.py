@@ -1,15 +1,18 @@
-"""Batched evaluation: ``F.batch``, the volume-grid build, operator A's Gauss
-legs, the stencil operators, the catalog closed forms and the residuals give
-the per-point values bit for bit and raise the same errors."""
+"""Batched evaluation: ``F.batch``, the volume-grid build, operator A (against
+the recursive adaptive Simpson rule too), the stencil operators, the catalog
+closed forms and the residuals give the per-point values bit for bit and
+raise the same errors."""
 
 import cmath
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from riccati3d import riccati
-from riccati3d.errors import DomainError, Riccati3dError, ZeroCrossing
+from riccati3d.errors import DomainError, QuadratureFailure, Riccati3dError, ZeroCrossing
 from riccati3d.fields import (
     BoxDomain,
     DiffScheme,
@@ -195,12 +198,109 @@ def test_A_batch_skips_zero_length_legs(vectorized):
     assert np.allclose(expect, [0.8, -0.15, 0.0], rtol=0, atol=1e-14)
 
 
-def test_adaptive_A_batch_integrates_target_by_target():
+def _recursive_simpson(f, a: float, b: float, tol: float, max_depth: int = 30) -> complex:
+    """Oracle: the adaptive Simpson rule as a depth-first recursion, one node
+    at a time (Lyness, J. ACM 16, 1969)."""
+    if a == b:
+        return 0j
+    sign = 1.0
+    if b < a:
+        a, b = b, a
+        sign = -1.0
+    fa, fb = f(a), f(b)
+    m = 0.5 * (a + b)
+    fm = f(m)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+
+    def recurse(a, m, b, fa, fm, fb, whole, tol, depth):
+        lm = 0.5 * (a + m)
+        rm = 0.5 * (m + b)
+        flm, frm = f(lm), f(rm)
+        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+        delta = left + right - whole
+        if abs(delta) <= 15.0 * tol:
+            return left + right + delta / 15.0
+        if depth <= 0:
+            raise QuadratureFailure(f"adaptive Simpson exceeded depth budget on [{a}, {b}]")
+        half = 0.5 * tol
+        return (recurse(a, lm, m, fa, flm, fm, left, half, depth - 1)
+                + recurse(m, rm, b, fm, frm, fb, right, half, depth - 1))
+
+    return sign * recurse(a, m, b, fa, fm, fb, whole, tol, max_depth)
+
+
+def _oracle_A(F, base: Point3, C: complex, tol: float, p: Point3) -> complex:
+    """A(p) from the recursive rule, F evaluated at one node at a time."""
+    total = complex(C)
+    for k in range(3):
+        node = lambda t, k=k: Point3(*p[:k], t, *base[k + 1:])  # noqa: E731
+        total += _recursive_simpson(lambda t, k=k: F(node(t))[k], base[k], p[k], tol)
+    return total
+
+
+def _peak(p):
+    # a narrow peak at x = 0.37 that the x-legs through it refine deeply
+    return vec3(1e-4 / (1e-3 + (p.x - 0.37) ** 2), 0.1 * np.cos(3.0 * p.y),
+                0.1 * np.sin(4.0 * p.z))
+
+
+_ORACLE_FIELDS = {
+    "poly_pointwise": VectorField(_poly_pointwise),
+    "poly_vectorized": VectorField(_poly_vectorized, vectorized=True),
+    "peak": VectorField(_peak, vectorized=True),
+}
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-16])
+@pytest.mark.parametrize("name", sorted(_ORACLE_FIELDS))
+def test_adaptive_A_equals_the_recursive_rule_bitwise(name, tol):
+    F = _ORACLE_FIELDS[name]
     base, pts = _targets()
-    F = VectorField(_poly_vectorized, vectorized=True)
-    quad = QuadratureSpec()
-    expect = [operator_A(F, base, 0j, quad)(p) for p in pts]
-    assert _bits(operator_A(F, base, 0j, quad).batch(_points(pts))) == _bits(expect)
+    pts = pts[::3] + [Point3(0.9, -0.6, 0.55), Point3(-0.5, 0.4, -0.65)]  # 8 targets
+    expect = [_oracle_A(F, base, 0.25j, tol, p) for p in pts]
+    A = operator_A(F, base, 0.25j, QuadratureSpec(line_tol=tol))
+    assert _bits([A(p) for p in pts]) == _bits(expect)
+    assert _bits(A.batch(_points(pts))) == _bits(expect)
+    square = Point3(*(c.reshape(2, 4) for c in _points(pts)))
+    assert _bits(A.batch(square)) == _bits(expect)
+
+
+def test_adaptive_A_refines_the_peak_deeply():
+    F = _counting(_peak, vectorized=True)
+    operator_A(F, Point3(0.0, 0.0, 0.0), 0j, QuadratureSpec())(Point3(0.9, 0.0, 0.0))
+    assert sum(P[0].size for P in F.seen) > 300  # a dozen nodes suffice off the peak
+
+
+def test_adaptive_A_beyond_reach_fails_fast_in_bounded_memory():
+    # 1e-30 is far below round-off: every leg runs into the depth budget
+    F = VectorField(lambda p: np.array([math.exp(0.3 * p.x), 0.5 * p.y, math.sin(p.z)],
+                                       complex))
+    A = operator_A(F, Point3(0, 0, 0), 0j, QuadratureSpec(line_tol=1e-30))
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(QuadratureFailure, match="depth budget"):
+            A(Point3(1.0, 0.5, -0.4))
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seconds < 2.0
+    assert peak < 32 * 2 ** 20
+
+
+def test_adaptive_A_of_non_finite_field_raises_naming_the_first_node():
+    # the first round evaluates the ends and the midpoint of each leg: here
+    # x = 0, 0.5 and 1 on the x-leg, of which 0.5 comes first
+    F = VectorField(lambda p: np.array([math.inf if p.x > 0.4 else 1.0, 0, 0], complex))
+    A = operator_A(F, Point3(0.0, 0.0, 0.0), 0j, QuadratureSpec())
+    with pytest.raises(DomainError, match="not finite") as exc:
+        A(Point3(1.0, 0, 0))
+    assert str(exc.value).endswith("Point3(x=np.float64(0.5), y=0.0, z=0.0)")
+    with pytest.raises(DomainError) as batch:
+        A.batch(_points([(0.3, 0.1, 0.0), (1.0, 0.0, 0.0)]))
+    assert str(batch.value) == str(exc.value)
 
 
 def test_pointwise_gauss_A_evaluates_each_leg_as_one_batch():
@@ -214,7 +314,8 @@ def test_pointwise_gauss_A_evaluates_each_leg_as_one_batch():
         assert all(c.shape == (1, 32) for c in P)
         assert [np.ptp(c) > 0 for c in P] == [m == k for m in range(3)]
     values.append(A(q))
-    assert len(F.seen) == 4 and F.seen[-1][2].shape == (1, 32)  # the z-leg alone
+    assert len(F.seen) == 6  # all three legs again: nothing is kept between calls
+    assert all(c.shape == (1, 32) for P in F.seen[3:] for c in P)
     batch = operator_A(VectorField(_poly_vectorized, vectorized=True), base, 0.25j,
                        GAUSS32).batch(_points([p, q]))
     assert _bits(values) == _bits(batch)
@@ -310,8 +411,7 @@ def test_gauss_A_batch_names_the_target_of_an_error_raised_by_F():
 
 
 def test_adaptive_A_batch_names_the_target_of_an_error_raised_by_F():
-    # adaptive Simpson integrates target by target: the error names its
-    # target as _Field.batch names a point
+    # as under the Gauss rule, the error names the target whose leg raised it
     def fn(p):
         if p.x > 0.5:
             raise DomainError(f"no value at {p}")

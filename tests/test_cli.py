@@ -93,6 +93,41 @@ def test_config_file_bad_key_exits_two(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["missing_config", "directory_config", "eval_out",
+                                  "transform_out", "verify_report"])
+def test_path_that_cannot_be_read_or_written_exits_two(case, tmp_path, capsys):
+    # exit 1 means a check failed; a path the command cannot use is a usage error
+    missing = str(tmp_path / "no_such_dir" / "x")
+    solution = ["--solution", "rotational", "--k", "1", "--c", "0.3466",
+                "--grid", "0.5,1.0,4,0.05,0.4,4,-0.4,0.4,4", "--out", missing]
+    argv = {
+        "missing_config": ["verify", "--suite", "algebra", "--config", missing],
+        "directory_config": ["verify", "--suite", "algebra", "--config", str(tmp_path)],
+        "eval_out": ["eval", *solution],
+        "transform_out": ["transform", "--group", "6", "--lambda", "0.3", *solution],
+        "verify_report": ["verify", "--suite", "algebra", "--report", missing],
+    }[case]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("solution", [
+    ["--solution", "rotational", "--k", "nan", "--c", "0.3466"],
+    ["--solution", "rotational", "--k", "1", "--c", "inf"],
+    ["--solution", "conical", "--C1", "nan", "--C2", "2"],
+    ["--solution", "harmonic:x", "--k", "2"],
+    ["--solution", "rotational", "--k", "1", "--c", "0.3466", "--C1", "3"],
+])
+def test_bad_or_foreign_solution_parameter_exits_two(solution, tmp_path, capsys):
+    # a NaN parameter used to export NaN cells, a foreign one to be ignored
+    out = tmp_path / "x.csv"
+    assert main(["eval", *solution, "--grid", "0.8,1.2,3,0.05,0.3,3,0,0.25,3",
+                 "--fields", "Q,q", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--h", "--line-tol", "--margin"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_config_value_exits_two(flag, value, capsys):

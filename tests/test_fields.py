@@ -263,7 +263,7 @@ def _grid_6x4x3():
 
 
 @pytest.mark.parametrize("quad", [QuadratureSpec(), _GAUSS4])
-def test_A_leg_reuse_is_bitwise_order_independent(quad):
+def test_A_is_bitwise_order_independent(quad):
     base = Point3(0.05, -0.2, 0.15)
     pts = _grid_6x4x3()
     fresh = [operator_A(_SIGN_FIELD, base, 0.5j, quad)(p) for p in pts]
@@ -275,7 +275,7 @@ def test_A_leg_reuse_is_bitwise_order_independent(quad):
     assert [shuffled[i] for i in range(len(pts))] == fresh
 
 
-def test_A_leg_reuse_tells_signed_zeros_apart():
+def test_A_tells_signed_zeros_apart():
     # the y-leg evaluates F at x = p.x, where this F flips sign with x's sign
     A = operator_A(_SIGN_FIELD, Point3(0.0, -0.2, 0.15), 0j, _GAUSS4)
     plus, minus = A(Point3(0.0, 0.7, 0.15)), A(Point3(-0.0, 0.7, 0.15))
@@ -285,28 +285,11 @@ def test_A_leg_reuse_tells_signed_zeros_apart():
     assert A(Point3(0.0, 0.7, 0.15)) == plus
 
 
-def test_A_integrates_each_leg_once_per_distinct_key():
-    calls = {0: 0, 1: 0, 2: 0}
-    base = Point3(0.05, -0.2, 0.15)
-
-    def counting(p):
-        # the leg is the axis whose coordinate is off its base value
-        leg = 2 if p.z != base.z else 1 if p.y != base.y else 0
-        calls[leg] += 1
-        return np.array([p.y, p.x, 1.0], complex)
-
-    A = operator_A(VectorField(counting), base, 0j, _GAUSS4)
-    for p in _grid_6x4x3():
-        A(p)
-    nodes = _GAUSS4.gauss_order
-    assert calls == {0: 6 * nodes, 1: 6 * 4 * nodes, 2: 6 * 4 * 3 * nodes}
-
-
-def test_A_leg_that_raises_is_not_reused():
+def test_A_error_leaves_later_values_unchanged():
     dom = BoxDomain.unbounded(lambda p: abs(p.x - 0.5) < 0.05 and abs(p.y - 0.5) < 0.2)
     F = VectorField(lambda p: np.array([1.0, 1.0, 1.0], complex), dom)
     A = operator_A(F, Point3(0, 0, 0), 0j, _GAUSS4)
-    good = A(Point3(0.5, 0.2, 0.0))  # stores the x-leg to x = 0.5
+    good = A(Point3(0.5, 0.2, 0.0))
     for _ in range(2):  # the y-leg through the hole raises every time
         with pytest.raises(DomainError):
             A(Point3(0.5, 1.0, 0.0))

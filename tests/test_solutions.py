@@ -187,6 +187,29 @@ def test_unknown_harmonic_seed():
         catalog_entry("bessel")
 
 
+@pytest.mark.parametrize("solution_id, params", [
+    ("rotational", {"k": math.nan}),
+    ("rotational", {"c": math.inf}),
+    ("rotational", {"C": -math.inf}),
+    ("conical", {"C1": math.nan}),
+    ("conical", {"C2": math.inf}),
+])
+def test_catalog_rejects_non_finite_parameters(solution_id, params):
+    with pytest.raises(ValueError, match="must be finite"):
+        catalog_entry(solution_id, **params)
+
+
+@pytest.mark.parametrize("solution_id, params", [
+    ("harmonic:x", {"k": 2.0}),
+    ("harmonic:x+y+z", {"C": 1.0}),
+    ("rotational", {"C1": 3.0}),
+    ("conical", {"k": 1.0, "c": 0.0}),
+])
+def test_catalog_rejects_parameters_of_another_family(solution_id, params):
+    with pytest.raises(ValueError, match="takes no parameter"):
+        catalog_entry(solution_id, **params)
+
+
 def test_acceptance_catalog_composition():
     entries = acceptance_catalog()
     assert len(entries) == 8
