@@ -3,7 +3,9 @@
 Conventions
 -----------
 * Fields carry closed-form evaluators plus a box domain with an optional
-  excluded-set predicate; grids exist only as CLI export artifacts.
+  excluded-set predicate; grids exist only as CLI export artifacts.  The
+  predicate must broadcast over a Point3 of arrays (see ``BoxDomain``), so
+  a batch of points is checked with one call of it.
 * ``F(p)`` evaluates one point.  ``F.batch(P)`` evaluates a Point3 of
   equal-shape coordinate arrays and returns the component axis first:
   shape ``S`` for a scalar field, ``(3, *S)`` for a vector field.  A field
@@ -93,24 +95,23 @@ class BoxDomain:
 
     The predicate must be pure and deterministic; it should be conservative
     (inflated by the stencil width) so derivatives never touch a singularity.
-    ``vectorized=True`` declares that it also takes a Point3 of equal-shape
-    arrays of finite floats and returns a bool array of that shape, without
-    raising or warning; ``ok_mask`` then calls it once.
+    It takes one point and returns a bool, and it must broadcast: given a
+    Point3 of equal-shape arrays of finite floats it returns a bool array of
+    that shape, without raising or warning (so it combines with ``&``, ``|``
+    and ``~``, not ``and``, ``or`` and ``not``).  ``ok_mask`` calls it once.
     """
 
     lower: Point3 = Point3(-_INF, -_INF, -_INF)
     upper: Point3 = Point3(_INF, _INF, _INF)
     excluded: Optional[Callable[[Point3], bool]] = None
-    vectorized: bool = False
 
     def __post_init__(self):
         if not all(lo < hi for lo, hi in zip(self.lower, self.upper)):
             raise ValueError("BoxDomain requires lower < upper componentwise")
 
     @classmethod
-    def unbounded(cls, excluded: Optional[Callable[[Point3], bool]] = None,
-                  vectorized: bool = False) -> "BoxDomain":
-        return cls(excluded=excluded, vectorized=vectorized)
+    def unbounded(cls, excluded: Optional[Callable[[Point3], bool]] = None) -> "BoxDomain":
+        return cls(excluded=excluded)
 
     @classmethod
     def box(cls, lower, upper, excluded=None) -> "BoxDomain":
@@ -129,36 +130,25 @@ class BoxDomain:
         return self.excluded is None or not self.excluded(p)
 
     def ok_mask(self, P: Point3) -> np.ndarray:
-        """``ok`` at every point of a Point3 of equal-shape arrays.  A
-        vectorized predicate is called once, any other once per in-box
-        point."""
+        """``ok`` at every point of a Point3 of equal-shape arrays, with one
+        call of the predicate."""
         lo, hi = self.lower, self.upper
         mask = ((lo[0] <= P[0]) & (P[0] <= hi[0]) & (lo[1] <= P[1]) & (P[1] <= hi[1])
                 & (lo[2] <= P[2]) & (P[2] <= hi[2]))
         if self.excluded is None:
             return mask
-        if self.vectorized:
-            return mask & ~np.asarray(self.excluded(P), dtype=bool)
-        points = zip(*(np.broadcast_to(c, mask.shape)[mask].tolist() for c in P))
-        mask[mask] = [not self.excluded(Point3(*q)) for q in points]
-        return mask
+        return mask & ~np.asarray(self.excluded(P), dtype=bool)
 
     def intersect(self, other: "BoxDomain") -> "BoxDomain":
-        """The common box and the union of the excluded sets; the result's
-        predicate is vectorized when every predicate it combines is."""
+        """The common box and the union of the excluded sets."""
         lower = Point3(*(max(a, b) for a, b in zip(self.lower, other.lower)))
         upper = Point3(*(min(a, b) for a, b in zip(self.upper, other.upper)))
-        sides = [d for d in (self, other) if d.excluded is not None]
-        vectorized = all(d.vectorized for d in sides)
-        if not sides:
-            excl = None
-        elif len(sides) == 1:
-            excl = sides[0].excluded
-        elif vectorized:
-            excl = lambda q, _a=self.excluded, _b=other.excluded: _a(q) | _b(q)
+        a, b = self.excluded, other.excluded
+        if a is None or b is None:
+            excl = b if a is None else a
         else:
-            excl = lambda q, _ps=(self.excluded, other.excluded): any(pr(q) for pr in _ps)
-        return BoxDomain(lower, upper, excl, vectorized)
+            excl = lambda q: a(q) | b(q)
+        return BoxDomain(lower, upper, excl)
 
     def bounded(self) -> bool:
         return all(math.isfinite(c) for c in (*self.lower, *self.upper))

@@ -208,20 +208,21 @@ def component_residuals(W0: ScalarField, Wv: VectorField, phi: ScalarField,
     c1 = div[phi^2 grad(W0/phi)],  c2 = rot[phi^-2 rot(phi Wv)].
     """
     p = Point3(*p)
-    ratio = ScalarField(lambda t: W0(t) / _nonzero(phi(t), eps_zero, "phi"), W0.domain)
-    prod = VectorField(lambda t: phi(t) * Wv(t), Wv.domain)
+    ratio = ScalarField(lambda t: W0.batch(t) / _nonzero(phi.batch(t), eps_zero, "phi"),
+                        W0.domain, vectorized=True)
+    prod = VectorField(lambda t: phi.batch(t) * Wv.batch(t), Wv.domain, vectorized=True)
 
     def sigma(s: Point3) -> np.ndarray:
-        value = _nonzero(phi(s), eps_zero, "phi")
+        value = _nonzero(phi.batch(s), eps_zero, "phi")
         return value * value * grad(ratio, s, scheme)
 
     def tau(s: Point3) -> np.ndarray:
-        value = _nonzero(phi(s), eps_zero, "phi")
+        value = _nonzero(phi.batch(s), eps_zero, "phi")
         return rot(prod, s, scheme) / (value * value)
 
     dom = W0.domain.intersect(phi.domain)
-    c1 = div(VectorField(sigma, dom), p, scheme)
-    c2 = rot(VectorField(tau, dom.intersect(Wv.domain)), p, scheme)
+    c1 = div(VectorField(sigma, dom, vectorized=True), p, scheme)
+    c2 = rot(VectorField(tau, dom.intersect(Wv.domain), vectorized=True), p, scheme)
     return complex(c1), c2
 
 
@@ -261,18 +262,21 @@ def build_W_prop2(w: VectorField, phi: ScalarField, h: Optional[ScalarField],
 
     h is an arbitrary harmonic function (None means 0); C is the additive
     constant of the path reconstruction A.  rot B is evaluated analytically
-    (``operator_rot_B``), not by finite differences of the potential.
+    (``operator_rot_B``), not by finite differences of the potential.  W0
+    and Q are vectorized, so a batch (a stencil's points included) takes one
+    A[w/phi] call.
     """
     base = Point3(*base)
     dom = w.domain.intersect(phi.domain)
 
-    ratio = VectorField(lambda t: w(t) / _nonzero(phi(t), eps_zero, "phi"), dom)
+    ratio = VectorField(lambda t: w.batch(t) / _nonzero(phi.batch(t), eps_zero, "phi"),
+                        dom, vectorized=True)
     Aw = operator_A(ratio, base, C, quad)
     rot_B = operator_rot_B(VectorField(lambda t: phi.batch(t) * w.batch(t), dom,
                                        vectorized=True), region, quad, cells=cells)
 
-    def W0_eval(p: Point3) -> complex:
-        return 0.5 * phi(p) * Aw(p)
+    def W0_eval(p: Point3):
+        return 0.5 * phi.batch(p) * Aw.batch(p)
 
     def W_eval(p: Point3) -> Biquaternion:
         value = _nonzero(phi(p), eps_zero, "phi")
@@ -280,12 +284,12 @@ def build_W_prop2(w: VectorField, phi: ScalarField, h: Optional[ScalarField],
         return Biquaternion.from_scalar_vector(W0_eval(p), vec)
 
     def Q_eval(p: Point3) -> np.ndarray:
-        value = _nonzero(phi(p), eps_zero, "phi")
-        a = _nonzero(Aw(p), eps_zero, "A[w/phi]")
-        return -(grad(phi, p, scheme) + w(p) / a) / value
+        value = _nonzero(phi.batch(p), eps_zero, "phi")
+        a = _nonzero(Aw.batch(p), eps_zero, "A[w/phi]")
+        return -(grad(phi, p, scheme) + w.batch(p) / a) / value
 
-    return (QuaternionField(W_eval, dom), ScalarField(W0_eval, dom),
-            VectorField(Q_eval, dom))
+    return (QuaternionField(W_eval, dom), ScalarField(W0_eval, dom, vectorized=True),
+            VectorField(Q_eval, dom, vectorized=True))
 
 
 def build_W_from_W0(W0: ScalarField, phi: ScalarField, h: Optional[ScalarField],
@@ -324,14 +328,14 @@ def build_W0_from_W(Wv: VectorField, phi: ScalarField, base: Point3,
     W0 = -phi A[phi^-2 rot(phi Wv)] with the path constant C of A.
     """
     dom = Wv.domain.intersect(phi.domain)
-    prod = VectorField(lambda s: phi(s) * Wv(s), dom)
+    prod = VectorField(lambda s: phi.batch(s) * Wv.batch(s), dom, vectorized=True)
 
     def integrand(t: Point3) -> np.ndarray:
-        value = _nonzero(phi(t), eps_zero, "phi")
+        value = _nonzero(phi.batch(t), eps_zero, "phi")
         return rot(prod, t, scheme) / (value * value)
 
-    A = operator_A(VectorField(integrand, dom), Point3(*base), C, quad)
-    return ScalarField(lambda p: -phi(p) * A(p), dom)
+    A = operator_A(VectorField(integrand, dom, vectorized=True), Point3(*base), C, quad)
+    return ScalarField(lambda p: -phi.batch(p) * A.batch(p), dom, vectorized=True)
 
 
 def euler_residual(W: QuaternionField, Q1: VectorField, p: Point3,
@@ -431,8 +435,8 @@ def picard_lhs(Q1: VectorField, Q2: VectorField, Q3: VectorField, Q4: VectorFiel
         Qa, Qb = fields[ia], fields[ib]
         va, vb = Qa(p), Qb(p)
         Y = Biquaternion.from_vector(va - vb)
-        diff_field = VectorField(lambda t: Qa(t) - Qb(t),
-                                 Qa.domain.intersect(Qb.domain))
+        diff_field = VectorField(lambda t: Qa.batch(t) - Qb.batch(t),
+                                 Qa.domain.intersect(Qb.domain), vectorized=True)
         X = dirac_left(diff_field, p, scheme)
         if include_cross_terms:
             X = X - 2.0 * Biquaternion.from_vector(cross(va, vb))

@@ -111,7 +111,7 @@ def _rotational_fields(params: RotationalParams, margin: float):
         rho = np.hypot(x, y)
         return (rho <= margin) | (abs(rho - radius) <= margin)
 
-    domain = BoxDomain.unbounded(excluded, vectorized=True)
+    domain = BoxDomain.unbounded(excluded)
 
     def Q_eval(p: Point3) -> list:
         x, y, _ = p
@@ -252,7 +252,7 @@ def conical_riccati(params: ConicalParams,
                     margin: float = DEFAULT_MARGIN) -> RiccatiInstance:
     """Conically invariant solution for the potential q = (C1 / (2 r^2))^2."""
     C1, C2 = params.C1, params.C2
-    domain = BoxDomain.unbounded(_conical_excluded(C2, margin), vectorized=True)
+    domain = BoxDomain.unbounded(_conical_excluded(C2, margin))
 
     def Q_eval(p: Point3) -> list:
         x, y, z = p

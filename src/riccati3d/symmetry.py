@@ -17,8 +17,9 @@ and the slips, for discrepancy reporting.
 
 Batches: ``group_act`` takes one point with Q of shape (3,), or a Point3 of
 equal-shape arrays (shape S) with Q of shape (3, *S).  The transported
-fields and their excluded-set predicates are vectorized (see the ``fields``
-module), so ``F.batch`` calls each once.  One body serves a point and a
+fields and the invariant potentials are vectorized (see the ``fields``
+module), so ``F.batch`` calls each once, and their excluded-set
+predicates broadcast, as every predicate must.  One body serves a point and a
 batch: the on-axis (``_AXIS_TOL``) and pole (``_POLE_TOL``) cases are masks,
 every denominator is replaced by 1.0 where it is not used before anything
 is divided, and dot and matrix products take the same BLAS call per point
@@ -212,43 +213,44 @@ def invariant_potential(k: int, F: Callable[[float, float], float],
     k = 7:    x^-2 F(y/x, z/x);
     k = 8..10: r^-4 F of the two inverted coordinates (x/r^2, y/r^2, z/r^2
     without the row's own axis).
+
+    The field is vectorized, so F must broadcast over arrays (a constant
+    return is broadcast).  Rows 7..10 exclude their singular set (|x| or r at
+    most ``margin``); over a batch, the DomainError raised there names the
+    first singular point (``index``) and every one (``where``).
     """
     if not 1 <= k <= 10:
         raise ValueError(f"k = {k} outside 1..10")
 
-    def hyp(a: float, b: float) -> float:
-        return math.hypot(a, b)
-
-    if k == 1:
-        return ScalarField(lambda p: complex(F(p.y, p.z)))
-    if k == 2:
-        return ScalarField(lambda p: complex(F(p.x, p.z)))
-    if k == 3:
-        return ScalarField(lambda p: complex(F(p.x, p.y)))
-    if k == 4:
-        return ScalarField(lambda p: complex(F(p.x, hyp(p.y, p.z))))
-    if k == 5:
-        return ScalarField(lambda p: complex(F(p.y, hyp(p.x, p.z))))
-    if k == 6:
-        return ScalarField(lambda p: complex(F(p.z, hyp(p.x, p.y))))
+    if k <= 6:
+        axis = (k - 1) % 3
+        i, j = (a for a in range(3) if a != axis)
+        if k <= 3:
+            return ScalarField(lambda p: F(p[i], p[j]), vectorized=True)
+        return ScalarField(lambda p: F(p[axis], np.hypot(p[i], p[j])), vectorized=True)
     if k == 7:
-        def eval7(p: Point3) -> complex:
-            if abs(p.x) <= margin:
-                raise DomainError(f"dilation potential singular at x = {p.x}")
-            return complex(F(p.y / p.x, p.z / p.x) / (p.x * p.x))
-        return ScalarField(eval7, BoxDomain.unbounded(lambda p: abs(p.x) <= margin))
+        def eval7(p: Point3):
+            x = p.x
+            bad = abs(x) <= margin
+            if bad is not False and (n := _first(bad)) is not None:
+                raise DomainError(f"dilation potential singular at x = {_item(x, n)}",
+                                  index=n, where=bad)
+            return F(p.y / x, p.z / x) / (x * x)
+        return ScalarField(eval7, BoxDomain.unbounded(lambda p: abs(p.x) <= margin),
+                           vectorized=True)
 
-    pairs = {8: (1, 2), 9: (0, 2), 10: (0, 1)}[k]
+    i, j = (a for a in range(3) if a != k - 8)
 
-    def eval_conical(p: Point3) -> complex:
+    def eval_conical(p: Point3):
         r2 = p.x * p.x + p.y * p.y + p.z * p.z
-        if r2 <= margin * margin:
-            raise DomainError(f"conical potential singular at r = {math.sqrt(r2)}")
-        coords = (p.x / r2, p.y / r2, p.z / r2)
-        return complex(F(coords[pairs[0]], coords[pairs[1]]) / (r2 * r2))
+        bad = r2 <= margin * margin
+        if bad is not False and (n := _first(bad)) is not None:
+            raise DomainError(f"conical potential singular at r = {math.sqrt(_item(r2, n))}",
+                              index=n, where=bad)
+        return F(p[i] / r2, p[j] / r2) / (r2 * r2)
 
     return ScalarField(eval_conical, BoxDomain.unbounded(
-        lambda p: p.x * p.x + p.y * p.y + p.z * p.z <= margin * margin))
+        lambda p: p.x * p.x + p.y * p.y + p.z * p.z <= margin * margin), vectorized=True)
 
 
 def rotation_matrix(k: int, lam: float) -> np.ndarray:
@@ -368,8 +370,7 @@ def pushforward_solution(g: GroupElement, Q: VectorField) -> VectorField:
         pre, _, poles = _act(inverse, X, np.zeros_like(X))
         return poles[0] | poles[1] | _off_domain(Q.domain, Point3(*pre))
 
-    return VectorField(eval_at, BoxDomain.unbounded(excluded, vectorized=True),
-                       vectorized=True)
+    return VectorField(eval_at, BoxDomain.unbounded(excluded), vectorized=True)
 
 
 def _conical_transport(axis: int, Q: VectorField, lam: float, literal: bool):
@@ -435,8 +436,7 @@ def _conical_transport(axis: int, Q: VectorField, lam: float, literal: bool):
         pre, _, _, _, poles = preimage(np.asarray(p, dtype=float))
         return poles | _off_domain(Q.domain, Point3(*pre))
 
-    return VectorField(eval_at, BoxDomain.unbounded(excluded, vectorized=True),
-                       vectorized=True)
+    return VectorField(eval_at, BoxDomain.unbounded(excluded), vectorized=True)
 
 
 def transport_solution(g: GroupElement, Q: VectorField,
@@ -478,4 +478,4 @@ def transport_solution(g: GroupElement, Q: VectorField,
             return s * Q.batch(pre)
 
     return VectorField(lambda p: value(preimage(p)), BoxDomain.unbounded(
-        lambda p: _off_domain(Q.domain, preimage(p)), vectorized=True), vectorized=True)
+        lambda p: _off_domain(Q.domain, preimage(p))), vectorized=True)

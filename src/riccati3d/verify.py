@@ -618,19 +618,16 @@ def suite_riccati(config: RunConfig) -> _Checks:
 
     def prop2_closed_parts():
         tube = BoxDomain.box((0.25, -0.6, -0.6), (7.75, 0.6, 0.6))
-        one = ScalarField(lambda p: 1.0 + 0j)
-        zero_q = ScalarField(lambda p: 0j)
-        w = VectorField(lambda p: np.array([1.0, 0.0, 0.0], complex))
+        one = ScalarField(lambda p: 1.0 + 0j, vectorized=True)
+        zero_q = ScalarField(lambda p: 0j, vectorized=True)
+        w = VectorField(lambda p: vec3(1.0, 0.0, 0.0), vectorized=True)
         nb = config.build_grid
         _, W0, Q = build_W_prop2(w, one, None, Point3(0, 0, 0), tube, quad,
                                  scheme, cells=(5 * nb, nb, nb))
         pts = [Point3(3.6, -0.1, 0.08), Point3(4.0, 0.12, -0.05), Point3(4.4, 0.0, 0.1)]
-        worst = 0.0
-        for p in pts:
-            worst = max(worst, abs(schrodinger_residual(
-                SchrodingerInstance(W0, zero_q), p, scheme)))
-            worst = max(worst, _max_riccati_residual(
-                RiccatiInstance(Q, zero_q), [p], scheme))
+        r = schrodinger_residual(SchrodingerInstance(W0, zero_q), _as_batch(pts), scheme)
+        worst = max(float(np.max(np.hypot(r.real, r.imag))),
+                    _max_riccati_residual(RiccatiInstance(Q, zero_q), pts, scheme))
         return worst, len(pts)
 
     checks = [

@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from riccati3d import riccati
+from riccati3d import fields, riccati
 from riccati3d.errors import DomainError, QuadratureFailure, Riccati3dError, ZeroCrossing
 from riccati3d.fields import (
     BoxDomain,
@@ -32,7 +32,9 @@ from riccati3d.fields import (
 )
 from riccati3d.riccati import (
     RiccatiInstance,
+    build_W0_from_W,
     build_W_from_W0,
+    build_W_prop2,
     riccati_residual,
     schrodinger_residual,
     w_from_q_pair,
@@ -122,14 +124,6 @@ def test_pointwise_batch_raises_the_pointwise_error_with_every_point_of_its_type
     # at a later point is another check and is left out
     assert exc.value.where.tolist() == [False, True, False, False, True]
     assert all(type(c) is float for p in F.seen for c in p)
-
-
-def test_pointwise_domain_predicate_takes_python_floats():
-    seen = []
-    dom = BoxDomain.unbounded(lambda q: seen.append(q) or q.x > 0.5)
-    pts = halton_points((Point3(0, 0, 0), Point3(1, 1, 1)), 16)
-    assert dom.ok_mask(_points(pts)).tolist() == [dom.ok(p) for p in pts]
-    assert seen[:16] == pts and all(type(c) is float for q in seen for c in q)
 
 
 def test_batch_broadcasts_constants_and_keeps_point_evaluation():
@@ -336,7 +330,7 @@ def test_A_batch_off_domain_raises_first_target_error_before_any_evaluation(vect
     # a hole the y-leg of the second target crosses and a wall at x = 0.8
     # the x-leg of the third target crosses; the fourth has a zero-length y-leg
     hole = BoxDomain.box((-5, -5, -5), (0.8, 5, 5),
-                         lambda p: abs(p.x - 0.5) < 0.05 and abs(p.y - 0.5) < 0.2)
+                         lambda p: (abs(p.x - 0.5) < 0.05) & (abs(p.y - 0.5) < 0.2))
     base = Point3(0.0, 0.0, 0.0)
     pts = _points([(0.3, 0.9, 0.2), (0.5, 1.0, 0.0), (0.9, 0.1, 0.1), (0.5, 0.0, -0.3)])
     fn = _poly_vectorized if vectorized else _poly_pointwise
@@ -426,6 +420,20 @@ def test_adaptive_A_batch_names_the_target_of_an_error_raised_by_F():
         [A(Point3(0.2, 0.3, 0.1)), A(Point3(0.4, -0.2, 0.3))])
 
 
+def test_prop2_and_prop3_builders_batch_equals_pointwise_bitwise():
+    one = ScalarField(lambda p: 1.0 + 0j, vectorized=True)
+    w = VectorField(lambda p: vec3(1.0, 0.0, 0.0), vectorized=True)
+    _, W0, Q = build_W_prop2(w, one, None, Point3(0, 0, 0), TUBE, cells=(10, 8, 8))
+    phi = ScalarField(lambda p: np.exp(0.5 * p.x), vectorized=True)
+    Wv = VectorField(lambda p: vec3(p.y * p.z, np.sin(p.x), p.x - p.z), vectorized=True)
+    W0_back = build_W0_from_W(Wv, phi, Point3(0, 0, 0))
+    pts = halton_points((Point3(3.5, -0.2, -0.2), Point3(4.5, 0.2, 0.2)), 6, 1)
+    for F in (W0, Q, W0_back):
+        assert F.vectorized
+        assert _bits(F.batch(_points(pts))) == _bits(np.moveaxis(
+            np.array([F(p) for p in pts]), 0, -1))
+
+
 # -- the volume-grid build -----------------------------------------------------
 
 def _inv_x():
@@ -438,10 +446,11 @@ def test_w_from_q_pair_grid_equals_the_per_cell_build(monkeypatch):
     """The batched grid equals both a scalar evaluation of the same integrand
     per cell and the pointwise integrand the builder used before batching."""
     built = _capture_rot_B(monkeypatch)
+    monkeypatch.setattr(fields, "_BUILD_CHUNK", 256)
     zero = RiccatiInstance(VectorField(lambda p: np.zeros(3, complex), vectorized=True),
                            ZERO_Q)
     inst = _inv_x()
-    cells = (40, 8, 8)  # 2560 cells: more than one build chunk
+    cells = (10, 8, 8)  # 640 cells: two full build chunks and a partial one
     w_from_q_pair(inst, zero, None, Point3(1, 0, 0), TUBE, GAUSS32, cells=cells)
     B = built[-1]
     assert B.fn.vectorized
@@ -550,7 +559,7 @@ def test_catalog_batch_equals_pointwise_bitwise(entry):
 @pytest.mark.parametrize("entry", _ENTRIES, ids=lambda e: e.name)
 def test_catalog_domain_mask_equals_pointwise(entry):
     # a box three times the sample box's size, so that it crosses the
-    # singular sets; the predicates are vectorized and called once
+    # singular sets; each predicate is called once per mask
     lo, hi = map(np.array, entry.sample_box)
     box = (Point3(*(lo - (hi - lo))), Point3(*(hi + (hi - lo))))
     pts = halton_points(box, 300, seed=2)
@@ -558,11 +567,10 @@ def test_catalog_domain_mask_equals_pointwise(entry):
     mask = dom.ok_mask(_points(pts))
     assert mask.tolist() == [dom.ok(p) for p in pts]
     if dom.excluded is not None:
-        assert dom.vectorized
         assert 0 < mask.sum() < len(pts)
 
 
-@pytest.mark.parametrize("where", ["box", "excluded", "vectorized_excluded"])
+@pytest.mark.parametrize("where", ["box", "excluded"])
 @pytest.mark.parametrize("op", ["grad", "div", "rot", "laplacian", "riccati_residual"])
 def test_batched_stencil_off_domain_raises_first_target_error_before_any_evaluation(
         op, where):
@@ -571,11 +579,8 @@ def test_batched_stencil_off_domain_raises_first_target_error_before_any_evaluat
     bad = p._replace(z=p.z - 2 * scheme.step(p, 2))  # the last point of p's z stencil
     if where == "box":  # the third target is off the box too, at other points
         domain = BoxDomain.box((-5, -5, bad.z + 1e-9), (5, 5, 5))
-    elif where == "excluded":
-        domain = BoxDomain.unbounded(lambda q: q == bad)
     else:
-        domain = BoxDomain.unbounded(
-            lambda q: (q.x == bad.x) & (q.y == bad.y) & (q.z == bad.z), vectorized=True)
+        domain = BoxDomain.unbounded(lambda q: (q.x == bad.x) & (q.y == bad.y) & (q.z == bad.z))
     targets = [Point3(0.2, 0.3, 0.9), p, Point3(0.7, 0.5, 0.45)]
     if where != "box":
         targets[2] = bad._replace(z=bad.z + scheme.step(bad, 2))  # bad is its z - h point
@@ -635,21 +640,24 @@ def test_batched_closed_form_error_names_the_first_rejected_point(solution_id, p
         assert isinstance(exc.value, ZeroCrossing)
 
 
-def test_vectorized_domain_predicate_is_called_once_and_intersect_keeps_the_declaration():
-    calls = []
+def test_domain_predicate_is_called_once_per_mask_and_so_is_each_side_of_intersect():
+    calls = {"x": 0, "y": 0}
 
-    def right_half(q):
-        calls.append(q)
-        return q.x > 0.5
-    vec = BoxDomain.unbounded(right_half, vectorized=True)
-    top = BoxDomain.unbounded(lambda q: q.y > 0.5, vectorized=True)
-    plain = BoxDomain.unbounded(lambda q: q.z > 0.5)
+    def counted(axis, bound):
+        def predicate(q):
+            calls[axis] += 1
+            return getattr(q, axis) > bound
+        return predicate
+    right = BoxDomain.unbounded(counted("x", 0.5))
+    top = BoxDomain.unbounded(counted("y", 0.5))
     box = BoxDomain.box((-1, -1, -1), (0.9, 0.9, 0.9))
     pts = halton_points((Point3(0, 0, 0), Point3(1, 1, 1)), 64)
     P = _points(pts)
-    assert vec.ok_mask(P).tolist() == [vec.ok(p) for p in pts] and len(calls) == 1 + 64
-    for dom, vectorized in ((vec.intersect(top), True), (vec.intersect(box), True),
-                            (box.intersect(vec), True), (vec.intersect(plain), False),
-                            (plain.intersect(top), False)):
-        assert dom.vectorized == vectorized
-        assert dom.ok_mask(P).tolist() == [dom.ok(p) for p in pts]
+    assert right.ok_mask(P).tolist() == [right.ok(p) for p in pts]
+    assert calls == {"x": 1 + 64, "y": 0}
+    for dom, y_calls in ((right.intersect(top), 1), (top.intersect(right), 1),
+                         (right.intersect(box), 0), (box.intersect(right), 0)):
+        before = dict(calls)
+        mask = dom.ok_mask(P)
+        assert (calls["x"] - before["x"], calls["y"] - before["y"]) == (1, y_calls)
+        assert mask.tolist() == [dom.ok(p) for p in pts]

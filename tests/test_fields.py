@@ -235,7 +235,7 @@ def test_A_gauss_rule_matches_adaptive():
 
 
 def test_A_path_crossing_excluded_raises():
-    dom = BoxDomain.unbounded(lambda p: abs(p.x - 0.5) < 0.05 and abs(p.y) < 0.01)
+    dom = BoxDomain.unbounded(lambda p: (abs(p.x - 0.5) < 0.05) & (abs(p.y) < 0.01))
     F = VectorField(lambda p: np.array([1.0, 0, 0], complex), dom)
     A = operator_A(F, Point3(0, 0, 0), 0j)
     with pytest.raises(DomainError):
@@ -286,7 +286,7 @@ def test_A_tells_signed_zeros_apart():
 
 
 def test_A_error_leaves_later_values_unchanged():
-    dom = BoxDomain.unbounded(lambda p: abs(p.x - 0.5) < 0.05 and abs(p.y - 0.5) < 0.2)
+    dom = BoxDomain.unbounded(lambda p: (abs(p.x - 0.5) < 0.05) & (abs(p.y - 0.5) < 0.2))
     F = VectorField(lambda p: np.array([1.0, 1.0, 1.0], complex), dom)
     A = operator_A(F, Point3(0, 0, 0), 0j, _GAUSS4)
     good = A(Point3(0.5, 0.2, 0.0))

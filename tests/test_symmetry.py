@@ -24,6 +24,7 @@ from riccati3d.symmetry import (
     transport_solution,
     vhat_apply,
 )
+from riccati3d.verify import _TABLE_F, halton_points
 
 S = DiffScheme()
 
@@ -85,6 +86,30 @@ def test_invariant_potential_rows():
     assert abs(r) < 1e-9
     q10 = invariant_potential(10, lambda a, b: 1.0)
     assert q10(Point3(1, 1, 1)) == pytest.approx(1.0 / 9.0)
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_invariant_potential_batch_and_mask_equal_pointwise(k):
+    q = invariant_potential(k, _TABLE_F[k])
+    assert q.vectorized
+    pts = halton_points((Point3(-1, -1, -1), Point3(1, 1, 1)), 40, 3)
+    assert _bits(q.batch(_batch(pts))) == _bits(np.array([q(p) for p in pts]))
+    # the singular sets of rows 7..10 among the points
+    pts += [Point3(0.0, 0.3, 0.2), Point3(0.0, 0.0, 0.0), Point3(4e-7, 0.0, 0.0)]
+    assert q.domain.ok_mask(_batch(pts)).tolist() == [q.domain.ok(p) for p in pts]
+
+
+@pytest.mark.parametrize("k", [7, 8, 9, 10])
+def test_batched_invariant_potential_names_the_first_singular_point(k):
+    q = invariant_potential(k, _TABLE_F[k])
+    pts = [Point3(0.9, 0.2, 0.1), Point3(0.0, 0.0, 0.0), Point3(1.1, 0.3, 0.2),
+           Point3(-0.0, 0.0, 5e-7)]
+    with pytest.raises(DomainError) as one:
+        q(pts[1])
+    with pytest.raises(DomainError) as exc:
+        q.batch(_batch(pts))
+    assert str(exc.value) == str(one.value) and exc.value.index == 1
+    assert exc.value.where.tolist() == [False, True, False, True]
 
 
 def test_invariant_potential_singularities():
@@ -327,7 +352,7 @@ def test_transported_field_batch_equals_pointwise_bitwise(entry, k, lam):
     Q = entry.instance.Q
     for field in (transport_solution(g, Q), transport_solution(g, Q, literal_text=True),
                   pushforward_solution(g, Q)):
-        assert field.vectorized and field.domain.vectorized
+        assert field.vectorized
         _assert_batch_matches(field.batch, _pointwise(field, _GRID), _GRID)
         # the predicate takes the grid's poles and axis points in one call,
         # without a warning
