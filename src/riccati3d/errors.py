@@ -17,9 +17,9 @@ class Riccati3dError(Exception):
     caller that drops failing points can drop them all at once.  The
     catalog's guards and the group actions' pole checks set it to the points
     their check rejects, the batched stencil check to every target with a bad
-    stencil point, and a field evaluated point by point to every point that
-    raised the same error type.
-    It is None at one point and wherever ``index`` is None.
+    stencil point, operator A to every target with a failing node in its
+    round, and a field evaluated point by point to every point that raised
+    the same error type.  It is None at one point and where ``index`` is.
     """
 
     def __init__(self, *args, index: Optional[int] = None, where=None):

@@ -14,7 +14,8 @@ Conventions
   any other field is called once per point, with Python floats, and an
   error there is raised as the call at that point alone raises it (see
   ``errors.Riccati3dError`` for ``index`` and ``where``).  The volume-grid
-  build of B and operator A's legs evaluate through ``batch``.
+  build of B evaluates through ``batch``; operator A calls it once per
+  quadrature round, for the nodes of every leg and target in that round.
 * Derivatives are central finite differences (order 2 or 4) with a relative
   step ``h * max(1, |coordinate|)`` per axis.  Every stencil point is checked
   (box, excluded set; else DomainError) before any point is evaluated, and
@@ -310,8 +311,11 @@ class QuadratureSpec:
             raise ValueError(f"unknown line rule {self.line_rule!r}")
         if not (math.isfinite(self.line_tol) and self.line_tol > 0):
             raise ValueError(f"line_tol must be finite and positive, got {self.line_tol!r}")
-        if self.gauss_order < 1:
-            raise ValueError("gauss_order must be >= 1")
+        # type(x) is int, not isinstance: True is an int too
+        if type(self.gauss_order) is not int or self.gauss_order < 1:
+            raise ValueError(f"gauss_order must be an int >= 1, got {self.gauss_order!r}")
+        if type(self.volume_grid) is not int:
+            raise ValueError(f"volume_grid must be an int, got {self.volume_grid!r}")
 
 
 DEFAULT_SCHEME = DiffScheme()
@@ -495,22 +499,28 @@ def _gauss_nodes(n: int):
     return np.polynomial.legendre.leggauss(n)
 
 
+_SIMPSON_DEPTH = 30  # bisections of an interval before adaptive Simpson gives up
+# intervals per call of f under either rule, to bound its memory.  Simpson's
+# rounds go deepest first, so at most one waits per level and a hopeless
+# interval fails after ~_SIMPSON_DEPTH rounds, not 2^_SIMPSON_DEPTH halves
+_LINE_CHUNK = 256
+
+
+def _in_chunks(f, index: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """f(index, T) in calls of at most ``_LINE_CHUNK`` intervals, and none for none."""
+    return np.concatenate([f(index[i:i + _LINE_CHUNK], T[i:i + _LINE_CHUNK])
+                           for i in range(0, index.size, _LINE_CHUNK)] or [T.astype(complex)])
+
+
 def _gauss_rule(f, a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
-    """Gauss-Legendre of the given order, all intervals in one call of f."""
+    """Gauss-Legendre of the given order, ``_LINE_CHUNK`` intervals per call of f."""
     nodes, weights = _gauss_nodes(order)
     half = 0.5 * (b - a)
-    V = f(np.arange(a.size), (0.5 * (a + b))[:, None] + half[:, None] * nodes)
+    V = _in_chunks(f, np.arange(a.size), (0.5 * (a + b))[:, None] + half[:, None] * nodes)
     # summed node by node from 0j: accumulate adds in that fixed order
     terms = np.zeros((a.size, weights.size + 1), dtype=complex)
     np.multiply(weights, V, out=terms[:, 1:])
     return half * np.add.accumulate(terms, axis=1)[:, -1]
-
-
-_SIMPSON_DEPTH = 30  # bisections of an interval before adaptive Simpson gives up
-# intervals bisected per call of f.  Rounds go deepest first, so at most one
-# round waits per level, and an interval that cannot meet its tolerance fails
-# after about _SIMPSON_DEPTH rounds instead of growing 2^_SIMPSON_DEPTH halves
-_SIMPSON_CHUNK = 256
 
 
 def _simpson_rule(f, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
@@ -519,8 +529,8 @@ def _simpson_rule(f, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
     An interval is accepted when its two halves change its estimate by
     ``|delta| <= 15 tol``, and is worth their sum + delta / 15; otherwise each
     half is refined with tol halved, and past ``_SIMPSON_DEPTH`` bisections
-    QuadratureFailure is raised.  One call of f takes the ends and midpoints,
-    then each round bisects at most ``_SIMPSON_CHUNK`` intervals, deepest
+    QuadratureFailure is raised.  f takes at most ``_LINE_CHUNK`` intervals
+    a call: their ends and midpoints, then rounds of bisections, deepest
     first.  A bisected interval is worth its left half plus its right half,
     added as the recursive rule adds them, so no value depends on the rounds.
     """
@@ -534,19 +544,19 @@ def _simpson_rule(f, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
     # f at a, m and b with its Simpson estimate; intervals in (index, a) order
     index = np.arange(a.size)
     X = np.stack([a, 0.5 * (a + b), b], axis=1)
-    fx = f(index, X)
+    fx = _in_chunks(f, index, X)
     whole = (b - a) / 6.0 * (fx[:, 0] + 4.0 * fx[:, 1] + fx[:, 2])
     todo = [(0, index, index, X, np.column_stack([fx, whole]))]
     nodes, leaves, splits = a.size, [], []  # leaves: (nodes, values)
     while todo:
         level, *rnd = todo.pop()
-        if rnd[0].size > _SIMPSON_CHUNK:  # the rest waits below this round's halves
-            todo.append((level, *(x[_SIMPSON_CHUNK:] for x in rnd)))
-        index, node, X, V = (x[:_SIMPSON_CHUNK] for x in rnd)
+        if rnd[0].size > _LINE_CHUNK:  # the rest waits below this round's halves
+            todo.append((level, *(x[_LINE_CHUNK:] for x in rnd)))
+        index, node, X, V = (x[:_LINE_CHUNK] for x in rnd)
         a, m, b = X.T
         fa, fm, fb, whole = V.T
         lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        fx = f(index, np.stack([lm, rm], axis=1))
+        fx = _in_chunks(f, index, np.stack([lm, rm], axis=1))
         left = (m - a) / 6.0 * (fa + 4.0 * fx[:, 0] + fm)
         right = (b - m) / 6.0 * (fm + 4.0 * fx[:, 1] + fb)
         delta = left + right - whole
@@ -594,15 +604,14 @@ def operator_A(F: VectorField, base: Point3, C: complex = 0j,
 
     One routine integrates the legs of any number of targets with the line
     rule, and ``A(p)`` is ``A.batch`` at the one target p, so the two agree
-    bit for bit.  The rule asks for F in rounds of nodes, each one
-    ``F.batch`` call per leg axis: the Gauss rule in one round, adaptive
-    Simpson in rounds of bounded size (see ``_simpson_rule``).  Every node of
-    a round is checked against the domain before F is evaluated there, and
-    F's values are checked to be finite; either failure raises DomainError
-    naming the round's first bad node (by target, then leg, then node).  A
-    typed error raised by F names the target whose leg it came from
-    (``index``) and, over a batch, every target with a failing node
-    (``where``).
+    bit for bit.  The rule asks for F in rounds of at most ``_LINE_CHUNK``
+    intervals, each one ``F.batch`` call over the nodes of every leg in it,
+    by target, then leg, then node.  Every node of a round is checked
+    against the domain before F is evaluated there, and F's values are
+    checked to be finite; either failure raises DomainError naming the
+    round's first bad node.  That error, and a typed error raised by F, name
+    the target whose leg it came from (``index``) and, over a batch, every
+    target with a failing node in that round (``where``).
     """
     base = Point3(*base)
     base_coords = np.array(base, dtype=float)
@@ -625,57 +634,49 @@ def operator_A(F: VectorField, base: Point3, C: complex = 0j,
                     "reconstruction is path dependent", stacklevel=3)
                 return
 
-    def _integrand(corners: np.ndarray, runs: list, shape: tuple) -> list:
-        """F's leg component at the nodes of each run ``(k, rows, T)``, one
-        ``F.batch`` call per run: node T[r, j] lies on the leg along axis k
-        towards target corners[rows[r]] (the rows of a leg in node order);
-        ``shape`` is the targets' batch shape, () for one point."""
-        pts = [Point3(*(T if m == k else np.broadcast_to(
-            corners[rows, m, None] if m < k else base_coords[m], T.shape) for m in range(3)))
-            for k, rows, T in runs]
-
-        def check(oks, what: str):
-            """Raise DomainError(what + the first node not ok: by target, leg, node)."""
-            hits = [(runs[i][1][r], runs[i][0], i, r)
-                    for i, ok in enumerate(oks) for r in np.flatnonzero(~ok.all(axis=1))]
-            if hits:
-                target, k, i, r = min(hits)
-                t = runs[i][2][r, int(np.argmin(oks[i][r]))]
-                raise DomainError(what + str(Point3(*corners[target][:k], t, *base[k + 1:])))
-
-        check([domain.ok_mask(P) for P in pts], "integration path crosses excluded set at ")
-        values = []
-        for (k, rows, T), P in zip(runs, pts):
-            try:
-                # an empty run's node parameters stand in for its (empty) values
-                values.append(F.batch(P)[k] if rows.size else T)
-            except Riccati3dError as exc:
-                if exc.index is not None:
-                    exc.index = int(rows[exc.index // T.shape[1]])
-                    if exc.where is not None and shape:
-                        where = np.zeros(len(corners), dtype=bool)
-                        where[rows[exc.where.reshape(T.shape).any(axis=1)]] = True
-                        exc.where = where.reshape(shape)
-                    else:
-                        exc.where = None
-                raise
-        check([np.isfinite(V) for V in values], "line integrand is not finite at ")
-        return values
-
     def eval_at(P: Point3):
         shape = np.shape(P[0])
         corners = np.stack([np.ravel(c) for c in P], axis=1)  # one row per target
         if not state["checked"] and len(corners):
             _warn_if_rotational(Point3(*corners[0]))
-        # the legs to integrate, by axis then target: a zero-length leg is 0j
-        axes, rows = np.nonzero((corners != base_coords).T)
+        # the legs, by target then axis (a zero-length leg is 0j); a leg holds
+        # its target's coordinates before its axis fixed and the base's after
+        rows, axes = np.nonzero(corners != base_coords)
+        fixed = np.where(np.arange(3) < axes[:, None], corners[rows], base_coords)
 
         def f(legs: np.ndarray, T: np.ndarray) -> np.ndarray:
-            """F's leg component at parameters T, one F.batch call per axis."""
-            bounds = np.searchsorted(axes[legs], range(4))
-            runs = [(k, rows[legs[lo:hi]], T[lo:hi])
-                    for k, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
-            return np.concatenate(_integrand(corners, runs, shape))
+            """F's leg component at parameters T, row r on leg legs[r], from
+            one F.batch call over the nodes in (target, leg, node) order."""
+            k = axes[legs]
+            nodes = Point3(*(np.where((k == m)[:, None], T, fixed[legs, m, None])
+                             for m in range(3)))
+
+            def repoint(exc: Riccati3dError, first: int, bad) -> Riccati3dError:
+                """exc about node ``first``: ``index`` names its target and,
+                over a batch, ``where`` every target with a node in ``bad``."""
+                exc.index, exc.where = int(rows[legs[first // T.shape[1]]]), None
+                if bad is not None and shape:
+                    hit = rows[legs[bad.reshape(T.shape).any(axis=1)]]
+                    exc.where = np.isin(np.arange(len(corners)), hit).reshape(shape)
+                return exc
+
+            def check(bad: np.ndarray, what: str):
+                """Raise DomainError(what + the first node of bad)."""
+                if bad.any():
+                    i = int(bad.argmax())
+                    r, j = divmod(i, T.shape[1])
+                    node = Point3(*corners[rows[legs[r]]][:k[r]], T[r, j], *base[k[r] + 1:])
+                    raise repoint(DomainError(what + str(node)), i, bad)
+
+            check(~domain.ok_mask(nodes), "integration path crosses excluded set at ")
+            try:
+                V = F.batch(nodes)[k, np.arange(legs.size)]
+            except Riccati3dError as exc:
+                if exc.index is not None:
+                    repoint(exc, exc.index, exc.where)
+                raise
+            check(~np.isfinite(V), "line integrand is not finite at ")
+            return V
 
         a, b = base_coords[axes], corners[rows, axes]
         sums = np.zeros((3, len(corners)), dtype=complex)

@@ -38,20 +38,18 @@ class RunConfig:
             if not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"RunConfig.{name} must be finite and positive, "
                                   f"got {value!r}")
-        if self.order not in (2, 4):
-            raise ConfigError("RunConfig.order must be 2 or 4")
+        # type(x) is int, not isinstance: True is an int too
+        if type(self.order) is not int or self.order not in (2, 4):
+            raise ConfigError(f"RunConfig.order must be the int 2 or 4, got {self.order!r}")
         if self.line_rule not in ("adaptive_simpson", "gauss"):
             raise ConfigError(f"RunConfig.line_rule must be 'adaptive_simpson' or 'gauss', "
                               f"got {self.line_rule!r}")
-        if self.samples < 1:
-            raise ConfigError("RunConfig.samples must be >= 1")
-        if self.seed < 0:
-            raise ConfigError(f"RunConfig.seed must be >= 0, got {self.seed}")
-        if self.gauss_order < 1:
-            raise ConfigError(f"RunConfig.gauss_order must be >= 1, "
-                              f"got {self.gauss_order}")
-        if self.volume_grid < 8 or self.build_grid < 8:
-            raise ConfigError("grid resolutions must be >= 8")
+        for name, low in (("samples", 1), ("seed", 0), ("gauss_order", 1),
+                          ("volume_grid", 8), ("build_grid", 8)):
+            value = getattr(self, name)
+            if type(value) is not int or value < low:
+                raise ConfigError(f"RunConfig.{name} must be >= {low} and an int, "
+                                  f"got {value!r}")
         for name, value in self.tolerances.items():
             if not (math.isfinite(value) and value >= 0):
                 raise ConfigError(f"tolerance override {name!r} must be finite "

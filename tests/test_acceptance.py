@@ -7,6 +7,8 @@ rows of its report and hold them to a time budget, criterion 9 adds the CLI
 contracts, and ``test_registry_check`` gives each registry check a test.
 """
 
+import hashlib
+
 import pytest
 
 from riccati3d.cli import main
@@ -95,3 +97,20 @@ def test_report_checks_are_the_registry(verify_all):
     # dropping a check from the registry fail here, not just lose a test id
     assert [c["name"] for c in verify_all.report["checks"]] == sorted(REGISTRY)
     assert len(set(REGISTRY)) == len(REGISTRY) == 68
+
+
+# sha256 over every row of the seed-0 report (name, repr of the residual,
+# samples, passed), recorded before operator A's rounds were merged into one
+# F.batch call each; a change that moves any residual by one bit changes it.
+# Like the export digests in test_cli.py it holds for one numpy build and its
+# SIMD dispatch (``np.show_runtime()``), and it is re-recorded only on
+# purpose, with a CHANGES.md entry.
+_REPORT_DIGEST = "9b2f6eccdd72647ac3fdf71074746af4fedb27956347ab126eb54239549fc694"
+
+
+def test_seed0_report_rows_unchanged(verify_all):
+    digest = hashlib.sha256()
+    for c in verify_all.report["checks"]:
+        digest.update(f"{c['name']}|{c['max_abs_residual']!r}|{c['samples']}|"
+                      f"{c['passed']}\n".encode())
+    assert digest.hexdigest() == _REPORT_DIGEST

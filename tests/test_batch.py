@@ -297,22 +297,45 @@ def test_adaptive_A_of_non_finite_field_raises_naming_the_first_node():
     assert str(batch.value) == str(exc.value)
 
 
-def test_pointwise_gauss_A_evaluates_each_leg_as_one_batch():
+def test_A_asks_F_once_per_round_for_every_leg_of_it(monkeypatch):
     F = _counting(_poly_vectorized, vectorized=True)
     base = Point3(0.0, -0.2, 0.15)
     p, q = Point3(0.4, 0.7, -0.35), Point3(0.4, 0.7, 0.5)  # q shares x and y with p
     A = operator_A(F, base, 0.25j, GAUSS32)
     values = [A(p)]
-    assert len(F.seen) == 3  # the x-, y- and z-legs, in that order, 32 nodes each
-    for k, P in enumerate(F.seen):
-        assert all(c.shape == (1, 32) for c in P)
-        assert [np.ptp(c) > 0 for c in P] == [m == k for m in range(3)]
+    (P,) = F.seen  # one call: a row of 32 nodes per leg
+    assert all(c.shape == (3, 32) for c in P)
+    # rows x-leg, y-leg, z-leg: row k runs along axis k, at p's coordinates
+    # before it and the base's after it
+    for k in range(3):
+        fixed = [*p[:k], None, *base[k + 1:]]
+        for m in range(3):
+            assert np.ptp(P[m][k]) > 0 if m == k else np.all(P[m][k] == fixed[m])
     values.append(A(q))
-    assert len(F.seen) == 6  # all three legs again: nothing is kept between calls
-    assert all(c.shape == (1, 32) for P in F.seen[3:] for c in P)
+    assert len(F.seen) == 2  # all three legs again: nothing is kept between calls
     batch = operator_A(VectorField(_poly_vectorized, vectorized=True), base, 0.25j,
                        GAUSS32).batch(_points([p, q]))
     assert _bits(values) == _bits(batch)
+    # 200 targets, 600 legs: at most _LINE_CHUNK legs per call
+    F.seen.clear()
+    targets = np.random.default_rng(3).uniform(0.5, 1.5, (200, 3))
+    A.batch(_points(targets))
+    assert len(F.seen) == math.ceil(600 / fields._LINE_CHUNK) > 1
+    assert [P[0].shape[0] for P in F.seen][:-1] == [fields._LINE_CHUNK] * (len(F.seen) - 1)
+    # adaptive Simpson: one F.batch call per call of the rule's f, that is
+    # for the first evaluation and for each bisection round
+    rule, calls = fields._simpson_rule, []
+
+    def spy(f, *args):
+        def counted(legs, T):
+            calls.append(legs.size)
+            return f(legs, T)
+        return rule(counted, *args)
+    monkeypatch.setattr(fields, "_simpson_rule", spy)
+    F = _counting(_peak, vectorized=True)
+    operator_A(F, base, 0j, QuadratureSpec())(Point3(0.9, 0.6, -0.4))
+    assert len(calls) > 5 and len(F.seen) == len(calls)
+    assert [P[0].size for P in F.seen] == [3 * calls[0]] + [2 * n for n in calls[1:]]
 
 
 def _first_pointwise_error(A, P: Point3) -> str:
@@ -418,6 +441,55 @@ def test_adaptive_A_batch_names_the_target_of_an_error_raised_by_F():
     assert exc.value.where.tolist() == [False, False, True]
     assert _bits(A.batch(_points([(0.2, 0.3, 0.1), (0.4, -0.2, 0.3)]))) == _bits(
         [A(Point3(0.2, 0.3, 0.1)), A(Point3(0.4, -0.2, 0.3))])
+
+
+def _cross_axis_field(case):
+    """F over the excluded set x > 0.6 or z > 0.6: off the domain, non-finite
+    there, or raising ZeroCrossing there from a pointwise or vectorized
+    evaluator."""
+    bad = lambda p: (p.x > 0.6) | (p.z > 0.6)  # noqa: E731
+    if case == "excluded":
+        return VectorField(_poly_vectorized, BoxDomain.unbounded(bad), vectorized=True)
+    if case == "non_finite":
+        return VectorField(lambda p: vec3(*(np.where(bad(p), math.nan, 1.0),) * 3),
+                           vectorized=True)
+
+    def pointwise(p):
+        if bad(p):
+            raise ZeroCrossing(f"no value at {p}")
+        return np.ones(3, complex)
+
+    def vectorized(p):
+        where = bad(p)
+        if (i := fields._first(where)) is not None:
+            raise ZeroCrossing(f"no value at {Point3(*(fields._item(c, i) for c in p))}",
+                               index=i, where=where)
+        return vec3(1.0, 1.0, 1.0)
+    if case == "typed_pointwise":
+        return VectorField(pointwise)
+    return VectorField(vectorized, vectorized=True)
+
+
+@pytest.mark.parametrize("quad", [GAUSS4, QuadratureSpec()], ids=["gauss", "simpson"])
+@pytest.mark.parametrize("case", ["excluded", "non_finite", "typed_pointwise",
+                                  "typed_vectorized"])
+def test_A_batch_names_the_first_target_across_axes(case, quad):
+    # target 0's z-leg and target 1's x-leg both reach the excluded set, in
+    # the first round: by target first, target 0's error comes first, though
+    # its bad leg's axis comes after target 1's
+    A = operator_A(_cross_axis_field(case), Point3(0, 0, 0), 0j, quad)
+    P = _points([(0.2, 0.3, 0.9), (0.9, 0.1, 0.1)])
+    with pytest.raises(Riccati3dError) as one:  # one target at a time
+        ScalarField(A).batch(P)
+    with pytest.raises(Riccati3dError) as exc:
+        A.batch(P)
+    assert type(exc.value) is type(one.value)
+    assert str(exc.value) == str(one.value)
+    with pytest.raises(Riccati3dError) as first:
+        A(Point3(0.2, 0.3, 0.9))
+    assert str(exc.value) == str(first.value)
+    assert exc.value.index == one.value.index == 0
+    assert exc.value.where.tolist() == one.value.where.tolist() == [True, True]
 
 
 def test_prop2_and_prop3_builders_batch_equals_pointwise_bitwise():

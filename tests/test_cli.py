@@ -142,6 +142,28 @@ def test_run_config_rejects_non_finite_or_non_positive(name, value):
         RunConfig(**{name: value})
 
 
+@pytest.mark.parametrize("name, value", [
+    ("seed", 1.5), ("volume_grid", 8.5), ("gauss_order", 2.5), ("gauss_order", 32.0),
+    ("gauss_order", True), ("seed", True), ("order", 4.0), ("build_grid", 12.0),
+    ("samples", 10.5)])
+def test_run_config_rejects_a_non_int_count(name, value):
+    # seed 1.5 used to place Halton points at fractional indices and
+    # volume_grid 8.5 to be truncated to 8
+    with pytest.raises(ConfigError, match=rf"RunConfig.{name} must be .*int.*, got {value!r}$"):
+        RunConfig(**{name: value})
+
+
+@pytest.mark.parametrize("key", ["seed", "volume_grid", "gauss_order"])
+def test_non_int_count_exits_two_from_flag_and_config_file(key, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:  # argparse's exit
+        main(["verify", "--suite", "algebra", "--" + key.replace("_", "-"), "2.5"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = 2.5\n")
+    assert main(["verify", "--suite", "algebra", "--config", str(cfg)]) == 2
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
 def test_bad_tolerance_override_exits_two(value, tmp_path, capsys):
     # no residual can be held to such a bound: a usage error, not a verdict

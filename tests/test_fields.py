@@ -203,6 +203,16 @@ def test_scheme_validation():
             QuadratureSpec(line_tol=bad)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("gauss_order", 2.5), ("gauss_order", 32.0), ("gauss_order", True),
+    ("volume_grid", 8.5), ("volume_grid", True)])
+def test_quadrature_spec_rejects_a_non_int_order_or_grid(name, value):
+    # 2.5 and 32.0 used to fail inside A with numpy's "deg must be an
+    # integer", True to mean order 1 and 8.5 to be truncated to 8
+    with pytest.raises(ValueError, match=rf"{name} must be an int.*, got {value!r}$"):
+        QuadratureSpec(line_rule="gauss", **{name: value})
+
+
 # -- operator A -------------------------------------------------------------
 
 def test_A_reconstructs_xyz_potential():
