@@ -34,7 +34,10 @@ Conventions
   ``F(p)`` bit for bit.
 * ``dirac_left`` is sum_k e_k d_k (the Moisil-Theodoresco operator), equal to
   -div + grad + rot on the scalar/vector split; ``dirac_right`` puts e_k on
-  the right and flips the rot sign.
+  the right and flips the rot sign.  Both difference the field's scalar and
+  vector parts at one point as ``grad`` and the Jacobian do, and add each
+  component's terms in the order of the sum over e_1, e_2, e_3, so they equal
+  that sum of biquaternion products bit for bit.
 * The path-reconstruction operator A integrates on the fixed axis-ordered
   path (x-leg, then y-leg, then z-leg) from its base point, with one routine
   per line rule for any number of targets (``A(p)`` is the one-target
@@ -56,7 +59,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .biquat import Biquaternion, mul
+from .biquat import Biquaternion
 from .errors import DomainError, QuadratureFailure, Riccati3dError
 
 __all__ = [
@@ -281,10 +284,10 @@ class DiffScheme:
     order: int = 4
 
     def __post_init__(self):
-        if not (math.isfinite(self.h) and self.h > 0):
+        if type(self.h) is bool or not (math.isfinite(self.h) and self.h > 0):
             raise ValueError(f"DiffScheme.h must be finite and positive, got {self.h!r}")
-        if self.order not in (2, 4):
-            raise ValueError("DiffScheme.order must be 2 or 4")
+        if type(self.order) is not int or self.order not in (2, 4):
+            raise ValueError(f"DiffScheme.order must be the int 2 or 4, got {self.order!r}")
 
     def step(self, p: Point3, axis: int):
         """h * max(1, |p[axis]|): a float at one point, an array for a batch."""
@@ -309,7 +312,7 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.line_rule not in ("adaptive_simpson", "gauss"):
             raise ValueError(f"unknown line rule {self.line_rule!r}")
-        if not (math.isfinite(self.line_tol) and self.line_tol > 0):
+        if type(self.line_tol) is bool or not (math.isfinite(self.line_tol) and self.line_tol > 0):
             raise ValueError(f"line_tol must be finite and positive, got {self.line_tol!r}")
         # type(x) is int, not isinstance: True is an int too
         if type(self.gauss_order) is not int or self.gauss_order < 1:
@@ -391,19 +394,23 @@ def _d2(evalf, f0, h: float, pts):
     return ((f1 + fm1) * 16.0 - (f2 + fm2) - f0 * 30.0) * (1.0 / (12.0 * h * h))
 
 
-def grad(f: ScalarField, p: Point3, scheme: DiffScheme = DEFAULT_SCHEME) -> np.ndarray:
-    """Gradient of a scalar field as a 3-vector of complex numbers; (3, *S)
-    for a batch of shape S."""
+def _derivatives(f, p: Point3, scheme: DiffScheme) -> np.ndarray:
+    """[d_x f, d_y f, d_z f] from one checked stencil, axis first: shape
+    (3, *lead, *S) for values of shape lead and a batch of shape S."""
     stencil = _stencil(f.domain, p, scheme)
     evalf = f.batch if _batched(p) else f
     return np.array([_d1(evalf, *s) for s in stencil], dtype=complex)
 
 
+def grad(f: ScalarField, p: Point3, scheme: DiffScheme = DEFAULT_SCHEME) -> np.ndarray:
+    """Gradient of a scalar field as a 3-vector of complex numbers; (3, *S)
+    for a batch of shape S."""
+    return _derivatives(f, p, scheme)
+
+
 def _jacobian(F: VectorField, p: Point3, scheme: DiffScheme) -> np.ndarray:
     """J[i, j] = d F_i / d x_j; shape (3, 3, *S) for a batch of shape S."""
-    stencil = _stencil(F.domain, p, scheme)
-    evalf = F.batch if _batched(p) else F
-    return np.array([_d1(evalf, *s) for s in stencil]).swapaxes(0, 1)
+    return _derivatives(F, p, scheme).swapaxes(0, 1)
 
 
 def div(F: VectorField, p: Point3, scheme: DiffScheme = DEFAULT_SCHEME):
@@ -437,37 +444,35 @@ def laplacian(f, p: Point3, scheme: DiffScheme = DEFAULT_SCHEME):
     return dxx + dyy + dzz
 
 
-_BASIS = (Biquaternion(0, 1), Biquaternion(0, 0, 1), Biquaternion(0, 0, 0, 1))
-
-
-def _as_quaternion_eval(f):
+def _dirac(f, p: Point3, scheme: DiffScheme, side: int) -> Biquaternion:
+    """sum_k e_k d_k f (side 1) or sum_k (d_k f) e_k (side -1) at one point:
+    -div + grad + side * rot on the scalar/vector split, each component's
+    terms added in the order of the sum over e_1, e_2, e_3."""
+    d = np.zeros((3, 4), dtype=complex)  # d[k] = d_k f: scalar part, vector part
     if isinstance(f, QuaternionField):
-        return f
-    if isinstance(f, ScalarField):
-        return lambda p: Biquaternion(f(p))
-    if isinstance(f, VectorField):
-        return lambda p: Biquaternion.from_vector(f(p))
-    raise TypeError(f"unsupported field type {type(f)!r}")
+        d[:] = _derivatives(_Field(lambda q: np.array(f(q).components), f.domain), p, scheme)
+    elif isinstance(f, ScalarField):
+        d[:, 0] = _derivatives(f, p, scheme)
+    elif isinstance(f, VectorField):
+        d[:, 1:] = _derivatives(f, p, scheme)
+    else:
+        raise TypeError(f"unsupported field type {type(f)!r}")
+    (g1, x1, y1, z1), (g2, x2, y2, z2), (g3, x3, y3, z3) = d.tolist()
+    if side < 0:  # the rot terms change sign
+        y1, z1, x2, z2, x3, y3 = -y1, -z1, -x2, -z2, -x3, -y3
+    # from 0j, as the sum over e_k starts: a sum that cancels to zero is +0
+    return Biquaternion(0j - x1 - y2 - z3, 0j + g1 + z2 - y3, 0j + g2 - z1 + x3,
+                        0j + y1 - x2 + g3)
 
 
 def dirac_left(f, p: Point3, scheme: DiffScheme = DEFAULT_SCHEME) -> Biquaternion:
     """D f = sum_k e_k d_k f = -div f_vec + grad f_0 + rot f_vec."""
-    stencil = _stencil(f.domain, p, scheme)
-    evalf = _as_quaternion_eval(f)
-    out = Biquaternion()
-    for e, s in zip(_BASIS, stencil):
-        out = out + mul(e, _d1(evalf, *s))
-    return out
+    return _dirac(f, p, scheme, 1)
 
 
 def dirac_right(f, p: Point3, scheme: DiffScheme = DEFAULT_SCHEME) -> Biquaternion:
     """D_r f = sum_k (d_k f) e_k = -div f_vec + grad f_0 - rot f_vec."""
-    stencil = _stencil(f.domain, p, scheme)
-    evalf = _as_quaternion_eval(f)
-    out = Biquaternion()
-    for e, s in zip(_BASIS, stencil):
-        out = out + mul(_d1(evalf, *s), e)
-    return out
+    return _dirac(f, p, scheme, -1)
 
 
 _DIFF_KINDS = {

@@ -35,7 +35,7 @@ class RunConfig:
     def __post_init__(self):
         for name, value in (("h", self.h), ("line_tol", self.line_tol),
                             ("margin", self.margin)):
-            if not (math.isfinite(value) and value > 0):
+            if type(value) is bool or not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"RunConfig.{name} must be finite and positive, "
                                   f"got {value!r}")
         # type(x) is int, not isinstance: True is an int too
@@ -51,7 +51,7 @@ class RunConfig:
                 raise ConfigError(f"RunConfig.{name} must be >= {low} and an int, "
                                   f"got {value!r}")
         for name, value in self.tolerances.items():
-            if not (math.isfinite(value) and value >= 0):
+            if type(value) is bool or not (math.isfinite(value) and value >= 0):
                 raise ConfigError(f"tolerance override {name!r} must be finite "
                                   f"and >= 0, got {value!r}")
 

@@ -42,7 +42,6 @@ from .fields import (
     _item,
     _jacobian,
     dirac_left,
-    dirac_right,
     div,
     grad,
     laplacian,
@@ -161,15 +160,6 @@ def inverse_cole_hopf(inst: RiccatiInstance, base: Point3, C: complex = 0j,
     return SchrodingerInstance(psi, inst.q)
 
 
-def _probe_pair(psi: ScalarField, inst: RiccatiInstance, scheme: DiffScheme):
-    """(D + Q C_H) psi = D_r psi + psi Q = grad psi + psi Q (psi scalar)."""
-    def inner(p: Point3) -> Biquaternion:
-        g = grad(psi, p, scheme)
-        return Biquaternion.from_vector(g + psi(p) * inst.Q(p))
-    dom = psi.domain.intersect(inst.Q.domain)
-    return QuaternionField(inner, dom)
-
-
 def factorization_residual(psi: ScalarField, inst: RiccatiInstance, p: Point3,
                            scheme: DiffScheme = DEFAULT_SCHEME):
     """Defect of both factorization lines of -Delta + q on the probe psi.
@@ -178,15 +168,21 @@ def factorization_residual(psi: ScalarField, inst: RiccatiInstance, p: Point3,
     right = (D_r - Q  )(D_r + M^Q C_H) psi - (-Delta + q) psi
 
     Both vanish (for arbitrary smooth scalar probes psi) iff Q solves the
-    Riccati equation at p; C_H does not act on the scalar probe.
+    Riccati equation at p; C_H does not act on the scalar probe.  The inner
+    factor G = (D + Q C_H) psi = grad psi + psi Q is a pure vector, so both
+    D G and D_r G (-div G +- rot G) come from one Jacobian of G: G is
+    evaluated 13 times per point at order 4 (7 at order 2), its centre included.
     """
     p = Point3(*p)
-    G = _probe_pair(psi, inst, scheme)
+    G = VectorField(lambda t: grad(psi, t, scheme) + psi(t) * inst.Q(t),
+                    psi.domain.intersect(inst.Q.domain))
     Qp = Biquaternion.from_vector(inst.Q(p))
-    Gp = G(p)
+    Gp = Biquaternion.from_vector(G(p))
     target = Biquaternion(-laplacian(psi, p, scheme) + inst.q(p) * psi(p))
-    left = dirac_left(G, p, scheme) - mul(Gp, Qp) - target
-    right = dirac_right(G, p, scheme) - mul(Qp, Gp) - target
+    J = _jacobian(G, p, scheme)
+    div_G, rot_G = J[0, 0] + J[1, 1] + J[2, 2], _curl(J)
+    left = Biquaternion.from_scalar_vector(-div_G, rot_G) - mul(Gp, Qp) - target
+    right = Biquaternion.from_scalar_vector(-div_G, -rot_G) - mul(Qp, Gp) - target
     return left, right
 
 

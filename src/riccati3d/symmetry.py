@@ -193,14 +193,8 @@ def determining_residual(params: GeneratorParams, q: ScalarField, p: Point3,
 
     qv = _real(q(p), "q")
     qx, qy, qz = (_real(g, "grad q") for g in grad(q, p, scheme))
-
-    coef_x = (a.a1 * (y * y + z * z - x * x) - 2 * a.a2 * x * y - 2 * a.a3 * x * z
-              + a.a4 * z - a.a5 * x + a.a6 * y - a.a9)
-    coef_y = (-2 * a.a1 * x * y + a.a2 * (x * x + z * z - y * y) - 2 * a.a3 * y * z
-              - a.a5 * y - a.a6 * x + a.a7 * z - a.a10)
-    coef_z = (-2 * a.a1 * x * z - 2 * a.a2 * y * z + a.a3 * (x * x + y * y - z * z)
-              - a.a4 * x - a.a5 * z - a.a7 * y - a.a8)
-    return (coef_x * qx + coef_y * qy + coef_z * qz
+    xi, eta, tau = vhat_apply(params, p, np.zeros(3))[:3]
+    return (-xi * qx - eta * qy - tau * qz
             - 2.0 * (a.a5 + 2.0 * (a.a1 * x + a.a2 * y + a.a3 * z)) * qv)
 
 

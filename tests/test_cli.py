@@ -9,7 +9,7 @@ import pytest
 from riccati3d import cli
 from riccati3d.cli import main
 from riccati3d.errors import ConfigError
-from riccati3d.fields import Point3
+from riccati3d.fields import DiffScheme, Point3, QuadratureSpec
 from riccati3d.report import RunConfig
 from riccati3d.verify import SUITES, halton_points
 
@@ -151,6 +151,27 @@ def test_run_config_rejects_a_non_int_count(name, value):
     # volume_grid 8.5 to be truncated to 8
     with pytest.raises(ConfigError, match=rf"RunConfig.{name} must be .*int.*, got {value!r}$"):
         RunConfig(**{name: value})
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: DiffScheme(h=True), ValueError, "DiffScheme.h must be finite and positive, got True"),
+    (lambda: DiffScheme(order=4.0), ValueError, "DiffScheme.order must be the int 2 or 4, got 4.0"),
+    (lambda: QuadratureSpec(line_tol=True), ValueError,
+     "line_tol must be finite and positive, got True"),
+    (lambda: RunConfig(h=True), ConfigError, "RunConfig.h must be finite and positive, got True"),
+    (lambda: RunConfig(margin=True), ConfigError,
+     "RunConfig.margin must be finite and positive, got True"),
+    (lambda: RunConfig(line_tol=True), ConfigError,
+     "RunConfig.line_tol must be finite and positive, got True"),
+    (lambda: RunConfig(tolerances={"basis_table": True}), ConfigError,
+     "tolerance override 'basis_table' must be finite and >= 0, got True")],
+    ids=["scheme-h", "scheme-order", "quad-line_tol", "config-h", "config-margin",
+         "config-line_tol", "config-tolerance"])
+def test_a_bool_or_float_where_a_number_or_int_is_wanted_is_rejected(make, error, message):
+    # each of these was accepted, and True kept as the setting
+    with pytest.raises(error) as exc:
+        make()
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("key", ["seed", "volume_grid", "gauss_order"])

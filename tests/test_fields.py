@@ -9,7 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from riccati3d.biquat import Biquaternion, conj_h, max_component_diff, mul
+from riccati3d.biquat import E1, E2, E3, Biquaternion, conj_h, max_component_diff, mul
 from riccati3d.errors import DomainError, QuadratureFailure
 from riccati3d.fields import (
     BoxDomain,
@@ -21,6 +21,8 @@ from riccati3d.fields import (
     QuaternionField,
     _BLOB_RADIUS,
     _NewtonianPotential,
+    _d1,
+    _stencil,
     diff,
     dirac_left,
     dirac_right,
@@ -32,6 +34,8 @@ from riccati3d.fields import (
     operator_rot_B,
     rot,
 )
+from riccati3d.riccati import RiccatiInstance, factorization_residual
+from riccati3d.verify import halton_points
 
 S = DiffScheme()
 
@@ -181,6 +185,84 @@ def test_laplacian_checks_its_centre_first():
     assert str(exc.value) == f"stencil point {p} in excluded set; shrink h or move p"
     assert f.calls == 0
 
+
+
+# -- Dirac operators against the Biquaternion loop they were computed with -----
+
+def _dirac_loop(f, p, scheme, right=False):
+    """sum_k e_k d_k f, or sum_k (d_k f) e_k with ``right``, each d_k f a
+    central difference of Biquaternion values: the loop that once computed
+    dirac_left and dirac_right, kept as their oracle."""
+    if isinstance(f, QuaternionField):
+        evalf = f
+    elif isinstance(f, ScalarField):
+        evalf = lambda t: Biquaternion(f(t))
+    else:
+        evalf = lambda t: Biquaternion.from_vector(f(t))
+    out = Biquaternion()
+    for e, s in zip((E1, E2, E3), _stencil(f.domain, p, scheme)):
+        d = _d1(evalf, *s)
+        out = out + (mul(d, e) if right else mul(e, d))
+    return out
+
+
+_DIRAC_FIELDS = {
+    "scalar": ScalarField(lambda p: complex(math.sin(p.x) * math.exp(p.y) * p.z,
+                                            p.x * p.y - p.z ** 3)),
+    "vector": VectorField(lambda p: np.array(
+        [p.y * math.cos(p.z) + 1j * p.x, math.exp(p.x * p.z),
+         p.x * p.y * p.z - 2j * p.y * p.y], complex)),
+    "quaternion": QuaternionField(lambda p: Biquaternion(
+        math.cosh(p.x + p.y) + 0.5j * p.z, math.sin(p.x) + 1j * p.y * p.z, p.x ** 3,
+        math.exp(-p.z) * p.y + 1j)),
+}
+_DIRAC_POINTS = halton_points((Point3(-1.3, -0.9, -1.1), Point3(1.2, 1.4, 0.8)), 40, 7)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("kind", sorted(_DIRAC_FIELDS))
+def test_dirac_equals_the_biquaternion_loop_bitwise(kind, order):
+    # repr tells every bit apart, the sign of a zero included
+    f, scheme = _DIRAC_FIELDS[kind], DiffScheme(order=order)
+    for p in _DIRAC_POINTS:
+        assert repr(dirac_left(f, p, scheme)) == repr(_dirac_loop(f, p, scheme))
+        assert repr(dirac_right(f, p, scheme)) == repr(_dirac_loop(f, p, scheme, right=True))
+
+
+def _factorization_with_quaternion_probe(psi, inst, p, scheme):
+    """factorization_residual with its probe grad psi + psi Q as a
+    QuaternionField, each factor line through the Biquaternion loop."""
+    G = QuaternionField(
+        lambda t: Biquaternion.from_vector(grad(psi, t, scheme) + psi(t) * inst.Q(t)),
+        psi.domain.intersect(inst.Q.domain))
+    Qp, Gp = Biquaternion.from_vector(inst.Q(p)), G(p)
+    target = Biquaternion(-laplacian(psi, p, scheme) + inst.q(p) * psi(p))
+    return (_dirac_loop(G, p, scheme) - mul(Gp, Qp) - target,
+            _dirac_loop(G, p, scheme, right=True) - mul(Qp, Gp) - target)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_factorization_equals_the_quaternion_probe_reference_bitwise(order):
+    scheme = DiffScheme(order=order)
+    inst = RiccatiInstance(
+        VectorField(lambda p: np.array([p.x * p.y, math.sin(p.z), 1j * p.x], complex)),
+        ScalarField(lambda p: complex(p.x + p.y, 0.5)))
+    psi = _DIRAC_FIELDS["scalar"]
+    for p in _DIRAC_POINTS:
+        got = factorization_residual(psi, inst, p, scheme)
+        want = _factorization_with_quaternion_probe(psi, inst, p, scheme)
+        assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("order, probe_evals", [(2, 7), (4, 13)])
+def test_factorization_evaluates_its_probe_once_per_stencil_point(order, probe_evals):
+    # each probe evaluation evaluates Q once, and Q(p) is evaluated once more;
+    # differencing a QuaternionField probe once per factor line took 13 and 25
+    Q = _counting(VectorField)
+    inst = RiccatiInstance(Q, ScalarField(lambda p: 1j))
+    psi = ScalarField(lambda p: complex(math.exp(0.3 * p.x - 0.2 * p.y + 0.1 * p.z)))
+    factorization_residual(psi, inst, Point3(0.3, -0.7, 1.2), DiffScheme(order=order))
+    assert Q.calls == probe_evals + 1
 
 def test_order2_scheme_works():
     s2 = DiffScheme(h=1e-5, order=2)
