@@ -6,6 +6,10 @@ Subcommands:
   transform  transport a solution with a symmetry group element and export
              it together with the transport-vs-pushforward discrepancy
 
+CSV cells are ``repr`` of each value, formatted once per distinct bit
+pattern of a column and gathered back to the rows: the bytes are those of
+formatting each cell.
+
 Exit codes: 0 all checks pass, 1 check failure / discrepancy, 2 usage or
 configuration error, or a path that cannot be read or written.  Reports are
 deterministic given (config, seed) except for the seconds timing fields.
@@ -24,11 +28,7 @@ import numpy as np
 from .errors import ConfigError, DomainError, PoleError, Riccati3dError, ZeroCrossing
 from .fields import DiffScheme, Point3
 from .report import RunConfig
-from .riccati import (
-    RiccatiInstance,
-    riccati_residual,
-    schrodinger_residual,
-)
+from .riccati import RiccatiInstance, _centre_and_residual, schrodinger_residual
 from .solutions import CatalogEntry, catalog_entry, HARMONIC_IDS
 from .symmetry import _AXIS_TOL, GroupElement, pushforward_solution, transport_solution
 from .verify import SUITES, run_suite
@@ -123,23 +123,30 @@ def _entry_from_args(args) -> CatalogEntry:
     return catalog_entry(args.solution, margin=args.margin, **params)
 
 
+def _repr_column(col: np.ndarray) -> np.ndarray:
+    """``repr`` of each value of a float64 or int64 column, as an object
+    array of str.  ``repr`` runs once per distinct bit pattern, so that
+    ``0.0`` and ``-0.0`` stay apart, and the strings are gathered back."""
+    bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
+    return np.array(list(map(repr, bits.view(col.dtype).tolist())), dtype=object)[inverse]
+
+
 def _write_rows(path: str, fmt: str, grid: Sequence[np.ndarray], masked: np.ndarray,
                values: dict) -> None:
     """Columns x, y, z, masked, then Re_ and Im_ of each quantity in
     ``values``, empty (CSV) or null (JSON) in the masked rows."""
     header = ["x", "y", "z", "masked"]
-    columns = [c.tolist() for c in grid] + [masked.astype(int).tolist()]
+    columns = [*grid, masked.astype(np.int64)]
     for name, val in values.items():
         header += [f"Re_{name}", f"Im_{name}"]
-        columns += [val.real.tolist(), val.imag.tolist()]
+        columns += [val.real, val.imag]
     if fmt == "csv":
-        columns, blank = [list(map(repr, col)) for col in columns], ""
+        columns, blank = [_repr_column(col) for col in columns], ""
     else:
-        blank = None
-    holes = np.flatnonzero(masked).tolist()
+        columns, blank = [col.astype(object) for col in columns], None
     for col in columns[4:]:
-        for i in holes:
-            col[i] = blank
+        col[masked] = blank
+    columns = [col.tolist() for col in columns]
     with open(path, "w", newline="") as fh:
         if fmt == "csv":
             fh.write(",".join(header) + "\n")
@@ -211,16 +218,17 @@ def _eval_batch(entry: CatalogEntry, fields: Sequence[str], P: Point3,
                 scheme: DiffScheme) -> dict:
     """Quantity name -> complex array over a batch P of grid points.  The
     residuals go first: their stencil check raises before anything is
-    evaluated."""
+    evaluated, and they hand on Q at P."""
     inst = entry.instance
     values: dict = {}
+    Q = None
     if "residuals" in fields:
-        sc, vec = riccati_residual(inst, P, scheme)
+        Q, sc, vec = _centre_and_residual(inst, P, scheme)
         values.update(resid_sc=sc, resid_v1=vec[0], resid_v2=vec[1], resid_v3=vec[2])
         if "psi" in fields:
             values["resid_psi"] = schrodinger_residual(entry.schrodinger(), P, scheme)
     if "Q" in fields:
-        values.update(zip("uvw", inst.Q.batch(P)))
+        values.update(zip("uvw", inst.Q.batch(P) if Q is None else Q))
     if "q" in fields:
         values["q"] = inst.q.batch(P)
     if "psi" in fields:
@@ -259,8 +267,8 @@ def cmd_transform(args) -> int:
     names = ["u", "v", "w", "resid_sc", "resid_v1", "resid_v2", "resid_v3", "discrepancy"]
 
     def evaluate(P: Point3) -> dict:
-        tv, ov = moved.batch(P), oracle.batch(P)
-        sc, vec = riccati_residual(moved_inst, P, scheme)
+        tv, sc, vec = _centre_and_residual(moved_inst, P, scheme)
+        ov = oracle.batch(P)
         return dict(zip(names, (*tv, sc, *vec, np.abs(tv - ov).max(axis=0))))
 
     # a row is masked only where an evaluator or the stencil check raises

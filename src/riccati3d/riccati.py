@@ -119,11 +119,16 @@ def riccati_residual(inst: RiccatiInstance, p: Point3,
     (3, *S), equal bit for bit to the pointwise ones when Q and q are
     vectorized exactly (as the catalog's are).
     """
-    p = Point3(*p)
+    return _centre_and_residual(inst, Point3(*p), scheme)[1:]
+
+
+def _centre_and_residual(inst: RiccatiInstance, p: Point3, scheme: DiffScheme):
+    """Q(p) and the two defects of ``riccati_residual``, for callers that
+    export Q too: Q is evaluated once per stencil point and once at p."""
     J = _jacobian(inst.Q, p, scheme)
     Qp = inst.Q.batch(p)
     scalar = -(J[0, 0] + J[1, 1] + J[2, 2]) + _dot(Qp, Qp) - inst.q.batch(p)
-    return (scalar if _batched(p) else complex(scalar)), _curl(J)
+    return Qp, (scalar if _batched(p) else complex(scalar)), _curl(J)
 
 
 def schrodinger_residual(inst: SchrodingerInstance, p: Point3,

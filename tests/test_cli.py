@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from riccati3d import cli
@@ -612,9 +613,10 @@ def test_transform_masks_every_row_of_a_failing_check_in_one_retry(monkeypatch, 
 
 def test_transform_calls_the_transported_field_once_per_stencil_point(monkeypatch, tmp_path,
                                                                       capsys):
-    # each batch evaluates the transported field once at its points, then
-    # once at each of the residual's 12 stencil points and once more at its
-    # centre: 14 vectorized calls however many rows the batch holds
+    # each batch evaluates the transported field once at each of the
+    # residual's 12 stencil points and once at its points, which the residual
+    # hands on to the u, v, w columns: 13 vectorized calls however many rows
+    # the batch holds
     calls = []
 
     def counting(*args, **kwargs):
@@ -628,4 +630,86 @@ def test_transform_calls_the_transported_field_once_per_stencil_point(monkeypatc
     sizes = _batch_sizes(monkeypatch, args + ["--out", str(tmp_path / "grid.csv")])
     capsys.readouterr()
     assert sizes[0] == 9 ** 3
-    assert 0 < len(calls) <= 14 * len(sizes)
+    assert 0 < len(calls) <= 13 * len(sizes)
+
+
+@pytest.mark.parametrize("command", ["eval", "transform"])
+def test_export_evaluates_Q_once_per_stencil_point_and_once_at_its_rows(command, monkeypatch,
+                                                                         tmp_path, capsys):
+    # per batch, Q is evaluated at the residual's 12 stencil points (order 4)
+    # and once at the batch's rows; the u, v, w columns reuse that centre value
+    calls = []
+
+    def count(Q):
+        fn = Q.fn
+        monkeypatch.setattr(Q, "fn", lambda p: calls.append(p.x.size) or fn(p))
+        return Q
+    grid = "--grid=0.5,1.0,4,0.05,0.4,4,-0.4,0.4,4"  # 64 rows, none masked
+    if command == "eval":
+        entry_from_args = cli._entry_from_args
+        monkeypatch.setattr(cli, "_entry_from_args",
+                            lambda args: (entry := entry_from_args(args),
+                                          count(entry.instance.Q))[0])
+        args = ["eval", "--solution", "rotational", "--k", "1", "--c", "0.3466", grid,
+                "--fields", "Q,q,psi,residuals"]
+    else:
+        transport_solution = cli.transport_solution
+        monkeypatch.setattr(cli, "transport_solution",
+                            lambda *a: count(transport_solution(*a)))
+        args = ["transform", "--solution", "rotational", "--k", "1", "--c", "0.3466",
+                "--group", "6", "--lambda", "0.3", grid]
+    monkeypatch.setattr(cli, "_EVAL_CHUNK", 25)
+    sizes = _batch_sizes(monkeypatch, args + ["--out", str(tmp_path / "grid.csv")])
+    capsys.readouterr()
+    assert sizes == [25, 25, 14]  # no row masked, so no batch retried
+    assert calls == [n for n in sizes for _ in range(13)]
+
+
+def _write_rows_per_cell(path, fmt, grid, masked, values):
+    """The exporter's writer as it was before it formatted each distinct
+    value once: ``repr`` of every cell.  The oracle for the bytes."""
+    header = ["x", "y", "z", "masked"]
+    columns = [c.tolist() for c in grid] + [masked.astype(int).tolist()]
+    for name, val in values.items():
+        header += [f"Re_{name}", f"Im_{name}"]
+        columns += [val.real.tolist(), val.imag.tolist()]
+    if fmt == "csv":
+        columns, blank = [list(map(repr, col)) for col in columns], ""
+    else:
+        blank = None
+    holes = np.flatnonzero(masked).tolist()
+    for col in columns[4:]:
+        for i in holes:
+            col[i] = blank
+    with open(path, "w", newline="") as fh:
+        if fmt == "csv":
+            fh.write(",".join(header) + "\n")
+            fh.writelines(",".join(row) + "\n" for row in zip(*columns))
+        else:
+            json.dump([dict(zip(header, row)) for row in zip(*columns)], fh, indent=2)
+            fh.write("\n")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_writer_equals_the_per_cell_repr_writer(fmt, tmp_path):
+    # signed zeros, neighbours one ulp apart, extreme magnitudes, long runs of
+    # one value and masked rows, in grid and quantity columns alike
+    special = np.array([0.0, -0.0, 1e16, 1e-5, 5e-324, -5e-324, 1.7976931348623157e308,
+                        -1.7976931348623157e308, 0.1, np.nextafter(0.1, 1.0),
+                        np.nextafter(0.1, 0.0), 1.0, np.nextafter(1.0, 2.0),
+                        np.nextafter(1e16, 0.0), 1e16 + 2.0])
+    rng = np.random.default_rng(19)
+    n = 6 * special.size
+    grid = [np.repeat(special, 6), np.tile(special, 6), rng.choice(special, n)]
+    masked = np.zeros(n, dtype=bool)
+    masked[::7] = True
+    masked[20:31] = True
+    zeros = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+    values = {"a": rng.choice(special, n) + 1j * zeros,
+              "b": np.full(n, 1 / 3) + 1j * rng.standard_normal(n),
+              "c": special[np.arange(n) // 30] - 1j * rng.choice(special, n)}
+    cli._write_rows(str(tmp_path / "new"), fmt, grid, masked, values)
+    _write_rows_per_cell(str(tmp_path / "old"), fmt, grid, masked, values)
+    new = (tmp_path / "new").read_bytes()
+    assert new == (tmp_path / "old").read_bytes()
+    assert b"-0.0" in new and b"5e-324" in new and b"1.7976931348623157e+308" in new
