@@ -7,16 +7,22 @@ e0, e1, e2, e3 with e0 = 1 and
 
 the complex unit i commuting with everything.  All operations are pure and
 the values immutable, so everything here is thread-safe.
+
+``mul``, ``conj_h`` and ``inverse`` wrap one body each over components
+(``_product``, ``_conj``, ``_inverse``): four complex numbers, or the rows
+of a ``(4, *S)`` array for a batch, whose complex products numpy may round
+differently (its loops may fuse a multiply and an add).
 """
 
 from __future__ import annotations
 
-import math
+import cmath
+import functools
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import ZeroDivisor
+from .errors import ZeroDivisor, _first, _item
 
 __all__ = [
     "Biquaternion",
@@ -33,10 +39,6 @@ __all__ = [
 ]
 
 
-def _finite(z: complex) -> bool:
-    return math.isfinite(z.real) and math.isfinite(z.imag)
-
-
 class Biquaternion:
     """Immutable biquaternion q0 + q1 e1 + q2 e2 + q3 e3, q_i complex."""
 
@@ -44,7 +46,8 @@ class Biquaternion:
 
     def __init__(self, q0=0j, q1=0j, q2=0j, q3=0j):
         q0, q1, q2, q3 = complex(q0), complex(q1), complex(q2), complex(q3)
-        if not (_finite(q0) and _finite(q1) and _finite(q2) and _finite(q3)):
+        if not (cmath.isfinite(q0) and cmath.isfinite(q1) and cmath.isfinite(q2)
+                and cmath.isfinite(q3)):
             raise ValueError(f"non-finite biquaternion coefficients: {(q0, q1, q2, q3)}")
         object.__setattr__(self, "q0", q0)
         object.__setattr__(self, "q1", q1)
@@ -147,15 +150,11 @@ E2 = Biquaternion(0, 0, 1)
 E3 = Biquaternion(0, 0, 0, 1)
 
 
-def mul(a: Biquaternion, b: Biquaternion) -> Biquaternion:
-    """Biquaternion product a·b.
-
-    Equals a0 b0 - <a, b> + a0 b_vec + b0 a_vec + a_vec x b_vec with the
-    complex-bilinear inner and cross products.  Noncommutative.
-    """
-    a0, a1, a2, a3 = a.q0, a.q1, a.q2, a.q3
-    b0, b1, b2, b3 = b.q0, b.q1, b.q2, b.q3
-    return Biquaternion(
+def _product(a, b):
+    """Components of a·b from the components of a and b."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (
         a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
         a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
         a0 * b2 + a2 * b0 + a3 * b1 - a1 * b3,
@@ -163,9 +162,42 @@ def mul(a: Biquaternion, b: Biquaternion) -> Biquaternion:
     )
 
 
+def _conj(a):
+    """Components of conj_h(a)."""
+    a0, a1, a2, a3 = a
+    return (a0, -a1, -a2, -a3)
+
+
+def _modulus_sq(a):
+    a0, a1, a2, a3 = a
+    return a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3
+
+
+def _inverse(a, eps_inv: float):
+    """Components of inverse(a).  Over a batch, ZeroDivisor names the first
+    element that has no inverse in ``index`` and all of them in ``where``."""
+    m = _modulus_sq(a)
+    size = [abs(c) for c in a]
+    scale = (functools.reduce(np.maximum, size) if type(m) is np.ndarray else max(size)) ** 2
+    bad = (scale == 0.0) | (abs(m) <= eps_inv * scale)
+    if bad is not False and (i := _first(bad)) is not None:
+        raise ZeroDivisor(f"biquaternion has (near-)zero modulus |a|^2 = {_item(m, i)}",
+                          index=i, where=bad)
+    return tuple(c / m for c in _conj(a))
+
+
+def mul(a: Biquaternion, b: Biquaternion) -> Biquaternion:
+    """Biquaternion product a·b.
+
+    Equals a0 b0 - <a, b> + a0 b_vec + b0 a_vec + a_vec x b_vec with the
+    complex-bilinear inner and cross products.  Noncommutative.
+    """
+    return Biquaternion(*_product(a.components, b.components))
+
+
 def conj_h(a: Biquaternion) -> Biquaternion:
     """Quaternionic conjugate: negate the vector part (complex parts untouched)."""
-    return Biquaternion(a.q0, -a.q1, -a.q2, -a.q3)
+    return Biquaternion(*_conj(a.components))
 
 
 def modulus_sq(a: Biquaternion) -> complex:
@@ -173,7 +205,7 @@ def modulus_sq(a: Biquaternion) -> complex:
 
     Not a norm: biquaternions have zero divisors with |a|^2 = 0.
     """
-    return a.q0 * a.q0 + a.q1 * a.q1 + a.q2 * a.q2 + a.q3 * a.q3
+    return _modulus_sq(a.components)
 
 
 def inverse(a: Biquaternion, eps_inv: float = 1e-12) -> Biquaternion:
@@ -182,11 +214,7 @@ def inverse(a: Biquaternion, eps_inv: float = 1e-12) -> Biquaternion:
     Raises ZeroDivisor when |a|^2 is smaller than eps_inv relative to the
     squared largest coefficient, so rescaling a never flips invertibility.
     """
-    m = modulus_sq(a)
-    scale = a.max_abs() ** 2
-    if scale == 0.0 or abs(m) <= eps_inv * scale:
-        raise ZeroDivisor(f"biquaternion has (near-)zero modulus |a|^2 = {m}")
-    return conj_h(a) / m
+    return Biquaternion(*_inverse(a.components, eps_inv))
 
 
 def right_mul(x: Biquaternion) -> Callable[[Biquaternion], Biquaternion]:

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ConfigError, DomainError, PoleError, Riccati3dError, ZeroCrossing
 from .fields import DiffScheme, Point3
 from .report import RunConfig
-from .riccati import RiccatiInstance, _centre_and_residual, schrodinger_residual
+from .riccati import RiccatiInstance, _centre_and_residual, _schrodinger_centre
 from .solutions import CatalogEntry, catalog_entry, HARMONIC_IDS
 from .symmetry import _AXIS_TOL, GroupElement, pushforward_solution, transport_solution
 from .verify import SUITES, run_suite
@@ -218,21 +218,21 @@ def _eval_batch(entry: CatalogEntry, fields: Sequence[str], P: Point3,
                 scheme: DiffScheme) -> dict:
     """Quantity name -> complex array over a batch P of grid points.  The
     residuals go first: their stencil check raises before anything is
-    evaluated, and they hand on Q at P."""
+    evaluated, and they hand on Q, q and psi at P."""
     inst = entry.instance
     values: dict = {}
-    Q = None
+    Q = q = psi = None
     if "residuals" in fields:
-        Q, sc, vec = _centre_and_residual(inst, P, scheme)
+        Q, q, sc, vec = _centre_and_residual(inst, P, scheme)
         values.update(resid_sc=sc, resid_v1=vec[0], resid_v2=vec[1], resid_v3=vec[2])
         if "psi" in fields:
-            values["resid_psi"] = schrodinger_residual(entry.schrodinger(), P, scheme)
+            psi, values["resid_psi"] = _schrodinger_centre(entry.schrodinger(), P, scheme, q)
     if "Q" in fields:
         values.update(zip("uvw", inst.Q.batch(P) if Q is None else Q))
     if "q" in fields:
-        values["q"] = inst.q.batch(P)
+        values["q"] = inst.q.batch(P) if q is None else q
     if "psi" in fields:
-        values["psi"] = entry.psi.batch(P)
+        values["psi"] = entry.psi.batch(P) if psi is None else psi
     return values
 
 
@@ -267,7 +267,7 @@ def cmd_transform(args) -> int:
     names = ["u", "v", "w", "resid_sc", "resid_v1", "resid_v2", "resid_v3", "discrepancy"]
 
     def evaluate(P: Point3) -> dict:
-        tv, sc, vec = _centre_and_residual(moved_inst, P, scheme)
+        tv, _, sc, vec = _centre_and_residual(moved_inst, P, scheme)
         ov = oracle.batch(P)
         return dict(zip(names, (*tv, sc, *vec, np.abs(tv - ov).max(axis=0))))
 

@@ -1,6 +1,9 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the helpers that locate
+a failing guard in a batch."""
 
 from typing import Optional
+
+import numpy as np
 
 
 class Riccati3dError(Exception):
@@ -62,3 +65,20 @@ class PoleError(Riccati3dError):
 
 class ConfigError(Riccati3dError):
     """Invalid run configuration (CLI exit code 2)."""
+
+
+def _first(bad) -> Optional[int]:
+    """Where a guard fails: None if ``bad`` holds nowhere, else the flat
+    C-order index of the first point where it holds (0 for one point).
+    ``bad`` is a bool at one point and a bool array for a batch.  Guards
+    read ``if bad is not False and (i := _first(bad)) is not None``, so that
+    one point with a plain float comparison makes no call."""
+    if type(bad) is np.ndarray:
+        return int(bad.argmax()) if bad.any() else None
+    return 0 if bad else None
+
+
+def _item(a, i: int):
+    """Value i (flat C order) of a batch as a Python scalar; ``a`` itself at
+    one point."""
+    return a.flat[i].item() if type(a) is np.ndarray else a

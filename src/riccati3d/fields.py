@@ -8,9 +8,11 @@ Conventions
   a batch of points is checked with one call of it.
 * ``F(p)`` evaluates one point.  ``F.batch(P)`` evaluates a Point3 of
   equal-shape coordinate arrays and returns the component axis first:
-  shape ``S`` for a scalar field, ``(3, *S)`` for a vector field.  A field
-  built with ``vectorized=True`` declares that its evaluator broadcasts over
-  such arrays (a constant return is broadcast), so ``batch`` calls it once;
+  shape ``S`` for a scalar field, ``(3, *S)`` for a vector field and
+  ``(4, *S)``, the four biquaternion components, for a quaternion field
+  (whose ``F(p)`` is a Biquaternion).  A field built with
+  ``vectorized=True`` declares that its evaluator broadcasts over such
+  arrays (a constant return is broadcast), so ``batch`` calls it once;
   any other field is called once per point, with Python floats, and an
   error there is raised as the call at that point alone raises it (see
   ``errors.Riccati3dError`` for ``index`` and ``where``).  The volume-grid
@@ -20,24 +22,27 @@ Conventions
   step ``h * max(1, |coordinate|)`` per axis.  Every stencil point is checked
   (box, excluded set; else DomainError) before any point is evaluated, and
   ``riccati_residual`` takes -div Q and rot Q from one stencil of Q.
-  ``grad``, ``div``, ``rot``, ``laplacian`` and the stencil also take a
-  batch: the stencil is checked for every target with one mask, each of its
-  points is one ``F.batch`` call over all targets, and results keep the
-  component axis first.  A bad stencil point raises the DomainError the
+  ``grad``, ``div``, ``rot``, ``laplacian``, ``dirac_left``,
+  ``dirac_right`` and the stencil also take a batch: the stencil is checked
+  for every target with one mask, each of its points is one ``F.batch``
+  call over all targets, and results keep the component axis first.  A bad stencil point raises the DomainError the
   pointwise loop raises at the first offending target (points printed as
   Python floats), with ``index`` naming that target and ``where`` every
   target with a bad stencil point.
 * Dual-use evaluators serve ``F(p)`` and ``F.batch`` with one body: guards
-  go through ``_first`` (a plain comparison at one point, a mask over a
-  batch) and transcendental functions are numpy ufuncs, which run the same
-  loop for one point and for a batch, so a batch gives the values of
-  ``F(p)`` bit for bit.
+  go through ``errors._first`` (a plain comparison at one point, a mask
+  over a batch) and transcendental functions are numpy ufuncs, which run
+  the same loop for one point and for a batch, so a batch gives the values
+  of ``F(p)`` bit for bit.
 * ``dirac_left`` is sum_k e_k d_k (the Moisil-Theodoresco operator), equal to
   -div + grad + rot on the scalar/vector split; ``dirac_right`` puts e_k on
   the right and flips the rot sign.  Both difference the field's scalar and
-  vector parts at one point as ``grad`` and the Jacobian do, and add each
-  component's terms in the order of the sum over e_1, e_2, e_3, so they equal
-  that sum of biquaternion products bit for bit.
+  vector parts as ``grad`` and the Jacobian do, and add each component's
+  terms in the order of the sum over e_1, e_2, e_3, so they equal that sum
+  of biquaternion products bit for bit.  Over a batch they return the
+  ``(4, *S)`` components, each column equal to the Biquaternion at its point
+  bit for bit: the assembly only adds, and ``_d1`` only scales complex
+  values by real floats, which numpy rounds as Python does.
 * The path-reconstruction operator A integrates on the fixed axis-ordered
   path (x-leg, then y-leg, then z-leg) from its base point, with one routine
   per line rule for any number of targets (``A(p)`` is the one-target
@@ -176,23 +181,6 @@ def vec3(x, y, z) -> np.ndarray:
     return np.array(np.broadcast_arrays(x, y, z), dtype=complex)
 
 
-def _first(bad) -> Optional[int]:
-    """Where a guard fails: None if ``bad`` holds nowhere, else the flat
-    C-order index of the first point where it holds (0 for one point).
-    ``bad`` is a bool at one point and a bool array for a batch.  Guards
-    read ``if bad is not False and (i := _first(bad)) is not None``, so that
-    one point with a plain float comparison makes no call."""
-    if type(bad) is np.ndarray:
-        return int(bad.argmax()) if bad.any() else None
-    return 0 if bad else None
-
-
-def _item(a, i: int):
-    """Value i (flat C order) of a batch as a Python scalar; ``a`` itself at
-    one point."""
-    return a.flat[i].item() if type(a) is np.ndarray else a
-
-
 class _Field:
     """Shared wrapper: a callable evaluator plus its domain.
 
@@ -219,7 +207,8 @@ class _Field:
 
         A vectorized field's evaluator is called once, any other field's once
         per point in C order, with Python floats.  A Point3 of scalars gives
-        ``self(P)``.  A typed error names its point of the batch in
+        the value at that point (``self(P)``, or a quaternion field's four
+        components).  A typed error names its point of the batch in
         ``index``; from the per-point calls it is the first one raised, with
         ``where`` holding at every point that raised the same type.
         """
@@ -231,13 +220,16 @@ class _Field:
             if type(v) is list:  # components, scalars among them broadcast
                 v = np.broadcast_arrays(*v)
             v = np.asarray(v, dtype=complex)
+            if v.shape == self._lead + shape:
+                return v
             v = v.reshape(v.shape + (1,) * (len(self._lead) + len(shape) - v.ndim))
             return np.broadcast_to(v, self._lead + shape)
         out = np.empty(self._lead + (P[0].size,), dtype=complex)
         first = None
+        at = self.batch if isinstance(self, QuaternionField) else self  # a point's values
         for n, p in enumerate(zip(*(np.broadcast_to(c, shape).ravel().tolist() for c in P))):
             try:
-                out[..., n] = self(Point3(*p))
+                out[..., n] = at(Point3(*p))
             except Riccati3dError as exc:
                 if first is None:
                     first, where = exc, np.zeros(out.shape[-1], dtype=bool)
@@ -266,14 +258,29 @@ class VectorField(_Field):
 
 
 class QuaternionField(_Field):
-    """Point3 -> Biquaternion (pointwise only: ``batch`` is for scalar and
-    vector fields)."""
+    """Point3 -> Biquaternion.
+
+    ``batch`` gives the four components, axis first: ``(4, *S)``.  A
+    vectorized evaluator returns the four components at one point and over
+    a batch (a list in which scalars are broadcast, or an array), and
+    ``F(p)`` builds the Biquaternion from them; any other evaluator returns
+    a Biquaternion.
+    """
+
+    _lead = (4,)
 
     def __call__(self, p: Point3) -> Biquaternion:
         v = self.fn(p)
+        if self.vectorized:
+            return Biquaternion(*v)
         if not isinstance(v, Biquaternion):
             raise TypeError(f"quaternion field evaluator returned {type(v)!r}")
         return v
+
+    def batch(self, P: Point3) -> np.ndarray:
+        if not _batched(P):
+            return np.array(self(P).components)
+        return super().batch(P)
 
 
 @dataclass(frozen=True)
@@ -396,9 +403,10 @@ def _d2(evalf, f0, h: float, pts):
 
 def _derivatives(f, p: Point3, scheme: DiffScheme) -> np.ndarray:
     """[d_x f, d_y f, d_z f] from one checked stencil, axis first: shape
-    (3, *lead, *S) for values of shape lead and a batch of shape S."""
+    (3, *lead, *S) for values of shape lead and a batch of shape S.  A
+    quaternion field is differenced through its four components."""
     stencil = _stencil(f.domain, p, scheme)
-    evalf = f.batch if _batched(p) else f
+    evalf = f.batch if _batched(p) or isinstance(f, QuaternionField) else f
     return np.array([_d1(evalf, *s) for s in stencil], dtype=complex)
 
 
@@ -436,42 +444,51 @@ def rot(F: VectorField, p: Point3, scheme: DiffScheme = DEFAULT_SCHEME) -> np.nd
 
 def laplacian(f, p: Point3, scheme: DiffScheme = DEFAULT_SCHEME):
     """Componentwise Laplacian of a scalar, vector or quaternion field (a
-    batch of points for scalar and vector fields only)."""
+    batch of points gives arrays, component axis first)."""
+    return _laplacian_and_centre(f, p, scheme)[0]
+
+
+def _laplacian_and_centre(f, p: Point3, scheme: DiffScheme):
+    """``laplacian`` and the value at p it differences, for callers that
+    need that value too: f is evaluated once per stencil point, p included."""
     stencil = _stencil(f.domain, p, scheme, include_center=True)
     evalf = f.batch if _batched(p) else f
     f0 = evalf(p)
     dxx, dyy, dzz = (_d2(evalf, f0, *s) for s in stencil)
-    return dxx + dyy + dzz
+    return dxx + dyy + dzz, f0
 
 
-def _dirac(f, p: Point3, scheme: DiffScheme, side: int) -> Biquaternion:
-    """sum_k e_k d_k f (side 1) or sum_k (d_k f) e_k (side -1) at one point:
-    -div + grad + side * rot on the scalar/vector split, each component's
-    terms added in the order of the sum over e_1, e_2, e_3."""
-    d = np.zeros((3, 4), dtype=complex)  # d[k] = d_k f: scalar part, vector part
-    if isinstance(f, QuaternionField):
-        d[:] = _derivatives(_Field(lambda q: np.array(f(q).components), f.domain), p, scheme)
-    elif isinstance(f, ScalarField):
-        d[:, 0] = _derivatives(f, p, scheme)
-    elif isinstance(f, VectorField):
-        d[:, 1:] = _derivatives(f, p, scheme)
-    else:
+def _dirac(f, p: Point3, scheme: DiffScheme, side: int):
+    """sum_k e_k d_k f (side 1) or sum_k (d_k f) e_k (side -1): -div + grad
+    + side * rot on the scalar/vector split, each component's terms added in
+    the order of the sum over e_1, e_2, e_3.  A Biquaternion at one point,
+    its (4, *S) components over a batch of shape S."""
+    if not isinstance(f, (ScalarField, VectorField, QuaternionField)):
         raise TypeError(f"unsupported field type {type(f)!r}")
-    (g1, x1, y1, z1), (g2, x2, y2, z2), (g3, x3, y3, z3) = d.tolist()
+    deriv = _derivatives(f, p, scheme)
+    if isinstance(f, QuaternionField):
+        d = deriv  # d[k] = d_k f: scalar part, vector part
+    else:  # the part that a scalar or vector field lacks is zero
+        d = np.zeros((3, 4) + deriv.shape[1 + len(f._lead):], dtype=complex)
+        d[:, slice(1, 4) if isinstance(f, VectorField) else 0] = deriv
+    batched = _batched(p)
+    (g1, x1, y1, z1), (g2, x2, y2, z2), (g3, x3, y3, z3) = d if batched else d.tolist()
     if side < 0:  # the rot terms change sign
         y1, z1, x2, z2, x3, y3 = -y1, -z1, -x2, -z2, -x3, -y3
     # from 0j, as the sum over e_k starts: a sum that cancels to zero is +0
-    return Biquaternion(0j - x1 - y2 - z3, 0j + g1 + z2 - y3, 0j + g2 - z1 + x3,
-                        0j + y1 - x2 + g3)
+    parts = (0j - x1 - y2 - z3, 0j + g1 + z2 - y3, 0j + g2 - z1 + x3, 0j + y1 - x2 + g3)
+    return np.array(parts) if batched else Biquaternion(*parts)
 
 
-def dirac_left(f, p: Point3, scheme: DiffScheme = DEFAULT_SCHEME) -> Biquaternion:
-    """D f = sum_k e_k d_k f = -div f_vec + grad f_0 + rot f_vec."""
+def dirac_left(f, p: Point3, scheme: DiffScheme = DEFAULT_SCHEME):
+    """D f = sum_k e_k d_k f = -div f_vec + grad f_0 + rot f_vec: a
+    Biquaternion, or (4, *S) components for a batch of shape S."""
     return _dirac(f, p, scheme, 1)
 
 
-def dirac_right(f, p: Point3, scheme: DiffScheme = DEFAULT_SCHEME) -> Biquaternion:
-    """D_r f = sum_k (d_k f) e_k = -div f_vec + grad f_0 - rot f_vec."""
+def dirac_right(f, p: Point3, scheme: DiffScheme = DEFAULT_SCHEME):
+    """D_r f = sum_k (d_k f) e_k = -div f_vec + grad f_0 - rot f_vec: a
+    Biquaternion, or (4, *S) components for a batch of shape S."""
     return _dirac(f, p, scheme, -1)
 
 

@@ -3,9 +3,10 @@
 Everything here works pointwise on fields: residual operations return the
 defect of an identity at one point, transform operations return new fields
 whose evaluators chain finite differences and quadratures of the inputs.
-``riccati_residual``, ``schrodinger_residual`` and the ``Q`` of ``cole_hopf``
-also take a batch of points (a Point3 of equal-shape arrays, see the
-``fields`` module) and then return arrays, component axis first.
+``riccati_residual``, ``schrodinger_residual``, ``picard_lhs``, the ``Q`` of
+``cole_hopf`` and of ``q_from_scw`` also take a batch of points (a Point3 of
+equal-shape arrays, see the ``fields`` module) and then return arrays,
+component axis first.
 
 Sign convention note: the factorization of -Delta + q implemented by
 ``factorization_residual`` uses the operator pair (D - M^Q)(D + Q C_H) and
@@ -24,8 +25,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .biquat import Biquaternion, conj_h, cross, inverse, mul
-from .errors import NotPureVector, ZeroCrossing
+from .biquat import Biquaternion, _inverse, _product, conj_h, cross, mul
+from .errors import NotPureVector, ZeroCrossing, _first, _item
 from .fields import (
     DEFAULT_QUAD,
     DEFAULT_SCHEME,
@@ -38,9 +39,8 @@ from .fields import (
     QuaternionField,
     _batched,
     _curl,
-    _first,
-    _item,
     _jacobian,
+    _laplacian_and_centre,
     dirac_left,
     div,
     grad,
@@ -119,24 +119,33 @@ def riccati_residual(inst: RiccatiInstance, p: Point3,
     (3, *S), equal bit for bit to the pointwise ones when Q and q are
     vectorized exactly (as the catalog's are).
     """
-    return _centre_and_residual(inst, Point3(*p), scheme)[1:]
+    return _centre_and_residual(inst, Point3(*p), scheme)[2:]
 
 
 def _centre_and_residual(inst: RiccatiInstance, p: Point3, scheme: DiffScheme):
-    """Q(p) and the two defects of ``riccati_residual``, for callers that
-    export Q too: Q is evaluated once per stencil point and once at p."""
+    """Q(p), q(p) and the two defects of ``riccati_residual``, for callers
+    that export Q or q too: Q is evaluated once per stencil point and once at
+    p, q once at p."""
     J = _jacobian(inst.Q, p, scheme)
-    Qp = inst.Q.batch(p)
-    scalar = -(J[0, 0] + J[1, 1] + J[2, 2]) + _dot(Qp, Qp) - inst.q.batch(p)
-    return Qp, (scalar if _batched(p) else complex(scalar)), _curl(J)
+    Qp, qp = inst.Q.batch(p), inst.q.batch(p)
+    scalar = -(J[0, 0] + J[1, 1] + J[2, 2]) + _dot(Qp, Qp) - qp
+    return Qp, qp, (scalar if _batched(p) else complex(scalar)), _curl(J)
 
 
 def schrodinger_residual(inst: SchrodingerInstance, p: Point3,
                          scheme: DiffScheme = DEFAULT_SCHEME):
     """(-Delta + q) psi at p, or over a batch of points."""
-    p = Point3(*p)
-    value = -laplacian(inst.psi, p, scheme) + inst.q.batch(p) * inst.psi.batch(p)
-    return value if _batched(p) else complex(value)
+    return _schrodinger_centre(inst, Point3(*p), scheme)[1]
+
+
+def _schrodinger_centre(inst: SchrodingerInstance, p: Point3, scheme: DiffScheme,
+                        qp=None):
+    """psi(p) and ``schrodinger_residual``, for callers that export psi too:
+    psi is evaluated once per stencil point, p included.  ``qp``, when
+    given, is q(p), which is then not evaluated again."""
+    lap, psi_p = _laplacian_and_centre(inst.psi, p, scheme)
+    value = -lap + (inst.q.batch(p) if qp is None else qp) * psi_p
+    return psi_p, (value if _batched(p) else complex(value))
 
 
 def cole_hopf(inst: SchrodingerInstance, scheme: DiffScheme = DEFAULT_SCHEME,
@@ -236,7 +245,7 @@ def w_equation_residual(w, phi: ScalarField, p: Point3,
         wp = w(p)
         if abs(wp.scalar) > 1e-12 * max(1.0, wp.max_abs()):
             raise NotPureVector(f"w has scalar part {wp.scalar} at {p}")
-        w = VectorField(lambda t: w(t).vector, w.domain)
+        w = VectorField(lambda t, W=w: W.batch(t)[1:], w.domain, vectorized=True)
     value = _nonzero(phi(p), eps_zero, "phi")
     a = Biquaternion.from_vector(grad(phi, p, scheme) / value)
     return dirac_left(w, p, scheme) + mul(Biquaternion.from_vector(w(p)), a)
@@ -350,13 +359,13 @@ def euler_residual(W: QuaternionField, Q1: VectorField, p: Point3,
 def q_from_scw(W: QuaternionField, scheme: DiffScheme = DEFAULT_SCHEME,
                eps_zero: float = EPS_ZERO) -> VectorField:
     """Q = -D(Sc W)/Sc W, the gradient quotient of the scalar part."""
-    scw = ScalarField(lambda p: W(p).scalar, W.domain)
+    scw = ScalarField(lambda p: W.batch(p)[0], W.domain, vectorized=True)
 
     def Q_eval(p: Point3) -> np.ndarray:
-        value = _nonzero(scw(p), eps_zero, "Sc W")
+        value = _nonzero(scw.batch(p), eps_zero, "Sc W")
         return -grad(scw, p, scheme) / value
 
-    return VectorField(Q_eval, W.domain)
+    return VectorField(Q_eval, W.domain, vectorized=True)
 
 
 def w_from_q_pair(inst: RiccatiInstance, inst1: RiccatiInstance,
@@ -415,7 +424,7 @@ def w_from_q_pair(inst: RiccatiInstance, inst1: RiccatiInstance,
 def picard_lhs(Q1: VectorField, Q2: VectorField, Q3: VectorField, Q4: VectorField,
                p: Point3, scheme: DiffScheme = DEFAULT_SCHEME,
                division: str = "right", include_cross_terms: bool = True,
-               eps_inv: float = 1e-12) -> Biquaternion:
+               eps_inv: float = 1e-12):
     """Four-solution identity: the cross-ratio style combination
 
         T(1,2) + T(3,4) - T(1,4) - T(3,2),
@@ -426,22 +435,34 @@ def picard_lhs(Q1: VectorField, Q2: VectorField, Q3: VectorField, Q4: VectorFiel
     ("left" multiplies by the inverse from the left instead);
     include_cross_terms=False drops the noncommutativity corrections, which
     breaks the identity and is exposed for sensitivity experiments.
+
+    A Biquaternion at one point; over a batch of points of shape S, its
+    (4, *S) components, within a few ulps of the pointwise values (the
+    products of complex arrays may round differently).
     """
     if division not in ("right", "left"):
         raise ValueError(f"division must be 'right' or 'left', got {division!r}")
     p = Point3(*p)
+    batched = _batched(p)
     fields = (Q1, Q2, Q3, Q4)
 
-    def term(ia: int, ib: int) -> Biquaternion:
+    def parts(v):  # components as Python complex numbers at one point
+        return v if batched else v.tolist()
+
+    def term(ia: int, ib: int):
         Qa, Qb = fields[ia], fields[ib]
-        va, vb = Qa(p), Qb(p)
-        Y = Biquaternion.from_vector(va - vb)
+        va, vb = Qa.batch(p), Qb.batch(p)
         diff_field = VectorField(lambda t: Qa.batch(t) - Qb.batch(t),
                                  Qa.domain.intersect(Qb.domain), vectorized=True)
         X = dirac_left(diff_field, p, scheme)
-        if include_cross_terms:
-            X = X - 2.0 * Biquaternion.from_vector(cross(va, vb))
-        Yinv = inverse(Y, eps_inv)
-        return mul(X, Yinv) if division == "right" else mul(Yinv, X)
+        if not batched:
+            X = X.components
+        if include_cross_terms:  # X - 2 (Qa x Qb); the scalar part is unchanged
+            c = parts(cross(va, vb))
+            X = (X[0], X[1] - c[0] * 2.0, X[2] - c[1] * 2.0, X[3] - c[2] * 2.0)
+        Yinv = _inverse((0j, *parts(va - vb)), eps_inv)
+        return _product(X, Yinv) if division == "right" else _product(Yinv, X)
 
-    return term(0, 1) + term(2, 3) - term(0, 3) - term(2, 1)
+    total = [a + b - c - d for a, b, c, d in zip(term(0, 1), term(2, 3),
+                                                   term(0, 3), term(2, 1))]
+    return np.array(total) if batched else Biquaternion(*total)

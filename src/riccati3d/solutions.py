@@ -23,7 +23,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _first, _item
 from .fields import (
     BoxDomain,
     DEFAULT_SCHEME,
@@ -31,8 +31,6 @@ from .fields import (
     Point3,
     ScalarField,
     VectorField,
-    _first,
-    _item,
 )
 from .riccati import RiccatiInstance, SchrodingerInstance, cole_hopf
 

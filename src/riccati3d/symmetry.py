@@ -37,7 +37,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .errors import DomainError, NonRealPotential, PoleError
+from .errors import DomainError, NonRealPotential, PoleError, _first, _item
 from .fields import (
     DEFAULT_SCHEME,
     BoxDomain,
@@ -46,8 +46,6 @@ from .fields import (
     ScalarField,
     VectorField,
     _batched,
-    _first,
-    _item,
     grad,
 )
 from .riccati import _dot

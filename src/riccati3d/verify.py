@@ -15,7 +15,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .biquat import Biquaternion, conj_h, inverse, modulus_sq, mul, right_mul, max_component_diff
+from .biquat import (Biquaternion, _conj, _product, conj_h, inverse, max_component_diff,
+                     modulus_sq, mul, right_mul)
 from .errors import ConfigError, ZeroDivisor
 from .fields import (
     BoxDomain,
@@ -25,6 +26,7 @@ from .fields import (
     ScalarField,
     VectorField,
     QuaternionField,
+    _batched,
     dirac_left,
     dirac_right,
     grad,
@@ -323,20 +325,43 @@ def suite_algebra(config: RunConfig) -> _Checks:
 # --------------------------------------------------------------------------
 # operator suite
 
-def _random_poly3(rng) -> Callable[[Point3], complex]:
-    monos = [(a, b, c) for a in range(4) for b in range(4) for c in range(4)
-             if a + b + c <= 3]
-    coef = {m: complex(*rng.uniform(-0.6, 0.6, 2)) for m in monos}
+_MONOS = [(a, b, c) for a in range(4) for b in range(4) for c in range(4) if a + b + c <= 3]
+_MONO_POWERS = np.array(_MONOS).T  # the powers of x, y and z in each monomial
 
-    def f(p: Point3) -> complex:
-        X, Y, Z = ([t ** e for e in range(4)] for t in p)
-        return sum(w * X[a] * Y[b] * Z[c] for (a, b, c), w in coef.items())
+
+def _monomials(P: Point3) -> np.ndarray:
+    """The monomials of ``_MONOS`` at a batch P of shape S: shape (20, *S)."""
+    T = np.array(P, dtype=float)
+    V = np.ones((3, 4) + T.shape[1:])  # V[axis, e] = P[axis] ** e
+    V[:, 1] = T
+    V[:, 2] = T * T
+    V[:, 3] = V[:, 2] * T
+    a, b, c = _MONO_POWERS
+    return V[0, a] * V[1, b] * V[2, c]
+
+
+def _random_poly3(rng, n: int = 1) -> Callable:
+    """n random complex cubics in x, y and z, their coefficients drawn cubic
+    by cubic and monomial by monomial: an evaluator of the one cubic, or of
+    the list of n values when n > 1.  At one point the terms are summed in
+    Python; over a batch of shape S the monomial table is one matrix product
+    with shape S, or (n, *S) (its powers and sums may round differently)."""
+    W = np.array([[complex(*rng.uniform(-0.6, 0.6, 2)) for _ in _MONOS] for _ in range(n)])
+    coef = W.tolist()
+
+    def f(p: Point3):
+        if _batched(p):
+            v = np.tensordot(W, _monomials(p), axes=1)
+        else:
+            X, Y, Z = ([t ** e for e in range(4)] for t in p)
+            v = [sum(w * X[a] * Y[b] * Z[c] for (a, b, c), w in zip(_MONOS, row))
+                 for row in coef]
+        return v if n > 1 else v[0]
     return f
 
 
 def _random_quat_poly(rng) -> QuaternionField:
-    parts = [_random_poly3(rng) for _ in range(4)]
-    return QuaternionField(lambda p: Biquaternion(*(g(p) for g in parts)))
+    return QuaternionField(_random_poly3(rng, 4), vectorized=True)
 
 
 def suite_operators(config: RunConfig) -> _Checks:
@@ -345,18 +370,28 @@ def suite_operators(config: RunConfig) -> _Checks:
     quad = _quad(config)
     box = (Point3(-1.2, -1.2, -1.2), Point3(1.2, 1.2, 1.2))
 
+    def by_field(pts: Sequence[Point3], n: int):
+        """Point i belongs to field i % n: each field's points as one batch."""
+        return [(k, _as_batch(pts[k::n])) for k in range(n)]
+
+    def worst_diff(a, b) -> float:
+        """The largest |component| of a - b over a batch, as max_abs rounds it."""
+        d = np.subtract(a, b)
+        return float(np.max(np.hypot(d.real, d.imag)))
+
     def dirac_square():
-        fields = [ScalarField(_random_poly3(rng)) for _ in range(4)]
-        fields.append(ScalarField(lambda p: complex(math.sin(p.x) * math.exp(p.y))))
-        fields.append(ScalarField(lambda p: complex(math.exp(0.5 * p.x) * math.cos(0.4 * p.z))))
+        fields = [ScalarField(_random_poly3(rng), vectorized=True) for _ in range(4)]
+        fields.append(ScalarField(lambda p: np.sin(p.x) * np.exp(p.y), vectorized=True))
+        fields.append(ScalarField(lambda p: np.exp(0.5 * p.x) * np.cos(0.4 * p.z),
+                                  vectorized=True))
         pts = halton_points(box, 100, config.seed)
         worst = 0.0
-        for i, p in enumerate(pts):
-            f = fields[i % len(fields)]
-            Df = QuaternionField(lambda t, f=f: Biquaternion.from_vector(grad(f, t, scheme)))
-            lhs = dirac_left(Df, p, scheme)
-            rhs = Biquaternion(-laplacian(f, p, scheme))
-            worst = max(worst, max_component_diff(lhs, rhs))
+        for k, P in by_field(pts, len(fields)):
+            f = fields[k]
+            Df = QuaternionField(lambda t: [0j, *grad(f, t, scheme)], vectorized=True)
+            rhs = np.zeros((4,) + P.x.shape, dtype=complex)
+            rhs[0] = -laplacian(f, P, scheme)
+            worst = max(worst, worst_diff(dirac_left(Df, P, scheme), rhs))
         return worst, len(pts)
 
     def leibniz():
@@ -364,15 +399,17 @@ def suite_operators(config: RunConfig) -> _Checks:
         pts = halton_points(box, 60, config.seed)
         worst = 0.0
         pairs = [(_random_quat_poly(rng), _random_quat_poly(rng)) for _ in range(6)]
-        for i, p in enumerate(pts):
-            phi, psi = pairs[i % len(pairs)]
-            prod = QuaternionField(lambda t, a=phi, b=psi: mul(a(t), b(t)))
-            lhs = dirac_left(prod, p, scheme)
-            rhs = mul(dirac_left(phi, p, scheme), psi(p))
-            rhs = rhs + mul(conj_h(phi(p)), dirac_left(psi, p, scheme))
-            for v, s in zip(phi(p).vector, _stencil(psi.domain, p, scheme)):
-                rhs = rhs - 2.0 * v * _d1(psi, *s)
-            worst = max(worst, max_component_diff(lhs, rhs))
+        for k, P in by_field(pts, len(pairs)):
+            phi, psi = pairs[k]
+            prod = QuaternionField(lambda t: _product(phi.batch(t), psi.batch(t)),
+                                   vectorized=True)
+            lhs = dirac_left(prod, P, scheme)
+            phi_P = phi.batch(P)
+            rhs = np.add(_product(dirac_left(phi, P, scheme), psi.batch(P)),
+                         _product(_conj(phi_P), dirac_left(psi, P, scheme)))
+            for v, s in zip(phi_P[1:], _stencil(psi.domain, P, scheme)):
+                rhs = rhs - 2.0 * v * _d1(psi.batch, *s)
+            worst = max(worst, worst_diff(lhs, rhs))
         return worst, len(pts)
 
     def leibniz_scalar():
@@ -393,12 +430,12 @@ def suite_operators(config: RunConfig) -> _Checks:
         pts = halton_points(box, 50, config.seed + 2)
         worst = 0.0
         fields = [_random_quat_poly(rng) for _ in range(5)]
-        for i, p in enumerate(pts):
-            phi = fields[i % len(fields)]
-            conj_phi = QuaternionField(lambda t, f=phi: conj_h(f(t)))
-            lhs = conj_h(dirac_left(phi, p, scheme))
-            rhs = -dirac_right(conj_phi, p, scheme)
-            worst = max(worst, max_component_diff(lhs, rhs))
+        for k, P in by_field(pts, len(fields)):
+            phi = fields[k]
+            conj_phi = QuaternionField(lambda t: _conj(phi.batch(t)), vectorized=True)
+            lhs = _conj(dirac_left(phi, P, scheme))
+            rhs = -dirac_right(conj_phi, P, scheme)
+            worst = max(worst, worst_diff(lhs, rhs))
         return worst, len(pts)
 
     def A_reconstruction():
@@ -669,23 +706,23 @@ def suite_euler_picard(config: RunConfig) -> _Checks:
     zero_inst = RiccatiInstance(
         VectorField(lambda p: np.zeros(3, complex), vectorized=True), zero_q)
 
+    def picard_max_abs(*fields, n: int, seed: int, **options) -> np.ndarray:
+        """max_abs of picard_lhs at each of n Halton points, in one batch."""
+        L = picard_lhs(*fields, _as_batch(halton_points(pic_box, n, seed)), scheme,
+                       **options)
+        return np.hypot(L.real, L.imag).max(axis=0)
+
     def picard_identity():
-        pts = halton_points(pic_box, 20, config.seed)
-        worst = max(picard_lhs(*Qs, p, scheme).max_abs() for p in pts)
-        return worst, len(pts)
+        worst = picard_max_abs(*Qs, n=20, seed=config.seed)
+        return float(worst.max()), worst.size
 
     def picard_crossterm():
-        pts = halton_points(pic_box, 20, config.seed)
-        smallest = min(picard_lhs(*Qs, p, scheme,
-                                  include_cross_terms=False).max_abs()
-                       for p in pts)
-        return smallest, len(pts)
+        smallest = picard_max_abs(*Qs, n=20, seed=config.seed, include_cross_terms=False)
+        return float(smallest.min()), smallest.size
 
     def picard_pairwise():
-        pts = halton_points(pic_box, 5, config.seed + 1)
-        worst = max(picard_lhs(Qs[0], Qs[1], Qs[0], Qs[1], p, scheme).max_abs()
-                    for p in pts)
-        return worst, len(pts)
+        worst = picard_max_abs(Qs[0], Qs[1], Qs[0], Qs[1], n=5, seed=config.seed + 1)
+        return float(worst.max()), worst.size
 
     state: dict = {}
 
@@ -734,7 +771,7 @@ def suite_euler_picard(config: RunConfig) -> _Checks:
 
     def prop3_roundtrip():
         W = get_W_from_W0()
-        Wv = VectorField(lambda p: W(p).vector)
+        Wv = VectorField(lambda p: W.batch(p)[1:], W.domain, vectorized=True)
         rec = build_W0_from_W(Wv, one, Point3(4.0, 0.0, 0.0), quad_gauss, scheme)
         shift = rec(Point3(4.0, 0.0, 0.0)) - 4.0
         worst = max(abs(rec(p) - p.x - shift) / max(1.0, abs(p.x))

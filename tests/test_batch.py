@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from riccati3d import fields, riccati
+from riccati3d import errors, fields, riccati
 from riccati3d.errors import DomainError, QuadratureFailure, Riccati3dError, ZeroCrossing
 from riccati3d.fields import (
     BoxDomain,
@@ -461,8 +461,8 @@ def _cross_axis_field(case):
 
     def vectorized(p):
         where = bad(p)
-        if (i := fields._first(where)) is not None:
-            raise ZeroCrossing(f"no value at {Point3(*(fields._item(c, i) for c in p))}",
+        if (i := errors._first(where)) is not None:
+            raise ZeroCrossing(f"no value at {Point3(*(errors._item(c, i) for c in p))}",
                                index=i, where=where)
         return vec3(1.0, 1.0, 1.0)
     if case == "typed_pointwise":

@@ -665,6 +665,30 @@ def test_export_evaluates_Q_once_per_stencil_point_and_once_at_its_rows(command,
     assert calls == [n for n in sizes for _ in range(13)]
 
 
+def test_eval_evaluates_q_once_and_psi_once_per_stencil_point(monkeypatch, tmp_path, capsys):
+    # per batch, psi is evaluated at the Laplacian's 12 stencil points and its
+    # centre (order 4), and q at the batch's rows once: the q and psi columns
+    # and the Schrodinger residual reuse the values of the residual pass
+    calls = {"q": [], "psi": []}
+
+    def count(entry):
+        for name, f in (("q", entry.instance.q), ("psi", entry.psi)):
+            monkeypatch.setattr(f, "fn", lambda p, fn=f.fn, log=calls[name]:
+                                log.append(p.x.size) or fn(p))
+        return entry
+    entry_from_args = cli._entry_from_args
+    monkeypatch.setattr(cli, "_entry_from_args", lambda args: count(entry_from_args(args)))
+    monkeypatch.setattr(cli, "_EVAL_CHUNK", 25)
+    args = ["eval", "--solution", "rotational", "--k", "1", "--c", "0.3466",
+            "--grid=0.5,1.0,4,0.05,0.4,4,-0.4,0.4,4", "--fields", "Q,q,psi,residuals",
+            "--out", str(tmp_path / "grid.csv")]
+    sizes = _batch_sizes(monkeypatch, args)
+    capsys.readouterr()
+    assert sizes == [25, 25, 14]  # no row masked, so no batch retried
+    assert calls["q"] == sizes
+    assert calls["psi"] == [n for n in sizes for _ in range(13)]
+
+
 def _write_rows_per_cell(path, fmt, grid, masked, values):
     """The exporter's writer as it was before it formatted each distinct
     value once: ``repr`` of every cell.  The oracle for the bytes."""

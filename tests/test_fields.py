@@ -215,6 +215,10 @@ _DIRAC_FIELDS = {
     "quaternion": QuaternionField(lambda p: Biquaternion(
         math.cosh(p.x + p.y) + 0.5j * p.z, math.sin(p.x) + 1j * p.y * p.z, p.x ** 3,
         math.exp(-p.z) * p.y + 1j)),
+    # numpy ufuncs run one loop for a point and a batch (``x ** 3`` would not)
+    "quaternion_vectorized": QuaternionField(lambda p: [
+        np.cosh(p.x + p.y) + 0.5j * p.z, np.sin(p.x) + 1j * p.y * p.z, p.x * p.x * p.x,
+        np.exp(-p.z) * p.y + 1j], vectorized=True),
 }
 _DIRAC_POINTS = halton_points((Point3(-1.3, -0.9, -1.1), Point3(1.2, 1.4, 0.8)), 40, 7)
 
@@ -222,11 +226,30 @@ _DIRAC_POINTS = halton_points((Point3(-1.3, -0.9, -1.1), Point3(1.2, 1.4, 0.8)),
 @pytest.mark.parametrize("order", [2, 4])
 @pytest.mark.parametrize("kind", sorted(_DIRAC_FIELDS))
 def test_dirac_equals_the_biquaternion_loop_bitwise(kind, order):
-    # repr tells every bit apart, the sign of a zero included
+    # repr tells every bit apart, the sign of a zero included; over a batch
+    # (as a 5 x 8 grid of targets) every column equals the loop at its point
     f, scheme = _DIRAC_FIELDS[kind], DiffScheme(order=order)
-    for p in _DIRAC_POINTS:
+    P = Point3(*(np.array(c).reshape(5, 8) for c in zip(*_DIRAC_POINTS)))
+    left, right = dirac_left(f, P, scheme), dirac_right(f, P, scheme)
+    assert left.shape == right.shape == (4, 5, 8)
+    for i, p in enumerate(_DIRAC_POINTS):
         assert repr(dirac_left(f, p, scheme)) == repr(_dirac_loop(f, p, scheme))
         assert repr(dirac_right(f, p, scheme)) == repr(_dirac_loop(f, p, scheme, right=True))
+        column = (slice(None), *divmod(i, 8))
+        assert repr(Biquaternion(*left[column])) == repr(_dirac_loop(f, p, scheme))
+        assert repr(Biquaternion(*right[column])) == repr(
+            _dirac_loop(f, p, scheme, right=True))
+
+
+@pytest.mark.parametrize("vectorized", [False, True])
+def test_quaternion_batch_equals_the_pointwise_values_bitwise(vectorized):
+    f = _DIRAC_FIELDS["quaternion_vectorized" if vectorized else "quaternion"]
+    P = Point3(*(np.array(c).reshape(8, 5) for c in zip(*_DIRAC_POINTS)))
+    values = f.batch(P)
+    assert values.shape == (4, 8, 5) and values.dtype == complex
+    for i, p in enumerate(_DIRAC_POINTS):
+        assert repr(Biquaternion(*values[(slice(None), *divmod(i, 5))])) == repr(f(p))
+        assert repr(f.batch(p).tolist()) == repr(list(f(p).components))
 
 
 def _factorization_with_quaternion_probe(psi, inst, p, scheme):

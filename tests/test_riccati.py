@@ -208,6 +208,16 @@ def test_w_equation_examples():
     assert abs(out.q3 + 2.0) < 1e-9      # sum = -2 e^{-x} e3 at x = 0
 
 
+def test_w_equation_takes_a_pure_vector_quaternion_field():
+    # the vector view of a QuaternionField w equals the same w as a VectorField
+    phi = ScalarField(lambda p: complex(math.exp(p.x)))
+    vec = lambda p: np.array([p.y * p.z, math.exp(p.x), p.x - 2j * p.y], complex)
+    W = QuaternionField(lambda p: Biquaternion.from_vector(vec(p)))
+    p = Point3(0.2, -0.4, 0.6)
+    assert repr(w_equation_residual(W, phi, p, S)) == repr(
+        w_equation_residual(VectorField(vec), phi, p, S))
+
+
 def test_w_equation_rejects_scalar_part():
     W = QuaternionField(lambda p: Biquaternion(1.0, 1.0))
     with pytest.raises(NotPureVector):
