@@ -6,7 +6,9 @@ whose evaluators chain finite differences and quadratures of the inputs.
 ``riccati_residual``, ``schrodinger_residual``, ``picard_lhs``, the ``Q`` of
 ``cole_hopf`` and of ``q_from_scw`` also take a batch of points (a Point3 of
 equal-shape arrays, see the ``fields`` module) and then return arrays,
-component axis first.
+component axis first.  The W of ``build_W_prop2``, ``build_W_from_W0`` and
+``w_from_q_pair`` carries a jet (its exact first derivative, from rot B's
+Jacobian by the product rule; see ``fields._Field``).
 
 Sign convention note: the factorization of -Delta + q implemented by
 ``factorization_residual`` uses the operator pair (D - M^Q)(D + Q C_H) and
@@ -39,8 +41,13 @@ from .fields import (
     QuaternionField,
     _batched,
     _curl,
+    _d1,
+    _derivatives,
+    _dirac_sum,
     _jacobian,
     _laplacian_and_centre,
+    _stencil,
+    _vector_part,
     dirac_left,
     div,
     grad,
@@ -239,22 +246,43 @@ def component_residuals(W0: ScalarField, Wv: VectorField, phi: ScalarField,
 def w_equation_residual(w, phi: ScalarField, p: Point3,
                         scheme: DiffScheme = DEFAULT_SCHEME,
                         eps_zero: float = EPS_ZERO) -> Biquaternion:
-    """(D + M^{D phi / phi}) w at p for a purely vectorial w."""
+    """(D + M^{D phi / phi}) w at p for a purely vectorial w.
+
+    A QuaternionField w is evaluated once at p, for the scalar-part check
+    and the product; its vector part is differenced (or its jet taken)."""
     p = Point3(*p)
+    wp = None  # w(p), once known
     if isinstance(w, QuaternionField):
-        wp = w(p)
-        if abs(wp.scalar) > 1e-12 * max(1.0, wp.max_abs()):
-            raise NotPureVector(f"w has scalar part {wp.scalar} at {p}")
-        w = VectorField(lambda t, W=w: W.batch(t)[1:], w.domain, vectorized=True)
+        wq = w(p)
+        if abs(wq.scalar) > 1e-12 * max(1.0, wq.max_abs()):
+            raise NotPureVector(f"w has scalar part {wq.scalar} at {p}")
+        w, wp = _vector_part(w), wq.vector
     value = _nonzero(phi(p), eps_zero, "phi")
     a = Biquaternion.from_vector(grad(phi, p, scheme) / value)
-    return dirac_left(w, p, scheme) + mul(Biquaternion.from_vector(w(p)), a)
+    return (dirac_left(w, p, scheme)
+            + mul(Biquaternion.from_vector(w(p) if wp is None else wp), a))
 
 
 def _grad_or_zero(h: Optional[ScalarField], p: Point3, scheme: DiffScheme) -> np.ndarray:
     if h is None:
         return np.zeros(3, dtype=complex)
     return grad(h, p, scheme)
+
+
+def _grad_jet(h: Optional[ScalarField], p: Point3, scheme: DiffScheme):
+    """grad h at p and its derivatives d_m d_i h, [m, i] (a stencil of the
+    gradient), or two zeros for h = None."""
+    if h is None:
+        return 0j, 0j
+    grad_h = VectorField(lambda t: grad(h, t, scheme), h.domain, vectorized=True)
+    return grad(h, p, scheme), _derivatives(grad_h, p, scheme)
+
+
+def _quaternion_jet(scalar, d_scalar, vec, d_vec):
+    """A quaternion field's jet from its parts: values (4, *S) and
+    derivatives (3, 4, *S), from shapes S, (3, *S), (3, *S) and (3, 3, *S)."""
+    return (np.concatenate((np.expand_dims(scalar, 0), vec)),
+            np.concatenate((np.expand_dims(d_scalar, 1), d_vec), axis=1))
 
 
 def build_W_prop2(w: VectorField, phi: ScalarField, h: Optional[ScalarField],
@@ -272,9 +300,11 @@ def build_W_prop2(w: VectorField, phi: ScalarField, h: Optional[ScalarField],
 
     h is an arbitrary harmonic function (None means 0); C is the additive
     constant of the path reconstruction A.  rot B is evaluated analytically
-    (``operator_rot_B``), not by finite differences of the potential.  W0
-    and Q are vectorized, so a batch (a stencil's points included) takes one
-    A[w/phi] call.
+    (``operator_rot_B``), not by finite differences of the potential, and
+    so is W's first derivative: W's jet takes rot B's exact Jacobian and
+    the stencils of W0, phi and h, by the product rule.  W0 and Q are
+    vectorized, so a batch (a stencil's points included) takes one A[w/phi]
+    call.
     """
     base = Point3(*base)
     dom = w.domain.intersect(phi.domain)
@@ -288,17 +318,27 @@ def build_W_prop2(w: VectorField, phi: ScalarField, h: Optional[ScalarField],
     def W0_eval(p: Point3):
         return 0.5 * phi.batch(p) * Aw.batch(p)
 
+    W0 = ScalarField(W0_eval, dom, vectorized=True)
+
     def W_eval(p: Point3) -> Biquaternion:
         value = _nonzero(phi(p), eps_zero, "phi")
         vec = 0.5 * (-rot_B(p) + _grad_or_zero(h, p, scheme)) / value
         return Biquaternion.from_scalar_vector(W0_eval(p), vec)
+
+    def W_jet(p: Point3):
+        value = _nonzero(phi.batch(p), eps_zero, "phi")
+        R, dR = rot_B.jet(p)
+        G, dG = _grad_jet(h, p, scheme)
+        vec = 0.5 * (-R + G) / value
+        d_vec = (0.5 * (-dR + dG) - vec * grad(phi, p, scheme)[:, None]) / value
+        return _quaternion_jet(W0_eval(p), grad(W0, p, scheme), vec, d_vec)
 
     def Q_eval(p: Point3) -> np.ndarray:
         value = _nonzero(phi.batch(p), eps_zero, "phi")
         a = _nonzero(Aw.batch(p), eps_zero, "A[w/phi]")
         return -(grad(phi, p, scheme) + w.batch(p) / a) / value
 
-    return (QuaternionField(W_eval, dom), ScalarField(W0_eval, dom, vectorized=True),
+    return (QuaternionField(W_eval, dom, jet=W_jet), W0,
             VectorField(Q_eval, dom, vectorized=True))
 
 
@@ -309,9 +349,11 @@ def build_W_from_W0(W0: ScalarField, phi: ScalarField, h: Optional[ScalarField],
     """Complete a Schrodinger solution W0 to a Vekua solution W = W0 + Wv.
 
     Wv = -phi^-1 {rot B[phi^2 grad(W0/phi)] + grad h}, with rot B evaluated
-    analytically (``operator_rot_B``).  The integrand is vectorized, so the
-    grid build differences W0/phi over whole chunks of cells; W0 and phi may
-    be vectorized or pointwise fields.
+    analytically (``operator_rot_B``).  W's jet takes rot B's exact
+    Jacobian and the stencils of W0, phi and h, by the product rule, so a
+    derivative of W costs one pass over the cells.  The integrand is
+    vectorized, so the grid build differences W0/phi over whole chunks of
+    cells; W0 and phi may be vectorized or pointwise fields.
     """
     dom = W0.domain.intersect(phi.domain)
     def nonzero_phi(t: Point3):
@@ -326,7 +368,15 @@ def build_W_from_W0(W0: ScalarField, phi: ScalarField, h: Optional[ScalarField],
         vec = -(rot_B(p) + _grad_or_zero(h, p, scheme)) / value
         return Biquaternion.from_scalar_vector(W0(p), vec)
 
-    return QuaternionField(W_eval, dom)
+    def W_jet(p: Point3):
+        value = nonzero_phi(p)
+        R, dR = rot_B.jet(p)
+        G, dG = _grad_jet(h, p, scheme)
+        vec = -(R + G) / value
+        d_vec = -(dR + dG + vec * grad(phi, p, scheme)[:, None]) / value
+        return _quaternion_jet(W0.batch(p), grad(W0, p, scheme), vec, d_vec)
+
+    return QuaternionField(W_eval, dom, jet=W_jet)
 
 
 def build_W0_from_W(Wv: VectorField, phi: ScalarField, base: Point3,
@@ -335,10 +385,19 @@ def build_W0_from_W(Wv: VectorField, phi: ScalarField, base: Point3,
                     C: complex = 0j, eps_zero: float = EPS_ZERO) -> ScalarField:
     """Recover the scalar part matching a vector part Wv of a Vekua solution.
 
-    W0 = -phi A[phi^-2 rot(phi Wv)] with the path constant C of A.
+    W0 = -phi A[phi^-2 rot(phi Wv)] with the path constant C of A.  When Wv
+    has a jet, so has phi Wv (by the product rule, with a stencil of phi),
+    and rot(phi Wv) is taken from it.
     """
     dom = Wv.domain.intersect(phi.domain)
-    prod = VectorField(lambda s: phi.batch(s) * Wv.batch(s), dom, vectorized=True)
+
+    def prod_jet(s: Point3):
+        v, d = Wv.jet(s)
+        f = phi.batch(s)
+        return f * v, grad(phi, s, scheme)[:, None] * v + f * d
+
+    prod = VectorField(lambda s: phi.batch(s) * Wv.batch(s), dom, vectorized=True,
+                       jet=None if Wv.jet is None else prod_jet)
 
     def integrand(t: Point3) -> np.ndarray:
         value = _nonzero(phi.batch(t), eps_zero, "phi")
@@ -388,9 +447,11 @@ def w_from_q_pair(inst: RiccatiInstance, inst1: RiccatiInstance,
     in the brace integrand is evaluated through the exact chain rule
     grad(exp(-A[G])) = -G exp(-A[G]), which avoids differencing a quadrature
     inside the volume integral; rot B itself is evaluated analytically
-    (``operator_rot_B``).  The brace integrand is vectorized, so the grid
-    build evaluates it, with both A's inside it, over whole chunks of cells;
-    Q and Q1 may be vectorized or pointwise fields.
+    (``operator_rot_B``), and W's jet takes its exact Jacobian and the
+    stencils of exp(-A[Q]), exp(A[Q1]) and h, by the product rule.  The
+    brace integrand is vectorized, so the grid build evaluates it, with both
+    A's inside it, over whole chunks of cells; Q and Q1 may be vectorized or
+    pointwise fields.
     """
     base = Point3(*base)
     if check_points is not None:
@@ -418,7 +479,18 @@ def w_from_q_pair(inst: RiccatiInstance, inst1: RiccatiInstance,
         vec = -cmath.exp(A_Q1(p)) * (rot_B(p) + _grad_or_zero(h, p, scheme))
         return Biquaternion.from_scalar_vector(cmath.exp(-A_Q(p)), vec)
 
-    return QuaternionField(W_eval, dom)
+    scalar = ScalarField(lambda t: np.exp(-A_Q.batch(t)), dom, vectorized=True)
+    factor = ScalarField(lambda t: np.exp(A_Q1.batch(t)), dom, vectorized=True)
+
+    def W_jet(p: Point3):
+        R, dR = rot_B.jet(p)
+        G, dG = _grad_jet(h, p, scheme)
+        e = factor.batch(p)
+        vec = -e * (R + G)
+        d_vec = -(grad(factor, p, scheme)[:, None] * (R + G) + e * (dR + dG))
+        return _quaternion_jet(scalar.batch(p), grad(scalar, p, scheme), vec, d_vec)
+
+    return QuaternionField(W_eval, dom, jet=W_jet)
 
 
 def picard_lhs(Q1: VectorField, Q2: VectorField, Q3: VectorField, Q4: VectorField,
@@ -438,23 +510,32 @@ def picard_lhs(Q1: VectorField, Q2: VectorField, Q3: VectorField, Q4: VectorFiel
 
     A Biquaternion at one point; over a batch of points of shape S, its
     (4, *S) components, within a few ulps of the pointwise values (the
-    products of complex arrays may round differently).
+    products of complex arrays may round differently).  Each field is
+    evaluated once at p and once per stencil point (every term's stencil
+    checked first), and D(Qa - Qb) is differenced from those values.
     """
     if division not in ("right", "left"):
         raise ValueError(f"division must be 'right' or 'left', got {division!r}")
     p = Point3(*p)
     batched = _batched(p)
     fields = (Q1, Q2, Q3, Q4)
+    pairs = ((0, 1), (2, 3), (0, 3), (2, 1))
+    centre = [Q.batch(p) for Q in fields]
+    for ia, ib in pairs:  # every term's stencil; all four have the same points
+        stencil = _stencil(fields[ia].domain.intersect(fields[ib].domain), p, scheme)
+    # values[f][axis]: field f at that axis's stencil points
+    values = [[[Q.batch(q) for q in pts] for _, pts in stencil] for Q in fields]
 
     def parts(v):  # components as Python complex numbers at one point
         return v if batched else v.tolist()
 
     def term(ia: int, ib: int):
-        Qa, Qb = fields[ia], fields[ib]
-        va, vb = Qa.batch(p), Qb.batch(p)
-        diff_field = VectorField(lambda t: Qa.batch(t) - Qb.batch(t),
-                                 Qa.domain.intersect(Qb.domain), vectorized=True)
-        X = dirac_left(diff_field, p, scheme)
+        va, vb = centre[ia], centre[ib]
+        # _d1 over the differences themselves, as points evaluated to their values
+        deriv = np.array([_d1(lambda v: v, h, [a - b for a, b in zip(fa, fb)])
+                          for (h, _), fa, fb in zip(stencil, values[ia], values[ib])],
+                         dtype=complex)
+        X = _dirac_sum(deriv, (3,), batched, 1)
         if not batched:
             X = X.components
         if include_cross_terms:  # X - 2 (Qa x Qb); the scalar part is unchanged
@@ -463,6 +544,5 @@ def picard_lhs(Q1: VectorField, Q2: VectorField, Q3: VectorField, Q4: VectorFiel
         Yinv = _inverse((0j, *parts(va - vb)), eps_inv)
         return _product(X, Yinv) if division == "right" else _product(Yinv, X)
 
-    total = [a + b - c - d for a, b, c, d in zip(term(0, 1), term(2, 3),
-                                                   term(0, 3), term(2, 1))]
+    total = [a + b - c - d for a, b, c, d in zip(*(term(*pair) for pair in pairs))]
     return np.array(total) if batched else Biquaternion(*total)

@@ -101,17 +101,18 @@ def test_report_checks_are_the_registry(verify_all):
 
 # sha256 per suite over its rows of the seed-0 report (name, repr of the
 # residual, samples, passed), so re-recording one suite shows that the rows
-# of the others did not move by a bit.  The operators and euler_picard
-# digests were recorded when their Dirac and Picard checks became batched,
-# the others before operator A's rounds were merged into one F.batch call
-# each.  Like the export digests in test_cli.py they hold for one numpy build
+# of the others did not move by a bit.  The operators digest was recorded
+# when its Dirac checks became batched, the euler_picard digest when the
+# built W's derivatives became exact (rot B's Jacobian in place of a stencil
+# of W), the others before operator A's rounds were merged into one F.batch
+# call each.  Like the export digests in test_cli.py they hold for one numpy build
 # and its SIMD dispatch (``np.show_runtime()``), and a digest is re-recorded
 # only on purpose, with a CHANGES.md entry.
 _REPORT_DIGESTS = {
     "algebra": "b29bf166688c13ae151b6e609efdda4feabd5a7f1012329fc17140308aa7d90b",
     "operators": "a73b5e59909c5079c3a8d980b8cb26724510ae869f2b25f90ff9867778182812",
     "riccati": "ae292e0cdec2965ae54d6c201f42a3eb3379016757775d44c3258afe76882b7c",
-    "euler_picard": "3f458855a1bb13b47de7131e0e48d2a35a3e04e1ebe14b8264e30e6bc6b70fec",
+    "euler_picard": "5a479c4a34eb5725b4d328fe41556345421c7cf936d33e32082bf0223f8f55f1",
     "symmetry": "fb4d5785812ea39ce7091080c1ae4eb9d1e794f708ac6cd51513c71605711a4a",
     "solutions": "40fc308079971d957082d887405b901a3f2e041b0a5548a4aa33e65b9a2aa197",
     "oned": "2f427c9857ab3bbbc260f55eda6ccc3c4c22d0206779cf2108876fc89a110d11",

@@ -179,3 +179,71 @@ def test_picard_batch_pairwise_cancellation_is_exact(harmonic_quadruple):
     Q1, Q2, _, _ = harmonic_quadruple
     P = _as_batch(halton_points((Point3(0.55, 0.35, 0.45), Point3(1.9, 1.4, 1.5)), 20, 5))
     assert not picard_lhs(Q1, Q2, Q1, Q2, P, S).any()
+
+
+def test_prop3_roundtrip_makes_one_jacobian_pass_per_node(rot_B_passes):
+    # 7 legs x 32 Gauss nodes; differencing phi Wv made 12 value passes each
+    from riccati3d.report import RunConfig
+    from riccati3d.verify import suite_euler_picard
+    check = {name: fn for name, _, fn in suite_euler_picard(RunConfig(seed=0))}
+    residual, _ = check["prop3_roundtrip"]()
+    assert residual < 5e-2
+    assert rot_B_passes == {"jet": 224, "value": 0}
+
+
+def _counted(Q, calls: list):
+    """Q, appending to calls at every evaluation (one per ``batch`` call)."""
+    return VectorField(lambda p: calls.append(p) or Q.batch(p), Q.domain, vectorized=True)
+
+
+@pytest.mark.parametrize("order, per_field", [(4, 13), (2, 7)])
+def test_picard_evaluates_each_field_once_per_stencil_point(harmonic_quadruple, order,
+                                                            per_field):
+    # once at p and once per stencil point: 52 calls at order 4, where
+    # differencing each term's Qa - Qb made 104
+    from riccati3d.verify import _as_batch, halton_points
+    pts = halton_points((Point3(0.55, 0.35, 0.45), Point3(1.9, 1.4, 1.5)), 5, 2)
+    calls = [[] for _ in harmonic_quadruple]
+    fields = [_counted(Q, c) for Q, c in zip(harmonic_quadruple, calls)]
+    for p in (pts[0], _as_batch(pts)):
+        for c in calls:
+            c.clear()
+        picard_lhs(*fields, p, DiffScheme(order=order))
+        assert [len(c) for c in calls] == [per_field] * 4
+
+
+def _picard_per_term(fields, p, scheme, division="right", include_cross_terms=True):
+    """picard_lhs term by term: each D(Qa - Qb) a stencil of Qa - Qb."""
+    from riccati3d.biquat import _inverse, _product, cross
+    from riccati3d.fields import _batched, dirac_left
+    batched = _batched(p)
+
+    def term(Qa, Qb):
+        va, vb = Qa.batch(p), Qb.batch(p)
+        X = dirac_left(VectorField(lambda t: Qa.batch(t) - Qb.batch(t),
+                                   Qa.domain.intersect(Qb.domain), vectorized=True),
+                       p, scheme)
+        X = X if batched else X.components
+        if include_cross_terms:
+            c = cross(va, vb) if batched else cross(va, vb).tolist()
+            X = (X[0], X[1] - c[0] * 2.0, X[2] - c[1] * 2.0, X[3] - c[2] * 2.0)
+        Yinv = _inverse((0j, *(va - vb if batched else (va - vb).tolist())), 1e-12)
+        return _product(X, Yinv) if division == "right" else _product(Yinv, X)
+
+    Q1, Q2, Q3, Q4 = fields
+    total = [a + b - c - d for a, b, c, d in zip(term(Q1, Q2), term(Q3, Q4),
+                                                   term(Q1, Q4), term(Q3, Q2))]
+    return np.array(total) if batched else Biquaternion(*total)
+
+
+@pytest.mark.parametrize("options", [{}, {"include_cross_terms": False},
+                                     {"division": "left"}])
+def test_picard_equals_the_per_term_stencils_bitwise(harmonic_quadruple, options):
+    from riccati3d.verify import _as_batch, halton_points
+    pts = halton_points((Point3(0.55, 0.35, 0.45), Point3(1.9, 1.4, 1.5)), 8, 4)
+    for p in pts[:3]:
+        assert repr(picard_lhs(*harmonic_quadruple, p, S, **options)) == repr(
+            _picard_per_term(harmonic_quadruple, p, S, **options))
+    P = _as_batch(pts)
+    assert np.array_equal(picard_lhs(*harmonic_quadruple, P, S, **options),
+                          _picard_per_term(harmonic_quadruple, P, S, **options))

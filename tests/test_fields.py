@@ -21,7 +21,9 @@ from riccati3d.fields import (
     QuaternionField,
     _BLOB_RADIUS,
     _NewtonianPotential,
+    _curl,
     _d1,
+    _derivatives,
     _stencil,
     diff,
     dirac_left,
@@ -567,6 +569,86 @@ def test_blob_kernel_gradient_continuous_at_radius():
     K = _NewtonianPotential._blob_kernel
     dK = (K((r + h) ** 2, a) - K((r - h) ** 2, a)) / (2 * h)
     assert np.allclose(G(r * r, a) * r, dK, rtol=1e-7, atol=0)
+
+
+# |jet - stencil of rot B| over the five points of both regions, measured
+# before the tests were written: at most 4.7e-7 at h = 1e-3 (at "r just below
+# a", where the stencil straddles other cells' radii) and 9.8e-10 at h = 1e-4,
+# with |J| up to 0.48; the jet's values equalled rot_B(p) bit for bit
+_JET_STENCIL_BOUNDS = {1e-3: 2e-6, 1e-4: 1e-8}
+
+
+@pytest.mark.parametrize("lower, upper, cells", [
+    ((-1, -1, -1), (1, 1, 1), (16, 16, 16)),
+    ((0, -0.5, -0.5), (4, 0.5, 0.5), (40, 10, 10)),
+], ids=["cubic", "anisotropic"])
+def test_rot_B_jet_matches_stencil_of_rot_B(lower, upper, cells):
+    region = BoxDomain.box(lower, upper)
+    rot_B = operator_rot_B(_SMOOTH, region, QuadratureSpec(volume_grid=16), cells=cells)
+    values = VectorField(rot_B.__call__)  # the value pass, differenced
+    steps = [(hi - lo) / n for lo, hi, n in zip(lower, upper, cells)]
+    a = _BLOB_RADIUS * max(steps)
+    c = Point3(*(lo + 3.5 * h for lo, h in zip(lower, steps)))  # a cell centre
+    points = {
+        "far": Point3(upper[0] + 2.0, 0.5, 0.2),
+        "inside blob": Point3(c.x + 0.3 * a, c.y - 0.2 * a, c.z + 0.1 * a),
+        "cell centre": c,
+        "r just above a": c._replace(x=c.x + a * (1 + 1e-9)),
+        "r just below a": c._replace(x=c.x + a * (1 - 1e-3)),
+    }
+    for name, p in points.items():
+        value, J = rot_B.jet(p)
+        assert J.shape == (3, 3), name
+        assert np.max(np.abs(value - rot_B(p))) <= 1e-14 * np.max(np.abs(value)), name
+        for h, bound in _JET_STENCIL_BOUNDS.items():
+            stencil = _derivatives(values, p, DiffScheme(h=h))
+            assert np.max(np.abs(J - stencil)) < bound, (name, h)
+        # grad over the stencil takes the jet: the same numbers
+        assert np.array_equal(rot(rot_B, p), _curl(J.T)), name
+
+
+def test_blob_kernel_slope_continuous_at_radius():
+    a = 0.3
+    slope = lambda r2: _NewtonianPotential._blob_kernel_slope(np.asarray(r2), a)
+    edge = 3.0 / (8.0 * math.pi * a ** 5)
+    inside, at, outside = slope([a * a * (1 - 1e-12), a * a, a * a * (1 + 1e-12)])[1]
+    assert inside == pytest.approx(edge, rel=1e-9)
+    assert at == pytest.approx(edge, rel=1e-12)
+    assert outside == pytest.approx(edge, rel=1e-9)
+    # g' is dg/d(r^2): a central difference of _blob_kernel_grad in r^2
+    # (step 1e-6) agreed to 1.9e-10 relative at these radii
+    G = _NewtonianPotential._blob_kernel_grad
+    r2 = np.array([0.05, 0.2, 0.299, 0.301, 0.6]) ** 2
+    g, dg = slope(r2)
+    assert np.array_equal(g, G(r2, a))
+    h = 1e-6
+    assert np.allclose(dg, (G(r2 + h, a) - G(r2 - h, a)) / (2 * h), rtol=1e-8, atol=0)
+
+
+def test_dirac_of_built_W_raises_the_stencil_domain_error():
+    from riccati3d.riccati import build_W_from_W0
+    # W's domain is the meet of two boxes, and its stencil at these points
+    # leaves W0's box first (x + h) and phi's box later (y + h): differencing
+    # W0 or phi before W's own check would name another point
+    box = BoxDomain.box((0, -1, -1), (2, 1, 1))
+    phi = ScalarField(lambda p: 1.0 + 0j * p.x, BoxDomain.box((-5, -5, -5), (5, 0.2005, 5)),
+                      vectorized=True)
+    W0 = ScalarField(lambda p: p.x + 0j, box, vectorized=True)
+    W = build_W_from_W0(W0, phi, None, box, cells=(8, 8, 8))
+    assert W.jet is not None
+    edge = Point3(1.9995, 0.2, 0.1)
+    P = Point3(np.array([1.0, 1.9995, 0.3, 1.9998]), np.array([0, 0.2, 0, 0.2]),
+               np.full(4, 0.1))
+    for p in (edge, P):
+        errors = []
+        for field in (W, QuaternionField(W.fn, W.domain)):  # with and without the jet
+            with pytest.raises(DomainError) as info:
+                dirac_left(field, p, S)
+            errors.append(info.value)
+        assert str(errors[0]) == str(errors[1])
+        assert errors[0].index == errors[1].index
+        assert np.array_equal(errors[0].where, errors[1].where)
+    assert errors[0].index == 1 and errors[0].where.tolist() == [False, True, False, True]
 
 
 def _masked_kernel(r2, a):

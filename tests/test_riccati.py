@@ -218,6 +218,19 @@ def test_w_equation_takes_a_pure_vector_quaternion_field():
         w_equation_residual(VectorField(vec), phi, p, S))
 
 
+def test_w_equation_evaluates_a_quaternion_field_once_at_p():
+    # once at p, for the scalar-part check and the product, and once per
+    # stencil point: 13 calls at order 4 (the vector view made it 14)
+    calls = []
+
+    def vec(p):
+        calls.append(p)
+        return Biquaternion.from_vector([p.y * p.z, math.exp(p.x), p.x - 2j * p.y])
+
+    w_equation_residual(QuaternionField(vec), ONE, Point3(0.2, -0.4, 0.6), S)
+    assert len(calls) == 13
+
+
 def test_w_equation_rejects_scalar_part():
     W = QuaternionField(lambda p: Biquaternion(1.0, 1.0))
     with pytest.raises(NotPureVector):
@@ -274,6 +287,62 @@ def test_build_W_from_W0_with_harmonic_shift():
     r_shift = vekua_residual(shifted, ONE, p, S).max_abs()
     assert abs(r_plain - r_shift) < 1e-7   # grad h is annihilated by D
     assert r_plain < 5e-2
+
+
+def test_vekua_residual_of_built_W_makes_one_jacobian_pass(rot_B_passes):
+    # the stencil of W's values made 13 value passes at order 4
+    W = build_W_from_W0(ScalarField(lambda p: complex(p.x)), ONE, None, TUBE,
+                        cells=TUBE_CELLS)
+    assert vekua_residual(W, ONE, TUBE_PTS[1], S).max_abs() < 5e-2
+    assert rot_B_passes["jet"] == 1 and rot_B_passes["value"] <= 2
+
+
+# |jet - stencil of W's values at h = 1e-4| over TUBE_PTS, measured before
+# the bound was set: at most 1.1e-8 (build_W_from_W0), 1.4e-9 (build_W_prop2)
+# and 7.2e-10 (w_from_q_pair), with |dW| up to 3.6; at the default h = 1e-3
+# the stencil was off by up to 9.9e-7, so the gap is the stencil's error
+_W_JET_BOUND = 1e-7
+
+
+def _built_Ws():
+    """One W per builder, with a non-constant phi and a harmonic shift h, so
+    that every product-rule term of the jets is exercised."""
+    from riccati3d.fields import vec3
+    from riccati3d.riccati import w_from_q_pair
+    phi = ScalarField(lambda p: np.exp(0.3 * p.x) + 0.1j * p.y, vectorized=True)
+    h = ScalarField(lambda p: p.x * p.y + 0j * p.z, vectorized=True)
+    gauss = QuadratureSpec(line_rule="gauss", gauss_order=24)
+    W0 = ScalarField(lambda p: p.x * p.y + 1j * p.z, vectorized=True)
+    w = VectorField(lambda p: vec3(np.exp(0.3 * p.x), 0.3 * p.y, 0), vectorized=True)
+    inv_x = RiccatiInstance(VectorField(lambda p: vec3(-1.0 / p.x, 0, 0),
+                                        inv_x_instance().Q.domain, vectorized=True), ZERO_Q)
+    zero = RiccatiInstance(VectorField(lambda p: vec3(0, 0, 0), vectorized=True), ZERO_Q)
+    region, cells = BoxDomain.box((3, -0.5, -0.5), (5, 0.5, 0.5)), (8, 8, 8)
+    return {
+        "from_W0": lambda: build_W_from_W0(W0, phi, h, region, gauss, S, cells=cells),
+        "prop2": lambda: build_W_prop2(w, phi, h, Point3(1, 0, 0), region, gauss, S,
+                                       cells=cells)[0],
+        "q_pair": lambda: w_from_q_pair(inv_x, zero, h, Point3(1, 0, 0), region,
+                                        gauss, S, cells=cells),
+    }
+
+
+@pytest.mark.parametrize("builder", ["from_W0", "prop2", "q_pair"])
+def test_built_W_jet_matches_stencil_of_its_values(builder):
+    from riccati3d.fields import _derivatives
+    W = _built_Ws()[builder]()
+    values = QuaternionField(W.fn, W.domain)  # no jet: stencils of W(p)
+    P = Point3(*(np.array(c) for c in zip(*TUBE_PTS)))
+    batch_values, batch_derivs = W.jet(P)
+    for n, p in enumerate(TUBE_PTS):
+        value, derivs = W.jet(p)
+        assert derivs.shape == (3, 4)
+        assert np.max(np.abs(value - values.batch(p))) < 1e-14 * np.max(np.abs(value))
+        stencil = _derivatives(values, p, DiffScheme(h=1e-4))
+        assert np.max(np.abs(derivs - stencil)) < _W_JET_BOUND
+        # a batch is one pass per point; A over a batch may round apart
+        assert np.max(np.abs(batch_values[:, n] - value)) < 1e-12
+        assert np.max(np.abs(batch_derivs[..., n] - derivs)) < 1e-11
 
 
 def test_build_W0_from_W_gradient_seed_yields_constant():
