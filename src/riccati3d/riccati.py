@@ -6,9 +6,11 @@ whose evaluators chain finite differences and quadratures of the inputs.
 ``riccati_residual``, ``schrodinger_residual``, ``picard_lhs``, the ``Q`` of
 ``cole_hopf`` and of ``q_from_scw`` also take a batch of points (a Point3 of
 equal-shape arrays, see the ``fields`` module) and then return arrays,
-component axis first.  The W of ``build_W_prop2``, ``build_W_from_W0`` and
-``w_from_q_pair`` carries a jet (its exact first derivative, from rot B's
-Jacobian by the product rule; see ``fields._Field``).
+component axis first.  ``build_W_prop2``, ``build_W_from_W0`` and
+``w_from_q_pair`` assemble their W in one place (``_built_W``): it takes a
+batch and carries a jet (its exact first derivative, from rot B's Jacobian
+by the product rule; see ``fields._Field``), from which ``vekua_residual``
+and ``euler_residual`` take both W(p) and D W.
 
 Sign convention note: the factorization of -Delta + q implemented by
 ``factorization_residual`` uses the operator pair (D - M^Q)(D + Q C_H) and
@@ -21,7 +23,6 @@ literature).
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -214,7 +215,19 @@ def vekua_residual(W: QuaternionField, phi: ScalarField, p: Point3,
     p = Point3(*p)
     value = _nonzero(phi(p), eps_zero, "phi")
     a = Biquaternion.from_vector(grad(phi, p, scheme) / value)
-    return dirac_left(W, p, scheme) - mul(a, conj_h(W(p)))
+    Wp, DW = _value_and_dirac(W, p, scheme)
+    return DW - mul(a, conj_h(Wp))
+
+
+def _value_and_dirac(W: QuaternionField, p: Point3, scheme: DiffScheme):
+    """W(p) and D W at one point: both from one ``jet(p)`` once W's stencil
+    is checked, or ``dirac_left`` and then W(p) when W has no jet."""
+    if W.jet is None:
+        DW = dirac_left(W, p, scheme)
+        return W(p), DW
+    _stencil(W.domain, p, scheme)
+    value, deriv = W.jet(p)
+    return Biquaternion(*value), _dirac_sum(deriv, W._lead, False, 1)
 
 
 def component_residuals(W0: ScalarField, Wv: VectorField, phi: ScalarField,
@@ -263,26 +276,35 @@ def w_equation_residual(w, phi: ScalarField, p: Point3,
             + mul(Biquaternion.from_vector(w(p) if wp is None else wp), a))
 
 
-def _grad_or_zero(h: Optional[ScalarField], p: Point3, scheme: DiffScheme) -> np.ndarray:
-    if h is None:
-        return np.zeros(3, dtype=complex)
-    return grad(h, p, scheme)
+def _built_W(scalar: ScalarField, factor: ScalarField, sign: float, rot_B: VectorField,
+             h: Optional[ScalarField], dom: BoxDomain, scheme: DiffScheme) -> QuaternionField:
+    """W = scalar + factor (rot B + sign grad h) on dom met with h's domain
+    (h = None means 0): the assembly of the built Vekua solutions.
 
+    The evaluator broadcasts: a batch calls ``factor`` and ``scalar`` once
+    and makes one rot B value pass per point.  The jet applies the product
+    rule to rot B's exact Jacobian and the stencils of ``factor``,
+    ``scalar`` and grad h, so a derivative of W is one pass over the cells.
+    """
+    grad_h = None
+    if h is not None:
+        dom = dom.intersect(h.domain)
+        grad_h = VectorField(lambda t: sign * grad(h, t, scheme), h.domain, vectorized=True)
 
-def _grad_jet(h: Optional[ScalarField], p: Point3, scheme: DiffScheme):
-    """grad h at p and its derivatives d_m d_i h, [m, i] (a stencil of the
-    gradient), or two zeros for h = None."""
-    if h is None:
-        return 0j, 0j
-    grad_h = VectorField(lambda t: grad(h, t, scheme), h.domain, vectorized=True)
-    return grad(h, p, scheme), _derivatives(grad_h, p, scheme)
+    def evaluate(p: Point3) -> np.ndarray:
+        f, R = factor.batch(p), rot_B.batch(p)
+        vec = f * (R if grad_h is None else R + grad_h.batch(p))
+        return np.concatenate((np.expand_dims(scalar.batch(p), 0), vec))
 
+    def jet(p: Point3):
+        f, (R, dR) = factor.batch(p), rot_B.jet(p)
+        if grad_h is not None:
+            R, dR = R + grad_h.batch(p), dR + _derivatives(grad_h, p, scheme)
+        d_vec = grad(factor, p, scheme)[:, None] * R + f * dR
+        return (np.concatenate((np.expand_dims(scalar.batch(p), 0), f * R)),
+                np.concatenate((np.expand_dims(grad(scalar, p, scheme), 1), d_vec), axis=1))
 
-def _quaternion_jet(scalar, d_scalar, vec, d_vec):
-    """A quaternion field's jet from its parts: values (4, *S) and
-    derivatives (3, 4, *S), from shapes S, (3, *S), (3, *S) and (3, 3, *S)."""
-    return (np.concatenate((np.expand_dims(scalar, 0), vec)),
-            np.concatenate((np.expand_dims(d_scalar, 1), d_vec), axis=1))
+    return QuaternionField(evaluate, dom, vectorized=True, jet=jet)
 
 
 def build_W_prop2(w: VectorField, phi: ScalarField, h: Optional[ScalarField],
@@ -299,12 +321,10 @@ def build_W_prop2(w: VectorField, phi: ScalarField, h: Optional[ScalarField],
       Q  = -phi^-1 (grad phi + w / A[w/phi])     (solves the Riccati eq.)
 
     h is an arbitrary harmonic function (None means 0); C is the additive
-    constant of the path reconstruction A.  rot B is evaluated analytically
-    (``operator_rot_B``), not by finite differences of the potential, and
-    so is W's first derivative: W's jet takes rot B's exact Jacobian and
-    the stencils of W0, phi and h, by the product rule.  W0 and Q are
-    vectorized, so a batch (a stencil's points included) takes one A[w/phi]
-    call.
+    constant of the path reconstruction A.  W is ``_built_W`` with scalar
+    part W0 and factor -1/(2 phi); rot B is evaluated analytically
+    (``operator_rot_B``).  W0 and Q are vectorized, so a batch (a stencil's
+    points included) takes one A[w/phi] call.
     """
     base = Point3(*base)
     dom = w.domain.intersect(phi.domain)
@@ -319,26 +339,15 @@ def build_W_prop2(w: VectorField, phi: ScalarField, h: Optional[ScalarField],
         return 0.5 * phi.batch(p) * Aw.batch(p)
 
     W0 = ScalarField(W0_eval, dom, vectorized=True)
-
-    def W_eval(p: Point3) -> Biquaternion:
-        value = _nonzero(phi(p), eps_zero, "phi")
-        vec = 0.5 * (-rot_B(p) + _grad_or_zero(h, p, scheme)) / value
-        return Biquaternion.from_scalar_vector(W0_eval(p), vec)
-
-    def W_jet(p: Point3):
-        value = _nonzero(phi.batch(p), eps_zero, "phi")
-        R, dR = rot_B.jet(p)
-        G, dG = _grad_jet(h, p, scheme)
-        vec = 0.5 * (-R + G) / value
-        d_vec = (0.5 * (-dR + dG) - vec * grad(phi, p, scheme)[:, None]) / value
-        return _quaternion_jet(W0_eval(p), grad(W0, p, scheme), vec, d_vec)
+    factor = ScalarField(lambda t: -0.5 / _nonzero(phi.batch(t), eps_zero, "phi"), dom,
+                         vectorized=True)
 
     def Q_eval(p: Point3) -> np.ndarray:
         value = _nonzero(phi.batch(p), eps_zero, "phi")
         a = _nonzero(Aw.batch(p), eps_zero, "A[w/phi]")
         return -(grad(phi, p, scheme) + w.batch(p) / a) / value
 
-    return (QuaternionField(W_eval, dom, jet=W_jet), W0,
+    return (_built_W(W0, factor, -1.0, rot_B, h, dom, scheme), W0,
             VectorField(Q_eval, dom, vectorized=True))
 
 
@@ -348,12 +357,10 @@ def build_W_from_W0(W0: ScalarField, phi: ScalarField, h: Optional[ScalarField],
                     eps_zero: float = EPS_ZERO, cells=None) -> QuaternionField:
     """Complete a Schrodinger solution W0 to a Vekua solution W = W0 + Wv.
 
-    Wv = -phi^-1 {rot B[phi^2 grad(W0/phi)] + grad h}, with rot B evaluated
-    analytically (``operator_rot_B``).  W's jet takes rot B's exact
-    Jacobian and the stencils of W0, phi and h, by the product rule, so a
-    derivative of W costs one pass over the cells.  The integrand is
-    vectorized, so the grid build differences W0/phi over whole chunks of
-    cells; W0 and phi may be vectorized or pointwise fields.
+    Wv = -phi^-1 {rot B[phi^2 grad(W0/phi)] + grad h}: ``_built_W`` with
+    factor -1/phi, rot B evaluated analytically (``operator_rot_B``).  The
+    integrand is vectorized, so the grid build differences W0/phi over
+    whole chunks of cells; W0 and phi may be vectorized or pointwise fields.
     """
     dom = W0.domain.intersect(phi.domain)
     def nonzero_phi(t: Point3):
@@ -362,21 +369,8 @@ def build_W_from_W0(W0: ScalarField, phi: ScalarField, h: Optional[ScalarField],
     ratio = ScalarField(lambda s: W0.batch(s) / nonzero_phi(s), dom, vectorized=True)
     rot_B = operator_rot_B(VectorField(lambda t: nonzero_phi(t) ** 2 * grad(ratio, t, scheme),
                                        dom, vectorized=True), region, quad, cells=cells)
-
-    def W_eval(p: Point3) -> Biquaternion:
-        value = _nonzero(phi(p), eps_zero, "phi")
-        vec = -(rot_B(p) + _grad_or_zero(h, p, scheme)) / value
-        return Biquaternion.from_scalar_vector(W0(p), vec)
-
-    def W_jet(p: Point3):
-        value = nonzero_phi(p)
-        R, dR = rot_B.jet(p)
-        G, dG = _grad_jet(h, p, scheme)
-        vec = -(R + G) / value
-        d_vec = -(dR + dG + vec * grad(phi, p, scheme)[:, None]) / value
-        return _quaternion_jet(W0.batch(p), grad(W0, p, scheme), vec, d_vec)
-
-    return QuaternionField(W_eval, dom, jet=W_jet)
+    factor = ScalarField(lambda t: -1.0 / nonzero_phi(t), dom, vectorized=True)
+    return _built_W(W0, factor, 1.0, rot_B, h, dom, scheme)
 
 
 def build_W0_from_W(Wv: VectorField, phi: ScalarField, base: Point3,
@@ -412,7 +406,8 @@ def euler_residual(W: QuaternionField, Q1: VectorField, p: Point3,
     """D W + Q1 conj_h(W) at p (defect of the first-order reduction)."""
     p = Point3(*p)
     Q1p = Biquaternion.from_vector(Q1(p))
-    return dirac_left(W, p, scheme) + mul(Q1p, conj_h(W(p)))
+    Wp, DW = _value_and_dirac(W, p, scheme)
+    return DW + mul(Q1p, conj_h(Wp))
 
 
 def q_from_scw(W: QuaternionField, scheme: DiffScheme = DEFAULT_SCHEME,
@@ -447,11 +442,10 @@ def w_from_q_pair(inst: RiccatiInstance, inst1: RiccatiInstance,
     in the brace integrand is evaluated through the exact chain rule
     grad(exp(-A[G])) = -G exp(-A[G]), which avoids differencing a quadrature
     inside the volume integral; rot B itself is evaluated analytically
-    (``operator_rot_B``), and W's jet takes its exact Jacobian and the
-    stencils of exp(-A[Q]), exp(A[Q1]) and h, by the product rule.  The
-    brace integrand is vectorized, so the grid build evaluates it, with both
-    A's inside it, over whole chunks of cells; Q and Q1 may be vectorized or
-    pointwise fields.
+    (``operator_rot_B``), and W is ``_built_W`` with factor -exp(A[Q1]).
+    The brace integrand is vectorized, so the grid build evaluates it, with
+    both A's inside it, over whole chunks of cells; Q and Q1 may be
+    vectorized or pointwise fields.
     """
     base = Point3(*base)
     if check_points is not None:
@@ -474,23 +468,9 @@ def w_from_q_pair(inst: RiccatiInstance, inst1: RiccatiInstance,
 
     rot_B = operator_rot_B(VectorField(integrand, dom, vectorized=True), region, quad,
                            cells=cells)
-
-    def W_eval(p: Point3) -> Biquaternion:
-        vec = -cmath.exp(A_Q1(p)) * (rot_B(p) + _grad_or_zero(h, p, scheme))
-        return Biquaternion.from_scalar_vector(cmath.exp(-A_Q(p)), vec)
-
     scalar = ScalarField(lambda t: np.exp(-A_Q.batch(t)), dom, vectorized=True)
-    factor = ScalarField(lambda t: np.exp(A_Q1.batch(t)), dom, vectorized=True)
-
-    def W_jet(p: Point3):
-        R, dR = rot_B.jet(p)
-        G, dG = _grad_jet(h, p, scheme)
-        e = factor.batch(p)
-        vec = -e * (R + G)
-        d_vec = -(grad(factor, p, scheme)[:, None] * (R + G) + e * (dR + dG))
-        return _quaternion_jet(scalar.batch(p), grad(scalar, p, scheme), vec, d_vec)
-
-    return QuaternionField(W_eval, dom, jet=W_jet)
+    factor = ScalarField(lambda t: -np.exp(A_Q1.batch(t)), dom, vectorized=True)
+    return _built_W(scalar, factor, 1.0, rot_B, h, dom, scheme)
 
 
 def picard_lhs(Q1: VectorField, Q2: VectorField, Q3: VectorField, Q4: VectorField,

@@ -641,7 +641,8 @@ def test_dirac_of_built_W_raises_the_stencil_domain_error():
                np.full(4, 0.1))
     for p in (edge, P):
         errors = []
-        for field in (W, QuaternionField(W.fn, W.domain)):  # with and without the jet
+        jetless = QuaternionField(W.fn, W.domain, vectorized=True)
+        for field in (W, jetless):  # with and without the jet
             with pytest.raises(DomainError) as info:
                 dirac_left(field, p, S)
             errors.append(info.value)

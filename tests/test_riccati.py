@@ -290,11 +290,21 @@ def test_build_W_from_W0_with_harmonic_shift():
 
 
 def test_vekua_residual_of_built_W_makes_one_jacobian_pass(rot_B_passes):
-    # the stencil of W's values made 13 value passes at order 4
+    # the stencil of W's values made 13 value passes at order 4; W(p) is
+    # taken from the jet's values, so no value pass is left
     W = build_W_from_W0(ScalarField(lambda p: complex(p.x)), ONE, None, TUBE,
                         cells=TUBE_CELLS)
     assert vekua_residual(W, ONE, TUBE_PTS[1], S).max_abs() < 5e-2
-    assert rot_B_passes["jet"] == 1 and rot_B_passes["value"] <= 2
+    assert rot_B_passes == {"jet": 1, "value": 0}
+
+
+def test_euler_residual_of_built_W_makes_one_jacobian_pass(rot_B_passes):
+    from riccati3d.riccati import euler_residual
+    W = build_W_from_W0(ScalarField(lambda p: complex(p.x)), ONE, None, TUBE,
+                        cells=TUBE_CELLS)
+    zero = VectorField(lambda p: np.zeros(3, complex))
+    assert euler_residual(W, zero, TUBE_PTS[1], S).max_abs() < 5e-2
+    assert rot_B_passes == {"jet": 1, "value": 0}
 
 
 # |jet - stencil of W's values at h = 1e-4| over TUBE_PTS, measured before
@@ -331,7 +341,7 @@ def _built_Ws():
 def test_built_W_jet_matches_stencil_of_its_values(builder):
     from riccati3d.fields import _derivatives
     W = _built_Ws()[builder]()
-    values = QuaternionField(W.fn, W.domain)  # no jet: stencils of W(p)
+    values = QuaternionField(W.fn, W.domain, vectorized=True)  # no jet: stencils of W(p)
     P = Point3(*(np.array(c) for c in zip(*TUBE_PTS)))
     batch_values, batch_derivs = W.jet(P)
     for n, p in enumerate(TUBE_PTS):
@@ -343,6 +353,32 @@ def test_built_W_jet_matches_stencil_of_its_values(builder):
         # a batch is one pass per point; A over a batch may round apart
         assert np.max(np.abs(batch_values[:, n] - value)) < 1e-12
         assert np.max(np.abs(batch_derivs[..., n] - derivs)) < 1e-11
+
+
+@pytest.mark.parametrize("builder", ["from_W0", "prop2", "q_pair"])
+def test_built_W_evaluator_broadcasts(builder, rot_B_passes):
+    W = _built_Ws()[builder]()
+    pts = TUBE_PTS + [Point3(4.4, 0.3, -0.2)]
+    P = Point3(*(np.array(c) for c in zip(*pts)))
+    assert W.fn(P).shape == (4, 3)
+    rot_B_passes.update(value=0, jet=0)
+    batch = W.batch(P)
+    assert rot_B_passes == {"value": 3, "jet": 0}  # one value pass per point
+    for n, p in enumerate(pts):
+        value = W.batch(p)
+        assert np.max(np.abs(batch[:, n] - value)) <= 1e-15 * np.max(np.abs(value))
+
+
+def test_built_W_domain_meets_the_domain_of_h():
+    # grad h is differenced at W's points, so W lives where h does
+    box = BoxDomain.box((0, -1, -1), (2, 1, 1))
+    h = ScalarField(lambda p: p.x * p.y + 0j, BoxDomain.box((-5, -5, -5), (1, 5, 5)))
+    W = build_W_from_W0(ScalarField(lambda p: complex(p.x)), ONE, h, box, cells=(8, 8, 8))
+    outside, inside = Point3(1.5, 0.1, 0.1), Point3(0.5, 0.1, 0.1)
+    assert not W.domain.ok(outside) and W.domain.ok(inside)
+    with pytest.raises(DomainError, match="outside domain box"):
+        vekua_residual(W, ONE, outside, S)
+    assert vekua_residual(W, ONE, inside, S).max_abs() < 1.0
 
 
 def test_build_W0_from_W_gradient_seed_yields_constant():
