@@ -52,10 +52,10 @@ Conventions
   batch); the Newtonian volume potential B uses midpoint tensor quadrature
   in which each cell's mass is a compact smooth blob of radius
   ``_BLOB_RADIUS`` cell sides, so B is smooth and every derivative of it is
-  meaningful.  ``operator_rot_B`` gives the curl of the same potential in
-  closed form, one pass over the cells with the kernel's analytic gradient
-  and one real GEMM, so ``rot B`` needs no finite differences; its jet
-  gives the curl's Jacobian the same way, from the kernel's Hessian.
+  meaningful.  B, ``operator_rot_B`` (its curl in closed form, no finite
+  differences) and rot B's jet (the curl's Jacobian) share one grid of
+  dV-scaled real rows and one pass per target: a table of kernel columns
+  (K; the gradient; gradient and Hessian) and one real GEMM.
 """
 
 from __future__ import annotations
@@ -749,28 +749,29 @@ _BLOB_RADIUS = 2.2  # radius of each cell's mass blob, in largest cell sides
 
 
 class _Grid(NamedTuple):
-    """A built volume grid; ``xs``, ``ys`` and ``zs`` are the rows of ``coords``."""
+    """A built volume grid."""
 
-    xs: np.ndarray
-    ys: np.ndarray
-    zs: np.ndarray
-    vals: np.ndarray  # (3, C) complex integrand values, 0 in excluded cells
-    dV: float
-    a: float  # blob radius
     coords: np.ndarray  # (3, C) cell centres in C order
-    rows: Optional[np.ndarray]  # (6, C) dV * (Re vals, Im vals), rot B only
+    rows: np.ndarray  # (6, C) dV * (Re F, Im F) at the cells, 0 in excluded cells
+    a: float  # blob radius
+
+
+# the table column of 2 g' d_j d_m for each (j, m), in a pass of order 2
+_HESSIAN_COLUMNS = np.array([[4, 7, 8], [7, 5, 9], [8, 9, 6]])
 
 
 class _NewtonianPotential(VectorField):
-    """Midpoint-grid discretization of the volume potential.
+    """Midpoint-grid discretization of the volume potential B (``order``
+    0), or of its curl rot B (``order`` 1, with a ``jet``).
 
-    The grid of integrand values is computed lazily on first evaluation and
-    cached.  It is built through ``F.batch`` over chunks of
-    ``_BUILD_CHUNK`` cell centres in C order, so a vectorized integrand is
-    called once per chunk and any other once per cell, with the same values
-    either way.  Cells the region's predicate excludes are never evaluated
-    and contribute nothing; a non-finite integrand value raises DomainError
-    naming the first such cell centre.
+    The grid is built lazily on first evaluation and cached: the cell
+    centres and dV times the integrand values, as real and imaginary rows.
+    It is built through ``F.batch`` over chunks of ``_BUILD_CHUNK`` cell
+    centres in C order, so a vectorized integrand is called once per chunk
+    and any other once per cell, with the same values either way.  Cells
+    the region's predicate excludes are never evaluated and contribute
+    nothing; a non-finite integrand value raises DomainError naming the
+    first such cell centre.
 
     Each cell mass contributes the potential of a compact C^1-density blob
     of radius ``_BLOB_RADIUS`` times the largest cell side instead of a
@@ -778,40 +779,41 @@ class _NewtonianPotential(VectorField):
     inside it is a polynomial, and no cell is dropped.  The discretized
     potential is therefore smooth, so its finite-difference derivatives are
     meaningful (in particular its Laplacian reproduces -F locally).
-    ``operator_rot_B`` evaluates the curl of this potential directly from
-    the kernel's radial derivative (``_blob_kernel_grad``), and the curl's
-    Jacobian from the kernel's Hessian (``_blob_kernel_slope``).
 
-    An evaluation is one direct sum over all cells for its one target.  The
-    kernel takes its far form on every cell and then overwrites the few
-    cells within the blob radius (found with ``flatnonzero``) with the
+    ``F(p)``, ``F.batch`` and ``jet`` make one pass per target, in C order
+    (``_pass``; targets x cells passes were measured slower).  The kernels
+    take their far form on every cell and then overwrite the few cells
+    within the blob radius (found with ``flatnonzero``) with the
     polynomial; those cells enter the far form at the radius itself, so a
     target on a cell centre divides by nothing.
 
     ``cells`` overrides the per-axis cell counts; the default is the cubic
-    quad.volume_grid per axis.  Use it to keep cells near-cubic on elongated
-    regions.
+    quad.volume_grid per axis.  Use it to keep cells near-cubic on
+    elongated regions.
     """
 
-    __slots__ = ("region", "quad", "cells", "_grid")
+    __slots__ = ("region", "quad", "cells", "_grid", "_order")
 
     def __init__(self, F: VectorField, region: BoxDomain, quad: QuadratureSpec,
-                 cells: Optional[tuple] = None):
+                 cells: Optional[tuple], order: int):
         if cells is None:
             cells = (quad.volume_grid,) * 3
-        if min(cells) < 8:
-            raise QuadratureFailure(
-                f"volume grid resolution {min(cells)} < 8")
+        if not (isinstance(cells, (tuple, list)) and len(cells) == 3 and all(
+                isinstance(c, (int, np.integer)) and not isinstance(c, bool) and c >= 8
+                for c in cells)):
+            raise QuadratureFailure(f"operator B cells must be three ints >= 8, got {cells!r}")
         if not region.bounded():
             raise QuadratureFailure("operator B needs a bounded region")
         self.region = region
         self.quad = quad
         self.cells = tuple(int(c) for c in cells)
         self._grid = None
-        super().__init__(F, BoxDomain.unbounded())
+        self._order = order
+        jet = functools.partial(self._per_target, order=2) if order else None
+        super().__init__(F, BoxDomain.unbounded(), jet=jet)
 
     def _ensure_grid(self) -> _Grid:
-        """The cell centres and integrand values, built on first use."""
+        """The cell centres and scaled integrand values, built on first use."""
         if self._grid is not None:
             return self._grid
         lo, hi = self.region.lower, self.region.upper
@@ -821,31 +823,23 @@ class _NewtonianPotential(VectorField):
             axis = lo[k] + (np.arange(self.cells[k]) + 0.5) * steps[k]
             coords[k].reshape(self.cells)[...] = axis.reshape([-1 if m == k else 1
                                                                for m in range(3)])
-        xs, ys, zs = coords
-        vals = np.zeros((3, xs.size), dtype=complex)
-        for start in range(0, xs.size, _BUILD_CHUNK):
-            cut = slice(start, start + _BUILD_CHUNK)
+        rows = np.zeros((6, coords.shape[1]))
+        for start in range(0, coords.shape[1], _BUILD_CHUNK):
             # excluded cells contribute nothing and are never evaluated
-            keep = start + np.flatnonzero(self.region.ok_mask(Point3(xs[cut], ys[cut], zs[cut])))
+            keep = start + np.flatnonzero(
+                self.region.ok_mask(Point3(*coords[:, start:start + _BUILD_CHUNK])))
             if not keep.size:
                 continue
-            block = self.fn.batch(Point3(xs[keep], ys[keep], zs[keep]))
+            block = self.fn.batch(Point3(*coords[:, keep]))
             bad = ~np.isfinite(block).all(axis=0)
             if bad.any():
-                i = keep[np.argmax(bad)]
                 raise DomainError("operator B integrand is not finite at cell centre "
-                                  f"{Point3(xs[i], ys[i], zs[i])}")
-            vals[:, keep] = block
-        dV = steps[0] * steps[1] * steps[2]
-        self._grid = _Grid(xs, ys, zs, vals, dV, _BLOB_RADIUS * max(steps), coords,
-                           self._real_rows(vals, dV))
+                                  f"{Point3(*coords[:, keep[np.argmax(bad)]])}")
+            rows[:3, keep] = block.real
+            rows[3:, keep] = block.imag
+        rows *= steps[0] * steps[1] * steps[2]
+        self._grid = _Grid(coords, rows, _BLOB_RADIUS * max(steps))
         return self._grid
-
-    @staticmethod
-    def _real_rows(vals: np.ndarray, dV: float) -> Optional[np.ndarray]:
-        """The cell values times dV as real rows, for a real contraction;
-        B contracts its complex values and keeps no second copy."""
-        return None
 
     @staticmethod
     def _blob_kernel(r2: np.ndarray, a: float) -> np.ndarray:
@@ -892,12 +886,69 @@ class _NewtonianPotential(VectorField):
         slope[near] = (105.0 / (16.0 * np.pi * a ** 5)) * (0.2 - r2[near] / (7.0 * a * a))
         return g, slope
 
+    def _pass(self, p: Point3, order: int) -> np.ndarray:
+        """One pass over the cells for the target x = p: the offsets d = x - y
+        and r^2, a table of kernel columns T and one real GEMM, giving the
+        complex (3, n) sums M[k, c] = sum over cells of F_k dV T_c.
+
+        The columns are K (order 0: B), g d_j (order 1: grad B) or g d_j, g
+        and 2 g' d_j d_m (order 2), with g = K'(r)/r (``_blob_kernel_grad``)
+        and g' = dg/d(r^2), so that d_j d_m B_k is M[k, 3] delta_jm plus
+        M[k, _HESSIAN_COLUMNS[j, m]] (``_blob_kernel_slope``).  The table is
+        built in place, the offsets in its first rows.
+        """
+        grid = self._ensure_grid()
+        n = (1, 3, 10)[order]
+        table = np.empty((max(n, 3), grid.coords.shape[1]))
+        d = table[:3]
+        np.subtract(np.array(p, dtype=float)[:, None], grid.coords, out=d)  # x - y
+        r2 = np.einsum("ij,ij->j", d, d)
+        if order == 0:
+            table[0] = self._blob_kernel(r2, grid.a)
+        elif order == 1:
+            d *= self._blob_kernel_grad(r2, grid.a)
+        else:
+            g, slope = self._blob_kernel_slope(r2, grid.a)
+            slope *= 2.0
+            e = table[4:7]
+            np.multiply(d, slope, out=e)
+            np.multiply(e[0], d[1:], out=table[7:9])
+            np.multiply(e[1], d[2], out=table[9])
+            e *= d
+            d *= g
+            table[3] = g
+        M = grid.rows @ table[:n].T
+        return M[:3] + 1j * M[3:]
+
+    def _at(self, p: Point3, order: int) -> tuple:
+        """From one pass at p: (B,) for order 0, (rot B,) for order 1, and
+        rot B with its derivatives d_m (rot B)_i, [m, i], for order 2."""
+        M = self._pass(p, order)
+        if order == 0:
+            return (M[:, 0],)
+        if order == 1:
+            return (_curl(M),)
+        H = M[:, _HESSIAN_COLUMNS]  # H[k, j, m] = d_j d_m B_k
+        H[:, (0, 1, 2), (0, 1, 2)] += M[:, 3, None]
+        return _curl(M[:, :3]), _curl(H).T
+
+    def _per_target(self, P: Point3, order: int) -> tuple:
+        """``_at`` at one point, or at each point of a batch of shape S in C
+        order: values (3, *S), then for order 2 derivatives (3, 3, *S)."""
+        if not _batched(P):
+            return self._at(P, order)
+        shape = P[0].shape
+        leads = ((3,), (3, 3)) if order == 2 else ((3,),)
+        out = [np.empty(lead + (P[0].size,), dtype=complex) for lead in leads]
+        for n, q in enumerate(zip(*(np.broadcast_to(c, shape).ravel().tolist() for c in P))):
+            for o, v in zip(out, self._at(q, order)):
+                o[..., n] = v
+        return tuple(o.reshape(o.shape[:-1] + shape) for o in out)
+
     def __call__(self, p: Point3) -> np.ndarray:
-        p = Point3(*p)
-        xs, ys, zs, vals, dV, a, *_ = self._ensure_grid()
-        r2 = (xs - p.x) ** 2 + (ys - p.y) ** 2 + (zs - p.z) ** 2
-        w = dV * self._blob_kernel(r2, a)
-        return np.array([np.dot(vals[k], w) for k in range(3)])
+        return self._per_target(p, self._order)[0]
+
+    batch = __call__
 
 
 def operator_B(F: VectorField, region: BoxDomain,
@@ -906,81 +957,15 @@ def operator_B(F: VectorField, region: BoxDomain,
     """Componentwise Newtonian potential (kernel 1/(4 pi |x - y|)) over region.
 
     Midpoint tensor quadrature at resolution quad.volume_grid per axis (or
-    ``cells``), each cell's mass spread over a compact blob of radius
-    ``_BLOB_RADIUS`` cell sides (see _NewtonianPotential), so the potential
-    is smooth and may be differenced.  ``operator_rot_B`` gives its curl in
-    closed form.  Evaluation is defined everywhere in R^3 and deterministic
-    (fixed summation order).
+    ``cells``, three ints >= 8, else QuadratureFailure), each cell's mass
+    spread over a compact blob of radius ``_BLOB_RADIUS`` cell sides (see
+    _NewtonianPotential), so the potential is smooth and may be differenced.
+    A value is one pass over the cells per point: the kernel column and one
+    real GEMM against dV times the cell values.  ``operator_rot_B`` gives
+    the curl in closed form.  Evaluation is defined everywhere in R^3 and
+    deterministic (fixed summation order).
     """
-    return _NewtonianPotential(F, region, quad, cells)
-
-
-class _RotNewtonianPotential(_NewtonianPotential):
-    """Curl of the Newtonian potential, differentiated analytically.
-
-    rot B[F](x) = sum over cells of grad K(x - y) x F(y) dV, with the same
-    grid, cell values and blob radius as ``_NewtonianPotential``.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.jet = self._jet
-
-    @staticmethod
-    def _real_rows(vals: np.ndarray, dV: float) -> np.ndarray:
-        rows = np.concatenate((vals.real, vals.imag))
-        rows *= dV
-        return rows
-
-    def __call__(self, p: Point3) -> np.ndarray:
-        g = self._ensure_grid()
-        d = np.array(p, dtype=float)[:, None] - g.coords  # x - y, one row per axis
-        d *= self._blob_kernel_grad(np.einsum("ij,ij->j", d, d), g.a)
-        J = g.rows @ d.T  # J[i, j] = d(B_i)/dx_j: rows of Re F, then of Im F
-        return _curl(J[:3] + 1j * J[3:])
-
-    def _jet_pass(self, p: Point3):
-        """rot B at one point and its derivatives d_m (rot B)_i, [m, i].
-
-        d_m d_j B_k = sum over cells of (g delta_jm + 2 g' d_j d_m) F_k dV
-        (``_blob_kernel_slope``), so one real GEMM of the value rows against
-        a (C, 10) table gives grad B (columns g d_j) and its Hessian (g, then
-        the six 2 g' d_j d_m); rot B and its derivatives are their curls.
-        """
-        g = self._ensure_grid()
-        table = np.empty((10, g.coords.shape[1]))  # built in place: no (3, C) temporaries
-        d, e = table[:3], table[4:7]
-        np.subtract(np.array(p, dtype=float)[:, None], g.coords, out=d)  # x - y
-        k, slope = self._blob_kernel_slope(np.einsum("ij,ij->j", d, d), g.a)
-        slope *= 2.0
-        np.multiply(d, slope, out=e)
-        np.multiply(e[0], d[1:], out=table[7:9])
-        np.multiply(e[1], d[2], out=table[9])
-        e *= d
-        d *= k
-        table[3] = k
-        M = g.rows @ table.T
-        M = M[:3] + 1j * M[3:]  # M[i, c]: component i of F against table row c
-        H = M[:, _HESSIAN_COLUMNS]  # H[k, j, m] = d_j d_m B_k
-        H[:, (0, 1, 2), (0, 1, 2)] += M[:, 3, None]
-        return _curl(M[:, :3]), _curl(H).T
-
-    def _jet(self, P: Point3):
-        """``_jet_pass`` at one point, or at each point of a batch in C
-        order: values (3, *S) and derivatives (3, 3, *S)."""
-        if not _batched(P):
-            return self._jet_pass(P)
-        shape = P[0].shape
-        out = [self._jet_pass(q) for q in
-               zip(*(np.broadcast_to(c, shape).ravel().tolist() for c in P))]
-        return (np.stack([v for v, _ in out], axis=-1).reshape((3,) + shape),
-                np.stack([d for _, d in out], axis=-1).reshape((3, 3) + shape))
-
-
-# the table column of 2 g' d_j d_m for each (j, m)
-_HESSIAN_COLUMNS = np.array([[4, 7, 8], [7, 5, 9], [8, 9, 6]])
+    return _NewtonianPotential(F, region, quad, cells, 0)
 
 
 def operator_rot_B(F: VectorField, region: BoxDomain,
@@ -989,21 +974,16 @@ def operator_rot_B(F: VectorField, region: BoxDomain,
     """rot of ``operator_B(F, region, quad, cells)``.
 
     The curl is computed in closed form from the gradient of the blob
-    kernel in one pass over the cells, instead of by finite differences of
-    the potential (12 full-grid sums per point at order 4).  Grid, cell
-    values and blob radius are those of operator_B.  Each point is its own
-    pass: the offsets to all cells, the kernel gradient (far form on every
-    cell, the polynomial on the cells within the blob radius) and one real
-    GEMM of the weighted offsets against dV times the cell values, stored
-    once as real and imaginary rows.  Batching targets into one
-    targets x cells pass was measured slower per target.
+    kernel, instead of by finite differences of the potential (12 full-grid
+    sums per point at order 4).  Grid, cell values and blob radius are those
+    of operator_B, and so is the pass per point: its kernel columns are
+    g d_j, the real GEMM gives grad B, and rot B is the curl of that.
 
     The field's ``jet`` gives rot B and its exact Jacobian
     ``d_m (rot B)_i = sum_c eps_ijk (g delta_jm + 2 g' d_j d_m) F_k(y_c) dV``
-    (d = x - y_c, g' = dg/d(r^2)) in one pass per point of the same shape:
-    the offsets, g and g' on every cell, and one real GEMM of the same rows
-    against a (C, 10) table.  It costs about three value passes, where a
-    4th-order stencil of rot B costs 12, and the derivative operators use
-    it for rot B and for the solutions built from it.
+    (d = x - y_c, g' = dg/d(r^2)) in one pass per point against a (C, 10)
+    table.  It costs about three value passes, where a 4th-order stencil of
+    rot B costs 12, and the derivative operators use it for rot B and for
+    the solutions built from it.
     """
-    return _RotNewtonianPotential(F, region, quad, cells)
+    return _NewtonianPotential(F, region, quad, cells, 1)

@@ -441,9 +441,9 @@ def suite_operators(config: RunConfig) -> _Checks:
 
     def A_reconstruction():
         cases = [
-            (VectorField(lambda p: np.array([p.y * p.z, p.x * p.z, p.x * p.y], complex)),
+            (VectorField(lambda p: vec3(p.y * p.z, p.x * p.z, p.x * p.y), vectorized=True),
              lambda p: p.x * p.y * p.z),
-            (VectorField(lambda p: np.array([2 * p.x, 2 * p.y, 0], complex)),
+            (VectorField(lambda p: vec3(2 * p.x, 2 * p.y, 0), vectorized=True),
              lambda p: p.x * p.x + p.y * p.y),
         ]
         P = _as_batch(halton_points(box, 20, config.seed + 3))
@@ -455,8 +455,8 @@ def suite_operators(config: RunConfig) -> _Checks:
         return worst, 2 * P.x.size
 
     def A_right_inverse():
-        F = VectorField(lambda p: np.array(
-            [p.y * p.z + 2 * p.x, p.x * p.z, p.x * p.y], complex))
+        F = VectorField(lambda p: vec3(p.y * p.z + 2 * p.x, p.x * p.z, p.x * p.y),
+                        vectorized=True)
         A = operator_A(F, Point3(0, 0, 0), 0j, quad)
         P = _as_batch(halton_points(box, 10, config.seed + 4))
         return float(np.max(np.abs(grad(A, P, scheme) - F.batch(P)))), P.x.size

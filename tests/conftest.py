@@ -14,34 +14,44 @@ class VerifyRun(NamedTuple):
     code: int        # exit code of the command
     table: str       # the report table it printed
     report: dict     # the JSON report it wrote
+    fallback: list   # the size of every batch a field evaluated point by point
 
 
 @pytest.fixture(scope="session")
 def verify_all(tmp_path_factory):
     """``riccati3d verify --suite all`` at the default configuration (seed 0),
-    run once per session through the CLI; every acceptance verdict reads it."""
+    run once per session through the CLI; every acceptance verdict reads it.
+    It also records the batches that took ``_Field.batch``'s per-point
+    fallback (a field without ``vectorized=True``)."""
+    from riccati3d import fields
     path = tmp_path_factory.mktemp("verify") / "all.json"
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    fallback = []
+    batch = fields._Field.batch
+
+    def counted(self, P):
+        if not self.vectorized and fields._batched(P):
+            fallback.append(P[0].size)
+        return batch(self, P)
+
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out):
+        patch.setattr(fields._Field, "batch", counted)
         code = main(["verify", "--suite", "all", "--report", str(path)])
-    return VerifyRun(code, out.getvalue(), json.loads(path.read_text()))
+    return VerifyRun(code, out.getvalue(), json.loads(path.read_text()), fallback)
 
 
 @pytest.fixture
 def rot_B_passes(monkeypatch):
-    """Counters on operator rot B's value pass (``__call__``) and Jacobian
-    pass (``_jet_pass``), one count per target point."""
-    from riccati3d.fields import _RotNewtonianPotential
+    """Counters on the potential's passes, one count per target point: the
+    Jacobian passes of rot B's jet (order 2) and the value passes of B and
+    rot B (orders 0 and 1)."""
+    from riccati3d.fields import _NewtonianPotential
     counts = {"value": 0, "jet": 0}
+    original = _NewtonianPotential._pass
 
-    def counted(kind, original):
-        def wrapper(self, p):
-            counts[kind] += 1
-            return original(self, p)
-        return wrapper
+    def counted(self, p, order):
+        counts["jet" if order == 2 else "value"] += 1
+        return original(self, p, order)
 
-    monkeypatch.setattr(_RotNewtonianPotential, "__call__",
-                        counted("value", _RotNewtonianPotential.__call__))
-    monkeypatch.setattr(_RotNewtonianPotential, "_jet_pass",
-                        counted("jet", _RotNewtonianPotential._jet_pass))
+    monkeypatch.setattr(_NewtonianPotential, "_pass", counted)
     return counts

@@ -59,9 +59,13 @@ def _points(pts):
 
 
 def _per_cell(B) -> np.ndarray:
-    """The grid values of a potential, one scalar evaluation per cell in C order."""
-    xs, ys, zs, *_ = B._ensure_grid()
-    return np.array([B.fn(Point3(x, y, z)) for x, y, z in zip(xs, ys, zs)]).T
+    """The grid rows of a potential from one scalar evaluation per cell in C
+    order: dV times the real parts of the values, then dV times their
+    imaginary parts, as the grid build scales them."""
+    lo, hi = B.region.lower, B.region.upper
+    dV = math.prod((hi[k] - lo[k]) / B.cells[k] for k in range(3))
+    vals = np.array([B.fn(Point3(*c)) for c in B._ensure_grid().coords.T.tolist()]).T
+    return np.concatenate((vals.real, vals.imag)) * dV
 
 
 def _capture_rot_B(monkeypatch):
@@ -526,14 +530,14 @@ def test_w_from_q_pair_grid_equals_the_per_cell_build(monkeypatch):
     w_from_q_pair(inst, zero, None, Point3(1, 0, 0), TUBE, GAUSS32, cells=cells)
     B = built[-1]
     assert B.fn.vectorized
-    vals = B._ensure_grid()[3]
-    assert _bits(vals) == _bits(_per_cell(B))
+    rows = B._ensure_grid().rows
+    assert _bits(rows) == _bits(_per_cell(B))
     Q, Q1 = inst.Q, zero.Q
     A_Q1 = operator_A(Q1, Point3(1, 0, 0), 0j, GAUSS32)
     A_diff = operator_A(VectorField(lambda t: Q(t) - Q1(t), Q.domain), Point3(1, 0, 0),
                         0j, GAUSS32)
     before = VectorField(lambda t: cmath.exp(-2.0 * A_Q1(t) - A_diff(t)) * (Q1(t) - Q(t)))
-    assert _bits(vals) == _bits(_per_cell(operator_rot_B(before, TUBE, GAUSS32, cells)))
+    assert _bits(rows) == _bits(_per_cell(operator_rot_B(before, TUBE, GAUSS32, cells)))
 
 
 def test_pointwise_integrand_grid_equals_the_per_cell_build(monkeypatch):
@@ -543,7 +547,7 @@ def test_pointwise_integrand_grid_equals_the_per_cell_build(monkeypatch):
     build_W_from_W0(W0, phi, None, TUBE, cells=(40, 8, 8))
     B = built[-1]
     assert B.fn.vectorized
-    assert _bits(B._ensure_grid()[3]) == _bits(_per_cell(B))
+    assert _bits(B._ensure_grid().rows) == _bits(_per_cell(B))
 
 
 def test_ball_indicator_grid_equals_the_per_cell_build():
@@ -553,21 +557,40 @@ def test_ball_indicator_grid_equals_the_per_cell_build():
     before = VectorField(lambda p: np.array(
         [1.0 if p.x * p.x + p.y * p.y + p.z * p.z <= 1.0 else 0.0, 0.0, 0.0], complex))
     quad = QuadratureSpec(volume_grid=64)
-    vals = operator_B(chi, CUBE, quad)._ensure_grid()[3]
-    assert _bits(vals) == _bits(_per_cell(operator_B(before, CUBE, quad)))
+    rows = operator_B(chi, CUBE, quad)._ensure_grid().rows
+    assert _bits(rows) == _bits(_per_cell(operator_B(before, CUBE, quad)))
+
+
+@pytest.mark.parametrize("kind", ["B", "rot_B", "jet"])
+def test_potential_batch_equals_pointwise_bitwise(kind, rot_B_passes, monkeypatch):
+    """A batch of shape (2, 3) is one pass per point in C order, inside the
+    potential: its values (and jets) equal the pointwise ones bit for bit."""
+    F = VectorField(lambda p: vec3(np.sin(p.x) + 1j * p.y, p.z * p.x, np.cos(p.y)),
+                    vectorized=True)
+    pot = (operator_B if kind == "B" else operator_rot_B)(F, TUBE, GAUSS32, (24, 8, 8))
+    evaluate = pot.jet if kind == "jet" else pot.batch
+    pts = [Point3(0.5 + 1.1 * n, 0.1 * n - 0.2, 0.3 - 0.05 * n) for n in range(6)]
+    pts[3] = Point3(9.0, 1.0, -2.0)  # outside the region
+    expect = [evaluate(p) for p in pts]
+    expect = [np.stack(x, axis=-1).reshape(x[0].shape + (2, 3))
+              for x in (zip(*expect) if kind == "jet" else [expect])]
+    monkeypatch.setattr(fields._Field, "batch", None)  # no per-point fallback
+    rot_B_passes.update(value=0, jet=0)
+    got = evaluate(Point3(*(np.array(c).reshape(2, 3) for c in zip(*pts))))
+    assert [_bits(g) for g in (got if kind == "jet" else [got])] == list(map(_bits, expect))
+    assert rot_B_passes == ({"value": 0, "jet": 6} if kind == "jet" else {"value": 6, "jet": 0})
 
 
 def test_excluded_cells_are_never_evaluated():
     region = BoxDomain.box((-1, -1, -1), (1, 1, 1), lambda p: p.x + p.y > 0.5)
     for vectorized in (False, True):
         F = _counting(lambda p: vec3(1.0 + p.z, 0.0, 0.0), vectorized=vectorized)
-        xs, ys, zs, vals, *_ = operator_B(F, region,
-                                          QuadratureSpec(volume_grid=8))._ensure_grid()
+        grid = operator_B(F, region, QuadratureSpec(volume_grid=8))._ensure_grid()
         seen = [Point3(*c) for P in F.seen for c in zip(*(np.ravel(a) for a in P))]
-        excluded = xs + ys > 0.5
+        excluded = grid.coords[0] + grid.coords[1] > 0.5
         assert len(seen) == int(np.sum(~excluded))
         assert not any(p.x + p.y > 0.5 for p in seen)
-        assert np.all(vals[:, excluded] == 0) and np.all(vals[0, ~excluded] != 0)
+        assert np.all(grid.rows[:, excluded] == 0) and np.all(grid.rows[0, ~excluded] != 0)
 
 
 _CELL = Point3(-0.125, 0.125, 0.375)  # a centre of the 8^3 grid on the cube

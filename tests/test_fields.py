@@ -494,6 +494,17 @@ def test_B_resolution_floor():
         operator_B(F, BoxDomain.unbounded(), QuadratureSpec(volume_grid=16))
 
 
+@pytest.mark.parametrize("cells", [(8, 8, 8, 8), (8.9, 8, 8), (8, 8)],
+                         ids=["four axes", "float", "two axes"])
+def test_B_cells_must_be_three_ints(cells):
+    # these built a 4-D grid, truncated 8.9 to 8 cells, or raised IndexError
+    region = BoxDomain.box((-1, -1, -1), (1, 1, 1))
+    F = VectorField(lambda p: np.ones(3, complex))
+    for build in (operator_B, operator_rot_B):
+        with pytest.raises(QuadratureFailure, match="cells"):
+            build(F, region, cells=cells)(Point3(0, 0, 0))
+
+
 def test_B_softened_kernel_matches_far_field():
     # beyond the blob radius every cell is a point mass: the plain midpoint sum
     region = BoxDomain.box((-1, -1, -1), (1, 1, 1))
@@ -674,13 +685,14 @@ def _masked_kernel_grad(r2, a):
 
 
 def _masked_sums(B, p):
-    """B and rot B at p from B's grid, the masked kernels and a complex
-    contraction."""
-    xs, ys, zs, vals, dV, a, *_ = B._ensure_grid()
-    d = np.stack((p.x - xs, p.y - ys, p.z - zs))
+    """B and rot B at p from B's grid, the masked kernels and a contraction
+    of its dV-scaled real and imaginary rows."""
+    coords, rows, a = B._ensure_grid()
+    d = np.array(p)[:, None] - coords
     r2 = d[0] ** 2 + d[1] ** 2 + d[2] ** 2
-    b = np.array([np.dot(vals[k], dV * _masked_kernel(r2, a)) for k in range(3)])
-    J = vals @ (dV * _masked_kernel_grad(r2, a) * d).T
+    b = rows @ _masked_kernel(r2, a)[:, None]
+    J = rows @ (_masked_kernel_grad(r2, a) * d).T
+    b, J = b[:3, 0] + 1j * b[3:, 0], J[:3] + 1j * J[3:]
     return b, np.array([J[2, 1] - J[1, 2], J[0, 2] - J[2, 0], J[1, 0] - J[0, 1]])
 
 
