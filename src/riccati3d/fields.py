@@ -903,8 +903,9 @@ class _NewtonianPotential(VectorField):
         d = table[:3]
         np.subtract(np.array(p, dtype=float)[:, None], grid.coords, out=d)  # x - y
         r2 = np.einsum("ij,ij->j", d, d)
-        if order == 0:
-            table[0] = self._blob_kernel(r2, grid.a)
+        if order == 0:  # free the offsets before the kernel allocates its column
+            del table, d
+            table = self._blob_kernel(r2, grid.a)[None]
         elif order == 1:
             d *= self._blob_kernel_grad(r2, grid.a)
         else:

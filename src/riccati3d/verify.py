@@ -15,8 +15,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .biquat import (Biquaternion, _conj, _product, conj_h, inverse, max_component_diff,
-                     modulus_sq, mul, right_mul)
+from .biquat import (Biquaternion, _conj, _inverse, _modulus_sq, _product, inverse,
+                     max_component_diff, mul, right_mul)
 from .errors import ConfigError, ZeroDivisor
 from .fields import (
     BoxDomain,
@@ -177,44 +177,56 @@ def _rng(config: RunConfig, salt: int = 0):
     return np.random.default_rng(1000003 * (config.seed + 1) + salt)
 
 
-def _rel_diff(a: Biquaternion, b: Biquaternion) -> float:
-    scale = max(1.0, a.max_abs(), b.max_abs())
-    return max_component_diff(a, b) / scale
+def _random_biqs(rng, n: int, k: int = 1) -> np.ndarray:
+    """n samples of k random biquaternions, drawn sample by sample, eight
+    uniforms in [-1, 1) per biquaternion (the real and imaginary part of
+    each component in turn): shape (k, 4, n), a (4, n) batch per operand."""
+    return rng.uniform(-1, 1, (n, k, 8)).view(complex).transpose(1, 2, 0)
 
 
-def _random_biq(rng) -> Biquaternion:
-    c = rng.uniform(-1, 1, 8)
-    return Biquaternion(complex(c[0], c[1]), complex(c[2], c[3]),
-                        complex(c[4], c[5]), complex(c[6], c[7]))
+def _mag(z) -> np.ndarray:
+    """|z| elementwise, rounded as abs() of one complex rounds it (np.abs may not)."""
+    z = np.asarray(z)
+    return np.hypot(z.real, z.imag)
+
+
+def _max_diff(a, b) -> float:
+    """The largest |component| of a - b over a batch."""
+    return float(np.max(_mag(np.subtract(a, b))))
+
+
+def _rel_diff(a, b) -> float:
+    """The largest |component| of a - b over two (4, N) batches, each column
+    relative to max(1, its largest |component| in a or in b)."""
+    a, b = np.asarray(a), np.asarray(b)
+    scale = np.maximum(1.0, np.maximum(_mag(a).max(axis=0), _mag(b).max(axis=0)))
+    return float(np.max(_mag(a - b).max(axis=0) / scale))
 
 
 # --------------------------------------------------------------------------
-# algebra suite
+# algebra suite: each law on (4, N) batches of its samples
 
 _EPSILON = {(1, 2): 3, (2, 3): 1, (3, 1): 2}
 
 
-def _basis_product_oracle(a: Biquaternion, b: Biquaternion) -> Biquaternion:
-    """Brute-force product through the 16-term basis table."""
+def _basis_product_oracle(a, b) -> list:
+    """Brute-force product of (4, *S) components through the 16-term basis
+    table, one (i, j) pair at a time (not ``_product``, which it checks)."""
     coeffs = [0j, 0j, 0j, 0j]
-    ac, bc = a.components, b.components
     for i in range(4):
         for j in range(4):
-            w = ac[i] * bc[j]
-            if w == 0:
-                continue
+            w = a[i] * b[j]
             if i == 0:
                 coeffs[j] += w
             elif j == 0:
                 coeffs[i] += w
             elif i == j:
                 coeffs[0] -= w
+            elif (i, j) in _EPSILON:
+                coeffs[_EPSILON[(i, j)]] += w
             else:
-                if (i, j) in _EPSILON:
-                    coeffs[_EPSILON[(i, j)]] += w
-                else:
-                    coeffs[_EPSILON[(j, i)]] -= w
-    return Biquaternion(*coeffs)
+                coeffs[_EPSILON[(j, i)]] -= w
+    return coeffs
 
 
 def suite_algebra(config: RunConfig) -> _Checks:
@@ -237,63 +249,45 @@ def suite_algebra(config: RunConfig) -> _Checks:
         return worst, 17
 
     def product_vs_oracle():
-        worst = 0.0
-        for _ in range(500):
-            a, b = _random_biq(rng), _random_biq(rng)
-            worst = max(worst, _rel_diff(mul(a, b), _basis_product_oracle(a, b)))
-        return worst, 500
+        a, b = _random_biqs(rng, 500, 2)
+        return _rel_diff(_product(a, b), _basis_product_oracle(a, b)), 500
 
     def associativity():
-        worst = 0.0
-        for _ in range(1000):
-            a, b, c = (_random_biq(rng) for _ in range(3))
-            worst = max(worst, _rel_diff(mul(mul(a, b), c), mul(a, mul(b, c))))
-        return worst, 1000
+        a, b, c = _random_biqs(rng, 1000, 3)
+        return _rel_diff(_product(_product(a, b), c), _product(a, _product(b, c))), 1000
 
     def distributivity():
-        worst = 0.0
-        for _ in range(1000):
-            a, b, c = (_random_biq(rng) for _ in range(3))
-            worst = max(worst, _rel_diff(mul(a, b + c), mul(a, b) + mul(a, c)))
-        return worst, 1000
+        a, b, c = _random_biqs(rng, 1000, 3)
+        return _rel_diff(_product(a, b + c), np.add(_product(a, b), _product(a, c))), 1000
 
     def conj_antihom():
-        worst = 0.0
-        for _ in range(1000):
-            a, b = _random_biq(rng), _random_biq(rng)
-            worst = max(worst, _rel_diff(conj_h(mul(a, b)), mul(conj_h(b), conj_h(a))))
-        return worst, 1000
+        a, b = _random_biqs(rng, 1000, 2)
+        return _rel_diff(_conj(_product(a, b)), _product(_conj(b), _conj(a))), 1000
 
     def modulus_multiplicative():
-        worst = 0.0
-        for _ in range(1000):
-            a, b = _random_biq(rng), _random_biq(rng)
-            lhs = modulus_sq(mul(a, b))
-            rhs = modulus_sq(a) * modulus_sq(b)
-            worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
-        return worst, 1000
+        a, b = _random_biqs(rng, 1000, 2)
+        lhs = _modulus_sq(_product(a, b))
+        rhs = _modulus_sq(a) * _modulus_sq(b)
+        scale = np.maximum(1.0, np.maximum(_mag(lhs), _mag(rhs)))
+        return float(np.max(_mag(lhs - rhs) / scale)), 1000
 
     def complex_unit_central():
-        worst = 0.0
-        for _ in range(1000):
-            a, b = _random_biq(rng), _random_biq(rng)
-            worst = max(worst, _rel_diff(mul(1j * a, b), 1j * mul(a, b)))
-            worst = max(worst, _rel_diff(mul(a, 1j * b), 1j * mul(a, b)))
-        return worst, 1000
+        a, b = _random_biqs(rng, 1000, 2)
+        ab = 1j * np.array(_product(a, b))
+        return max(_rel_diff(_product(1j * a, b), ab), _rel_diff(_product(a, 1j * b), ab)), 1000
 
     def inverse_roundtrip():
-        one = Biquaternion(1)
-        worst = 0.0
-        count = 0
-        while count < 200:
-            a = _random_biq(rng)
+        # a sample without an inverse is dropped; the next draws replace it
+        a = _random_biqs(rng, 200)[0]
+        while True:
             try:
-                ai = inverse(a)
-            except ZeroDivisor:
-                continue
-            count += 1
-            worst = max(worst, max_component_diff(mul(a, ai), one),
-                        max_component_diff(mul(ai, a), one))
+                ai = _inverse(a, 1e-12)  # inverse()'s default eps_inv
+                break
+            except ZeroDivisor as exc:
+                a = np.concatenate((a[:, ~exc.where],
+                                    _random_biqs(rng, int(exc.where.sum()))[0]), axis=1)
+        one = np.array([1, 0, 0, 0])[:, None]
+        worst = max(_max_diff(_product(a, ai), one), _max_diff(_product(ai, a), one))
         # the classic zero divisor must be rejected
         try:
             inverse(Biquaternion(1j, 1))
@@ -306,7 +300,7 @@ def suite_algebra(config: RunConfig) -> _Checks:
         m = right_mul(basis[1])
         worst = max_component_diff(m(basis[2]), -basis[3])      # e2 e1 = -e3
         worst = max(worst, max_component_diff(mul(basis[1], basis[2]), basis[3]))
-        worst = max(worst, max_component_diff(m(_random_biq(rng) * 0 + basis[0]), basis[1]))
+        worst = max(worst, max_component_diff(m(basis[0]), basis[1]))
         return worst, 3
 
     checks = [
@@ -375,11 +369,6 @@ def suite_operators(config: RunConfig) -> _Checks:
         """Point i belongs to field i % n: each field's points as one batch."""
         return [(k, _as_batch(pts[k::n])) for k in range(n)]
 
-    def worst_diff(a, b) -> float:
-        """The largest |component| of a - b over a batch, as max_abs rounds it."""
-        d = np.subtract(a, b)
-        return float(np.max(np.hypot(d.real, d.imag)))
-
     def dirac_square():
         fields = [ScalarField(_random_poly3(rng), vectorized=True) for _ in range(4)]
         fields.append(ScalarField(lambda p: np.sin(p.x) * np.exp(p.y), vectorized=True))
@@ -392,7 +381,7 @@ def suite_operators(config: RunConfig) -> _Checks:
             Df = QuaternionField(lambda t: [0j, *grad(f, t, scheme)], vectorized=True)
             rhs = np.zeros((4,) + P.x.shape, dtype=complex)
             rhs[0] = -laplacian(f, P, scheme)
-            worst = max(worst, worst_diff(dirac_left(Df, P, scheme), rhs))
+            worst = max(worst, _max_diff(dirac_left(Df, P, scheme), rhs))
         return worst, len(pts)
 
     def leibniz():
@@ -410,22 +399,25 @@ def suite_operators(config: RunConfig) -> _Checks:
                          _product(_conj(phi_P), dirac_left(psi, P, scheme)))
             for v, s in zip(phi_P[1:], _stencil(psi.domain, P, scheme)):
                 rhs = rhs - 2.0 * v * _d1(psi.batch, *s)
-            worst = max(worst, worst_diff(lhs, rhs))
+            worst = max(worst, _max_diff(lhs, rhs))
         return worst, len(pts)
 
     def leibniz_scalar():
-        pts = halton_points(box, 30, config.seed + 1)
-        worst = 0.0
-        for i, p in enumerate(pts):
-            f0 = _random_poly3(rng)
-            psi = _random_quat_poly(rng)
-            phi0 = ScalarField(f0)
-            prod = QuaternionField(lambda t: f0(t) * psi(t))
-            lhs = dirac_left(prod, p, scheme)
-            rhs = (mul(Biquaternion.from_vector(grad(phi0, p, scheme)), psi(p))
-                   + f0(p) * dirac_left(psi, p, scheme))
-            worst = max(worst, max_component_diff(lhs, rhs))
-        return worst, len(pts)
+        P = _as_batch(halton_points(box, 30, config.seed + 1))
+        # point n's own cubics f0 and psi_0..psi_3, drawn as _random_poly3
+        # draws them, and evaluated at every stencil point of point n
+        W = rng.uniform(-0.6, 0.6, (P.x.size, 5, len(_MONOS), 2)).view(complex)[..., 0]
+
+        def cubics(t: Point3) -> np.ndarray:
+            return np.einsum("ncm,mn->cn", W, _monomials(t))
+
+        f0 = ScalarField(lambda t: cubics(t)[0], vectorized=True)
+        psi = QuaternionField(lambda t: cubics(t)[1:], vectorized=True)
+        prod = QuaternionField(lambda t: f0.batch(t) * psi.batch(t), vectorized=True)
+        lhs = dirac_left(prod, P, scheme)
+        rhs = np.add(_product((0j, *grad(f0, P, scheme)), psi.batch(P)),
+                     f0.batch(P) * dirac_left(psi, P, scheme))
+        return _max_diff(lhs, rhs), P.x.size
 
     def conj_intertwine():
         pts = halton_points(box, 50, config.seed + 2)
@@ -436,7 +428,7 @@ def suite_operators(config: RunConfig) -> _Checks:
             conj_phi = QuaternionField(lambda t: _conj(phi.batch(t)), vectorized=True)
             lhs = _conj(dirac_left(phi, P, scheme))
             rhs = -dirac_right(conj_phi, P, scheme)
-            worst = max(worst, worst_diff(lhs, rhs))
+            worst = max(worst, _max_diff(lhs, rhs))
         return worst, len(pts)
 
     def A_reconstruction():

@@ -581,6 +581,25 @@ def test_potential_batch_equals_pointwise_bitwise(kind, rot_B_passes, monkeypatc
     assert rot_B_passes == ({"value": 0, "jet": 6} if kind == "jet" else {"value": 6, "jet": 0})
 
 
+def test_B_pass_peaks_at_the_offsets_and_r2():
+    # B's pass frees its (3, C) offsets before the kernel allocates its
+    # column, so on the 64^3 grid of operators/B_uniform_ball_potential it
+    # peaks at the offsets and r^2: four rows of C floats, 8.0 MiB (small
+    # arrays aside); holding the offsets through the kernel peaked at 10.0
+    chi = VectorField(lambda p: vec3(
+        np.where(p.x * p.x + p.y * p.y + p.z * p.z <= 1.0, 1.0, 0.0), 0.0, 0.0),
+        vectorized=True)
+    B = operator_B(chi, CUBE, QuadratureSpec(volume_grid=64))
+    B._ensure_grid()
+    tracemalloc.start()
+    try:
+        B(Point3(0.0, 0.0, 0.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 64 ** 3 * 8 + 2 ** 14
+
+
 def test_excluded_cells_are_never_evaluated():
     region = BoxDomain.box((-1, -1, -1), (1, 1, 1), lambda p: p.x + p.y > 0.5)
     for vectorized in (False, True):

@@ -1,0 +1,253 @@
+"""The registry checks that run on (4, N) batches, against the per-sample
+loops they replaced: the same samples bit for bit, the loops' residuals to
+round-off (numpy's complex loops may fuse a multiply and an add where Python
+does not), and the power to see a broken product or a dropped Leibniz term."""
+
+import numpy as np
+import pytest
+
+from riccati3d import biquat, verify
+from riccati3d.biquat import Biquaternion, conj_h, inverse, max_component_diff, modulus_sq, mul
+from riccati3d.errors import ZeroDivisor
+from riccati3d.fields import Point3, QuaternionField, ScalarField, dirac_left, grad
+from riccati3d.report import RunConfig
+
+# the algebra rows that run on batches, in registry order
+_BATCHED = ("product_vs_basis_oracle", "associativity", "distributivity",
+            "conjugation_antihomomorphism", "modulus_multiplicative",
+            "complex_unit_central", "inverse_roundtrip")
+
+
+def _loop_algebra(config: RunConfig, seen: list) -> dict:
+    """The algebra rows of ``_BATCHED`` as the per-sample loops that once
+    computed them, each draw's four components appended to ``seen``."""
+    rng = verify._rng(config, 1)
+
+    def draw() -> Biquaternion:
+        c = rng.uniform(-1, 1, 8)
+        q = Biquaternion(complex(c[0], c[1]), complex(c[2], c[3]),
+                         complex(c[4], c[5]), complex(c[6], c[7]))
+        seen.append(q.components)
+        return q
+
+    def rel_diff(a, b) -> float:
+        return max_component_diff(a, b) / max(1.0, a.max_abs(), b.max_abs())
+
+    def product_vs_oracle():
+        worst = 0.0
+        for _ in range(500):
+            a, b = draw(), draw()
+            oracle = Biquaternion(*verify._basis_product_oracle(a.components, b.components))
+            worst = max(worst, rel_diff(mul(a, b), oracle))
+        return worst, 500
+
+    def associativity():
+        worst = 0.0
+        for _ in range(1000):
+            a, b, c = draw(), draw(), draw()
+            worst = max(worst, rel_diff(mul(mul(a, b), c), mul(a, mul(b, c))))
+        return worst, 1000
+
+    def distributivity():
+        worst = 0.0
+        for _ in range(1000):
+            a, b, c = draw(), draw(), draw()
+            worst = max(worst, rel_diff(mul(a, b + c), mul(a, b) + mul(a, c)))
+        return worst, 1000
+
+    def conj_antihom():
+        worst = 0.0
+        for _ in range(1000):
+            a, b = draw(), draw()
+            worst = max(worst, rel_diff(conj_h(mul(a, b)), mul(conj_h(b), conj_h(a))))
+        return worst, 1000
+
+    def modulus_multiplicative():
+        worst = 0.0
+        for _ in range(1000):
+            a, b = draw(), draw()
+            lhs = modulus_sq(mul(a, b))
+            rhs = modulus_sq(a) * modulus_sq(b)
+            worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
+        return worst, 1000
+
+    def complex_unit_central():
+        worst = 0.0
+        for _ in range(1000):
+            a, b = draw(), draw()
+            worst = max(worst, rel_diff(mul(1j * a, b), 1j * mul(a, b)))
+            worst = max(worst, rel_diff(mul(a, 1j * b), 1j * mul(a, b)))
+        return worst, 1000
+
+    def inverse_roundtrip():
+        one = Biquaternion(1)
+        worst = 0.0
+        count = 0
+        while count < 200:
+            a = draw()
+            try:
+                ai = inverse(a)
+            except ZeroDivisor:
+                continue
+            count += 1
+            worst = max(worst, max_component_diff(mul(a, ai), one),
+                        max_component_diff(mul(ai, a), one))
+        try:
+            inverse(Biquaternion(1j, 1))
+            worst = max(worst, 1.0)
+        except ZeroDivisor:
+            pass
+        return worst, 200
+
+    return dict(zip(_BATCHED, (product_vs_oracle, associativity, distributivity,
+                               conj_antihom, modulus_multiplicative,
+                               complex_unit_central, inverse_roundtrip)))
+
+
+def _rows(checks, seen: list, as_rows) -> dict:
+    """name -> (residual, samples, every draw of the row as (M, 4) rows)."""
+    out = {}
+    for name, fn in checks:
+        start = len(seen)
+        resid, samples = fn()
+        out[name] = resid, samples, as_rows(seen[start:])
+    return out
+
+
+def _loop_rows(config: RunConfig) -> dict:
+    seen = []
+    return _rows(_loop_algebra(config, seen).items(), seen,
+                 lambda s: np.array(s, dtype=complex).reshape(-1, 4))
+
+
+def _batched_rows(config: RunConfig, monkeypatch) -> dict:
+    seen = []
+    draw = verify._random_biqs
+
+    def recorded(rng, n, k=1):
+        out = draw(rng, n, k)
+        seen.append(out.transpose(2, 0, 1).reshape(-1, 4))  # draw order
+        return out
+
+    monkeypatch.setattr(verify, "_random_biqs", recorded)
+    checks = [(name, fn) for name, _, fn in verify.suite_algebra(config) if name in _BATCHED]
+    return _rows(checks, seen, np.concatenate)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_batched_algebra_draws_the_loop_samples_and_reads_its_residuals(seed, monkeypatch):
+    config = RunConfig(seed=seed)
+    loop, batched = _loop_rows(config), _batched_rows(config, monkeypatch)
+    assert list(batched) == list(_BATCHED)
+    for name in _BATCHED:
+        (r_loop, n_loop, s_loop), (r_batch, n_batch, s_batch) = loop[name], batched[name]
+        assert n_batch == n_loop
+        assert s_batch.tobytes() == s_loop.tobytes(), name
+        assert abs(r_batch - r_loop) <= 1e-15, name
+
+
+def test_inverse_roundtrip_replaces_rejected_draws_in_stream_order(monkeypatch):
+    # at eps_inv = 0.3 about one draw in 27 has no inverse; both forms of
+    # the check then keep the first 200 invertible draws of the same stream
+    strict = biquat._inverse
+    for module in (biquat, verify):
+        monkeypatch.setattr(module, "_inverse", lambda a, eps_inv: strict(a, 0.3))
+    config = RunConfig(seed=0)
+    loop, batched = _loop_rows(config), _batched_rows(config, monkeypatch)
+    (r_loop, _, s_loop), (r_batch, _, s_batch) = loop["inverse_roundtrip"], \
+        batched["inverse_roundtrip"]
+    assert len(s_loop) > 200
+    assert s_batch.tobytes() == s_loop.tobytes()
+    assert abs(r_batch - r_loop) <= 1e-15
+
+
+def test_rel_diff_scales_each_sample_by_its_own_size():
+    # a scale taken over the whole batch would read the small sample's
+    # error 1e-3 as 1e-9 next to a sample of size 1e6
+    a = np.zeros((4, 2), complex)
+    a[0] = 1e6, 1.0
+    b = a.copy()
+    b[0, 1] += 1e-3
+    assert verify._rel_diff(a, b) == pytest.approx(1e-3 / 1.001)
+
+
+def _e3_sign_mutant(a, b):
+    """``biquat._product`` with the sign of a2 b1 in the e3 term flipped."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (
+        a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+        a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+        a0 * b2 + a2 * b0 + a3 * b1 - a1 * b3,
+        a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1,
+    )
+
+
+def test_basis_oracle_sees_a_broken_product(monkeypatch):
+    # the array oracle shares no code with the product it checks
+    for module in (biquat, verify):
+        monkeypatch.setattr(module, "_product", _e3_sign_mutant)
+    rows = {name: (tol, fn) for name, tol, fn in verify.suite_algebra(RunConfig(seed=0))}
+    tol, fn = rows["product_vs_basis_oracle"]
+    assert fn()[0] > 1e6 * tol
+
+
+# -- operators/scalar_leibniz: one batch of 30 points, each with its cubics
+
+_BOX = (Point3(-1.2, -1.2, -1.2), Point3(1.2, 1.2, 1.2))  # the operators suite's box
+
+
+def _loop_scalar_leibniz(config: RunConfig, seen: list):
+    """scalar_leibniz as the per-point loop that once computed it, with
+    D(f0 psi), grad f0 and D psi at each point appended to ``seen``."""
+    rng = verify._rng(config, 2)
+    scheme = verify._scheme(config)
+    worst = 0.0
+    for p in verify.halton_points(_BOX, 30, config.seed + 1):
+        f0 = verify._random_poly3(rng)
+        psi = verify._random_quat_poly(rng)
+        prod = QuaternionField(lambda t: f0(t) * psi(t))
+        lhs = dirac_left(prod, p, scheme)
+        g = grad(ScalarField(f0), p, scheme)
+        d_psi = dirac_left(psi, p, scheme)
+        seen.append((lhs.components, g, d_psi.components))
+        rhs = mul(Biquaternion.from_vector(g), psi(p)) + f0(p) * d_psi
+        worst = max(worst, max_component_diff(lhs, rhs))
+    return worst, 30
+
+
+def _scalar_leibniz(config: RunConfig):
+    """The registry's scalar_leibniz tolerance and check, on a fresh generator."""
+    return next((tol, fn) for name, tol, fn in verify.suite_operators(config)
+                if name == "scalar_leibniz")
+
+
+def _recording(op, log: list):
+    def recorded(*args):
+        log.append(op(*args))
+        return log[-1]
+    return recorded
+
+
+def test_batched_scalar_leibniz_matches_the_per_point_loop(monkeypatch):
+    config = RunConfig(seed=0)
+    seen = []
+    r_loop, _ = _loop_scalar_leibniz(config, seen)
+    recorded = {"dirac_left": [], "grad": []}
+    for name, op in (("dirac_left", dirac_left), ("grad", grad)):
+        monkeypatch.setattr(verify, name, _recording(op, recorded[name]))
+    r_batch, samples = _scalar_leibniz(config)[1]()
+    assert samples == 30
+    (lhs, d_psi), (g,) = recorded["dirac_left"], recorded["grad"]
+    for batch, loop in zip((lhs, g, d_psi), zip(*seen)):
+        loop = np.array(loop, dtype=complex).T
+        assert batch.shape == loop.shape
+        assert np.all(np.abs(batch - loop) <= 1e-12 * np.maximum(1.0, np.abs(loop)))
+    assert abs(r_batch - r_loop) <= 1e-12
+
+
+def test_scalar_leibniz_sees_a_dropped_gradient_term(monkeypatch):
+    # grad f0 . psi is the only term of the right-hand side that grad gives
+    monkeypatch.setattr(verify, "grad", lambda f, p, scheme: np.zeros((3,) + p.x.shape))
+    tol, fn = _scalar_leibniz(RunConfig(seed=0))
+    assert fn()[0] > 1e3 * tol
