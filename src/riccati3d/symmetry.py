@@ -85,6 +85,12 @@ class GeneratorParams:
     a10: float = 0.0
 
 
+def _check_label(k) -> None:
+    """Reject a group label that is not an int in 1..10 (a bool is not one)."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 1 <= k <= 10:
+        raise ValueError(f"group label k must be an int in 1..10, got {k!r}")
+
+
 @dataclass(frozen=True)
 class GroupElement:
     """One-parameter group member: label k in 1..10 and real parameter lambda."""
@@ -93,10 +99,15 @@ class GroupElement:
     lam: float
 
     def __post_init__(self):
-        if not 1 <= self.k <= 10:
-            raise ValueError(f"group label k = {self.k} outside 1..10")
+        _check_label(self.k)
         if not math.isfinite(self.lam):
             raise ValueError(f"group parameter lambda must be finite, got {self.lam!r}")
+        if self.k == 7:  # the dilation scales by exp(lambda) and exp(-lambda)
+            try:
+                math.exp(abs(self.lam))
+            except OverflowError:
+                raise ValueError(f"dilation parameter lambda = {self.lam!r} overflows "
+                                 "exp(lambda) or exp(-lambda)") from None
 
     def inverse(self) -> "GroupElement":
         return GroupElement(self.k, -self.lam)
@@ -108,6 +119,7 @@ def single_parameter(k: int) -> GeneratorParams:
     The printed rotation groups G_4..G_6 flow along the negatives of the
     tabulated vector fields, hence the sign flips here.
     """
+    _check_label(k)
     table = {
         1: {"a9": 1.0},
         2: {"a10": 1.0},
@@ -211,9 +223,7 @@ def invariant_potential(k: int, F: Callable[[float, float], float],
     most ``margin``); over a batch, the DomainError raised there names the
     first singular point (``index``) and every one (``where``).
     """
-    if not 1 <= k <= 10:
-        raise ValueError(f"k = {k} outside 1..10")
-
+    _check_label(k)
     if k <= 6:
         axis = (k - 1) % 3
         i, j = (a for a in range(3) if a != axis)

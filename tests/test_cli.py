@@ -394,6 +394,16 @@ def test_transform_non_finite_lambda_exits_two(lam, tmp_path, capsys):
     assert "lambda must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lam", ["-1000", "800"])
+def test_transform_overflowing_dilation_exits_two(lam, tmp_path, capsys):
+    code = main(["transform", "--solution", "harmonic:x", "--group", "7", f"--lambda={lam}",
+                 "--grid", "0.5,1.0,4,0.05,0.4,4,-0.4,0.4,4",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: dilation parameter lambda")
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_transform_rotational_G6(tmp_path, capsys):
     out = tmp_path / "tr.csv"
     c = 0.5 * math.log(2.0)

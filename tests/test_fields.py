@@ -35,6 +35,7 @@ from riccati3d.fields import (
     operator_B,
     operator_rot_B,
     rot,
+    vec3,
 )
 from riccati3d.riccati import RiccatiInstance, factorization_residual
 from riccati3d.verify import halton_points
@@ -460,8 +461,9 @@ def test_adaptive_budget_exhaustion():
 @pytest.fixture(scope="module")
 def ball_potential():
     region = BoxDomain.box((-1, -1, -1), (1, 1, 1))
-    chi = VectorField(lambda p: np.array(
-        [1.0 if p.x ** 2 + p.y ** 2 + p.z ** 2 <= 1.0 else 0.0, 0, 0], complex))
+    chi = VectorField(lambda p: vec3(
+        np.where(p.x * p.x + p.y * p.y + p.z * p.z <= 1.0, 1.0, 0.0), 0.0, 0.0),
+        vectorized=True)
     return operator_B(chi, region, QuadratureSpec(volume_grid=64))
 
 

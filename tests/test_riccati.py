@@ -36,7 +36,7 @@ from riccati3d.riccati import (
 
 S = DiffScheme()
 ZERO_Q = ScalarField(lambda p: 0j)
-ONE = ScalarField(lambda p: 1.0 + 0j)
+ONE = ScalarField(lambda p: 1.0 + 0j, vectorized=True)
 
 TUBE = BoxDomain.box((0.25, -0.6, -0.6), (7.75, 0.6, 0.6))
 TUBE_PTS = [Point3(3.6, -0.1, 0.08), Point3(4.0, 0.12, -0.05)]
@@ -274,8 +274,8 @@ def test_build_W_prop2_exponential_seed():
 
 def test_build_W_from_W0_with_harmonic_shift():
     quad = QuadratureSpec()
-    W0 = ScalarField(lambda p: complex(p.x))
-    h = ScalarField(lambda p: complex(p.x * p.y))
+    W0 = ScalarField(lambda p: p.x + 0j, vectorized=True)
+    h = ScalarField(lambda p: p.x * p.y + 0j, vectorized=True)
     plain = build_W_from_W0(W0, ONE, None, TUBE, quad, S, cells=TUBE_CELLS)
     shifted = build_W_from_W0(W0, ONE, h, TUBE, quad, S, cells=TUBE_CELLS)
     p = TUBE_PTS[0]

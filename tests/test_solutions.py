@@ -12,7 +12,6 @@ from riccati3d.riccati import (
     cole_hopf,
     inverse_cole_hopf,
     riccati_residual,
-    schrodinger_residual,
 )
 from riccati3d.riccati1d import d1, d2
 from riccati3d.solutions import (
@@ -56,14 +55,6 @@ def test_rotational_psi_rejects_degenerate_normalization():
     rotational_riccati(RotationalParams(k=1, c=0))
 
 
-def test_rotational_residuals():
-    inst, psi = rotational(RotationalParams(k=2, c=LN2_HALF))
-    p = Point3(0.8, 0.3, -0.4)
-    sc, vec = riccati_residual(inst, p, S)
-    assert abs(sc) < 1e-6 and np.max(np.abs(vec)) < 1e-6
-    assert abs(schrodinger_residual(SchrodingerInstance(psi, inst.q), p, S)) < 1e-5
-
-
 def test_rotational_singular_set_exact_hit():
     inst = rotational_riccati(RotationalParams(k=1, c=0))
     with pytest.raises(DomainError):
@@ -81,14 +72,6 @@ def test_conical_spot_values():
     inst, psi = conical(ConicalParams(C1=0, C2=math.e, C=1))
     assert np.max(np.abs(inst.Q(Point3(1, 0, 0)) - np.array([3.0, 0, 0]))) < 1e-12
     assert abs(psi(Point3(1, 0, 0)) - 1.0) < 1e-12
-
-
-def test_conical_residuals():
-    inst, psi = conical(ConicalParams(C1=2, C2=2))
-    p = Point3(0.95, 0.2, 0.1)
-    sc, vec = riccati_residual(inst, p, S)
-    assert abs(sc) < 1e-6 and np.max(np.abs(vec)) < 1e-6
-    assert abs(schrodinger_residual(SchrodingerInstance(psi, inst.q), p, S)) < 1e-5
 
 
 def test_conical_psi_rejects_C2_one():
