@@ -53,9 +53,11 @@ Conventions
   in which each cell's mass is a compact smooth blob of radius
   ``_BLOB_RADIUS`` cell sides, so B is smooth and every derivative of it is
   meaningful.  B, ``operator_rot_B`` (its curl in closed form, no finite
-  differences) and rot B's jet (the curl's Jacobian) share one grid of
-  dV-scaled real rows and one pass per target: a table of kernel columns
-  (K; the gradient; gradient and Hessian) and one real GEMM.
+  differences) and rot B's jet (the curl's Jacobian) share one grid (the
+  three axes of cell centres and a dV-scaled real row, 8 bytes per cell,
+  for each real or imaginary part the integrand fills) and one pass per
+  target: a table of kernel columns (K; the gradient; gradient and Hessian)
+  and one real GEMM of the filled rows.
 """
 
 from __future__ import annotations
@@ -565,14 +567,20 @@ def _in_chunks(f, index: np.ndarray, T: np.ndarray) -> np.ndarray:
 
 
 def _gauss_rule(f, a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
-    """Gauss-Legendre of the given order, ``_LINE_CHUNK`` intervals per call of f."""
+    """Gauss-Legendre of the given order, ``_LINE_CHUNK`` intervals per call of f,
+    each round summed as it is evaluated: beyond its sums, the memory of one round."""
     nodes, weights = _gauss_nodes(order)
-    half = 0.5 * (b - a)
-    V = _in_chunks(f, np.arange(a.size), (0.5 * (a + b))[:, None] + half[:, None] * nodes)
-    # summed node by node from 0j: accumulate adds in that fixed order
-    terms = np.zeros((a.size, weights.size + 1), dtype=complex)
-    np.multiply(weights, V, out=terms[:, 1:])
-    return half * np.add.accumulate(terms, axis=1)[:, -1]
+    sums = np.empty(a.size, dtype=complex)
+    for i in range(0, a.size, _LINE_CHUNK):
+        rnd = slice(i, i + _LINE_CHUNK)
+        half = 0.5 * (b[rnd] - a[rnd])
+        T = (0.5 * (a[rnd] + b[rnd]))[:, None] + half[:, None] * nodes
+        V = f(np.arange(i, i + half.size), T)
+        # summed node by node from 0j: accumulate adds in that fixed order
+        terms = np.zeros((half.size, weights.size + 1), dtype=complex)
+        np.multiply(weights, V, out=terms[:, 1:])
+        sums[rnd] = half * np.add.accumulate(terms, axis=1)[:, -1]
+    return sums
 
 
 def _simpson_rule(f, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
@@ -749,10 +757,11 @@ _BLOB_RADIUS = 2.2  # radius of each cell's mass blob, in largest cell sides
 
 
 class _Grid(NamedTuple):
-    """A built volume grid."""
+    """A built volume grid: the rows the integrand fills, 8 bytes per cell each."""
 
-    coords: np.ndarray  # (3, C) cell centres in C order
-    rows: np.ndarray  # (6, C) dV * (Re F, Im F) at the cells, 0 in excluded cells
+    axes: tuple  # three 1-D arrays of cell centres; the cells are their C-order product
+    rows: np.ndarray  # (R, C) dV * the filled rows of (Re F, Im F), 0 in excluded cells
+    comps: np.ndarray  # (R,) which of Re F_0..2, Im F_0..2 (0..5) each row holds
     a: float  # blob radius
 
 
@@ -764,14 +773,14 @@ class _NewtonianPotential(VectorField):
     """Midpoint-grid discretization of the volume potential B (``order``
     0), or of its curl rot B (``order`` 1, with a ``jet``).
 
-    The grid is built lazily on first evaluation and cached: the cell
-    centres and dV times the integrand values, as real and imaginary rows.
-    It is built through ``F.batch`` over chunks of ``_BUILD_CHUNK`` cell
-    centres in C order, so a vectorized integrand is called once per chunk
-    and any other once per cell, with the same values either way.  Cells
-    the region's predicate excludes are never evaluated and contribute
-    nothing; a non-finite integrand value raises DomainError naming the
-    first such cell centre.
+    The grid is built lazily on first evaluation and cached: the cell axes
+    and dV times the integrand's real and imaginary rows, each allocated
+    when the build first meets a nonzero value in it.  It is built through
+    ``F.batch`` over chunks of ``_BUILD_CHUNK`` cell centres in C order, so
+    a vectorized integrand is called once per chunk and any other once per
+    cell, with the same values either way.  Cells the region's predicate
+    excludes are never evaluated and contribute nothing; a non-finite
+    integrand value raises DomainError naming the first such cell centre.
 
     Each cell mass contributes the potential of a compact C^1-density blob
     of radius ``_BLOB_RADIUS`` times the largest cell side instead of a
@@ -813,32 +822,36 @@ class _NewtonianPotential(VectorField):
         super().__init__(F, BoxDomain.unbounded(), jet=jet)
 
     def _ensure_grid(self) -> _Grid:
-        """The cell centres and scaled integrand values, built on first use."""
+        """The cell axes and scaled integrand rows, built on first use."""
         if self._grid is not None:
             return self._grid
         lo, hi = self.region.lower, self.region.upper
         steps = [(hi[k] - lo[k]) / self.cells[k] for k in range(3)]
-        coords = np.empty((3, math.prod(self.cells)))
-        for k in range(3):  # the C-order meshgrid, written in place
-            axis = lo[k] + (np.arange(self.cells[k]) + 0.5) * steps[k]
-            coords[k].reshape(self.cells)[...] = axis.reshape([-1 if m == k else 1
-                                                               for m in range(3)])
-        rows = np.zeros((6, coords.shape[1]))
-        for start in range(0, coords.shape[1], _BUILD_CHUNK):
+        axes = tuple(lo[k] + (np.arange(self.cells[k]) + 0.5) * steps[k] for k in range(3))
+        size = math.prod(self.cells)
+        rows, filled = np.zeros((0, size)), np.zeros(6, dtype=bool)
+        for start in range(0, size, _BUILD_CHUNK):
+            P = Point3(*(axis[i] for axis, i in zip(axes, np.unravel_index(
+                np.arange(start, min(start + _BUILD_CHUNK, size)), self.cells))))
             # excluded cells contribute nothing and are never evaluated
-            keep = start + np.flatnonzero(
-                self.region.ok_mask(Point3(*coords[:, start:start + _BUILD_CHUNK])))
+            keep = np.flatnonzero(self.region.ok_mask(P))
             if not keep.size:
                 continue
-            block = self.fn.batch(Point3(*coords[:, keep]))
+            P = Point3(*(c[keep] for c in P))
+            block = self.fn.batch(P)
             bad = ~np.isfinite(block).all(axis=0)
             if bad.any():
                 raise DomainError("operator B integrand is not finite at cell centre "
-                                  f"{Point3(*coords[:, keep[np.argmax(bad)]])}")
-            rows[:3, keep] = block.real
-            rows[3:, keep] = block.imag
+                                  f"{Point3(*(c[bad][0] for c in P))}")
+            parts = np.concatenate((block.real, block.imag))
+            now = filled | parts.any(axis=1)
+            if (now != filled).any():  # a row met its first nonzero value
+                grown = np.zeros((np.count_nonzero(now), size))
+                grown[filled[now]] = rows
+                rows, filled = grown, now
+            rows[:, start + keep] = parts[filled]
         rows *= steps[0] * steps[1] * steps[2]
-        self._grid = _Grid(coords, rows, _BLOB_RADIUS * max(steps))
+        self._grid = _Grid(axes, rows, np.flatnonzero(filled), _BLOB_RADIUS * max(steps))
         return self._grid
 
     @staticmethod
@@ -887,28 +900,38 @@ class _NewtonianPotential(VectorField):
         return g, slope
 
     def _pass(self, p: Point3, order: int) -> np.ndarray:
-        """One pass over the cells for the target x = p: the offsets d = x - y
-        and r^2, a table of kernel columns T and one real GEMM, giving the
-        complex (3, n) sums M[k, c] = sum over cells of F_k dV T_c.
+        """One pass over the cells for the target x = p: r^2 = |x - y|^2, a
+        table of kernel columns T and one real GEMM of the filled rows,
+        giving the complex (3, n) sums M[k, c] = sum over cells of F_k dV T_c.
 
         The columns are K (order 0: B), g d_j (order 1: grad B) or g d_j, g
-        and 2 g' d_j d_m (order 2), with g = K'(r)/r (``_blob_kernel_grad``)
-        and g' = dg/d(r^2), so that d_j d_m B_k is M[k, 3] delta_jm plus
-        M[k, _HESSIAN_COLUMNS[j, m]] (``_blob_kernel_slope``).  The table is
-        built in place, the offsets in its first rows.
+        and 2 g' d_j d_m (order 2), with d = x - y, g = K'(r)/r
+        (``_blob_kernel_grad``) and g' = dg/d(r^2), so that d_j d_m B_k is
+        M[k, 3] delta_jm plus M[k, _HESSIAN_COLUMNS[j, m]]
+        (``_blob_kernel_slope``).  Order 0 adds r^2 = d_0^2 + d_1^2 + d_2^2
+        from the squares along each axis and holds two rows of C floats, r^2
+        and K; orders 1 and 2 build the table in place, the offsets first.
         """
         grid = self._ensure_grid()
         n = (1, 3, 10)[order]
-        table = np.empty((max(n, 3), grid.coords.shape[1]))
-        d = table[:3]
-        np.subtract(np.array(p, dtype=float)[:, None], grid.coords, out=d)  # x - y
-        r2 = np.einsum("ij,ij->j", d, d)
-        if order == 0:  # free the offsets before the kernel allocates its column
-            del table, d
+        n0, n1, n2 = self.cells
+        diff = [p[k] - grid.axes[k] for k in range(3)]  # x - y along each axis
+        if order == 0:
+            sq = [x * x for x in diff]
+            r2 = ((sq[0][:, None] + sq[1]).reshape(-1, 1) + sq[2]).ravel()
             table = self._blob_kernel(r2, grid.a)[None]
-        elif order == 1:
-            d *= self._blob_kernel_grad(r2, grid.a)
         else:
+            table = np.empty((n, grid.rows.shape[1]))
+            d = table[:3]
+            planes = d.reshape(3, n0, -1)
+            planes[0] = diff[0][:, None]
+            first = planes[1:, 0].reshape(2, n1, n2)  # the first plane of cells
+            first[0], first[1] = diff[1][:, None], diff[2]
+            planes[1:, 1:] = planes[1:, :1]  # copied along the slowest axis
+            r2 = np.einsum("ij,ij->j", d, d)
+        if order == 1:
+            table *= self._blob_kernel_grad(r2, grid.a)
+        elif order == 2:
             g, slope = self._blob_kernel_slope(r2, grid.a)
             slope *= 2.0
             e = table[4:7]
@@ -918,7 +941,8 @@ class _NewtonianPotential(VectorField):
             e *= d
             d *= g
             table[3] = g
-        M = grid.rows @ table[:n].T
+        M = np.zeros((6, n))
+        M[grid.comps] = grid.rows @ table.T
         return M[:3] + 1j * M[3:]
 
     def _at(self, p: Point3, order: int) -> tuple:

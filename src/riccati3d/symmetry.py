@@ -329,8 +329,17 @@ def _act(g: GroupElement, X: np.ndarray, Q: np.ndarray):
         return _matvec(R, X), _matvec(R, Q), _NO_POLES
     if k == 7:
         s = math.exp(lam)
-        return X * s, Q / s, _NO_POLES
+        with np.errstate(over="ignore"):  # group_act raises where it overflowed
+            return X * s, Q / s, _NO_POLES
     return _conical_act(k - 8, X, Q, lam)
+
+
+def _check_finite(g: GroupElement, p: Point3, what: str, *values) -> None:
+    """DomainError at the points of p where a value, (3,) or (3, *S), is not finite."""
+    bad = ~np.all([np.isfinite(v).all(axis=0) for v in values], axis=0)
+    if (i := _first(bad)) is not None:
+        raise DomainError(f"{what} of {_point(p, i)} under G_{g.k}, lambda={g.lam}, "
+                          "is not finite", index=i, where=bad)
 
 
 def group_act(g: GroupElement, p: Point3, Qval) -> Tuple[Point3, np.ndarray]:
@@ -340,7 +349,7 @@ def group_act(g: GroupElement, p: Point3, Qval) -> Tuple[Point3, np.ndarray]:
     point with Q of shape (3,), or a Point3 of equal-shape arrays of shape S
     with Q of shape (3, *S).  The conical groups raise PoleError where their
     denominators vanish, naming the first such point (``index``) and every
-    one of them (``where``).
+    one of them (``where``); DomainError does so where the image or Q overflows.
     """
     p = Point3(*p)
     image, Q, poles = _act(g, np.asarray(p, dtype=float), _as_real_vector(Qval))
@@ -349,6 +358,7 @@ def group_act(g: GroupElement, p: Point3, Qval) -> Tuple[Point3, np.ndarray]:
         what = "alpha" if _item(poles[0], i) else "1 - x*lambda"
         raise PoleError(f"{what} vanished for G_{g.k} at {_point(p, i)}, lambda={g.lam}",
                         index=i, where=bad)
+    _check_finite(g, p, "image", image, Q)
     return Point3(*image), Q
 
 
@@ -474,10 +484,16 @@ def transport_solution(g: GroupElement, Q: VectorField,
         s = math.exp(-lam)
 
         def preimage(p: Point3) -> Point3:
-            return Point3(p.x * s, p.y * s, p.z * s)
+            with np.errstate(over="ignore"):  # eval_at raises where it overflowed
+                return Point3(p.x * s, p.y * s, p.z * s)
 
         def value(pre: Point3):
             return s * Q.batch(pre)
 
-    return VectorField(lambda p: value(preimage(p)), BoxDomain.unbounded(
+    def eval_at(p: Point3) -> np.ndarray:
+        pre = preimage(p)
+        _check_finite(g, p, "pre-image", pre)
+        return value(pre)
+
+    return VectorField(eval_at, BoxDomain.unbounded(
         lambda p: _off_domain(Q.domain, preimage(p))), vectorized=True)

@@ -58,14 +58,27 @@ def _points(pts):
     return Point3(*(np.array(c) for c in zip(*pts)))
 
 
+def _centres(grid) -> np.ndarray:
+    """The (3, C) cell centres of a built grid: the C-order product of its axes."""
+    return np.array([c.ravel() for c in np.meshgrid(*grid.axes, indexing="ij")])
+
+
 def _per_cell(B) -> np.ndarray:
-    """The grid rows of a potential from one scalar evaluation per cell in C
-    order: dV times the real parts of the values, then dV times their
+    """All six grid rows of a potential from one scalar evaluation per cell in
+    C order: dV times the real parts of the values, then dV times their
     imaginary parts, as the grid build scales them."""
     lo, hi = B.region.lower, B.region.upper
     dV = math.prod((hi[k] - lo[k]) / B.cells[k] for k in range(3))
-    vals = np.array([B.fn(Point3(*c)) for c in B._ensure_grid().coords.T.tolist()]).T
+    vals = np.array([B.fn(Point3(*c)) for c in _centres(B._ensure_grid()).T.tolist()]).T
     return np.concatenate((vals.real, vals.imag)) * dV
+
+
+def _assert_rows(grid, full: np.ndarray) -> None:
+    """The grid keeps, bit for bit, the rows of the six-row reference ``full``
+    that are nonzero somewhere, and every row it drops is zero there."""
+    assert _bits(grid.rows) == _bits(full[grid.comps])
+    assert full[grid.comps].any(axis=1).all()
+    assert not np.delete(full, grid.comps, axis=0).any()
 
 
 def _capture_rot_B(monkeypatch):
@@ -262,6 +275,32 @@ def test_adaptive_A_equals_the_recursive_rule_bitwise(name, tol):
     assert _bits(A.batch(_points(pts))) == _bits(expect)
     square = Point3(*(c.reshape(2, 4) for c in _points(pts)))
     assert _bits(A.batch(square)) == _bits(expect)
+
+
+def test_gauss_A_memory_is_bounded_by_one_round(monkeypatch):
+    """The Gauss rule sums each round of _LINE_CHUNK legs as it evaluates it,
+    so beyond a few numbers per leg its memory does not grow with the
+    targets (keeping every node value peaked at 39 MiB for 8192 targets)."""
+    rule, peaks = fields._gauss_rule, []
+
+    def traced(*args):
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        out = rule(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        return out
+    A = operator_A(VectorField(_poly_vectorized, vectorized=True), Point3(0.0, -0.2, 0.15),
+                   0j, GAUSS32)
+    A(Point3(1.0, 1.0, 1.0))  # the nodes are computed once, before the trace
+    monkeypatch.setattr(fields, "_gauss_rule", traced)
+    rng = np.random.default_rng(7)
+    tracemalloc.start()
+    try:
+        for n in (100, 8192):
+            A.batch(_points(rng.uniform(0.5, 1.5, (n, 3))))
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 2 and peaks[1] <= 2 * peaks[0]
 
 
 def test_adaptive_A_refines_the_peak_deeply():
@@ -530,14 +569,14 @@ def test_w_from_q_pair_grid_equals_the_per_cell_build(monkeypatch):
     w_from_q_pair(inst, zero, None, Point3(1, 0, 0), TUBE, GAUSS32, cells=cells)
     B = built[-1]
     assert B.fn.vectorized
-    rows = B._ensure_grid().rows
-    assert _bits(rows) == _bits(_per_cell(B))
+    grid = B._ensure_grid()
+    _assert_rows(grid, _per_cell(B))
     Q, Q1 = inst.Q, zero.Q
     A_Q1 = operator_A(Q1, Point3(1, 0, 0), 0j, GAUSS32)
     A_diff = operator_A(VectorField(lambda t: Q(t) - Q1(t), Q.domain), Point3(1, 0, 0),
                         0j, GAUSS32)
     before = VectorField(lambda t: cmath.exp(-2.0 * A_Q1(t) - A_diff(t)) * (Q1(t) - Q(t)))
-    assert _bits(rows) == _bits(_per_cell(operator_rot_B(before, TUBE, GAUSS32, cells)))
+    _assert_rows(grid, _per_cell(operator_rot_B(before, TUBE, GAUSS32, cells)))
 
 
 def test_pointwise_integrand_grid_equals_the_per_cell_build(monkeypatch):
@@ -547,18 +586,36 @@ def test_pointwise_integrand_grid_equals_the_per_cell_build(monkeypatch):
     build_W_from_W0(W0, phi, None, TUBE, cells=(40, 8, 8))
     B = built[-1]
     assert B.fn.vectorized
-    assert _bits(B._ensure_grid().rows) == _bits(_per_cell(B))
+    _assert_rows(B._ensure_grid(), _per_cell(B))
+
+
+_BALL = VectorField(lambda p: vec3(
+    np.where(p.x * p.x + p.y * p.y + p.z * p.z <= 1.0, 1.0, 0.0), 0.0, 0.0),
+    vectorized=True)  # the indicator of the unit ball in Re F_0
 
 
 def test_ball_indicator_grid_equals_the_per_cell_build():
-    chi = VectorField(lambda p: vec3(
-        np.where(p.x * p.x + p.y * p.y + p.z * p.z <= 1.0, 1.0, 0.0), 0.0, 0.0),
-        vectorized=True)
     before = VectorField(lambda p: np.array(
         [1.0 if p.x * p.x + p.y * p.y + p.z * p.z <= 1.0 else 0.0, 0.0, 0.0], complex))
     quad = QuadratureSpec(volume_grid=64)
-    rows = operator_B(chi, CUBE, quad)._ensure_grid().rows
-    assert _bits(rows) == _bits(_per_cell(operator_B(before, CUBE, quad)))
+    _assert_rows(operator_B(_BALL, CUBE, quad)._ensure_grid(),
+                 _per_cell(operator_B(before, CUBE, quad)))
+
+
+def test_ball_grid_holds_its_one_filled_row_and_no_cell_array():
+    # the indicator fills Re F_0 only: the 64^3 grid is that row of C floats
+    # and three axes of 64 centres (2.0 MiB; a (3, C) array of centres and
+    # six rows held 18.0 MiB)
+    B = operator_B(_BALL, CUBE, QuadratureSpec(volume_grid=64))
+    tracemalloc.start()
+    try:
+        grid = B._ensure_grid()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert grid.rows.shape == (1, 64 ** 3) and grid.comps.tolist() == [0]
+    assert [axis.shape for axis in grid.axes] == [(64,)] * 3
+    assert held <= 64 ** 3 * 8 + 2 ** 16
 
 
 @pytest.mark.parametrize("kind", ["B", "rot_B", "jet"])
@@ -581,15 +638,42 @@ def test_potential_batch_equals_pointwise_bitwise(kind, rot_B_passes, monkeypatc
     assert rot_B_passes == ({"value": 0, "jet": 6} if kind == "jet" else {"value": 6, "jet": 0})
 
 
+@pytest.mark.parametrize("kind", ["B", "rot_B", "jet"])
+def test_potentials_are_linear_over_the_parts_of_the_integrand(kind):
+    """B[F] = B[Re F] + i B[Im F] = sum_k B[F_k e_k], and so for rot B and its
+    jet.  The parts fill different rows (F: Re F_0, Re F_2, Im F_1, Im F_2),
+    so a row summed into the wrong component shows here, where the grid
+    shared by a batch and its points cannot show it.  The bound, 1e-14 of
+    the largest value, is about sqrt(C) eps for C = 1536 positive terms that
+    the GEMM of one, two or four rows blocks differently (B reads 1.2e-15)."""
+    # parts of one sign, so that the sums do not cancel below their terms
+    comps = (lambda p: np.exp(-0.25 * p.x), lambda p: 1j * (1.0 + p.y * p.y),
+             lambda p: p.x * (2.0 + p.z) + 1j * np.cos(p.y))
+
+    def potential(*fns):
+        F = VectorField(lambda p: [fn(p) for fn in fns], vectorized=True)
+        pot = (operator_B if kind == "B" else operator_rot_B)(F, TUBE, GAUSS32, (24, 8, 8))
+        return lambda P: np.concatenate([np.ravel(v) for v in (
+            pot.jet(P) if kind == "jet" else [pot.batch(P)])])
+
+    def part(take, k=None):
+        return potential(*(lambda p, fn=fn, m=m: 0 * p.x if k not in (None, m)
+                           else take(fn(p) + 0j) for m, fn in enumerate(comps)))
+    P = _points([(0.5 + 1.3 * n, 0.1 * n - 0.3, 0.25 - 0.1 * n) for n in range(6)] + [(9, 1, -2)])
+    whole = potential(*comps)(P)
+    scale = np.max(np.abs(whole))
+    split = part(np.real)(P) + 1j * part(np.imag)(P)
+    assert np.max(np.abs(split - whole)) <= 1e-14 * scale
+    by_component = sum(part(lambda v: v, k)(P) for k in range(3))
+    assert np.max(np.abs(by_component - whole)) <= 1e-14 * scale
+
+
 def test_B_pass_peaks_at_the_offsets_and_r2():
-    # B's pass frees its (3, C) offsets before the kernel allocates its
-    # column, so on the 64^3 grid of operators/B_uniform_ball_potential it
-    # peaks at the offsets and r^2: four rows of C floats, 8.0 MiB (small
-    # arrays aside); holding the offsets through the kernel peaked at 10.0
-    chi = VectorField(lambda p: vec3(
-        np.where(p.x * p.x + p.y * p.y + p.z * p.z <= 1.0, 1.0, 0.0), 0.0, 0.0),
-        vectorized=True)
-    B = operator_B(chi, CUBE, QuadratureSpec(volume_grid=64))
+    # B's pass forms no (3, C) offsets: it adds r^2 from the squares along
+    # each axis, so on the 64^3 grid of operators/B_uniform_ball_potential it
+    # peaks at r^2 and the kernel column, two rows of C floats (4.0 MiB and
+    # 6 KiB measured); with the offsets it peaked at four rows, 8.0 MiB
+    B = operator_B(_BALL, CUBE, QuadratureSpec(volume_grid=64))
     B._ensure_grid()
     tracemalloc.start()
     try:
@@ -597,7 +681,7 @@ def test_B_pass_peaks_at_the_offsets_and_r2():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * 64 ** 3 * 8 + 2 ** 14
+    assert peak <= 2 * 64 ** 3 * 8 + 2 ** 14
 
 
 def test_excluded_cells_are_never_evaluated():
@@ -606,9 +690,11 @@ def test_excluded_cells_are_never_evaluated():
         F = _counting(lambda p: vec3(1.0 + p.z, 0.0, 0.0), vectorized=vectorized)
         grid = operator_B(F, region, QuadratureSpec(volume_grid=8))._ensure_grid()
         seen = [Point3(*c) for P in F.seen for c in zip(*(np.ravel(a) for a in P))]
-        excluded = grid.coords[0] + grid.coords[1] > 0.5
+        centres = _centres(grid)
+        excluded = centres[0] + centres[1] > 0.5
         assert len(seen) == int(np.sum(~excluded))
         assert not any(p.x + p.y > 0.5 for p in seen)
+        assert grid.comps.tolist() == [0]  # Re F_0 is the only row F fills
         assert np.all(grid.rows[:, excluded] == 0) and np.all(grid.rows[0, ~excluded] != 0)
 
 

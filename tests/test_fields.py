@@ -688,12 +688,16 @@ def _masked_kernel_grad(r2, a):
 
 def _masked_sums(B, p):
     """B and rot B at p from B's grid, the masked kernels and a contraction
-    of its dV-scaled real and imaginary rows."""
-    coords, rows, a = B._ensure_grid()
-    d = np.array(p)[:, None] - coords
+    of its dV-scaled real and imaginary rows (zero where the grid keeps no
+    row; _SMOOTH fills all but Im F_1 and Im F_2)."""
+    grid = B._ensure_grid()
+    assert grid.comps.tolist() == [0, 1, 2, 3]
+    centres = np.array([c.ravel() for c in np.meshgrid(*grid.axes, indexing="ij")])
+    d = np.array(p)[:, None] - centres
     r2 = d[0] ** 2 + d[1] ** 2 + d[2] ** 2
-    b = rows @ _masked_kernel(r2, a)[:, None]
-    J = rows @ (_masked_kernel_grad(r2, a) * d).T
+    b, J = np.zeros((6, 1)), np.zeros((6, 3))
+    b[grid.comps] = grid.rows @ _masked_kernel(r2, grid.a)[:, None]
+    J[grid.comps] = grid.rows @ (_masked_kernel_grad(r2, grid.a) * d).T
     b, J = b[:3, 0] + 1j * b[3:, 0], J[:3] + 1j * J[3:]
     return b, np.array([J[2, 1] - J[1, 2], J[0, 2] - J[2, 0], J[1, 0] - J[0, 1]])
 

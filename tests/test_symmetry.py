@@ -284,6 +284,42 @@ def test_dilation_rejects_a_lambda_whose_exponential_overflows(lam):
     GroupElement(1, lam)  # a translation takes any finite lambda
 
 
+_FAR = [Point3(0.5, 0.2, 0.3), Point3(10.0, 0.2, 0.3), Point3(20.0, 0.2, 0.3)]
+_HARMONIC_X = catalog_entry("harmonic:x").instance.Q
+
+
+@pytest.mark.parametrize("act", [
+    lambda g, p: group_act(g, p, np.zeros(np.shape([*p]))),
+    lambda g, p: transport_solution(g.inverse(), _HARMONIC_X).batch(p),
+    lambda g, p: pushforward_solution(g.inverse(), _HARMONIC_X).batch(p),
+], ids=["group_act", "transport", "pushforward"])
+def test_dilation_whose_image_overflows_raises_naming_the_point(act):
+    # exp(709) is finite, but 10 exp(709) is not: the image of (10, 0.2, 0.3)
+    # under G_7(709), which transport and pushforward by G_7(-709) take as
+    # the pre-image, overflows.  It raised numpy's overflow warning, or
+    # named a stencil point at x = nan
+    g = GroupElement(7, 709.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"of Point3\(x=10\.0, y=0\.2, z=0\.3\) "
+                           r"under G_7.*not finite") as one:
+            act(g, _FAR[1])
+        with pytest.raises(DomainError) as batch:
+            act(g, _batch(_FAR))
+    assert one.value.index == 0 and one.value.where is None
+    assert str(batch.value) == str(one.value)
+    assert batch.value.index == 1 and batch.value.where.tolist() == [False, True, True]
+    assert np.all(np.isfinite(act(g, _FAR[0])))
+
+
+def test_dilation_whose_new_Q_overflows_raises_naming_the_point():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"image of Point3\(x=0\.001.*G_7, "
+                           r"lambda=-709\.0, is not finite"):
+            group_act(GroupElement(7, -709.0), Point3(1e-3, 0.0, 0.0), np.array([3.0, 0, 0]))
+
+
 # -- batches ------------------------------------------------------------------
 
 # a 5^3 grid through the origin: it crosses every coordinate axis, and with
