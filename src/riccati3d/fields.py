@@ -22,16 +22,17 @@ Conventions
   step ``h * max(1, |coordinate|)`` per axis.  Every stencil point is checked
   (box, excluded set; else DomainError) before any point is evaluated, and
   ``riccati_residual`` takes -div Q and rot Q from one stencil of Q.
-  ``grad``, ``div``, ``rot``, ``laplacian``, ``dirac_left``,
-  ``dirac_right`` and the stencil also take a batch: the stencil is checked
-  for every target with one mask, each of its points is one ``F.batch``
-  call over all targets, and results keep the component axis first.  A bad stencil point raises the DomainError the
-  pointwise loop raises at the first offending target (points printed as
-  Python floats), with ``index`` naming that target and ``where`` every
-  target with a bad stencil point.  A field with a ``jet`` (its exact
-  first derivative, see ``_Field``) is not differenced: once the stencil
-  is checked, ``grad``, ``div``, ``rot`` and the Dirac operators take the
-  jet's derivatives.
+  ``grad``, ``div``, ``rot``, ``laplacian``, ``dirac_left``, ``dirac_right``
+  and the stencil also take a batch: the stencil is checked for every target
+  with one mask, its points are stacked and evaluated with one ``F.batch``
+  call per slice of at most ``_STACK_POINTS`` points (so a small batch pays
+  the per-call cost once), and results keep the component axis first.  A bad
+  stencil point raises the DomainError the pointwise loop raises at the first
+  offending target (points printed as Python floats), with ``index`` naming
+  that target and ``where`` every target with a bad stencil point.  A field
+  with a ``jet`` (its exact first derivative, see ``_Field``) is not
+  differenced: once the stencil is checked, ``grad``, ``div``, ``rot`` and the
+  Dirac operators take the jet's derivatives.
 * Dual-use evaluators serve ``F(p)`` and ``F.batch`` with one body: guards
   go through ``errors._first`` (a plain comparison at one point, a mask
   over a batch) and transcendental functions are numpy ufuncs, which run
@@ -379,12 +380,14 @@ def _stencil_points(p: Point3, scheme: DiffScheme):
 
 def _stencil(domain: BoxDomain, p: Point3, scheme: DiffScheme,
              include_center: bool = False):
-    """``_stencil_points(p, scheme)``, with the centre (when included) and
-    every point checked before any of them is evaluated.
+    """``(stencil, P)``: ``_stencil_points(p, scheme)``, with the centre (when
+    included) and every point checked before any of them is evaluated.
 
-    A batch is checked with one mask; a bad point raises the error of the
-    pointwise check at the first offending target, whose index it carries,
-    with ``where`` holding at every target with a bad point.
+    At one point P is None.  A batch stacks its points (centre first) into
+    P, of shape ``(K, *S)``, checked with one mask; its stencil names them
+    by index along P's first axis, for ``_stacked(f, P)``.  A bad point
+    raises the pointwise check's error at the first offending target, whose
+    index it carries, with ``where`` at every target with a bad point.
     """
     stencil = _stencil_points(p, scheme)
     points = ([p] if include_center else []) + [q for _, pts in stencil for q in pts]
@@ -392,15 +395,43 @@ def _stencil(domain: BoxDomain, p: Point3, scheme: DiffScheme,
         for q in points:
             if not domain.ok(q):
                 raise _stencil_error(q, 0, domain.in_box(q))
-        return stencil
-    ok = domain.ok_mask(Point3(*map(np.stack, zip(*points)))).reshape(len(points), -1)
+        return stencil, None
+    P = Point3(*map(np.stack, zip(*points)))
+    ok = domain.ok_mask(P).reshape(len(points), -1)
     bad = ~ok.all(axis=0)
     if bad.any():
         i = int(np.argmax(bad))  # the first target with a bad point
         k = int(np.argmin(ok[:, i]))  # its first bad point, in check order
         q = Point3(*(float(c.flat[i]) for c in points[k]))
         raise _stencil_error(q, i, domain.in_box(q), bad.reshape(p[0].shape))
-    return stencil
+    k, m = int(include_center), len(stencil[0][1])
+    return [(h, range(k + a * m, k + a * m + m)) for a, (h, _) in enumerate(stencil)], P
+
+
+# points per ``F.batch`` call of a stacked stencil: up to 85 targets take one
+# call for 12 stencil points, and 1024 or more (the exporter's and the grid
+# build's chunks) one call per stencil point, so their peak memory stays put
+_STACK_POINTS = 1024
+
+
+def _stacked(f, P: Point3):
+    """f at the points stacked in P, by their index: one ``f.batch`` call per
+    slice of P of at most ``_STACK_POINTS`` points and at least one stencil
+    point (passed at shape S when alone), each value a view of a result.  A
+    typed error names its target: ``index`` modulo the batch size (the first
+    raising point in C order is the one that calls per stencil point meet
+    first) and ``where`` every target with a raising point in that slice."""
+    n, S, values = P[0][0].size, P[0].shape[1:], []
+    step = max(1, _STACK_POINTS // n)
+    for k in range(0, len(P[0]), step):
+        try:
+            v = f.batch(Point3(*(c[k] if step == 1 else c[k:k + step] for c in P)))
+        except Riccati3dError as exc:
+            exc.index = None if exc.index is None else exc.index % n
+            exc.where = None if exc.where is None else exc.where.reshape(-1, *S).any(axis=0)
+            raise
+        values.extend([v] if step == 1 else v.swapaxes(0, len(f._lead)))
+    return values.__getitem__
 
 
 def _stencil_error(q: Point3, index: int, in_box: bool, where=None) -> DomainError:
@@ -428,13 +459,15 @@ def _d2(evalf, f0, h: float, pts):
 
 def _derivatives(f, p: Point3, scheme: DiffScheme) -> np.ndarray:
     """[d_x f, d_y f, d_z f] from one checked stencil, axis first: shape
-    (3, *lead, *S) for values of shape lead and a batch of shape S.  A
-    quaternion field is differenced through its four components; a field
-    with a ``jet`` gives its exact derivatives once the stencil is checked."""
-    stencil = _stencil(f.domain, p, scheme)
+    (3, *lead, *S) for values of shape lead and a batch of shape S, whose
+    stencil f takes in the stacked calls of ``_stacked``.  A quaternion
+    field is differenced through its four components; a field with a
+    ``jet`` gives its exact derivatives once the stencil is checked."""
+    stencil, P = _stencil(f.domain, p, scheme)
     if f.jet is not None:
         return f.jet(p)[1]
-    evalf = f.batch if _batched(p) or isinstance(f, QuaternionField) else f
+    evalf = (_stacked(f, P) if P is not None
+             else f.batch if isinstance(f, QuaternionField) else f)
     return np.array([_d1(evalf, *s) for s in stencil], dtype=complex)
 
 
@@ -478,10 +511,11 @@ def laplacian(f, p: Point3, scheme: DiffScheme = DEFAULT_SCHEME):
 
 def _laplacian_and_centre(f, p: Point3, scheme: DiffScheme):
     """``laplacian`` and the value at p it differences, for callers that
-    need that value too: f is evaluated once per stencil point, p included."""
-    stencil = _stencil(f.domain, p, scheme, include_center=True)
-    evalf = f.batch if _batched(p) else f
-    f0 = evalf(p)
+    need that value too: f is evaluated once per stencil point, p included
+    (over a batch, all of them in the stacked calls of ``_stacked``)."""
+    stencil, P = _stencil(f.domain, p, scheme, include_center=True)
+    evalf = f if P is None else _stacked(f, P)
+    f0 = evalf(p if P is None else 0)
     dxx, dyy, dzz = (_d2(evalf, f0, *s) for s in stencil)
     return dxx + dyy + dzz, f0
 

@@ -47,6 +47,7 @@ from .fields import (
     _dirac_sum,
     _jacobian,
     _laplacian_and_centre,
+    _stacked,
     _stencil,
     _vector_part,
     dirac_left,
@@ -491,8 +492,9 @@ def picard_lhs(Q1: VectorField, Q2: VectorField, Q3: VectorField, Q4: VectorFiel
     A Biquaternion at one point; over a batch of points of shape S, its
     (4, *S) components, within a few ulps of the pointwise values (the
     products of complex arrays may round differently).  Each field is
-    evaluated once at p and once per stencil point (every term's stencil
-    checked first), and D(Qa - Qb) is differenced from those values.
+    evaluated once at p and once per stencil point, stacked over a batch
+    (every term's stencil, p included, checked first), and D(Qa - Qb) is
+    differenced from those values.
     """
     if division not in ("right", "left"):
         raise ValueError(f"division must be 'right' or 'left', got {division!r}")
@@ -500,11 +502,13 @@ def picard_lhs(Q1: VectorField, Q2: VectorField, Q3: VectorField, Q4: VectorFiel
     batched = _batched(p)
     fields = (Q1, Q2, Q3, Q4)
     pairs = ((0, 1), (2, 3), (0, 3), (2, 1))
-    centre = [Q.batch(p) for Q in fields]
     for ia, ib in pairs:  # every term's stencil; all four have the same points
-        stencil = _stencil(fields[ia].domain.intersect(fields[ib].domain), p, scheme)
-    # values[f][axis]: field f at that axis's stencil points
-    values = [[[Q.batch(q) for q in pts] for _, pts in stencil] for Q in fields]
+        stencil, P = _stencil(fields[ia].domain.intersect(fields[ib].domain), p, scheme,
+                              include_center=True)
+    # at[f](q): field f at stencil point q (over a batch, q's index in P)
+    at = [Q.batch if P is None else _stacked(Q, P) for Q in fields]
+    centre = [f(p if P is None else 0) for f in at]
+    values = [[[f(q) for q in pts] for _, pts in stencil] for f in at]  # [f][axis][point]
 
     def parts(v):  # components as Python complex numbers at one point
         return v if batched else v.tolist()

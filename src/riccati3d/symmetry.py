@@ -363,7 +363,14 @@ def group_act(g: GroupElement, p: Point3, Qval) -> Tuple[Point3, np.ndarray]:
 
 
 def _preimage(g: GroupElement, p: Point3) -> Point3:
-    return group_act(g.inverse(), p, np.zeros((3,) + np.shape(p[0])))[0]
+    """p's pre-image under g, with the errors of ``transport_solution`` (naming g)."""
+    X = np.asarray(p, dtype=float)
+    pre, _, poles = _act(g.inverse(), X, np.zeros_like(X))
+    if (i := _first(bad := poles[0] | poles[1])) is not None:
+        raise PoleError(f"pre-image undefined at {_point(p, i)}, lambda={g.lam}",
+                        index=i, where=bad)
+    _check_finite(g, p, "pre-image", pre)
+    return Point3(*pre)
 
 
 def pushforward_solution(g: GroupElement, Q: VectorField) -> VectorField:

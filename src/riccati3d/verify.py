@@ -27,6 +27,7 @@ from .fields import (
     VectorField,
     QuaternionField,
     _batched,
+    _derivatives,
     _vector_part,
     dirac_left,
     dirac_right,
@@ -385,7 +386,6 @@ def suite_operators(config: RunConfig) -> _Checks:
         return worst, len(pts)
 
     def leibniz():
-        from .fields import _d1, _stencil  # the central-difference core
         pts = halton_points(box, 60, config.seed)
         worst = 0.0
         pairs = [(_random_quat_poly(rng), _random_quat_poly(rng)) for _ in range(6)]
@@ -397,8 +397,8 @@ def suite_operators(config: RunConfig) -> _Checks:
             phi_P = phi.batch(P)
             rhs = np.add(_product(dirac_left(phi, P, scheme), psi.batch(P)),
                          _product(_conj(phi_P), dirac_left(psi, P, scheme)))
-            for v, s in zip(phi_P[1:], _stencil(psi.domain, P, scheme)):
-                rhs = rhs - 2.0 * v * _d1(psi.batch, *s)
+            for v, d in zip(phi_P[1:], _derivatives(psi, P, scheme)):
+                rhs = rhs - 2.0 * v * d
             worst = max(worst, _max_diff(lhs, rhs))
         return worst, len(pts)
 
@@ -409,7 +409,7 @@ def suite_operators(config: RunConfig) -> _Checks:
         W = rng.uniform(-0.6, 0.6, (P.x.size, 5, len(_MONOS), 2)).view(complex)[..., 0]
 
         def cubics(t: Point3) -> np.ndarray:
-            return np.einsum("ncm,mn->cn", W, _monomials(t))
+            return np.einsum("ncm,m...n->c...n", W, _monomials(t))
 
         f0 = ScalarField(lambda t: cubics(t)[0], vectorized=True)
         psi = QuaternionField(lambda t: cubics(t)[1:], vectorized=True)

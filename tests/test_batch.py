@@ -805,6 +805,49 @@ def test_batched_stencil_off_domain_raises_first_target_error_before_any_evaluat
         assert F.seen == []
 
 
+@pytest.mark.parametrize("n, q_shapes, psi_shapes", [
+    (50, [(12, 50)], [(13, 50)]),  # the whole stencil in one call
+    (100, [(10, 100), (2, 100)], [(10, 100), (3, 100)]),  # slices of <= 1024 points
+    (1024, [(1024,)] * 12, [(1024,)] * 13),  # one stencil point per call, unstacked
+], ids=["one-call", "two-slices", "per-point"])
+def test_stacked_stencil_calls_and_derivatives_equal_the_single_point_path(n, q_shapes,
+                                                                           psi_shapes):
+    entry = catalog_entry("rotational", k=1.0, c=0.3466)
+    shapes = {"Q": [], "psi": []}
+
+    def counted(F, log):
+        return type(F)(lambda t: log.append(t.x.shape) or F.batch(t), F.domain,
+                       vectorized=True)
+    Q, psi = counted(entry.instance.Q, shapes["Q"]), counted(entry.psi, shapes["psi"])
+    pts = entry_points(entry, n, seed=3)
+    P, S = _points(pts), DiffScheme()
+    J, lap = fields._jacobian(Q, P, S), laplacian(psi, P, S)
+    assert shapes == {"Q": q_shapes, "psi": psi_shapes}
+    for i in range(0, n, n // 25):  # the single-point path, at a sample of targets
+        assert _bits(J[..., i]) == _bits(fields._jacobian(entry.instance.Q, pts[i], S))
+        assert _bits(lap[i]) == _bits(laplacian(entry.psi, pts[i], S))
+
+
+def test_stacked_stencil_error_names_its_target_not_its_stacked_position():
+    def fn(t):
+        bad = (t.x > 0.5) | (t.y > 0.5)
+        if bad is not False and (i := errors._first(bad)) is not None:
+            raise ZeroCrossing(f"rejected at {errors._item(t.x, i)}, {errors._item(t.y, i)}",
+                               index=i, where=bad)
+        return t.x * t.y + 0j
+    f = ScalarField(fn, vectorized=True)
+    # the second target's x + 2h stencil point (stacked position 2 * 3 + 1)
+    # is the first rejected one in C order; the third's y + h point (position
+    # 4 * 3 + 2) is rejected in the same call
+    targets = [Point3(0.2, 0.3, 0.1), Point3(0.4985, 0.3, 0.1), Point3(0.3, 0.4995, 0.1)]
+    with pytest.raises(ZeroCrossing) as one:
+        grad(f, targets[1])
+    with pytest.raises(ZeroCrossing) as exc:
+        grad(f, _points(targets))
+    assert str(exc.value) == str(one.value) and exc.value.index == 1
+    assert exc.value.where.tolist() == [False, True, True]
+
+
 def _raises(F, p: Point3) -> bool:
     try:
         F(p)

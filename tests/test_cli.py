@@ -646,8 +646,9 @@ def test_transform_calls_the_transported_field_once_per_stencil_point(monkeypatc
 @pytest.mark.parametrize("command", ["eval", "transform"])
 def test_export_evaluates_Q_once_per_stencil_point_and_once_at_its_rows(command, monkeypatch,
                                                                          tmp_path, capsys):
-    # per batch, Q is evaluated at the residual's 12 stencil points (order 4)
-    # and once at the batch's rows; the u, v, w columns reuse that centre value
+    # per batch of n rows, Q is evaluated once at the residual's 12 stencil
+    # points (order 4) stacked, 12 n points, and once at the n rows; the u, v,
+    # w columns reuse that centre value
     calls = []
 
     def count(Q):
@@ -672,13 +673,14 @@ def test_export_evaluates_Q_once_per_stencil_point_and_once_at_its_rows(command,
     sizes = _batch_sizes(monkeypatch, args + ["--out", str(tmp_path / "grid.csv")])
     capsys.readouterr()
     assert sizes == [25, 25, 14]  # no row masked, so no batch retried
-    assert calls == [n for n in sizes for _ in range(13)]
+    assert calls == [m for n in sizes for m in (12 * n, n)]
 
 
 def test_eval_evaluates_q_once_and_psi_once_per_stencil_point(monkeypatch, tmp_path, capsys):
-    # per batch, psi is evaluated at the Laplacian's 12 stencil points and its
-    # centre (order 4), and q at the batch's rows once: the q and psi columns
-    # and the Schrodinger residual reuse the values of the residual pass
+    # per batch of n rows, psi is evaluated once at the Laplacian's 12 stencil
+    # points and its centre (order 4) stacked, 13 n points, and q at the n
+    # rows once: the q and psi columns and the Schrodinger residual reuse the
+    # values of the residual pass
     calls = {"q": [], "psi": []}
 
     def count(entry):
@@ -696,7 +698,7 @@ def test_eval_evaluates_q_once_and_psi_once_per_stencil_point(monkeypatch, tmp_p
     capsys.readouterr()
     assert sizes == [25, 25, 14]  # no row masked, so no batch retried
     assert calls["q"] == sizes
-    assert calls["psi"] == [n for n in sizes for _ in range(13)]
+    assert calls["psi"] == [13 * n for n in sizes]
 
 
 def _write_rows_per_cell(path, fmt, grid, masked, values):

@@ -183,17 +183,18 @@ def _counted(Q, calls: list):
 @pytest.mark.parametrize("order, per_field", [(4, 13), (2, 7)])
 def test_picard_evaluates_each_field_once_per_stencil_point(harmonic_quadruple, order,
                                                             per_field):
-    # once at p and once per stencil point: 52 calls at order 4, where
-    # differencing each term's Qa - Qb made 104
+    # once at p and once per stencil point: 52 calls at order 4 at one point,
+    # where differencing each term's Qa - Qb made 104; over a batch, one call
+    # per field of p and its stencil points stacked
     from riccati3d.verify import _as_batch, halton_points
     pts = halton_points((Point3(0.55, 0.35, 0.45), Point3(1.9, 1.4, 1.5)), 5, 2)
     calls = [[] for _ in harmonic_quadruple]
     fields = [_counted(Q, c) for Q, c in zip(harmonic_quadruple, calls)]
-    for p in (pts[0], _as_batch(pts)):
+    for p, shapes in ((pts[0], [()] * per_field), (_as_batch(pts), [(per_field, 5)])):
         for c in calls:
             c.clear()
         picard_lhs(*fields, p, DiffScheme(order=order))
-        assert [len(c) for c in calls] == [per_field] * 4
+        assert [[np.shape(q.x) for q in c] for c in calls] == [shapes] * 4
 
 
 def _picard_per_term(fields, p, scheme, division="right", include_cross_terms=True):

@@ -320,6 +320,24 @@ def test_dilation_whose_new_Q_overflows_raises_naming_the_point():
             group_act(GroupElement(7, -709.0), Point3(1e-3, 0.0, 0.0), np.array([3.0, 0, 0]))
 
 
+@pytest.mark.parametrize("g, bad", [
+    (GroupElement(7, -709.0), Point3(10.0, 0.2, 0.3)),  # the pre-image overflows
+    (GroupElement(8, -1.0), Point3(1.0, 0.0, 0.0)),  # the pre-image's pole
+], ids=["overflow", "pole"])
+def test_pushforward_errors_name_the_element_it_was_given(g, bad):
+    # they named the inverse, through which the pre-image is taken
+    # ("lambda=709.0" for G_7(-709)); now they read as transport's errors
+    pts = [Point3(0.5, 0.2, 0.3), bad, bad]
+    for p, index in ((bad, 0), (_batch(pts), 1)):
+        with pytest.raises(Riccati3dError) as pf:
+            pushforward_solution(g, _HARMONIC_X).batch(p)
+        with pytest.raises(type(pf.value)) as t:
+            transport_solution(g, _HARMONIC_X).batch(p)
+        assert f"lambda={g.lam}" in str(pf.value)
+        assert str(pf.value) == str(t.value) and pf.value.index == index
+    assert pf.value.where.tolist() == [False, True, True]
+
+
 # -- batches ------------------------------------------------------------------
 
 # a 5^3 grid through the origin: it crosses every coordinate axis, and with
