@@ -18,6 +18,7 @@ deterministic given (config, seed) except for the seconds timing fields.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -49,10 +50,10 @@ def _parse_config_file(path: str) -> dict:
     return values
 
 
-_INT_KEYS = {"order", "gauss_order", "volume_grid", "build_grid", "seed",
-             "samples"}
-_FLOAT_KEYS = {"h", "line_tol", "margin"}
-_STR_KEYS = {"line_rule"}
+# the settings a flag or a config key gives, each parsed as the type of its
+# RunConfig default; the tolerances come from --tol and tol.NAME keys
+_KEYS = {f.name: type(f.default) for f in dataclasses.fields(RunConfig)
+         if f.default is not dataclasses.MISSING}
 
 
 def _build_config(args) -> RunConfig:
@@ -62,15 +63,11 @@ def _build_config(args) -> RunConfig:
         for key, val in _parse_config_file(args.config).items():
             if key.startswith("tol."):
                 tolerances[key[4:]] = float(val)
-            elif key in _INT_KEYS:
-                raw[key] = int(val)
-            elif key in _FLOAT_KEYS:
-                raw[key] = float(val)
-            elif key in _STR_KEYS:
-                raw[key] = val
+            elif key in _KEYS:
+                raw[key] = _KEYS[key](val)
             else:
                 raise ConfigError(f"unknown config key {key!r}")
-    for key in _INT_KEYS | _FLOAT_KEYS | _STR_KEYS:
+    for key in _KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
             raw[key] = flag
@@ -287,17 +284,8 @@ def cmd_transform(args) -> int:
 
 def _add_config_flags(sub):
     sub.add_argument("--config", help="flat key=value config file")
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--samples", type=int, default=None)
-    sub.add_argument("--h", type=float, default=None, help="relative FD step")
-    sub.add_argument("--order", type=int, default=None, choices=(2, 4))
-    sub.add_argument("--line-rule", dest="line_rule", default=None,
-                     choices=("adaptive_simpson", "gauss"))
-    sub.add_argument("--line-tol", dest="line_tol", type=float, default=None)
-    sub.add_argument("--gauss-order", dest="gauss_order", type=int, default=None)
-    sub.add_argument("--volume-grid", dest="volume_grid", type=int, default=None)
-    sub.add_argument("--build-grid", dest="build_grid", type=int, default=None)
-    sub.add_argument("--margin", type=float, default=None)
+    for key, kind in _KEYS.items():
+        sub.add_argument("--" + key.replace("_", "-"), dest=key, type=kind, default=None)
 
 
 def _add_solution_flags(sub):

@@ -48,8 +48,8 @@ Conventions
   bit for bit: the assembly only adds, and ``_d1`` only scales complex
   values by real floats, which numpy rounds as Python does.
 * The path-reconstruction operator A integrates on the fixed axis-ordered
-  path (x-leg, then y-leg, then z-leg) from its base point, with one routine
-  per line rule for any number of targets (``A(p)`` is the one-target
+  path (x-leg, then y-leg, then z-leg) from its base point, with one fixed
+  Gauss-Legendre rule for any number of targets (``A(p)`` is the one-target
   batch); the Newtonian volume potential B uses midpoint tensor quadrature
   in which each cell's mass is a compact smooth blob of radius
   ``_BLOB_RADIUS`` cell sides, so B is smooth and every derivative of it is
@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
@@ -328,28 +329,27 @@ class DiffScheme:
         return self.h * (np.maximum(1.0, a) if type(a) is np.ndarray else max(1.0, a))
 
 
+# numpy's leggauss is tested up to this degree, and builds an n x n matrix
+_MAX_GAUSS_ORDER = 100
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Line and volume quadrature configuration.
 
-    line_rule: "adaptive_simpson" (absolute tolerance line_tol) or "gauss"
-    (fixed Gauss-Legendre of order gauss_order).  volume_grid is the midpoint
+    gauss_order is the order of the fixed Gauss-Legendre rule of operator A,
+    an int from 1 to ``_MAX_GAUSS_ORDER``.  volume_grid is the midpoint
     resolution per axis of the Newtonian potential.
     """
 
-    line_rule: str = "adaptive_simpson"
-    line_tol: float = 1e-10
     gauss_order: int = 32
     volume_grid: int = 64
 
     def __post_init__(self):
-        if self.line_rule not in ("adaptive_simpson", "gauss"):
-            raise ValueError(f"unknown line rule {self.line_rule!r}")
-        if type(self.line_tol) is bool or not (math.isfinite(self.line_tol) and self.line_tol > 0):
-            raise ValueError(f"line_tol must be finite and positive, got {self.line_tol!r}")
         # type(x) is int, not isinstance: True is an int too
-        if type(self.gauss_order) is not int or self.gauss_order < 1:
-            raise ValueError(f"gauss_order must be an int >= 1, got {self.gauss_order!r}")
+        if type(self.gauss_order) is not int or not 1 <= self.gauss_order <= _MAX_GAUSS_ORDER:
+            raise ValueError(f"gauss_order must be an int from 1 to {_MAX_GAUSS_ORDER}, "
+                             f"got {self.gauss_order!r}")
         if type(self.volume_grid) is not int:
             raise ValueError(f"volume_grid must be an int, got {self.volume_grid!r}")
 
@@ -578,7 +578,7 @@ def diff(kind: str, f, p: Point3, scheme: DiffScheme = DEFAULT_SCHEME):
 
 
 # --------------------------------------------------------------------------
-# line quadrature: each rule integrates a batch of intervals [a_i, b_i] of a
+# line quadrature: the rule integrates a batch of intervals [a_i, b_i] of a
 # function f(i, T) that takes interval indices and the node parameters T of
 # those intervals (one row each) and returns the values at those nodes
 
@@ -587,17 +587,9 @@ def _gauss_nodes(n: int):
     return np.polynomial.legendre.leggauss(n)
 
 
-_SIMPSON_DEPTH = 30  # bisections of an interval before adaptive Simpson gives up
-# intervals per call of f under either rule, to bound its memory.  Simpson's
-# rounds go deepest first, so at most one waits per level and a hopeless
-# interval fails after ~_SIMPSON_DEPTH rounds, not 2^_SIMPSON_DEPTH halves
+# legs per call of f: the rule sums each round of at most this many legs as
+# it evaluates it, so beyond the sums its memory is that of one round
 _LINE_CHUNK = 256
-
-
-def _in_chunks(f, index: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """f(index, T) in calls of at most ``_LINE_CHUNK`` intervals, and none for none."""
-    return np.concatenate([f(index[i:i + _LINE_CHUNK], T[i:i + _LINE_CHUNK])
-                           for i in range(0, index.size, _LINE_CHUNK)] or [T.astype(complex)])
 
 
 def _gauss_rule(f, a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
@@ -617,69 +609,6 @@ def _gauss_rule(f, a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
     return sums
 
 
-def _simpson_rule(f, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
-    """Adaptive Simpson (Lyness, J. ACM 16, 1969) with absolute tolerance tol.
-
-    An interval is accepted when its two halves change its estimate by
-    ``|delta| <= 15 tol``, and is worth their sum + delta / 15; otherwise each
-    half is refined with tol halved, and past ``_SIMPSON_DEPTH`` bisections
-    QuadratureFailure is raised.  f takes at most ``_LINE_CHUNK`` intervals
-    a call: their ends and midpoints, then rounds of bisections, deepest
-    first.  A bisected interval is worth its left half plus its right half,
-    added as the recursive rule adds them, so no value depends on the rounds.
-    """
-    flip = b < a  # integrated from b to a, then negated
-    a, b = np.where(flip, b, a), np.where(flip, a, b)
-    tols = [tol]
-    for _ in range(_SIMPSON_DEPTH):
-        tols.append(0.5 * tols[-1])
-    # rounds, the next on top: their level, and per interval its index, its
-    # node of the bisection trees (node i is interval i), its (a, m, b), and
-    # f at a, m and b with its Simpson estimate; intervals in (index, a) order
-    index = np.arange(a.size)
-    X = np.stack([a, 0.5 * (a + b), b], axis=1)
-    fx = _in_chunks(f, index, X)
-    whole = (b - a) / 6.0 * (fx[:, 0] + 4.0 * fx[:, 1] + fx[:, 2])
-    todo = [(0, index, index, X, np.column_stack([fx, whole]))]
-    nodes, leaves, splits = a.size, [], []  # leaves: (nodes, values)
-    while todo:
-        level, *rnd = todo.pop()
-        if rnd[0].size > _LINE_CHUNK:  # the rest waits below this round's halves
-            todo.append((level, *(x[_LINE_CHUNK:] for x in rnd)))
-        index, node, X, V = (x[:_LINE_CHUNK] for x in rnd)
-        a, m, b = X.T
-        fa, fm, fb, whole = V.T
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        fx = _in_chunks(f, index, np.stack([lm, rm], axis=1))
-        left = (m - a) / 6.0 * (fa + 4.0 * fx[:, 0] + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * fx[:, 1] + fb)
-        delta = left + right - whole
-        # np.hypot rounds as abs() of one complex does; np.abs may not
-        ok = np.hypot(delta.real, delta.imag) <= 15.0 * tols[level]
-        leaves.append((node[ok], (left + right + delta / 15.0)[ok]))
-        if ok.all():
-            continue
-        if level == _SIMPSON_DEPTH:
-            i = int(np.argmin(ok))
-            raise QuadratureFailure(
-                f"adaptive Simpson exceeded depth budget on [{a[i]}, {b[i]}]")
-        split = ~ok
-        halves = np.arange(nodes, nodes + 2 * np.count_nonzero(split))
-        nodes += halves.size
-        splits.append((level, node[split], halves[::2]))
-        # the halves [a, m] and [m, b] of each split interval, in that order
-        todo.append((level + 1, np.repeat(index[split], 2), halves,
-                     np.column_stack([a, lm, m, m, rm, b])[split].reshape(-1, 3),
-                     np.column_stack([fa, fx[:, 0], fm, left, fm, fx[:, 1], fb, right])
-                     [split].reshape(-1, 4)))
-    value = np.empty(nodes, dtype=complex)
-    for node, v in leaves:
-        value[node] = v
-    for _, node, lefts in sorted(splits, key=lambda s: -s[0]):  # the deepest first
-        value[node] = value[lefts] + value[lefts + 1]
-    return np.where(flip, -1.0, 1.0) * value[:flip.size]
-
-
 # --------------------------------------------------------------------------
 # operator A: axis-ordered path reconstruction of a scalar potential
 
@@ -696,16 +625,23 @@ def operator_A(F: VectorField, base: Point3, C: complex = 0j,
     towards the first target, and a warning (not an error) is emitted when it
     is not small.
 
-    One routine integrates the legs of any number of targets with the line
-    rule, and ``A(p)`` is ``A.batch`` at the one target p, so the two agree
-    bit for bit.  The rule asks for F in rounds of at most ``_LINE_CHUNK``
-    intervals, each one ``F.batch`` call over the nodes of every leg in it,
-    by target, then leg, then node.  Every node of a round is checked
-    against the domain before F is evaluated there, and F's values are
-    checked to be finite; either failure raises DomainError naming the
-    round's first bad node.  That error, and a typed error raised by F, name
-    the target whose leg it came from (``index``) and, over a batch, every
-    target with a failing node in that round (``where``).
+    Each leg is integrated by Gauss-Legendre of order ``quad.gauss_order``,
+    whose nodes are one fixed set mapped onto the leg.  So the quadrature
+    error is a smooth function of the end point, and a stencil that
+    differences A (``cole_hopf`` of ``inverse_cole_hopf``, the W builders)
+    sees the integral, not an error that jumps between neighbouring stencil
+    points as an adaptive rule's does with its subdivision pattern.
+
+    One routine integrates the legs of any number of targets, and ``A(p)``
+    is ``A.batch`` at the one target p, so the two agree bit for bit.  The
+    rule asks for F in rounds of at most ``_LINE_CHUNK`` legs, each one
+    ``F.batch`` call over the nodes of every leg in it, by target, then leg,
+    then node.  Every node of a round is checked against the domain before
+    F is evaluated there, and F's values are checked to be finite; either
+    failure raises DomainError naming the round's first bad node.  That
+    error, and a typed error raised by F, name the target whose leg it came
+    from (``index``) and, over a batch, every target with a failing node in
+    that round (``where``).
     """
     base = Point3(*base)
     base_coords = np.array(base, dtype=float)
@@ -774,10 +710,7 @@ def operator_A(F: VectorField, base: Point3, C: complex = 0j,
 
         a, b = base_coords[axes], corners[rows, axes]
         sums = np.zeros((3, len(corners)), dtype=complex)
-        if quad.line_rule == "gauss":
-            sums[axes, rows] = _gauss_rule(f, a, b, quad.gauss_order)
-        else:
-            sums[axes, rows] = _simpson_rule(f, a, b, quad.line_tol)
+        sums[axes, rows] = _gauss_rule(f, a, b, quad.gauss_order)
         return (complex(C) + sums[0] + sums[1] + sums[2]).reshape(shape)
 
     return ScalarField(eval_at, domain, vectorized=True)
@@ -835,7 +768,7 @@ class _NewtonianPotential(VectorField):
     elongated regions.
     """
 
-    __slots__ = ("region", "quad", "cells", "_grid", "_order")
+    __slots__ = ("region", "quad", "cells", "_grid", "_order", "_scratch")
 
     def __init__(self, F: VectorField, region: BoxDomain, quad: QuadratureSpec,
                  cells: Optional[tuple], order: int):
@@ -852,6 +785,9 @@ class _NewtonianPotential(VectorField):
         self.cells = tuple(int(c) for c in cells)
         self._grid = None
         self._order = order
+        # each thread's kernel table, reused by its next pass: a new table per
+        # target is faulted in afresh whenever the allocator trimmed the last
+        self._scratch = threading.local()
         jet = functools.partial(self._per_target, order=2) if order else None
         super().__init__(F, BoxDomain.unbounded(), jet=jet)
 
@@ -955,7 +891,10 @@ class _NewtonianPotential(VectorField):
             r2 = ((sq[0][:, None] + sq[1]).reshape(-1, 1) + sq[2]).ravel()
             table = self._blob_kernel(r2, grid.a)[None]
         else:
-            table = np.empty((n, grid.rows.shape[1]))
+            table = getattr(self._scratch, "table", None)
+            if table is None or len(table) < n:
+                table = self._scratch.table = np.empty((n, grid.rows.shape[1]))
+            table = table[:n]
             d = table[:3]
             planes = d.reshape(3, n0, -1)
             planes[0] = diff[0][:, None]

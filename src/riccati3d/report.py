@@ -12,6 +12,7 @@ from dataclasses import dataclass, field, asdict
 from typing import Dict, List
 
 from .errors import ConfigError
+from .fields import _MAX_GAUSS_ORDER
 
 __all__ = ["RunConfig", "CheckResult", "VerificationReport"]
 
@@ -22,8 +23,6 @@ class RunConfig:
 
     h: float = 1e-3
     order: int = 4
-    line_rule: str = "adaptive_simpson"
-    line_tol: float = 1e-10
     gauss_order: int = 32
     volume_grid: int = 64
     build_grid: int = 12          # per-short-axis cells for W-builder checks
@@ -33,23 +32,22 @@ class RunConfig:
     tolerances: Dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        for name, value in (("h", self.h), ("line_tol", self.line_tol),
-                            ("margin", self.margin)):
+        for name, value in (("h", self.h), ("margin", self.margin)):
             if type(value) is bool or not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"RunConfig.{name} must be finite and positive, "
                                   f"got {value!r}")
         # type(x) is int, not isinstance: True is an int too
         if type(self.order) is not int or self.order not in (2, 4):
             raise ConfigError(f"RunConfig.order must be the int 2 or 4, got {self.order!r}")
-        if self.line_rule not in ("adaptive_simpson", "gauss"):
-            raise ConfigError(f"RunConfig.line_rule must be 'adaptive_simpson' or 'gauss', "
-                              f"got {self.line_rule!r}")
         for name, low in (("samples", 1), ("seed", 0), ("gauss_order", 1),
                           ("volume_grid", 8), ("build_grid", 8)):
             value = getattr(self, name)
             if type(value) is not int or value < low:
                 raise ConfigError(f"RunConfig.{name} must be >= {low} and an int, "
                                   f"got {value!r}")
+        if self.gauss_order > _MAX_GAUSS_ORDER:
+            raise ConfigError(f"RunConfig.gauss_order must be <= {_MAX_GAUSS_ORDER}, "
+                              f"got {self.gauss_order!r}")
         for name, value in self.tolerances.items():
             if type(value) is bool or not (math.isfinite(value) and value >= 0):
                 raise ConfigError(f"tolerance override {name!r} must be finite "

@@ -161,17 +161,7 @@ def _scheme(config: RunConfig) -> DiffScheme:
 
 
 def _quad(config: RunConfig) -> QuadratureSpec:
-    return QuadratureSpec(line_rule=config.line_rule, line_tol=config.line_tol,
-                          gauss_order=config.gauss_order,
-                          volume_grid=config.volume_grid)
-
-
-def _quad_gauss(config: RunConfig) -> QuadratureSpec:
-    """Fixed Gauss rule for an A that a finite-difference stencil differences:
-    its error is smooth in the end point, where adaptive Simpson's error
-    jumps with the subdivision pattern between neighbouring stencil points."""
-    return QuadratureSpec(line_rule="gauss", gauss_order=config.gauss_order,
-                          volume_grid=config.volume_grid)
+    return QuadratureSpec(gauss_order=config.gauss_order, volume_grid=config.volume_grid)
 
 
 def _rng(config: RunConfig, salt: int = 0):
@@ -547,7 +537,6 @@ def suite_solutions(config: RunConfig) -> _Checks:
 def suite_riccati(config: RunConfig) -> _Checks:
     scheme = _scheme(config)
     quad = _quad(config)
-    quad_gauss = _quad_gauss(config)
     rng = _rng(config, 3)
     entries = acceptance_catalog(config.margin)
     with_psi = [e for e in entries if e.psi is not None]
@@ -580,7 +569,7 @@ def suite_riccati(config: RunConfig) -> _Checks:
         worst, total = 0.0, 0
         for entry in entries:
             P = _as_batch(entry_points(entry, 12, config.seed + 2))
-            sch = inverse_cole_hopf(entry.instance, entry.base, 0j, quad_gauss,
+            sch = inverse_cole_hopf(entry.instance, entry.base, 0j, quad,
                                     curl_check=False)
             back = cole_hopf(sch, scheme)
             worst = max(worst, float(np.max(np.abs(
@@ -679,7 +668,6 @@ def suite_riccati(config: RunConfig) -> _Checks:
 def suite_euler_picard(config: RunConfig) -> _Checks:
     scheme = _scheme(config)
     quad = _quad(config)
-    quad_gauss = _quad_gauss(config)
     seeds = ["x", "y", "z", "x+y+z"]
     quads = [catalog_entry(f"harmonic:{s}", config.margin).instance for s in seeds]
     Qs = [inst.Q for inst in quads]
@@ -726,7 +714,7 @@ def suite_euler_picard(config: RunConfig) -> _Checks:
 
     def get_W():
         return _shared("W", lambda: w_from_q_pair(
-            inv_x, zero_inst, None, Point3(1, 0, 0), tube, quad_gauss, scheme,
+            inv_x, zero_inst, None, Point3(1, 0, 0), tube, quad, scheme,
             check_points=[Point3(3.0, 0.2, 0.1)], cells=cells))
 
     def get_W_from_W0():
@@ -735,11 +723,11 @@ def suite_euler_picard(config: RunConfig) -> _Checks:
             W0, one, None, tube, quad, scheme, cells=cells))
 
     def wconst_scalar_exact():
-        A = operator_A(inv_x.Q, Point3(1, 0, 0), 0j, quad_gauss)
+        A = operator_A(inv_x.Q, Point3(1, 0, 0), 0j, quad)
         worst = 0.0
         W1 = get_W()
         W2 = w_from_q_pair(inv_x, zero_inst, None, Point3(1, 0, 0), tube,
-                           quad_gauss, scheme,
+                           quad, scheme,
                            cells=(40, 8, 8))  # volume-resolution independence
         for p in tube_pts:
             expect = np.exp(-complex(A(p)))
@@ -765,7 +753,7 @@ def suite_euler_picard(config: RunConfig) -> _Checks:
     def prop3_roundtrip():
         W = get_W_from_W0()
         Wv = _vector_part(W)  # with W's jet: rot(phi Wv) is one pass per node
-        rec = build_W0_from_W(Wv, one, Point3(4.0, 0.0, 0.0), quad_gauss, scheme)
+        rec = build_W0_from_W(Wv, one, Point3(4.0, 0.0, 0.0), quad, scheme)
         shift = rec(Point3(4.0, 0.0, 0.0)) - 4.0
         worst = max(abs(rec(p) - p.x - shift) / max(1.0, abs(p.x))
                     for p in tube_pts)
@@ -774,7 +762,7 @@ def suite_euler_picard(config: RunConfig) -> _Checks:
     def mismatch_detection():
         other = catalog_entry("rotational", config.margin, k=1, c=0).instance
         try:
-            w_from_q_pair(inv_x, other, None, Point3(1, 0, 0), tube, quad_gauss,
+            w_from_q_pair(inv_x, other, None, Point3(1, 0, 0), tube, quad,
                           scheme, check_points=[Point3(3.0, 0.2, 0.1)])
             return 0.0, 1
         except ValueError:

@@ -107,20 +107,22 @@ def test_no_field_of_the_suite_is_evaluated_point_by_point(verify_all):
 
 # sha256 per suite over its rows of the seed-0 report (name, repr of the
 # residual, samples, passed), so re-recording one suite shows that the rows
-# of the others did not move by a bit.  The operators and euler_picard
-# digests were recorded when the volume grid came to keep only the rows its
-# integrand fills (a GEMM over fewer rows rounds B and rot B differently in
-# the last bits), the algebra digest when the algebra laws moved onto (4, N)
-# batches of the same samples (numpy's complex loops round those rows
-# differently in their last bits), the others before operator A's rounds
-# were merged into one F.batch call each.  Like the export digests in
+# of the others did not move by a bit.  The operators and riccati digests
+# were recorded when fixed Gauss-Legendre became operator A's only line rule
+# (four rows that integrated with adaptive Simpson moved), the euler_picard
+# digest when the volume grid came to keep only the rows its integrand fills
+# (a GEMM over fewer rows rounds B and rot B differently in the last bits),
+# the algebra digest when the algebra laws moved onto (4, N) batches of the
+# same samples (numpy's complex loops round those rows differently in their
+# last bits), the others before operator A's rounds were merged into one
+# F.batch call each.  Like the export digests in
 # test_cli.py they hold for one numpy build and its SIMD dispatch
 # (``np.show_runtime()``), and a digest is re-recorded only on purpose, with
 # a CHANGES.md entry.
 _REPORT_DIGESTS = {
     "algebra": "a86c207f6f0956f31616a74aae5bb3496d9d0c4c21b89a526f6c7d80b1b9bfc9",
-    "operators": "965a90562ff21eb329f2138b6594dbbb9a5dd380e7ca4a015b4677e64bb7ca06",
-    "riccati": "ae292e0cdec2965ae54d6c201f42a3eb3379016757775d44c3258afe76882b7c",
+    "operators": "6927fc309ace606470675b29970971858703fca363476072c508f641a91c5323",
+    "riccati": "2152dc0bcafe5a6c674435ab072eb06444d6a83f9e1543dd94e2f3e90186064d",
     "euler_picard": "f88c84455e9dd145bc14508b410f51266a48c3502ad10e4864585f78a16d4db2",
     "symmetry": "fb4d5785812ea39ce7091080c1ae4eb9d1e794f708ac6cd51513c71605711a4a",
     "solutions": "40fc308079971d957082d887405b901a3f2e041b0a5548a4aa33e65b9a2aa197",

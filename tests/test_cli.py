@@ -7,12 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from riccati3d import cli
+from riccati3d import cli, fields
 from riccati3d.cli import main
 from riccati3d.errors import ConfigError
 from riccati3d.fields import DiffScheme, Point3, QuadratureSpec
 from riccati3d.report import RunConfig
-from riccati3d.verify import SUITES, halton_points
+from riccati3d.verify import halton_points
 
 
 def test_verify_algebra_exits_zero(capsys):
@@ -129,14 +129,14 @@ def test_bad_or_foreign_solution_parameter_exits_two(solution, tmp_path, capsys)
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag", ["--h", "--line-tol", "--margin"])
+@pytest.mark.parametrize("flag", ["--h", "--margin"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_config_value_exits_two(flag, value, capsys):
     assert main(["verify", "--suite", "algebra", flag, value]) == 2
     assert "must be finite and positive" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name", ["h", "line_tol", "margin"])
+@pytest.mark.parametrize("name", ["h", "margin"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
 def test_run_config_rejects_non_finite_or_non_positive(name, value):
     with pytest.raises(ConfigError, match=name):
@@ -157,17 +157,12 @@ def test_run_config_rejects_a_non_int_count(name, value):
 @pytest.mark.parametrize("make, error, message", [
     (lambda: DiffScheme(h=True), ValueError, "DiffScheme.h must be finite and positive, got True"),
     (lambda: DiffScheme(order=4.0), ValueError, "DiffScheme.order must be the int 2 or 4, got 4.0"),
-    (lambda: QuadratureSpec(line_tol=True), ValueError,
-     "line_tol must be finite and positive, got True"),
     (lambda: RunConfig(h=True), ConfigError, "RunConfig.h must be finite and positive, got True"),
     (lambda: RunConfig(margin=True), ConfigError,
      "RunConfig.margin must be finite and positive, got True"),
-    (lambda: RunConfig(line_tol=True), ConfigError,
-     "RunConfig.line_tol must be finite and positive, got True"),
     (lambda: RunConfig(tolerances={"basis_table": True}), ConfigError,
      "tolerance override 'basis_table' must be finite and >= 0, got True")],
-    ids=["scheme-h", "scheme-order", "quad-line_tol", "config-h", "config-margin",
-         "config-line_tol", "config-tolerance"])
+    ids=["scheme-h", "scheme-order", "config-h", "config-margin", "config-tolerance"])
 def test_a_bool_or_float_where_a_number_or_int_is_wanted_is_rejected(make, error, message):
     # each of these was accepted, and True kept as the setting
     with pytest.raises(error) as exc:
@@ -230,16 +225,30 @@ def test_gauss_order_below_one_exits_two(suite, capsys):
         RunConfig(gauss_order=0)
 
 
-@pytest.mark.parametrize("suite", SUITES)
-def test_line_rule_from_config_file_exits_two_for_every_suite(suite, tmp_path, capsys):
-    # the --line-rule flag is checked by argparse; a config file's value used
-    # to be checked only by suites that build a QuadratureSpec (algebra exited 0)
+def test_gauss_order_above_100_exits_two_before_any_node_is_computed(monkeypatch, capsys):
+    # numpy's leggauss is tested up to degree 100 and builds an n x n
+    # matrix, so --gauss-order 100000 used to ask for about 80 GB
+    def no_nodes(n):
+        raise AssertionError(f"Gauss nodes of order {n} computed")
+    monkeypatch.setattr(fields, "_gauss_nodes", no_nodes)
+    assert main(["verify", "--suite", "operators", "--gauss-order", "101"]) == 2
+    assert "RunConfig.gauss_order must be <= 100, got 101" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="gauss_order must be an int from 1 to 100, got 101$"):
+        QuadratureSpec(gauss_order=101)
+    assert RunConfig(gauss_order=100).gauss_order == QuadratureSpec(gauss_order=100).gauss_order
+
+
+def test_the_removed_line_rule_settings_exit_two(tmp_path, capsys):
+    # operator A has one rule, fixed Gauss-Legendre: no rule or tolerance to set
+    for flag, value in (("--line-rule", "gauss"), ("--line-tol", "1e-10")):
+        with pytest.raises(SystemExit) as exc:  # argparse's exit
+            main(["verify", "--suite", "algebra", flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("line_rule = simpson\n")
-    assert main(["verify", "--suite", suite, "--config", str(cfg)]) == 2
-    assert "RunConfig.line_rule must be" in capsys.readouterr().err
-    with pytest.raises(ConfigError, match="line_rule"):
-        RunConfig(line_rule="simpson")
+    cfg.write_text("line_tol = 1e-10\n")
+    assert main(["verify", "--suite", "algebra", "--config", str(cfg)]) == 2
+    assert "unknown config key 'line_tol'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["eval", "transform"])

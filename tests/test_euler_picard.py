@@ -28,7 +28,7 @@ from riccati3d.solutions import catalog_entry
 
 S = DiffScheme()
 ZERO_Q = ScalarField(lambda p: 0j, vectorized=True)
-GAUSS = QuadratureSpec(line_rule="gauss", gauss_order=24)
+GAUSS = QuadratureSpec(gauss_order=24)
 
 TUBE = BoxDomain.box((0.25, -0.6, -0.6), (7.75, 0.6, 0.6))
 TUBE_PTS = [Point3(3.6, -0.1, 0.08), Point3(4.0, 0.12, -0.05)]

@@ -302,13 +302,9 @@ def test_scheme_validation():
         DiffScheme(order=3)
     with pytest.raises(ValueError):
         DiffScheme(h=-1.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(line_rule="midpoint")
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite"):
             DiffScheme(h=bad)
-        with pytest.raises(ValueError, match="finite"):
-            QuadratureSpec(line_tol=bad)
 
 
 @pytest.mark.parametrize("name, value", [
@@ -318,7 +314,7 @@ def test_quadrature_spec_rejects_a_non_int_order_or_grid(name, value):
     # 2.5 and 32.0 used to fail inside A with numpy's "deg must be an
     # integer", True to mean order 1 and 8.5 to be truncated to 8
     with pytest.raises(ValueError, match=rf"{name} must be an int.*, got {value!r}$"):
-        QuadratureSpec(line_rule="gauss", **{name: value})
+        QuadratureSpec(**{name: value})
 
 
 # -- operator A -------------------------------------------------------------
@@ -342,16 +338,6 @@ def test_A_base_value_is_constant():
     assert A(Point3(0.5, 0.5, 0.5)) == pytest.approx(3.25 + 1j)
 
 
-def test_A_gauss_rule_matches_adaptive():
-    F = VectorField(lambda p: np.array(
-        [math.exp(0.3 * p.x), 0.5 * p.y, math.sin(p.z)], complex))
-    base = Point3(0, 0, 0)
-    A1 = operator_A(F, base, 0j, QuadratureSpec())
-    A2 = operator_A(F, base, 0j, QuadratureSpec(line_rule="gauss", gauss_order=32))
-    p = Point3(1.2, -0.8, 0.9)
-    assert abs(A1(p) - A2(p)) < 1e-10
-
-
 def test_A_path_crossing_excluded_raises():
     dom = BoxDomain.unbounded(lambda p: (abs(p.x - 0.5) < 0.05) & (abs(p.y) < 0.01))
     F = VectorField(lambda p: np.array([1.0, 0, 0], complex), dom)
@@ -367,7 +353,7 @@ def test_A_warns_on_rotational_input():
         A(Point3(1.0, 1.0, 0.0))
 
 
-_GAUSS4 = QuadratureSpec(line_rule="gauss", gauss_order=4)
+_GAUSS4 = QuadratureSpec(gauss_order=4)
 # F_y flips with the sign of x, which is constant along the y-leg
 _SIGN_FIELD = VectorField(lambda p: np.array(
     [p.y + math.sin(p.x),
@@ -445,15 +431,6 @@ def test_A_evaluated_from_two_threads_is_bitwise_identical():
     assert not any(t.is_alive() for t in threads)
     for got in out:
         assert [got[i] for i in range(len(pts))] == ref
-
-
-def test_adaptive_budget_exhaustion():
-    # an integrand with a non-integrable kink defeats the subdivision budget
-    F = VectorField(lambda p: np.array(
-        [1.0 / (abs(p.x - 0.37) + 1e-14), 0, 0], complex))
-    A = operator_A(F, Point3(0, 0, 0), 0j, QuadratureSpec(line_tol=1e-14))
-    with pytest.raises(QuadratureFailure):
-        A(Point3(1.0, 0, 0))
 
 
 # -- operator B -------------------------------------------------------------
@@ -743,6 +720,26 @@ def test_parallel_grid_evaluation_bitwise_identical(ball_potential):
         par = list(pool.map(ball_potential, pts))
     for a, b in zip(seq, par):
         assert np.array_equal(a, b)
+
+
+def test_rot_B_passes_reusing_their_table_equal_a_first_pass_bitwise():
+    # each thread's passes reuse one kernel table, grown from 3 rows (rot B)
+    # to 10 (its jet): values and jets, in any order and from several
+    # threads, equal those of a potential that has made no pass yet
+    region = BoxDomain.box((-1, -1, -1), (1, 1, 1))
+    F = VectorField(lambda p: vec3(np.sin(p.y), p.z * p.x, np.cos(p.x) + 0.5j),
+                    vectorized=True)
+    pts = [Point3(0.1 * i - 0.5, 0.05 * i, 0.3 - 0.04 * i) for i in range(12)]
+
+    def run(R, i):
+        return R.jet(pts[i]) if i % 2 else (R(pts[i]),)
+    first = [run(operator_rot_B(F, region, cells=(12, 10, 8)), i) for i in range(len(pts))]
+    R = operator_rot_B(F, region, cells=(12, 10, 8))
+    with ThreadPoolExecutor(max_workers=3) as pool:
+        threaded = list(pool.map(lambda i: run(R, i), range(len(pts))))
+    in_turn = [run(R, i) for i in reversed(range(len(pts)))][::-1]
+    for a, b, c in zip(first, threaded, in_turn):
+        assert all(np.array_equal(x, y) and np.array_equal(x, z) for x, y, z in zip(a, b, c))
 
 
 def test_box_domain_validation():

@@ -321,7 +321,7 @@ def _built_Ws():
     from riccati3d.riccati import w_from_q_pair
     phi = ScalarField(lambda p: np.exp(0.3 * p.x) + 0.1j * p.y, vectorized=True)
     h = ScalarField(lambda p: p.x * p.y + 0j * p.z, vectorized=True)
-    gauss = QuadratureSpec(line_rule="gauss", gauss_order=24)
+    gauss = QuadratureSpec(gauss_order=24)
     W0 = ScalarField(lambda p: p.x * p.y + 1j * p.z, vectorized=True)
     w = VectorField(lambda p: vec3(np.exp(0.3 * p.x), 0.3 * p.y, 0), vectorized=True)
     inv_x = RiccatiInstance(VectorField(lambda p: vec3(-1.0 / p.x, 0, 0),
@@ -421,9 +421,10 @@ def test_factorization_nonsolution_detection_passes_at_seed_1():
 
 
 def test_transform_roundtrip_Q_passes_at_seed_30():
-    # cole_hopf's stencil differences the reconstructed psi; with adaptive
-    # Simpson inside A the quadrature error jumped between stencil points.
-    # The check draws no random numbers, so run alone it gives the suite's value.
+    # cole_hopf's stencil differences the reconstructed psi, so A's error
+    # must be smooth in the end point, as fixed Gauss-Legendre's is; an
+    # adaptive rule's error jumped between stencil points.  The check draws
+    # no random numbers, so run alone it gives the suite's value.
     resid, tol = _riccati_check("transform_roundtrip_Q", 30)
     assert resid <= tol
 
