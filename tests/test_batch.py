@@ -207,6 +207,56 @@ def test_A_batch_skips_zero_length_legs(vectorized):
     assert np.allclose(expect, [0.8, -0.15, 0.0], rtol=0, atol=1e-14)
 
 
+def _gauss_leg(f, a: float, b: float, order: int) -> complex:
+    """Oracle: Gauss-Legendre on [a, b] from the nodes of ``leggauss``, f
+    evaluated at one node at a time and summed node by node from 0j."""
+    if a == b:
+        return 0j
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    total = 0j
+    for t, w in zip(nodes, weights):
+        total = total + w * f(mid + half * t)
+    return half * total
+
+
+def _oracle_A(F, base: Point3, C: complex, order: int, p: Point3) -> complex:
+    """A(p) from the per-node rule: the x-, y- and z-legs summed in turn."""
+    total = complex(C)
+    for k in range(3):
+        node = lambda t, k=k: Point3(*p[:k], t, *base[k + 1:])  # noqa: E731
+        total += _gauss_leg(lambda t, k=k: F(node(t))[k], base[k], p[k], order)
+    return total
+
+
+def _peak(p):
+    # a narrow peak at x = 0.37 on the x-legs through it
+    return vec3(1e-4 / (1e-3 + (p.x - 0.37) ** 2), 0.1 * np.cos(3.0 * p.y),
+                0.1 * np.sin(4.0 * p.z))
+
+
+_ORACLE_FIELDS = {
+    "poly_pointwise": VectorField(_poly_pointwise),
+    "poly_vectorized": VectorField(_poly_vectorized, vectorized=True),
+    "peak": VectorField(_peak, vectorized=True),
+}
+
+
+@pytest.mark.parametrize("order", [1, 4, 32, 100])
+@pytest.mark.parametrize("name", sorted(_ORACLE_FIELDS))
+def test_A_equals_the_per_node_gauss_rule_bitwise(name, order):
+    # from the lowest order (the midpoint rule) to the highest allowed
+    F = _ORACLE_FIELDS[name]
+    base, pts = _targets()
+    pts = pts[::3] + [Point3(0.9, -0.6, 0.55), Point3(-0.5, 0.4, -0.65)]  # 8 targets
+    expect = [_oracle_A(F, base, 0.25j, order, p) for p in pts]
+    A = operator_A(F, base, 0.25j, QuadratureSpec(gauss_order=order))
+    assert _bits([A(p) for p in pts]) == _bits(expect)
+    assert _bits(A.batch(_points(pts))) == _bits(expect)
+    square = Point3(*(c.reshape(2, 4) for c in _points(pts)))
+    assert _bits(A.batch(square)) == _bits(expect)
+
+
 def test_gauss_A_memory_is_bounded_by_one_round(monkeypatch):
     """The Gauss rule sums each round of _LINE_CHUNK legs as it evaluates it,
     so beyond a few numbers per leg its memory does not grow with the
@@ -376,13 +426,14 @@ def _cross_axis_field(case):
     return VectorField(vectorized, vectorized=True)
 
 
+@pytest.mark.parametrize("quad", [GAUSS4, GAUSS32], ids=["gauss4", "gauss32"])
 @pytest.mark.parametrize("case", ["excluded", "non_finite", "typed_pointwise",
                                   "typed_vectorized"])
-def test_A_batch_names_the_first_target_across_axes(case):
+def test_A_batch_names_the_first_target_across_axes(case, quad):
     # target 0's z-leg and target 1's x-leg both reach the excluded set, in
     # the first round: by target first, target 0's error comes first, though
     # its bad leg's axis comes after target 1's
-    A = operator_A(_cross_axis_field(case), Point3(0, 0, 0), 0j, GAUSS4)
+    A = operator_A(_cross_axis_field(case), Point3(0, 0, 0), 0j, quad)
     P = _points([(0.2, 0.3, 0.9), (0.9, 0.1, 0.1)])
     with pytest.raises(Riccati3dError) as one:  # one target at a time
         ScalarField(A).batch(P)

@@ -12,7 +12,7 @@ from riccati3d.cli import main
 from riccati3d.errors import ConfigError
 from riccati3d.fields import DiffScheme, Point3, QuadratureSpec
 from riccati3d.report import RunConfig
-from riccati3d.verify import halton_points
+from riccati3d.verify import SUITES, halton_points
 
 
 def test_verify_algebra_exits_zero(capsys):
@@ -238,17 +238,25 @@ def test_gauss_order_above_100_exits_two_before_any_node_is_computed(monkeypatch
     assert RunConfig(gauss_order=100).gauss_order == QuadratureSpec(gauss_order=100).gauss_order
 
 
-def test_the_removed_line_rule_settings_exit_two(tmp_path, capsys):
+@pytest.mark.parametrize("flag, value", [("--line-rule", "gauss"), ("--line-tol", "1e-10")])
+def test_the_removed_line_rule_flags_exit_two(flag, value, capsys):
     # operator A has one rule, fixed Gauss-Legendre: no rule or tolerance to set
-    for flag, value in (("--line-rule", "gauss"), ("--line-tol", "1e-10")):
-        with pytest.raises(SystemExit) as exc:  # argparse's exit
-            main(["verify", "--suite", "algebra", flag, value])
-        assert exc.value.code == 2
-        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:  # argparse's exit
+        main(["verify", "--suite", "algebra", flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_line_rule_from_config_file_exits_two_for_every_suite(suite, tmp_path, capsys):
+    # a config file's line_rule used to be checked only by suites that build
+    # a QuadratureSpec (algebra exited 0); both removed keys are now unknown
+    # to every suite
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("line_tol = 1e-10\n")
-    assert main(["verify", "--suite", "algebra", "--config", str(cfg)]) == 2
-    assert "unknown config key 'line_tol'" in capsys.readouterr().err
+    for key, value in (("line_rule", "simpson"), ("line_tol", "1e-10")):
+        cfg.write_text(f"{key} = {value}\n")
+        assert main(["verify", "--suite", suite, "--config", str(cfg)]) == 2
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["eval", "transform"])

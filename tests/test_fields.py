@@ -338,6 +338,16 @@ def test_A_base_value_is_constant():
     assert A(Point3(0.5, 0.5, 0.5)) == pytest.approx(3.25 + 1j)
 
 
+@pytest.mark.parametrize("order", [8, 16, 32, 100])
+def test_A_gauss_rule_matches_the_closed_form(order):
+    F = VectorField(lambda p: np.array(
+        [math.exp(0.3 * p.x), 0.5 * p.y, math.sin(p.z)], complex))
+    phi = lambda p: math.exp(0.3 * p.x) / 0.3 + 0.25 * p.y ** 2 - math.cos(p.z)  # noqa: E731
+    base, p = Point3(0, 0, 0), Point3(1.2, -0.8, 0.9)
+    A = operator_A(F, base, 0j, QuadratureSpec(gauss_order=order))
+    assert abs(A(p) - (phi(p) - phi(base))) < 1e-13
+
+
 def test_A_path_crossing_excluded_raises():
     dom = BoxDomain.unbounded(lambda p: (abs(p.x - 0.5) < 0.05) & (abs(p.y) < 0.01))
     F = VectorField(lambda p: np.array([1.0, 0, 0], complex), dom)
