@@ -38,6 +38,8 @@ __all__ = [
     "max_component_diff",
 ]
 
+EPS_INV = 1e-12  # inverse's zero guard, relative to the squared largest coefficient
+
 
 class Biquaternion:
     """Immutable biquaternion q0 + q1 e1 + q2 e2 + q3 e3, q_i complex."""
@@ -208,13 +210,13 @@ def modulus_sq(a: Biquaternion) -> complex:
     return _modulus_sq(a.components)
 
 
-def inverse(a: Biquaternion, eps_inv: float = 1e-12) -> Biquaternion:
+def inverse(a: Biquaternion) -> Biquaternion:
     """Two-sided inverse conj_h(a)/|a|^2.
 
-    Raises ZeroDivisor when |a|^2 is smaller than eps_inv relative to the
+    Raises ZeroDivisor when |a|^2 is smaller than EPS_INV relative to the
     squared largest coefficient, so rescaling a never flips invertibility.
     """
-    return Biquaternion(*_inverse(a.components, eps_inv))
+    return Biquaternion(*_inverse(a.components, EPS_INV))
 
 
 def right_mul(x: Biquaternion) -> Callable[[Biquaternion], Biquaternion]:

@@ -58,7 +58,8 @@ Conventions
   three axes of cell centres and a dV-scaled real row, 8 bytes per cell,
   for each real or imaginary part the integrand fills) and one pass per
   target: a table of kernel columns (K; the gradient; gradient and Hessian)
-  and one real GEMM of the filled rows.
+  and one real einsum contraction of the filled rows, whose summation
+  order does not follow the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -66,7 +67,6 @@ from __future__ import annotations
 import functools
 import math
 import threading
-import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -613,17 +613,12 @@ def _gauss_rule(f, a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
 # operator A: axis-ordered path reconstruction of a scalar potential
 
 def operator_A(F: VectorField, base: Point3, C: complex = 0j,
-               quad: QuadratureSpec = DEFAULT_QUAD,
-               curl_check: bool = False,
-               scheme: DiffScheme = DEFAULT_SCHEME) -> ScalarField:
+               quad: QuadratureSpec = DEFAULT_QUAD) -> ScalarField:
     """Reconstruct the potential of a (curl-free) vector field.
 
     The integration path is fixed: the x-leg at (., base.y, base.z), then the
     y-leg at (x, ., base.z), then the z-leg at (x, y, .).  The returned field
-    satisfies phi(base) = C, and grad phi = F wherever F is a gradient.  With
-    ``curl_check`` the curl of F is sampled at the midpoint of each leg
-    towards the first target, and a warning (not an error) is emitted when it
-    is not small.
+    satisfies phi(base) = C, and grad phi = F wherever F is a gradient.
 
     Each leg is integrated by Gauss-Legendre of order ``quad.gauss_order``,
     whose nodes are one fixed set mapped onto the leg.  So the quadrature
@@ -648,27 +643,10 @@ def operator_A(F: VectorField, base: Point3, C: complex = 0j,
     domain = F.domain
     if not domain.ok(base):
         raise DomainError(f"operator A base point {base} not in domain")
-    state = {"checked": not curl_check}
-
-    def _warn_if_rotational(p: Point3):
-        state["checked"] = True
-        for k in range(3):  # the midpoint of the leg along axis k
-            m = Point3(*p[:k], 0.5 * (base[k] + p[k]), *base[k + 1:])
-            try:
-                r = rot(F, m, scheme)
-            except DomainError:
-                continue
-            if np.max(np.abs(r)) > 1e-6:
-                warnings.warn(
-                    f"operator A input has rot F = {r} at {m}; "
-                    "reconstruction is path dependent", stacklevel=3)
-                return
 
     def eval_at(P: Point3):
         shape = np.shape(P[0])
         corners = np.stack([np.ravel(c) for c in P], axis=1)  # one row per target
-        if not state["checked"] and len(corners):
-            _warn_if_rotational(Point3(*corners[0]))
         # the legs, by target then axis (a zero-length leg is 0j); a leg holds
         # its target's coordinates before its axis fixed and the base's after
         rows, axes = np.nonzero(corners != base_coords)
@@ -871,8 +849,10 @@ class _NewtonianPotential(VectorField):
 
     def _pass(self, p: Point3, order: int) -> np.ndarray:
         """One pass over the cells for the target x = p: r^2 = |x - y|^2, a
-        table of kernel columns T and one real GEMM of the filled rows,
+        table of kernel columns T and one real contraction of the filled rows,
         giving the complex (3, n) sums M[k, c] = sum over cells of F_k dV T_c.
+        The contraction is numpy's own einsum loop, not BLAS, so its order of
+        summation does not follow the BLAS thread count.
 
         The columns are K (order 0: B), g d_j (order 1: grad B) or g d_j, g
         and 2 g' d_j d_m (order 2), with d = x - y, g = K'(r)/r
@@ -915,7 +895,7 @@ class _NewtonianPotential(VectorField):
             d *= g
             table[3] = g
         M = np.zeros((6, n))
-        M[grid.comps] = grid.rows @ table.T
+        M[grid.comps] = np.einsum("rc,nc->rn", grid.rows, table)
         return M[:3] + 1j * M[3:]
 
     def _at(self, p: Point3, order: int) -> tuple:
@@ -959,7 +939,7 @@ def operator_B(F: VectorField, region: BoxDomain,
     spread over a compact blob of radius ``_BLOB_RADIUS`` cell sides (see
     _NewtonianPotential), so the potential is smooth and may be differenced.
     A value is one pass over the cells per point: the kernel column and one
-    real GEMM against dV times the cell values.  ``operator_rot_B`` gives
+    real contraction against dV times the cell values.  ``operator_rot_B`` gives
     the curl in closed form.  Evaluation is defined everywhere in R^3 and
     deterministic (fixed summation order).
     """
@@ -975,7 +955,7 @@ def operator_rot_B(F: VectorField, region: BoxDomain,
     kernel, instead of by finite differences of the potential (12 full-grid
     sums per point at order 4).  Grid, cell values and blob radius are those
     of operator_B, and so is the pass per point: its kernel columns are
-    g d_j, the real GEMM gives grad B, and rot B is the curl of that.
+    g d_j, the real contraction gives grad B, and rot B is the curl of that.
 
     The field's ``jet`` gives rot B and its exact Jacobian
     ``d_m (rot B)_i = sum_c eps_ijk (g delta_jm + 2 g' d_j d_m) F_k(y_c) dV``

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .biquat import Biquaternion, _inverse, _product, conj_h, cross, mul
+from .biquat import EPS_INV, Biquaternion, _inverse, _product, conj_h, cross, mul
 from .errors import NotPureVector, ZeroCrossing, _first, _item
 from .fields import (
     DEFAULT_QUAD,
@@ -79,7 +79,7 @@ __all__ = [
     "picard_lhs",
 ]
 
-EPS_ZERO = 1e-10
+EPS_ZERO = 1e-10  # a divisor of modulus at or below this raises ZeroCrossing
 
 
 @dataclass(frozen=True)
@@ -98,11 +98,11 @@ class SchrodingerInstance:
     q: ScalarField
 
 
-def _nonzero(value, eps: float, what: str):
-    """value, unless |value| <= eps somewhere (a value or a batch of them)."""
-    bad = abs(value) <= eps
+def _nonzero(value, what: str):
+    """value, unless |value| <= EPS_ZERO somewhere (a value or a batch of them)."""
+    bad = abs(value) <= EPS_ZERO
     if bad is not False and (i := _first(bad)) is not None:
-        raise ZeroCrossing(f"{what} = {_item(value, i)} is below the zero guard {eps}",
+        raise ZeroCrossing(f"{what} = {_item(value, i)} is below the zero guard {EPS_ZERO}",
                            index=i, where=bad)
     return value
 
@@ -157,8 +157,8 @@ def _schrodinger_centre(inst: SchrodingerInstance, p: Point3, scheme: DiffScheme
     return psi_p, (value if _batched(p) else complex(value))
 
 
-def cole_hopf(inst: SchrodingerInstance, scheme: DiffScheme = DEFAULT_SCHEME,
-              eps_zero: float = EPS_ZERO) -> RiccatiInstance:
+def cole_hopf(inst: SchrodingerInstance,
+              scheme: DiffScheme = DEFAULT_SCHEME) -> RiccatiInstance:
     """Q = -D psi / psi (the gradient quotient, since psi is scalar).
 
     The returned field raises ZeroCrossing on the nodal set of psi.  It is
@@ -168,17 +168,19 @@ def cole_hopf(inst: SchrodingerInstance, scheme: DiffScheme = DEFAULT_SCHEME,
     psi = inst.psi
 
     def Q_eval(p: Point3) -> np.ndarray:
-        value = _nonzero(psi.batch(p), eps_zero, "psi")
+        value = _nonzero(psi.batch(p), "psi")
         return -grad(psi, p, scheme) / value
 
     return RiccatiInstance(VectorField(Q_eval, psi.domain, vectorized=True), inst.q)
 
 
 def inverse_cole_hopf(inst: RiccatiInstance, base: Point3, C: complex = 0j,
-                      quad: QuadratureSpec = DEFAULT_QUAD,
-                      curl_check: bool = True) -> SchrodingerInstance:
-    """psi = exp(-A[Q]) with the path constant chosen so psi(base) = exp(-C)."""
-    A = operator_A(inst.Q, Point3(*base), C, quad, curl_check=curl_check)
+                      quad: QuadratureSpec = DEFAULT_QUAD) -> SchrodingerInstance:
+    """psi = exp(-A[Q]) with the path constant chosen so psi(base) = exp(-C).
+
+    Q is assumed curl-free; ``riccati_residual``'s vector part rot Q checks
+    that."""
+    A = operator_A(inst.Q, Point3(*base), C, quad)
     psi = ScalarField(lambda p: np.exp(-A.batch(p)), inst.Q.domain, vectorized=True)
     return SchrodingerInstance(psi, inst.q)
 
@@ -210,11 +212,10 @@ def factorization_residual(psi: ScalarField, inst: RiccatiInstance, p: Point3,
 
 
 def vekua_residual(W: QuaternionField, phi: ScalarField, p: Point3,
-                   scheme: DiffScheme = DEFAULT_SCHEME,
-                   eps_zero: float = EPS_ZERO) -> Biquaternion:
+                   scheme: DiffScheme = DEFAULT_SCHEME) -> Biquaternion:
     """(D - (D phi / phi) C_H) W at p."""
     p = Point3(*p)
-    value = _nonzero(phi(p), eps_zero, "phi")
+    value = _nonzero(phi(p), "phi")
     a = Biquaternion.from_vector(grad(phi, p, scheme) / value)
     Wp, DW = _value_and_dirac(W, p, scheme)
     return DW - mul(a, conj_h(Wp))
@@ -232,23 +233,22 @@ def _value_and_dirac(W: QuaternionField, p: Point3, scheme: DiffScheme):
 
 
 def component_residuals(W0: ScalarField, Wv: VectorField, phi: ScalarField,
-                        p: Point3, scheme: DiffScheme = DEFAULT_SCHEME,
-                        eps_zero: float = EPS_ZERO):
+                        p: Point3, scheme: DiffScheme = DEFAULT_SCHEME):
     """Componentwise conditions on a Vekua solution W = W0 + Wv.
 
     c1 = div[phi^2 grad(W0/phi)],  c2 = rot[phi^-2 rot(phi Wv)].
     """
     p = Point3(*p)
-    ratio = ScalarField(lambda t: W0.batch(t) / _nonzero(phi.batch(t), eps_zero, "phi"),
+    ratio = ScalarField(lambda t: W0.batch(t) / _nonzero(phi.batch(t), "phi"),
                         W0.domain, vectorized=True)
     prod = VectorField(lambda t: phi.batch(t) * Wv.batch(t), Wv.domain, vectorized=True)
 
     def sigma(s: Point3) -> np.ndarray:
-        value = _nonzero(phi.batch(s), eps_zero, "phi")
+        value = _nonzero(phi.batch(s), "phi")
         return value * value * grad(ratio, s, scheme)
 
     def tau(s: Point3) -> np.ndarray:
-        value = _nonzero(phi.batch(s), eps_zero, "phi")
+        value = _nonzero(phi.batch(s), "phi")
         return rot(prod, s, scheme) / (value * value)
 
     dom = W0.domain.intersect(phi.domain)
@@ -258,8 +258,7 @@ def component_residuals(W0: ScalarField, Wv: VectorField, phi: ScalarField,
 
 
 def w_equation_residual(w, phi: ScalarField, p: Point3,
-                        scheme: DiffScheme = DEFAULT_SCHEME,
-                        eps_zero: float = EPS_ZERO) -> Biquaternion:
+                        scheme: DiffScheme = DEFAULT_SCHEME) -> Biquaternion:
     """(D + M^{D phi / phi}) w at p for a purely vectorial w.
 
     A QuaternionField w is evaluated once at p, for the scalar-part check
@@ -271,7 +270,7 @@ def w_equation_residual(w, phi: ScalarField, p: Point3,
         if abs(wq.scalar) > 1e-12 * max(1.0, wq.max_abs()):
             raise NotPureVector(f"w has scalar part {wq.scalar} at {p}")
         w, wp = _vector_part(w), wq.vector
-    value = _nonzero(phi(p), eps_zero, "phi")
+    value = _nonzero(phi(p), "phi")
     a = Biquaternion.from_vector(grad(phi, p, scheme) / value)
     return (dirac_left(w, p, scheme)
             + mul(Biquaternion.from_vector(w(p) if wp is None else wp), a))
@@ -312,8 +311,7 @@ def build_W_prop2(w: VectorField, phi: ScalarField, h: Optional[ScalarField],
                   base: Point3, region: BoxDomain,
                   quad: QuadratureSpec = DEFAULT_QUAD,
                   scheme: DiffScheme = DEFAULT_SCHEME,
-                  C: complex = 0j, eps_zero: float = EPS_ZERO,
-                  cells=None):
+                  C: complex = 0j, cells=None):
     """Solutions built from a purely vectorial w with (D + M^{D phi/phi}) w = 0.
 
     Returns (W, W0, Q):
@@ -330,7 +328,7 @@ def build_W_prop2(w: VectorField, phi: ScalarField, h: Optional[ScalarField],
     base = Point3(*base)
     dom = w.domain.intersect(phi.domain)
 
-    ratio = VectorField(lambda t: w.batch(t) / _nonzero(phi.batch(t), eps_zero, "phi"),
+    ratio = VectorField(lambda t: w.batch(t) / _nonzero(phi.batch(t), "phi"),
                         dom, vectorized=True)
     Aw = operator_A(ratio, base, C, quad)
     rot_B = operator_rot_B(VectorField(lambda t: phi.batch(t) * w.batch(t), dom,
@@ -340,12 +338,12 @@ def build_W_prop2(w: VectorField, phi: ScalarField, h: Optional[ScalarField],
         return 0.5 * phi.batch(p) * Aw.batch(p)
 
     W0 = ScalarField(W0_eval, dom, vectorized=True)
-    factor = ScalarField(lambda t: -0.5 / _nonzero(phi.batch(t), eps_zero, "phi"), dom,
+    factor = ScalarField(lambda t: -0.5 / _nonzero(phi.batch(t), "phi"), dom,
                          vectorized=True)
 
     def Q_eval(p: Point3) -> np.ndarray:
-        value = _nonzero(phi.batch(p), eps_zero, "phi")
-        a = _nonzero(Aw.batch(p), eps_zero, "A[w/phi]")
+        value = _nonzero(phi.batch(p), "phi")
+        a = _nonzero(Aw.batch(p), "A[w/phi]")
         return -(grad(phi, p, scheme) + w.batch(p) / a) / value
 
     return (_built_W(W0, factor, -1.0, rot_B, h, dom, scheme), W0,
@@ -355,7 +353,7 @@ def build_W_prop2(w: VectorField, phi: ScalarField, h: Optional[ScalarField],
 def build_W_from_W0(W0: ScalarField, phi: ScalarField, h: Optional[ScalarField],
                     region: BoxDomain, quad: QuadratureSpec = DEFAULT_QUAD,
                     scheme: DiffScheme = DEFAULT_SCHEME,
-                    eps_zero: float = EPS_ZERO, cells=None) -> QuaternionField:
+                    cells=None) -> QuaternionField:
     """Complete a Schrodinger solution W0 to a Vekua solution W = W0 + Wv.
 
     Wv = -phi^-1 {rot B[phi^2 grad(W0/phi)] + grad h}: ``_built_W`` with
@@ -365,7 +363,7 @@ def build_W_from_W0(W0: ScalarField, phi: ScalarField, h: Optional[ScalarField],
     """
     dom = W0.domain.intersect(phi.domain)
     def nonzero_phi(t: Point3):
-        return _nonzero(phi.batch(t), eps_zero, "phi")
+        return _nonzero(phi.batch(t), "phi")
 
     ratio = ScalarField(lambda s: W0.batch(s) / nonzero_phi(s), dom, vectorized=True)
     rot_B = operator_rot_B(VectorField(lambda t: nonzero_phi(t) ** 2 * grad(ratio, t, scheme),
@@ -377,7 +375,7 @@ def build_W_from_W0(W0: ScalarField, phi: ScalarField, h: Optional[ScalarField],
 def build_W0_from_W(Wv: VectorField, phi: ScalarField, base: Point3,
                     quad: QuadratureSpec = DEFAULT_QUAD,
                     scheme: DiffScheme = DEFAULT_SCHEME,
-                    C: complex = 0j, eps_zero: float = EPS_ZERO) -> ScalarField:
+                    C: complex = 0j) -> ScalarField:
     """Recover the scalar part matching a vector part Wv of a Vekua solution.
 
     W0 = -phi A[phi^-2 rot(phi Wv)] with the path constant C of A.  When Wv
@@ -395,7 +393,7 @@ def build_W0_from_W(Wv: VectorField, phi: ScalarField, base: Point3,
                        jet=None if Wv.jet is None else prod_jet)
 
     def integrand(t: Point3) -> np.ndarray:
-        value = _nonzero(phi.batch(t), eps_zero, "phi")
+        value = _nonzero(phi.batch(t), "phi")
         return rot(prod, t, scheme) / (value * value)
 
     A = operator_A(VectorField(integrand, dom, vectorized=True), Point3(*base), C, quad)
@@ -411,13 +409,12 @@ def euler_residual(W: QuaternionField, Q1: VectorField, p: Point3,
     return DW + mul(Q1p, conj_h(Wp))
 
 
-def q_from_scw(W: QuaternionField, scheme: DiffScheme = DEFAULT_SCHEME,
-               eps_zero: float = EPS_ZERO) -> VectorField:
+def q_from_scw(W: QuaternionField, scheme: DiffScheme = DEFAULT_SCHEME) -> VectorField:
     """Q = -D(Sc W)/Sc W, the gradient quotient of the scalar part."""
     scw = ScalarField(lambda p: W.batch(p)[0], W.domain, vectorized=True)
 
     def Q_eval(p: Point3) -> np.ndarray:
-        value = _nonzero(scw.batch(p), eps_zero, "Sc W")
+        value = _nonzero(scw.batch(p), "Sc W")
         return -grad(scw, p, scheme) / value
 
     return VectorField(Q_eval, W.domain, vectorized=True)
@@ -476,18 +473,17 @@ def w_from_q_pair(inst: RiccatiInstance, inst1: RiccatiInstance,
 
 def picard_lhs(Q1: VectorField, Q2: VectorField, Q3: VectorField, Q4: VectorField,
                p: Point3, scheme: DiffScheme = DEFAULT_SCHEME,
-               division: str = "right", include_cross_terms: bool = True,
-               eps_inv: float = 1e-12):
+               include_cross_terms: bool = True):
     """Four-solution identity: the cross-ratio style combination
 
         T(1,2) + T(3,4) - T(1,4) - T(3,2),
         T(a,b) = [D(Qa - Qb) - 2 Qa x Qb] / (Qa - Qb),
 
     which vanishes when all four fields solve the Riccati equation with one
-    common potential.  Quotients are right division X (Qa-Qb)^-1 by default
-    ("left" multiplies by the inverse from the left instead);
-    include_cross_terms=False drops the noncommutativity corrections, which
-    breaks the identity and is exposed for sensitivity experiments.
+    common potential.  Quotients are right divisions X (Qa-Qb)^-1, the side
+    on which the proof cancels; include_cross_terms=False drops the
+    noncommutativity corrections, which breaks the identity and is exposed
+    for sensitivity experiments.
 
     A Biquaternion at one point; over a batch of points of shape S, its
     (4, *S) components, within a few ulps of the pointwise values (the
@@ -496,8 +492,6 @@ def picard_lhs(Q1: VectorField, Q2: VectorField, Q3: VectorField, Q4: VectorFiel
     (every term's stencil, p included, checked first), and D(Qa - Qb) is
     differenced from those values.
     """
-    if division not in ("right", "left"):
-        raise ValueError(f"division must be 'right' or 'left', got {division!r}")
     p = Point3(*p)
     batched = _batched(p)
     fields = (Q1, Q2, Q3, Q4)
@@ -525,8 +519,7 @@ def picard_lhs(Q1: VectorField, Q2: VectorField, Q3: VectorField, Q4: VectorFiel
         if include_cross_terms:  # X - 2 (Qa x Qb); the scalar part is unchanged
             c = parts(cross(va, vb))
             X = (X[0], X[1] - c[0] * 2.0, X[2] - c[1] * 2.0, X[3] - c[2] * 2.0)
-        Yinv = _inverse((0j, *parts(va - vb)), eps_inv)
-        return _product(X, Yinv) if division == "right" else _product(Yinv, X)
+        return _product(X, _inverse((0j, *parts(va - vb)), EPS_INV))
 
     total = [a + b - c - d for a, b, c, d in zip(*(term(*pair) for pair in pairs))]
     return np.array(total) if batched else Biquaternion(*total)

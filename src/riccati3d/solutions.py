@@ -26,8 +26,6 @@ import numpy as np
 from .errors import DomainError, _first, _item
 from .fields import (
     BoxDomain,
-    DEFAULT_SCHEME,
-    DiffScheme,
     Point3,
     ScalarField,
     VectorField,
@@ -335,12 +333,10 @@ def harmonic_seed(name: str) -> HarmonicSeed:
     return HarmonicSeed(name, ScalarField(form, vectorized=True))
 
 
-def harmonic_family(seed: HarmonicSeed,
-                    scheme: DiffScheme = DEFAULT_SCHEME,
-                    eps_zero: float = 1e-10) -> RiccatiInstance:
+def harmonic_family(seed: HarmonicSeed) -> RiccatiInstance:
     """Zero-potential instance Q = -grad psi / psi from a harmonic seed."""
     zero_q = ScalarField(lambda p: 0j, seed.psi.domain, vectorized=True)
-    return cole_hopf(SchrodingerInstance(seed.psi, zero_q), scheme, eps_zero)
+    return cole_hopf(SchrodingerInstance(seed.psi, zero_q))
 
 
 # --------------------------------------------------------------------------

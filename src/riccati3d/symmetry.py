@@ -67,6 +67,7 @@ __all__ = [
 
 _AXIS_TOL = 1e-14  # |y^2 + z^2| at or below this counts as on-axis
 _POLE_TOL = 1e-14
+_SINGULAR_TOL = 1e-6  # |x| or r at or below this is singular for rows 7..10
 
 
 @dataclass(frozen=True)
@@ -208,8 +209,7 @@ def determining_residual(params: GeneratorParams, q: ScalarField, p: Point3,
             - 2.0 * (a.a5 + 2.0 * (a.a1 * x + a.a2 * y + a.a3 * z)) * qv)
 
 
-def invariant_potential(k: int, F: Callable[[float, float], float],
-                        margin: float = 1e-6) -> ScalarField:
+def invariant_potential(k: int, F: Callable[[float, float], float]) -> ScalarField:
     """Potential family of the Table row k, built from a two-argument F.
 
     k = 1..3: F of the two coordinates transverse to the translation;
@@ -220,8 +220,8 @@ def invariant_potential(k: int, F: Callable[[float, float], float],
 
     The field is vectorized, so F must broadcast over arrays (a constant
     return is broadcast).  Rows 7..10 exclude their singular set (|x| or r at
-    most ``margin``); over a batch, the DomainError raised there names the
-    first singular point (``index``) and every one (``where``).
+    most ``_SINGULAR_TOL``); over a batch, the DomainError raised there names
+    the first singular point (``index``) and every one (``where``).
     """
     _check_label(k)
     if k <= 6:
@@ -233,26 +233,27 @@ def invariant_potential(k: int, F: Callable[[float, float], float],
     if k == 7:
         def eval7(p: Point3):
             x = p.x
-            bad = abs(x) <= margin
+            bad = abs(x) <= _SINGULAR_TOL
             if bad is not False and (n := _first(bad)) is not None:
                 raise DomainError(f"dilation potential singular at x = {_item(x, n)}",
                                   index=n, where=bad)
             return F(p.y / x, p.z / x) / (x * x)
-        return ScalarField(eval7, BoxDomain.unbounded(lambda p: abs(p.x) <= margin),
+        return ScalarField(eval7, BoxDomain.unbounded(lambda p: abs(p.x) <= _SINGULAR_TOL),
                            vectorized=True)
 
     i, j = (a for a in range(3) if a != k - 8)
 
     def eval_conical(p: Point3):
         r2 = p.x * p.x + p.y * p.y + p.z * p.z
-        bad = r2 <= margin * margin
+        bad = r2 <= _SINGULAR_TOL * _SINGULAR_TOL
         if bad is not False and (n := _first(bad)) is not None:
             raise DomainError(f"conical potential singular at r = {math.sqrt(_item(r2, n))}",
                               index=n, where=bad)
         return F(p[i] / r2, p[j] / r2) / (r2 * r2)
 
     return ScalarField(eval_conical, BoxDomain.unbounded(
-        lambda p: p.x * p.x + p.y * p.y + p.z * p.z <= margin * margin), vectorized=True)
+        lambda p: p.x * p.x + p.y * p.y + p.z * p.z <= _SINGULAR_TOL * _SINGULAR_TOL),
+        vectorized=True)
 
 
 def rotation_matrix(k: int, lam: float) -> np.ndarray:

@@ -15,7 +15,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .biquat import (Biquaternion, _conj, _inverse, _modulus_sq, _product, inverse,
+from .biquat import (EPS_INV, Biquaternion, _conj, _inverse, _modulus_sq, _product, inverse,
                      max_component_diff, mul, right_mul)
 from .errors import ConfigError, ZeroDivisor
 from .fields import (
@@ -26,7 +26,6 @@ from .fields import (
     ScalarField,
     VectorField,
     QuaternionField,
-    _batched,
     _derivatives,
     _vector_part,
     dirac_left,
@@ -97,10 +96,13 @@ def _halton(index: int, base: int) -> float:
     return result
 
 
+_HALTON_TRIES = 100000
+
+
 def halton_points(box: Tuple[Point3, Point3], n: int, seed: int = 0,
-                  excluded: Optional[Callable[[Point3], bool]] = None,
-                  max_tries: int = 100000) -> List[Point3]:
-    """n quasi-random points of the box, skipping the excluded set.
+                  excluded: Optional[Callable[[Point3], bool]] = None) -> List[Point3]:
+    """n quasi-random points of the box, skipping the excluded set; a
+    ConfigError after _HALTON_TRIES draws.
 
     Each seed starts the sequence at its own index; a negative seed would
     start below 0, where every point is the box's lower corner.
@@ -113,7 +115,7 @@ def halton_points(box: Tuple[Point3, Point3], n: int, seed: int = 0,
     tries = 0
     while len(pts) < n:
         tries += 1
-        if tries > max_tries:
+        if tries > _HALTON_TRIES:
             raise ConfigError(f"could not draw {n} points from {box}; "
                               f"excluded set too large")
         p = Point3(lo.x + (hi.x - lo.x) * _halton(idx, 2),
@@ -272,7 +274,7 @@ def suite_algebra(config: RunConfig) -> _Checks:
         a = _random_biqs(rng, 200)[0]
         while True:
             try:
-                ai = _inverse(a, 1e-12)  # inverse()'s default eps_inv
+                ai = _inverse(a, EPS_INV)
                 break
             except ZeroDivisor as exc:
                 a = np.concatenate((a[:, ~exc.where],
@@ -316,7 +318,8 @@ _MONO_POWERS = np.array(_MONOS).T  # the powers of x, y and z in each monomial
 
 
 def _monomials(P: Point3) -> np.ndarray:
-    """The monomials of ``_MONOS`` at a batch P of shape S: shape (20, *S)."""
+    """The monomials of ``_MONOS`` at a point or a batch P of shape S: shape
+    (20, *S)."""
     T = np.array(P, dtype=float)
     V = np.ones((3, 4) + T.shape[1:])  # V[axis, e] = P[axis] ** e
     V[:, 1] = T
@@ -329,19 +332,13 @@ def _monomials(P: Point3) -> np.ndarray:
 def _random_poly3(rng, n: int = 1) -> Callable:
     """n random complex cubics in x, y and z, their coefficients drawn cubic
     by cubic and monomial by monomial: an evaluator of the one cubic, or of
-    the list of n values when n > 1.  At one point the terms are summed in
-    Python; over a batch of shape S the monomial table is one matrix product
-    with shape S, or (n, *S) (its powers and sums may round differently)."""
+    the n values when n > 1.  A point and a batch of shape S take one body,
+    the monomial table contracted by einsum (numpy's own loop, not BLAS, so
+    the sums do not follow the BLAS thread count): shape S, or (n, *S)."""
     W = np.array([[complex(*rng.uniform(-0.6, 0.6, 2)) for _ in _MONOS] for _ in range(n)])
-    coef = W.tolist()
 
     def f(p: Point3):
-        if _batched(p):
-            v = np.tensordot(W, _monomials(p), axes=1)
-        else:
-            X, Y, Z = ([t ** e for e in range(4)] for t in p)
-            v = [sum(w * X[a] * Y[b] * Z[c] for (a, b, c), w in zip(_MONOS, row))
-                 for row in coef]
+        v = np.einsum("nm,m...->n...", W, _monomials(p))
         return v if n > 1 else v[0]
     return f
 
@@ -555,8 +552,7 @@ def suite_riccati(config: RunConfig) -> _Checks:
         worst, total = 0.0, 0
         for entry in with_psi:
             P = _as_batch(entry_points(entry, 50, config.seed + 1))
-            sch = inverse_cole_hopf(entry.instance, entry.base, 0j, quad,
-                                    curl_check=False)
+            sch = inverse_cole_hopf(entry.instance, entry.base, 0j, quad)
             ref0 = entry.psi(entry.base)
             num0 = sch.psi(entry.base)
             # Python's complex division, which rounds unlike numpy's
@@ -569,8 +565,7 @@ def suite_riccati(config: RunConfig) -> _Checks:
         worst, total = 0.0, 0
         for entry in entries:
             P = _as_batch(entry_points(entry, 12, config.seed + 2))
-            sch = inverse_cole_hopf(entry.instance, entry.base, 0j, quad,
-                                    curl_check=False)
+            sch = inverse_cole_hopf(entry.instance, entry.base, 0j, quad)
             back = cole_hopf(sch, scheme)
             worst = max(worst, float(np.max(np.abs(
                 back.Q.batch(P) - entry.instance.Q.batch(P)))))

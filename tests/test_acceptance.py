@@ -8,9 +8,15 @@ contracts, and ``test_registry_check`` gives each registry check a test.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import riccati3d
 from riccati3d.cli import main
 from riccati3d.report import RunConfig
 from riccati3d.verify import SUITES, _SUITE_FN
@@ -107,13 +113,14 @@ def test_no_field_of_the_suite_is_evaluated_point_by_point(verify_all):
 
 # sha256 per suite over its rows of the seed-0 report (name, repr of the
 # residual, samples, passed), so re-recording one suite shows that the rows
-# of the others did not move by a bit.  The operators and riccati digests
-# were recorded when fixed Gauss-Legendre became operator A's only line rule
-# (four rows that integrated with adaptive Simpson moved), the euler_picard
-# digest when the volume grid came to keep only the rows its integrand fills
-# (a GEMM over fewer rows rounds B and rot B differently in the last bits),
-# the algebra digest when the algebra laws moved onto (4, N) batches of the
-# same samples (numpy's complex loops round those rows differently in their
+# of the others did not move by a bit.  The operators and euler_picard
+# digests were recorded when B's rows and the operators suite's random
+# cubics came to be contracted by einsum instead of BLAS (so that no row
+# depends on the BLAS thread count; six rows moved in their last bits), the
+# riccati digest when fixed Gauss-Legendre became operator A's only line
+# rule (rows that integrated with adaptive Simpson moved), the algebra
+# digest when the algebra laws moved onto (4, N) batches of the same
+# samples (numpy's complex loops round those rows differently in their
 # last bits), the others before operator A's rounds were merged into one
 # F.batch call each.  Like the export digests in
 # test_cli.py they hold for one numpy build and its SIMD dispatch
@@ -121,9 +128,9 @@ def test_no_field_of_the_suite_is_evaluated_point_by_point(verify_all):
 # a CHANGES.md entry.
 _REPORT_DIGESTS = {
     "algebra": "a86c207f6f0956f31616a74aae5bb3496d9d0c4c21b89a526f6c7d80b1b9bfc9",
-    "operators": "6927fc309ace606470675b29970971858703fca363476072c508f641a91c5323",
+    "operators": "f0eb775afbf8284c6b6f9961ab05650bd02f809e978378f326e4fd0653a35f6c",
     "riccati": "2152dc0bcafe5a6c674435ab072eb06444d6a83f9e1543dd94e2f3e90186064d",
-    "euler_picard": "f88c84455e9dd145bc14508b410f51266a48c3502ad10e4864585f78a16d4db2",
+    "euler_picard": "b277a49f65474839f0173b96af2e354eef133ab7ca046848d0382f63e43ecee8",
     "symmetry": "fb4d5785812ea39ce7091080c1ae4eb9d1e794f708ac6cd51513c71605711a4a",
     "solutions": "40fc308079971d957082d887405b901a3f2e041b0a5548a4aa33e65b9a2aa197",
     "oned": "2f427c9857ab3bbbc260f55eda6ccc3c4c22d0206779cf2108876fc89a110d11",
@@ -138,3 +145,29 @@ def test_seed0_report_rows_unchanged(verify_all, suite):
             digest.update(f"{c['name']}|{c['max_abs_residual']!r}|{c['samples']}|"
                           f"{c['passed']}\n".encode())
     assert digest.hexdigest() == _REPORT_DIGESTS[suite]
+
+
+_THREADS_SCRIPT = """
+import json, sys
+from riccati3d.report import RunConfig
+from riccati3d.verify import run_suite
+report = run_suite("operators", RunConfig(seed=int(sys.argv[1])))
+print(json.dumps([[c.name, repr(c.max_abs_residual), c.samples, c.passed]
+                  for c in report.checks]))
+"""
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_operators_rows_do_not_depend_on_the_blas_thread_count(seed):
+    # B's contraction and the random cubics once went through BLAS, whose
+    # summation order follows its thread count; each child process sets it
+    # for itself only, through OPENBLAS_NUM_THREADS
+    rows = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(riccati3d.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT, str(seed)], env=env,
+                              capture_output=True, text=True, timeout=300, check=True)
+        rows.append(json.loads(done.stdout))
+    assert len(rows[0]) == 7
+    assert rows[0] == rows[1]

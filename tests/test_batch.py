@@ -558,7 +558,7 @@ def test_potentials_are_linear_over_the_parts_of_the_integrand(kind):
     so a row summed into the wrong component shows here, where the grid
     shared by a batch and its points cannot show it.  The bound, 1e-14 of
     the largest value, is about sqrt(C) eps for C = 1536 positive terms that
-    the GEMM of one, two or four rows blocks differently (B reads 1.2e-15)."""
+    the contraction of one, two or four rows sums differently (B reads 1.2e-15)."""
     # parts of one sign, so that the sums do not cancel below their terms
     comps = (lambda p: np.exp(-0.25 * p.x), lambda p: 1j * (1.0 + p.y * p.y),
              lambda p: p.x * (2.0 + p.z) + 1j * np.cos(p.y))

@@ -1,7 +1,5 @@
 """Generalized first Euler theorem and the four-solution identity."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -128,25 +126,14 @@ def test_picard_perturbed_solution_detected(harmonic_quadruple):
     assert out.max_abs() > 1e-1
 
 
-def test_picard_left_division_also_vanishes(harmonic_quadruple):
-    p = Point3(0.8, 1.2, 1.9)
-    out = picard_lhs(*harmonic_quadruple, p, S, division="left")
-    # the proof's cancellation is right-sided; left division is exposed for
-    # sensitivity experiments and need not vanish, but must evaluate
-    assert math.isfinite(out.max_abs())
-    with pytest.raises(ValueError):
-        picard_lhs(*harmonic_quadruple, p, S, division="sideways")
-
-
 # |batch - pointwise| over 400 Halton points of the verify box, at orders 2
-# and 4, both divisions, with and without cross terms, was at most 6 eps:
+# and 4, with and without cross terms, was at most 6 eps:
 # numpy's complex products and quotients round differently from Python's in
 # about 45 % of random operands (its loops may fuse a multiply and an add)
 _PICARD_BATCH_ULPS = 16
 
 
-@pytest.mark.parametrize("options", [{}, {"include_cross_terms": False},
-                                     {"division": "left"}])
+@pytest.mark.parametrize("options", [{}, {"include_cross_terms": False}])
 def test_picard_batch_matches_the_pointwise_values(harmonic_quadruple, options):
     from riccati3d.verify import _as_batch, halton_points
     pts = halton_points((Point3(0.55, 0.35, 0.45), Point3(1.9, 1.4, 1.5)), 20, 3)
@@ -197,9 +184,9 @@ def test_picard_evaluates_each_field_once_per_stencil_point(harmonic_quadruple, 
         assert [[np.shape(q.x) for q in c] for c in calls] == [shapes] * 4
 
 
-def _picard_per_term(fields, p, scheme, division="right", include_cross_terms=True):
+def _picard_per_term(fields, p, scheme, include_cross_terms=True):
     """picard_lhs term by term: each D(Qa - Qb) a stencil of Qa - Qb."""
-    from riccati3d.biquat import _inverse, _product, cross
+    from riccati3d.biquat import EPS_INV, _inverse, _product, cross
     from riccati3d.fields import _batched, dirac_left
     batched = _batched(p)
 
@@ -212,8 +199,8 @@ def _picard_per_term(fields, p, scheme, division="right", include_cross_terms=Tr
         if include_cross_terms:
             c = cross(va, vb) if batched else cross(va, vb).tolist()
             X = (X[0], X[1] - c[0] * 2.0, X[2] - c[1] * 2.0, X[3] - c[2] * 2.0)
-        Yinv = _inverse((0j, *(va - vb if batched else (va - vb).tolist())), 1e-12)
-        return _product(X, Yinv) if division == "right" else _product(Yinv, X)
+        return _product(X, _inverse((0j, *(va - vb if batched else (va - vb).tolist())),
+                                    EPS_INV))
 
     Q1, Q2, Q3, Q4 = fields
     total = [a + b - c - d for a, b, c, d in zip(term(Q1, Q2), term(Q3, Q4),
@@ -221,8 +208,7 @@ def _picard_per_term(fields, p, scheme, division="right", include_cross_terms=Tr
     return np.array(total) if batched else Biquaternion(*total)
 
 
-@pytest.mark.parametrize("options", [{}, {"include_cross_terms": False},
-                                     {"division": "left"}])
+@pytest.mark.parametrize("options", [{}, {"include_cross_terms": False}])
 def test_picard_equals_the_per_term_stencils_bitwise(harmonic_quadruple, options):
     from riccati3d.verify import _as_batch, halton_points
     pts = halton_points((Point3(0.55, 0.35, 0.45), Point3(1.9, 1.4, 1.5)), 8, 4)

@@ -356,13 +356,6 @@ def test_A_path_crossing_excluded_raises():
         A(Point3(1.0, 0.0, 0.0))
 
 
-def test_A_warns_on_rotational_input():
-    F = VectorField(lambda p: np.array([-p.y, p.x, 0], complex))
-    A = operator_A(F, Point3(0, 0, 0), 0j, curl_check=True)
-    with pytest.warns(UserWarning):
-        A(Point3(1.0, 1.0, 0.0))
-
-
 _GAUSS4 = QuadratureSpec(gauss_order=4)
 # F_y flips with the sign of x, which is constant along the y-leg
 _SIGN_FIELD = VectorField(lambda p: np.array(
@@ -674,17 +667,17 @@ def _masked_kernel_grad(r2, a):
 
 
 def _masked_sums(B, p):
-    """B and rot B at p from B's grid, the masked kernels and a contraction
-    of its dV-scaled real and imaginary rows (zero where the grid keeps no
-    row; _SMOOTH fills all but Im F_1 and Im F_2)."""
+    """B and rot B at p from B's grid, the masked kernels and B's einsum
+    contraction of its dV-scaled real and imaginary rows (zero where the
+    grid keeps no row; _SMOOTH fills all but Im F_1 and Im F_2)."""
     grid = B._ensure_grid()
     assert grid.comps.tolist() == [0, 1, 2, 3]
     centres = np.array([c.ravel() for c in np.meshgrid(*grid.axes, indexing="ij")])
     d = np.array(p)[:, None] - centres
     r2 = d[0] ** 2 + d[1] ** 2 + d[2] ** 2
     b, J = np.zeros((6, 1)), np.zeros((6, 3))
-    b[grid.comps] = grid.rows @ _masked_kernel(r2, grid.a)[:, None]
-    J[grid.comps] = grid.rows @ (_masked_kernel_grad(r2, grid.a) * d).T
+    b[grid.comps] = np.einsum("rc,nc->rn", grid.rows, _masked_kernel(r2, grid.a)[None])
+    J[grid.comps] = np.einsum("rc,nc->rn", grid.rows, _masked_kernel_grad(r2, grid.a) * d)
     b, J = b[:3, 0] + 1j * b[3:, 0], J[:3] + 1j * J[3:]
     return b, np.array([J[2, 1] - J[1, 2], J[0, 2] - J[2, 0], J[1, 0] - J[0, 1]])
 

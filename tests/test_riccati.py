@@ -19,6 +19,7 @@ from riccati3d.fields import (
     rot,
 )
 from riccati3d.riccati import (
+    EPS_ZERO,
     RiccatiInstance,
     SchrodingerInstance,
     build_W_from_W0,
@@ -28,11 +29,13 @@ from riccati3d.riccati import (
     component_residuals,
     factorization_residual,
     inverse_cole_hopf,
+    q_from_scw,
     riccati_residual,
     schrodinger_residual,
     vekua_residual,
     w_equation_residual,
 )
+from riccati3d.solutions import HarmonicSeed, harmonic_family
 
 S = DiffScheme()
 ZERO_Q = ScalarField(lambda p: 0j)
@@ -97,9 +100,29 @@ def test_cole_hopf_nodal_set_guard():
         inst.Q(Point3(0.0, 1.0, 1.0))
 
 
+def _guarded_Q(builder: str, value: complex) -> VectorField:
+    """The Q of ``builder`` whose divisor is the constant ``value``."""
+    if builder == "cole_hopf":
+        return cole_hopf(SchrodingerInstance(ScalarField(lambda p: value), ZERO_Q)).Q
+    if builder == "q_from_scw":
+        return q_from_scw(QuaternionField(lambda p: Biquaternion(value)))
+    return harmonic_family(HarmonicSeed("const", ScalarField(lambda p: value))).Q
+
+
+@pytest.mark.parametrize("builder", ["cole_hopf", "q_from_scw", "harmonic_family"])
+def test_zero_guard_fires_at_eps_zero_and_not_above(builder):
+    p = Point3(0.3, -0.2, 0.7)
+    above = np.nextafter(EPS_ZERO, 1.0)
+    for value in (EPS_ZERO, -EPS_ZERO, 1j * EPS_ZERO):
+        with pytest.raises(ZeroCrossing, match="below the zero guard 1e-10"):
+            _guarded_Q(builder, value)(p)
+    for value in (above, -above, 1j * above):
+        assert not _guarded_Q(builder, value)(p).any()  # grad of a constant
+
+
 def test_inverse_cole_hopf_of_inverse_x():
     inst = inv_x_instance()
-    sch = inverse_cole_hopf(inst, Point3(1, 0, 0), 0j, curl_check=False)
+    sch = inverse_cole_hopf(inst, Point3(1, 0, 0), 0j)
     # A[Q] = -ln x, psi = x
     for p in (Point3(0.5, 0.3, -1), Point3(2.5, -0.4, 0.7)):
         assert abs(sch.psi(p) - p.x) < 1e-8
@@ -107,13 +130,13 @@ def test_inverse_cole_hopf_of_inverse_x():
 
 def test_inverse_cole_hopf_zero_field_is_one():
     inst = RiccatiInstance(VectorField(lambda p: np.zeros(3, complex)), ZERO_Q)
-    sch = inverse_cole_hopf(inst, Point3(0.2, 0.4, 0.6), 0j, curl_check=False)
+    sch = inverse_cole_hopf(inst, Point3(0.2, 0.4, 0.6), 0j)
     assert abs(sch.psi(Point3(1.5, -2, 3)) - 1.0) < 1e-12
 
 
 def test_inverse_cole_hopf_base_normalization():
     inst = inv_x_instance()
-    sch = inverse_cole_hopf(inst, Point3(2, 0, 0), 1.0 + 0j, curl_check=False)
+    sch = inverse_cole_hopf(inst, Point3(2, 0, 0), 1.0 + 0j)
     assert abs(sch.psi(Point3(2, 0, 0)) - math.exp(-1.0)) < 1e-12
 
 
@@ -123,7 +146,7 @@ def test_transform_composition_reproduces_psi_up_to_constant():
     q = ScalarField(lambda p: complex(0.04))           # (-lap + q) psi = 0
     base = Point3(1.0, 0.5, 0.0)
     forward = cole_hopf(SchrodingerInstance(psi, q), S)
-    back = inverse_cole_hopf(forward, base, 0j, curl_check=False)
+    back = inverse_cole_hopf(forward, base, 0j)
     for p in (Point3(1.3, 0.8, 0.4), Point3(0.8, 0.2, -0.6)):
         lhs = back.psi(p) / back.psi(base)
         rhs = psi(p) / psi(base)

@@ -101,8 +101,7 @@ def test_cole_hopf_consistency_both_families():
 
 def test_inverse_cole_hopf_proportional_to_psi():
     entry = catalog_entry("conical", C1=0.0, C2=math.e)
-    sch = inverse_cole_hopf(entry.instance, entry.base, 0j,
-                            QuadratureSpec(), curl_check=False)
+    sch = inverse_cole_hopf(entry.instance, entry.base, 0j, QuadratureSpec())
     p = Point3(0.9, 0.15, 0.1)
     lhs = sch.psi(p) / sch.psi(entry.base)
     rhs = entry.psi(p) / entry.psi(entry.base)

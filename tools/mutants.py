@@ -57,6 +57,8 @@ MUTANTS = [
     ("every Gauss rule at a quarter of its order (32 -> 8)", "src/riccati3d/fields.py",
      "nodes, weights = _gauss_nodes(order)",
      "nodes, weights = _gauss_nodes(max(1, order // 4))"),
+    ("`_rk4_step`: `k4` at `x` instead of `x + h`", "src/riccati3d/riccati1d.py",
+     "k4 = f(x + h, y + h * k3)", "k4 = f(x, y + h * k3)"),
 ]
 
 _VERIFY = "import sys; from riccati3d.cli import main; sys.exit(main(sys.argv[1:]))"
