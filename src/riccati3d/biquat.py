@@ -175,13 +175,13 @@ def _modulus_sq(a):
     return a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3
 
 
-def _inverse(a, eps_inv: float):
+def _inverse(a):
     """Components of inverse(a).  Over a batch, ZeroDivisor names the first
     element that has no inverse in ``index`` and all of them in ``where``."""
     m = _modulus_sq(a)
     size = [abs(c) for c in a]
     scale = (functools.reduce(np.maximum, size) if type(m) is np.ndarray else max(size)) ** 2
-    bad = (scale == 0.0) | (abs(m) <= eps_inv * scale)
+    bad = (scale == 0.0) | (abs(m) <= EPS_INV * scale)
     if bad is not False and (i := _first(bad)) is not None:
         raise ZeroDivisor(f"biquaternion has (near-)zero modulus |a|^2 = {_item(m, i)}",
                           index=i, where=bad)
@@ -216,7 +216,7 @@ def inverse(a: Biquaternion) -> Biquaternion:
     Raises ZeroDivisor when |a|^2 is smaller than EPS_INV relative to the
     squared largest coefficient, so rescaling a never flips invertibility.
     """
-    return Biquaternion(*_inverse(a.components, EPS_INV))
+    return Biquaternion(*_inverse(a.components))
 
 
 def right_mul(x: Biquaternion) -> Callable[[Biquaternion], Biquaternion]:

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .biquat import EPS_INV, Biquaternion, _inverse, _product, conj_h, cross, mul
+from .biquat import Biquaternion, _inverse, _product, conj_h, cross, mul
 from .errors import NotPureVector, ZeroCrossing, _first, _item
 from .fields import (
     DEFAULT_QUAD,
@@ -519,7 +519,7 @@ def picard_lhs(Q1: VectorField, Q2: VectorField, Q3: VectorField, Q4: VectorFiel
         if include_cross_terms:  # X - 2 (Qa x Qb); the scalar part is unchanged
             c = parts(cross(va, vb))
             X = (X[0], X[1] - c[0] * 2.0, X[2] - c[1] * 2.0, X[3] - c[2] * 2.0)
-        return _product(X, _inverse((0j, *parts(va - vb)), EPS_INV))
+        return _product(X, _inverse((0j, *parts(va - vb))))
 
     total = [a + b - c - d for a, b, c, d in zip(*(term(*pair) for pair in pairs))]
     return np.array(total) if batched else Biquaternion(*total)

@@ -8,12 +8,16 @@ u, v, w, q and rejects complex inputs.
 Transport conventions: ``pushforward_solution`` is the generic (and
 normative) transport: it acts on (point, value) pairs through the group and
 its inverse.  ``transport_solution`` produces the closed-form transported
-fields; for the conical groups (k = 8, 9, 10) the published displays are
-ambiguous about which coordinates the value-transform lines refer to and
-carry two typographical slips, so the default reading ("reconciled")
-evaluates those lines at the pre-image point, which reproduces the
-pushforward exactly.  ``literal_text=True`` keeps the query-point reading
-and the slips, for discrepancy reporting.
+fields.  Both take the pre-image g^-1(p), its poles and their excluded set
+from one pull-back (``_pullback``: ``_act`` at ``g.inverse()``), so only
+their value lines differ.  For the conical groups (k = 8, 9, 10) the
+published displays are ambiguous about which coordinates the
+value-transform lines refer to and carry two typographical slips, so the
+default reading ("reconciled") evaluates those lines at the pre-image
+point, which reproduces the pushforward exactly.  ``literal_text=True``
+keeps the query-point reading and the slips, for discrepancy reporting;
+on the axis it also puts the pre-image's moving coordinate in the third
+slot, as printed.
 
 Batches: ``group_act`` takes one point with Q of shape (3,), or a Point3 of
 equal-shape arrays (shape S) with Q of shape (3, *S).  The transported
@@ -291,12 +295,17 @@ def _off_domain(domain: BoxDomain, P: Point3):
 _NO_POLES = (False, False)
 
 
+def _off_axis(axis: int, X: np.ndarray):
+    """Where X lies off the coordinate axis ``axis`` (beyond ``_AXIS_TOL``)."""
+    o1, o2 = (i for i in range(3) if i != axis)
+    return X[o1] ** 2 + X[o2] ** 2 > _AXIS_TOL
+
+
 def _conical_act(axis: int, X: np.ndarray, Q: np.ndarray, lam: float):
     """Shared implementation of G_8 (axis=0), G_9 (axis=1), G_10 (axis=2);
     see ``_act``.  A point off the axis goes through alpha, one on it
     (``_AXIS_TOL``) moves along the axis through 1 - x*lambda."""
-    o1, o2 = (i for i in range(3) if i != axis)
-    off = X[o1] ** 2 + X[o2] ** 2 > _AXIS_TOL
+    off = _off_axis(axis, X)
     r2 = _dot(X, X)
     xa, ua = X[axis], Q[axis]
     c = 1.0 - 2.0 * _dot(X, Q)
@@ -322,17 +331,18 @@ def _act(g: GroupElement, X: np.ndarray, Q: np.ndarray):
     one point) holding where a conical group's alpha (off the axis) or
     1 - x*lambda (on it) vanishes; the image and Q there are placeholders."""
     k, lam = g.k, g.lam
-    if k in (1, 2, 3):
-        shifted = [X[i] + (lam if i == k - 1 else 0.0) for i in range(3)]
-        return np.array(shifted), Q.copy(), _NO_POLES
+    if k in (1, 2, 3):  # the other coordinates are copied, so -0.0 stays -0.0
+        image = X.copy()
+        image[k - 1] += lam
+        return image, Q.copy(), _NO_POLES
     if k in (4, 5, 6):
         R = rotation_matrix(k, lam)
         return _matvec(R, X), _matvec(R, Q), _NO_POLES
-    if k == 7:
-        s = math.exp(lam)
-        with np.errstate(over="ignore"):  # group_act raises where it overflowed
+    with np.errstate(over="ignore", invalid="ignore"):  # callers raise where it overflowed
+        if k == 7:
+            s = math.exp(lam)
             return X * s, Q / s, _NO_POLES
-    return _conical_act(k - 8, X, Q, lam)
+        return _conical_act(k - 8, X, Q, lam)
 
 
 def _check_finite(g: GroupElement, p: Point3, what: str, *values) -> None:
@@ -363,15 +373,35 @@ def group_act(g: GroupElement, p: Point3, Qval) -> Tuple[Point3, np.ndarray]:
     return Point3(*image), Q
 
 
+def _pullback(g: GroupElement, X: np.ndarray):
+    """g's pre-image of coordinates X, (3,) or (3, *S), through ``_act`` with
+    g's inverse, and the mask (a bool at one point) where it is undefined;
+    the pre-image there is a placeholder."""
+    pre, _, poles = _act(g.inverse(), X, np.zeros_like(X))
+    return pre, poles[0] | poles[1]
+
+
 def _preimage(g: GroupElement, p: Point3) -> Point3:
     """p's pre-image under g, with the errors of ``transport_solution`` (naming g)."""
-    X = np.asarray(p, dtype=float)
-    pre, _, poles = _act(g.inverse(), X, np.zeros_like(X))
-    if (i := _first(bad := poles[0] | poles[1])) is not None:
+    pre, bad = _pullback(g, np.asarray(p, dtype=float))
+    if (i := _first(bad)) is not None:
         raise PoleError(f"pre-image undefined at {_point(p, i)}, lambda={g.lam}",
                         index=i, where=bad)
     _check_finite(g, p, "pre-image", pre)
     return Point3(*pre)
+
+
+def _pulled_back(g: GroupElement, domain: BoxDomain,
+                 place=lambda X, pre: pre) -> BoxDomain:
+    """Excluded set of a field moved by g from one on ``domain``: where the
+    pre-image is undefined or, placed as the field's evaluator places it
+    (the literal conical reading moves it), off ``domain``."""
+    def excluded(p: Point3):
+        X = np.asarray(p, dtype=float)
+        pre, bad = _pullback(g, X)
+        return bad | _off_domain(domain, Point3(*place(X, pre)))
+
+    return BoxDomain.unbounded(excluded)
 
 
 def pushforward_solution(g: GroupElement, Q: VectorField) -> VectorField:
@@ -379,21 +409,14 @@ def pushforward_solution(g: GroupElement, Q: VectorField) -> VectorField:
 
     Serves as the oracle for the printed transported-solution formulas.
     """
-    inverse = g.inverse()
-
     def eval_at(p: Point3) -> np.ndarray:
         pre = _preimage(g, p)
-        return group_act(g, pre, _as_real_vector(Q.batch(pre)))[1].astype(complex)
+        return group_act(g, pre, Q.batch(pre))[1].astype(complex)
 
-    def excluded(p: Point3):
-        X = np.asarray(p, dtype=float)
-        pre, _, poles = _act(inverse, X, np.zeros_like(X))
-        return poles[0] | poles[1] | _off_domain(Q.domain, Point3(*pre))
-
-    return VectorField(eval_at, BoxDomain.unbounded(excluded), vectorized=True)
+    return VectorField(eval_at, _pulled_back(g, Q.domain), vectorized=True)
 
 
-def _conical_transport(axis: int, Q: VectorField, lam: float, literal: bool):
+def _conical_transport(g: GroupElement, Q: VectorField, literal: bool):
     """Closed-form transported solution for the conical groups.
 
     Reconciled reading: the value-transform lines are evaluated at the
@@ -402,42 +425,23 @@ def _conical_transport(axis: int, Q: VectorField, lam: float, literal: bool):
     pushforward.  Literal reading keeps the query-point coordinates and the
     printed axis-case forms.
     """
-    o1, o2 = (i for i in range(3) if i != axis)
-    # on the axis the pre-image moves along it; the literal text puts the
-    # moving coordinate in the third slot whatever the axis
-    slot = 2 if literal else axis
+    axis, lam = g.k - 8, g.lam
 
-    def preimage(X: np.ndarray):
-        """(pre-image, off-axis mask, |X|^2, on-axis denominator, poles).  Off
-        the axis the pre-image goes through alpha(-x_a, r, lam), on it
-        through 1 + x_a lam; ``poles`` holds where that vanishes, and the
-        pre-image there is a placeholder."""
-        off = X[o1] ** 2 + X[o2] ** 2 > _AXIS_TOL
-        r2 = _dot(X, X)
-        xa = X[axis]
-        den = r2 * lam * lam + 2.0 * xa * lam + 1.0  # alpha(-x_a, r, lam)
-        d = 1.0 + xa * lam
-        poles = np.where(off, abs(den) <= _POLE_TOL, abs(d) <= _POLE_TOL)
-        # 1.0 stands in for the denominator of the other case and at a pole
-        den = np.where(off & ~poles, den, 1.0)
-        d = np.where(off | poles, 1.0, d)
-        pre = X / den
-        pre[axis] = (xa + lam * r2) / den
-        pre = np.where(off, pre, 0.0)
-        pre[slot] = np.where(off, pre[slot], xa / d)
-        return pre, off, r2, d, poles
+    def placed(X: np.ndarray, pre: np.ndarray) -> np.ndarray:
+        """On the axis the pre-image moves along it; the literal text puts
+        the moving coordinate in the third slot whatever the axis."""
+        if literal:
+            pre[[axis, 2]] = np.where(_off_axis(axis, X), pre[[axis, 2]], pre[[2, axis]])
+        return pre
 
     def eval_at(p: Point3) -> np.ndarray:
         X = np.asarray(p, dtype=float)
-        pre, off, r2, d, bad = preimage(X)
-        if (i := _first(bad)) is not None:
-            raise PoleError(f"pre-image undefined at {_point(p, i)}, lambda={lam}",
-                            index=i, where=bad)
-        xa = X[axis]
+        pre = placed(X, np.asarray(_preimage(g, p)))
+        off = _off_axis(axis, X)
         Qp = _as_real_vector(Q.batch(Point3(*pre)))
 
         if literal:  # query-point coordinates in the value lines, as printed
-            ref, rr2 = X, r2
+            ref, rr2 = X, _dot(X, X)
         else:
             ref, rr2 = pre, _dot(pre, pre)
         c = 1.0 - 2.0 * _dot(ref, Qp)
@@ -446,17 +450,14 @@ def _conical_transport(axis: int, Q: VectorField, lam: float, literal: bool):
         out_off = a * Qp + ref * bracket
         out_off[axis] = (Qp[axis] + c * (lam - ref[axis] * lam * lam)
                          - rr2 * lam * lam * Qp[axis])
+        xa = X[axis]
         # on the axis, as printed: the prefactors use the query coordinate
-        mu = 1.0 - xa * lam if literal else 1.0 / d
+        mu = 1.0 - xa * lam if literal else 1.0 / np.where(off, 1.0, 1.0 + xa * lam)
         out_on = mu * mu * Qp
         out_on[axis] = mu * mu * Qp[axis] + mu * lam
         return np.where(off, out_off, out_on).astype(complex)
 
-    def excluded(p: Point3):
-        pre, _, _, _, poles = preimage(np.asarray(p, dtype=float))
-        return poles | _off_domain(Q.domain, Point3(*pre))
-
-    return VectorField(eval_at, BoxDomain.unbounded(excluded), vectorized=True)
+    return VectorField(eval_at, _pulled_back(g, Q.domain, placed), vectorized=True)
 
 
 def transport_solution(g: GroupElement, Q: VectorField,
@@ -469,39 +470,20 @@ def transport_solution(g: GroupElement, Q: VectorField,
     """
     k, lam = g.k, g.lam
     if k >= 8:
-        return _conical_transport(k - 8, Q, lam, literal_text)
+        return _conical_transport(g, Q, literal_text)
 
     if k in (1, 2, 3):
-        shift = np.zeros(3)
-        shift[k - 1] = lam
-
-        def preimage(p: Point3) -> Point3:
-            return Point3(*(c - s for c, s in zip(p, shift)))
-
-        def value(pre: Point3):
-            return Q.batch(pre)
+        value = Q.batch
     elif k in (4, 5, 6):
         R = rotation_matrix(k, lam)
-
-        def preimage(p: Point3) -> Point3:
-            return Point3(*_matvec(R.T, np.asarray(p, dtype=float)))
 
         def value(pre: Point3):
             return _matvec(R, _as_real_vector(Q.batch(pre))).astype(complex)
     else:
         s = math.exp(-lam)
 
-        def preimage(p: Point3) -> Point3:
-            with np.errstate(over="ignore"):  # eval_at raises where it overflowed
-                return Point3(p.x * s, p.y * s, p.z * s)
-
         def value(pre: Point3):
             return s * Q.batch(pre)
 
-    def eval_at(p: Point3) -> np.ndarray:
-        pre = preimage(p)
-        _check_finite(g, p, "pre-image", pre)
-        return value(pre)
-
-    return VectorField(eval_at, BoxDomain.unbounded(
-        lambda p: _off_domain(Q.domain, preimage(p))), vectorized=True)
+    return VectorField(lambda p: value(_preimage(g, p)), _pulled_back(g, Q.domain),
+                       vectorized=True)

@@ -186,7 +186,7 @@ def test_picard_evaluates_each_field_once_per_stencil_point(harmonic_quadruple, 
 
 def _picard_per_term(fields, p, scheme, include_cross_terms=True):
     """picard_lhs term by term: each D(Qa - Qb) a stencil of Qa - Qb."""
-    from riccati3d.biquat import EPS_INV, _inverse, _product, cross
+    from riccati3d.biquat import _inverse, _product, cross
     from riccati3d.fields import _batched, dirac_left
     batched = _batched(p)
 
@@ -199,8 +199,7 @@ def _picard_per_term(fields, p, scheme, include_cross_terms=True):
         if include_cross_terms:
             c = cross(va, vb) if batched else cross(va, vb).tolist()
             X = (X[0], X[1] - c[0] * 2.0, X[2] - c[1] * 2.0, X[3] - c[2] * 2.0)
-        return _product(X, _inverse((0j, *(va - vb if batched else (va - vb).tolist())),
-                                    EPS_INV))
+        return _product(X, _inverse((0j, *(va - vb if batched else (va - vb).tolist()))))
 
     Q1, Q2, Q3, Q4 = fields
     total = [a + b - c - d for a, b, c, d in zip(term(Q1, Q2), term(Q3, Q4),

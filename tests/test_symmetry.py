@@ -320,10 +320,18 @@ def test_dilation_whose_new_Q_overflows_raises_naming_the_point():
             group_act(GroupElement(7, -709.0), Point3(1e-3, 0.0, 0.0), np.array([3.0, 0, 0]))
 
 
+def test_conical_point_whose_square_overflows_raises_without_a_warning():
+    # |p|^2 overflows: no numpy warning may come before the DomainError
+    with pytest.raises(DomainError, match=r"image of Point3\(x=1e\+200.*G_8, lambda=0\.3"):
+        group_act(GroupElement(8, 0.3), Point3(1e200, 1e200, 1.0), np.zeros(3))
+
+
 @pytest.mark.parametrize("g, bad", [
     (GroupElement(7, -709.0), Point3(10.0, 0.2, 0.3)),  # the pre-image overflows
     (GroupElement(8, -1.0), Point3(1.0, 0.0, 0.0)),  # the pre-image's pole
-], ids=["overflow", "pole"])
+    # |p|^2 overflows: a typed error, not an OverflowError from the values
+    (GroupElement(8, 0.3), Point3(1e200, 1e200, 1.0)),
+], ids=["overflow", "pole", "conical_overflow"])
 def test_pushforward_errors_name_the_element_it_was_given(g, bad):
     # they named the inverse, through which the pre-image is taken
     # ("lambda=709.0" for G_7(-709)); now they read as transport's errors
@@ -405,6 +413,44 @@ def test_transported_field_batch_equals_pointwise_bitwise(entry, k, lam):
             warnings.simplefilter("error")
             mask = field.domain.ok_mask(_batch(_GRID))
         assert mask.tolist() == [field.domain.ok(p) for p in _GRID]
+
+
+# _GRID and points with a -0.0 coordinate, or near the pole of the conical
+# groups at lambda = -1 (1 - x = 0 on the x-axis; alpha = (1 - x)^2 + rho^2
+# beside it), on the axis (rho^2 <= 1e-14) and just off it
+_SIGNED_ZEROS = [Point3(0.5, -0.0, 0.2), Point3(0.7, -0.0, -0.0), Point3(0.6, 0.3, -0.0),
+                 Point3(-0.0, 0.6, -0.0)]
+_NEAR_POLES = [Point3(1.0 + 5e-8, 0.0, 0.0), Point3(1.0, 5e-8, 5e-8), Point3(1.0, 2e-7, 0.0),
+               Point3(1.0, 1e-7, 1e-7), Point3(-0.0, 1.0 - 5e-8, 2e-7)]
+_PULLBACK_GRID = _GRID + _SIGNED_ZEROS + _NEAR_POLES
+_ROTATIONAL = catalog_entry("rotational", k=1.0, c=0.5 * math.log(2))
+
+
+def test_translations_keep_the_sign_of_zero_on_the_axes_they_do_not_move():
+    # adding 0.0 to the unmoved coordinates would turn -0.0 into 0.0
+    q, _ = group_act(GroupElement(1, 0.3), Point3(0.5, -0.0, 0.2), np.array([0.1, 0.2, 0.3]))
+    assert math.copysign(1.0, q.y) == -1.0
+    Q = _ROTATIONAL.instance.Q
+    for k in (1, 2, 3):
+        g = GroupElement(k, 0.3)
+        t, pf = transport_solution(g, Q), pushforward_solution(g, Q)
+        for p in _SIGNED_ZEROS:
+            assert _bits(t(p)) == _bits(pf(p)), (k, p)
+
+
+@pytest.mark.parametrize("lam", [0.3, -1.0])
+@pytest.mark.parametrize("k", range(1, 11))
+def test_transport_and_pushforward_share_one_pullback(k, lam):
+    g = GroupElement(k, lam)
+    P = _batch(_PULLBACK_GRID)
+    for entry in (_ROTATIONAL, catalog_entry("conical", C1=2.0)):
+        Q = entry.instance.Q
+        t, pf = transport_solution(g, Q), pushforward_solution(g, Q)
+        excluded = pf.domain.excluded(P)
+        assert _bits(t.domain.excluded(P)) == _bits(excluded)
+        if k <= 6 and entry is _ROTATIONAL:  # a closed form: the values agree too
+            ok = _batch([p for p, bad in zip(_PULLBACK_GRID, excluded) if not bad])
+            assert _bits(t.batch(ok)) == _bits(pf.batch(ok))
 
 
 def test_conical_pole_and_axis_are_on_the_test_grid():

@@ -147,11 +147,9 @@ def test_batched_algebra_draws_the_loop_samples_and_reads_its_residuals(seed, mo
 
 
 def test_inverse_roundtrip_replaces_rejected_draws_in_stream_order(monkeypatch):
-    # at eps_inv = 0.3 about one draw in 27 has no inverse; both forms of
+    # at EPS_INV = 0.3 about one draw in 27 has no inverse; both forms of
     # the check then keep the first 200 invertible draws of the same stream
-    strict = biquat._inverse
-    for module in (biquat, verify):
-        monkeypatch.setattr(module, "_inverse", lambda a, eps_inv: strict(a, 0.3))
+    monkeypatch.setattr(biquat, "EPS_INV", 0.3)
     config = RunConfig(seed=0)
     loop, batched = _loop_rows(config), _batched_rows(config, monkeypatch)
     (r_loop, _, s_loop), (r_batch, _, s_batch) = loop["inverse_roundtrip"], \

@@ -59,6 +59,9 @@ MUTANTS = [
      "nodes, weights = _gauss_nodes(max(1, order // 4))"),
     ("`_rk4_step`: `k4` at `x` instead of `x + h`", "src/riccati3d/riccati1d.py",
      "k4 = f(x + h, y + h * k3)", "k4 = f(x, y + h * k3)"),
+    ("pull-back maps forward (`_act(g, ...)` for `_act(g.inverse(), ...)`)",
+     "src/riccati3d/symmetry.py",
+     "_act(g.inverse(), X, np.zeros_like(X))", "_act(g, X, np.zeros_like(X))"),
 ]
 
 _VERIFY = "import sys; from riccati3d.cli import main; sys.exit(main(sys.argv[1:]))"
