@@ -73,7 +73,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .biquat import Biquaternion
-from .errors import DomainError, QuadratureFailure, Riccati3dError
+from .errors import DomainError, QuadratureFailure, Riccati3dError, _item
 
 __all__ = [
     "Point3",
@@ -178,6 +178,12 @@ class BoxDomain:
 def _batched(p: Point3) -> bool:
     """True when p holds coordinate arrays rather than one point."""
     return type(p[0]) is np.ndarray and p[0].ndim > 0
+
+
+def _point(P: Point3, i: int) -> Point3:
+    """Point i (flat C order) of a batch as a Point3 of Python floats; P
+    itself at one point."""
+    return Point3(*(_item(c, i) for c in P))
 
 
 def vec3(x, y, z) -> np.ndarray:

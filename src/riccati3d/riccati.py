@@ -3,14 +3,22 @@
 Everything here works pointwise on fields: residual operations return the
 defect of an identity at one point, transform operations return new fields
 whose evaluators chain finite differences and quadratures of the inputs.
-``riccati_residual``, ``schrodinger_residual``, ``picard_lhs``, the ``Q`` of
-``cole_hopf`` and of ``q_from_scw`` also take a batch of points (a Point3 of
-equal-shape arrays, see the ``fields`` module) and then return arrays,
-component axis first.  ``build_W_prop2``, ``build_W_from_W0`` and
-``w_from_q_pair`` assemble their W in one place (``_built_W``): it takes a
-batch and carries a jet (its exact first derivative, from rot B's Jacobian
-by the product rule; see ``fields._Field``), from which ``vekua_residual``
-and ``euler_residual`` take both W(p) and D W.
+Every residual operation, the ``Q`` of ``cole_hopf`` and of ``q_from_scw``
+also take a batch of points (a Point3 of equal-shape arrays, see the
+``fields`` module) and then return arrays, component axis first.  One body
+serves a point and a batch: at a point the components are Python complex
+numbers (``_parts``) and the result is the Biquaternion, complex number or
+array the pointwise call has always returned, bit for bit; over a batch
+the same ``biquat._product``/``_conj`` and ``fields._dirac_sum`` lines run
+on arrays, whose complex products numpy may round differently in the last
+bits.  A guard (ZeroCrossing, NotPureVector) names the first failing point
+of a batch in ``index`` and every one in ``where``.
+
+``build_W_prop2``, ``build_W_from_W0`` and ``w_from_q_pair`` assemble
+their W in one place (``_built_W``): it takes a batch and carries a jet
+(its exact first derivative, from rot B's Jacobian by the product rule;
+see ``fields._Field``), from which ``vekua_residual`` and
+``euler_residual`` take both W(p) and D W.
 
 Sign convention note: the factorization of -Delta + q implemented by
 ``factorization_residual`` uses the operator pair (D - M^Q)(D + Q C_H) and
@@ -23,12 +31,13 @@ literature).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .biquat import Biquaternion, _inverse, _product, conj_h, cross, mul
+from .biquat import Biquaternion, _conj, _inverse, _product, cross
 from .errors import NotPureVector, ZeroCrossing, _first, _item
 from .fields import (
     DEFAULT_QUAD,
@@ -47,13 +56,13 @@ from .fields import (
     _dirac_sum,
     _jacobian,
     _laplacian_and_centre,
+    _point,
     _stacked,
     _stencil,
     _vector_part,
     dirac_left,
     div,
     grad,
-    laplacian,
     operator_A,
     operator_rot_B,
     rot,
@@ -116,6 +125,20 @@ def _dot(U: np.ndarray, V: np.ndarray):
     shape = U.shape[1:]
     U, V = U.reshape(3, -1).T, V.reshape(3, -1).T
     return np.matmul(U[:, None, :], V[:, :, None]).reshape(shape)
+
+
+def _parts(v, batched: bool):
+    """The components of v, axis first: a batch's arrays, or at one point
+    Python complex numbers (a Biquaternion's, or an array's), whose
+    arithmetic the pointwise residuals have always used."""
+    if batched:
+        return v
+    return v.components if isinstance(v, Biquaternion) else v.tolist()
+
+
+def _assembled(parts, batched: bool):
+    """Four components as a Biquaternion at one point, (4, *S) over a batch."""
+    return np.array(parts) if batched else Biquaternion(*parts)
 
 
 def riccati_residual(inst: RiccatiInstance, p: Point3,
@@ -195,48 +218,63 @@ def factorization_residual(psi: ScalarField, inst: RiccatiInstance, p: Point3,
     Both vanish (for arbitrary smooth scalar probes psi) iff Q solves the
     Riccati equation at p; C_H does not act on the scalar probe.  The inner
     factor G = (D + Q C_H) psi = grad psi + psi Q is a pure vector, so both
-    D G and D_r G (-div G +- rot G) come from one Jacobian of G: G is
-    evaluated 13 times per point at order 4 (7 at order 2), its centre included.
+    D G and D_r G come from one stencil of G (``_dirac_sum`` of its
+    derivatives): G is evaluated 13 times per point at order 4 (7 at order
+    2), its centre included.  Two Biquaternions at one point; over a batch
+    of shape S, two (4, *S) component arrays.
     """
     p = Point3(*p)
-    G = VectorField(lambda t: grad(psi, t, scheme) + psi(t) * inst.Q(t),
-                    psi.domain.intersect(inst.Q.domain))
-    Qp = Biquaternion.from_vector(inst.Q(p))
-    Gp = Biquaternion.from_vector(G(p))
-    target = Biquaternion(-laplacian(psi, p, scheme) + inst.q(p) * psi(p))
-    J = _jacobian(G, p, scheme)
-    div_G, rot_G = J[0, 0] + J[1, 1] + J[2, 2], _curl(J)
-    left = Biquaternion.from_scalar_vector(-div_G, rot_G) - mul(Gp, Qp) - target
-    right = Biquaternion.from_scalar_vector(-div_G, -rot_G) - mul(Qp, Gp) - target
-    return left, right
+    batched = _batched(p)
+    G = VectorField(lambda t: grad(psi, t, scheme) + psi.batch(t) * inst.Q.batch(t),
+                    psi.domain.intersect(inst.Q.domain), vectorized=True)
+    Qp = (0j, *_parts(inst.Q.batch(p), batched))
+    Gp = (0j, *_parts(G.batch(p), batched))
+    target = _schrodinger_centre(SchrodingerInstance(psi, inst.q), p, scheme)[1]
+    deriv = _derivatives(G, p, scheme)
+
+    def line(side: int, GQ):
+        D = _parts(_dirac_sum(deriv, (3,), batched, side), batched)
+        out = [d - m for d, m in zip(D, GQ)]
+        out[0] = out[0] - target
+        return _assembled(out, batched)
+
+    return line(1, _product(Gp, Qp)), line(-1, _product(Qp, Gp))
 
 
 def vekua_residual(W: QuaternionField, phi: ScalarField, p: Point3,
-                   scheme: DiffScheme = DEFAULT_SCHEME) -> Biquaternion:
-    """(D - (D phi / phi) C_H) W at p."""
+                   scheme: DiffScheme = DEFAULT_SCHEME):
+    """(D - (D phi / phi) C_H) W at p: a Biquaternion, or its (4, *S)
+    components over a batch of shape S."""
     p = Point3(*p)
-    value = _nonzero(phi(p), "phi")
-    a = Biquaternion.from_vector(grad(phi, p, scheme) / value)
+    batched = _batched(p)
+    value = _nonzero(phi.batch(p), "phi")
+    a = _parts(grad(phi, p, scheme) / value, batched)
     Wp, DW = _value_and_dirac(W, p, scheme)
-    return DW - mul(a, conj_h(Wp))
+    return _assembled([d - m for d, m in zip(DW, _product((0j, *a), _conj(Wp)))], batched)
 
 
 def _value_and_dirac(W: QuaternionField, p: Point3, scheme: DiffScheme):
-    """W(p) and D W at one point: both from one ``jet(p)`` once W's stencil
-    is checked, or ``dirac_left`` and then W(p) when W has no jet."""
+    """W(p) and D W as components (``_parts``): both from one ``jet(p)``
+    once W's stencil is checked, or ``dirac_left`` and then W(p) when W has
+    no jet."""
+    batched = _batched(p)
     if W.jet is None:
         DW = dirac_left(W, p, scheme)
-        return W(p), DW
-    _stencil(W.domain, p, scheme)
-    value, deriv = W.jet(p)
-    return Biquaternion(*value), _dirac_sum(deriv, W._lead, False, 1)
+        value = W.batch(p)
+    else:
+        _stencil(W.domain, p, scheme)
+        value, deriv = W.jet(p)
+        DW = _dirac_sum(deriv, W._lead, batched, 1)
+    return _parts(value, batched), _parts(DW, batched)
 
 
 def component_residuals(W0: ScalarField, Wv: VectorField, phi: ScalarField,
                         p: Point3, scheme: DiffScheme = DEFAULT_SCHEME):
     """Componentwise conditions on a Vekua solution W = W0 + Wv.
 
-    c1 = div[phi^2 grad(W0/phi)],  c2 = rot[phi^-2 rot(phi Wv)].
+    c1 = div[phi^2 grad(W0/phi)],  c2 = rot[phi^-2 rot(phi Wv)]: a complex
+    number and a 3-vector at one point, arrays of shapes S and (3, *S) over
+    a batch of shape S.
     """
     p = Point3(*p)
     ratio = ScalarField(lambda t: W0.batch(t) / _nonzero(phi.batch(t), "phi"),
@@ -254,26 +292,35 @@ def component_residuals(W0: ScalarField, Wv: VectorField, phi: ScalarField,
     dom = W0.domain.intersect(phi.domain)
     c1 = div(VectorField(sigma, dom, vectorized=True), p, scheme)
     c2 = rot(VectorField(tau, dom.intersect(Wv.domain), vectorized=True), p, scheme)
-    return complex(c1), c2
+    return c1, c2
 
 
 def w_equation_residual(w, phi: ScalarField, p: Point3,
-                        scheme: DiffScheme = DEFAULT_SCHEME) -> Biquaternion:
-    """(D + M^{D phi / phi}) w at p for a purely vectorial w.
+                        scheme: DiffScheme = DEFAULT_SCHEME):
+    """(D + M^{D phi / phi}) w at p for a purely vectorial w: a
+    Biquaternion, or its (4, *S) components over a batch of shape S.
 
     A QuaternionField w is evaluated once at p, for the scalar-part check
-    and the product; its vector part is differenced (or its jet taken)."""
+    (NotPureVector) and the product; its vector part is differenced (or its
+    jet taken)."""
     p = Point3(*p)
+    batched = _batched(p)
     wp = None  # w(p), once known
     if isinstance(w, QuaternionField):
-        wq = w(p)
-        if abs(wq.scalar) > 1e-12 * max(1.0, wq.max_abs()):
-            raise NotPureVector(f"w has scalar part {wq.scalar} at {p}")
-        w, wp = _vector_part(w), wq.vector
-    value = _nonzero(phi(p), "phi")
-    a = Biquaternion.from_vector(grad(phi, p, scheme) / value)
-    return (dirac_left(w, p, scheme)
-            + mul(Biquaternion.from_vector(w(p) if wp is None else wp), a))
+        wq = _parts(w.batch(p), batched)
+        size = [abs(c) for c in wq]
+        scale = functools.reduce(np.maximum, size, 1.0) if batched else max(1.0, *size)
+        bad = size[0] > 1e-12 * scale
+        if bad is not False and (i := _first(bad)) is not None:
+            raise NotPureVector(f"w has scalar part {_item(wq[0], i)} at {_point(p, i)}",
+                                index=i, where=bad)
+        w, wp = _vector_part(w), wq[1:]
+    value = _nonzero(phi.batch(p), "phi")
+    a = _parts(grad(phi, p, scheme) / value, batched)
+    Dw = _parts(dirac_left(w, p, scheme), batched)
+    if wp is None:
+        wp = _parts(w.batch(p), batched)
+    return _assembled([d + m for d, m in zip(Dw, _product((0j, *wp), (0j, *a)))], batched)
 
 
 def _built_W(scalar: ScalarField, factor: ScalarField, sign: float, rot_B: VectorField,
@@ -401,12 +448,14 @@ def build_W0_from_W(Wv: VectorField, phi: ScalarField, base: Point3,
 
 
 def euler_residual(W: QuaternionField, Q1: VectorField, p: Point3,
-                   scheme: DiffScheme = DEFAULT_SCHEME) -> Biquaternion:
-    """D W + Q1 conj_h(W) at p (defect of the first-order reduction)."""
+                   scheme: DiffScheme = DEFAULT_SCHEME):
+    """D W + Q1 conj_h(W) at p (defect of the first-order reduction): a
+    Biquaternion, or its (4, *S) components over a batch of shape S."""
     p = Point3(*p)
-    Q1p = Biquaternion.from_vector(Q1(p))
+    batched = _batched(p)
+    Q1p = (0j, *_parts(Q1.batch(p), batched))
     Wp, DW = _value_and_dirac(W, p, scheme)
-    return DW + mul(Q1p, conj_h(Wp))
+    return _assembled([d + m for d, m in zip(DW, _product(Q1p, _conj(Wp)))], batched)
 
 
 def q_from_scw(W: QuaternionField, scheme: DiffScheme = DEFAULT_SCHEME) -> VectorField:
@@ -504,22 +553,17 @@ def picard_lhs(Q1: VectorField, Q2: VectorField, Q3: VectorField, Q4: VectorFiel
     centre = [f(p if P is None else 0) for f in at]
     values = [[[f(q) for q in pts] for _, pts in stencil] for f in at]  # [f][axis][point]
 
-    def parts(v):  # components as Python complex numbers at one point
-        return v if batched else v.tolist()
-
     def term(ia: int, ib: int):
         va, vb = centre[ia], centre[ib]
         # _d1 over the differences themselves, as points evaluated to their values
         deriv = np.array([_d1(lambda v: v, h, [a - b for a, b in zip(fa, fb)])
                           for (h, _), fa, fb in zip(stencil, values[ia], values[ib])],
                          dtype=complex)
-        X = _dirac_sum(deriv, (3,), batched, 1)
-        if not batched:
-            X = X.components
+        X = _parts(_dirac_sum(deriv, (3,), batched, 1), batched)
         if include_cross_terms:  # X - 2 (Qa x Qb); the scalar part is unchanged
-            c = parts(cross(va, vb))
+            c = _parts(cross(va, vb), batched)
             X = (X[0], X[1] - c[0] * 2.0, X[2] - c[1] * 2.0, X[3] - c[2] * 2.0)
-        return _product(X, _inverse((0j, *parts(va - vb))))
+        return _product(X, _inverse((0j, *_parts(va - vb, batched))))
 
     total = [a + b - c - d for a, b, c, d in zip(*(term(*pair) for pair in pairs))]
-    return np.array(total) if batched else Biquaternion(*total)
+    return _assembled(total, batched)

@@ -10,10 +10,11 @@ normative) transport: it acts on (point, value) pairs through the group and
 its inverse.  ``transport_solution`` produces the closed-form transported
 fields.  Both take the pre-image g^-1(p), its poles and their excluded set
 from one pull-back (``_pullback``: ``_act`` at ``g.inverse()``), so only
-their value lines differ.  For the conical groups (k = 8, 9, 10) the
-published displays are ambiguous about which coordinates the
-value-transform lines refer to and carry two typographical slips, so the
-default reading ("reconciled") evaluates those lines at the pre-image
+their value lines differ, and both raise DomainError naming the query
+point where Q is not finite at a far pre-image (``_Q_at``).  For the
+conical groups (k = 8, 9, 10) the published displays are ambiguous about
+which coordinates the value-transform lines refer to and carry two
+typographical slips, so the default reading ("reconciled") evaluates those lines at the pre-image
 point, which reproduces the pushforward exactly.  ``literal_text=True``
 keeps the query-point reading and the slips, for discrepancy reporting;
 on the axis it also puts the pre-image's moving coordinate in the third
@@ -35,6 +36,7 @@ that point alone raises.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Tuple
@@ -50,6 +52,7 @@ from .fields import (
     ScalarField,
     VectorField,
     _batched,
+    _point,
     grad,
 )
 from .riccati import _dot
@@ -190,24 +193,36 @@ def vhat_apply(params: GeneratorParams, p: Point3, Qval) -> Tuple[float, ...]:
     return (xi, eta, tau, phi, psi, zeta)
 
 
+def _real(p: Point3, what: str, *values):
+    """The real parts of values (q, or the components of grad q, at p),
+    unless an imaginary part exceeds 1e-12 max(1, |value|): NonRealPotential
+    naming the first such point of a batch (``index``, with the first such
+    value there) and every one (``where``)."""
+    bad = [abs(v.imag) > 1e-12 * np.maximum(1.0, abs(v)) for v in values]
+    anywhere = functools.reduce(np.logical_or, bad)
+    if (i := _first(anywhere)) is not None:
+        value = next(v for v, b in zip(values, bad) if _item(b, i))
+        raise NonRealPotential(f"{what} has imaginary part {_item(value.imag, i)} "
+                               f"at {_point(p, i)}", index=i, where=anywhere)
+    return [v.real for v in values]
+
+
 def determining_residual(params: GeneratorParams, q: ScalarField, p: Point3,
-                         scheme: DiffScheme = DEFAULT_SCHEME) -> float:
+                         scheme: DiffScheme = DEFAULT_SCHEME):
     """Left side of the remaining determining equation on the potential q.
 
     Zero exactly when the generator with these parameters is a symmetry for
-    this q.  The potential must be real-valued.
+    this q.  The potential must be real-valued.  A float at one point, an
+    array of shape S over a batch of shape S (equal bit for bit to the
+    pointwise values when q is vectorized exactly, as the invariant
+    potentials are); the reality checks of q and then of grad q each run
+    over the whole batch.
     """
     p = Point3(*p)
     x, y, z = p
     a = params
-
-    def _real(value: complex, what: str) -> float:
-        if abs(value.imag) > 1e-12 * max(1.0, abs(value)):
-            raise NonRealPotential(f"{what} has imaginary part {value.imag} at {p}")
-        return value.real
-
-    qv = _real(q(p), "q")
-    qx, qy, qz = (_real(g, "grad q") for g in grad(q, p, scheme))
+    qv, = _real(p, "q", q.batch(p))
+    qx, qy, qz = _real(p, "grad q", *grad(q, p, scheme))
     xi, eta, tau = vhat_apply(params, p, np.zeros(3))[:3]
     return (-xi * qx - eta * qy - tau * qz
             - 2.0 * (a.a5 + 2.0 * (a.a1 * x + a.a2 * y + a.a3 * z)) * qv)
@@ -280,11 +295,6 @@ def _matvec(M: np.ndarray, X: np.ndarray) -> np.ndarray:
         return M @ X
     cols = np.ascontiguousarray(X.reshape(3, -1).T)[:, :, None]
     return np.matmul(M, cols)[:, :, 0].T.reshape(X.shape)
-
-
-def _point(P: Point3, i: int) -> Point3:
-    """Point i of a batch as a Point3 of Python floats; P itself at one point."""
-    return Point3(*(_item(c, i) for c in P))
 
 
 def _off_domain(domain: BoxDomain, P: Point3):
@@ -404,6 +414,16 @@ def _pulled_back(g: GroupElement, domain: BoxDomain,
     return BoxDomain.unbounded(excluded)
 
 
+def _Q_at(g: GroupElement, Q: VectorField, p: Point3, pre) -> np.ndarray:
+    """Q at ``pre``, p's pre-image as an evaluator places it.  A pre-image
+    near a pole of the pull-back lies far out, where Q may overflow inside
+    the moved field's domain: DomainError naming the query point p (and,
+    over a batch, its index and every such point in ``where``)."""
+    value = Q.batch(Point3(*pre))
+    _check_finite(g, p, "Q at the pre-image", value)
+    return value
+
+
 def pushforward_solution(g: GroupElement, Q: VectorField) -> VectorField:
     """Generic transport: the value of Q at the pre-image, pushed through G_k.
 
@@ -411,7 +431,7 @@ def pushforward_solution(g: GroupElement, Q: VectorField) -> VectorField:
     """
     def eval_at(p: Point3) -> np.ndarray:
         pre = _preimage(g, p)
-        return group_act(g, pre, Q.batch(pre))[1].astype(complex)
+        return group_act(g, pre, _Q_at(g, Q, p, pre))[1].astype(complex)
 
     return VectorField(eval_at, _pulled_back(g, Q.domain), vectorized=True)
 
@@ -438,7 +458,7 @@ def _conical_transport(g: GroupElement, Q: VectorField, literal: bool):
         X = np.asarray(p, dtype=float)
         pre = placed(X, np.asarray(_preimage(g, p)))
         off = _off_axis(axis, X)
-        Qp = _as_real_vector(Q.batch(Point3(*pre)))
+        Qp = _as_real_vector(_Q_at(g, Q, p, pre))
 
         if literal:  # query-point coordinates in the value lines, as printed
             ref, rr2 = X, _dot(X, X)
@@ -473,17 +493,20 @@ def transport_solution(g: GroupElement, Q: VectorField,
         return _conical_transport(g, Q, literal_text)
 
     if k in (1, 2, 3):
-        value = Q.batch
+        def value(Qpre: np.ndarray):
+            return Qpre
     elif k in (4, 5, 6):
         R = rotation_matrix(k, lam)
 
-        def value(pre: Point3):
-            return _matvec(R, _as_real_vector(Q.batch(pre))).astype(complex)
+        def value(Qpre: np.ndarray):
+            return _matvec(R, _as_real_vector(Qpre)).astype(complex)
     else:
         s = math.exp(-lam)
 
-        def value(pre: Point3):
-            return s * Q.batch(pre)
+        def value(Qpre: np.ndarray):
+            return s * Qpre
 
-    return VectorField(lambda p: value(_preimage(g, p)), _pulled_back(g, Q.domain),
-                       vectorized=True)
+    def eval_at(p: Point3) -> np.ndarray:
+        return value(_Q_at(g, Q, p, _preimage(g, p)))
+
+    return VectorField(eval_at, _pulled_back(g, Q.domain), vectorized=True)

@@ -9,6 +9,7 @@ reproducible point-by-point from the config echo.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -87,7 +88,10 @@ _DETECTION_SUFFIX = "_detection"
 # --------------------------------------------------------------------------
 # sampling helpers
 
+@functools.lru_cache(maxsize=1 << 14)
 def _halton(index: int, base: int) -> float:
+    """The radical inverse of index in base.  Memoized: the rows of a suite
+    start their sequences at the same few seeds, so most draws repeat."""
     result, f = 0.0, 1.0
     while index > 0:
         f /= base
@@ -101,36 +105,52 @@ _HALTON_TRIES = 100000
 
 def halton_points(box: Tuple[Point3, Point3], n: int, seed: int = 0,
                   excluded: Optional[Callable[[Point3], bool]] = None) -> List[Point3]:
-    """n quasi-random points of the box, skipping the excluded set; a
-    ConfigError after _HALTON_TRIES draws.
+    """n quasi-random points of the box (Point3s of Python floats), skipping
+    the excluded set; a ConfigError when the first _HALTON_TRIES draws hold
+    fewer than n points outside it.
 
-    Each seed starts the sequence at its own index; a negative seed would
-    start below 0, where every point is the box's lower corner.
+    ``excluded`` is called once per block of candidate points, on a Point3
+    of coordinate arrays, and returns a bool array of their shape: the
+    broadcasting contract of a ``BoxDomain`` predicate.  The points are the
+    ones a loop over the draws, one predicate call per draw, accepts, in its
+    order.  Each seed starts the sequence at its own index; a negative seed
+    would start below 0, where every point is the box's lower corner.
     """
     if seed < 0:
         raise ValueError(f"halton_points: seed must be >= 0, got {seed}")
     lo, hi = Point3(*box[0]), Point3(*box[1])
     pts: List[Point3] = []
-    idx = 17 + 7919 * seed
-    tries = 0
+    start = idx = 17 + 7919 * seed
     while len(pts) < n:
-        tries += 1
-        if tries > _HALTON_TRIES:
+        # the draws that the points still needed take at the acceptance rate
+        # so far: all of them at first, twice the draws so far while none passed
+        need, drawn = n - len(pts), idx - start
+        if not drawn:
+            size = need
+        elif pts:
+            size = math.ceil(need * drawn / len(pts))
+        else:
+            size = 2 * drawn
+        size = min(size, start + _HALTON_TRIES - idx)
+        if size <= 0:
             raise ConfigError(f"could not draw {n} points from {box}; "
                               f"excluded set too large")
-        p = Point3(lo.x + (hi.x - lo.x) * _halton(idx, 2),
-                   lo.y + (hi.y - lo.y) * _halton(idx, 3),
-                   lo.z + (hi.z - lo.z) * _halton(idx, 5))
-        idx += 1
-        if excluded is not None and excluded(p):
-            continue
-        pts.append(p)
+        block = [Point3(lo.x + (hi.x - lo.x) * _halton(i, 2),
+                        lo.y + (hi.y - lo.y) * _halton(i, 3),
+                        lo.z + (hi.z - lo.z) * _halton(i, 5))
+                 for i in range(idx, idx + size)]
+        idx += size
+        if excluded is not None:
+            out = excluded(Point3(*(np.array(c) for c in zip(*block))))
+            out = np.broadcast_to(np.asarray(out, dtype=bool), (size,)).tolist()
+            block = [p for p, skip in zip(block, out) if not skip]
+        pts += block[:n - len(pts)]
     return pts
 
 
 def entry_points(entry: CatalogEntry, n: int, seed: int = 0) -> List[Point3]:
     dom = entry.instance.Q.domain
-    return halton_points(entry.sample_box, n, seed, excluded=lambda p: not dom.ok(p))
+    return halton_points(entry.sample_box, n, seed, excluded=lambda P: ~dom.ok_mask(P))
 
 
 _Checks = List[Tuple[str, float, Callable[[], Tuple[float, int]]]]
@@ -572,63 +592,54 @@ def suite_riccati(config: RunConfig) -> _Checks:
             total += P.x.size
         return worst, total
 
-    def _random_probe():
-        a, b, c = rng.uniform(-0.4, 0.4, 3)
-        return ScalarField(lambda p: complex(math.exp(a * p.x + b * p.y + c * p.z)))
+    def probes(n: int) -> ScalarField:
+        """n random probes exp(a x + b y + c z), drawn probe by probe: probe i
+        belongs to target i of a batch of n points, the last axis of the
+        batch and of every stencil of it."""
+        a, b, c = rng.uniform(-0.4, 0.4, (n, 3)).T
+        return ScalarField(lambda p: np.exp(a * p.x + b * p.y + c * p.z), vectorized=True)
 
     def factorization_solutions():
-        worst = 0.0
-        total = 0
+        worst, total = 0.0, 0
         for entry in (catalog_entry("rotational", config.margin, k=1, c=0.5 * math.log(2)),
                       catalog_entry("conical", config.margin, C1=2.0, C2=math.e)):
-            pts = entry_points(entry, 10, config.seed + 3)
-            for _ in range(10):
-                probe = _random_probe()
-                p = pts[total % len(pts)]
-                left, right = factorization_residual(probe, entry.instance, p, scheme)
-                worst = max(worst, left.max_abs(), right.max_abs())
-                total += 1
+            P = _as_batch(entry_points(entry, 10, config.seed + 3))
+            left, right = factorization_residual(probes(P.x.size), entry.instance, P, scheme)
+            worst = max(worst, float(_mag(left).max()), float(_mag(right).max()))
+            total += P.x.size
         return worst, total
 
     def factorization_detect():
         # Q = (x,0,0) with q = -1 has the defect x^2 >= 0.64 on the sample box
         # (q = 0 would solve the equation exactly on the plane x = 1)
-        bad = RiccatiInstance(
-            VectorField(lambda p: np.array([p.x, 0, 0], complex)),
-            ScalarField(lambda p: -1 + 0j))
-        smallest = math.inf
-        for p in halton_points((Point3(0.8, 0.2, 0.1), Point3(1.6, 1.0, 0.9)),
-                               5, config.seed):
-            probe = _random_probe()
-            left, right = factorization_residual(probe, bad, p, scheme)
-            smallest = min(smallest, max(left.max_abs(), right.max_abs()))
-        return smallest, 5
+        bad = RiccatiInstance(VectorField(lambda p: vec3(p.x, 0, 0), vectorized=True),
+                              ScalarField(lambda p: -1 + 0j, vectorized=True))
+        P = _as_batch(halton_points((Point3(0.8, 0.2, 0.1), Point3(1.6, 1.0, 0.9)),
+                                    5, config.seed))
+        left, right = factorization_residual(probes(P.x.size), bad, P, scheme)
+        worst = np.maximum(_mag(left).max(axis=0), _mag(right).max(axis=0))
+        return float(worst.min()), P.x.size
 
     def prop1_closed_chain():
-        phi = ScalarField(lambda p: complex(math.exp(p.x)))
-        W = QuaternionField(lambda p: Biquaternion(math.exp(p.x), 0.0,
-                                                   math.exp(-p.x), 0.0))
-        one_q = ScalarField(lambda p: 1.0 + 0j)
-        pts = halton_points((Point3(-0.6, -0.6, -0.6), Point3(0.6, 0.6, 0.6)),
-                            15, config.seed)
-        worst = 0.0
-        W0 = ScalarField(lambda p: complex(math.exp(p.x)))
-        Wv = VectorField(lambda p: np.array([0.0, math.exp(-p.x), 0.0], complex))
-        for p in pts:
-            worst = max(worst, vekua_residual(W, phi, p, scheme).max_abs())
-            worst = max(worst, abs(schrodinger_residual(
-                SchrodingerInstance(W0, one_q), p, scheme)))
-            c1, c2 = component_residuals(W0, Wv, phi, p, scheme)
-            worst = max(worst, abs(c1), float(np.max(np.abs(c2))))
-        return worst, len(pts)
+        # phi = W0 = e^x, Wv = e^-x e2: W = W0 + Wv solves the Vekua equation
+        phi = ScalarField(lambda p: np.exp(p.x), vectorized=True)
+        W = QuaternionField(lambda p: [np.exp(p.x), 0.0, np.exp(-p.x), 0.0], vectorized=True)
+        Wv = VectorField(lambda p: vec3(0.0, np.exp(-p.x), 0.0), vectorized=True)
+        one_q = ScalarField(lambda p: 1.0 + 0j, vectorized=True)
+        P = _as_batch(halton_points((Point3(-0.6, -0.6, -0.6), Point3(0.6, 0.6, 0.6)),
+                                    15, config.seed))
+        c1, c2 = component_residuals(phi, Wv, phi, P, scheme)
+        worst = max(_mag(vekua_residual(W, phi, P, scheme)).max(),
+                    _mag(schrodinger_residual(SchrodingerInstance(phi, one_q), P, scheme)).max(),
+                    _mag(c1).max(), np.abs(c2).max())
+        return float(worst), P.x.size
 
     def w_equation_example():
-        phi = ScalarField(lambda p: complex(math.exp(p.x)))
-        w = VectorField(lambda p: np.array([0.0, math.exp(p.x), 0.0], complex))
-        pts = halton_points((Point3(-0.6, -0.6, -0.6), Point3(0.6, 0.6, 0.6)),
-                            10, config.seed + 1)
-        worst = max(w_equation_residual(w, phi, p, scheme).max_abs() for p in pts)
-        return worst, len(pts)
+        phi = ScalarField(lambda p: np.exp(p.x), vectorized=True)
+        w = VectorField(lambda p: vec3(0.0, np.exp(p.x), 0.0), vectorized=True)
+        P = _as_batch(halton_points((Point3(-0.6, -0.6, -0.6), Point3(0.6, 0.6, 0.6)),
+                                    10, config.seed + 1))
+        return float(_mag(w_equation_residual(w, phi, P, scheme)).max()), P.x.size
 
     def prop2_closed_parts():
         tube = BoxDomain.box((0.25, -0.6, -0.6), (7.75, 0.6, 0.6))
@@ -671,7 +682,7 @@ def suite_euler_picard(config: RunConfig) -> _Checks:
     tube = BoxDomain.box((0.25, -0.6, -0.6), (7.75, 0.6, 0.6))
     tube_pts = [Point3(3.6, -0.1, 0.08), Point3(4.0, 0.12, -0.05),
                 Point3(4.4, 0.0, 0.1)]
-    zero_q = ScalarField(lambda p: 0j)
+    zero_q = ScalarField(lambda p: 0j, vectorized=True)
     one = ScalarField(lambda p: 1.0 + 0j, vectorized=True)
     nb = config.build_grid
     cells = (5 * nb, nb, nb)
@@ -735,15 +746,12 @@ def suite_euler_picard(config: RunConfig) -> _Checks:
         return worst, len(tube_pts)
 
     def euler_built():
-        W = get_W()
-        worst = max(euler_residual(W, zero_inst.Q, p, scheme).max_abs()
-                    for p in tube_pts)
-        return worst, len(tube_pts)
+        r = euler_residual(get_W(), zero_inst.Q, _as_batch(tube_pts), scheme)
+        return float(_mag(r).max()), len(tube_pts)
 
     def vekua_built():
-        W = get_W_from_W0()
-        worst = max(vekua_residual(W, one, p, scheme).max_abs() for p in tube_pts)
-        return worst, len(tube_pts)
+        r = vekua_residual(get_W_from_W0(), one, _as_batch(tube_pts), scheme)
+        return float(_mag(r).max()), len(tube_pts)
 
     def prop3_roundtrip():
         W = get_W_from_W0()
@@ -799,26 +807,28 @@ def suite_symmetry(config: RunConfig) -> _Checks:
     rng = _rng(config, 4)
     box = (Point3(0.55, 0.35, 0.45), Point3(1.6, 1.3, 1.4))
 
+    def values(P: Point3) -> np.ndarray:
+        """A random Q at each point of P, drawn point by point: (3, N)."""
+        return rng.uniform(-1, 1, (P.x.size, 3)).T
+
     def determining_table():
-        pts = halton_points(box, 5, config.seed)
+        P = _as_batch(halton_points(box, 5, config.seed))
         worst = 0.0
         for k in range(1, 11):
-            q = invariant_potential(k, _TABLE_F[k])
-            for p in pts:
-                worst = max(worst, abs(determining_residual(
-                    single_parameter(k), q, p, scheme)))
-        return worst, 10 * len(pts)
+            r = determining_residual(single_parameter(k), invariant_potential(k, _TABLE_F[k]),
+                                     P, scheme)
+            worst = max(worst, float(np.max(np.abs(r))))
+        return worst, 10 * P.x.size
 
     def identity():
         worst = 0.0
-        pts = halton_points(box, 10, config.seed + 1)
+        P = _as_batch(halton_points(box, 10, config.seed + 1))
         for k in range(1, 11):
-            for p in pts:
-                Qv = rng.uniform(-1, 1, 3)
-                p2, Q2 = group_act(GroupElement(k, 0.0), p, Qv)
-                worst = max(worst, float(np.max(np.abs(np.asarray(p2) - np.asarray(p)))),
-                            float(np.max(np.abs(Q2 - Qv))))
-        return worst, 100
+            Q = values(P)
+            P2, Q2 = group_act(GroupElement(k, 0.0), P, Q)
+            worst = max(worst, float(np.max(np.abs(np.subtract(P2, P)))),
+                        float(np.max(np.abs(Q2 - Q))))
+        return worst, 10 * P.x.size
 
     def composition_affine():
         worst = 0.0
@@ -863,17 +873,15 @@ def suite_symmetry(config: RunConfig) -> _Checks:
     def vhat_consistency():
         worst = 0.0
         dl = 1e-5
-        pts = halton_points(box, 10, config.seed + 2)
+        P = _as_batch(halton_points(box, 10, config.seed + 2))
         for k in range(1, 11):
-            for p in pts:
-                Qv = rng.uniform(-1, 1, 3)
-                pp, Qp = group_act(GroupElement(k, dl), p, Qv)
-                pm, Qm = group_act(GroupElement(k, -dl), p, Qv)
-                fd = (np.concatenate([np.asarray(pp), Qp])
-                      - np.concatenate([np.asarray(pm), Qm])) / (2 * dl)
-                vh = np.array(vhat_apply(single_parameter(k), p, Qv))
-                worst = max(worst, float(np.max(np.abs(fd - vh))))
-        return worst, 100
+            Q = values(P)
+            pp, Qp = group_act(GroupElement(k, dl), P, Q)
+            pm, Qm = group_act(GroupElement(k, -dl), P, Q)
+            fd = (np.concatenate([pp, Qp]) - np.concatenate([pm, Qm])) / (2 * dl)
+            vh = np.array(vhat_apply(single_parameter(k), P, Q))
+            worst = max(worst, float(np.max(np.abs(fd - vh))))
+        return worst, 10 * P.x.size
 
     def transport():
         worst = 0.0
@@ -900,16 +908,20 @@ def suite_symmetry(config: RunConfig) -> _Checks:
         return worst, total
 
     def pushforward_agreement():
-        worst = 0.0
+        worst, total = 0.0, 0
         entry = catalog_entry("harmonic:x+y+z", config.margin)
         P = _as_batch(halton_points(box, 25, config.seed + 3))
+        # each conical group moves a point of its own axis along the axis
+        axes = _as_batch([Point3(1.0, 0.0, 0.0), Point3(0.0, 1.0, 0.0), Point3(0.0, 0.0, 1.0)])
         for k in range(1, 11):
             lam = 0.2 if k <= 7 else 0.05
             g = GroupElement(k, lam)
             t = transport_solution(g, entry.instance.Q)
             pf = pushforward_solution(g, entry.instance.Q)
-            worst = max(worst, float(np.max(np.abs(t.batch(P) - pf.batch(P)))))
-        return worst, 250
+            for Pk in (P,) if k <= 7 else (P, axes):
+                worst = max(worst, float(np.max(np.abs(t.batch(Pk) - pf.batch(Pk)))))
+                total += Pk.x.size
+        return worst, total
 
     def printed_text_discrepancy():
         # informational: the literal published conical displays deviate from
@@ -941,18 +953,37 @@ def suite_symmetry(config: RunConfig) -> _Checks:
 # --------------------------------------------------------------------------
 # 1-D oracle suite
 
+# RK4's step in integration_vs_analytic: its residuals there are round-off
+# (3.7e-15) from 1e-3 down, where 1e-4 took ten times the steps
+_RK4_STEP = 1e-3
+
+
 def suite_oned(config: RunConfig) -> _Checks:
+    tan = r1d.Coefficients1D(lambda x: 1.0, lambda x: 0.0, lambda x: 1.0)  # y' = 1 + y^2
+
     def integration():
         c = r1d.Coefficients1D(lambda x: 0.0, lambda x: 0.0, lambda x: -1.0)
-        path = r1d.integrate(c, 1.0, 1.0, 2.0, 1e-4)
-        worst = abs(path.ys[-1] - 0.5)
-        c2 = r1d.Coefficients1D(lambda x: 1.0, lambda x: 0.0, lambda x: 1.0)
-        path2 = r1d.integrate(c2, 0.0, 0.0, 0.5, 1e-4)
-        worst = max(worst, abs(path2.ys[-1] - math.tan(0.5)))
-        blown = r1d.integrate(c2, 0.0, 0.0, 3.0, 1e-4)
+        worst = abs(r1d.integrate(c, 1.0, 1.0, 2.0, _RK4_STEP).ys[-1] - 0.5)
+        worst = max(worst, abs(r1d.integrate(tan, 0.0, 0.0, 0.5, _RK4_STEP).ys[-1]
+                               - math.tan(0.5)))
+        # y' = 1 + x^2 - y^2 has y = x: the only case here whose coefficients
+        # depend on x, so the only one that sees where RK4 evaluates them
+        moving = r1d.Coefficients1D(lambda x: 1.0 + x * x, lambda x: 0.0, lambda x: -1.0)
+        worst = max(worst, abs(r1d.integrate(moving, 0.0, 0.0, 1.0, _RK4_STEP).ys[-1] - 1.0))
+        blown = r1d.integrate(tan, 0.0, 0.0, 3.0, _RK4_STEP)
         if not blown.hit_singularity:
             worst = max(worst, 1.0)
-        return worst, 3
+        return worst, 4
+
+    def rk4_observed_order():
+        # y = tan x on [0, 1]: RK4's error falls about 2^4-fold per halving of
+        # the step (14.4- and 15.2-fold here); a method of order 3 or 2 falls
+        # 8- or 4-fold, whatever the size of its error.  The residual is the
+        # largest distance of the observed order log2(e_h / e_h/2) from 4.
+        errors = [abs(r1d.integrate(tan, 0.0, 0.0, 1.0, h).ys[-1] - math.tan(1.0))
+                  for h in (1e-2, 5e-3, 2.5e-3)]
+        orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
+        return max(abs(order - 4.0) for order in orders), len(errors)
 
     def crossratio():
         fns = [lambda x, cc=cc: 1.0 / (x + cc) for cc in (0.0, 1.0, 2.0, 3.0)]
@@ -1038,6 +1069,7 @@ def suite_oned(config: RunConfig) -> _Checks:
 
     checks = [
         ("integration_vs_analytic", 1e-8, integration),
+        ("rk4_observed_order", 0.5, rk4_observed_order),
         ("crossratio_constancy", 1e-6, crossratio),
         ("picard_equivalent_form", 1e-6, picard_equiv),
         ("superposition_residual", 1e-7, superposition_residual),

@@ -102,7 +102,7 @@ def test_report_checks_are_the_registry(verify_all):
     # the report carries each registry check once; the pinned count makes
     # dropping a check from the registry fail here, not just lose a test id
     assert [c["name"] for c in verify_all.report["checks"]] == sorted(REGISTRY)
-    assert len(set(REGISTRY)) == len(REGISTRY) == 68
+    assert len(set(REGISTRY)) == len(REGISTRY) == 69
 
 
 def test_no_field_of_the_suite_is_evaluated_point_by_point(verify_all):
@@ -117,10 +117,12 @@ def test_no_field_of_the_suite_is_evaluated_point_by_point(verify_all):
 # digests were recorded when B's rows and the operators suite's random
 # cubics came to be contracted by einsum instead of BLAS (so that no row
 # depends on the BLAS thread count; six rows moved in their last bits), the
-# symmetry digest when the transported and pushed-forward solutions came to
-# share one pull-back (transport_vs_pushforward fell from 1.7e-13 to 5.6e-17:
-# the rotations' pre-images no longer differ by one ulp), the riccati digest when fixed Gauss-Legendre became operator A's only line
-# rule (rows that integrated with adaptive Simpson moved), the algebra
+# symmetry digest when transport_vs_pushforward took points on the conical
+# groups' axes (259 samples; 5.6e-17 became 1.1e-16), the oned digest when
+# integration_vs_analytic took its non-autonomous case at RK4 step 1e-3
+# (3.719e-15 at step 1e-4 became 3.664e-15) and
+# rk4_observed_order joined it, the riccati digest when fixed Gauss-Legendre
+# became operator A's only line rule (rows that integrated with adaptive Simpson moved), the algebra
 # digest when the algebra laws moved onto (4, N) batches of the same
 # samples (numpy's complex loops round those rows differently in their
 # last bits), the others before operator A's rounds were merged into one
@@ -133,9 +135,9 @@ _REPORT_DIGESTS = {
     "operators": "f0eb775afbf8284c6b6f9961ab05650bd02f809e978378f326e4fd0653a35f6c",
     "riccati": "2152dc0bcafe5a6c674435ab072eb06444d6a83f9e1543dd94e2f3e90186064d",
     "euler_picard": "b277a49f65474839f0173b96af2e354eef133ab7ca046848d0382f63e43ecee8",
-    "symmetry": "2f9151b0aaa147ce18f5e0c70e5171571caf8adcde77993714793d557b57f7f6",
+    "symmetry": "7bfdf10181dc89ce476405dc08d4aad78a125bb7f9ed874f204e770e85846c61",
     "solutions": "40fc308079971d957082d887405b901a3f2e041b0a5548a4aa33e65b9a2aa197",
-    "oned": "2f427c9857ab3bbbc260f55eda6ccc3c4c22d0206779cf2108876fc89a110d11",
+    "oned": "8a0fb694ea020be1f4e02d90e1b92eb111204d4985753058108e8037b2e4e2c5",
 }
 
 

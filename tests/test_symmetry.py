@@ -346,6 +346,33 @@ def test_pushforward_errors_name_the_element_it_was_given(g, bad):
     assert pf.value.where.tolist() == [False, True, True]
 
 
+@pytest.mark.parametrize("g, bad", [
+    (GroupElement(8, -0.7), Point3(1 / 0.7, 3e-7, 0.0)),
+    (GroupElement(10, -0.7), Point3(0.0, 2e-7, 1 / 0.7)),
+], ids=["G8", "G10"])
+def test_moved_field_raises_where_Q_overflows_at_a_far_preimage(g, bad):
+    # just off the axis next to the pull-back's pole, the pre-image lies at
+    # |y| ~ 1e7, where sin(x) exp(y) overflows although the point is in the
+    # moved field's domain: transport returned [nan, nan, nan] there, and
+    # pushforward named the far pre-image
+    Q = catalog_entry("harmonic:sin-exp").instance.Q
+    pts = [Point3(0.9, 0.3, 0.8), bad, bad]
+    message = (rf"Q at the pre-image of Point3\(x={bad.x}, y={bad.y}, z={bad.z}\) "
+               rf"under G_{g.k}, lambda={g.lam}, is not finite")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the catalog field's overflow
+        for moved in (transport_solution(g, Q), pushforward_solution(g, Q)):
+            assert moved.domain.ok(bad)
+            with pytest.raises(DomainError, match=message) as one:
+                moved(bad)
+            with pytest.raises(DomainError, match=message) as batch:
+                moved.batch(_batch(pts))
+            assert one.value.index == 0 and one.value.where is None
+            assert batch.value.index == 1
+            assert batch.value.where.tolist() == [False, True, True]
+            assert np.all(np.isfinite(moved(pts[0])))
+
+
 # -- batches ------------------------------------------------------------------
 
 # a 5^3 grid through the origin: it crosses every coordinate axis, and with

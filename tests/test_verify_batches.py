@@ -3,6 +3,8 @@ loops they replaced: the same samples bit for bit, the loops' residuals to
 round-off (numpy's complex loops may fuse a multiply and an add where Python
 does not), and the power to see a broken product or a dropped Leibniz term."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from riccati3d.biquat import Biquaternion, conj_h, inverse, max_component_diff, 
 from riccati3d.errors import ZeroDivisor
 from riccati3d.fields import Point3, QuaternionField, ScalarField, dirac_left, grad
 from riccati3d.report import RunConfig
+from riccati3d.riccati import factorization_residual
 
 # the algebra rows that run on batches, in registry order
 _BATCHED = ("product_vs_basis_oracle", "associativity", "distributivity",
@@ -249,3 +252,35 @@ def test_scalar_leibniz_sees_a_dropped_gradient_term(monkeypatch):
     monkeypatch.setattr(verify, "grad", lambda f, p, scheme: np.zeros((3,) + p.x.shape))
     tol, fn = _scalar_leibniz(RunConfig(seed=0))
     assert fn()[0] > 1e3 * tol
+
+
+# -- riccati/factorization_*: one batch per entry, each point with its probe
+
+def test_factorization_rows_draw_the_loop_probes(monkeypatch):
+    # the loops drew (a, b, c) for each point in turn and evaluated
+    # exp(a x + b y + c z) with math.exp; the batches draw the same stream
+    config = RunConfig(seed=1)
+    scheme = verify._scheme(config)
+    calls = []
+
+    def recorded(psi, inst, P, scheme):
+        calls.append((psi, inst, P))
+        return factorization_residual(psi, inst, P, scheme)
+
+    monkeypatch.setattr(verify, "factorization_residual", recorded)
+    rows = {name: fn for name, _, fn in verify.suite_riccati(config)}
+    rows["factorization_on_solutions"]()
+    smallest = rows["factorization_nonsolution_detection"]()[0]
+    assert [P.x.size for _, _, P in calls] == [10, 10, 5]
+    rng = verify._rng(config, 3)
+    for psi, inst, P in calls:
+        values, defects = psi.batch(P), []
+        for i, p in enumerate(zip(*(c.tolist() for c in P))):
+            a, b, c = rng.uniform(-0.4, 0.4, 3)
+            probe = ScalarField(lambda t: complex(math.exp(a * t.x + b * t.y + c * t.z)))
+            assert abs(values[i] - probe(Point3(*p))) <= 1e-15 * abs(values[i])
+            left, right = factorization_residual(probe, inst, Point3(*p), scheme)
+            defects.append(max(left.max_abs(), right.max_abs()))
+    # the detection row's defect (the last batch) is O(1); exp's last bits,
+    # differenced twice at h = 1e-3, move it by about 1e-9 of itself
+    assert abs(smallest - min(defects)) <= 1e-8 * smallest

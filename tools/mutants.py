@@ -62,6 +62,12 @@ MUTANTS = [
     ("pull-back maps forward (`_act(g, ...)` for `_act(g.inverse(), ...)`)",
      "src/riccati3d/symmetry.py",
      "_act(g.inverse(), X, np.zeros_like(X))", "_act(g, X, np.zeros_like(X))"),
+    ("`_conical_act` on the axis: `1 - x*lambda` with `x*lambda` x 1.01",
+     "src/riccati3d/symmetry.py",
+     "    d = 1.0 - xa * lam\n", "    d = 1.0 - xa * lam * 1.01\n"),
+    ("reconciled conical transport on the axis: `1 + x*lambda` with `x*lambda` x 1.01",
+     "src/riccati3d/symmetry.py",
+     "1.0 + xa * lam)", "1.0 + xa * lam * 1.01)"),
 ]
 
 _VERIFY = "import sys; from riccati3d.cli import main; sys.exit(main(sys.argv[1:]))"
