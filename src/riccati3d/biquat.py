@@ -22,7 +22,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import ZeroDivisor, _first, _item
+from .errors import ZeroDivisor, _item, _raise_at
 
 __all__ = [
     "Biquaternion",
@@ -181,10 +181,8 @@ def _inverse(a):
     m = _modulus_sq(a)
     size = [abs(c) for c in a]
     scale = (functools.reduce(np.maximum, size) if type(m) is np.ndarray else max(size)) ** 2
-    bad = (scale == 0.0) | (abs(m) <= EPS_INV * scale)
-    if bad is not False and (i := _first(bad)) is not None:
-        raise ZeroDivisor(f"biquaternion has (near-)zero modulus |a|^2 = {_item(m, i)}",
-                          index=i, where=bad)
+    _raise_at((scale == 0.0) | (abs(m) <= EPS_INV * scale), ZeroDivisor,
+              lambda i: f"biquaternion has (near-)zero modulus |a|^2 = {_item(m, i)}")
     return tuple(c / m for c in _conj(a))
 
 

@@ -22,7 +22,7 @@ import dataclasses
 import json
 import math
 import sys
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -156,20 +156,21 @@ def _write_rows(path: str, fmt: str, grid: Sequence[np.ndarray], masked: np.ndar
 _EVAL_CHUNK = 1024  # grid rows per batch: bounds the batch's scratch memory
 
 
-def _export(args, names: Sequence[str], evaluate: Callable[[Point3], dict],
+def _export(args, evaluate: Callable[[Point3], dict],
             ok_mask: Optional[Callable[[Point3], np.ndarray]] = None):
-    """Evaluate the quantities ``names`` on the grid of ``args`` and write
-    the export; return the grid, the masked rows and the quantity columns.
+    """Evaluate quantities on the grid of ``args`` and write the export;
+    return the grid, the masked rows and the quantity columns.
 
     Rows go in batches of ``_EVAL_CHUNK``, in C order.  ``ok_mask`` masks
     rows up front; ``evaluate`` maps a batch of points to one array per
-    quantity.  A typed error masks every row it names (``where``, else
+    quantity, in column order, and each column is allocated when it first
+    appears.  A typed error masks every row it names (``where``, else
     ``index``) and the rest of the batch is evaluated again, so a batch is
     retried once per failing check rather than once per failing row.
     """
     grid = [c.ravel() for c in np.meshgrid(*_parse_grid(args.grid), indexing="ij")]
     masked = np.ones(grid[0].size, dtype=bool)
-    values = {name: np.zeros(grid[0].size, dtype=complex) for name in names}
+    values: dict = {}
     for start in range(0, masked.size, _EVAL_CHUNK):
         P = Point3(*(c[start:start + _EVAL_CHUNK] for c in grid))
         todo = np.flatnonzero(ok_mask(P)) if ok_mask else np.arange(P.x.size)
@@ -189,6 +190,8 @@ def _export(args, names: Sequence[str], evaluate: Callable[[Point3], dict],
         rows = start + todo
         masked[rows] = False
         for name, val in batch.items():
+            if name not in values:
+                values[name] = np.zeros(grid[0].size, dtype=complex)
             values[name][rows] = val
     if masked.all():
         raise ConfigError("every grid point is masked; grid misses the domain")
@@ -196,41 +199,28 @@ def _export(args, names: Sequence[str], evaluate: Callable[[Point3], dict],
     return grid, masked, values
 
 
-def _quantity_columns(fields: Sequence[str], entry: CatalogEntry) -> List[str]:
-    names: List[str] = []
-    if "Q" in fields:
-        names += ["u", "v", "w"]
-    if "q" in fields:
-        names += ["q"]
-    if "psi" in fields:
-        names += ["psi"]
-    if "residuals" in fields:
-        names += ["resid_sc", "resid_v1", "resid_v2", "resid_v3"]
-        if "psi" in fields and entry.psi is not None:
-            names += ["resid_psi"]
-    return names
-
-
 def _eval_batch(entry: CatalogEntry, fields: Sequence[str], P: Point3,
                 scheme: DiffScheme) -> dict:
-    """Quantity name -> complex array over a batch P of grid points.  The
-    residuals go first: their stencil check raises before anything is
-    evaluated, and they hand on Q, q and psi at P."""
+    """Quantity name -> complex array over a batch P of grid points, in the
+    export's column order: u, v, w, q, psi, then the residuals.  The
+    residuals are computed first: their stencil check raises before anything
+    is evaluated, and they hand on Q, q and psi at P."""
     inst = entry.instance
     values: dict = {}
+    resid: dict = {}
     Q = q = psi = None
     if "residuals" in fields:
         Q, q, sc, vec = _centre_and_residual(inst, P, scheme)
-        values.update(resid_sc=sc, resid_v1=vec[0], resid_v2=vec[1], resid_v3=vec[2])
+        resid.update(resid_sc=sc, resid_v1=vec[0], resid_v2=vec[1], resid_v3=vec[2])
         if "psi" in fields:
-            psi, values["resid_psi"] = _schrodinger_centre(entry.schrodinger(), P, scheme, q)
+            psi, resid["resid_psi"] = _schrodinger_centre(entry.schrodinger(), P, scheme, q)
     if "Q" in fields:
         values.update(zip("uvw", inst.Q.batch(P) if Q is None else Q))
     if "q" in fields:
         values["q"] = inst.q.batch(P) if q is None else q
     if "psi" in fields:
         values["psi"] = entry.psi.batch(P) if psi is None else psi
-    return values
+    return {**values, **resid}
 
 
 def cmd_eval(args) -> int:
@@ -243,8 +233,7 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"{entry.name} has no Schrodinger partner psi")
     scheme = DiffScheme(h=args.h if args.h is not None else 1e-3)
     # a row is masked where its point is off Q's domain or an evaluator raises
-    _, masked, _ = _export(args, _quantity_columns(fields, entry),
-                           lambda P: _eval_batch(entry, fields, P, scheme),
+    _, masked, _ = _export(args, lambda P: _eval_batch(entry, fields, P, scheme),
                            entry.instance.Q.domain.ok_mask)
     print(f"wrote {masked.size} rows ({int(masked.sum())} masked) to {args.out}")
     return 0
@@ -269,7 +258,7 @@ def cmd_transform(args) -> int:
         return dict(zip(names, (*tv, sc, *vec, np.abs(tv - ov).max(axis=0))))
 
     # a row is masked only where an evaluator or the stencil check raises
-    grid, masked, values = _export(args, names, evaluate)
+    grid, masked, values = _export(args, evaluate)
     counted = ~masked
     if g.k >= 8:  # the conical groups' on-axis rows are flagged and not counted
         a, b = (c for i, c in enumerate(grid) if i != g.k - 8)

@@ -1,5 +1,5 @@
-"""Exception types shared across the toolkit, and the helpers that locate
-a failing guard in a batch."""
+"""Exception types shared across the toolkit, and the guard rule that
+raises them over a point or a batch (``_raise_at``)."""
 
 from typing import Optional
 
@@ -69,13 +69,20 @@ class ConfigError(Riccati3dError):
 
 def _first(bad) -> Optional[int]:
     """Where a guard fails: None if ``bad`` holds nowhere, else the flat
-    C-order index of the first point where it holds (0 for one point).
-    ``bad`` is a bool at one point and a bool array for a batch.  Guards
-    read ``if bad is not False and (i := _first(bad)) is not None``, so that
-    one point with a plain float comparison makes no call."""
+    C-order index of the first point where it holds (0 for one point)."""
     if type(bad) is np.ndarray:
         return int(bad.argmax()) if bad.any() else None
     return 0 if bad else None
+
+
+def _raise_at(bad, error, message) -> None:
+    """The guard rule.  ``bad`` is a bool at one point and a bool array over
+    a batch; where it holds, raise ``error`` at its first point i (``_first``)
+    with ``message``, a str or a function of i giving one, ``index=i`` and
+    ``where=bad``.  A plain False, a passing point, makes no ``_first`` call
+    and formats no message."""
+    if bad is not False and (i := _first(bad)) is not None:
+        raise error(message if type(message) is str else message(i), index=i, where=bad)
 
 
 def _item(a, i: int):

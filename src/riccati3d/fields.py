@@ -34,10 +34,9 @@ Conventions
   differenced: once the stencil is checked, ``grad``, ``div``, ``rot`` and the
   Dirac operators take the jet's derivatives.
 * Dual-use evaluators serve ``F(p)`` and ``F.batch`` with one body: guards
-  go through ``errors._first`` (a plain comparison at one point, a mask
-  over a batch) and transcendental functions are numpy ufuncs, which run
-  the same loop for one point and for a batch, so a batch gives the values
-  of ``F(p)`` bit for bit.
+  go through ``errors._raise_at`` and transcendental functions are numpy
+  ufuncs, which run the same loop for one point and for a batch, so a batch
+  gives the values of ``F(p)`` bit for bit.
 * ``dirac_left`` is sum_k e_k d_k (the Moisil-Theodoresco operator), equal to
   -div + grad + rot on the scalar/vector split; ``dirac_right`` puts e_k on
   the right and flips the rot sign.  Both difference the field's scalar and

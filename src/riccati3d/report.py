@@ -119,14 +119,3 @@ class VerificationReport:
         with open(path, "w") as fh:
             fh.write(self.to_json())
             fh.write("\n")
-
-
-def merge_reports(reports: List[VerificationReport], config_echo: dict,
-                  suite: str = "all") -> VerificationReport:
-    checks: List[CheckResult] = []
-    for rep in reports:
-        prefix = rep.suite
-        for c in rep.checks:
-            checks.append(CheckResult(f"{prefix}/{c.name}", c.max_abs_residual,
-                                      c.tolerance, c.samples, c.passed, c.seconds))
-    return VerificationReport(checks, config_echo, suite)

@@ -11,8 +11,7 @@ numbers (``_parts``) and the result is the Biquaternion, complex number or
 array the pointwise call has always returned, bit for bit; over a batch
 the same ``biquat._product``/``_conj`` and ``fields._dirac_sum`` lines run
 on arrays, whose complex products numpy may round differently in the last
-bits.  A guard (ZeroCrossing, NotPureVector) names the first failing point
-of a batch in ``index`` and every one in ``where``.
+bits.  The guards (ZeroCrossing, NotPureVector) follow ``errors._raise_at``.
 
 ``build_W_prop2``, ``build_W_from_W0`` and ``w_from_q_pair`` assemble
 their W in one place (``_built_W``): it takes a batch and carries a jet
@@ -38,7 +37,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .biquat import Biquaternion, _conj, _inverse, _product, cross
-from .errors import NotPureVector, ZeroCrossing, _first, _item
+from .errors import NotPureVector, ZeroCrossing, _item, _raise_at
 from .fields import (
     DEFAULT_QUAD,
     DEFAULT_SCHEME,
@@ -109,10 +108,8 @@ class SchrodingerInstance:
 
 def _nonzero(value, what: str):
     """value, unless |value| <= EPS_ZERO somewhere (a value or a batch of them)."""
-    bad = abs(value) <= EPS_ZERO
-    if bad is not False and (i := _first(bad)) is not None:
-        raise ZeroCrossing(f"{what} = {_item(value, i)} is below the zero guard {EPS_ZERO}",
-                           index=i, where=bad)
+    _raise_at(abs(value) <= EPS_ZERO, ZeroCrossing,
+              lambda i: f"{what} = {_item(value, i)} is below the zero guard {EPS_ZERO}")
     return value
 
 
@@ -310,10 +307,8 @@ def w_equation_residual(w, phi: ScalarField, p: Point3,
         wq = _parts(w.batch(p), batched)
         size = [abs(c) for c in wq]
         scale = functools.reduce(np.maximum, size, 1.0) if batched else max(1.0, *size)
-        bad = size[0] > 1e-12 * scale
-        if bad is not False and (i := _first(bad)) is not None:
-            raise NotPureVector(f"w has scalar part {_item(wq[0], i)} at {_point(p, i)}",
-                                index=i, where=bad)
+        _raise_at(size[0] > 1e-12 * scale, NotPureVector,
+                  lambda i: f"w has scalar part {_item(wq[0], i)} at {_point(p, i)}")
         w, wp = _vector_part(w), wq[1:]
     value = _nonzero(phi.batch(p), "phi")
     a = _parts(grad(phi, p, scheme) / value, batched)

@@ -32,7 +32,9 @@ __all__ = [
     "d2",
 ]
 
-BLOWUP_CAP = 1e6
+BLOWUP_CAP = 1e6  # |y| beyond this truncates an integration as a blow-up
+EULER_STEP = 1e-3  # grid step of both Euler constructions
+EPS_GUARD = 1e-12  # a divisor at or below this in modulus raises ZeroCrossing
 
 Fn = Callable[[float], float]
 
@@ -70,11 +72,10 @@ def _rk4_step(f, x: float, y: float, h: float) -> float:
     return y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def integrate(c: Coefficients1D, x0: float, y0: float, x1: float,
-              step: float, cap: float = BLOWUP_CAP) -> Path1D:
+def integrate(c: Coefficients1D, x0: float, y0: float, x1: float, step: float) -> Path1D:
     """Classic fixed-step 4th-order integration from (x0, y0) towards x1.
 
-    Truncates with hit_singularity=True as soon as |y| exceeds the cap.
+    Truncates with hit_singularity=True as soon as |y| exceeds BLOWUP_CAP.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -85,7 +86,7 @@ def integrate(c: Coefficients1D, x0: float, y0: float, x1: float,
     y = y0
     for i in range(n):
         y = _rk4_step(c.rhs, x0 + i * h, y, h)
-        if not math.isfinite(y) or abs(y) > cap:
+        if not math.isfinite(y) or abs(y) > BLOWUP_CAP:
             return Path1D(np.array(xs), np.array(ys), hit_singularity=True)
         xs.append(x0 + (i + 1) * h)
         ys.append(y)
@@ -116,8 +117,8 @@ def d2(f: Fn, x: float, h: float = 1e-3) -> float:
     return (16.0 * _d2_stencil(f, x, 0.5 * hh) - _d2_stencil(f, x, hh)) / 15.0
 
 
-def _guard(value: float, what: str, eps: float = 1e-12) -> float:
-    if abs(value) <= eps:
+def _guard(value: float, what: str) -> float:
+    if abs(value) <= EPS_GUARD:
         raise ZeroCrossing(f"{what} = {value} vanished")
     return value
 
@@ -164,8 +165,7 @@ class _GridFunction:
         return float(y)
 
 
-def euler_first(c: Coefficients1D, y1: Fn, u0: float,
-                x_range, step: float = 1e-3) -> Fn:
+def euler_first(c: Coefficients1D, y1: Fn, u0: float, x_range) -> Fn:
     """General solution from one particular solution y1.
 
     Integrates u' + (2 y1 p2 + p1) u + p2 = 0 from u(x_range[0]) = u0 and
@@ -176,7 +176,7 @@ def euler_first(c: Coefficients1D, y1: Fn, u0: float,
     def u_rhs(x: float, u: float) -> float:
         return -(2.0 * y1(x) * c.p2(x) + c.p1(x)) * u - c.p2(x)
 
-    n = max(2, int(math.ceil((b - a) / step)))
+    n = max(2, int(math.ceil((b - a) / EULER_STEP)))
     xs = np.linspace(a, b, n + 1)
     ys = np.empty_like(xs)
     ys[0] = u0
@@ -190,8 +190,7 @@ def euler_first(c: Coefficients1D, y1: Fn, u0: float,
     return y
 
 
-def euler_second(y1: Fn, y2: Fn, c: Coefficients1D, k: float,
-                 x_range, step: float = 1e-3) -> Fn:
+def euler_second(y1: Fn, y2: Fn, c: Coefficients1D, k: float, x_range) -> Fn:
     """General solution from two particular solutions, one quadrature.
 
     y = (k y2 E - y1)/(k E - 1) with E = exp(int p2 (y1 - y2) dx), the
@@ -202,7 +201,7 @@ def euler_second(y1: Fn, y2: Fn, c: Coefficients1D, k: float,
     def g(x: float) -> float:
         return c.p2(x) * (y1(x) - y2(x))
 
-    n = max(2, int(math.ceil((b - a) / step)))
+    n = max(2, int(math.ceil((b - a) / EULER_STEP)))
     xs = np.linspace(a, b, n + 1)
     acc = np.empty_like(xs)
     acc[0] = 0.0

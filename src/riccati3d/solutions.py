@@ -23,7 +23,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .errors import DomainError, _first, _item
+from .errors import DomainError, _item, _raise_at
 from .fields import (
     BoxDomain,
     Point3,
@@ -112,24 +112,18 @@ def _rotational_fields(params: RotationalParams, margin: float):
     def Q_eval(p: Point3) -> list:
         x, y, _ = p
         rho2 = x * x + y * y
-        bad = rho2 == 0.0
-        if bad is not False and (i := _first(bad)) is not None:
-            raise DomainError("rotational solution singular on the z-axis", index=i, where=bad)
+        _raise_at(rho2 == 0.0, DomainError, "rotational solution singular on the z-axis")
         power = np.power(rho2, k)
         den = rho2 * (power - E)
-        bad = den == 0.0
-        if bad is not False and (i := _first(bad)) is not None:
-            raise DomainError("rotational solution singular at rho = "
-                              f"{math.sqrt(_item(rho2, i))}", index=i, where=bad)
+        _raise_at(den == 0.0, DomainError,
+                  lambda i: f"rotational solution singular at rho = {math.sqrt(_item(rho2, i))}")
         factor = -k * (power + E) / den
         return [factor * x, factor * y, 0.0]
 
     def q_eval(p: Point3):
         x, y, _ = p
         rho2 = x * x + y * y
-        bad = rho2 == 0.0
-        if bad is not False and (i := _first(bad)) is not None:
-            raise DomainError("potential singular on the z-axis", index=i, where=bad)
+        _raise_at(rho2 == 0.0, DomainError, "potential singular on the z-axis")
         return k * k / rho2
 
     return (VectorField(Q_eval, domain, vectorized=True),
@@ -166,9 +160,7 @@ def rotational(params: RotationalParams,
     def psi_eval(p: Point3):
         x, y, _ = p
         rho2 = x * x + y * y
-        bad = rho2 == 0.0
-        if bad is not False and (i := _first(bad)) is not None:
-            raise DomainError("psi singular on the z-axis", index=i, where=bad)
+        _raise_at(rho2 == 0.0, DomainError, "psi singular on the z-axis")
         return norm * (np.power(rho2, k) - E) / np.power(rho2, half_k)
 
     return RiccatiInstance(Q, q), ScalarField(psi_eval, domain, vectorized=True)
@@ -254,13 +246,10 @@ def conical_riccati(params: ConicalParams,
         x, y, z = p
         rho2 = x * x + y * y
         r2 = rho2 + z * z
-        bad = (r2 == 0.0) | (rho2 == 0.0)
-        if bad is not False and (i := _first(bad)) is not None:
-            raise DomainError("conical solution singular on the z-axis", index=i, where=bad)
+        _raise_at((r2 == 0.0) | (rho2 == 0.0), DomainError,
+                  "conical solution singular on the z-axis")
         L = _log_term(C2, rho2, r2)
-        bad = L == 0.0
-        if bad is not False and (i := _first(bad)) is not None:
-            raise DomainError("conical solution singular on the log surface", index=i, where=bad)
+        _raise_at(L == 0.0, DomainError, "conical solution singular on the log surface")
         r4 = r2 * r2
         mid = rho2 - z * z
         u = -C1 * x * z / r4 + 2.0 * x * mid / (r2 * rho2 * L) + x / r2
@@ -271,9 +260,7 @@ def conical_riccati(params: ConicalParams,
     def q_eval(p: Point3):
         x, y, z = p
         r2 = x * x + y * y + z * z
-        bad = r2 == 0.0
-        if bad is not False and (i := _first(bad)) is not None:
-            raise DomainError("potential singular at the origin", index=i, where=bad)
+        _raise_at(r2 == 0.0, DomainError, "potential singular at the origin")
         return np.power(C1 / (2.0 * r2), 2.0)
 
     return RiccatiInstance(VectorField(Q_eval, domain, vectorized=True),
@@ -297,9 +284,7 @@ def conical(params: ConicalParams,
         x, y, z = p
         rho2 = x * x + y * y
         r2 = rho2 + z * z
-        bad = (r2 == 0.0) | (rho2 == 0.0)
-        if bad is not False and (i := _first(bad)) is not None:
-            raise DomainError("psi singular on the z-axis", index=i, where=bad)
+        _raise_at((r2 == 0.0) | (rho2 == 0.0), DomainError, "psi singular on the z-axis")
         return norm * _log_term(C2, rho2, r2) / (np.sqrt(r2) * np.exp(C1 * z / (2.0 * r2)))
 
     return inst, ScalarField(psi_eval, inst.Q.domain, vectorized=True)

@@ -43,7 +43,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .errors import DomainError, NonRealPotential, PoleError, _first, _item
+from .errors import DomainError, NonRealPotential, PoleError, _item, _raise_at
 from .fields import (
     DEFAULT_SCHEME,
     BoxDomain,
@@ -199,11 +199,12 @@ def _real(p: Point3, what: str, *values):
     naming the first such point of a batch (``index``, with the first such
     value there) and every one (``where``)."""
     bad = [abs(v.imag) > 1e-12 * np.maximum(1.0, abs(v)) for v in values]
-    anywhere = functools.reduce(np.logical_or, bad)
-    if (i := _first(anywhere)) is not None:
+
+    def message(i):
         value = next(v for v, b in zip(values, bad) if _item(b, i))
-        raise NonRealPotential(f"{what} has imaginary part {_item(value.imag, i)} "
-                               f"at {_point(p, i)}", index=i, where=anywhere)
+        return f"{what} has imaginary part {_item(value.imag, i)} at {_point(p, i)}"
+
+    _raise_at(functools.reduce(np.logical_or, bad), NonRealPotential, message)
     return [v.real for v in values]
 
 
@@ -252,10 +253,8 @@ def invariant_potential(k: int, F: Callable[[float, float], float]) -> ScalarFie
     if k == 7:
         def eval7(p: Point3):
             x = p.x
-            bad = abs(x) <= _SINGULAR_TOL
-            if bad is not False and (n := _first(bad)) is not None:
-                raise DomainError(f"dilation potential singular at x = {_item(x, n)}",
-                                  index=n, where=bad)
+            _raise_at(abs(x) <= _SINGULAR_TOL, DomainError,
+                      lambda n: f"dilation potential singular at x = {_item(x, n)}")
             return F(p.y / x, p.z / x) / (x * x)
         return ScalarField(eval7, BoxDomain.unbounded(lambda p: abs(p.x) <= _SINGULAR_TOL),
                            vectorized=True)
@@ -264,10 +263,8 @@ def invariant_potential(k: int, F: Callable[[float, float], float]) -> ScalarFie
 
     def eval_conical(p: Point3):
         r2 = p.x * p.x + p.y * p.y + p.z * p.z
-        bad = r2 <= _SINGULAR_TOL * _SINGULAR_TOL
-        if bad is not False and (n := _first(bad)) is not None:
-            raise DomainError(f"conical potential singular at r = {math.sqrt(_item(r2, n))}",
-                              index=n, where=bad)
+        _raise_at(r2 <= _SINGULAR_TOL * _SINGULAR_TOL, DomainError,
+                  lambda n: f"conical potential singular at r = {math.sqrt(_item(r2, n))}")
         return F(p[i] / r2, p[j] / r2) / (r2 * r2)
 
     return ScalarField(eval_conical, BoxDomain.unbounded(
@@ -357,10 +354,8 @@ def _act(g: GroupElement, X: np.ndarray, Q: np.ndarray):
 
 def _check_finite(g: GroupElement, p: Point3, what: str, *values) -> None:
     """DomainError at the points of p where a value, (3,) or (3, *S), is not finite."""
-    bad = ~np.all([np.isfinite(v).all(axis=0) for v in values], axis=0)
-    if (i := _first(bad)) is not None:
-        raise DomainError(f"{what} of {_point(p, i)} under G_{g.k}, lambda={g.lam}, "
-                          "is not finite", index=i, where=bad)
+    _raise_at(~np.all([np.isfinite(v).all(axis=0) for v in values], axis=0), DomainError,
+              lambda i: f"{what} of {_point(p, i)} under G_{g.k}, lambda={g.lam}, is not finite")
 
 
 def group_act(g: GroupElement, p: Point3, Qval) -> Tuple[Point3, np.ndarray]:
@@ -374,11 +369,9 @@ def group_act(g: GroupElement, p: Point3, Qval) -> Tuple[Point3, np.ndarray]:
     """
     p = Point3(*p)
     image, Q, poles = _act(g, np.asarray(p, dtype=float), _as_real_vector(Qval))
-    bad = poles[0] | poles[1]
-    if bad is not False and (i := _first(bad)) is not None:
-        what = "alpha" if _item(poles[0], i) else "1 - x*lambda"
-        raise PoleError(f"{what} vanished for G_{g.k} at {_point(p, i)}, lambda={g.lam}",
-                        index=i, where=bad)
+    _raise_at(poles[0] | poles[1], PoleError, lambda i: (
+        f"{'alpha' if _item(poles[0], i) else '1 - x*lambda'} vanished for G_{g.k} "
+        f"at {_point(p, i)}, lambda={g.lam}"))
     _check_finite(g, p, "image", image, Q)
     return Point3(*image), Q
 
@@ -394,9 +387,7 @@ def _pullback(g: GroupElement, X: np.ndarray):
 def _preimage(g: GroupElement, p: Point3) -> Point3:
     """p's pre-image under g, with the errors of ``transport_solution`` (naming g)."""
     pre, bad = _pullback(g, np.asarray(p, dtype=float))
-    if (i := _first(bad)) is not None:
-        raise PoleError(f"pre-image undefined at {_point(p, i)}, lambda={g.lam}",
-                        index=i, where=bad)
+    _raise_at(bad, PoleError, lambda i: f"pre-image undefined at {_point(p, i)}, lambda={g.lam}")
     _check_finite(g, p, "pre-image", pre)
     return Point3(*pre)
 
@@ -419,7 +410,8 @@ def _Q_at(g: GroupElement, Q: VectorField, p: Point3, pre) -> np.ndarray:
     near a pole of the pull-back lies far out, where Q may overflow inside
     the moved field's domain: DomainError naming the query point p (and,
     over a batch, its index and every such point in ``where``)."""
-    value = Q.batch(Point3(*pre))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # raised below
+        value = Q.batch(Point3(*pre))
     _check_finite(g, p, "Q at the pre-image", value)
     return value
 

@@ -37,7 +37,7 @@ from .fields import (
     operator_B,
     vec3,
 )
-from .report import CheckResult, RunConfig, VerificationReport, merge_reports
+from .report import CheckResult, RunConfig, VerificationReport
 from .riccati import (
     RiccatiInstance,
     SchrodingerInstance,
@@ -156,8 +156,9 @@ def entry_points(entry: CatalogEntry, n: int, seed: int = 0) -> List[Point3]:
 _Checks = List[Tuple[str, float, Callable[[], Tuple[float, int]]]]
 
 
-def _run_checks(checks: _Checks, config: RunConfig, suite: str) -> VerificationReport:
-    """Execute (name, default_tol, fn) triples serially, in registry order.
+def _run_checks(checks: _Checks, config: RunConfig, prefix: str) -> List[CheckResult]:
+    """Execute (name, default_tol, fn) triples serially, in registry order,
+    into results named ``prefix`` + name.
 
     Checks of one suite share a random generator and memoized builds, so the
     fixed order is what makes a report a function of (config, seed).
@@ -172,10 +173,9 @@ def _run_checks(checks: _Checks, config: RunConfig, suite: str) -> VerificationR
             passed = resid >= tol
         else:
             passed = resid <= tol
-        return CheckResult(name, float(resid), tol, samples, bool(passed), seconds)
+        return CheckResult(prefix + name, float(resid), tol, samples, bool(passed), seconds)
 
-    results = [run_one(*item) for item in checks]
-    return VerificationReport(results, config.as_dict(), suite)
+    return [run_one(*item) for item in checks]
 
 
 def _scheme(config: RunConfig) -> DiffScheme:
@@ -1115,8 +1115,9 @@ def run_suite(name: str, config: Optional[RunConfig] = None) -> VerificationRepo
         raise ConfigError(f"tolerance override names no check of suite {name!r}: "
                           f"{', '.join(map(repr, unknown))} (name a check without "
                           "its suite prefix)")
-    # pop each suite's checks as it runs, so its memoized builds are freed
-    reports = [_run_checks(registry.pop(s), config, s) for s in suites]
-    if name != "all":
-        return reports[0]
-    return merge_reports(reports, config.as_dict(), "all")
+    # pop each suite's checks as it runs, so its memoized builds are freed;
+    # the rows of "all" are named suite/check
+    results: List[CheckResult] = []
+    for s in suites:
+        results += _run_checks(registry.pop(s), config, f"{s}/" if name == "all" else "")
+    return VerificationReport(results, config.as_dict(), name)

@@ -610,11 +610,11 @@ def _batch_sizes(monkeypatch, argv) -> list:
     ``main(argv)`` runs."""
     sizes = []
 
-    def export(args, names, evaluate, ok_mask=None):
+    def export(args, evaluate, ok_mask=None):
         def counting(P):
             sizes.append(P.x.size)
             return evaluate(P)
-        return _export(args, names, counting, ok_mask)
+        return _export(args, counting, ok_mask)
     _export = cli._export
     monkeypatch.setattr(cli, "_export", export)
     assert main(argv) == 0

@@ -360,7 +360,7 @@ def test_moved_field_raises_where_Q_overflows_at_a_far_preimage(g, bad):
     message = (rf"Q at the pre-image of Point3\(x={bad.x}, y={bad.y}, z={bad.z}\) "
                rf"under G_{g.k}, lambda={g.lam}, is not finite")
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the catalog field's overflow
+        warnings.simplefilter("error")
         for moved in (transport_solution(g, Q), pushforward_solution(g, Q)):
             assert moved.domain.ok(bad)
             with pytest.raises(DomainError, match=message) as one:

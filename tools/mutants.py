@@ -68,6 +68,10 @@ MUTANTS = [
     ("reconciled conical transport on the axis: `1 + x*lambda` with `x*lambda` x 1.01",
      "src/riccati3d/symmetry.py",
      "1.0 + xa * lam)", "1.0 + xa * lam * 1.01)"),
+    ("guard rule names the last failing point", "src/riccati3d/errors.py",
+     "(i := _first(bad)) is not None:\n",
+     "(i := _first(bad)) is not None:\n"
+     "        i = int(np.flatnonzero(bad)[-1]) if type(bad) is np.ndarray else i\n"),
 ]
 
 _VERIFY = "import sys; from riccati3d.cli import main; sys.exit(main(sys.argv[1:]))"
