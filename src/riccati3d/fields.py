@@ -17,7 +17,7 @@ Conventions
   error there is raised as the call at that point alone raises it (see
   ``errors.Riccati3dError`` for ``index`` and ``where``).  The volume-grid
   build of B evaluates through ``batch``; operator A calls it once per
-  quadrature round, for the nodes of every leg and target in that round.
+  quadrature round, for the nodes of every distinct leg in that round.
 * Derivatives are central finite differences (order 2 or 4) with a relative
   step ``h * max(1, |coordinate|)`` per axis.  Every stencil point is checked
   (box, excluded set; else DomainError) before any point is evaluated, and
@@ -49,16 +49,19 @@ Conventions
 * The path-reconstruction operator A integrates on the fixed axis-ordered
   path (x-leg, then y-leg, then z-leg) from its base point, with one fixed
   Gauss-Legendre rule for any number of targets (``A(p)`` is the one-target
-  batch); the Newtonian volume potential B uses midpoint tensor quadrature
-  in which each cell's mass is a compact smooth blob of radius
-  ``_BLOB_RADIUS`` cell sides, so B is smooth and every derivative of it is
-  meaningful.  B, ``operator_rot_B`` (its curl in closed form, no finite
-  differences) and rot B's jet (the curl's Jacobian) share one grid (the
-  three axes of cell centres and a dV-scaled real row, 8 bytes per cell,
-  for each real or imaginary part the integrand fills) and one pass per
-  target: a table of kernel columns (K; the gradient; gradient and Hessian)
-  and one real einsum contraction of the filled rows, whose summation
-  order does not follow the BLAS thread count.
+  batch).  A batch's targets with one x share an x-leg and those with one
+  (x, y) a y-leg, compared by bit pattern and integrated once, with the
+  values of integrating at each target bit for bit.  The Newtonian volume
+  potential B uses midpoint tensor quadrature in which each cell's mass is
+  a compact smooth blob of radius ``_BLOB_RADIUS`` cell sides, so B is
+  smooth and every derivative of it is meaningful.  B, ``operator_rot_B``
+  (its curl in closed form, no finite differences) and rot B's jet (the
+  curl's Jacobian) share one grid (the three axes of cell centres and a
+  dV-scaled real row, 8 bytes per cell, for each real or imaginary part
+  the integrand fills) and one pass per target: a table of kernel columns
+  (K; the gradient; gradient and Hessian) and one real einsum contraction
+  of the filled rows, whose summation order does not follow the BLAS
+  thread count.
 """
 
 from __future__ import annotations
@@ -633,14 +636,19 @@ def operator_A(F: VectorField, base: Point3, C: complex = 0j,
     points as an adaptive rule's does with its subdivision pattern.
 
     One routine integrates the legs of any number of targets, and ``A(p)``
-    is ``A.batch`` at the one target p, so the two agree bit for bit.  The
-    rule asks for F in rounds of at most ``_LINE_CHUNK`` legs, each one
-    ``F.batch`` call over the nodes of every leg in it, by target, then leg,
-    then node.  Every node of a round is checked against the domain before
-    F is evaluated there, and F's values are checked to be finite; either
-    failure raises DomainError naming the round's first bad node.  That
-    error, and a typed error raised by F, name the target whose leg it came
-    from (``index``) and, over a batch, every target with a failing node in
+    is ``A.batch`` at the one target p, so the two agree bit for bit.  A
+    batch integrates each distinct leg once, at the first of its targets in
+    C order: targets whose x has one bit pattern share an x-leg, those whose
+    (x, y) has one share a y-leg, and z-legs are not shared.  A leg's nodes
+    and sum do not depend on the other legs of its round, so every value is
+    unchanged by the sharing.  The rule asks for F in rounds of at most
+    ``_LINE_CHUNK`` legs, each one ``F.batch`` call over the nodes of every
+    distinct leg in it, by target, then leg, then node.  Every node of a
+    round is checked against the domain before F is evaluated there, and
+    F's values are checked to be finite; either failure raises DomainError
+    naming the round's first bad node.  That error, and a typed error
+    raised by F, name the first target of the leg it came from (``index``)
+    and, over a batch, every target with a leg that has a failing node in
     that round (``where``).
     """
     base = Point3(*base)
@@ -651,10 +659,21 @@ def operator_A(F: VectorField, base: Point3, C: complex = 0j,
 
     def eval_at(P: Point3):
         shape = np.shape(P[0])
-        corners = np.stack([np.ravel(c) for c in P], axis=1)  # one row per target
-        # the legs, by target then axis (a zero-length leg is 0j); a leg holds
+        corners = np.stack([np.ravel(c) for c in P], axis=1, dtype=float)  # a row per target
+        # rep[t, m]: the first target in C order whose leg m is t's, keyed by the
+        # bits of x (x-leg) or of (x, y) (y-leg); each z-leg is its target's own
+        n = len(corners)
+        targets = np.arange(n)
+        bits = corners.view(np.int64)
+        order = np.lexsort(bits.T[1::-1])  # by x, then y; stable, so a group keeps C order
+        key = bits[order, :2]
+        new = np.ones((n, 2), dtype=bool)  # where a group starts, in sorted order
+        np.logical_or.accumulate(key[1:] != key[:-1], axis=1, out=new[1:])
+        rep = targets.repeat(3).reshape(n, 3)
+        rep[order, :2] = order[np.maximum.accumulate(new * targets[:, None], axis=0)]
+        # the kept legs, by target then axis (a zero-length leg is 0j); a leg holds
         # its target's coordinates before its axis fixed and the base's after
-        rows, axes = np.nonzero(corners != base_coords)
+        rows, axes = np.nonzero((corners != base_coords) & (rep == targets[:, None]))
         fixed = np.where(np.arange(3) < axes[:, None], corners[rows], base_coords)
 
         def f(legs: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -666,11 +685,14 @@ def operator_A(F: VectorField, base: Point3, C: complex = 0j,
 
             def repoint(exc: Riccati3dError, first: int, bad) -> Riccati3dError:
                 """exc about node ``first``: ``index`` names its target and,
-                over a batch, ``where`` every target with a node in ``bad``."""
+                over a batch, ``where`` every target sharing a leg with a node
+                in ``bad``."""
                 exc.index, exc.where = int(rows[legs[first // T.shape[1]]]), None
                 if bad is not None and shape:
-                    hit = rows[legs[bad.reshape(T.shape).any(axis=1)]]
-                    exc.where = np.isin(np.arange(len(corners)), hit).reshape(shape)
+                    hit = np.zeros((n, 3), dtype=bool)
+                    failing = legs[bad.reshape(T.shape).any(axis=1)]
+                    hit[rows[failing], axes[failing]] = True
+                    exc.where = hit[rep, np.arange(3)].any(axis=1).reshape(shape)
                 return exc
 
             def check(bad: np.ndarray, what: str):
@@ -692,9 +714,10 @@ def operator_A(F: VectorField, base: Point3, C: complex = 0j,
             return V
 
         a, b = base_coords[axes], corners[rows, axes]
-        sums = np.zeros((3, len(corners)), dtype=complex)
-        sums[axes, rows] = _gauss_rule(f, a, b, quad.gauss_order)
-        return (complex(C) + sums[0] + sums[1] + sums[2]).reshape(shape)
+        sums = np.zeros((n, 3), dtype=complex)
+        sums[rows, axes] = _gauss_rule(f, a, b, quad.gauss_order)
+        sums = sums[rep, np.arange(3)]  # every target's legs, a shared one from its kept leg
+        return (complex(C) + sums[:, 0] + sums[:, 1] + sums[:, 2]).reshape(shape)
 
     return ScalarField(eval_at, domain, vectorized=True)
 

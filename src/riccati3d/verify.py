@@ -680,8 +680,8 @@ def suite_euler_picard(config: RunConfig) -> _Checks:
     pic_box = (Point3(0.55, 0.35, 0.45), Point3(1.9, 1.4, 1.5))
 
     tube = BoxDomain.box((0.25, -0.6, -0.6), (7.75, 0.6, 0.6))
-    tube_pts = [Point3(3.6, -0.1, 0.08), Point3(4.0, 0.12, -0.05),
-                Point3(4.4, 0.0, 0.1)]
+    tube_pts = _as_batch([Point3(3.6, -0.1, 0.08), Point3(4.0, 0.12, -0.05),
+                          Point3(4.4, 0.0, 0.1)])
     zero_q = ScalarField(lambda p: 0j, vectorized=True)
     one = ScalarField(lambda p: 1.0 + 0j, vectorized=True)
     nb = config.build_grid
@@ -729,38 +729,33 @@ def suite_euler_picard(config: RunConfig) -> _Checks:
             W0, one, None, tube, quad, scheme, cells=cells))
 
     def wconst_scalar_exact():
-        A = operator_A(inv_x.Q, Point3(1, 0, 0), 0j, quad)
-        worst = 0.0
-        W1 = get_W()
+        expect = np.exp(-operator_A(inv_x.Q, Point3(1, 0, 0), 0j, quad).batch(tube_pts))
         W2 = w_from_q_pair(inv_x, zero_inst, None, Point3(1, 0, 0), tube,
                            quad, scheme,
                            cells=(40, 8, 8))  # volume-resolution independence
-        for p in tube_pts:
-            expect = np.exp(-complex(A(p)))
-            worst = max(worst, abs(W1(p).scalar - expect), abs(W2(p).scalar - expect))
-        return worst, 2 * len(tube_pts)
+        worst = max(float(_mag(W.batch(tube_pts)[0] - expect).max()) for W in (get_W(), W2))
+        return worst, 2 * tube_pts.x.size
 
     def q_recovery():
         rec = q_from_scw(get_W(), scheme)
-        worst = max(float(np.max(np.abs(rec(p) - inv_x.Q(p)))) for p in tube_pts)
-        return worst, len(tube_pts)
+        return _max_diff(rec.batch(tube_pts), inv_x.Q.batch(tube_pts)), tube_pts.x.size
 
     def euler_built():
-        r = euler_residual(get_W(), zero_inst.Q, _as_batch(tube_pts), scheme)
-        return float(_mag(r).max()), len(tube_pts)
+        r = euler_residual(get_W(), zero_inst.Q, tube_pts, scheme)
+        return float(_mag(r).max()), tube_pts.x.size
 
     def vekua_built():
-        r = vekua_residual(get_W_from_W0(), one, _as_batch(tube_pts), scheme)
-        return float(_mag(r).max()), len(tube_pts)
+        r = vekua_residual(get_W_from_W0(), one, tube_pts, scheme)
+        return float(_mag(r).max()), tube_pts.x.size
 
     def prop3_roundtrip():
         W = get_W_from_W0()
         Wv = _vector_part(W)  # with W's jet: rot(phi Wv) is one pass per node
         rec = build_W0_from_W(Wv, one, Point3(4.0, 0.0, 0.0), quad, scheme)
         shift = rec(Point3(4.0, 0.0, 0.0)) - 4.0
-        worst = max(abs(rec(p) - p.x - shift) / max(1.0, abs(p.x))
-                    for p in tube_pts)
-        return worst, len(tube_pts)
+        x = tube_pts.x
+        worst = _mag(rec.batch(tube_pts) - x - shift) / np.maximum(1.0, np.abs(x))
+        return float(worst.max()), x.size
 
     def mismatch_detection():
         other = catalog_entry("rotational", config.margin, k=1, c=0).instance

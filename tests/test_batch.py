@@ -283,7 +283,7 @@ def test_gauss_A_memory_is_bounded_by_one_round(monkeypatch):
     assert len(peaks) == 2 and peaks[1] <= 2 * peaks[0]
 
 
-def test_A_asks_F_once_per_round_for_every_leg_of_it():
+def test_A_asks_F_once_per_round_for_every_distinct_leg_of_it():
     F = _counting(_poly_vectorized, vectorized=True)
     base = Point3(0.0, -0.2, 0.15)
     p, q = Point3(0.4, 0.7, -0.35), Point3(0.4, 0.7, 0.5)  # q shares x and y with p
@@ -299,15 +299,57 @@ def test_A_asks_F_once_per_round_for_every_leg_of_it():
             assert np.ptp(P[m][k]) > 0 if m == k else np.all(P[m][k] == fixed[m])
     values.append(A(q))
     assert len(F.seen) == 2  # all three legs again: nothing is kept between calls
-    batch = operator_A(VectorField(_poly_vectorized, vectorized=True), base, 0.25j,
-                       GAUSS32).batch(_points([p, q]))
+    F.seen.clear()
+    batch = A.batch(_points([p, q]))
     assert _bits(values) == _bits(batch)
+    # p's x-, y- and z-legs, then q's z-leg: q's x- and y-legs are p's
+    (P,) = F.seen
+    assert all(c.shape == (4, 32) for c in P)
+    assert _bits([c[:3] for c in P]) == _bits([c[:3] for c in F.seen[0]])
+    assert np.all(P[2][3] != P[2][2]) and P[0][3][0] == 0.4 and P[1][3][0] == 0.7
+    # a 5 x 4 x 3 tensor grid off the base's coordinates: 5 x-legs, 20 y-legs
+    # and 60 z-legs, where each target has three
+    F.seen.clear()
+    A.batch(Point3(*np.meshgrid([0.1, 0.2, 0.3, 0.5, 0.6], [0.3, 0.4, 0.5, 0.6],
+                                [0.2, 0.3, 0.4], indexing="ij")))
+    assert len(F.seen) == 1 and F.seen[0][0].shape == (5 + 20 + 60, 32)
     # 200 targets, 600 legs: at most _LINE_CHUNK legs per call
     F.seen.clear()
     targets = np.random.default_rng(3).uniform(0.5, 1.5, (200, 3))
     A.batch(_points(targets))
     assert len(F.seen) == math.ceil(600 / fields._LINE_CHUNK) > 1
     assert [P[0].shape[0] for P in F.seen][:-1] == [fields._LINE_CHUNK] * (len(F.seen) - 1)
+
+
+def _tilted(p):
+    # F_y depends on x, and flips with its sign: a y-leg is fixed by (x, y)
+    sign = np.copysign(1.0, p.x)
+    return vec3(p.y + p.z, (p.x * p.z + p.y) * sign, p.x * p.y - p.z)
+
+
+@pytest.mark.parametrize("quad", [GAUSS4, GAUSS32], ids=["gauss4", "gauss32"])
+@pytest.mark.parametrize("vectorized", [False, True], ids=["pointwise_F", "vectorized_F"])
+def test_A_batch_of_a_tensor_grid_with_shared_legs_equals_A_per_target_bitwise(
+        quad, vectorized):
+    # a grid through -0.0, 0.0 and the base's coordinates (zero-length legs),
+    # met with itself reversed (every target twice), and targets that share
+    # y but not x next to each other in x order
+    base = Point3(0.0, -0.2, 0.15)
+    grid = np.meshgrid([-0.0, 0.0, 0.4, -0.3], [0.7, -0.2, -0.0], [0.15, -0.35, 0.5],
+                       indexing="ij")
+    P = Point3(*(np.stack((c, c[::-1, ::-1, ::-1])) for c in grid))
+    diagonal = _points([(0.8, 0.55, 0.3), (0.9, 0.55, -0.1), (-0.8, 0.55, 0.3),
+                        (-0.9, 0.55, 0.2), (0.9, 0.55, -0.1)])
+    F = VectorField(_tilted if vectorized else lambda p: np.asarray(_tilted(p), complex),
+                    vectorized=vectorized)
+    A = operator_A(F, base, 0.25j, quad)
+    for targets in (P, diagonal):
+        expect = [A(Point3(*c)) for c in zip(*(c.ravel().tolist() for c in targets))]
+        got = A.batch(targets)
+        assert got.shape == targets.x.shape
+        assert _bits(got) == _bits(expect)
+    assert _bits(A.batch(diagonal)) == _bits([_oracle_A(F, base, 0.25j, quad.gauss_order,
+                                                        Point3(*c)) for c in zip(*diagonal)])
 
 
 def _first_pointwise_error(A, P: Point3) -> str:
@@ -399,11 +441,10 @@ def test_gauss_A_batch_names_the_target_of_an_error_raised_by_F():
     assert exc.value.where.tolist() == [[False, False], [True, False]]
 
 
-def _cross_axis_field(case):
-    """F over the excluded set x > 0.6 or z > 0.6: off the domain, non-finite
-    there, or raising ZeroCrossing there from a pointwise or vectorized
-    evaluator."""
-    bad = lambda p: (p.x > 0.6) | (p.z > 0.6)  # noqa: E731
+def _cross_axis_field(case, bad=lambda p: (p.x > 0.6) | (p.z > 0.6)):
+    """F over the set ``bad`` (by default x > 0.6 or z > 0.6): off the
+    domain, non-finite there, or raising ZeroCrossing there from a pointwise
+    or vectorized evaluator."""
     if case == "excluded":
         return VectorField(_poly_vectorized, BoxDomain.unbounded(bad), vectorized=True)
     if case == "non_finite":
@@ -446,6 +487,26 @@ def test_A_batch_names_the_first_target_across_axes(case, quad):
     assert str(exc.value) == str(first.value)
     assert exc.value.index == one.value.index == 0
     assert exc.value.where.tolist() == one.value.where.tolist() == [True, True]
+
+
+@pytest.mark.parametrize("case", ["excluded", "non_finite", "typed_pointwise",
+                                  "typed_vectorized"])
+def test_A_batch_error_on_a_shared_leg_names_its_first_target_and_every_sharer(case):
+    # the slab 0.35 < y < 0.65 at x > 0.6 is crossed by the y-legs at (0.7, 0.9)
+    # only: targets 1 and 3 share that leg, target 4 shares only its x-leg
+    F = _cross_axis_field(case, lambda p: (p.x > 0.6) & (p.y > 0.35) & (p.y < 0.65))
+    A = operator_A(F, Point3(0, 0, 0), 0j, GAUSS4)
+    P = _points([(0.2, 0.3, 0.1), (0.7, 0.9, 0.1), (0.3, 0.2, 0.4), (0.7, 0.9, -0.3),
+                 (0.7, 0.2, 0.1)])
+    with pytest.raises(Riccati3dError) as one:  # one target at a time
+        ScalarField(A).batch(P)
+    with pytest.raises(Riccati3dError) as exc:
+        A.batch(P)
+    assert type(exc.value) is type(one.value)
+    assert str(exc.value) == str(one.value)
+    assert exc.value.index == one.value.index == 1
+    assert exc.value.where.tolist() == one.value.where.tolist() == [
+        False, True, False, True, False]
 
 
 def test_prop2_and_prop3_builders_batch_equals_pointwise_bitwise():

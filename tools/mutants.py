@@ -68,6 +68,10 @@ MUTANTS = [
     ("reconciled conical transport on the axis: `1 + x*lambda` with `x*lambda` x 1.01",
      "src/riccati3d/symmetry.py",
      "1.0 + xa * lam)", "1.0 + xa * lam * 1.01)"),
+    ("`operator_A` keys a y-leg by y alone (a y-leg group starts only where y changes)",
+     "src/riccati3d/fields.py",
+     "np.logical_or.accumulate(key[1:] != key[:-1], axis=1, out=new[1:])",
+     "np.not_equal(key[1:], key[:-1], out=new[1:])"),
     ("guard rule names the last failing point", "src/riccati3d/errors.py",
      "(i := _first(bad)) is not None:\n",
      "(i := _first(bad)) is not None:\n"
@@ -75,7 +79,8 @@ MUTANTS = [
 ]
 
 _VERIFY = "import sys; from riccati3d.cli import main; sys.exit(main(sys.argv[1:]))"
-_FAILED = re.compile(r"^(?:FAILED|ERROR) (\S+)")
+# a node id runs to pytest's " - " before the message (parametrized ids may hold spaces)
+_FAILED = re.compile(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$")
 _SECONDS = re.compile(r" in [0-9.]+s.*$")  # pytest's timing, left out of the table
 
 
