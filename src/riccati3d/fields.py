@@ -664,13 +664,16 @@ def operator_A(F: VectorField, base: Point3, C: complex = 0j,
         # bits of x (x-leg) or of (x, y) (y-leg); each z-leg is its target's own
         n = len(corners)
         targets = np.arange(n)
-        bits = corners.view(np.int64)
-        order = np.lexsort(bits.T[1::-1])  # by x, then y; stable, so a group keeps C order
-        key = bits[order, :2]
-        new = np.ones((n, 2), dtype=bool)  # where a group starts, in sorted order
-        np.logical_or.accumulate(key[1:] != key[:-1], axis=1, out=new[1:])
         rep = targets.repeat(3).reshape(n, 3)
-        rep[order, :2] = order[np.maximum.accumulate(new * targets[:, None], axis=0)]
+        if n > 1:  # a lone target shares no leg
+            bits = corners.view(np.int64)
+            order = np.lexsort(bits.T[1::-1])  # by x, then y: an x-group is not in C order
+            key = bits[order, :2]
+            new = np.ones((n, 2), dtype=bool)  # where a group starts, in sorted order
+            np.logical_or.accumulate(key[1:] != key[:-1], axis=1, out=new[1:])
+            for m in range(2):  # a group's first target in C order: its least index
+                first = np.minimum.reduceat(order, np.flatnonzero(new[:, m]))
+                rep[order, m] = first[np.cumsum(new[:, m]) - 1]
         # the kept legs, by target then axis (a zero-length leg is 0j); a leg holds
         # its target's coordinates before its axis fixed and the base's after
         rows, axes = np.nonzero((corners != base_coords) & (rep == targets[:, None]))

@@ -354,10 +354,7 @@ def _act(g: GroupElement, X: np.ndarray, Q: np.ndarray):
 
 def _check_finite(g: GroupElement, p: Point3, what: str, *values) -> None:
     """DomainError at the points of p where a value, (3,) or (3, *S), is not finite."""
-    bad = False
-    for v in values:
-        bad = bad | ~np.isfinite(v).all(axis=0)
-    _raise_at(bad, DomainError,
+    _raise_at(~np.all([np.isfinite(v).all(axis=0) for v in values], axis=0), DomainError,
               lambda i: f"{what} of {_point(p, i)} under G_{g.k}, lambda={g.lam}, is not finite")
 
 

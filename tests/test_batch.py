@@ -489,24 +489,34 @@ def test_A_batch_names_the_first_target_across_axes(case, quad):
     assert exc.value.where.tolist() == one.value.where.tolist() == [True, True]
 
 
+# y_leg: the slab 0.35 < y < 0.65 at x > 0.6 is crossed by the y-legs at
+# (0.7, 0.9) only: targets 1 and 3 share that leg, target 4 shares only its
+# x-leg.  x_leg: only the x-legs cross x > 0.6, y == 0; the two targets share
+# one, whose first target in C order has the larger y, so sorts last by (x, y)
+_SHARED_LEG_ERRORS = {
+    "y_leg": (lambda p: (p.x > 0.6) & (p.y > 0.35) & (p.y < 0.65),
+              [(0.2, 0.3, 0.1), (0.7, 0.9, 0.1), (0.3, 0.2, 0.4), (0.7, 0.9, -0.3),
+               (0.7, 0.2, 0.1)], 1, [False, True, False, True, False]),
+    "x_leg": (lambda p: (p.x > 0.6) & (p.y == 0), [(0.7, 0.9, 0.1), (0.7, 0.2, 0.1)],
+              0, [True, True]),
+}
+
+
+@pytest.mark.parametrize("leg", sorted(_SHARED_LEG_ERRORS))
 @pytest.mark.parametrize("case", ["excluded", "non_finite", "typed_pointwise",
                                   "typed_vectorized"])
-def test_A_batch_error_on_a_shared_leg_names_its_first_target_and_every_sharer(case):
-    # the slab 0.35 < y < 0.65 at x > 0.6 is crossed by the y-legs at (0.7, 0.9)
-    # only: targets 1 and 3 share that leg, target 4 shares only its x-leg
-    F = _cross_axis_field(case, lambda p: (p.x > 0.6) & (p.y > 0.35) & (p.y < 0.65))
-    A = operator_A(F, Point3(0, 0, 0), 0j, GAUSS4)
-    P = _points([(0.2, 0.3, 0.1), (0.7, 0.9, 0.1), (0.3, 0.2, 0.4), (0.7, 0.9, -0.3),
-                 (0.7, 0.2, 0.1)])
+def test_A_batch_error_on_a_shared_leg_names_its_first_target_and_every_sharer(case, leg):
+    bad, targets, index, where = _SHARED_LEG_ERRORS[leg]
+    A = operator_A(_cross_axis_field(case, bad), Point3(0, 0, 0), 0j, GAUSS4)
+    P = _points(targets)
     with pytest.raises(Riccati3dError) as one:  # one target at a time
         ScalarField(A).batch(P)
     with pytest.raises(Riccati3dError) as exc:
         A.batch(P)
     assert type(exc.value) is type(one.value)
     assert str(exc.value) == str(one.value)
-    assert exc.value.index == one.value.index == 1
-    assert exc.value.where.tolist() == one.value.where.tolist() == [
-        False, True, False, True, False]
+    assert exc.value.index == one.value.index == index
+    assert exc.value.where.tolist() == one.value.where.tolist() == where
 
 
 def test_prop2_and_prop3_builders_batch_equals_pointwise_bitwise():

@@ -72,6 +72,10 @@ MUTANTS = [
      "src/riccati3d/fields.py",
      "np.logical_or.accumulate(key[1:] != key[:-1], axis=1, out=new[1:])",
      "np.not_equal(key[1:], key[:-1], out=new[1:])"),
+    ("`operator_A` keeps an x-group's first target in (x, y) order, not in C order",
+     "src/riccati3d/fields.py",
+     "np.minimum.reduceat(order, np.flatnonzero(new[:, m]))",
+     "order[np.flatnonzero(new[:, m])]"),
     ("guard rule names the last failing point", "src/riccati3d/errors.py",
      "(i := _first(bad)) is not None:\n",
      "(i := _first(bad)) is not None:\n"
