@@ -346,7 +346,22 @@ def _built_W(scalar: ScalarField, factor: ScalarField, sign: float, rot_B: Vecto
         return (np.concatenate((np.expand_dims(scalar.batch(p), 0), f * R)),
                 np.concatenate((np.expand_dims(grad(scalar, p, scheme), 1), d_vec), axis=1))
 
-    return QuaternionField(evaluate, dom, vectorized=True, jet=jet)
+    W = _BuiltW(evaluate, dom, vectorized=True, jet=jet)
+    W.scalar = scalar
+    return W
+
+
+class _BuiltW(QuaternionField):
+    """A W of ``_built_W``, which keeps its scalar part for ``_scalar_part``."""
+
+    __slots__ = ("scalar",)
+
+
+def _scalar_part(W: QuaternionField) -> ScalarField:
+    """Sc W as a vectorized field on W's domain: a built W's scalar part,
+    read without rot B, or any other W's first component."""
+    fn = W.scalar.batch if isinstance(W, _BuiltW) else (lambda t: W.batch(t)[0])
+    return ScalarField(fn, W.domain, vectorized=True)
 
 
 def build_W_prop2(w: VectorField, phi: ScalarField, h: Optional[ScalarField],
@@ -454,8 +469,9 @@ def euler_residual(W: QuaternionField, Q1: VectorField, p: Point3,
 
 
 def q_from_scw(W: QuaternionField, scheme: DiffScheme = DEFAULT_SCHEME) -> VectorField:
-    """Q = -D(Sc W)/Sc W, the gradient quotient of the scalar part."""
-    scw = ScalarField(lambda p: W.batch(p)[0], W.domain, vectorized=True)
+    """Q = -D(Sc W)/Sc W, the gradient quotient of the scalar part (of a
+    built W read without rot B, see ``_scalar_part``)."""
+    scw = _scalar_part(W)
 
     def Q_eval(p: Point3) -> np.ndarray:
         value = _nonzero(scw.batch(p), "Sc W")

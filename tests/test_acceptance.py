@@ -135,7 +135,7 @@ _REPORT_DIGESTS = {
     "operators": "f0eb775afbf8284c6b6f9961ab05650bd02f809e978378f326e4fd0653a35f6c",
     "riccati": "2152dc0bcafe5a6c674435ab072eb06444d6a83f9e1543dd94e2f3e90186064d",
     "euler_picard": "b277a49f65474839f0173b96af2e354eef133ab7ca046848d0382f63e43ecee8",
-    "symmetry": "7bfdf10181dc89ce476405dc08d4aad78a125bb7f9ed874f204e770e85846c61",
+    "symmetry": "7a31102ceb4b457f88184668e65da62045938f0f7092e416641e843b417d6c22",
     "solutions": "40fc308079971d957082d887405b901a3f2e041b0a5548a4aa33e65b9a2aa197",
     "oned": "8a0fb694ea020be1f4e02d90e1b92eb111204d4985753058108e8037b2e4e2c5",
 }

@@ -66,6 +66,9 @@ def test_q_from_scw_matches_cole_hopf():
     Q = q_from_scw(W, S)
     got = Q(Point3(2.0, 1.0, 1.0))
     assert np.max(np.abs(got - np.array([-0.5, 0, 0]))) < 1e-10
+    # a W that no builder made is read through its values, over a batch too
+    P = Point3(np.array([2.0, 4.0]), np.array([1.0, -0.5]), np.array([1.0, 0.2]))
+    assert np.max(np.abs(Q.batch(P) - [[-0.5, -0.25], [0, 0], [0, 0]])) < 1e-10
 
 
 def test_wconst_scalar_part_is_exp_A():
@@ -160,6 +163,26 @@ def test_prop3_roundtrip_makes_one_jacobian_pass_per_node(rot_B_passes):
     residual, _ = check["prop3_roundtrip"]()
     assert residual < 5e-2
     assert rot_B_passes == {"jet": 224, "value": 0}
+
+
+def test_scalar_part_rows_make_no_rot_B_pass(rot_B_passes, monkeypatch):
+    # Sc W of both built Ws is exp(-A[Q]): the rows read it without rot B,
+    # and the 40x8x8 W, which only wconst_scalar_part_exact reads, never
+    # builds its grid; euler_residual_built_W builds the shared W's
+    from riccati3d import riccati
+    from riccati3d.report import RunConfig
+    from riccati3d.verify import suite_euler_picard
+    built, rot_B = [], riccati.operator_rot_B
+    monkeypatch.setattr(riccati, "operator_rot_B",
+                        lambda *a, **k: built.append(rot_B(*a, **k)) or built[-1])
+    check = {name: fn for name, _, fn in suite_euler_picard(RunConfig(seed=0))}
+    assert check["wconst_scalar_part_exact"]()[0] < 1e-10
+    assert check["q_from_scw_recovers_Q"]()[0] < 1e-6
+    assert rot_B_passes == {"jet": 0, "value": 0}
+    assert [b.cells for b in built] == [(40, 8, 8), (5 * 12, 12, 12)]
+    assert [b._grid for b in built] == [None, None]
+    check["euler_residual_built_W"]()
+    assert built[0]._grid is None and built[1]._grid is not None
 
 
 def _counted(Q, calls: list):

@@ -392,6 +392,20 @@ def test_built_W_evaluator_broadcasts(builder, rot_B_passes):
         assert np.max(np.abs(batch[:, n] - value)) <= 1e-15 * np.max(np.abs(value))
 
 
+@pytest.mark.parametrize("builder", ["from_W0", "prop2", "q_pair"])
+def test_scalar_part_of_built_W_equals_its_first_component_bitwise(builder, rot_B_passes):
+    # Sc W of a built W is its scalar field, read without rot B, on W's domain
+    from riccati3d.riccati import _scalar_part
+    W = _built_Ws()[builder]()
+    P = Point3(*(np.array(c) for c in zip(*TUBE_PTS)))
+    scw = _scalar_part(W)
+    batch, points = scw.batch(P), np.array([scw(p) for p in TUBE_PTS])
+    assert rot_B_passes == {"value": 0, "jet": 0}
+    assert scw.domain is W.domain
+    assert batch.tobytes() == W.batch(P)[0].tobytes()
+    assert points.tobytes() == np.array([W(p).scalar for p in TUBE_PTS]).tobytes()
+
+
 def test_built_W_domain_meets_the_domain_of_h():
     # grad h is differenced at W's points, so W lives where h does
     box = BoxDomain.box((0, -1, -1), (2, 1, 1))

@@ -546,3 +546,48 @@ def test_real_check_scales_each_point_by_its_own_modulus():
         p = Point3(0.1, 0.2, 0.3) if Qv.ndim == 1 else P
         with pytest.raises(ValueError, match="real-valued Q"):
             group_act(g, p, Qv)
+
+
+# the batched group_composition rows rest on this: over a batch like theirs,
+# with signed zeros and a point on the z axis, G(l2) G(l1) and G(l1 + l2)
+# round as they do at each point (rotations go through one stacked matmul)
+@pytest.mark.parametrize("k", range(1, 11))
+def test_composition_batch_equals_pointwise_bitwise(k):
+    rng = np.random.default_rng(k)
+    X, Q = rng.uniform(-1.2, 1.2, (3, 24)), rng.uniform(-1, 1, (3, 24))
+    X[0, 0] = X[1, 1] = X[2, 2] = X[0, 3] = -0.0
+    X[1, 3] = 0.0
+    lam = 0.5 if k <= 7 else 0.1
+    l1, l2 = rng.uniform(-lam, lam, 2)
+
+    def composed(p, Qv):
+        pa, Qa = group_act(GroupElement(k, l1), p, Qv)
+        pb, Qb = group_act(GroupElement(k, l2), pa, Qa)
+        pc, Qc = group_act(GroupElement(k, l1 + l2), p, Qv)
+        return np.concatenate([np.asarray(pa, dtype=float), Qa, np.asarray(pb, dtype=float),
+                               Qb, np.asarray(pc, dtype=float), Qc])
+    expect = [composed(Point3(*X[:, n].tolist()), Q[:, n]) for n in range(X.shape[1])]
+    assert _bits(composed(Point3(*X), Q).T) == _bits(expect)
+
+
+def test_symmetry_suite_acts_on_batches_only(monkeypatch):
+    # every row acts on whole batches, the composition rows included
+    from riccati3d import symmetry, verify
+    from riccati3d.fields import _batched
+    from riccati3d.report import RunConfig
+    calls = []
+
+    def counted(g, p, Qval):
+        calls.append(_batched(Point3(*p)))
+        return group_act(g, p, Qval)
+    monkeypatch.setattr(symmetry, "group_act", counted)
+    monkeypatch.setattr(verify, "group_act", counted)
+    batched = {}
+    for name, _, fn in verify.suite_symmetry(RunConfig(seed=0)):
+        calls.clear()
+        fn()
+        assert all(calls), name
+        batched[name] = len(calls)
+    # three calls per group and parameter pair: 7 x 5 and 3 x 3 pairs
+    assert batched["group_composition_affine"] == 3 * 7 * 5
+    assert batched["group_composition_conical"] == 3 * 3 * 3

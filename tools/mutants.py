@@ -68,6 +68,12 @@ MUTANTS = [
     ("reconciled conical transport on the axis: `1 + x*lambda` with `x*lambda` x 1.01",
      "src/riccati3d/symmetry.py",
      "1.0 + xa * lam)", "1.0 + xa * lam * 1.01)"),
+    ("translations not additive in lambda (shift by `lam * (1 + 1e-3 * lam)`)",
+     "src/riccati3d/symmetry.py",
+     "image[k - 1] += lam\n", "image[k - 1] += lam * (1 + 1e-3 * lam)\n"),
+    ("`_conical_act` off the axis: `r2 * lam * lam` in alpha x 1.01",
+     "src/riccati3d/symmetry.py",
+     "a = r2 * lam * lam - 2.0", "a = r2 * lam * lam * 1.01 - 2.0"),
     ("`operator_A` keys a y-leg by y alone (a y-leg group starts only where y changes)",
      "src/riccati3d/fields.py",
      "np.logical_or.accumulate(key[1:] != key[:-1], axis=1, out=new[1:])",
