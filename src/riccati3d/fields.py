@@ -350,7 +350,7 @@ class QuadratureSpec:
     resolution per axis of the Newtonian potential.
     """
 
-    gauss_order: int = 32
+    gauss_order: int = 12  # the order tools/gauss_order.py's drift rule picks
     volume_grid: int = 64
 
     def __post_init__(self):

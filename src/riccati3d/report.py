@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, asdict
 from typing import Dict, List
 
 from .errors import ConfigError
-from .fields import _MAX_GAUSS_ORDER
+from .fields import _MAX_GAUSS_ORDER, DEFAULT_QUAD
 
 __all__ = ["RunConfig", "CheckResult", "VerificationReport"]
 
@@ -23,8 +23,8 @@ class RunConfig:
 
     h: float = 1e-3
     order: int = 4
-    gauss_order: int = 32
-    volume_grid: int = 64
+    gauss_order: int = DEFAULT_QUAD.gauss_order
+    volume_grid: int = DEFAULT_QUAD.volume_grid
     build_grid: int = 12          # per-short-axis cells for W-builder checks
     seed: int = 0
     samples: int = 100

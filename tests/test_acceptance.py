@@ -132,9 +132,9 @@ def test_no_field_of_the_suite_is_evaluated_point_by_point(verify_all):
 # a CHANGES.md entry.
 _REPORT_DIGESTS = {
     "algebra": "a86c207f6f0956f31616a74aae5bb3496d9d0c4c21b89a526f6c7d80b1b9bfc9",
-    "operators": "f0eb775afbf8284c6b6f9961ab05650bd02f809e978378f326e4fd0653a35f6c",
-    "riccati": "2152dc0bcafe5a6c674435ab072eb06444d6a83f9e1543dd94e2f3e90186064d",
-    "euler_picard": "b277a49f65474839f0173b96af2e354eef133ab7ca046848d0382f63e43ecee8",
+    "operators": "5d7af8431170ab7ec8cd75c6c92080c5ff183d51ba34e41d3fadc6e64a21f0d6",
+    "riccati": "195bf890ffa2050b7228de3f39a22db3fb2e84a4d282369857f399ffede4c491",
+    "euler_picard": "9b9aab1bb0e57618f253b497c4774cbb4a01134d513a1188b9890afed5985272",
     "symmetry": "7a31102ceb4b457f88184668e65da62045938f0f7092e416641e843b417d6c22",
     "solutions": "40fc308079971d957082d887405b901a3f2e041b0a5548a4aa33e65b9a2aa197",
     "oned": "8a0fb694ea020be1f4e02d90e1b92eb111204d4985753058108e8037b2e4e2c5",

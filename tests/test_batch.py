@@ -43,7 +43,7 @@ from riccati3d.verify import entry_points, halton_points
 ZERO_Q = ScalarField(lambda p: 0j)
 TUBE = BoxDomain.box((0.25, -0.6, -0.6), (7.75, 0.6, 0.6))
 CUBE = BoxDomain.box((-1, -1, -1), (1, 1, 1))
-GAUSS32 = QuadratureSpec()
+GAUSS32 = QuadratureSpec(gauss_order=32)
 GAUSS4 = QuadratureSpec(gauss_order=4)
 
 

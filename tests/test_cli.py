@@ -238,6 +238,12 @@ def test_gauss_order_above_100_exits_two_before_any_node_is_computed(monkeypatch
     assert RunConfig(gauss_order=100).gauss_order == QuadratureSpec(gauss_order=100).gauss_order
 
 
+def test_run_config_takes_its_quadrature_defaults_from_quadrature_spec():
+    # one default each: the report's config_echo and a bare operator_A agree
+    assert (RunConfig().gauss_order, RunConfig().volume_grid) == \
+        (QuadratureSpec().gauss_order, QuadratureSpec().volume_grid)
+
+
 @pytest.mark.parametrize("flag, value", [("--line-rule", "gauss"), ("--line-tol", "1e-10")])
 def test_the_removed_line_rule_flags_exit_two(flag, value, capsys):
     # operator A has one rule, fixed Gauss-Legendre: no rule or tolerance to set

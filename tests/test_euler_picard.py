@@ -156,13 +156,14 @@ def test_picard_batch_pairwise_cancellation_is_exact(harmonic_quadruple):
 
 
 def test_prop3_roundtrip_makes_one_jacobian_pass_per_node(rot_B_passes):
-    # 7 legs x 32 Gauss nodes; differencing phi Wv made 12 value passes each
+    # 7 legs x the default order's Gauss nodes; differencing phi Wv made 12
+    # value passes each
     from riccati3d.report import RunConfig
     from riccati3d.verify import suite_euler_picard
     check = {name: fn for name, _, fn in suite_euler_picard(RunConfig(seed=0))}
     residual, _ = check["prop3_roundtrip"]()
     assert residual < 5e-2
-    assert rot_B_passes == {"jet": 224, "value": 0}
+    assert rot_B_passes == {"jet": 7 * QuadratureSpec().gauss_order, "value": 0}
 
 
 def test_scalar_part_rows_make_no_rot_B_pass(rot_B_passes, monkeypatch):

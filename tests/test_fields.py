@@ -348,10 +348,80 @@ def test_A_gauss_rule_matches_the_closed_form(order):
     assert abs(A(p) - (phi(p) - phi(base))) < 1e-13
 
 
+def _mp_catalog_Q(name: str, params: dict):
+    """The catalog Q in closed form, in mpmath arithmetic: shares no code
+    with solutions.py's numpy bodies."""
+    import mpmath as mp
+    if name == "harmonic:x":
+        return lambda x, y, z: (-1 / x, 0, 0)
+    if name == "rotational":
+        k, c = mp.mpf(params["k"]), mp.mpf(params["c"])
+        E = mp.exp(2 * c * k)
+
+        def rotational(x, y, z):
+            rho2 = x * x + y * y
+            f = -k * (rho2 ** k + E) / (rho2 * (rho2 ** k - E))
+            return f * x, f * y, 0
+        return rotational
+    C1, C2 = mp.mpf(params["C1"]), mp.mpf(params["C2"])
+
+    def conical(x, y, z):
+        rho2 = x * x + y * y
+        r2 = rho2 + z * z
+        L, mid = mp.log(C2 * rho2 / r2 ** 2), rho2 - z * z
+        return (-C1 * x * z / r2 ** 2 + 2 * x * mid / (r2 * rho2 * L) + x / r2,
+                -C1 * y * z / r2 ** 2 + 2 * y * mid / (r2 * rho2 * L) + y / r2,
+                C1 * mid / (2 * r2 ** 2) + 4 * z / (r2 * L) + z / r2)
+    return conical
+
+
+def test_paired_gauss_estimate_matches_the_mpmath_error_at_the_default_order():
+    # the paired estimate |G_n - G_2n| behind tools/gauss_order.py's drift rule
+    # is the true error of G_n, measured against mpmath.quad at 30 digits,
+    # down to a round-off floor; -1/x from 1 is w_from_q_pair's leg on the tube
+    import mpmath as mp
+    from riccati3d.fields import _gauss_rule
+    from riccati3d.solutions import catalog_entry
+    n = QuadratureSpec().gauss_order
+    legs = [(VectorField(lambda p: vec3(-1.0 / p.x, 0, 0), vectorized=True),
+             _mp_catalog_Q("harmonic:x", {}), 0, [None, 0.0, 0.0], 1.0, end)
+            for end in (3.6, 4.4, 5.5, 7.75)]
+    for name, params in [("harmonic:x", {}), ("rotational", {"k": 2.0, "c": 0.5 * math.log(2)}),
+                         ("rotational", {"k": 1.0, "c": 0.0}),
+                         ("conical", {"C1": 2.0, "C2": math.e}),
+                         ("conical", {"C1": 0.0, "C2": 2.0})]:
+        entry = catalog_entry(name, **params)
+        lo, hi = entry.sample_box
+        for share in (0.1, 0.9):
+            p = [a + share * (b - a) for a, b in zip(lo, hi)]
+            for axis in range(3):  # operator_A's x-, y- and z-leg to p
+                fixed = [*p[:axis], None, *entry.base[axis + 1:]]
+                legs.append((entry.instance.Q, _mp_catalog_Q(name, params), axis, fixed,
+                             entry.base[axis], p[axis]))
+    above_floor = []
+    with mp.workdps(30):
+        for Q, mp_Q, axis, fixed, a, b in legs:
+            def f(_, T, Q=Q, axis=axis, fixed=fixed):
+                return Q.batch(Point3(*(T if c is None else np.full(T.shape, c)
+                                        for c in fixed)))[axis]
+            G, G2 = (complex(_gauss_rule(f, np.array([a]), np.array([b]), m)[0])
+                     for m in (n, 2 * n))
+            exact = mp.quad(lambda t: mp.mpf(mp_Q(*(t if c is None else mp.mpf(c)
+                                                   for c in fixed))[axis]), [a, b])
+            error, estimate = float(abs(G - exact)), abs(G - G2)
+            floor = 1e-14 * max(1.0, float(abs(exact)))
+            assert abs(estimate - error) <= 1e-2 * error + floor, (axis, fixed, a, b)
+            above_floor.append(error > 100 * floor)
+    # at least -1/x to 7.75 has an error far above the floor, matched to 1 %
+    assert above_floor[3]
+
+
 def test_A_path_crossing_excluded_raises():
     dom = BoxDomain.unbounded(lambda p: (abs(p.x - 0.5) < 0.05) & (abs(p.y) < 0.01))
     F = VectorField(lambda p: np.array([1.0, 0, 0], complex), dom)
-    A = operator_A(F, Point3(0, 0, 0), 0j)
+    # A checks its nodes: at order 32 two of them fall in the slab, at order
+    # 12 none does (the middle gap of a unit leg is 0.126, the slab 0.1)
+    A = operator_A(F, Point3(0, 0, 0), 0j, QuadratureSpec(gauss_order=32))
     with pytest.raises(DomainError):
         A(Point3(1.0, 0.0, 0.0))
 

@@ -31,6 +31,10 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+from riccati3d.fields import QuadratureSpec  # noqa: E402
+
+GAUSS = QuadratureSpec().gauss_order
 SEEDS = (0, 1)
 TIMEOUT_S = 1800  # per command; a mutant that hangs is recorded as such
 
@@ -54,7 +58,8 @@ MUTANTS = [
     ("near-cell polynomial of `_blob_kernel` (`operator_B`) x 100/105",
      "src/riccati3d/fields.py",
      "(105.0 / (32.0 * np.pi * a))", "(100.0 / (32.0 * np.pi * a))"),
-    ("every Gauss rule at a quarter of its order (32 -> 8)", "src/riccati3d/fields.py",
+    (f"every Gauss rule at a quarter of its order (the default {GAUSS} -> {GAUSS // 4})",
+     "src/riccati3d/fields.py",
      "nodes, weights = _gauss_nodes(order)",
      "nodes, weights = _gauss_nodes(max(1, order // 4))"),
     ("`_rk4_step`: `k4` at `x` instead of `x + h`", "src/riccati3d/riccati1d.py",
