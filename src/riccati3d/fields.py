@@ -598,6 +598,9 @@ def _gauss_nodes(n: int):
 # legs per call of f: the rule sums each round of at most this many legs as
 # it evaluates it, so beyond the sums its memory is that of one round
 _LINE_CHUNK = 256
+# below this order a leg's path is checked at this order's nodes too: the
+# middle gap of n nodes is about pi / 2n of the leg (0.126 at 12, 0.048 at 32)
+_PATH_CHECK_ORDER = 32
 
 
 def _gauss_rule(f, a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
@@ -633,7 +636,11 @@ def operator_A(F: VectorField, base: Point3, C: complex = 0j,
     error is a smooth function of the end point, and a stencil that
     differences A (``cole_hopf`` of ``inverse_cole_hopf``, the W builders)
     sees the integral, not an error that jumps between neighbouring stencil
-    points as an adaptive rule's does with its subdivision pattern.
+    points as an adaptive rule's does with its subdivision pattern.  The
+    error grows as a leg nears a singularity of F: at the default order 12,
+    -1/x from 1 to 3.6, 5.5 and 7.75 (``w_from_q_pair``'s legs on the tube)
+    is off by 1.2e-12, 7.9e-10 and 4.2e-8 (round-off at order 32), and the
+    catalog Qs' legs in their sample boxes by round-off.
 
     One routine integrates the legs of any number of targets, and ``A(p)``
     is ``A.batch`` at the one target p, so the two agree bit for bit.  A
@@ -643,19 +650,25 @@ def operator_A(F: VectorField, base: Point3, C: complex = 0j,
     and sum do not depend on the other legs of its round, so every value is
     unchanged by the sharing.  The rule asks for F in rounds of at most
     ``_LINE_CHUNK`` legs, each one ``F.batch`` call over the nodes of every
-    distinct leg in it, by target, then leg, then node.  Every node of a
-    round is checked against the domain before F is evaluated there, and
-    F's values are checked to be finite; either failure raises DomainError
-    naming the round's first bad node.  That error, and a typed error
-    raised by F, name the first target of the leg it came from (``index``)
-    and, over a batch, every target with a leg that has a failing node in
-    that round (``where``).
+    distinct leg in it, by target, then leg, then node.  Before F is
+    evaluated, every node of a round is checked against the domain, and
+    below order ``_PATH_CHECK_ORDER`` so are that order's nodes on each leg,
+    so the path check does not thin out with the order.  F's values are
+    checked to be finite.  Either failure raises DomainError naming the
+    round's first bad point.  That error, and a typed error raised by F,
+    name the first target of the leg it came from (``index``) and, over a
+    batch, every target with a leg that has a failing point in that round
+    (``where``).
     """
     base = Point3(*base)
     base_coords = np.array(base, dtype=float)
     domain = F.domain
     if not domain.ok(base):
         raise DomainError(f"operator A base point {base} not in domain")
+    # the path check's points on [0, 1]: all, or with no excluded set the
+    # outer two (a box is convex)
+    probes = (0.5 + 0.5 * _gauss_nodes(_PATH_CHECK_ORDER)[0])[
+        slice(None) if domain.excluded is not None else [0, -1]]
 
     def eval_at(P: Point3):
         shape = np.shape(P[0])
@@ -683,37 +696,42 @@ def operator_A(F: VectorField, base: Point3, C: complex = 0j,
             """F's leg component at parameters T, row r on leg legs[r], from
             one F.batch call over the nodes in (target, leg, node) order."""
             k = axes[legs]
-            nodes = Point3(*(np.where((k == m)[:, None], T, fixed[legs, m, None])
-                             for m in range(3)))
 
-            def repoint(exc: Riccati3dError, first: int, bad) -> Riccati3dError:
-                """exc about node ``first``: ``index`` names its target and,
-                over a batch, ``where`` every target sharing a leg with a node
-                in ``bad``."""
-                exc.index, exc.where = int(rows[legs[first // T.shape[1]]]), None
+            def on_legs(S: np.ndarray) -> Point3:
+                return Point3(*(np.where((k == m)[:, None], S, fixed[legs, m, None])
+                                for m in range(3)))
+
+            def repoint(exc: Riccati3dError, r: int, bad) -> Riccati3dError:
+                """exc about a point of leg row ``r``: ``index`` names its
+                target and, over a batch, ``where`` every target sharing a leg
+                with a point in ``bad`` (a row per leg)."""
+                exc.index, exc.where = int(rows[legs[r]]), None
                 if bad is not None and shape:
                     hit = np.zeros((n, 3), dtype=bool)
-                    failing = legs[bad.reshape(T.shape).any(axis=1)]
+                    failing = legs[bad.reshape(legs.size, -1).any(axis=1)]
                     hit[rows[failing], axes[failing]] = True
                     exc.where = hit[rep, np.arange(3)].any(axis=1).reshape(shape)
                 return exc
 
-            def check(bad: np.ndarray, what: str):
-                """Raise DomainError(what + the first node of bad)."""
+            def check(S: np.ndarray, bad: np.ndarray, what: str):
+                """Raise DomainError(what + the first point of bad, S its parameters)."""
                 if bad.any():
-                    i = int(bad.argmax())
-                    r, j = divmod(i, T.shape[1])
-                    node = Point3(*corners[rows[legs[r]]][:k[r]], T[r, j], *base[k[r] + 1:])
-                    raise repoint(DomainError(what + str(node)), i, bad)
+                    r, j = divmod(int(bad.argmax()), S.shape[1])
+                    node = Point3(*corners[rows[legs[r]]][:k[r]], S[r, j], *base[k[r] + 1:])
+                    raise repoint(DomainError(what + str(node)), r, bad)
 
-            check(~domain.ok_mask(nodes), "integration path crosses excluded set at ")
+            nodes = on_legs(T)
+            check(T, ~domain.ok_mask(nodes), "integration path crosses excluded set at ")
+            if quad.gauss_order < _PATH_CHECK_ORDER:  # sparser nodes than the check's
+                S = a[legs, None] + (b[legs] - a[legs])[:, None] * probes
+                check(S, ~domain.ok_mask(on_legs(S)), "integration path crosses excluded set at ")
             try:
                 V = F.batch(nodes)[k, np.arange(legs.size)]
             except Riccati3dError as exc:
                 if exc.index is not None:
-                    repoint(exc, exc.index, exc.where)
+                    repoint(exc, exc.index // T.shape[1], exc.where)
                 raise
-            check(~np.isfinite(V), "line integrand is not finite at ")
+            check(T, ~np.isfinite(V), "line integrand is not finite at ")
             return V
 
         a, b = base_coords[axes], corners[rows, axes]

@@ -1,6 +1,7 @@
 """Differential and integral operators on closed-form fields."""
 
 import math
+import re
 import sys
 import threading
 import warnings
@@ -419,11 +420,36 @@ def test_paired_gauss_estimate_matches_the_mpmath_error_at_the_default_order():
 def test_A_path_crossing_excluded_raises():
     dom = BoxDomain.unbounded(lambda p: (abs(p.x - 0.5) < 0.05) & (abs(p.y) < 0.01))
     F = VectorField(lambda p: np.array([1.0, 0, 0], complex), dom)
-    # A checks its nodes: at order 32 two of them fall in the slab, at order
-    # 12 none does (the middle gap of a unit leg is 0.126, the slab 0.1)
-    A = operator_A(F, Point3(0, 0, 0), 0j, QuadratureSpec(gauss_order=32))
+    A = operator_A(F, Point3(0, 0, 0), 0j)
     with pytest.raises(DomainError):
         A(Point3(1.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("order", [1, 4, 8, 12, 16, 24, 31, 32, 40])
+@pytest.mark.parametrize("centre", [0.03, 0.3, 0.5, 0.77, 0.97])
+def test_A_path_check_does_not_thin_out_with_the_order(order, centre):
+    # a slab 0.05 of the leg wide (the widest gap of order 32's nodes is 0.048);
+    # at each order here from 1 to 24 some of these slabs lie between two nodes
+    dom = BoxDomain.unbounded(lambda p: abs(p.x - centre) < 0.025)
+    F = VectorField(lambda p: vec3(1.0, 0, 0), dom, vectorized=True)
+    A = operator_A(F, Point3(0, 0, 0), 0j, QuadratureSpec(gauss_order=order))
+    with pytest.raises(DomainError, match="crosses excluded set") as info:
+        A.batch(Point3(np.array([0.0, 1.0]), np.zeros(2), np.zeros(2)))
+    assert info.value.index == 1 and info.value.where.tolist() == [False, True]
+    named = re.search(r"x=(?:np\.float64\()?([-\d.e]+)", str(info.value))[1]
+    assert abs(float(named) - centre) < 0.025
+    # a leg that stops short of the slab is not checked beyond its end
+    assert A(Point3(centre - 0.03, 0, 0)) == pytest.approx(centre - 0.03, abs=1e-14)
+
+
+@pytest.mark.parametrize("order", [4, 12, 32])
+def test_A_path_check_finds_a_box_edge_as_order_32_does(order):
+    # order 32's outermost node is 0.00137 of the leg from its end, order 12's 0.0092
+    dom = BoxDomain.box((-1, -1, -1), (1, 1, 1))
+    F = VectorField(lambda p: vec3(1.0, 0, 0), dom, vectorized=True)
+    A = operator_A(F, Point3(0, 0, 0), 0j, QuadratureSpec(gauss_order=order))
+    with pytest.raises(DomainError, match="crosses excluded set"):
+        A(Point3(1.002, 0, 0))
 
 
 _GAUSS4 = QuadratureSpec(gauss_order=4)

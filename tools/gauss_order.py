@@ -2,7 +2,7 @@
 
 The rule: take each candidate order n of ``LADDER`` in turn and run the
 suites whose rows read operator A (``SUITES``) at order n and at order 2n,
-for seeds 0 to 99.  A row's drift at a seed is ``|reading(n) -
+for seeds 0 to 99 (``SEEDS``).  A row's drift at a seed is ``|reading(n) -
 reading(2n)|``, its ``max_abs_residual`` at the two orders.  The default is
 the smallest n at which every row passes at every seed and every row's
 drift stays at or below ``DRIFT_SHARE`` of that row's tolerance at every
@@ -13,7 +13,7 @@ quadrature error at n (the paired-order estimate of Gander and Gautschi,
 
 Run from anywhere (about 3.5 minutes on 2 cores):
 
-    python tools/gauss_order.py [--seeds 100]
+    python tools/gauss_order.py
 
 It prints a markdown table with one line per row whose reading moves with
 the order: the largest drift over the seeds as a share of the row's
@@ -24,7 +24,6 @@ collect it.
 
 from __future__ import annotations
 
-import argparse
 import sys
 from pathlib import Path
 
@@ -37,12 +36,13 @@ from riccati3d.verify import run_suite  # noqa: E402
 LADDER = (8, 10, 12, 16, 20, 24, 32)
 SUITES = ("operators", "riccati", "euler_picard")
 DRIFT_SHARE = 1e-3
+SEEDS = 100  # seeds 0 to 99
 
 
-def readings(order: int, seeds: int) -> dict:
+def readings(order: int) -> dict:
     """{row name: [(reading, tolerance, passed) per seed]} at this Gauss order."""
     rows: dict = {}
-    for seed in range(seeds):
+    for seed in range(SEEDS):
         for suite in SUITES:
             for c in run_suite(suite, RunConfig(seed=seed, gauss_order=order)).checks:
                 rows.setdefault(f"{suite}/{c.name}", []).append(
@@ -50,7 +50,7 @@ def readings(order: int, seeds: int) -> dict:
     return rows
 
 
-def sweep(seeds: int):
+def sweep():
     """Per candidate order: the worst drift share and its seed per row, and
     the first (row, seed) that fails at that order, or None."""
     cache: dict = {}
@@ -58,7 +58,7 @@ def sweep(seeds: int):
     def at(order):
         if order not in cache:
             print(f"order {order}", file=sys.stderr, flush=True)
-            cache[order] = readings(order, seeds)
+            cache[order] = readings(order)
         return cache[order]
 
     table = {}
@@ -67,7 +67,7 @@ def sweep(seeds: int):
         worst, failing = {}, None
         for name, seq in low.items():
             shares = [abs(r - r2) / tol for (r, tol, _), (r2, _, _) in zip(seq, high[name])]
-            seed = max(range(seeds), key=shares.__getitem__)
+            seed = max(range(SEEDS), key=shares.__getitem__)
             worst[name] = (shares[seed], seed)
             bad = [s for s, (_, _, passed) in enumerate(seq) if not passed]
             if bad and failing is None:
@@ -76,7 +76,7 @@ def sweep(seeds: int):
     return table
 
 
-def render(table, seeds: int) -> str:
+def render(table) -> str:
     names = [name for name in next(iter(table.values()))[0]
              if any(worst[name][0] > 0 for worst, _ in table.values())]
     lines = ["| row | " + " | ".join(f"n = {n}" for n in LADDER) + " |",
@@ -91,7 +91,7 @@ def render(table, seeds: int) -> str:
     lines.append("| every row passes | " + " | ".join(cells) + " |")
     accepted = [n for n in LADDER if table[n][1] is None
                 and all(share <= DRIFT_SHARE for share, _ in table[n][0].values())]
-    lines += ["", f"Drift |reading(n) - reading(2n)| / tolerance, worst over seeds 0-{seeds - 1} "
+    lines += ["", f"Drift |reading(n) - reading(2n)| / tolerance, worst over seeds 0-{SEEDS - 1} "
               f"(sK: at seed K).  Accepted (every row passes, every drift <= "
               f"{DRIFT_SHARE:g}): {', '.join(map(str, accepted)) or 'none'}.  "
               f"The rule picks {accepted[0] if accepted else 'no order'}; "
@@ -100,12 +100,7 @@ def render(table, seeds: int) -> str:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seeds", type=int, default=100, help="seeds 0 to N-1 (default 100)")
-    args = parser.parse_args()
-    if args.seeds < 1:
-        parser.error("--seeds must be >= 1")
-    print(render(sweep(args.seeds), args.seeds))
+    print(render(sweep()))
     return 0
 
 

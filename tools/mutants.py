@@ -87,6 +87,9 @@ MUTANTS = [
      "src/riccati3d/fields.py",
      "np.minimum.reduceat(order, np.flatnonzero(new[:, m]))",
      "order[np.flatnonzero(new[:, m])]"),
+    ("`operator_A` checks a leg's path at its Gauss nodes only, not at order 32's",
+     "src/riccati3d/fields.py",
+     "if quad.gauss_order < _PATH_CHECK_ORDER:", "if False:"),
     ("guard rule names the last failing point", "src/riccati3d/errors.py",
      "(i := _first(bad)) is not None:\n",
      "(i := _first(bad)) is not None:\n"
