@@ -717,7 +717,8 @@ def operator_A(F: VectorField, base: Point3, C: complex = 0j,
                 """Raise DomainError(what + the first point of bad, S its parameters)."""
                 if bad.any():
                     r, j = divmod(int(bad.argmax()), S.shape[1])
-                    node = Point3(*corners[rows[legs[r]]][:k[r]], S[r, j], *base[k[r] + 1:])
+                    node = Point3(*map(float, (*corners[rows[legs[r]]][:k[r]], S[r, j],
+                                               *base[k[r] + 1:])))
                     raise repoint(DomainError(what + str(node)), r, bad)
 
             nodes = on_legs(T)
@@ -839,7 +840,7 @@ class _NewtonianPotential(VectorField):
             bad = ~np.isfinite(block).all(axis=0)
             if bad.any():
                 raise DomainError("operator B integrand is not finite at cell centre "
-                                  f"{Point3(*(c[bad][0] for c in P))}")
+                                  f"{Point3(*(float(c[bad][0]) for c in P))}")
             parts = np.concatenate((block.real, block.imag))
             now = filled | parts.any(axis=1)
             if (now != filled).any():  # a row met its first nonzero value

@@ -2,16 +2,18 @@
 
 Each suite returns its registry of (name, tolerance, check) triples, which
 mirror the acceptance criteria of the package; ``run_suite`` runs them into
-a VerificationReport.  Sample points come from a Halton sequence (seeded
-by an index offset) with rejection of excluded points, so failing runs are
-reproducible point-by-point from the config echo.
+a VerificationReport.  Every check runs on a private ``_Row`` context built
+from (seed, suite, check name) alone: its random generator, its Halton
+sample points (with rejection of excluded points) and the recorder of its
+reading.  So a row reads the same in any registry order, or run alone, and
+a failing row is reproducible point by point from the config echo.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import time
+import zlib
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -87,21 +89,58 @@ _DETECTION_SUFFIX = "_detection"
 
 
 # --------------------------------------------------------------------------
-# sampling helpers
+# sampling helpers and the row context
 
-@functools.lru_cache(maxsize=1 << 14)
-def _halton(index: int, base: int) -> float:
-    """The radical inverse of index in base.  Memoized: the rows of a suite
-    start their sequences at the same few seeds, so most draws repeat."""
-    result, f = 0.0, 1.0
-    while index > 0:
-        f /= base
-        result += f * (index % base)
-        index //= base
-    return result
+def _radical_inverse(index: np.ndarray, base: int) -> np.ndarray:
+    """The radical inverse in base of each index of an int array: its digits
+    times base**-1, base**-2, ... (each scale the last one divided by base),
+    added in that order, as one index's own loop adds them, bit for bit."""
+    scales, top = [1.0 / base], int(index.max(initial=0)) // base
+    while top:
+        scales.append(scales[-1] / base)
+        top //= base
+    digits = index[:, None] // base ** np.arange(len(scales)) % base
+    return np.cumsum(digits * np.array(scales), axis=1)[:, -1]
 
 
 _HALTON_TRIES = 100000
+
+
+def _halton(box: Tuple[Point3, Point3], n: int, start: int,
+            excluded: Optional[Callable[[Point3], bool]] = None) -> Tuple[Point3, int]:
+    """n Halton points of the box from index ``start`` on, skipping the
+    excluded set, as one Point3 of coordinate arrays, and the index after the
+    last point taken; a ConfigError when the first _HALTON_TRIES draws hold
+    fewer than n points outside it.  ``excluded`` is called once per block of
+    candidates (see ``halton_points``)."""
+    lo, hi = np.array(box[0], dtype=float), np.array(box[1], dtype=float)
+    blocks, taken, idx = [np.empty((3, 0))], 0, start
+    while taken < n:
+        # the draws that the points still needed take at the acceptance rate
+        # so far: all of them at first, twice the draws so far while none passed
+        need, drawn = n - taken, idx - start
+        if not drawn:
+            size = need
+        elif taken:
+            size = math.ceil(need * drawn / taken)
+        else:
+            size = 2 * drawn
+        size = min(size, start + _HALTON_TRIES - idx)
+        if size <= 0:
+            raise ConfigError(f"could not draw {n} points from {box}; "
+                              f"excluded set too large")
+        index = np.arange(idx, idx + size)
+        X = lo[:, None] + (hi - lo)[:, None] * np.array(
+            [_radical_inverse(index, base) for base in (2, 3, 5)])
+        idx += size
+        if excluded is not None:
+            keep = ~np.broadcast_to(np.asarray(excluded(Point3(*X)), dtype=bool), (size,))
+            X, index = X[:, keep], index[keep]
+        blocks.append(X[:, :need])
+        taken += blocks[-1].shape[1]
+        if taken == n:
+            idx = int(index[need - 1]) + 1
+    return Point3(*np.concatenate(blocks, axis=1)), idx
 
 
 def halton_points(box: Tuple[Point3, Point3], n: int, seed: int = 0,
@@ -114,67 +153,82 @@ def halton_points(box: Tuple[Point3, Point3], n: int, seed: int = 0,
     of coordinate arrays, and returns a bool array of their shape: the
     broadcasting contract of a ``BoxDomain`` predicate.  The points are the
     ones a loop over the draws, one predicate call per draw, accepts, in its
-    order.  Each seed starts the sequence at its own index; a negative seed
-    would start below 0, where every point is the box's lower corner.
+    order.  The sequence starts at index 17 + 7919 * seed; a negative seed
+    would start below 0, where every point is the box's lower corner.  A
+    registry row draws from the same sequence at a start of its own
+    (``_Row.points``).
     """
     if seed < 0:
         raise ValueError(f"halton_points: seed must be >= 0, got {seed}")
-    lo, hi = Point3(*box[0]), Point3(*box[1])
-    pts: List[Point3] = []
-    start = idx = 17 + 7919 * seed
-    while len(pts) < n:
-        # the draws that the points still needed take at the acceptance rate
-        # so far: all of them at first, twice the draws so far while none passed
-        need, drawn = n - len(pts), idx - start
-        if not drawn:
-            size = need
-        elif pts:
-            size = math.ceil(need * drawn / len(pts))
-        else:
-            size = 2 * drawn
-        size = min(size, start + _HALTON_TRIES - idx)
-        if size <= 0:
-            raise ConfigError(f"could not draw {n} points from {box}; "
-                              f"excluded set too large")
-        block = [Point3(lo.x + (hi.x - lo.x) * _halton(i, 2),
-                        lo.y + (hi.y - lo.y) * _halton(i, 3),
-                        lo.z + (hi.z - lo.z) * _halton(i, 5))
-                 for i in range(idx, idx + size)]
-        idx += size
-        if excluded is not None:
-            out = excluded(Point3(*(np.array(c) for c in zip(*block))))
-            out = np.broadcast_to(np.asarray(out, dtype=bool), (size,)).tolist()
-            block = [p for p, skip in zip(block, out) if not skip]
-        pts += block[:n - len(pts)]
-    return pts
+    P, _ = _halton(box, n, 17 + 7919 * seed, excluded)
+    return [Point3(*p) for p in zip(*(c.tolist() for c in P))]
 
 
-def entry_points(entry: CatalogEntry, n: int, seed: int = 0) -> List[Point3]:
-    dom = entry.instance.Q.domain
-    return halton_points(entry.sample_box, n, seed, excluded=lambda P: ~dom.ok_mask(P))
+class _Row:
+    """The private context of one check: its random stream, its sample
+    points and the recorder of its reading.
+
+    Both streams come from ``SeedSequence([seed, crc32(b"suite/name")])``:
+    ``rng`` is the generator on it, and the row's Halton points start at
+    17 + 7919 * seed plus an offset below 7919 taken from it; each call of
+    ``points`` continues where the last one stopped.  So a row reads the same
+    whichever rows ran before it (L'Ecuyer, Munger, Oreshkin and Simard,
+    "Random numbers for parallel computers", Math. Comput. Simul. 135, 2017).
+    """
+
+    def __init__(self, config: RunConfig, suite: str, name: str):
+        seq = np.random.SeedSequence([config.seed, zlib.crc32(f"{suite}/{name}".encode())])
+        self.rng = np.random.default_rng(seq)
+        self._index = 17 + 7919 * config.seed + int(seq.generate_state(1)[0]) % 7919
+        self.detection = name.endswith(_DETECTION_SUFFIX)
+        self.reading: Optional[float] = None  # until a value is recorded
+        self.samples = 0
+
+    def points(self, box: Tuple[Point3, Point3], n: int,
+               excluded: Optional[Callable[[Point3], bool]] = None) -> Point3:
+        """The row's next n Halton points of the box outside the excluded
+        set, as one Point3 of coordinate arrays."""
+        P, self._index = _halton(box, n, self._index, excluded)
+        return P
+
+    def entry_points(self, entry: CatalogEntry, n: int) -> Point3:
+        """The row's next n points of a catalog entry's sample box in Q's domain."""
+        dom = entry.instance.Q.domain
+        return self.points(entry.sample_box, n, lambda P: ~dom.ok_mask(P))
+
+    def record(self, values, samples: Optional[int] = None) -> None:
+        """Take per-sample residuals: the reading keeps their largest, or
+        their smallest on a ``_detection`` row, and the row counts ``samples``
+        (by default one per value).  A NaN residual reads NaN, which fails."""
+        values = np.asarray(values, dtype=float).ravel()
+        self.samples += values.size if samples is None else samples
+        if self.reading is not None:
+            values = np.append(values, self.reading)
+        self.reading = float(np.min(values) if self.detection else np.max(values))
 
 
-_Checks = List[Tuple[str, float, Callable[[], Tuple[float, int]]]]
+_Checks = List[Tuple[str, float, Callable[[_Row], None]]]
 
 
-def _run_checks(checks: _Checks, config: RunConfig, prefix: str) -> List[CheckResult]:
-    """Execute (name, default_tol, fn) triples serially, in registry order,
+def _run_checks(checks: _Checks, config: RunConfig, suite: str,
+                prefix: str = "") -> List[CheckResult]:
+    """Execute (name, default_tol, fn) triples serially, in the given order,
     into results named ``prefix`` + name.
 
-    Checks of one suite share a random generator and memoized builds, so the
-    fixed order is what makes a report a function of (config, seed).
+    Each fn records into a fresh ``_Row`` of (config, suite, name), so no
+    row's reading depends on the order of the checks or on which of them run.
+    A row that records no value reads NaN and fails.
     """
 
     def run_one(name, default_tol, fn):
         tol = config.tolerance(name, default_tol)
         start = time.perf_counter()
-        resid, samples = fn()
+        row = _Row(config, suite, name)
+        fn(row)
         seconds = time.perf_counter() - start
-        if name.endswith(_DETECTION_SUFFIX):
-            passed = resid >= tol
-        else:
-            passed = resid <= tol
-        return CheckResult(prefix + name, float(resid), tol, samples, bool(passed), seconds)
+        resid = math.nan if row.reading is None else row.reading
+        passed = resid >= tol if row.detection else resid <= tol
+        return CheckResult(prefix + name, resid, tol, row.samples, passed, seconds)
 
     return [run_one(*item) for item in checks]
 
@@ -185,10 +239,6 @@ def _scheme(config: RunConfig) -> DiffScheme:
 
 def _quad(config: RunConfig) -> QuadratureSpec:
     return QuadratureSpec(gauss_order=config.gauss_order, volume_grid=config.volume_grid)
-
-
-def _rng(config: RunConfig, salt: int = 0):
-    return np.random.default_rng(1000003 * (config.seed + 1) + salt)
 
 
 def _random_biqs(rng, n: int, k: int = 1) -> np.ndarray:
@@ -204,17 +254,17 @@ def _mag(z) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
-def _max_diff(a, b) -> float:
-    """The largest |component| of a - b over a batch."""
-    return float(np.max(_mag(np.subtract(a, b))))
+def _diff(a, b) -> np.ndarray:
+    """Each sample's largest |component| of a - b, over the first axis."""
+    return _mag(np.subtract(a, b)).max(axis=0)
 
 
-def _rel_diff(a, b) -> float:
-    """The largest |component| of a - b over two (4, N) batches, each column
+def _rel_diff(a, b) -> np.ndarray:
+    """Each sample's largest |component| of a - b over two (4, N) batches,
     relative to max(1, its largest |component| in a or in b)."""
     a, b = np.asarray(a), np.asarray(b)
     scale = np.maximum(1.0, np.maximum(_mag(a).max(axis=0), _mag(b).max(axis=0)))
-    return float(np.max(_mag(a - b).max(axis=0) / scale))
+    return _mag(a - b).max(axis=0) / scale
 
 
 # --------------------------------------------------------------------------
@@ -244,78 +294,73 @@ def _basis_product_oracle(a, b) -> list:
 
 
 def suite_algebra(config: RunConfig) -> _Checks:
-    rng = _rng(config, 1)
     basis = [Biquaternion(1), Biquaternion(0, 1), Biquaternion(0, 0, 1),
              Biquaternion(0, 0, 0, 1)]
 
-    def basis_table():
-        worst = 0.0
+    def basis_table(row):
         for p in (1, 2, 3):
             for q in (1, 2, 3):
                 expect = Biquaternion(-1.0) if p == q else (
                     basis[_EPSILON[(p, q)]] if (p, q) in _EPSILON
                     else -basis[_EPSILON[(q, p)]])
-                worst = max(worst, max_component_diff(mul(basis[p], basis[q]), expect))
+                row.record(max_component_diff(mul(basis[p], basis[q]), expect))
         # e0 commutes and acts as identity
         for k in range(4):
-            worst = max(worst, max_component_diff(mul(basis[0], basis[k]), basis[k]))
-            worst = max(worst, max_component_diff(mul(basis[k], basis[0]), basis[k]))
-        return worst, 17
+            row.record(max_component_diff(mul(basis[0], basis[k]), basis[k]))
+            row.record(max_component_diff(mul(basis[k], basis[0]), basis[k]))
 
-    def product_vs_oracle():
-        a, b = _random_biqs(rng, 500, 2)
-        return _rel_diff(_product(a, b), _basis_product_oracle(a, b)), 500
+    def product_vs_oracle(row):
+        a, b = _random_biqs(row.rng, 500, 2)
+        row.record(_rel_diff(_product(a, b), _basis_product_oracle(a, b)))
 
-    def associativity():
-        a, b, c = _random_biqs(rng, 1000, 3)
-        return _rel_diff(_product(_product(a, b), c), _product(a, _product(b, c))), 1000
+    def associativity(row):
+        a, b, c = _random_biqs(row.rng, 1000, 3)
+        row.record(_rel_diff(_product(_product(a, b), c), _product(a, _product(b, c))))
 
-    def distributivity():
-        a, b, c = _random_biqs(rng, 1000, 3)
-        return _rel_diff(_product(a, b + c), np.add(_product(a, b), _product(a, c))), 1000
+    def distributivity(row):
+        a, b, c = _random_biqs(row.rng, 1000, 3)
+        row.record(_rel_diff(_product(a, b + c), np.add(_product(a, b), _product(a, c))))
 
-    def conj_antihom():
-        a, b = _random_biqs(rng, 1000, 2)
-        return _rel_diff(_conj(_product(a, b)), _product(_conj(b), _conj(a))), 1000
+    def conj_antihom(row):
+        a, b = _random_biqs(row.rng, 1000, 2)
+        row.record(_rel_diff(_conj(_product(a, b)), _product(_conj(b), _conj(a))))
 
-    def modulus_multiplicative():
-        a, b = _random_biqs(rng, 1000, 2)
+    def modulus_multiplicative(row):
+        a, b = _random_biqs(row.rng, 1000, 2)
         lhs = _modulus_sq(_product(a, b))
         rhs = _modulus_sq(a) * _modulus_sq(b)
-        scale = np.maximum(1.0, np.maximum(_mag(lhs), _mag(rhs)))
-        return float(np.max(_mag(lhs - rhs) / scale)), 1000
+        row.record(_mag(lhs - rhs) / np.maximum(1.0, np.maximum(_mag(lhs), _mag(rhs))))
 
-    def complex_unit_central():
-        a, b = _random_biqs(rng, 1000, 2)
+    def complex_unit_central(row):
+        a, b = _random_biqs(row.rng, 1000, 2)
         ab = 1j * np.array(_product(a, b))
-        return max(_rel_diff(_product(1j * a, b), ab), _rel_diff(_product(a, 1j * b), ab)), 1000
+        row.record(np.maximum(_rel_diff(_product(1j * a, b), ab),
+                              _rel_diff(_product(a, 1j * b), ab)))
 
-    def inverse_roundtrip():
+    def inverse_roundtrip(row):
         # a sample without an inverse is dropped; the next draws replace it
-        a = _random_biqs(rng, 200)[0]
+        a = _random_biqs(row.rng, 200)[0]
         while True:
             try:
                 ai = _inverse(a)
                 break
             except ZeroDivisor as exc:
                 a = np.concatenate((a[:, ~exc.where],
-                                    _random_biqs(rng, int(exc.where.sum()))[0]), axis=1)
+                                    _random_biqs(row.rng, int(exc.where.sum()))[0]), axis=1)
         one = np.array([1, 0, 0, 0])[:, None]
-        worst = max(_max_diff(_product(a, ai), one), _max_diff(_product(ai, a), one))
+        row.record(np.maximum(_diff(_product(a, ai), one), _diff(_product(ai, a), one)))
         # the classic zero divisor must be rejected
         try:
             inverse(Biquaternion(1j, 1))
-            worst = max(worst, 1.0)
+            row.record(1.0, samples=0)
         except ZeroDivisor:
             pass
-        return worst, 200
 
-    def right_mul_witness():
+    def right_mul_witness(row):
         m = right_mul(basis[1])
-        worst = max_component_diff(m(basis[2]), -basis[3])      # e2 e1 = -e3
-        worst = max(worst, max_component_diff(mul(basis[1], basis[2]), basis[3]))
-        worst = max(worst, max_component_diff(m(basis[0]), basis[1]))
-        return worst, 3
+        row.record([max_component_diff(m(basis[2]), -basis[3]),      # e2 e1 = -e3
+                    max_component_diff(mul(basis[1], basis[2]), basis[3]),
+                    max_component_diff(m(basis[0]), basis[1])])
 
     checks = [
         ("basis_table", 0.0, basis_table),
@@ -369,34 +414,29 @@ def _random_quat_poly(rng) -> QuaternionField:
 
 
 def suite_operators(config: RunConfig) -> _Checks:
-    rng = _rng(config, 2)
     scheme = _scheme(config)
     quad = _quad(config)
     box = (Point3(-1.2, -1.2, -1.2), Point3(1.2, 1.2, 1.2))
 
-    def by_field(pts: Sequence[Point3], n: int):
+    def by_field(P: Point3, n: int):
         """Point i belongs to field i % n: each field's points as one batch."""
-        return [(k, _as_batch(pts[k::n])) for k in range(n)]
+        return [(k, Point3(*(c[k::n] for c in P))) for k in range(n)]
 
-    def dirac_square():
-        fields = [ScalarField(_random_poly3(rng), vectorized=True) for _ in range(4)]
+    def dirac_square(row):
+        fields = [ScalarField(_random_poly3(row.rng), vectorized=True) for _ in range(4)]
         fields.append(ScalarField(lambda p: np.sin(p.x) * np.exp(p.y), vectorized=True))
         fields.append(ScalarField(lambda p: np.exp(0.5 * p.x) * np.cos(0.4 * p.z),
                                   vectorized=True))
-        pts = halton_points(box, 100, config.seed)
-        worst = 0.0
-        for k, P in by_field(pts, len(fields)):
+        for k, P in by_field(row.points(box, 100), len(fields)):
             f = fields[k]
             Df = QuaternionField(lambda t: [0j, *grad(f, t, scheme)], vectorized=True)
             rhs = np.zeros((4,) + P.x.shape, dtype=complex)
             rhs[0] = -laplacian(f, P, scheme)
-            worst = max(worst, _max_diff(dirac_left(Df, P, scheme), rhs))
-        return worst, len(pts)
+            row.record(_diff(dirac_left(Df, P, scheme), rhs))
 
-    def leibniz():
-        pts = halton_points(box, 60, config.seed)
-        worst = 0.0
-        pairs = [(_random_quat_poly(rng), _random_quat_poly(rng)) for _ in range(6)]
+    def leibniz(row):
+        pts = row.points(box, 60)
+        pairs = [(_random_quat_poly(row.rng), _random_quat_poly(row.rng)) for _ in range(6)]
         for k, P in by_field(pts, len(pairs)):
             phi, psi = pairs[k]
             prod = QuaternionField(lambda t: _product(phi.batch(t), psi.batch(t)),
@@ -407,14 +447,13 @@ def suite_operators(config: RunConfig) -> _Checks:
                          _product(_conj(phi_P), dirac_left(psi, P, scheme)))
             for v, d in zip(phi_P[1:], _derivatives(psi, P, scheme)):
                 rhs = rhs - 2.0 * v * d
-            worst = max(worst, _max_diff(lhs, rhs))
-        return worst, len(pts)
+            row.record(_diff(lhs, rhs))
 
-    def leibniz_scalar():
-        P = _as_batch(halton_points(box, 30, config.seed + 1))
+    def leibniz_scalar(row):
+        P = row.points(box, 30)
         # point n's own cubics f0 and psi_0..psi_3, drawn as _random_poly3
         # draws them, and evaluated at every stencil point of point n
-        W = rng.uniform(-0.6, 0.6, (P.x.size, 5, len(_MONOS), 2)).view(complex)[..., 0]
+        W = row.rng.uniform(-0.6, 0.6, (P.x.size, 5, len(_MONOS), 2)).view(complex)[..., 0]
 
         def cubics(t: Point3) -> np.ndarray:
             return np.einsum("ncm,m...n->c...n", W, _monomials(t))
@@ -425,43 +464,36 @@ def suite_operators(config: RunConfig) -> _Checks:
         lhs = dirac_left(prod, P, scheme)
         rhs = np.add(_product((0j, *grad(f0, P, scheme)), psi.batch(P)),
                      f0.batch(P) * dirac_left(psi, P, scheme))
-        return _max_diff(lhs, rhs), P.x.size
+        row.record(_diff(lhs, rhs))
 
-    def conj_intertwine():
-        pts = halton_points(box, 50, config.seed + 2)
-        worst = 0.0
-        fields = [_random_quat_poly(rng) for _ in range(5)]
+    def conj_intertwine(row):
+        pts = row.points(box, 50)
+        fields = [_random_quat_poly(row.rng) for _ in range(5)]
         for k, P in by_field(pts, len(fields)):
             phi = fields[k]
             conj_phi = QuaternionField(lambda t: _conj(phi.batch(t)), vectorized=True)
-            lhs = _conj(dirac_left(phi, P, scheme))
-            rhs = -dirac_right(conj_phi, P, scheme)
-            worst = max(worst, _max_diff(lhs, rhs))
-        return worst, len(pts)
+            row.record(_diff(_conj(dirac_left(phi, P, scheme)),
+                             -dirac_right(conj_phi, P, scheme)))
 
-    def A_reconstruction():
+    def A_reconstruction(row):
         cases = [
             (VectorField(lambda p: vec3(p.y * p.z, p.x * p.z, p.x * p.y), vectorized=True),
              lambda p: p.x * p.y * p.z),
             (VectorField(lambda p: vec3(2 * p.x, 2 * p.y, 0), vectorized=True),
              lambda p: p.x * p.x + p.y * p.y),
         ]
-        P = _as_batch(halton_points(box, 20, config.seed + 3))
-        worst = 0.0
+        P = row.points(box, 20)
         for F, f in cases:
-            d = operator_A(F, Point3(0, 0, 0), 0j, quad).batch(P) - f(P)
-            # np.hypot rounds as abs() of one complex does; np.abs may not
-            worst = max(worst, float(np.max(np.hypot(d.real, d.imag))))
-        return worst, 2 * P.x.size
+            row.record(_mag(operator_A(F, Point3(0, 0, 0), 0j, quad).batch(P) - f(P)))
 
-    def A_right_inverse():
+    def A_right_inverse(row):
         F = VectorField(lambda p: vec3(p.y * p.z + 2 * p.x, p.x * p.z, p.x * p.y),
                         vectorized=True)
         A = operator_A(F, Point3(0, 0, 0), 0j, quad)
-        P = _as_batch(halton_points(box, 10, config.seed + 4))
-        return float(np.max(np.abs(grad(A, P, scheme) - F.batch(P)))), P.x.size
+        P = row.points(box, 10)
+        row.record(np.abs(grad(A, P, scheme) - F.batch(P)).max(axis=0))
 
-    def B_ball():
+    def B_ball(row):
         region = BoxDomain.box((-1, -1, -1), (1, 1, 1))
         chi = VectorField(lambda p: vec3(
             np.where(p.x * p.x + p.y * p.y + p.z * p.z <= 1.0, 1.0, 0.0), 0.0, 0.0),
@@ -469,9 +501,7 @@ def suite_operators(config: RunConfig) -> _Checks:
         B = operator_B(chi, region, quad)
         center = B(Point3(0, 0, 0))[0]
         outside = B(Point3(2, 0, 0))[0]
-        rel_center = abs(center - 0.5) / 0.5
-        rel_out = abs(outside - 1.0 / 6.0) * 6.0
-        return max(rel_center, rel_out), 2
+        row.record([abs(center - 0.5) / 0.5, abs(outside - 1.0 / 6.0) * 6.0])
 
     checks = [
         ("dirac_square_is_neg_laplacian", 1e-6, dirac_square),
@@ -493,11 +523,10 @@ def _as_batch(pts: Sequence[Point3]) -> Point3:
     return Point3(*(np.array(c, dtype=float) for c in zip(*pts)))
 
 
-def _max_riccati_residual(inst: RiccatiInstance, pts: Sequence[Point3],
-                          scheme: DiffScheme) -> float:
-    """The largest |defect| of ``riccati_residual`` over pts, in one batch."""
-    sc, vec = riccati_residual(inst, _as_batch(pts), scheme)
-    return max(0.0, float(np.max(np.abs(sc))), float(np.max(np.abs(vec))))
+def _riccati_defect(inst: RiccatiInstance, P: Point3, scheme: DiffScheme) -> np.ndarray:
+    """Each point's largest |defect| of ``riccati_residual`` over the batch P."""
+    sc, vec = riccati_residual(inst, P, scheme)
+    return np.maximum(np.abs(sc), np.abs(vec).max(axis=0))
 
 
 def suite_solutions(config: RunConfig) -> _Checks:
@@ -506,17 +535,12 @@ def suite_solutions(config: RunConfig) -> _Checks:
     checks = []
 
     def riccati_check(entry):
-        def fn():
-            pts = entry_points(entry, config.samples, config.seed)
-            return _max_riccati_residual(entry.instance, pts, scheme), len(pts)
-        return fn
+        return lambda row: row.record(_riccati_defect(
+            entry.instance, row.entry_points(entry, config.samples), scheme))
 
     def schrodinger_check(entry):
-        def fn():
-            P = _as_batch(entry_points(entry, config.samples, config.seed))
-            r = schrodinger_residual(entry.schrodinger(), P, scheme)
-            return float(np.max(np.hypot(r.real, r.imag))), P.x.size
-        return fn
+        return lambda row: row.record(_mag(schrodinger_residual(
+            entry.schrodinger(), row.entry_points(entry, config.samples), scheme)))
 
     for entry in entries:
         tag = entry.name.replace("(", "_").replace(")", "").replace(",", "_").replace("=", "")
@@ -524,25 +548,20 @@ def suite_solutions(config: RunConfig) -> _Checks:
         if entry.psi is not None:
             checks.append((f"schrodinger_{tag}", 1e-5, schrodinger_check(entry)))
 
-    def spot_values():
+    def spot_values(row):
         rot = catalog_entry("rotational", config.margin, k=1, c=0).instance
         con = catalog_entry("conical", config.margin, C1=0, C2=math.e).instance
-        worst = float(np.max(np.abs(rot.Q(Point3(2, 0, 5))
-                                    - np.array([-5.0 / 6.0, 0, 0]))))
-        worst = max(worst, float(np.max(np.abs(con.Q(Point3(1, 0, 0))
-                                               - np.array([3.0, 0, 0])))))
-        return worst, 2
+        row.record(np.max(np.abs(rot.Q(Point3(2, 0, 5)) - np.array([-5.0 / 6.0, 0, 0]))))
+        row.record(np.max(np.abs(con.Q(Point3(1, 0, 0)) - np.array([3.0, 0, 0]))))
 
-    def blowup_witness():
+    def blowup_witness(row):
         # approaching each singular set within 1e-3 must blow Q up
         rot = catalog_entry("rotational", config.margin, k=1, c=0).instance
-        smallest = float(np.max(np.abs(rot.Q(Point3(1.0 + 1e-3, 0, 0.3)))))
+        row.record(np.max(np.abs(rot.Q(Point3(1.0 + 1e-3, 0, 0.3)))))
         con = catalog_entry("conical", config.margin, C1=0, C2=math.e).instance
         # point just off the log surface e*(x^2+y^2) = r^4 at rho = 1
         zs = math.sqrt(math.sqrt(math.e) - 1.0)
-        pt = Point3(1.0, 0.0, zs + 5e-4)
-        smallest = min(smallest, float(np.max(np.abs(con.Q(pt)))))
-        return smallest, 2
+        row.record(np.max(np.abs(con.Q(Point3(1.0, 0.0, zs + 5e-4)))))
 
     checks.append(("spot_values", 1e-12, spot_values))
     checks.append(("blowup_witness_detection", 1e2, blowup_witness))
@@ -555,94 +574,76 @@ def suite_solutions(config: RunConfig) -> _Checks:
 def suite_riccati(config: RunConfig) -> _Checks:
     scheme = _scheme(config)
     quad = _quad(config)
-    rng = _rng(config, 3)
     entries = acceptance_catalog(config.margin)
     with_psi = [e for e in entries if e.psi is not None]
 
-    def cole_hopf_match():
-        worst, total = 0.0, 0
+    def cole_hopf_match(row):
         for entry in with_psi:
-            P = _as_batch(entry_points(entry, 50, config.seed))
+            P = row.entry_points(entry, 50)
             derived = cole_hopf(entry.schrodinger(), scheme)
-            worst = max(worst, float(np.max(np.abs(
-                derived.Q.batch(P) - entry.instance.Q.batch(P)))))
-            total += P.x.size
-        return worst, total
+            row.record(np.abs(derived.Q.batch(P) - entry.instance.Q.batch(P)).max(axis=0))
 
-    def inverse_match():
-        worst, total = 0.0, 0
+    def inverse_match(row):
         for entry in with_psi:
-            P = _as_batch(entry_points(entry, 50, config.seed + 1))
+            P = row.entry_points(entry, 50)
             sch = inverse_cole_hopf(entry.instance, entry.base, 0j, quad)
             ref0 = entry.psi(entry.base)
             num0 = sch.psi(entry.base)
             # Python's complex division, which rounds unlike numpy's
-            for num, ref in zip(sch.psi.batch(P).tolist(), entry.psi.batch(P).tolist()):
-                worst = max(worst, abs(num / num0 - ref / ref0))
-            total += P.x.size
-        return worst, total
+            row.record([abs(num / num0 - ref / ref0) for num, ref in
+                        zip(sch.psi.batch(P).tolist(), entry.psi.batch(P).tolist())])
 
-    def roundtrip():
-        worst, total = 0.0, 0
+    def roundtrip(row):
         for entry in entries:
-            P = _as_batch(entry_points(entry, 12, config.seed + 2))
-            sch = inverse_cole_hopf(entry.instance, entry.base, 0j, quad)
-            back = cole_hopf(sch, scheme)
-            worst = max(worst, float(np.max(np.abs(
-                back.Q.batch(P) - entry.instance.Q.batch(P)))))
-            total += P.x.size
-        return worst, total
+            P = row.entry_points(entry, 12)
+            back = cole_hopf(inverse_cole_hopf(entry.instance, entry.base, 0j, quad), scheme)
+            row.record(np.abs(back.Q.batch(P) - entry.instance.Q.batch(P)).max(axis=0))
 
-    def probes(n: int) -> ScalarField:
+    def probes(rng, n: int) -> ScalarField:
         """n random probes exp(a x + b y + c z), drawn probe by probe: probe i
         belongs to target i of a batch of n points, the last axis of the
         batch and of every stencil of it."""
         a, b, c = rng.uniform(-0.4, 0.4, (n, 3)).T
         return ScalarField(lambda p: np.exp(a * p.x + b * p.y + c * p.z), vectorized=True)
 
-    def factorization_solutions():
-        worst, total = 0.0, 0
+    def factorization_defect(row, inst, P) -> np.ndarray:
+        """Each point's largest |defect| of either factorization, its probe drawn."""
+        left, right = factorization_residual(probes(row.rng, P.x.size), inst, P, scheme)
+        return np.maximum(_mag(left).max(axis=0), _mag(right).max(axis=0))
+
+    def factorization_solutions(row):
         for entry in (catalog_entry("rotational", config.margin, k=1, c=0.5 * math.log(2)),
                       catalog_entry("conical", config.margin, C1=2.0, C2=math.e)):
-            P = _as_batch(entry_points(entry, 10, config.seed + 3))
-            left, right = factorization_residual(probes(P.x.size), entry.instance, P, scheme)
-            worst = max(worst, float(_mag(left).max()), float(_mag(right).max()))
-            total += P.x.size
-        return worst, total
+            row.record(factorization_defect(row, entry.instance, row.entry_points(entry, 10)))
 
-    def factorization_detect():
+    def factorization_detect(row):
         # Q = (x,0,0) with q = -1 has the defect x^2 >= 0.64 on the sample box
         # (q = 0 would solve the equation exactly on the plane x = 1)
         bad = RiccatiInstance(VectorField(lambda p: vec3(p.x, 0, 0), vectorized=True),
                               ScalarField(lambda p: -1 + 0j, vectorized=True))
-        P = _as_batch(halton_points((Point3(0.8, 0.2, 0.1), Point3(1.6, 1.0, 0.9)),
-                                    5, config.seed))
-        left, right = factorization_residual(probes(P.x.size), bad, P, scheme)
-        worst = np.maximum(_mag(left).max(axis=0), _mag(right).max(axis=0))
-        return float(worst.min()), P.x.size
+        P = row.points((Point3(0.8, 0.2, 0.1), Point3(1.6, 1.0, 0.9)), 5)
+        row.record(factorization_defect(row, bad, P))
 
-    def prop1_closed_chain():
+    def prop1_closed_chain(row):
         # phi = W0 = e^x, Wv = e^-x e2: W = W0 + Wv solves the Vekua equation
         phi = ScalarField(lambda p: np.exp(p.x), vectorized=True)
         W = QuaternionField(lambda p: [np.exp(p.x), 0.0, np.exp(-p.x), 0.0], vectorized=True)
         Wv = VectorField(lambda p: vec3(0.0, np.exp(-p.x), 0.0), vectorized=True)
         one_q = ScalarField(lambda p: 1.0 + 0j, vectorized=True)
-        P = _as_batch(halton_points((Point3(-0.6, -0.6, -0.6), Point3(0.6, 0.6, 0.6)),
-                                    15, config.seed))
+        P = row.points((Point3(-0.6, -0.6, -0.6), Point3(0.6, 0.6, 0.6)), 15)
         c1, c2 = component_residuals(phi, Wv, phi, P, scheme)
-        worst = max(_mag(vekua_residual(W, phi, P, scheme)).max(),
-                    _mag(schrodinger_residual(SchrodingerInstance(phi, one_q), P, scheme)).max(),
-                    _mag(c1).max(), np.abs(c2).max())
-        return float(worst), P.x.size
+        row.record(np.max([_mag(vekua_residual(W, phi, P, scheme)).max(axis=0),
+                           _mag(schrodinger_residual(SchrodingerInstance(phi, one_q), P,
+                                                     scheme)),
+                           _mag(c1), np.abs(c2).max(axis=0)], axis=0))
 
-    def w_equation_example():
+    def w_equation_example(row):
         phi = ScalarField(lambda p: np.exp(p.x), vectorized=True)
         w = VectorField(lambda p: vec3(0.0, np.exp(p.x), 0.0), vectorized=True)
-        P = _as_batch(halton_points((Point3(-0.6, -0.6, -0.6), Point3(0.6, 0.6, 0.6)),
-                                    10, config.seed + 1))
-        return float(_mag(w_equation_residual(w, phi, P, scheme)).max()), P.x.size
+        P = row.points((Point3(-0.6, -0.6, -0.6), Point3(0.6, 0.6, 0.6)), 10)
+        row.record(_mag(w_equation_residual(w, phi, P, scheme)).max(axis=0))
 
-    def prop2_closed_parts():
+    def prop2_closed_parts(row):
         tube = BoxDomain.box((0.25, -0.6, -0.6), (7.75, 0.6, 0.6))
         one = ScalarField(lambda p: 1.0 + 0j, vectorized=True)
         zero_q = ScalarField(lambda p: 0j, vectorized=True)
@@ -650,11 +651,11 @@ def suite_riccati(config: RunConfig) -> _Checks:
         nb = config.build_grid
         _, W0, Q = build_W_prop2(w, one, None, Point3(0, 0, 0), tube, quad,
                                  scheme, cells=(5 * nb, nb, nb))
-        pts = [Point3(3.6, -0.1, 0.08), Point3(4.0, 0.12, -0.05), Point3(4.4, 0.0, 0.1)]
-        r = schrodinger_residual(SchrodingerInstance(W0, zero_q), _as_batch(pts), scheme)
-        worst = max(float(np.max(np.hypot(r.real, r.imag))),
-                    _max_riccati_residual(RiccatiInstance(Q, zero_q), pts, scheme))
-        return worst, len(pts)
+        P = _as_batch([Point3(3.6, -0.1, 0.08), Point3(4.0, 0.12, -0.05),
+                       Point3(4.4, 0.0, 0.1)])
+        row.record(np.maximum(_mag(schrodinger_residual(SchrodingerInstance(W0, zero_q), P,
+                                                        scheme)),
+                              _riccati_defect(RiccatiInstance(Q, zero_q), P, scheme)))
 
     checks = [
         ("cole_hopf_matches_catalog", 1e-6, cole_hopf_match),
@@ -694,23 +695,19 @@ def suite_euler_picard(config: RunConfig) -> _Checks:
     zero_inst = RiccatiInstance(
         VectorField(lambda p: np.zeros(3, complex), vectorized=True), zero_q)
 
-    def picard_max_abs(*fields, n: int, seed: int, **options) -> np.ndarray:
-        """max_abs of picard_lhs at each of n Halton points, in one batch."""
-        L = picard_lhs(*fields, _as_batch(halton_points(pic_box, n, seed)), scheme,
-                       **options)
+    def picard_max_abs(row, *fields, n: int, **options) -> np.ndarray:
+        """max_abs of picard_lhs at each of the row's next n Halton points, in one batch."""
+        L = picard_lhs(*fields, row.points(pic_box, n), scheme, **options)
         return np.hypot(L.real, L.imag).max(axis=0)
 
-    def picard_identity():
-        worst = picard_max_abs(*Qs, n=20, seed=config.seed)
-        return float(worst.max()), worst.size
+    def picard_identity(row):
+        row.record(picard_max_abs(row, *Qs, n=20))
 
-    def picard_crossterm():
-        smallest = picard_max_abs(*Qs, n=20, seed=config.seed, include_cross_terms=False)
-        return float(smallest.min()), smallest.size
+    def picard_crossterm(row):
+        row.record(picard_max_abs(row, *Qs, n=20, include_cross_terms=False))
 
-    def picard_pairwise():
-        worst = picard_max_abs(Qs[0], Qs[1], Qs[0], Qs[1], n=5, seed=config.seed + 1)
-        return float(worst.max()), worst.size
+    def picard_pairwise(row):
+        row.record(picard_max_abs(row, Qs[0], Qs[1], Qs[0], Qs[1], n=5))
 
     state: dict = {}
 
@@ -729,44 +726,39 @@ def suite_euler_picard(config: RunConfig) -> _Checks:
         return _shared("Wb", lambda: build_W_from_W0(
             W0, one, None, tube, quad, scheme, cells=cells))
 
-    def wconst_scalar_exact():
+    def wconst_scalar_exact(row):
         expect = np.exp(-operator_A(inv_x.Q, Point3(1, 0, 0), 0j, quad).batch(tube_pts))
         W2 = w_from_q_pair(inv_x, zero_inst, None, Point3(1, 0, 0), tube,
                            quad, scheme,
                            cells=(40, 8, 8))  # volume-resolution independence
-        worst = max(float(_mag(_scalar_part(W).batch(tube_pts) - expect).max())
-                    for W in (get_W(), W2))  # read without rot B: W2's grid is never built
-        return worst, 2 * tube_pts.x.size
+        for W in (get_W(), W2):  # read without rot B: W2's grid is never built
+            row.record(_mag(_scalar_part(W).batch(tube_pts) - expect))
 
-    def q_recovery():
-        rec = q_from_scw(get_W(), scheme)
-        return _max_diff(rec.batch(tube_pts), inv_x.Q.batch(tube_pts)), tube_pts.x.size
+    def q_recovery(row):
+        row.record(_diff(q_from_scw(get_W(), scheme).batch(tube_pts), inv_x.Q.batch(tube_pts)))
 
-    def euler_built():
-        r = euler_residual(get_W(), zero_inst.Q, tube_pts, scheme)
-        return float(_mag(r).max()), tube_pts.x.size
+    def euler_built(row):
+        row.record(_mag(euler_residual(get_W(), zero_inst.Q, tube_pts, scheme)).max(axis=0))
 
-    def vekua_built():
-        r = vekua_residual(get_W_from_W0(), one, tube_pts, scheme)
-        return float(_mag(r).max()), tube_pts.x.size
+    def vekua_built(row):
+        row.record(_mag(vekua_residual(get_W_from_W0(), one, tube_pts, scheme)).max(axis=0))
 
-    def prop3_roundtrip():
+    def prop3_roundtrip(row):
         W = get_W_from_W0()
         Wv = _vector_part(W)  # with W's jet: rot(phi Wv) is one pass per node
         rec = build_W0_from_W(Wv, one, Point3(4.0, 0.0, 0.0), quad, scheme)
         shift = rec(Point3(4.0, 0.0, 0.0)) - 4.0
         x = tube_pts.x
-        worst = _mag(rec.batch(tube_pts) - x - shift) / np.maximum(1.0, np.abs(x))
-        return float(worst.max()), x.size
+        row.record(_mag(rec.batch(tube_pts) - x - shift) / np.maximum(1.0, np.abs(x)))
 
-    def mismatch_detection():
+    def mismatch_detection(row):
         other = catalog_entry("rotational", config.margin, k=1, c=0).instance
         try:
             w_from_q_pair(inv_x, other, None, Point3(1, 0, 0), tube, quad,
                           scheme, check_points=[Point3(3.0, 0.2, 0.1)])
-            return 0.0, 1
+            row.record(0.0)
         except ValueError:
-            return 1.0, 1
+            row.record(1.0)
 
     checks = [
         ("picard_identity", 1e-6, picard_identity),
@@ -801,81 +793,65 @@ _TABLE_F = {
 
 def suite_symmetry(config: RunConfig) -> _Checks:
     scheme = _scheme(config)
-    rng = _rng(config, 4)
     box = (Point3(0.55, 0.35, 0.45), Point3(1.6, 1.3, 1.4))
 
-    def values(P: Point3) -> np.ndarray:
+    def values(rng, P: Point3) -> np.ndarray:
         """A random Q at each point of P, drawn point by point: (3, N)."""
         return rng.uniform(-1, 1, (P.x.size, 3)).T
 
-    def determining_table():
-        P = _as_batch(halton_points(box, 5, config.seed))
-        worst = 0.0
-        for k in range(1, 11):
-            r = determining_residual(single_parameter(k), invariant_potential(k, _TABLE_F[k]),
-                                     P, scheme)
-            worst = max(worst, float(np.max(np.abs(r))))
-        return worst, 10 * P.x.size
+    def apart(P, Q, P2, Q2) -> np.ndarray:
+        """Each point's largest |difference| of (P, Q) and (P2, Q2)."""
+        return np.maximum(np.abs(np.subtract(P2, P)).max(axis=0), np.abs(Q2 - Q).max(axis=0))
 
-    def identity():
-        worst = 0.0
-        P = _as_batch(halton_points(box, 10, config.seed + 1))
+    def determining_table(row):
+        P = row.points(box, 5)
         for k in range(1, 11):
-            Q = values(P)
-            P2, Q2 = group_act(GroupElement(k, 0.0), P, Q)
-            worst = max(worst, float(np.max(np.abs(np.subtract(P2, P)))),
-                        float(np.max(np.abs(Q2 - Q))))
-        return worst, 10 * P.x.size
+            row.record(np.abs(determining_residual(
+                single_parameter(k), invariant_potential(k, _TABLE_F[k]), P, scheme)))
+
+    def identity(row):
+        P = row.points(box, 10)
+        for k in range(1, 11):
+            Q = values(row.rng, P)
+            row.record(apart(P, Q, *group_act(GroupElement(k, 0.0), P, Q)))
 
     def composition(ks: range, lam: float, n: int, pairs: int):
         """G_k(l2) G_k(l1) against G_k(l1 + l2) for each k of ks, on one batch
         of n points and Q values per group at each of ``pairs`` parameter
         pairs in (-lam, lam).  The conical groups leave out points near a
-        coordinate axis.  The row draws from its own generator, so its sample
-        size moves no other row's draws."""
-        conical = ks[0] >= 8
-        draw = _rng(config, 6 if conical else 5)
-        worst, total = 0.0, 0
-        for k in ks:
-            X, Q = draw.uniform(-1.2, 1.2, (3, n)), draw.uniform(-1, 1, (3, n))
-            if conical:
-                X2 = X * X
-                keep = np.min([X2[1] + X2[2], X2[0] + X2[2], X2[0] + X2[1]], axis=0) >= 1e-4
-                X, Q = X[:, keep], Q[:, keep]
-            p = Point3(*X)
-            for l1, l2 in draw.uniform(-lam, lam, (pairs, 2)):
-                pa, Qa = group_act(GroupElement(k, l1), p, Q)
-                pb, Qb = group_act(GroupElement(k, l2), pa, Qa)
-                pc, Qc = group_act(GroupElement(k, l1 + l2), p, Q)
-                worst = max(worst, float(np.max(np.abs(np.subtract(pb, pc)))),
-                            float(np.max(np.abs(Qb - Qc))))
-                total += Q.shape[1]
-        return worst, total
+        coordinate axis."""
+        def check(row):
+            for k in ks:
+                X, Q = row.rng.uniform(-1.2, 1.2, (3, n)), row.rng.uniform(-1, 1, (3, n))
+                if k >= 8:
+                    X2 = X * X
+                    keep = np.min([X2[1] + X2[2], X2[0] + X2[2], X2[0] + X2[1]], axis=0) >= 1e-4
+                    X, Q = X[:, keep], Q[:, keep]
+                p = Point3(*X)
+                for l1, l2 in row.rng.uniform(-lam, lam, (pairs, 2)):
+                    pa, Qa = group_act(GroupElement(k, l1), p, Q)
+                    row.record(apart(*group_act(GroupElement(k, l2), pa, Qa),
+                                     *group_act(GroupElement(k, l1 + l2), p, Q)))
+        return check
 
-    def orthogonality():
-        worst = 0.0
+    def orthogonality(row):
         for k in (4, 5, 6):
-            for lam in rng.uniform(-3, 3, 10):
+            for lam in row.rng.uniform(-3, 3, 10):
                 R = rotation_matrix(k, lam)
-                worst = max(worst, float(np.max(np.abs(R.T @ R - np.eye(3)))))
-        return worst, 30
+                row.record(np.max(np.abs(R.T @ R - np.eye(3))))
 
-    def vhat_consistency():
-        worst = 0.0
+    def vhat_consistency(row):
         dl = 1e-5
-        P = _as_batch(halton_points(box, 10, config.seed + 2))
+        P = row.points(box, 10)
         for k in range(1, 11):
-            Q = values(P)
+            Q = values(row.rng, P)
             pp, Qp = group_act(GroupElement(k, dl), P, Q)
             pm, Qm = group_act(GroupElement(k, -dl), P, Q)
             fd = (np.concatenate([pp, Qp]) - np.concatenate([pm, Qm])) / (2 * dl)
             vh = np.array(vhat_apply(single_parameter(k), P, Q))
-            worst = max(worst, float(np.max(np.abs(fd - vh))))
-        return worst, 10 * P.x.size
+            row.record(np.abs(fd - vh).max(axis=0))
 
-    def transport():
-        worst = 0.0
-        total = 0
+    def transport(row):
         jobs = []
         harm = catalog_entry("harmonic:x+y+z", config.margin)
         for k in range(1, 11):
@@ -889,48 +865,38 @@ def suite_symmetry(config: RunConfig) -> _Checks:
                  (con, GroupElement(8, 0.03)), (con, GroupElement(9, 0.03)),
                  (con, GroupElement(10, 0.03))]
         for entry, g in jobs:
-            moved = pushforward_solution(g, entry.instance.Q)
-            inst = RiccatiInstance(moved, entry.instance.q)
-            pts = halton_points(entry.sample_box, 50, config.seed,
-                                excluded=moved.domain.excluded)
-            worst = max(worst, _max_riccati_residual(inst, pts, scheme))
-            total += len(pts)
-        return worst, total
+            Q = pushforward_solution(g, entry.instance.Q)
+            P = row.points(entry.sample_box, 50, Q.domain.excluded)
+            row.record(_riccati_defect(RiccatiInstance(Q, entry.instance.q), P, scheme))
 
-    def pushforward_agreement():
-        worst, total = 0.0, 0
+    def pushforward_agreement(row):
         entry = catalog_entry("harmonic:x+y+z", config.margin)
-        P = _as_batch(halton_points(box, 25, config.seed + 3))
+        P = row.points(box, 25)
         # each conical group moves a point of its own axis along the axis
         axes = _as_batch([Point3(1.0, 0.0, 0.0), Point3(0.0, 1.0, 0.0), Point3(0.0, 0.0, 1.0)])
         for k in range(1, 11):
-            lam = 0.2 if k <= 7 else 0.05
-            g = GroupElement(k, lam)
+            g = GroupElement(k, 0.2 if k <= 7 else 0.05)
             t = transport_solution(g, entry.instance.Q)
             pf = pushforward_solution(g, entry.instance.Q)
             for Pk in (P,) if k <= 7 else (P, axes):
-                worst = max(worst, float(np.max(np.abs(t.batch(Pk) - pf.batch(Pk)))))
-                total += Pk.x.size
-        return worst, total
+                row.record(np.abs(t.batch(Pk) - pf.batch(Pk)).max(axis=0))
 
-    def printed_text_discrepancy():
+    def printed_text_discrepancy(row):
         # informational: the literal published conical displays deviate from
         # the pushforward at second order in lambda; reported, never failing
         entry = catalog_entry("harmonic:x+y+z", config.margin)
-        worst = 0.0
-        P = _as_batch(halton_points(box, 10, config.seed + 4))
+        P = row.points(box, 10)
         for k in (8, 9, 10):
             g = GroupElement(k, 0.05)
             lit = transport_solution(g, entry.instance.Q, literal_text=True)
             pf = pushforward_solution(g, entry.instance.Q)
-            worst = max(worst, float(np.max(np.abs(lit.batch(P) - pf.batch(P)))))
-        return worst, 30
+            row.record(np.abs(lit.batch(P) - pf.batch(P)).max(axis=0))
 
     checks = [
         ("determining_table", 1e-9, determining_table),
         ("group_identity", 1e-15, identity),
-        ("group_composition_affine", 1e-12, lambda: composition(range(1, 8), 0.5, 50, 5)),
-        ("group_composition_conical", 1e-10, lambda: composition(range(8, 11), 0.1, 40, 3)),
+        ("group_composition_affine", 1e-12, composition(range(1, 8), 0.5, 50, 5)),
+        ("group_composition_conical", 1e-10, composition(range(8, 11), 0.1, 40, 3)),
         ("rotation_orthogonality", 1e-14, orthogonality),
         ("vhat_consistency", 1e-6, vhat_consistency),
         ("transport", 1e-5, transport),
@@ -951,111 +917,90 @@ _RK4_STEP = 1e-3
 def suite_oned(config: RunConfig) -> _Checks:
     tan = r1d.Coefficients1D(lambda x: 1.0, lambda x: 0.0, lambda x: 1.0)  # y' = 1 + y^2
 
-    def integration():
+    def integration(row):
         c = r1d.Coefficients1D(lambda x: 0.0, lambda x: 0.0, lambda x: -1.0)
-        worst = abs(r1d.integrate(c, 1.0, 1.0, 2.0, _RK4_STEP).ys[-1] - 0.5)
-        worst = max(worst, abs(r1d.integrate(tan, 0.0, 0.0, 0.5, _RK4_STEP).ys[-1]
-                               - math.tan(0.5)))
+        row.record(abs(r1d.integrate(c, 1.0, 1.0, 2.0, _RK4_STEP).ys[-1] - 0.5))
+        row.record(abs(r1d.integrate(tan, 0.0, 0.0, 0.5, _RK4_STEP).ys[-1] - math.tan(0.5)))
         # y' = 1 + x^2 - y^2 has y = x: the only case here whose coefficients
         # depend on x, so the only one that sees where RK4 evaluates them
         moving = r1d.Coefficients1D(lambda x: 1.0 + x * x, lambda x: 0.0, lambda x: -1.0)
-        worst = max(worst, abs(r1d.integrate(moving, 0.0, 0.0, 1.0, _RK4_STEP).ys[-1] - 1.0))
+        row.record(abs(r1d.integrate(moving, 0.0, 0.0, 1.0, _RK4_STEP).ys[-1] - 1.0))
         blown = r1d.integrate(tan, 0.0, 0.0, 3.0, _RK4_STEP)
-        if not blown.hit_singularity:
-            worst = max(worst, 1.0)
-        return worst, 4
+        row.record(0.0 if blown.hit_singularity else 1.0)
 
-    def rk4_observed_order():
+    def rk4_observed_order(row):
         # y = tan x on [0, 1]: RK4's error falls about 2^4-fold per halving of
         # the step (14.4- and 15.2-fold here); a method of order 3 or 2 falls
         # 8- or 4-fold, whatever the size of its error.  The residual is the
         # largest distance of the observed order log2(e_h / e_h/2) from 4.
         errors = [abs(r1d.integrate(tan, 0.0, 0.0, 1.0, h).ys[-1] - math.tan(1.0))
                   for h in (1e-2, 5e-3, 2.5e-3)]
-        orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
-        return max(abs(order - 4.0) for order in orders), len(errors)
+        row.record([abs(math.log2(a / b) - 4.0) for a, b in zip(errors, errors[1:])],
+                   samples=len(errors))
 
-    def crossratio():
+    def crossratio(row):
         fns = [lambda x, cc=cc: 1.0 / (x + cc) for cc in (0.0, 1.0, 2.0, 3.0)]
         xs = np.linspace(0.5, 2.0, 15)
         vals = [r1d.cross_ratio(*fns, x) for x in xs]
-        return max(vals) - min(vals), len(xs)
+        row.record(max(vals) - min(vals), samples=len(xs))
 
-    def picard_equiv():
+    def picard_equiv(row):
         fns = [lambda x, cc=cc: 1.0 / (x + cc) for cc in (0.0, 1.0, 2.0, 3.0)]
-        xs = np.linspace(0.5, 2.0, 20)
-        worst = max(abs(r1d.picard_equiv_residual(*fns, x)) for x in xs)
-        return worst, len(xs)
+        row.record([abs(r1d.picard_equiv_residual(*fns, x)) for x in np.linspace(0.5, 2.0, 20)])
 
-    def superposition_residual():
+    def superposition_residual(row):
         c = r1d.Coefficients1D(lambda x: 0.0, lambda x: 0.0, lambda x: -1.0)
         fns = [lambda x, cc=cc: 1.0 / (x + cc) for cc in (0.0, 1.0, 2.0)]
         y = r1d.superposition(*fns, 3.0)
-        xs = np.linspace(0.5, 2.0, 12)
-        worst = max(abs(r1d.d1(y, x) - c.rhs(x, y(x))) for x in xs)
-        return worst, len(xs)
+        row.record([abs(r1d.d1(y, x) - c.rhs(x, y(x))) for x in np.linspace(0.5, 2.0, 12)])
 
-    def superposition_crossratio_k():
+    def superposition_crossratio_k(row):
         # the superposition constant is a cross-ratio of (y1, y2, y3, y)
         k = 3.0
         fns = [lambda x, cc=cc: 1.0 / (x + cc) for cc in (0.0, 1.0, 2.0)]
         y = r1d.superposition(*fns, k)
-        worst = 0.0
         for x in np.linspace(0.5, 2.0, 12):
             y1, y2, y3, yx = fns[0](x), fns[1](x), fns[2](x), y(x)
-            k_rec = (y1 - yx) * (y3 - y2) / ((y1 - y3) * (yx - y2))
-            worst = max(worst, abs(k_rec - k))
-        return worst, 12
+            row.record(abs((y1 - yx) * (y3 - y2) / ((y1 - y3) * (yx - y2)) - k))
 
-    def euler_constructions():
+    def euler_constructions(row):
         c = r1d.Coefficients1D(lambda x: 0.0, lambda x: 0.0, lambda x: -1.0)
         y = r1d.euler_first(c, lambda x: 0.0, 1.0, (0.0, 2.0))
-        worst = max(abs(y(x) - 1.0 / (x + 1.0)) for x in (0.3, 1.0, 1.7))
+        row.record([abs(y(x) - 1.0 / (x + 1.0)) for x in (0.3, 1.0, 1.7)])
         y2 = r1d.euler_second(lambda x: 1.0 / x, lambda x: 0.0, c, 2.0, (0.5, 2.5))
-        worst = max(worst, max(abs(r1d.d1(y2, x) - c.rhs(x, y2(x)))
-                               for x in (0.8, 1.3, 1.9)))
-        return worst, 6
+        row.record([abs(r1d.d1(y2, x) - c.rhs(x, y2(x))) for x in (0.8, 1.3, 1.9)])
 
-    def srr_solves_rrr():
-        worst = 0.0
+    def srr_solves_rrr(row):
         for k, c in ((1.0, 0.0), (2.0, 0.5 * math.log(2))):
             params = RotationalParams(k=k, c=c)
             u = reduced_radial(params)
             for rho in (1.5 if k == 1 else 1.8, 2.0, 3.0):
-                resid = (r1d.d1(u, rho, h=2e-4)
-                         - (u(rho) ** 2 - u(rho) / rho - k * k / rho ** 2))
-                worst = max(worst, abs(resid))
-        return worst, 6
+                row.record(abs(r1d.d1(u, rho, h=2e-4)
+                               - (u(rho) ** 2 - u(rho) / rho - k * k / rho ** 2)))
 
-    def linriccati2_tie():
+    def linriccati2_tie(row):
         params = RotationalParams(k=1.0, c=0.0)
         g = radial_linear(params)
         u = reduced_radial(params)
         coeffs = r1d.Coefficients1D(lambda x: -1.0 / (x * x), lambda x: -1.0 / x,
                                     lambda x: 1.0)
-        worst = 0.0
         for rho in (1.5, 2.0, 2.5):
             lin, ric = r1d.linearize_check(coeffs, g, rho)
-            worst = max(worst, abs(lin), abs(ric))
-            worst = max(worst, abs(u(rho) + r1d.d1(g, rho) / g(rho)))
-        return worst, 3
+            row.record(max(abs(lin), abs(ric), abs(u(rho) + r1d.d1(g, rho) / g(rho))))
 
-    def radial_slice_tie():
+    def radial_slice_tie(row):
         params = RotationalParams(k=1.0, c=0.0)
         u = reduced_radial(params)
         inst = rotational_riccati(params, config.margin)
-        worst = 0.0
         for x in (1.5, 2.0, 2.8, -1.7):
             val = inst.Q(Point3(x, 0.0, 0.4))[0].real
-            worst = max(worst, abs(val - math.copysign(1.0, x) * u(abs(x))))
-        return worst, 4
+            row.record(abs(val - math.copysign(1.0, x) * u(abs(x))))
 
-    def factorization_1d():
-        worst = abs(r1d.factorization_1d_residual(
-            lambda x: 0.0, lambda x: 1.0 / x, math.sin, 1.3))
-        worst = max(worst, abs(r1d.factorization_1d_residual(
-            lambda x: 1.0, math.tanh, lambda x: x ** 3 + x, 0.8)))
-        return worst, 2
+    def factorization_1d(row):
+        row.record([abs(r1d.factorization_1d_residual(
+                        lambda x: 0.0, lambda x: 1.0 / x, math.sin, 1.3)),
+                    abs(r1d.factorization_1d_residual(
+                        lambda x: 1.0, math.tanh, lambda x: x ** 3 + x, 0.8))])
 
     checks = [
         ("integration_vs_analytic", 1e-8, integration),
@@ -1109,5 +1054,5 @@ def run_suite(name: str, config: Optional[RunConfig] = None) -> VerificationRepo
     # the rows of "all" are named suite/check
     results: List[CheckResult] = []
     for s in suites:
-        results += _run_checks(registry.pop(s), config, f"{s}/" if name == "all" else "")
+        results += _run_checks(registry.pop(s), config, s, f"{s}/" if name == "all" else "")
     return VerificationReport(results, config.as_dict(), name)

@@ -3,11 +3,15 @@
 import contextlib
 import io
 import json
+import zlib
 from typing import NamedTuple
 
+import numpy as np
 import pytest
 
 from riccati3d.cli import main
+from riccati3d.errors import ConfigError
+from riccati3d.fields import Point3
 
 
 class VerifyRun(NamedTuple):
@@ -55,3 +59,60 @@ def rot_B_passes(monkeypatch):
 
     monkeypatch.setattr(_NewtonianPotential, "_pass", counted)
     return counts
+
+
+@pytest.fixture(scope="session")
+def run_row():
+    """run_row(registry, config, suite, name): the check ``name`` of a
+    suite's registry run alone through ``verify._run_checks``, as its
+    CheckResult."""
+    from riccati3d.verify import _run_checks
+
+    def run(registry, config, suite, name):
+        return _run_checks([next(c for c in registry if c[0] == name)], config, suite)[0]
+    return run
+
+
+@pytest.fixture(scope="session")
+def row_stream():
+    """row_stream(seed, suite, name): the generator a registry row draws
+    from and the Halton index its points start at, as README documents
+    them, written apart from ``verify._Row``."""
+    def streams(seed, suite, name):
+        seq = np.random.SeedSequence([seed, zlib.crc32(f"{suite}/{name}".encode())])
+        start = 17 + 7919 * seed + int(seq.generate_state(1)[0]) % 7919
+        return np.random.default_rng(seq), start
+    return streams
+
+
+def _radical_inverse(index: int, base: int) -> float:
+    """index's base-``base`` digits mirrored about the point, one at a time."""
+    result, f = 0.0, 1.0
+    while index > 0:
+        f /= base
+        result += f * (index % base)
+        index //= base
+    return result
+
+
+@pytest.fixture(scope="session")
+def loop_halton():
+    """loop_halton(box, n, start, excluded, tries): the per-point loop that
+    ``verify.halton_points`` and the rows' block sampler replaced, written
+    apart from them: n Halton points of the box from index ``start`` on,
+    one ``excluded`` call per draw (None skips nothing), and a ConfigError
+    after ``tries`` draws."""
+    def points(box, n, start, excluded=None, tries=100000):
+        lo, hi = Point3(*box[0]), Point3(*box[1])
+        pts, idx = [], start
+        while len(pts) < n:
+            if idx - start >= tries:
+                raise ConfigError("budget")
+            p = Point3(lo.x + (hi.x - lo.x) * _radical_inverse(idx, 2),
+                       lo.y + (hi.y - lo.y) * _radical_inverse(idx, 3),
+                       lo.z + (hi.z - lo.z) * _radical_inverse(idx, 5))
+            idx += 1
+            if excluded is None or not excluded(p):
+                pts.append(p)
+        return pts
+    return points

@@ -14,6 +14,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import riccati3d
@@ -113,30 +114,20 @@ def test_no_field_of_the_suite_is_evaluated_point_by_point(verify_all):
 
 # sha256 per suite over its rows of the seed-0 report (name, repr of the
 # residual, samples, passed), so re-recording one suite shows that the rows
-# of the others did not move by a bit.  The operators and euler_picard
-# digests were recorded when B's rows and the operators suite's random
-# cubics came to be contracted by einsum instead of BLAS (so that no row
-# depends on the BLAS thread count; six rows moved in their last bits), the
-# symmetry digest when transport_vs_pushforward took points on the conical
-# groups' axes (259 samples; 5.6e-17 became 1.1e-16), the oned digest when
-# integration_vs_analytic took its non-autonomous case at RK4 step 1e-3
-# (3.719e-15 at step 1e-4 became 3.664e-15) and
-# rk4_observed_order joined it, the riccati digest when fixed Gauss-Legendre
-# became operator A's only line rule (rows that integrated with adaptive Simpson moved), the algebra
-# digest when the algebra laws moved onto (4, N) batches of the same
-# samples (numpy's complex loops round those rows differently in their
-# last bits), the others before operator A's rounds were merged into one
-# F.batch call each.  Like the export digests in
-# test_cli.py they hold for one numpy build and its SIMD dispatch
-# (``np.show_runtime()``), and a digest is re-recorded only on purpose, with
-# a CHANGES.md entry.
+# of the others did not move by a bit.  Every digest but oned's, whose rows
+# draw nothing, was re-recorded when each row came to draw its random
+# numbers and Halton points from streams of its own, derived from the seed
+# and the row's name (every sampled row moved; the rows with fixed points
+# did not).  Like the export digests in test_cli.py they hold for one numpy
+# build and its SIMD dispatch (``np.show_runtime()``), and a digest is
+# re-recorded only on purpose, with a CHANGES.md entry.
 _REPORT_DIGESTS = {
-    "algebra": "a86c207f6f0956f31616a74aae5bb3496d9d0c4c21b89a526f6c7d80b1b9bfc9",
-    "operators": "5d7af8431170ab7ec8cd75c6c92080c5ff183d51ba34e41d3fadc6e64a21f0d6",
-    "riccati": "195bf890ffa2050b7228de3f39a22db3fb2e84a4d282369857f399ffede4c491",
-    "euler_picard": "9b9aab1bb0e57618f253b497c4774cbb4a01134d513a1188b9890afed5985272",
-    "symmetry": "7a31102ceb4b457f88184668e65da62045938f0f7092e416641e843b417d6c22",
-    "solutions": "40fc308079971d957082d887405b901a3f2e041b0a5548a4aa33e65b9a2aa197",
+    "algebra": "dca46e246a802260daf9bf6d711c259fb131aa2a67335bcf8c470590c3483c47",
+    "operators": "56501f8276eb585ec3dce8880699fe7266aaa8ce8d7027ccff2eb0f6395b5cf4",
+    "riccati": "a71e90182eea3380005b161f917bd4b7a1ea67d3225f2eab05b67103215565ee",
+    "euler_picard": "4c7c251538d86d99b2297b86e083d034edf07725ed591830238c6828c5e909b2",
+    "symmetry": "304f2b6e424b64469c5debe9eb2d8bea5092d4d163fd10d4bfdcde4dfcf750c9",
+    "solutions": "d818753f9f58c7d9e6f876bd74c800822c33e438f88f088b78c86754850c5ae3",
     "oned": "8a0fb694ea020be1f4e02d90e1b92eb111204d4985753058108e8037b2e4e2c5",
 }
 
@@ -175,3 +166,32 @@ def test_operators_rows_do_not_depend_on_the_blas_thread_count(seed):
         rows.append(json.loads(done.stdout))
     assert len(rows[0]) == 7
     assert rows[0] == rows[1]
+
+
+def _untimed(results) -> list:
+    """Each result as everything it reports but its time, by name."""
+    return sorted((c.name, repr(c.max_abs_residual), c.tolerance, c.samples, c.passed)
+                  for c in results)
+
+
+@pytest.mark.parametrize("suite", SUITES)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_rows_do_not_depend_on_registry_order_or_on_other_rows(seed, suite):
+    # each row draws its own streams from (seed, suite, name), so its bits do
+    # not move when the registry runs reversed or shuffled, or the row runs
+    # alone; every case builds a fresh registry, so no shared build carries over
+    from riccati3d.verify import _run_checks
+    config = RunConfig(seed=seed)
+
+    def registry():
+        return _SUITE_FN[suite](config)
+
+    expect = _untimed(_run_checks(registry(), config, suite))
+    order = np.random.default_rng(seed).permutation(len(registry()))
+    cases = {
+        "reversed": _run_checks(registry()[::-1], config, suite),
+        "shuffled": _run_checks([registry()[i] for i in order], config, suite),
+        "alone": [_run_checks([item], config, suite)[0] for item in registry()],
+    }
+    for case, results in cases.items():
+        assert _untimed(results) == expect, case

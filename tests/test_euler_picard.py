@@ -155,18 +155,18 @@ def test_picard_batch_pairwise_cancellation_is_exact(harmonic_quadruple):
     assert not picard_lhs(Q1, Q2, Q1, Q2, P, S).any()
 
 
-def test_prop3_roundtrip_makes_one_jacobian_pass_per_node(rot_B_passes):
+def test_prop3_roundtrip_makes_one_jacobian_pass_per_node(rot_B_passes, run_row):
     # 7 legs x the default order's Gauss nodes; differencing phi Wv made 12
     # value passes each
     from riccati3d.report import RunConfig
     from riccati3d.verify import suite_euler_picard
-    check = {name: fn for name, _, fn in suite_euler_picard(RunConfig(seed=0))}
-    residual, _ = check["prop3_roundtrip"]()
-    assert residual < 5e-2
+    config = RunConfig(seed=0)
+    row = run_row(suite_euler_picard(config), config, "euler_picard", "prop3_roundtrip")
+    assert row.max_abs_residual < 5e-2
     assert rot_B_passes == {"jet": 7 * QuadratureSpec().gauss_order, "value": 0}
 
 
-def test_scalar_part_rows_make_no_rot_B_pass(rot_B_passes, monkeypatch):
+def test_scalar_part_rows_make_no_rot_B_pass(rot_B_passes, monkeypatch, run_row):
     # Sc W of both built Ws is exp(-A[Q]): the rows read it without rot B,
     # and the 40x8x8 W, which only wconst_scalar_part_exact reads, never
     # builds its grid; euler_residual_built_W builds the shared W's
@@ -176,13 +176,18 @@ def test_scalar_part_rows_make_no_rot_B_pass(rot_B_passes, monkeypatch):
     built, rot_B = [], riccati.operator_rot_B
     monkeypatch.setattr(riccati, "operator_rot_B",
                         lambda *a, **k: built.append(rot_B(*a, **k)) or built[-1])
-    check = {name: fn for name, _, fn in suite_euler_picard(RunConfig(seed=0))}
-    assert check["wconst_scalar_part_exact"]()[0] < 1e-10
-    assert check["q_from_scw_recovers_Q"]()[0] < 1e-6
+    config = RunConfig(seed=0)
+    registry = suite_euler_picard(config)
+
+    def check(name):
+        return run_row(registry, config, "euler_picard", name).max_abs_residual
+
+    assert check("wconst_scalar_part_exact") < 1e-10
+    assert check("q_from_scw_recovers_Q") < 1e-6
     assert rot_B_passes == {"jet": 0, "value": 0}
     assert [b.cells for b in built] == [(40, 8, 8), (5 * 12, 12, 12)]
     assert [b._grid for b in built] == [None, None]
-    check["euler_residual_built_W"]()
+    check("euler_residual_built_W")
     assert built[0]._grid is None and built[1]._grid is not None
 
 

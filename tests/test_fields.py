@@ -421,8 +421,10 @@ def test_A_path_crossing_excluded_raises():
     dom = BoxDomain.unbounded(lambda p: (abs(p.x - 0.5) < 0.05) & (abs(p.y) < 0.01))
     F = VectorField(lambda p: np.array([1.0, 0, 0], complex), dom)
     A = operator_A(F, Point3(0, 0, 0), 0j)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError) as info:
         A(Point3(1.0, 0.0, 0.0))
+    # the named point is written with plain floats, as the stencil errors write it
+    assert re.search(r"Point3\(x=0\.4\d*, y=0\.0, z=0\.0\)", str(info.value)), str(info.value)
 
 
 @pytest.mark.parametrize("order", [1, 4, 8, 12, 16, 24, 31, 32, 40])
@@ -436,7 +438,7 @@ def test_A_path_check_does_not_thin_out_with_the_order(order, centre):
     with pytest.raises(DomainError, match="crosses excluded set") as info:
         A.batch(Point3(np.array([0.0, 1.0]), np.zeros(2), np.zeros(2)))
     assert info.value.index == 1 and info.value.where.tolist() == [False, True]
-    named = re.search(r"x=(?:np\.float64\()?([-\d.e]+)", str(info.value))[1]
+    named = re.search(r"x=([-\d.e]+)", str(info.value))[1]
     assert abs(float(named) - centre) < 0.025
     # a leg that stops short of the slab is not checked beyond its end
     assert A(Point3(centre - 0.03, 0, 0)) == pytest.approx(centre - 0.03, abs=1e-14)

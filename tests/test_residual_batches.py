@@ -149,30 +149,6 @@ def test_determining_batch_names_the_first_non_real_gradient():
 
 # -- Halton sampling
 
-def test_halton_memo_equals_the_radical_inverse_bitwise():
-    bare = verify._halton.__wrapped__
-    for base in (2, 3, 5, 7):
-        for index in [*range(0, 300), *range(26_000_000, 26_000_050)]:
-            assert repr(verify._halton(index, base)) == repr(bare(index, base))
-
-
-def _loop_halton(box, n, seed, excluded):
-    """The per-point loop halton_points replaced: one predicate call per draw."""
-    lo, hi = Point3(*box[0]), Point3(*box[1])
-    pts, idx, tries = [], 17 + 7919 * seed, 0
-    while len(pts) < n:
-        tries += 1
-        if tries > verify._HALTON_TRIES:
-            raise ConfigError("budget")
-        p = Point3(lo.x + (hi.x - lo.x) * verify._halton.__wrapped__(idx, 2),
-                   lo.y + (hi.y - lo.y) * verify._halton.__wrapped__(idx, 3),
-                   lo.z + (hi.z - lo.z) * verify._halton.__wrapped__(idx, 5))
-        idx += 1
-        if not excluded(p):
-            pts.append(p)
-    return pts
-
-
 BOX = (Point3(-1.0, -1.0, -1.0), Point3(1.0, 1.0, 1.0))
 PREDICATES = {
     "none": lambda p: p.x > 2.0,
@@ -184,7 +160,7 @@ PREDICATES = {
 
 @pytest.mark.parametrize("name", PREDICATES)
 @pytest.mark.parametrize("seed", [0, 3])
-def test_halton_block_predicate_draws_the_loop_points(name, seed):
+def test_halton_block_predicate_draws_the_loop_points(name, seed, loop_halton):
     excluded = PREDICATES[name]
     calls = []
 
@@ -193,18 +169,41 @@ def test_halton_block_predicate_draws_the_loop_points(name, seed):
         return excluded(P)
 
     got = halton_points(BOX, 40, seed, excluded=block)
-    assert repr(got) == repr(_loop_halton(BOX, 40, seed, excluded))
+    assert repr(got) == repr(loop_halton(BOX, 40, 17 + 7919 * seed, excluded))
     assert all(type(c) is float for p in got for c in p)
     assert len(calls) < 20  # blocks, not points
 
 
-def test_halton_block_predicate_keeps_the_draw_budget(monkeypatch):
+def test_halton_block_predicate_keeps_the_draw_budget(monkeypatch, loop_halton):
     monkeypatch.setattr(verify, "_HALTON_TRIES", 500)
     excluded = PREDICATES["most"]
-    assert len(_loop_halton(BOX, 3, 0, excluded)) == 3
+    assert len(loop_halton(BOX, 3, 17, excluded, tries=500)) == 3
     assert repr(halton_points(BOX, 3, 0, excluded=excluded)) == repr(
-        _loop_halton(BOX, 3, 0, excluded))
+        loop_halton(BOX, 3, 17, excluded, tries=500))
     with pytest.raises(ConfigError):
-        _loop_halton(BOX, 40, 0, excluded)
+        loop_halton(BOX, 40, 17, excluded, tries=500)
     with pytest.raises(ConfigError):
         halton_points(BOX, 40, 0, excluded=excluded)
+
+
+@pytest.mark.parametrize("name", PREDICATES)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_row_points_continue_the_rows_own_halton_sequence(name, seed, row_stream, loop_halton):
+    # a row's points start at its own index and each call continues after
+    # the last point the call before took, whatever the box of either
+    from riccati3d.report import RunConfig
+    excluded = PREDICATES[name]
+    _, start = row_stream(seed, "symmetry", "transport")
+    row = verify._Row(RunConfig(seed=seed), "symmetry", "transport")
+    small = (Point3(0.0, 0.0, 0.0), Point3(0.5, 2.0, 1.0))
+    got = [row.points(BOX, 7, excluded), row.points(small, 5), row.points(BOX, 30, excluded)]
+    resume = start  # the index after the first call's seventh accepted draw
+    for _ in range(7):
+        while excluded(loop_halton(BOX, 1, resume)[0]):
+            resume += 1
+        resume += 1
+    expect = [loop_halton(BOX, 7, start, excluded), loop_halton(small, 5, resume),
+              loop_halton(BOX, 30, resume + 5, excluded)]
+    for P, pts in zip(got, expect):
+        assert all(c.dtype == float for c in P)
+        assert repr([Point3(*p) for p in zip(*(c.tolist() for c in P))]) == repr(pts)

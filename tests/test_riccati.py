@@ -438,31 +438,29 @@ def test_picard_zero_divisor_guard():
         picard_lhs(Q1, Q2, Q3, Q4, Point3(1, 1, 1), S)
 
 
-def _riccati_check(name, seed):
+def _riccati_check(run_row, name, seed):
     """(residual, tolerance) of one riccati-suite check run on its own at a
-    seed; the seed-0 suite runs once, in the acceptance tests."""
+    seed, which reads as in the suite; the seed-0 suite runs once, in the
+    acceptance tests."""
     from riccati3d.report import RunConfig
     from riccati3d.verify import suite_riccati
-    tol, fn = next((tol, fn) for key, tol, fn in suite_riccati(RunConfig(seed=seed))
-                   if key == name)
-    return fn()[0], tol
+    config = RunConfig(seed=seed)
+    row = run_row(suite_riccati(config), config, "riccati", name)
+    return row.max_abs_residual, row.tolerance
 
 
-def test_factorization_nonsolution_detection_passes_at_seed_1():
+def test_factorization_nonsolution_detection_passes_at_seed_1(run_row):
     # the broken input Q = (x,0,0) must not solve the equation anywhere in
-    # the check's sample box; with q = 0 it did so on the plane x = 1.  Run
-    # alone the check draws other random probes than in the suite, but the
-    # seed picks its sample points and the probes only scale the defect.
-    resid, tol = _riccati_check("factorization_nonsolution_detection", 1)
+    # the check's sample box; with q = 0 it did so on the plane x = 1.
+    resid, tol = _riccati_check(run_row, "factorization_nonsolution_detection", 1)
     assert resid >= tol
 
 
-def test_transform_roundtrip_Q_passes_at_seed_30():
+def test_transform_roundtrip_Q_passes_at_seed_30(run_row):
     # cole_hopf's stencil differences the reconstructed psi, so A's error
     # must be smooth in the end point, as fixed Gauss-Legendre's is; an
-    # adaptive rule's error jumped between stencil points.  The check draws
-    # no random numbers, so run alone it gives the suite's value.
-    resid, tol = _riccati_check("transform_roundtrip_Q", 30)
+    # adaptive rule's error jumped between stencil points.
+    resid, tol = _riccati_check(run_row, "transform_roundtrip_Q", 30)
     assert resid <= tol
 
 
@@ -506,11 +504,11 @@ def test_riccati_residual_checks_the_whole_stencil_before_differencing():
 ])
 def test_riccati_residual_equals_public_div_and_rot_bitwise(solution_id, params, order):
     from riccati3d.solutions import catalog_entry
-    from riccati3d.verify import entry_points
+    from riccati3d.verify import halton_points
     entry = catalog_entry(solution_id, **params)
     Q, q = entry.instance.Q, entry.instance.q
     scheme = DiffScheme(order=order)
-    for p in entry_points(entry, 12, seed=3):
+    for p in halton_points(entry.sample_box, 12, 3, excluded=lambda P: ~Q.domain.ok_mask(P)):
         Qp = Q(p)
         scalar, vector = riccati_residual(entry.instance, p, scheme)
         assert scalar == complex(-div(Q, p, scheme) + Qp @ Qp - q(p))

@@ -570,7 +570,7 @@ def test_composition_batch_equals_pointwise_bitwise(k):
     assert _bits(composed(Point3(*X), Q).T) == _bits(expect)
 
 
-def test_symmetry_suite_acts_on_batches_only(monkeypatch):
+def test_symmetry_suite_acts_on_batches_only(monkeypatch, run_row):
     # every row acts on whole batches, the composition rows included
     from riccati3d import symmetry, verify
     from riccati3d.fields import _batched
@@ -583,9 +583,11 @@ def test_symmetry_suite_acts_on_batches_only(monkeypatch):
     monkeypatch.setattr(symmetry, "group_act", counted)
     monkeypatch.setattr(verify, "group_act", counted)
     batched = {}
-    for name, _, fn in verify.suite_symmetry(RunConfig(seed=0)):
+    config = RunConfig(seed=0)
+    registry = verify.suite_symmetry(config)
+    for name, _, _ in registry:
         calls.clear()
-        fn()
+        run_row(registry, config, "symmetry", name)
         assert all(calls), name
         batched[name] = len(calls)
     # three calls per group and parameter pair: 7 x 5 and 3 x 3 pairs

@@ -15,16 +15,22 @@ from riccati3d.fields import Point3, QuaternionField, ScalarField, dirac_left, g
 from riccati3d.report import RunConfig
 from riccati3d.riccati import factorization_residual
 
+# how far a batched algebra row may read from its loop: both read round-off,
+# and the two round differently by up to 3.6e-15 (inverse_roundtrip at seed
+# 30, reading 1.4e-14, over seeds 0-39); 100 times below the rows' 1e-12
+ROUND_OFF = 1e-14
+
 # the algebra rows that run on batches, in registry order
 _BATCHED = ("product_vs_basis_oracle", "associativity", "distributivity",
             "conjugation_antihomomorphism", "modulus_multiplicative",
             "complex_unit_central", "inverse_roundtrip")
 
 
-def _loop_algebra(config: RunConfig, seen: list) -> dict:
+def _loop_algebra(config: RunConfig, seen: list, row_stream) -> dict:
     """The algebra rows of ``_BATCHED`` as the per-sample loops that once
-    computed them, each draw's four components appended to ``seen``."""
-    rng = verify._rng(config, 1)
+    computed them, each on its row's own stream, each draw's four components
+    appended to ``seen``."""
+    rng = None
 
     def draw() -> Biquaternion:
         c = rng.uniform(-1, 1, 8)
@@ -102,9 +108,16 @@ def _loop_algebra(config: RunConfig, seen: list) -> dict:
             pass
         return worst, 200
 
-    return dict(zip(_BATCHED, (product_vs_oracle, associativity, distributivity,
-                               conj_antihom, modulus_multiplicative,
-                               complex_unit_central, inverse_roundtrip)))
+    def on_own_stream(name, loop):
+        def run():
+            nonlocal rng
+            rng = row_stream(config.seed, "algebra", name)[0]
+            return loop()
+        return run
+
+    return {name: on_own_stream(name, loop) for name, loop in zip(
+        _BATCHED, (product_vs_oracle, associativity, distributivity, conj_antihom,
+                   modulus_multiplicative, complex_unit_central, inverse_roundtrip))}
 
 
 def _rows(checks, seen: list, as_rows) -> dict:
@@ -117,13 +130,13 @@ def _rows(checks, seen: list, as_rows) -> dict:
     return out
 
 
-def _loop_rows(config: RunConfig) -> dict:
+def _loop_rows(config: RunConfig, row_stream) -> dict:
     seen = []
-    return _rows(_loop_algebra(config, seen).items(), seen,
+    return _rows(_loop_algebra(config, seen, row_stream).items(), seen,
                  lambda s: np.array(s, dtype=complex).reshape(-1, 4))
 
 
-def _batched_rows(config: RunConfig, monkeypatch) -> dict:
+def _batched_rows(config: RunConfig, monkeypatch, run_row) -> dict:
     seen = []
     draw = verify._random_biqs
 
@@ -133,33 +146,41 @@ def _batched_rows(config: RunConfig, monkeypatch) -> dict:
         return out
 
     monkeypatch.setattr(verify, "_random_biqs", recorded)
-    checks = [(name, fn) for name, _, fn in verify.suite_algebra(config) if name in _BATCHED]
+    registry = verify.suite_algebra(config)
+
+    def run(name):
+        row = run_row(registry, config, "algebra", name)
+        return row.max_abs_residual, row.samples
+
+    checks = [(name, lambda name=name: run(name)) for name, _, _ in registry if name in _BATCHED]
     return _rows(checks, seen, np.concatenate)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_batched_algebra_draws_the_loop_samples_and_reads_its_residuals(seed, monkeypatch):
+def test_batched_algebra_draws_the_loop_samples_and_reads_its_residuals(seed, monkeypatch,
+                                                                        row_stream, run_row):
     config = RunConfig(seed=seed)
-    loop, batched = _loop_rows(config), _batched_rows(config, monkeypatch)
+    loop, batched = _loop_rows(config, row_stream), _batched_rows(config, monkeypatch, run_row)
     assert list(batched) == list(_BATCHED)
     for name in _BATCHED:
         (r_loop, n_loop, s_loop), (r_batch, n_batch, s_batch) = loop[name], batched[name]
         assert n_batch == n_loop
         assert s_batch.tobytes() == s_loop.tobytes(), name
-        assert abs(r_batch - r_loop) <= 1e-15, name
+        assert abs(r_batch - r_loop) <= ROUND_OFF, name
 
 
-def test_inverse_roundtrip_replaces_rejected_draws_in_stream_order(monkeypatch):
+def test_inverse_roundtrip_replaces_rejected_draws_in_stream_order(monkeypatch, row_stream,
+                                                                    run_row):
     # at EPS_INV = 0.3 about one draw in 27 has no inverse; both forms of
     # the check then keep the first 200 invertible draws of the same stream
     monkeypatch.setattr(biquat, "EPS_INV", 0.3)
     config = RunConfig(seed=0)
-    loop, batched = _loop_rows(config), _batched_rows(config, monkeypatch)
+    loop, batched = _loop_rows(config, row_stream), _batched_rows(config, monkeypatch, run_row)
     (r_loop, _, s_loop), (r_batch, _, s_batch) = loop["inverse_roundtrip"], \
         batched["inverse_roundtrip"]
     assert len(s_loop) > 200
     assert s_batch.tobytes() == s_loop.tobytes()
-    assert abs(r_batch - r_loop) <= 1e-15
+    assert abs(r_batch - r_loop) <= ROUND_OFF
 
 
 def test_rel_diff_scales_each_sample_by_its_own_size():
@@ -169,7 +190,7 @@ def test_rel_diff_scales_each_sample_by_its_own_size():
     a[0] = 1e6, 1.0
     b = a.copy()
     b[0, 1] += 1e-3
-    assert verify._rel_diff(a, b) == pytest.approx(1e-3 / 1.001)
+    assert verify._rel_diff(a, b).tolist() == pytest.approx([0.0, 1e-3 / 1.001])
 
 
 def _e3_sign_mutant(a, b):
@@ -184,13 +205,13 @@ def _e3_sign_mutant(a, b):
     )
 
 
-def test_basis_oracle_sees_a_broken_product(monkeypatch):
+def test_basis_oracle_sees_a_broken_product(monkeypatch, run_row):
     # the array oracle shares no code with the product it checks
     for module in (biquat, verify):
         monkeypatch.setattr(module, "_product", _e3_sign_mutant)
-    rows = {name: (tol, fn) for name, tol, fn in verify.suite_algebra(RunConfig(seed=0))}
-    tol, fn = rows["product_vs_basis_oracle"]
-    assert fn()[0] > 1e6 * tol
+    config = RunConfig(seed=0)
+    row = run_row(verify.suite_algebra(config), config, "algebra", "product_vs_basis_oracle")
+    assert row.max_abs_residual > 1e6 * row.tolerance
 
 
 # -- operators/scalar_leibniz: one batch of 30 points, each with its cubics
@@ -198,13 +219,14 @@ def test_basis_oracle_sees_a_broken_product(monkeypatch):
 _BOX = (Point3(-1.2, -1.2, -1.2), Point3(1.2, 1.2, 1.2))  # the operators suite's box
 
 
-def _loop_scalar_leibniz(config: RunConfig, seen: list):
-    """scalar_leibniz as the per-point loop that once computed it, with
-    D(f0 psi), grad f0 and D psi at each point appended to ``seen``."""
-    rng = verify._rng(config, 2)
+def _loop_scalar_leibniz(config: RunConfig, seen: list, row_stream, loop_halton):
+    """scalar_leibniz as the per-point loop that once computed it, on the
+    row's own streams, with D(f0 psi), grad f0 and D psi at each point
+    appended to ``seen``."""
+    rng, start = row_stream(config.seed, "operators", "scalar_leibniz")
     scheme = verify._scheme(config)
     worst = 0.0
-    for p in verify.halton_points(_BOX, 30, config.seed + 1):
+    for p in loop_halton(_BOX, 30, start):
         f0 = verify._random_poly3(rng)
         psi = verify._random_quat_poly(rng)
         prod = QuaternionField(lambda t: f0(t) * psi(t))
@@ -217,10 +239,9 @@ def _loop_scalar_leibniz(config: RunConfig, seen: list):
     return worst, 30
 
 
-def _scalar_leibniz(config: RunConfig):
-    """The registry's scalar_leibniz tolerance and check, on a fresh generator."""
-    return next((tol, fn) for name, tol, fn in verify.suite_operators(config)
-                if name == "scalar_leibniz")
+def _scalar_leibniz(config: RunConfig, run_row):
+    """The registry's scalar_leibniz run alone, as its CheckResult."""
+    return run_row(verify.suite_operators(config), config, "operators", "scalar_leibniz")
 
 
 def _recording(op, log: list):
@@ -230,14 +251,16 @@ def _recording(op, log: list):
     return recorded
 
 
-def test_batched_scalar_leibniz_matches_the_per_point_loop(monkeypatch):
+def test_batched_scalar_leibniz_matches_the_per_point_loop(monkeypatch, row_stream,
+                                                           loop_halton, run_row):
     config = RunConfig(seed=0)
     seen = []
-    r_loop, _ = _loop_scalar_leibniz(config, seen)
+    r_loop, _ = _loop_scalar_leibniz(config, seen, row_stream, loop_halton)
     recorded = {"dirac_left": [], "grad": []}
     for name, op in (("dirac_left", dirac_left), ("grad", grad)):
         monkeypatch.setattr(verify, name, _recording(op, recorded[name]))
-    r_batch, samples = _scalar_leibniz(config)[1]()
+    row = _scalar_leibniz(config, run_row)
+    r_batch, samples = row.max_abs_residual, row.samples
     assert samples == 30
     (lhs, d_psi), (g,) = recorded["dirac_left"], recorded["grad"]
     for batch, loop in zip((lhs, g, d_psi), zip(*seen)):
@@ -247,18 +270,19 @@ def test_batched_scalar_leibniz_matches_the_per_point_loop(monkeypatch):
     assert abs(r_batch - r_loop) <= 1e-12
 
 
-def test_scalar_leibniz_sees_a_dropped_gradient_term(monkeypatch):
+def test_scalar_leibniz_sees_a_dropped_gradient_term(monkeypatch, run_row):
     # grad f0 . psi is the only term of the right-hand side that grad gives
     monkeypatch.setattr(verify, "grad", lambda f, p, scheme: np.zeros((3,) + p.x.shape))
-    tol, fn = _scalar_leibniz(RunConfig(seed=0))
-    assert fn()[0] > 1e3 * tol
+    row = _scalar_leibniz(RunConfig(seed=0), run_row)
+    assert row.max_abs_residual > 1e3 * row.tolerance
 
 
 # -- riccati/factorization_*: one batch per entry, each point with its probe
 
-def test_factorization_rows_draw_the_loop_probes(monkeypatch):
+def test_factorization_rows_draw_the_loop_probes(monkeypatch, row_stream, run_row):
     # the loops drew (a, b, c) for each point in turn and evaluated
-    # exp(a x + b y + c z) with math.exp; the batches draw the same stream
+    # exp(a x + b y + c z) with math.exp; the batches draw the same stream,
+    # each row its own
     config = RunConfig(seed=1)
     scheme = verify._scheme(config)
     calls = []
@@ -268,12 +292,14 @@ def test_factorization_rows_draw_the_loop_probes(monkeypatch):
         return factorization_residual(psi, inst, P, scheme)
 
     monkeypatch.setattr(verify, "factorization_residual", recorded)
-    rows = {name: fn for name, _, fn in verify.suite_riccati(config)}
-    rows["factorization_on_solutions"]()
-    smallest = rows["factorization_nonsolution_detection"]()[0]
+    registry = verify.suite_riccati(config)
+    run_row(registry, config, "riccati", "factorization_on_solutions")
+    smallest = run_row(registry, config, "riccati",
+                       "factorization_nonsolution_detection").max_abs_residual
     assert [P.x.size for _, _, P in calls] == [10, 10, 5]
-    rng = verify._rng(config, 3)
-    for psi, inst, P in calls:
+    rngs = [row_stream(config.seed, "riccati", name)[0] for name in
+            ("factorization_on_solutions", "factorization_nonsolution_detection")]
+    for (psi, inst, P), rng in zip(calls, rngs[:1] * 2 + rngs[1:]):
         values, defects = psi.batch(P), []
         for i, p in enumerate(zip(*(c.tolist() for c in P))):
             a, b, c = rng.uniform(-0.4, 0.4, 3)
@@ -284,3 +310,21 @@ def test_factorization_rows_draw_the_loop_probes(monkeypatch):
     # the detection row's defect (the last batch) is O(1); exp's last bits,
     # differenced twice at h = 1e-3, move it by about 1e-9 of itself
     assert abs(smallest - min(defects)) <= 1e-8 * smallest
+
+
+def test_row_recorder_keeps_the_extreme_and_fails_a_row_without_a_value():
+    # one rule for every row: the largest residual, or the smallest on a
+    # _detection row; a NaN anywhere reads NaN; a row that records nothing fails
+    config = RunConfig(seed=0)
+
+    def rows(*records):
+        return [lambda row, r=r: [row.record(*args) for args in r] for r in records]
+
+    checks = rows([([1e-9, 3e-9],), (2e-9,)], [([5.0, 2.0],), (7.0, 0)],
+                  [([1e-9, math.nan],), (0.0,)], [])
+    names = ["largest", "smallest_detection", "nan", "empty_detection"]
+    out = verify._run_checks([(n, 1.0, fn) for n, fn in zip(names, checks)], config, "x")
+    assert [(c.max_abs_residual, c.samples, c.passed) for c in out[:2]] == [
+        (3e-9, 3, True), (2.0, 2, True)]
+    assert [(math.isnan(c.max_abs_residual), c.passed) for c in out[2:]] == [
+        (True, False), (True, False)]
