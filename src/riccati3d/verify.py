@@ -179,7 +179,7 @@ class _Row:
     def __init__(self, config: RunConfig, suite: str, name: str):
         seq = np.random.SeedSequence([config.seed, zlib.crc32(f"{suite}/{name}".encode())])
         self.rng = np.random.default_rng(seq)
-        self._index = 17 + 7919 * config.seed + int(seq.generate_state(1)[0]) % 7919
+        self._index = 17 + int(seq.generate_state(1)[0]) % 7919 + 7919 * config.seed
         self.detection = name.endswith(_DETECTION_SUFFIX)
         self.reading: Optional[float] = None  # until a value is recorded
         self.samples = 0
@@ -329,7 +329,8 @@ def suite_algebra(config: RunConfig) -> _Checks:
         a, b = _random_biqs(row.rng, 1000, 2)
         lhs = _modulus_sq(_product(a, b))
         rhs = _modulus_sq(a) * _modulus_sq(b)
-        row.record(_mag(lhs - rhs) / np.maximum(1.0, np.maximum(_mag(lhs), _mag(rhs))))
+        scale = np.maximum(1.0, np.maximum(_mag(lhs), _mag(rhs)))
+        row.record(_mag(lhs - rhs) / scale)
 
     def complex_unit_central(row):
         a, b = _random_biqs(row.rng, 1000, 2)
@@ -472,8 +473,9 @@ def suite_operators(config: RunConfig) -> _Checks:
         for k, P in by_field(pts, len(fields)):
             phi = fields[k]
             conj_phi = QuaternionField(lambda t: _conj(phi.batch(t)), vectorized=True)
-            row.record(_diff(_conj(dirac_left(phi, P, scheme)),
-                             -dirac_right(conj_phi, P, scheme)))
+            lhs = _conj(dirac_left(phi, P, scheme))
+            rhs = -dirac_right(conj_phi, P, scheme)
+            row.record(_diff(lhs, rhs))
 
     def A_reconstruction(row):
         cases = [
@@ -501,7 +503,9 @@ def suite_operators(config: RunConfig) -> _Checks:
         B = operator_B(chi, region, quad)
         center = B(Point3(0, 0, 0))[0]
         outside = B(Point3(2, 0, 0))[0]
-        row.record([abs(center - 0.5) / 0.5, abs(outside - 1.0 / 6.0) * 6.0])
+        rel_center = abs(center - 0.5) / 0.5
+        rel_out = abs(outside - 1.0 / 6.0) * 6.0
+        row.record([rel_center, rel_out])
 
     checks = [
         ("dirac_square_is_neg_laplacian", 1e-6, dirac_square),
@@ -529,18 +533,31 @@ def _riccati_defect(inst: RiccatiInstance, P: Point3, scheme: DiffScheme) -> np.
     return np.maximum(np.abs(sc), np.abs(vec).max(axis=0))
 
 
+_ONE = ScalarField(lambda p: 1.0 + 0j, vectorized=True)
+_ZERO_Q = ScalarField(lambda p: 0j, vectorized=True)
+# the tube along the x axis that the Prop. 2 builds fill, and three points in it
+_TUBE = BoxDomain.box((0.25, -0.6, -0.6), (7.75, 0.6, 0.6))
+_TUBE_PTS = _as_batch([Point3(3.6, -0.1, 0.08), Point3(4.0, 0.12, -0.05),
+                       Point3(4.4, 0.0, 0.1)])
+
+
 def suite_solutions(config: RunConfig) -> _Checks:
     scheme = _scheme(config)
     entries = acceptance_catalog(config.margin)
     checks = []
 
     def riccati_check(entry):
-        return lambda row: row.record(_riccati_defect(
-            entry.instance, row.entry_points(entry, config.samples), scheme))
+        def fn(row):
+            P = row.entry_points(entry, config.samples)
+            row.record(_riccati_defect(entry.instance, P, scheme))
+        return fn
 
     def schrodinger_check(entry):
-        return lambda row: row.record(_mag(schrodinger_residual(
-            entry.schrodinger(), row.entry_points(entry, config.samples), scheme)))
+        def fn(row):
+            P = row.entry_points(entry, config.samples)
+            r = schrodinger_residual(entry.schrodinger(), P, scheme)
+            row.record(_mag(r))
+        return fn
 
     for entry in entries:
         tag = entry.name.replace("(", "_").replace(")", "").replace(",", "_").replace("=", "")
@@ -561,7 +578,8 @@ def suite_solutions(config: RunConfig) -> _Checks:
         con = catalog_entry("conical", config.margin, C1=0, C2=math.e).instance
         # point just off the log surface e*(x^2+y^2) = r^4 at rho = 1
         zs = math.sqrt(math.sqrt(math.e) - 1.0)
-        row.record(np.max(np.abs(con.Q(Point3(1.0, 0.0, zs + 5e-4)))))
+        pt = Point3(1.0, 0.0, zs + 5e-4)
+        row.record(np.max(np.abs(con.Q(pt))))
 
     checks.append(("spot_values", 1e-12, spot_values))
     checks.append(("blowup_witness_detection", 1e2, blowup_witness))
@@ -596,7 +614,8 @@ def suite_riccati(config: RunConfig) -> _Checks:
     def roundtrip(row):
         for entry in entries:
             P = row.entry_points(entry, 12)
-            back = cole_hopf(inverse_cole_hopf(entry.instance, entry.base, 0j, quad), scheme)
+            sch = inverse_cole_hopf(entry.instance, entry.base, 0j, quad)
+            back = cole_hopf(sch, scheme)
             row.record(np.abs(back.Q.batch(P) - entry.instance.Q.batch(P)).max(axis=0))
 
     def probes(rng, n: int) -> ScalarField:
@@ -629,11 +648,10 @@ def suite_riccati(config: RunConfig) -> _Checks:
         phi = ScalarField(lambda p: np.exp(p.x), vectorized=True)
         W = QuaternionField(lambda p: [np.exp(p.x), 0.0, np.exp(-p.x), 0.0], vectorized=True)
         Wv = VectorField(lambda p: vec3(0.0, np.exp(-p.x), 0.0), vectorized=True)
-        one_q = ScalarField(lambda p: 1.0 + 0j, vectorized=True)
         P = row.points((Point3(-0.6, -0.6, -0.6), Point3(0.6, 0.6, 0.6)), 15)
         c1, c2 = component_residuals(phi, Wv, phi, P, scheme)
         row.record(np.max([_mag(vekua_residual(W, phi, P, scheme)).max(axis=0),
-                           _mag(schrodinger_residual(SchrodingerInstance(phi, one_q), P,
+                           _mag(schrodinger_residual(SchrodingerInstance(phi, _ONE), P,
                                                      scheme)),
                            _mag(c1), np.abs(c2).max(axis=0)], axis=0))
 
@@ -644,18 +662,13 @@ def suite_riccati(config: RunConfig) -> _Checks:
         row.record(_mag(w_equation_residual(w, phi, P, scheme)).max(axis=0))
 
     def prop2_closed_parts(row):
-        tube = BoxDomain.box((0.25, -0.6, -0.6), (7.75, 0.6, 0.6))
-        one = ScalarField(lambda p: 1.0 + 0j, vectorized=True)
-        zero_q = ScalarField(lambda p: 0j, vectorized=True)
         w = VectorField(lambda p: vec3(1.0, 0.0, 0.0), vectorized=True)
         nb = config.build_grid
-        _, W0, Q = build_W_prop2(w, one, None, Point3(0, 0, 0), tube, quad,
+        _, W0, Q = build_W_prop2(w, _ONE, None, Point3(0, 0, 0), _TUBE, quad,
                                  scheme, cells=(5 * nb, nb, nb))
-        P = _as_batch([Point3(3.6, -0.1, 0.08), Point3(4.0, 0.12, -0.05),
-                       Point3(4.4, 0.0, 0.1)])
-        row.record(np.maximum(_mag(schrodinger_residual(SchrodingerInstance(W0, zero_q), P,
-                                                        scheme)),
-                              _riccati_defect(RiccatiInstance(Q, zero_q), P, scheme)))
+        P = _TUBE_PTS
+        r = schrodinger_residual(SchrodingerInstance(W0, _ZERO_Q), P, scheme)
+        row.record(np.maximum(_mag(r), _riccati_defect(RiccatiInstance(Q, _ZERO_Q), P, scheme)))
 
     checks = [
         ("cole_hopf_matches_catalog", 1e-6, cole_hopf_match),
@@ -681,19 +694,14 @@ def suite_euler_picard(config: RunConfig) -> _Checks:
     Qs = [inst.Q for inst in quads]
     pic_box = (Point3(0.55, 0.35, 0.45), Point3(1.9, 1.4, 1.5))
 
-    tube = BoxDomain.box((0.25, -0.6, -0.6), (7.75, 0.6, 0.6))
-    tube_pts = _as_batch([Point3(3.6, -0.1, 0.08), Point3(4.0, 0.12, -0.05),
-                          Point3(4.4, 0.0, 0.1)])
-    zero_q = ScalarField(lambda p: 0j, vectorized=True)
-    one = ScalarField(lambda p: 1.0 + 0j, vectorized=True)
     nb = config.build_grid
     cells = (5 * nb, nb, nb)
 
     inv_x = RiccatiInstance(
         VectorField(lambda p: vec3(-1.0 / p.x, 0, 0),
-                    BoxDomain.box((0.05, -5, -5), (50, 5, 5)), vectorized=True), zero_q)
+                    BoxDomain.box((0.05, -5, -5), (50, 5, 5)), vectorized=True), _ZERO_Q)
     zero_inst = RiccatiInstance(
-        VectorField(lambda p: np.zeros(3, complex), vectorized=True), zero_q)
+        VectorField(lambda p: np.zeros(3, complex), vectorized=True), _ZERO_Q)
 
     def picard_max_abs(row, *fields, n: int, **options) -> np.ndarray:
         """max_abs of picard_lhs at each of the row's next n Halton points, in one batch."""
@@ -718,43 +726,46 @@ def suite_euler_picard(config: RunConfig) -> _Checks:
 
     def get_W():
         return _shared("W", lambda: w_from_q_pair(
-            inv_x, zero_inst, None, Point3(1, 0, 0), tube, quad, scheme,
+            inv_x, zero_inst, None, Point3(1, 0, 0), _TUBE, quad, scheme,
             check_points=[Point3(3.0, 0.2, 0.1)], cells=cells))
 
     def get_W_from_W0():
         W0 = ScalarField(lambda p: p.x + 0j, vectorized=True)
         return _shared("Wb", lambda: build_W_from_W0(
-            W0, one, None, tube, quad, scheme, cells=cells))
+            W0, _ONE, None, _TUBE, quad, scheme, cells=cells))
 
     def wconst_scalar_exact(row):
-        expect = np.exp(-operator_A(inv_x.Q, Point3(1, 0, 0), 0j, quad).batch(tube_pts))
-        W2 = w_from_q_pair(inv_x, zero_inst, None, Point3(1, 0, 0), tube,
+        expect = np.exp(-operator_A(inv_x.Q, Point3(1, 0, 0), 0j, quad).batch(_TUBE_PTS))
+        W2 = w_from_q_pair(inv_x, zero_inst, None, Point3(1, 0, 0), _TUBE,
                            quad, scheme,
                            cells=(40, 8, 8))  # volume-resolution independence
         for W in (get_W(), W2):  # read without rot B: W2's grid is never built
-            row.record(_mag(_scalar_part(W).batch(tube_pts) - expect))
+            row.record(_mag(_scalar_part(W).batch(_TUBE_PTS) - expect))
 
     def q_recovery(row):
-        row.record(_diff(q_from_scw(get_W(), scheme).batch(tube_pts), inv_x.Q.batch(tube_pts)))
+        rec = q_from_scw(get_W(), scheme)
+        row.record(_diff(rec.batch(_TUBE_PTS), inv_x.Q.batch(_TUBE_PTS)))
 
     def euler_built(row):
-        row.record(_mag(euler_residual(get_W(), zero_inst.Q, tube_pts, scheme)).max(axis=0))
+        r = euler_residual(get_W(), zero_inst.Q, _TUBE_PTS, scheme)
+        row.record(_mag(r).max(axis=0))
 
     def vekua_built(row):
-        row.record(_mag(vekua_residual(get_W_from_W0(), one, tube_pts, scheme)).max(axis=0))
+        r = vekua_residual(get_W_from_W0(), _ONE, _TUBE_PTS, scheme)
+        row.record(_mag(r).max(axis=0))
 
     def prop3_roundtrip(row):
         W = get_W_from_W0()
         Wv = _vector_part(W)  # with W's jet: rot(phi Wv) is one pass per node
-        rec = build_W0_from_W(Wv, one, Point3(4.0, 0.0, 0.0), quad, scheme)
+        rec = build_W0_from_W(Wv, _ONE, Point3(4.0, 0.0, 0.0), quad, scheme)
         shift = rec(Point3(4.0, 0.0, 0.0)) - 4.0
-        x = tube_pts.x
-        row.record(_mag(rec.batch(tube_pts) - x - shift) / np.maximum(1.0, np.abs(x)))
+        x = _TUBE_PTS.x
+        row.record(_mag(rec.batch(_TUBE_PTS) - x - shift) / np.maximum(1.0, np.abs(x)))
 
     def mismatch_detection(row):
         other = catalog_entry("rotational", config.margin, k=1, c=0).instance
         try:
-            w_from_q_pair(inv_x, other, None, Point3(1, 0, 0), tube, quad,
+            w_from_q_pair(inv_x, other, None, Point3(1, 0, 0), _TUBE, quad,
                           scheme, check_points=[Point3(3.0, 0.2, 0.1)])
             row.record(0.0)
         except ValueError:
@@ -813,7 +824,8 @@ def suite_symmetry(config: RunConfig) -> _Checks:
         P = row.points(box, 10)
         for k in range(1, 11):
             Q = values(row.rng, P)
-            row.record(apart(P, Q, *group_act(GroupElement(k, 0.0), P, Q)))
+            P2, Q2 = group_act(GroupElement(k, 0.0), P, Q)
+            row.record(apart(P, Q, P2, Q2))
 
     def composition(ks: range, lam: float, n: int, pairs: int):
         """G_k(l2) G_k(l1) against G_k(l1 + l2) for each k of ks, on one batch
@@ -830,8 +842,9 @@ def suite_symmetry(config: RunConfig) -> _Checks:
                 p = Point3(*X)
                 for l1, l2 in row.rng.uniform(-lam, lam, (pairs, 2)):
                     pa, Qa = group_act(GroupElement(k, l1), p, Q)
-                    row.record(apart(*group_act(GroupElement(k, l2), pa, Qa),
-                                     *group_act(GroupElement(k, l1 + l2), p, Q)))
+                    pb, Qb = group_act(GroupElement(k, l2), pa, Qa)
+                    pc, Qc = group_act(GroupElement(k, l1 + l2), p, Q)
+                    row.record(apart(pb, Qb, pc, Qc))
         return check
 
     def orthogonality(row):
@@ -865,9 +878,10 @@ def suite_symmetry(config: RunConfig) -> _Checks:
                  (con, GroupElement(8, 0.03)), (con, GroupElement(9, 0.03)),
                  (con, GroupElement(10, 0.03))]
         for entry, g in jobs:
-            Q = pushforward_solution(g, entry.instance.Q)
-            P = row.points(entry.sample_box, 50, Q.domain.excluded)
-            row.record(_riccati_defect(RiccatiInstance(Q, entry.instance.q), P, scheme))
+            moved = pushforward_solution(g, entry.instance.Q)
+            inst = RiccatiInstance(moved, entry.instance.q)
+            P = row.points(entry.sample_box, 50, moved.domain.excluded)
+            row.record(_riccati_defect(inst, P, scheme))
 
     def pushforward_agreement(row):
         entry = catalog_entry("harmonic:x+y+z", config.margin)
@@ -875,7 +889,8 @@ def suite_symmetry(config: RunConfig) -> _Checks:
         # each conical group moves a point of its own axis along the axis
         axes = _as_batch([Point3(1.0, 0.0, 0.0), Point3(0.0, 1.0, 0.0), Point3(0.0, 0.0, 1.0)])
         for k in range(1, 11):
-            g = GroupElement(k, 0.2 if k <= 7 else 0.05)
+            lam = 0.2 if k <= 7 else 0.05
+            g = GroupElement(k, lam)
             t = transport_solution(g, entry.instance.Q)
             pf = pushforward_solution(g, entry.instance.Q)
             for Pk in (P,) if k <= 7 else (P, axes):
@@ -916,10 +931,12 @@ _RK4_STEP = 1e-3
 
 def suite_oned(config: RunConfig) -> _Checks:
     tan = r1d.Coefficients1D(lambda x: 1.0, lambda x: 0.0, lambda x: 1.0)  # y' = 1 + y^2
+    neg_sq = r1d.Coefficients1D(lambda x: 0.0, lambda x: 0.0, lambda x: -1.0)  # y' = -y^2
+    # solutions y = 1 / (x + c) of y' = -y^2
+    fns = [lambda x, cc=cc: 1.0 / (x + cc) for cc in (0.0, 1.0, 2.0, 3.0)]
 
     def integration(row):
-        c = r1d.Coefficients1D(lambda x: 0.0, lambda x: 0.0, lambda x: -1.0)
-        row.record(abs(r1d.integrate(c, 1.0, 1.0, 2.0, _RK4_STEP).ys[-1] - 0.5))
+        row.record(abs(r1d.integrate(neg_sq, 1.0, 1.0, 2.0, _RK4_STEP).ys[-1] - 0.5))
         row.record(abs(r1d.integrate(tan, 0.0, 0.0, 0.5, _RK4_STEP).ys[-1] - math.tan(0.5)))
         # y' = 1 + x^2 - y^2 has y = x: the only case here whose coefficients
         # depend on x, so the only one that sees where RK4 evaluates them
@@ -935,48 +952,46 @@ def suite_oned(config: RunConfig) -> _Checks:
         # largest distance of the observed order log2(e_h / e_h/2) from 4.
         errors = [abs(r1d.integrate(tan, 0.0, 0.0, 1.0, h).ys[-1] - math.tan(1.0))
                   for h in (1e-2, 5e-3, 2.5e-3)]
-        row.record([abs(math.log2(a / b) - 4.0) for a, b in zip(errors, errors[1:])],
-                   samples=len(errors))
+        orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
+        row.record([abs(order - 4.0) for order in orders], samples=len(errors))
 
     def crossratio(row):
-        fns = [lambda x, cc=cc: 1.0 / (x + cc) for cc in (0.0, 1.0, 2.0, 3.0)]
         xs = np.linspace(0.5, 2.0, 15)
         vals = [r1d.cross_ratio(*fns, x) for x in xs]
         row.record(max(vals) - min(vals), samples=len(xs))
 
     def picard_equiv(row):
-        fns = [lambda x, cc=cc: 1.0 / (x + cc) for cc in (0.0, 1.0, 2.0, 3.0)]
-        row.record([abs(r1d.picard_equiv_residual(*fns, x)) for x in np.linspace(0.5, 2.0, 20)])
+        xs = np.linspace(0.5, 2.0, 20)
+        row.record([abs(r1d.picard_equiv_residual(*fns, x)) for x in xs])
 
     def superposition_residual(row):
-        c = r1d.Coefficients1D(lambda x: 0.0, lambda x: 0.0, lambda x: -1.0)
-        fns = [lambda x, cc=cc: 1.0 / (x + cc) for cc in (0.0, 1.0, 2.0)]
-        y = r1d.superposition(*fns, 3.0)
-        row.record([abs(r1d.d1(y, x) - c.rhs(x, y(x))) for x in np.linspace(0.5, 2.0, 12)])
+        y = r1d.superposition(*fns[:3], 3.0)
+        xs = np.linspace(0.5, 2.0, 12)
+        row.record([abs(r1d.d1(y, x) - neg_sq.rhs(x, y(x))) for x in xs])
 
     def superposition_crossratio_k(row):
         # the superposition constant is a cross-ratio of (y1, y2, y3, y)
         k = 3.0
-        fns = [lambda x, cc=cc: 1.0 / (x + cc) for cc in (0.0, 1.0, 2.0)]
-        y = r1d.superposition(*fns, k)
+        y = r1d.superposition(*fns[:3], k)
         for x in np.linspace(0.5, 2.0, 12):
             y1, y2, y3, yx = fns[0](x), fns[1](x), fns[2](x), y(x)
-            row.record(abs((y1 - yx) * (y3 - y2) / ((y1 - y3) * (yx - y2)) - k))
+            k_rec = (y1 - yx) * (y3 - y2) / ((y1 - y3) * (yx - y2))
+            row.record(abs(k_rec - k))
 
     def euler_constructions(row):
-        c = r1d.Coefficients1D(lambda x: 0.0, lambda x: 0.0, lambda x: -1.0)
-        y = r1d.euler_first(c, lambda x: 0.0, 1.0, (0.0, 2.0))
+        y = r1d.euler_first(neg_sq, lambda x: 0.0, 1.0, (0.0, 2.0))
         row.record([abs(y(x) - 1.0 / (x + 1.0)) for x in (0.3, 1.0, 1.7)])
-        y2 = r1d.euler_second(lambda x: 1.0 / x, lambda x: 0.0, c, 2.0, (0.5, 2.5))
-        row.record([abs(r1d.d1(y2, x) - c.rhs(x, y2(x))) for x in (0.8, 1.3, 1.9)])
+        y2 = r1d.euler_second(lambda x: 1.0 / x, lambda x: 0.0, neg_sq, 2.0, (0.5, 2.5))
+        row.record([abs(r1d.d1(y2, x) - neg_sq.rhs(x, y2(x))) for x in (0.8, 1.3, 1.9)])
 
     def srr_solves_rrr(row):
         for k, c in ((1.0, 0.0), (2.0, 0.5 * math.log(2))):
             params = RotationalParams(k=k, c=c)
             u = reduced_radial(params)
             for rho in (1.5 if k == 1 else 1.8, 2.0, 3.0):
-                row.record(abs(r1d.d1(u, rho, h=2e-4)
-                               - (u(rho) ** 2 - u(rho) / rho - k * k / rho ** 2)))
+                resid = (r1d.d1(u, rho, h=2e-4)
+                         - (u(rho) ** 2 - u(rho) / rho - k * k / rho ** 2))
+                row.record(abs(resid))
 
     def linriccati2_tie(row):
         params = RotationalParams(k=1.0, c=0.0)

@@ -179,7 +179,8 @@ def _untimed(results) -> list:
 def test_rows_do_not_depend_on_registry_order_or_on_other_rows(seed, suite):
     # each row draws its own streams from (seed, suite, name), so its bits do
     # not move when the registry runs reversed or shuffled, or the row runs
-    # alone; every case builds a fresh registry, so no shared build carries over
+    # alone; every case builds a fresh registry, and each row run alone a
+    # registry of its own, so no shared build carries over
     from riccati3d.verify import _run_checks
     config = RunConfig(seed=seed)
 
@@ -191,7 +192,8 @@ def test_rows_do_not_depend_on_registry_order_or_on_other_rows(seed, suite):
     cases = {
         "reversed": _run_checks(registry()[::-1], config, suite),
         "shuffled": _run_checks([registry()[i] for i in order], config, suite),
-        "alone": [_run_checks([item], config, suite)[0] for item in registry()],
+        "alone": [_run_checks([registry()[i]], config, suite)[0]
+                  for i in range(len(registry()))],
     }
     for case, results in cases.items():
         assert _untimed(results) == expect, case

@@ -1,7 +1,6 @@
 """The registry checks that run on (4, N) batches, against the per-sample
 loops they replaced: the same samples bit for bit, the loops' residuals to
-round-off (numpy's complex loops may fuse a multiply and an add where Python
-does not), and the power to see a broken product or a dropped Leibniz term."""
+round-off, and the power to see a broken product or a dropped Leibniz term."""
 
 import math
 
@@ -9,16 +8,11 @@ import numpy as np
 import pytest
 
 from riccati3d import biquat, verify
-from riccati3d.biquat import Biquaternion, conj_h, inverse, max_component_diff, modulus_sq, mul
+from riccati3d.biquat import Biquaternion, max_component_diff, mul
 from riccati3d.errors import ZeroDivisor
 from riccati3d.fields import Point3, QuaternionField, ScalarField, dirac_left, grad
 from riccati3d.report import RunConfig
 from riccati3d.riccati import factorization_residual
-
-# how far a batched algebra row may read from its loop: both read round-off,
-# and the two round differently by up to 3.6e-15 (inverse_roundtrip at seed
-# 30, reading 1.4e-14, over seeds 0-39); 100 times below the rows' 1e-12
-ROUND_OFF = 1e-14
 
 # the algebra rows that run on batches, in registry order
 _BATCHED = ("product_vs_basis_oracle", "associativity", "distributivity",
@@ -26,11 +20,26 @@ _BATCHED = ("product_vs_basis_oracle", "associativity", "distributivity",
             "complex_unit_central", "inverse_roundtrip")
 
 
+def _one_sample(body):
+    """A component body (``_product``, ``_conj``, ...) on Biquaternions,
+    each held as one sample of length-1 arrays while ``body`` runs: numpy's
+    complex loops may fuse a multiply and an add where Python's complex
+    arithmetic does not, so only this way does a sample round as it rounds
+    in a batch."""
+    def run(*qs):
+        out = body(*(np.array(q.components)[:, None] for q in qs))
+        return Biquaternion(*(c[0] for c in out)) if len(out) == 4 else complex(out[0])
+    return run
+
+
 def _loop_algebra(config: RunConfig, seen: list, row_stream) -> dict:
     """The algebra rows of ``_BATCHED`` as the per-sample loops that once
     computed them, each on its row's own stream, each draw's four components
     appended to ``seen``."""
     rng = None
+    mul, conj_h, modulus_sq, inverse, basis_product_oracle = (_one_sample(body) for body in (
+        biquat._product, biquat._conj, biquat._modulus_sq, biquat._inverse,
+        verify._basis_product_oracle))
 
     def draw() -> Biquaternion:
         c = rng.uniform(-1, 1, 8)
@@ -46,7 +55,7 @@ def _loop_algebra(config: RunConfig, seen: list, row_stream) -> dict:
         worst = 0.0
         for _ in range(500):
             a, b = draw(), draw()
-            oracle = Biquaternion(*verify._basis_product_oracle(a.components, b.components))
+            oracle = basis_product_oracle(a, b)
             worst = max(worst, rel_diff(mul(a, b), oracle))
         return worst, 500
 
@@ -76,7 +85,7 @@ def _loop_algebra(config: RunConfig, seen: list, row_stream) -> dict:
         for _ in range(1000):
             a, b = draw(), draw()
             lhs = modulus_sq(mul(a, b))
-            rhs = modulus_sq(a) * modulus_sq(b)
+            rhs = complex(np.multiply(modulus_sq(a), modulus_sq(b)))
             worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
         return worst, 1000
 
@@ -166,7 +175,7 @@ def test_batched_algebra_draws_the_loop_samples_and_reads_its_residuals(seed, mo
         (r_loop, n_loop, s_loop), (r_batch, n_batch, s_batch) = loop[name], batched[name]
         assert n_batch == n_loop
         assert s_batch.tobytes() == s_loop.tobytes(), name
-        assert abs(r_batch - r_loop) <= ROUND_OFF, name
+        assert abs(r_batch - r_loop) <= 1e-15, name
 
 
 def test_inverse_roundtrip_replaces_rejected_draws_in_stream_order(monkeypatch, row_stream,
@@ -180,7 +189,7 @@ def test_inverse_roundtrip_replaces_rejected_draws_in_stream_order(monkeypatch, 
         batched["inverse_roundtrip"]
     assert len(s_loop) > 200
     assert s_batch.tobytes() == s_loop.tobytes()
-    assert abs(r_batch - r_loop) <= ROUND_OFF
+    assert abs(r_batch - r_loop) <= 1e-15
 
 
 def test_rel_diff_scales_each_sample_by_its_own_size():
