@@ -231,7 +231,7 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"unknown fields {sorted(unknown)}")
     if "psi" in fields and entry.psi is None:
         raise ConfigError(f"{entry.name} has no Schrodinger partner psi")
-    scheme = DiffScheme(h=args.h if args.h is not None else 1e-3)
+    scheme = DiffScheme() if args.h is None else DiffScheme(h=args.h)
     # a row is masked where its point is off Q's domain or an evaluator raises
     _, masked, _ = _export(args, lambda P: _eval_batch(entry, fields, P, scheme),
                            entry.instance.Q.domain.ok_mask)

@@ -10,7 +10,8 @@ Conventions
   equal-shape coordinate arrays and returns the component axis first:
   shape ``S`` for a scalar field, ``(3, *S)`` for a vector field and
   ``(4, *S)``, the four biquaternion components, for a quaternion field
-  (whose ``F(p)`` is a Biquaternion).  A field built with
+  (whose evaluator returns those components and whose ``F(p)`` is a
+  Biquaternion built from them).  A field built with
   ``vectorized=True`` declares that its evaluator broadcasts over such
   arrays (a constant return is broadcast), so ``batch`` calls it once;
   any other field is called once per point, with Python floats, and an
@@ -18,7 +19,7 @@ Conventions
   ``errors.Riccati3dError`` for ``index`` and ``where``).  The volume-grid
   build of B evaluates through ``batch``; operator A calls it once per
   quadrature round, for the nodes of every distinct leg in that round.
-* Derivatives are central finite differences (order 2 or 4) with a relative
+* Derivatives are fourth-order central finite differences with a relative
   step ``h * max(1, |coordinate|)`` per axis.  Every stencil point is checked
   (box, excluded set; else DomainError) before any point is evaluated, and
   ``riccati_residual`` takes -div Q and rot Q from one stencil of Q.
@@ -250,10 +251,9 @@ class _Field:
             return np.broadcast_to(v, self._lead + shape)
         out = np.empty(self._lead + (P[0].size,), dtype=complex)
         first = None
-        at = self.batch if isinstance(self, QuaternionField) else self  # a point's values
         for n, p in enumerate(zip(*(np.broadcast_to(c, shape).ravel().tolist() for c in P))):
             try:
-                out[..., n] = at(Point3(*p))
+                out[..., n] = self.fn(Point3(*p))
             except Riccati3dError as exc:
                 if first is None:
                     first, where = exc, np.zeros(out.shape[-1], dtype=bool)
@@ -284,22 +284,16 @@ class VectorField(_Field):
 class QuaternionField(_Field):
     """Point3 -> Biquaternion.
 
-    ``batch`` gives the four components, axis first: ``(4, *S)``.  A
-    vectorized evaluator returns the four components at one point and over
-    a batch (a list in which scalars are broadcast, or an array), and
-    ``F(p)`` builds the Biquaternion from them; any other evaluator returns
-    a Biquaternion.
+    The evaluator returns the four components (a sequence at one point, and
+    for a vectorized field over a batch a list in which scalars are
+    broadcast, or an array); ``F(p)`` builds the Biquaternion from them and
+    ``batch`` gives them axis first: ``(4, *S)``.
     """
 
     _lead = (4,)
 
     def __call__(self, p: Point3) -> Biquaternion:
-        v = self.fn(p)
-        if self.vectorized:
-            return Biquaternion(*v)
-        if not isinstance(v, Biquaternion):
-            raise TypeError(f"quaternion field evaluator returned {type(v)!r}")
-        return v
+        return Biquaternion(*self.fn(p))
 
     def batch(self, P: Point3) -> np.ndarray:
         if not _batched(P):
@@ -320,16 +314,13 @@ def _vector_part(W: QuaternionField) -> VectorField:
 
 @dataclass(frozen=True)
 class DiffScheme:
-    """Central finite differences: relative step h, order 2 or 4."""
+    """Fourth-order central finite differences with relative step h."""
 
     h: float = 1e-3
-    order: int = 4
 
     def __post_init__(self):
         if type(self.h) is bool or not (math.isfinite(self.h) and self.h > 0):
             raise ValueError(f"DiffScheme.h must be finite and positive, got {self.h!r}")
-        if type(self.order) is not int or self.order not in (2, 4):
-            raise ValueError(f"DiffScheme.order must be the int 2 or 4, got {self.order!r}")
 
     def step(self, p: Point3, axis: int):
         """h * max(1, |p[axis]|): a float at one point, an array for a batch."""
@@ -370,19 +361,18 @@ DEFAULT_QUAD = QuadratureSpec()
 # finite differences
 
 def _stencil_points(p: Point3, scheme: DiffScheme):
-    """One ``(h, points)`` pair per axis: p + h, p - h (then p + 2h, p - 2h).
+    """One ``(h, points)`` pair per axis: p + h, p - h, p + 2h, p - 2h.
 
     Each point is p with coordinate ``axis`` replaced by ``p[axis] +- j*h``;
     for a batch, h and each point hold one entry per target.
     """
     x, y, z = p
-    reach = (1, 2) if scheme.order == 4 else (1,)
     stencil = []
     for axis in range(3):
         h, c = scheme.step(p, axis), p[axis]
         stencil.append((h, tuple(
             Point3(v, y, z) if axis == 0 else Point3(x, v, z) if axis == 1 else Point3(x, y, v)
-            for j in reach for v in (c + j * h, c - j * h))))
+            for j in (1, 2) for v in (c + j * h, c - j * h))))
     return stencil
 
 
@@ -451,16 +441,12 @@ def _stencil_error(q: Point3, index: int, in_box: bool, where=None) -> DomainErr
 
 def _d1(evalf, h: float, pts):
     """First derivative along one axis from its ``(h, points)`` stencil."""
-    if len(pts) == 2:
-        return (evalf(pts[0]) - evalf(pts[1])) * (0.5 / h)
     f1, fm1, f2, fm2 = map(evalf, pts)
     return (fm2 - f2 + (f1 - fm1) * 8.0) * (1.0 / (12.0 * h))
 
 
 def _d2(evalf, f0, h: float, pts):
     """Second derivative along one axis; f0 is the value at the centre."""
-    if len(pts) == 2:
-        return (evalf(pts[0]) + evalf(pts[1]) - f0 * 2.0) * (1.0 / (h * h))
     f1, fm1, f2, fm2 = map(evalf, pts)
     return ((f1 + fm1) * 16.0 - (f2 + fm2) - f0 * 30.0) * (1.0 / (12.0 * h * h))
 
@@ -474,8 +460,7 @@ def _derivatives(f, p: Point3, scheme: DiffScheme) -> np.ndarray:
     stencil, P = _stencil(f.domain, p, scheme)
     if f.jet is not None:
         return f.jet(p)[1]
-    evalf = (_stacked(f, P) if P is not None
-             else f.batch if isinstance(f, QuaternionField) else f)
+    evalf = f.batch if P is None else _stacked(f, P)
     return np.array([_d1(evalf, *s) for s in stencil], dtype=complex)
 
 
@@ -1003,7 +988,7 @@ def operator_rot_B(F: VectorField, region: BoxDomain,
 
     The curl is computed in closed form from the gradient of the blob
     kernel, instead of by finite differences of the potential (12 full-grid
-    sums per point at order 4).  Grid, cell values and blob radius are those
+    sums per point).  Grid, cell values and blob radius are those
     of operator_B, and so is the pass per point: its kernel columns are
     g d_j, the real contraction gives grad B, and rot B is the curl of that.
 

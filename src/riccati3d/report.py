@@ -12,17 +12,20 @@ from dataclasses import dataclass, field, asdict
 from typing import Dict, List
 
 from .errors import ConfigError
-from .fields import _MAX_GAUSS_ORDER, DEFAULT_QUAD
+from .fields import DEFAULT_QUAD, DEFAULT_SCHEME, DiffScheme, QuadratureSpec
 
 __all__ = ["RunConfig", "CheckResult", "VerificationReport"]
 
 
 @dataclass
 class RunConfig:
-    """Resolved configuration, echoed verbatim into every report."""
+    """Resolved configuration, echoed verbatim into every report.
 
-    h: float = 1e-3
-    order: int = 4
+    ``scheme`` and ``quad`` are the DiffScheme and QuadratureSpec that the
+    checks use; building them applies their own rules to h and gauss_order.
+    """
+
+    h: float = DEFAULT_SCHEME.h
     gauss_order: int = DEFAULT_QUAD.gauss_order
     volume_grid: int = DEFAULT_QUAD.volume_grid
     build_grid: int = 12          # per-short-axis cells for W-builder checks
@@ -32,22 +35,21 @@ class RunConfig:
     tolerances: Dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        for name, value in (("h", self.h), ("margin", self.margin)):
-            if type(value) is bool or not (math.isfinite(value) and value > 0):
-                raise ConfigError(f"RunConfig.{name} must be finite and positive, "
-                                  f"got {value!r}")
+        if type(self.margin) is bool or not (math.isfinite(self.margin) and self.margin > 0):
+            raise ConfigError(f"RunConfig.margin must be finite and positive, "
+                              f"got {self.margin!r}")
         # type(x) is int, not isinstance: True is an int too
-        if type(self.order) is not int or self.order not in (2, 4):
-            raise ConfigError(f"RunConfig.order must be the int 2 or 4, got {self.order!r}")
-        for name, low in (("samples", 1), ("seed", 0), ("gauss_order", 1),
-                          ("volume_grid", 8), ("build_grid", 8)):
+        for name, low in (("samples", 1), ("seed", 0), ("volume_grid", 8), ("build_grid", 8)):
             value = getattr(self, name)
             if type(value) is not int or value < low:
                 raise ConfigError(f"RunConfig.{name} must be >= {low} and an int, "
                                   f"got {value!r}")
-        if self.gauss_order > _MAX_GAUSS_ORDER:
-            raise ConfigError(f"RunConfig.gauss_order must be <= {_MAX_GAUSS_ORDER}, "
-                              f"got {self.gauss_order!r}")
+        try:
+            self.scheme = DiffScheme(h=self.h)
+            self.quad = QuadratureSpec(gauss_order=self.gauss_order,
+                                       volume_grid=self.volume_grid)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         for name, value in self.tolerances.items():
             if type(value) is bool or not (math.isfinite(value) and value >= 0):
                 raise ConfigError(f"tolerance override {name!r} must be finite "

@@ -216,9 +216,9 @@ def factorization_residual(psi: ScalarField, inst: RiccatiInstance, p: Point3,
     Riccati equation at p; C_H does not act on the scalar probe.  The inner
     factor G = (D + Q C_H) psi = grad psi + psi Q is a pure vector, so both
     D G and D_r G come from one stencil of G (``_dirac_sum`` of its
-    derivatives): G is evaluated 13 times per point at order 4 (7 at order
-    2), its centre included.  Two Biquaternions at one point; over a batch
-    of shape S, two (4, *S) component arrays.
+    derivatives): G is evaluated 13 times per point, its centre included.
+    Two Biquaternions at one point; over a batch of shape S, two (4, *S)
+    component arrays.
     """
     p = Point3(*p)
     batched = _batched(p)

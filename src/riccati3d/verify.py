@@ -25,7 +25,6 @@ from .fields import (
     BoxDomain,
     DiffScheme,
     Point3,
-    QuadratureSpec,
     ScalarField,
     VectorField,
     QuaternionField,
@@ -233,14 +232,6 @@ def _run_checks(checks: _Checks, config: RunConfig, suite: str,
     return [run_one(*item) for item in checks]
 
 
-def _scheme(config: RunConfig) -> DiffScheme:
-    return DiffScheme(h=config.h, order=config.order)
-
-
-def _quad(config: RunConfig) -> QuadratureSpec:
-    return QuadratureSpec(gauss_order=config.gauss_order, volume_grid=config.volume_grid)
-
-
 def _random_biqs(rng, n: int, k: int = 1) -> np.ndarray:
     """n samples of k random biquaternions, drawn sample by sample, eight
     uniforms in [-1, 1) per biquaternion (the real and imaginary part of
@@ -415,8 +406,8 @@ def _random_quat_poly(rng) -> QuaternionField:
 
 
 def suite_operators(config: RunConfig) -> _Checks:
-    scheme = _scheme(config)
-    quad = _quad(config)
+    scheme = config.scheme
+    quad = config.quad
     box = (Point3(-1.2, -1.2, -1.2), Point3(1.2, 1.2, 1.2))
 
     def by_field(P: Point3, n: int):
@@ -542,7 +533,7 @@ _TUBE_PTS = _as_batch([Point3(3.6, -0.1, 0.08), Point3(4.0, 0.12, -0.05),
 
 
 def suite_solutions(config: RunConfig) -> _Checks:
-    scheme = _scheme(config)
+    scheme = config.scheme
     entries = acceptance_catalog(config.margin)
     checks = []
 
@@ -590,8 +581,8 @@ def suite_solutions(config: RunConfig) -> _Checks:
 # riccati suite (transforms + factorization)
 
 def suite_riccati(config: RunConfig) -> _Checks:
-    scheme = _scheme(config)
-    quad = _quad(config)
+    scheme = config.scheme
+    quad = config.quad
     entries = acceptance_catalog(config.margin)
     with_psi = [e for e in entries if e.psi is not None]
 
@@ -687,8 +678,8 @@ def suite_riccati(config: RunConfig) -> _Checks:
 # euler / picard suite
 
 def suite_euler_picard(config: RunConfig) -> _Checks:
-    scheme = _scheme(config)
-    quad = _quad(config)
+    scheme = config.scheme
+    quad = config.quad
     seeds = ["x", "y", "z", "x+y+z"]
     quads = [catalog_entry(f"harmonic:{s}", config.margin).instance for s in seeds]
     Qs = [inst.Q for inst in quads]
@@ -803,7 +794,7 @@ _TABLE_F = {
 
 
 def suite_symmetry(config: RunConfig) -> _Checks:
-    scheme = _scheme(config)
+    scheme = config.scheme
     box = (Point3(0.55, 0.35, 0.45), Point3(1.6, 1.3, 1.4))
 
     def values(rng, P: Point3) -> np.ndarray:

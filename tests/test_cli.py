@@ -145,24 +145,24 @@ def test_run_config_rejects_non_finite_or_non_positive(name, value):
 
 @pytest.mark.parametrize("name, value", [
     ("seed", 1.5), ("volume_grid", 8.5), ("gauss_order", 2.5), ("gauss_order", 32.0),
-    ("gauss_order", True), ("seed", True), ("order", 4.0), ("build_grid", 12.0),
-    ("samples", 10.5)])
+    ("gauss_order", True), ("seed", True), ("build_grid", 12.0), ("samples", 10.5)])
 def test_run_config_rejects_a_non_int_count(name, value):
     # seed 1.5 used to place Halton points at fractional indices and
-    # volume_grid 8.5 to be truncated to 8
-    with pytest.raises(ConfigError, match=rf"RunConfig.{name} must be .*int.*, got {value!r}$"):
+    # volume_grid 8.5 to be truncated to 8; gauss_order's rule and message
+    # are QuadratureSpec's
+    owner = "" if name == "gauss_order" else "RunConfig."
+    with pytest.raises(ConfigError, match=rf"{owner}{name} must be .*int.*, got {value!r}$"):
         RunConfig(**{name: value})
 
 
 @pytest.mark.parametrize("make, error, message", [
     (lambda: DiffScheme(h=True), ValueError, "DiffScheme.h must be finite and positive, got True"),
-    (lambda: DiffScheme(order=4.0), ValueError, "DiffScheme.order must be the int 2 or 4, got 4.0"),
-    (lambda: RunConfig(h=True), ConfigError, "RunConfig.h must be finite and positive, got True"),
+    (lambda: RunConfig(h=True), ConfigError, "DiffScheme.h must be finite and positive, got True"),
     (lambda: RunConfig(margin=True), ConfigError,
      "RunConfig.margin must be finite and positive, got True"),
     (lambda: RunConfig(tolerances={"basis_table": True}), ConfigError,
      "tolerance override 'basis_table' must be finite and >= 0, got True")],
-    ids=["scheme-h", "scheme-order", "config-h", "config-margin", "config-tolerance"])
+    ids=["scheme-h", "config-h", "config-margin", "config-tolerance"])
 def test_a_bool_or_float_where_a_number_or_int_is_wanted_is_rejected(make, error, message):
     # each of these was accepted, and True kept as the setting
     with pytest.raises(error) as exc:
@@ -220,7 +220,7 @@ def test_negative_seed_rejected_by_config_and_sampler():
 def test_gauss_order_below_one_exits_two(suite, capsys):
     # rejected for every suite, not only those that build a QuadratureSpec
     assert main(["verify", "--suite", suite, "--gauss-order", "0"]) == 2
-    assert "gauss_order must be >= 1" in capsys.readouterr().err
+    assert "gauss_order must be an int from 1 to 100, got 0" in capsys.readouterr().err
     with pytest.raises(ConfigError, match="gauss_order"):
         RunConfig(gauss_order=0)
 
@@ -232,7 +232,7 @@ def test_gauss_order_above_100_exits_two_before_any_node_is_computed(monkeypatch
         raise AssertionError(f"Gauss nodes of order {n} computed")
     monkeypatch.setattr(fields, "_gauss_nodes", no_nodes)
     assert main(["verify", "--suite", "operators", "--gauss-order", "101"]) == 2
-    assert "RunConfig.gauss_order must be <= 100, got 101" in capsys.readouterr().err
+    assert "gauss_order must be an int from 1 to 100, got 101" in capsys.readouterr().err
     with pytest.raises(ValueError, match="gauss_order must be an int from 1 to 100, got 101$"):
         QuadratureSpec(gauss_order=101)
     assert RunConfig(gauss_order=100).gauss_order == QuadratureSpec(gauss_order=100).gauss_order
@@ -278,6 +278,22 @@ def test_solution_margin_must_be_finite_and_positive(command, margin, tmp_path, 
     assert "margin must be finite and positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, owner, values", [
+    ("h", DiffScheme, [math.nan, 0.0, -1e-3, True]),
+    ("gauss_order", QuadratureSpec, [0, 101, 2.5, True])], ids=["h", "gauss_order"])
+def test_run_config_rejects_h_and_gauss_order_by_the_owners_rule(name, owner, values):
+    # one copy of each rule: RunConfig builds the DiffScheme and the
+    # QuadratureSpec its checks use and re-raises their error as a ConfigError
+    for value in values:
+        with pytest.raises(ValueError) as rule:
+            owner(**{name: value})
+        with pytest.raises(ConfigError) as exc:
+            RunConfig(**{name: value})
+        assert str(exc.value) == str(rule.value)
+    assert RunConfig(h=2e-3).scheme == DiffScheme(h=2e-3)
+    assert RunConfig(gauss_order=100, volume_grid=16).quad == QuadratureSpec(100, 16)
+
+
 def test_threads_setting_exits_two(tmp_path, capsys):
     # checks run serially; a thread count is neither a flag nor a config key
     with pytest.raises(SystemExit) as exc:
@@ -287,6 +303,19 @@ def test_threads_setting_exits_two(tmp_path, capsys):
     cfg.write_text("threads = 2\n")
     assert main(["verify", "--suite", "algebra", "--config", str(cfg)]) == 2
     assert "unknown config key 'threads'" in capsys.readouterr().err
+
+
+def test_order_setting_exits_two(tmp_path, capsys):
+    # fourth order is the only stencil: order is neither a flag, a config
+    # key nor a config_echo entry
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "algebra", "--order", "4"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("order = 4\n")
+    assert main(["verify", "--suite", "algebra", "--config", str(cfg)]) == 2
+    assert "unknown config key 'order'" in capsys.readouterr().err
+    assert "order" not in RunConfig().as_dict()
 
 
 def test_eval_row_count_contract(tmp_path, capsys):

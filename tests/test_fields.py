@@ -76,8 +76,7 @@ def test_diff_dispatcher_matches_named_ops():
 
 
 def test_dirac_equals_div_grad_rot_decomposition():
-    field = QuaternionField(lambda p: Biquaternion(
-        p.x * p.y, p.y * p.z, math.sin(p.x), p.z * p.z))
+    field = QuaternionField(lambda p: (p.x * p.y, p.y * p.z, math.sin(p.x), p.z * p.z))
     p = Point3(0.4, -0.3, 0.8)
     vec_part = VectorField(lambda t: field(t).vector)
     sc_part = ScalarField(lambda t: field(t).scalar)
@@ -92,16 +91,15 @@ def test_dirac_equals_div_grad_rot_decomposition():
 def test_dirac_square_is_minus_laplacian_on_harmonic():
     f = ScalarField(lambda p: complex(math.sin(p.x) * math.exp(p.y)))
     p = Point3(0.3, 0.4, 0.1)
-    Df = QuaternionField(lambda t: Biquaternion.from_vector(grad(f, t, S)))
+    Df = QuaternionField(lambda t: Biquaternion.from_vector(grad(f, t, S)).components)
     once_more = dirac_left(Df, p, S)
     assert once_more.max_abs() < 1e-6
     assert abs(laplacian(f, p, S)) < 1e-6
 
 
 def test_conjugation_intertwines_left_right_dirac():
-    field = QuaternionField(lambda p: Biquaternion(
-        p.x * p.x, p.y, p.x * p.z, math.cos(p.y)))
-    conj_field = QuaternionField(lambda p: conj_h(field(p)))
+    field = QuaternionField(lambda p: (p.x * p.x, p.y, p.x * p.z, math.cos(p.y)))
+    conj_field = QuaternionField(lambda p: conj_h(field(p)).components)
     p = Point3(-0.2, 0.6, 0.9)
     lhs = conj_h(dirac_left(field, p, S))
     rhs = -dirac_right(conj_field, p, S)
@@ -110,10 +108,10 @@ def test_conjugation_intertwines_left_right_dirac():
 
 def test_quaternionic_leibniz_rule():
     from riccati3d.fields import _d1, _stencil
-    phi = QuaternionField(lambda p: Biquaternion(p.x, p.y * p.z, 0.5 * p.x, p.z))
-    psi = QuaternionField(lambda p: Biquaternion(p.z, p.x, p.x * p.y, 1.0))
+    phi = QuaternionField(lambda p: (p.x, p.y * p.z, 0.5 * p.x, p.z))
+    psi = QuaternionField(lambda p: (p.z, p.x, p.x * p.y, 1.0))
     p = Point3(0.7, -0.4, 0.3)
-    prod = QuaternionField(lambda t: mul(phi(t), psi(t)))
+    prod = QuaternionField(lambda t: mul(phi(t), psi(t)).components)
     lhs = dirac_left(prod, p, S)
     rhs = mul(dirac_left(phi, p, S), psi(p)) + mul(conj_h(phi(p)), dirac_left(psi, p, S))
     for k, s in enumerate(_stencil(psi.domain, p, S)[0]):
@@ -139,7 +137,7 @@ def _counting(kind, domain=None):
         if kind is VectorField:
             return np.array([p.x * p.y, p.z, p.x + p.z], complex)
         if kind is QuaternionField:
-            return Biquaternion(p.x, p.y * p.z, p.z, p.x * p.y)
+            return (p.x, p.y * p.z, p.z, p.x * p.y)
         return complex(p.x * p.y * p.z)
     field = kind(fn, domain)
     field.calls = 0
@@ -151,23 +149,20 @@ _STENCIL_OPS = [(grad, ScalarField), (div, VectorField), (rot, VectorField),
                 (dirac_right, QuaternionField)]
 
 
-@pytest.mark.parametrize("order", [2, 4])
 @pytest.mark.parametrize("op,kind", _STENCIL_OPS, ids=lambda v: getattr(v, "__name__", ""))
-def test_stencil_evaluation_counts(op, kind, order):
-    # 6 (order 2) or 12 (order 4) shifted points; laplacian adds its centre once
+def test_stencil_evaluation_counts(op, kind):
+    # 12 shifted points; laplacian adds its centre once
     f = _counting(kind)
-    op(f, Point3(0.3, -0.7, 1.2), DiffScheme(order=order))
-    assert f.calls == 6 * order // 2 + (op is laplacian)
+    op(f, Point3(0.3, -0.7, 1.2), S)
+    assert f.calls == 12 + (op is laplacian)
 
 
-@pytest.mark.parametrize("order", [2, 4])
 @pytest.mark.parametrize("where", ["box", "excluded"])
 @pytest.mark.parametrize("op,kind", _STENCIL_OPS, ids=lambda v: getattr(v, "__name__", ""))
-def test_stencil_point_off_domain_raises_before_any_evaluation(op, kind, where, order):
-    scheme = DiffScheme(order=order)
+def test_stencil_point_off_domain_raises_before_any_evaluation(op, kind, where):
     p = Point3(0.5, 0.5, 0.5)
-    h = scheme.step(p, 2)
-    bad = p._replace(z=p.z - order // 2 * h)  # the last point of the z stencil
+    h = S.step(p, 2)
+    bad = p._replace(z=p.z - 2 * h)  # the last point of the z stencil
     if where == "box":
         domain = BoxDomain.box((0, 0, bad.z + 1e-9), (1, 1, 1))
         message = f"stencil point {bad} outside domain box"
@@ -176,7 +171,7 @@ def test_stencil_point_off_domain_raises_before_any_evaluation(op, kind, where, 
         message = f"stencil point {bad} in excluded set; shrink h or move p"
     f = _counting(kind, domain)
     with pytest.raises(DomainError) as exc:
-        op(f, p, scheme)
+        op(f, p, S)
     assert str(exc.value) == message
     assert f.calls == 0
 
@@ -216,7 +211,7 @@ _DIRAC_FIELDS = {
     "vector": VectorField(lambda p: np.array(
         [p.y * math.cos(p.z) + 1j * p.x, math.exp(p.x * p.z),
          p.x * p.y * p.z - 2j * p.y * p.y], complex)),
-    "quaternion": QuaternionField(lambda p: Biquaternion(
+    "quaternion": QuaternionField(lambda p: (
         math.cosh(p.x + p.y) + 0.5j * p.z, math.sin(p.x) + 1j * p.y * p.z, p.x ** 3,
         math.exp(-p.z) * p.y + 1j)),
     # numpy ufuncs run one loop for a point and a batch (``x ** 3`` would not)
@@ -227,22 +222,21 @@ _DIRAC_FIELDS = {
 _DIRAC_POINTS = halton_points((Point3(-1.3, -0.9, -1.1), Point3(1.2, 1.4, 0.8)), 40, 7)
 
 
-@pytest.mark.parametrize("order", [2, 4])
 @pytest.mark.parametrize("kind", sorted(_DIRAC_FIELDS))
-def test_dirac_equals_the_biquaternion_loop_bitwise(kind, order):
+def test_dirac_equals_the_biquaternion_loop_bitwise(kind):
     # repr tells every bit apart, the sign of a zero included; over a batch
     # (as a 5 x 8 grid of targets) every column equals the loop at its point
-    f, scheme = _DIRAC_FIELDS[kind], DiffScheme(order=order)
+    f = _DIRAC_FIELDS[kind]
     P = Point3(*(np.array(c).reshape(5, 8) for c in zip(*_DIRAC_POINTS)))
-    left, right = dirac_left(f, P, scheme), dirac_right(f, P, scheme)
+    left, right = dirac_left(f, P, S), dirac_right(f, P, S)
     assert left.shape == right.shape == (4, 5, 8)
     for i, p in enumerate(_DIRAC_POINTS):
-        assert repr(dirac_left(f, p, scheme)) == repr(_dirac_loop(f, p, scheme))
-        assert repr(dirac_right(f, p, scheme)) == repr(_dirac_loop(f, p, scheme, right=True))
+        assert repr(dirac_left(f, p, S)) == repr(_dirac_loop(f, p, S))
+        assert repr(dirac_right(f, p, S)) == repr(_dirac_loop(f, p, S, right=True))
         column = (slice(None), *divmod(i, 8))
-        assert repr(Biquaternion(*left[column])) == repr(_dirac_loop(f, p, scheme))
+        assert repr(Biquaternion(*left[column])) == repr(_dirac_loop(f, p, S))
         assert repr(Biquaternion(*right[column])) == repr(
-            _dirac_loop(f, p, scheme, right=True))
+            _dirac_loop(f, p, S, right=True))
 
 
 @pytest.mark.parametrize("vectorized", [False, True])
@@ -260,7 +254,7 @@ def _factorization_with_quaternion_probe(psi, inst, p, scheme):
     """factorization_residual with its probe grad psi + psi Q as a
     QuaternionField, each factor line through the Biquaternion loop."""
     G = QuaternionField(
-        lambda t: Biquaternion.from_vector(grad(psi, t, scheme) + psi(t) * inst.Q(t)),
+        lambda t: Biquaternion.from_vector(grad(psi, t, scheme) + psi(t) * inst.Q(t)).components,
         psi.domain.intersect(inst.Q.domain))
     Qp, Gp = Biquaternion.from_vector(inst.Q(p)), G(p)
     target = Biquaternion(-laplacian(psi, p, scheme) + inst.q(p) * psi(p))
@@ -268,44 +262,44 @@ def _factorization_with_quaternion_probe(psi, inst, p, scheme):
             _dirac_loop(G, p, scheme, right=True) - mul(Qp, Gp) - target)
 
 
-@pytest.mark.parametrize("order", [2, 4])
-def test_factorization_equals_the_quaternion_probe_reference_bitwise(order):
-    scheme = DiffScheme(order=order)
+def test_factorization_equals_the_quaternion_probe_reference_bitwise():
     inst = RiccatiInstance(
         VectorField(lambda p: np.array([p.x * p.y, math.sin(p.z), 1j * p.x], complex)),
         ScalarField(lambda p: complex(p.x + p.y, 0.5)))
     psi = _DIRAC_FIELDS["scalar"]
     for p in _DIRAC_POINTS:
-        got = factorization_residual(psi, inst, p, scheme)
-        want = _factorization_with_quaternion_probe(psi, inst, p, scheme)
+        got = factorization_residual(psi, inst, p, S)
+        want = _factorization_with_quaternion_probe(psi, inst, p, S)
         assert repr(got) == repr(want)
 
 
-@pytest.mark.parametrize("order, probe_evals", [(2, 7), (4, 13)])
-def test_factorization_evaluates_its_probe_once_per_stencil_point(order, probe_evals):
+def test_factorization_evaluates_its_probe_once_per_stencil_point():
     # each probe evaluation evaluates Q once, and Q(p) is evaluated once more;
     # differencing a QuaternionField probe once per factor line took 13 and 25
     Q = _counting(VectorField)
     inst = RiccatiInstance(Q, ScalarField(lambda p: 1j))
     psi = ScalarField(lambda p: complex(math.exp(0.3 * p.x - 0.2 * p.y + 0.1 * p.z)))
-    factorization_residual(psi, inst, Point3(0.3, -0.7, 1.2), DiffScheme(order=order))
-    assert Q.calls == probe_evals + 1
-
-def test_order2_scheme_works():
-    s2 = DiffScheme(h=1e-5, order=2)
-    f = ScalarField(lambda p: complex(p.x ** 2 + p.y))
-    g = grad(f, Point3(1.0, 2.0, 0.0), s2)
-    assert np.max(np.abs(g - np.array([2.0, 1.0, 0.0]))) < 1e-8
+    factorization_residual(psi, inst, Point3(0.3, -0.7, 1.2), S)
+    assert Q.calls == 13 + 1
 
 
 def test_scheme_validation():
-    with pytest.raises(ValueError):
-        DiffScheme(order=3)
     with pytest.raises(ValueError):
         DiffScheme(h=-1.0)
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite"):
             DiffScheme(h=bad)
+    with pytest.raises(TypeError):
+        DiffScheme(order=4)  # fourth order is the only stencil
+
+
+def test_quaternion_evaluator_returning_a_biquaternion_is_rejected():
+    # the evaluator returns the four components; a Biquaternion is not them
+    F = QuaternionField(lambda p: Biquaternion(p.x, p.y, 0, 1))
+    with pytest.raises(TypeError):
+        F(Point3(0.1, 0.2, 0.3))
+    with pytest.raises(TypeError):
+        F.batch(Point3(np.array([0.1, 0.4]), np.array([0.2, 0.5]), np.array([0.3, 0.6])))
 
 
 @pytest.mark.parametrize("name, value", [

@@ -105,7 +105,7 @@ def _guarded_Q(builder: str, value: complex) -> VectorField:
     if builder == "cole_hopf":
         return cole_hopf(SchrodingerInstance(ScalarField(lambda p: value), ZERO_Q)).Q
     if builder == "q_from_scw":
-        return q_from_scw(QuaternionField(lambda p: Biquaternion(value)))
+        return q_from_scw(QuaternionField(lambda p: (value, 0, 0, 0)))
     return harmonic_family(HarmonicSeed("const", ScalarField(lambda p: value))).Q
 
 
@@ -182,15 +182,15 @@ def test_factorization_constant_probe_gives_riccati_defect():
 
 def test_vekua_scalar_solution_and_identity():
     phi = ScalarField(lambda p: complex(math.exp(0.4 * p.x) * (2 + math.sin(p.y))))
-    W = QuaternionField(lambda p: Biquaternion(phi(p)))
+    W = QuaternionField(lambda p: (phi(p), 0, 0, 0))
     assert vekua_residual(W, phi, Point3(0.3, 0.5, -0.2), S).max_abs() < 1e-8
-    Wc = QuaternionField(lambda p: Biquaternion(1.0))
+    Wc = QuaternionField(lambda p: (1.0, 0, 0, 0))
     assert vekua_residual(Wc, ONE, Point3(0, 0, 0), S).max_abs() < 1e-12
 
 
 def test_vekua_zero_crossing_guard():
     phi = ScalarField(lambda p: complex(p.x))
-    W = QuaternionField(lambda p: Biquaternion(1.0))
+    W = QuaternionField(lambda p: (1.0, 0, 0, 0))
     with pytest.raises(ZeroCrossing):
         vekua_residual(W, phi, Point3(0, 1, 1), S)
 
@@ -235,7 +235,7 @@ def test_w_equation_takes_a_pure_vector_quaternion_field():
     # the vector view of a QuaternionField w equals the same w as a VectorField
     phi = ScalarField(lambda p: complex(math.exp(p.x)))
     vec = lambda p: np.array([p.y * p.z, math.exp(p.x), p.x - 2j * p.y], complex)
-    W = QuaternionField(lambda p: Biquaternion.from_vector(vec(p)))
+    W = QuaternionField(lambda p: Biquaternion.from_vector(vec(p)).components)
     p = Point3(0.2, -0.4, 0.6)
     assert repr(w_equation_residual(W, phi, p, S)) == repr(
         w_equation_residual(VectorField(vec), phi, p, S))
@@ -243,19 +243,19 @@ def test_w_equation_takes_a_pure_vector_quaternion_field():
 
 def test_w_equation_evaluates_a_quaternion_field_once_at_p():
     # once at p, for the scalar-part check and the product, and once per
-    # stencil point: 13 calls at order 4 (the vector view made it 14)
+    # stencil point: 13 calls (the vector view made it 14)
     calls = []
 
     def vec(p):
         calls.append(p)
-        return Biquaternion.from_vector([p.y * p.z, math.exp(p.x), p.x - 2j * p.y])
+        return Biquaternion.from_vector([p.y * p.z, math.exp(p.x), p.x - 2j * p.y]).components
 
     w_equation_residual(QuaternionField(vec), ONE, Point3(0.2, -0.4, 0.6), S)
     assert len(calls) == 13
 
 
 def test_w_equation_rejects_scalar_part():
-    W = QuaternionField(lambda p: Biquaternion(1.0, 1.0))
+    W = QuaternionField(lambda p: (1.0, 1.0, 0, 0))
     with pytest.raises(NotPureVector):
         w_equation_residual(W, ONE, Point3(0, 0, 0), S)
 
@@ -479,12 +479,11 @@ def _counting_instance(domain=None):
     return inst, counts
 
 
-@pytest.mark.parametrize("order", [2, 4])
-def test_riccati_residual_differences_Q_once(order):
-    # the centre plus one 6- or 12-point stencil shared by -div Q and rot Q
+def test_riccati_residual_differences_Q_once():
+    # the centre plus one 12-point stencil shared by -div Q and rot Q
     inst, counts = _counting_instance()
-    riccati_residual(inst, Point3(0.4, -0.3, 1.1), DiffScheme(order=order))
-    assert counts == {"Q": 1 + 6 * order // 2, "q": 1}
+    riccati_residual(inst, Point3(0.4, -0.3, 1.1), S)
+    assert counts == {"Q": 1 + 12, "q": 1}
 
 
 def test_riccati_residual_checks_the_whole_stencil_before_differencing():
@@ -496,20 +495,18 @@ def test_riccati_residual_checks_the_whole_stencil_before_differencing():
     assert counts == {"Q": 0, "q": 0}  # the stencil is checked before Q(p) too
 
 
-@pytest.mark.parametrize("order", [2, 4])
 @pytest.mark.parametrize("solution_id,params", [
     ("rotational", {"k": 1.0, "c": 0.3466}),
     ("conical", {"C1": 0.0, "C2": math.e}),
     ("harmonic:x+y+z", {}),
 ])
-def test_riccati_residual_equals_public_div_and_rot_bitwise(solution_id, params, order):
+def test_riccati_residual_equals_public_div_and_rot_bitwise(solution_id, params):
     from riccati3d.solutions import catalog_entry
     from riccati3d.verify import halton_points
     entry = catalog_entry(solution_id, **params)
     Q, q = entry.instance.Q, entry.instance.q
-    scheme = DiffScheme(order=order)
     for p in halton_points(entry.sample_box, 12, 3, excluded=lambda P: ~Q.domain.ok_mask(P)):
         Qp = Q(p)
-        scalar, vector = riccati_residual(entry.instance, p, scheme)
-        assert scalar == complex(-div(Q, p, scheme) + Qp @ Qp - q(p))
-        assert vector.tobytes() == rot(Q, p, scheme).tobytes()
+        scalar, vector = riccati_residual(entry.instance, p, S)
+        assert scalar == complex(-div(Q, p, S) + Qp @ Qp - q(p))
+        assert vector.tobytes() == rot(Q, p, S).tobytes()

@@ -233,12 +233,12 @@ def _loop_scalar_leibniz(config: RunConfig, seen: list, row_stream, loop_halton)
     row's own streams, with D(f0 psi), grad f0 and D psi at each point
     appended to ``seen``."""
     rng, start = row_stream(config.seed, "operators", "scalar_leibniz")
-    scheme = verify._scheme(config)
+    scheme = config.scheme
     worst = 0.0
     for p in loop_halton(_BOX, 30, start):
         f0 = verify._random_poly3(rng)
         psi = verify._random_quat_poly(rng)
-        prod = QuaternionField(lambda t: f0(t) * psi(t))
+        prod = QuaternionField(lambda t: (f0(t) * psi(t)).components)
         lhs = dirac_left(prod, p, scheme)
         g = grad(ScalarField(f0), p, scheme)
         d_psi = dirac_left(psi, p, scheme)
@@ -293,7 +293,7 @@ def test_factorization_rows_draw_the_loop_probes(monkeypatch, row_stream, run_ro
     # exp(a x + b y + c z) with math.exp; the batches draw the same stream,
     # each row its own
     config = RunConfig(seed=1)
-    scheme = verify._scheme(config)
+    scheme = config.scheme
     calls = []
 
     def recorded(psi, inst, P, scheme):
