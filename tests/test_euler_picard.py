@@ -196,7 +196,8 @@ def _counted(Q, calls: list):
     return VectorField(lambda p: calls.append(p) or Q.batch(p), Q.domain, vectorized=True)
 
 
-def test_picard_evaluates_each_field_once_per_stencil_point(harmonic_quadruple):
+@pytest.mark.parametrize("h", [1e-3, 1e-2])
+def test_picard_evaluates_each_field_once_per_stencil_point(harmonic_quadruple, h):
     # once at p and once per stencil point: 52 calls at one point,
     # where differencing each term's Qa - Qb made 104; over a batch, one call
     # per field of p and its stencil points stacked
@@ -207,7 +208,7 @@ def test_picard_evaluates_each_field_once_per_stencil_point(harmonic_quadruple):
     for p, shapes in ((pts[0], [()] * 13), (_as_batch(pts), [(13, 5)])):
         for c in calls:
             c.clear()
-        picard_lhs(*fields, p, S)
+        picard_lhs(*fields, p, DiffScheme(h=h))
         assert [[np.shape(q.x) for q in c] for c in calls] == [shapes] * 4
 
 

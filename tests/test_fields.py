@@ -148,20 +148,27 @@ _STENCIL_OPS = [(grad, ScalarField), (div, VectorField), (rot, VectorField),
                 (laplacian, VectorField), (dirac_left, QuaternionField),
                 (dirac_right, QuaternionField)]
 
+# the default step and a coarser one: the stencil's offsets scale with h in
+# the loop and the batch alike, and nothing holds the default
+_STEPS = [1e-3, 1e-2]
 
+
+@pytest.mark.parametrize("h", _STEPS)
 @pytest.mark.parametrize("op,kind", _STENCIL_OPS, ids=lambda v: getattr(v, "__name__", ""))
-def test_stencil_evaluation_counts(op, kind):
+def test_stencil_evaluation_counts(op, kind, h):
     # 12 shifted points; laplacian adds its centre once
     f = _counting(kind)
-    op(f, Point3(0.3, -0.7, 1.2), S)
+    op(f, Point3(0.3, -0.7, 1.2), DiffScheme(h=h))
     assert f.calls == 12 + (op is laplacian)
 
 
+@pytest.mark.parametrize("h", _STEPS)
 @pytest.mark.parametrize("where", ["box", "excluded"])
 @pytest.mark.parametrize("op,kind", _STENCIL_OPS, ids=lambda v: getattr(v, "__name__", ""))
-def test_stencil_point_off_domain_raises_before_any_evaluation(op, kind, where):
+def test_stencil_point_off_domain_raises_before_any_evaluation(op, kind, where, h):
+    scheme = DiffScheme(h=h)
     p = Point3(0.5, 0.5, 0.5)
-    h = S.step(p, 2)
+    h = scheme.step(p, 2)
     bad = p._replace(z=p.z - 2 * h)  # the last point of the z stencil
     if where == "box":
         domain = BoxDomain.box((0, 0, bad.z + 1e-9), (1, 1, 1))
@@ -171,7 +178,7 @@ def test_stencil_point_off_domain_raises_before_any_evaluation(op, kind, where):
         message = f"stencil point {bad} in excluded set; shrink h or move p"
     f = _counting(kind, domain)
     with pytest.raises(DomainError) as exc:
-        op(f, p, S)
+        op(f, p, scheme)
     assert str(exc.value) == message
     assert f.calls == 0
 
@@ -222,21 +229,22 @@ _DIRAC_FIELDS = {
 _DIRAC_POINTS = halton_points((Point3(-1.3, -0.9, -1.1), Point3(1.2, 1.4, 0.8)), 40, 7)
 
 
+@pytest.mark.parametrize("h", _STEPS)
 @pytest.mark.parametrize("kind", sorted(_DIRAC_FIELDS))
-def test_dirac_equals_the_biquaternion_loop_bitwise(kind):
+def test_dirac_equals_the_biquaternion_loop_bitwise(kind, h):
     # repr tells every bit apart, the sign of a zero included; over a batch
     # (as a 5 x 8 grid of targets) every column equals the loop at its point
-    f = _DIRAC_FIELDS[kind]
+    f, scheme = _DIRAC_FIELDS[kind], DiffScheme(h=h)
     P = Point3(*(np.array(c).reshape(5, 8) for c in zip(*_DIRAC_POINTS)))
-    left, right = dirac_left(f, P, S), dirac_right(f, P, S)
+    left, right = dirac_left(f, P, scheme), dirac_right(f, P, scheme)
     assert left.shape == right.shape == (4, 5, 8)
     for i, p in enumerate(_DIRAC_POINTS):
-        assert repr(dirac_left(f, p, S)) == repr(_dirac_loop(f, p, S))
-        assert repr(dirac_right(f, p, S)) == repr(_dirac_loop(f, p, S, right=True))
+        assert repr(dirac_left(f, p, scheme)) == repr(_dirac_loop(f, p, scheme))
+        assert repr(dirac_right(f, p, scheme)) == repr(_dirac_loop(f, p, scheme, right=True))
         column = (slice(None), *divmod(i, 8))
-        assert repr(Biquaternion(*left[column])) == repr(_dirac_loop(f, p, S))
+        assert repr(Biquaternion(*left[column])) == repr(_dirac_loop(f, p, scheme))
         assert repr(Biquaternion(*right[column])) == repr(
-            _dirac_loop(f, p, S, right=True))
+            _dirac_loop(f, p, scheme, right=True))
 
 
 @pytest.mark.parametrize("vectorized", [False, True])
@@ -262,24 +270,27 @@ def _factorization_with_quaternion_probe(psi, inst, p, scheme):
             _dirac_loop(G, p, scheme, right=True) - mul(Qp, Gp) - target)
 
 
-def test_factorization_equals_the_quaternion_probe_reference_bitwise():
+@pytest.mark.parametrize("h", _STEPS)
+def test_factorization_equals_the_quaternion_probe_reference_bitwise(h):
+    scheme = DiffScheme(h=h)
     inst = RiccatiInstance(
         VectorField(lambda p: np.array([p.x * p.y, math.sin(p.z), 1j * p.x], complex)),
         ScalarField(lambda p: complex(p.x + p.y, 0.5)))
     psi = _DIRAC_FIELDS["scalar"]
     for p in _DIRAC_POINTS:
-        got = factorization_residual(psi, inst, p, S)
-        want = _factorization_with_quaternion_probe(psi, inst, p, S)
+        got = factorization_residual(psi, inst, p, scheme)
+        want = _factorization_with_quaternion_probe(psi, inst, p, scheme)
         assert repr(got) == repr(want)
 
 
-def test_factorization_evaluates_its_probe_once_per_stencil_point():
+@pytest.mark.parametrize("h", _STEPS)
+def test_factorization_evaluates_its_probe_once_per_stencil_point(h):
     # each probe evaluation evaluates Q once, and Q(p) is evaluated once more;
     # differencing a QuaternionField probe once per factor line took 13 and 25
     Q = _counting(VectorField)
     inst = RiccatiInstance(Q, ScalarField(lambda p: 1j))
     psi = ScalarField(lambda p: complex(math.exp(0.3 * p.x - 0.2 * p.y + 0.1 * p.z)))
-    factorization_residual(psi, inst, Point3(0.3, -0.7, 1.2), S)
+    factorization_residual(psi, inst, Point3(0.3, -0.7, 1.2), DiffScheme(h=h))
     assert Q.calls == 13 + 1
 
 

@@ -479,10 +479,11 @@ def _counting_instance(domain=None):
     return inst, counts
 
 
-def test_riccati_residual_differences_Q_once():
+@pytest.mark.parametrize("h", [1e-3, 1e-2])
+def test_riccati_residual_differences_Q_once(h):
     # the centre plus one 12-point stencil shared by -div Q and rot Q
     inst, counts = _counting_instance()
-    riccati_residual(inst, Point3(0.4, -0.3, 1.1), S)
+    riccati_residual(inst, Point3(0.4, -0.3, 1.1), DiffScheme(h=h))
     assert counts == {"Q": 1 + 12, "q": 1}
 
 
@@ -495,18 +496,20 @@ def test_riccati_residual_checks_the_whole_stencil_before_differencing():
     assert counts == {"Q": 0, "q": 0}  # the stencil is checked before Q(p) too
 
 
+@pytest.mark.parametrize("h", [1e-3, 1e-2])
 @pytest.mark.parametrize("solution_id,params", [
     ("rotational", {"k": 1.0, "c": 0.3466}),
     ("conical", {"C1": 0.0, "C2": math.e}),
     ("harmonic:x+y+z", {}),
 ])
-def test_riccati_residual_equals_public_div_and_rot_bitwise(solution_id, params):
+def test_riccati_residual_equals_public_div_and_rot_bitwise(solution_id, params, h):
     from riccati3d.solutions import catalog_entry
     from riccati3d.verify import halton_points
     entry = catalog_entry(solution_id, **params)
     Q, q = entry.instance.Q, entry.instance.q
+    scheme = DiffScheme(h=h)
     for p in halton_points(entry.sample_box, 12, 3, excluded=lambda P: ~Q.domain.ok_mask(P)):
         Qp = Q(p)
-        scalar, vector = riccati_residual(entry.instance, p, S)
-        assert scalar == complex(-div(Q, p, S) + Qp @ Qp - q(p))
-        assert vector.tobytes() == rot(Q, p, S).tobytes()
+        scalar, vector = riccati_residual(entry.instance, p, scheme)
+        assert scalar == complex(-div(Q, p, scheme) + Qp @ Qp - q(p))
+        assert vector.tobytes() == rot(Q, p, scheme).tobytes()
